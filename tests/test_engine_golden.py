@@ -1,0 +1,137 @@
+"""Golden-artefact differential test for the three replay engines.
+
+``tests/fixtures/ENGINE_golden.json`` pins every scheme — including PES,
+the Oracle and Ondemand, which the scenario and fleet goldens never run —
+on a small fixed-seed grid: all five schemes x thermal {none,
+``cramped_chassis``} x faults {none, ``chaos``, ``rail_brownout``}, on four
+``cnn``/``google`` traces.  The chassis runs at a 40 C ambient: at the
+default 25 C these short sessions never reach the first throttle step, and
+the cap-engaged planning paths would go unpinned.  Each session is stored
+as its ``SessionResult.to_dict()`` payload without the per-event
+``outcomes``, plus a SHA-256 over those outcomes, so any drift in any
+engine path (reactive replay, PES commit/squash/fallback, Oracle windows,
+the thermal and fault seams) fails loudly while the fixture stays small.
+
+The PES learner is self-contained (one training trace per seen app, 300
+iterations), so the fixture does not move when the shared test learner is
+retuned.  When a change intentionally moves the numbers, regenerate and
+commit::
+
+    PYTHONPATH=src python tests/test_engine_golden.py --regenerate
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+from repro.core.predictor.training import PredictorTrainer
+from repro.faults import get_fault_preset
+from repro.hardware.thermal import ThermalModel, get_thermal_model
+from repro.runtime.metrics import SessionResult
+from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
+from repro.traces.generator import TraceGenerator
+from repro.webapp.apps import AppCatalog
+
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "ENGINE_golden.json"
+
+THERMAL_MODELS: tuple[str | None, ...] = (None, "cramped_chassis")
+THERMAL_AMBIENT_C = 40.0
+FAULT_PRESETS: tuple[str | None, ...] = (None, "chaos", "rail_brownout")
+TRACES: tuple[tuple[str, int], ...] = (
+    ("cnn", 8101),
+    ("cnn", 8102),
+    ("google", 8103),
+    ("google", 8104),
+)
+
+
+def session_payload(result: SessionResult) -> dict:
+    """A session's payload with the outcomes replaced by their digest."""
+    payload = result.to_dict()
+    outcomes = json.dumps(payload.pop("outcomes"), sort_keys=True)
+    payload["outcomes_sha256"] = hashlib.sha256(outcomes.encode()).hexdigest()
+    return payload
+
+
+def thermal_model(name: str | None) -> ThermalModel | None:
+    """The named chassis curve, warmed to the grid's ambient."""
+    if name is None:
+        return None
+    return dataclasses.replace(get_thermal_model(name), ambient_c=THERMAL_AMBIENT_C)
+
+
+def replay_payload() -> dict:
+    """Replay the golden grid and return its JSON payload."""
+    catalog = AppCatalog()
+    generator = TraceGenerator(catalog=catalog)
+    seen = [profile.name for profile in catalog.seen()]
+    learner = (
+        PredictorTrainer(catalog=catalog, max_iterations=300)
+        .train(generator.generate_many(seen, 1, base_seed=0))
+        .learner
+    )
+    traces = [generator.generate(app, seed=seed) for app, seed in TRACES]
+    cells: dict[str, list[dict]] = {}
+    for thermal in THERMAL_MODELS:
+        for faults in FAULT_PRESETS:
+            setup = SimulationSetup(
+                thermal=thermal_model(thermal),
+                faults=None if faults is None else get_fault_preset(faults),
+            )
+            simulator = Simulator(setup=setup, catalog=catalog)
+            for scheme in KNOWN_SCHEMES:
+                results = simulator.run_scheme(traces, scheme, learner=learner)
+                cells[f"{scheme}/{thermal or 'none'}/{faults or 'none'}"] = [
+                    session_payload(result) for result in results
+                ]
+    payload = {"traces": [list(trace) for trace in TRACES], "cells": cells}
+    return json.loads(json.dumps(payload))
+
+
+class TestEngineGoldenArtefact:
+    def test_fixture_covers_the_grid(self):
+        payload = json.loads(GOLDEN_PATH.read_text())
+        assert len(payload["cells"]) == (
+            len(KNOWN_SCHEMES) * len(THERMAL_MODELS) * len(FAULT_PRESETS)
+        )
+        for key, sessions in payload["cells"].items():
+            assert len(sessions) == len(TRACES), key
+            assert {s["scheduler_name"] for s in sessions} == {key.split("/")[0]}
+
+    def test_replay_matches_golden_bit_for_bit(self):
+        from test_scenarios_golden import _describe_drift
+
+        expected = json.loads(GOLDEN_PATH.read_text())
+        actual = replay_payload()
+        if actual != expected:
+            drifts = _describe_drift(expected, actual)
+            preview = "\n  ".join(drifts[:20])
+            raise AssertionError(
+                f"{len(drifts)} value(s) drifted from {GOLDEN_PATH.name}.\n"
+                "If this change is intentional, regenerate with:\n"
+                "  PYTHONPATH=src python tests/test_engine_golden.py --regenerate\n"
+                f"First drifts:\n  {preview}"
+            )
+
+
+def main() -> None:  # pragma: no cover - developer tool
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--regenerate", action="store_true", help="rewrite the golden fixture"
+    )
+    args = parser.parse_args()
+    if not args.regenerate:
+        parser.error("nothing to do; pass --regenerate to rewrite the fixture")
+    payload = replay_payload()
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {GOLDEN_PATH} ({len(payload['cells'])} cells)")
+
+
+if __name__ == "__main__":  # pragma: no cover
+    main()
