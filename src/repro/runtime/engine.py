@@ -15,6 +15,13 @@ model:
 * :class:`OracleEngine` — the upper bound with a priori knowledge of the
   entire event sequence, arrival times, and workloads.
 
+The reactive schemes and PES's EBS fallback share one per-event kernel,
+:func:`_react`: plan against the instantaneous (thermal- and fuel-gauge-)
+capped platform, execute under the DVFS and battery fault models, and
+record the outcome.  PES commits and Oracle windows run frames that are
+already planned; :func:`_planned_config` resolves the configuration such a
+frame actually runs at.
+
 Energy accounting: active intervals are charged at the configuration's
 power from the power table; the remainder of the session is charged at idle
 power; work squashed on a mis-prediction is counted both in the total and
@@ -352,6 +359,131 @@ class _SessionThermal:
         )
 
 
+def _open_session(
+    config: EngineConfig, trace: Trace, scheme: str
+) -> tuple[Trace, SessionFaultState | None, _SessionThermal | None]:
+    """Per-replay state: the fault session (and the trace it perturbs) and
+    the live thermal state, each ``None`` when its model is off."""
+    faults = config.faults.session(trace, scheme) if config.faults is not None else None
+    if faults is not None:
+        trace = faults.transform(trace)
+    thermal = _SessionThermal(config, faults) if config.thermal is not None else None
+    return trace, faults, thermal
+
+
+def _planning_system(
+    config: EngineConfig, thermal: _SessionThermal | None
+) -> tuple[AcmpSystem, bool]:
+    """The platform to plan over right now, and whether its cap is engaged."""
+    if thermal is None:
+        return config.system, False
+    return thermal.system_now(), thermal.throttled_now
+
+
+def _react(
+    config: EngineConfig,
+    scheduler: ReactiveScheduler,
+    event: TraceEvent,
+    start_ms: float,
+    previous_config: AcmpConfig | None,
+    thermal: _SessionThermal | None,
+    faults: SessionFaultState | None,
+    *,
+    idle_before_ms: float = 0.0,
+    mispredicted: bool = False,
+) -> tuple[ExecutionResult, EventOutcome]:
+    """Plan and execute one event reactively — the per-event kernel shared by
+    the reactive schemes and PES's EBS fallback."""
+    if thermal is not None:
+        # Cool through the gap, then plan against the platform's
+        # *instantaneous* capability at the moment execution starts.
+        thermal.idle_to(start_ms)
+    system, planned_throttled = _planning_system(config, thermal)
+    battery = _battery_effect(faults, event.index, start_ms)
+    if battery.cap_mhz is not None:
+        # Misreported fuel gauge: the governor plans this event over the
+        # low-battery ladder even though the cell is fine.
+        system = capped_system(system, battery.cap_mhz)
+    if battery.force_lowest:
+        # Brown-out: the rail overrides the governor entirely and pins the
+        # event to the platform's lowest rung.
+        plan = ExecutionPlan.single(config.system.min_performance_config)
+    else:
+        plan = scheduler.plan(
+            EventContext(
+                event=event,
+                start_ms=start_ms,
+                system=system,
+                power_table=config.power_table,
+                idle_before_ms=idle_before_ms,
+            )
+        )
+    execution = _execute_with_faults(
+        config, plan, event.workload, start_ms, previous_config, faults, event.index
+    )
+    execution = _apply_rail_sag(execution, battery, faults)
+    outcome = EventOutcome(
+        index=event.index,
+        event_type=event.event_type,
+        arrival_ms=event.arrival_ms,
+        start_ms=start_ms,
+        finish_ms=execution.finish_ms,
+        display_ms=config.pipeline.next_vsync_ms(execution.finish_ms),
+        qos_target_ms=event.qos_target_ms,
+        active_energy_mj=execution.active_energy_mj,
+        config_label=str(plan.final_config),
+        mispredicted=mispredicted,
+        queue_delay_ms=start_ms - event.arrival_ms,
+    )
+    if thermal is not None:
+        if execution.cpu_time_ms > 0.0:
+            # Mean power over the interval: exact for single-phase plans,
+            # the energy-preserving average for ramps.
+            thermal.active(
+                start_ms,
+                execution.finish_ms,
+                execution.active_energy_mj / execution.cpu_time_ms,
+            )
+        thermal.note_event(planned_throttled, outcome.latency_ms)
+    return execution, outcome
+
+
+def _planned_config(
+    config: EngineConfig,
+    planned: AcmpConfig,
+    previous_config: AcmpConfig | None,
+    faults: SessionFaultState | None,
+    event_index: int,
+    start_ms: float,
+) -> tuple[AcmpConfig, float, BatteryEffect]:
+    """The configuration an already-planned frame actually runs at.
+
+    Returns ``(config, switch latency, battery effect)``.  A failed DVFS
+    transition holds the prior configuration but still pays the attempted
+    switch latency; a brown-out pins the platform's lowest rung.  The frame
+    is already planned, so a fuel-gauge misreport has nothing left to cap
+    (``planning=False``); brown-outs and rail sags hit the execution itself
+    all the same.
+    """
+    chosen = planned
+    switch = config.switching.switch_latency_ms(previous_config, chosen)
+    if (
+        faults is not None
+        and previous_config is not None
+        and chosen != previous_config
+        and faults.dvfs_transition_fails()
+    ):
+        faults.note_dvfs_fault(
+            event_index, switch * config.power_table.power_w(previous_config)
+        )
+        chosen = previous_config
+    battery = _battery_effect(faults, event_index, start_ms, planning=False)
+    if battery.force_lowest and chosen != config.system.min_performance_config:
+        chosen = config.system.min_performance_config
+        switch = config.switching.switch_latency_ms(previous_config, chosen)
+    return chosen, switch, battery
+
+
 @dataclass
 class ReactiveEngine:
     """Replays a trace under a reactive (per-event) scheduler."""
@@ -360,80 +492,24 @@ class ReactiveEngine:
 
     def run(self, trace: Trace, scheduler: ReactiveScheduler) -> SessionResult:
         scheduler.reset()
-        faults = (
-            self.config.faults.session(trace, scheduler.name)
-            if self.config.faults is not None
-            else None
-        )
-        if faults is not None:
-            trace = faults.transform(trace)
+        trace, faults, thermal = _open_session(self.config, trace, scheduler.name)
         outcomes: list[EventOutcome] = []
         busy_until = 0.0
         busy_time = 0.0
         previous_config: AcmpConfig | None = None
-        thermal = (
-            _SessionThermal(self.config, faults) if self.config.thermal is not None else None
-        )
 
         for event in trace:
-            start = max(event.arrival_ms, busy_until)
-            idle_before = max(0.0, event.arrival_ms - busy_until)
-            if thermal is not None:
-                # Cool through the gap, then plan against the platform's
-                # *instantaneous* capability at the moment execution starts.
-                thermal.idle_to(start)
-                system = thermal.system_now()
-                planned_throttled = thermal.throttled_now
-            else:
-                system = self.config.system
-                planned_throttled = False
-            battery = _battery_effect(faults, event.index, start)
-            if battery.cap_mhz is not None:
-                # Misreported fuel gauge: the governor plans this event over
-                # the low-battery ladder even though the cell is fine.
-                system = capped_system(system, battery.cap_mhz)
-            ctx = EventContext(
-                event=event,
-                start_ms=start,
-                system=system,
-                power_table=self.config.power_table,
-                idle_before_ms=idle_before,
-            )
-            if battery.force_lowest:
-                # Brown-out: the rail overrides the governor entirely and
-                # pins the event to the platform's lowest rung.
-                plan = ExecutionPlan.single(self.config.system.min_performance_config)
-            else:
-                plan = scheduler.plan(ctx)
-            execution = _execute_with_faults(
-                self.config, plan, event.workload, start, previous_config, faults, event.index
-            )
-            execution = _apply_rail_sag(execution, battery, faults)
-            display = self.config.pipeline.next_vsync_ms(execution.finish_ms)
-            outcome = EventOutcome(
-                index=event.index,
-                event_type=event.event_type,
-                arrival_ms=event.arrival_ms,
-                start_ms=start,
-                finish_ms=execution.finish_ms,
-                display_ms=display,
-                qos_target_ms=event.qos_target_ms,
-                active_energy_mj=execution.active_energy_mj,
-                config_label=str(plan.final_config),
-                queue_delay_ms=start - event.arrival_ms,
+            execution, outcome = _react(
+                self.config,
+                scheduler,
+                event,
+                max(event.arrival_ms, busy_until),
+                previous_config,
+                thermal,
+                faults,
+                idle_before_ms=max(0.0, event.arrival_ms - busy_until),
             )
             outcomes.append(outcome)
-            scheduler.notify_completion(ctx, outcome.latency_ms)
-            if thermal is not None:
-                if execution.cpu_time_ms > 0.0:
-                    # Mean power over the interval: exact for single-phase
-                    # plans, the energy-preserving average for ramps.
-                    thermal.active(
-                        start,
-                        execution.finish_ms,
-                        execution.active_energy_mj / execution.cpu_time_ms,
-                    )
-                thermal.note_event(planned_throttled, outcome.latency_ms)
             busy_until = execution.finish_ms
             busy_time += execution.cpu_time_ms
             previous_config = execution.final_config
@@ -458,13 +534,7 @@ class ProactiveEngine:
 
     def run(self, trace: Trace, pes: PesScheduler) -> SessionResult:
         pes.reset()
-        faults = (
-            self.config.faults.session(trace, pes.name)
-            if self.config.faults is not None
-            else None
-        )
-        if faults is not None:
-            trace = faults.transform(trace)
+        trace, faults, thermal = _open_session(self.config, trace, pes.name)
         outcomes: list[EventOutcome] = []
         busy_until = 0.0
         busy_time = 0.0
@@ -474,9 +544,6 @@ class ProactiveEngine:
         # (prediction, planned assignment) pairs for the current round, in order.
         pending: deque[tuple[PredictedEvent, Assignment]] = deque()
         spec_cursor = 0.0  # earliest time the next speculative execution can start
-        thermal = (
-            _SessionThermal(self.config, faults) if self.config.thermal is not None else None
-        )
         # Whether the cap was engaged when the current round's schedule was
         # solved — committed frames inherit the round's planning conditions.
         round_throttled = False
@@ -497,32 +564,18 @@ class ProactiveEngine:
                 injected_flip = True
                 verdict = MatchResult.MISPREDICT
 
-            if verdict is MatchResult.MATCH and pending:
+            committed = verdict is MatchResult.MATCH and bool(pending)
+            if committed:
                 _, assignment = pending.popleft()
-                chosen = assignment.option.config
-                switch = self.config.switching.switch_latency_ms(previous_config, chosen)
-                if (
-                    faults is not None
-                    and previous_config is not None
-                    and chosen != previous_config
-                    and faults.dvfs_transition_fails()
-                ):
-                    faults.note_dvfs_fault(
-                        event.index, switch * self.config.power_table.power_w(previous_config)
-                    )
-                    chosen = previous_config
                 spec_start = max(spec_cursor, busy_until)
-                # The frame is already planned, so a fuel-gauge misreport has
-                # nothing left to cap here (planning=False); brown-outs and
-                # rail sags hit the execution itself all the same.
-                battery = _battery_effect(faults, event.index, spec_start, planning=False)
-                if battery.force_lowest:
-                    lowest = self.config.system.min_performance_config
-                    if chosen != lowest:
-                        chosen = lowest
-                        switch = self.config.switching.switch_latency_ms(
-                            previous_config, chosen
-                        )
+                chosen, switch, battery = _planned_config(
+                    self.config,
+                    assignment.option.config,
+                    previous_config,
+                    faults,
+                    event.index,
+                    spec_start,
+                )
                 duration = switch + event.workload.latency_ms(self.config.system, chosen)
                 finish = spec_start + duration
                 base_power = self.config.power_table.power_w(chosen)
@@ -586,32 +639,18 @@ class ProactiveEngine:
                     # of the injected flip; charge it to the fault ledger.
                     faults.note_fault_energy(wasted_energy - waste_before)
 
-                start = max(arrival, busy_until)
-                execution, outcome = self._reactive_execute(
-                    pes,
+            if not committed:
+                # Mispredicted, or nothing to commit (prediction disabled or
+                # nothing pending yet): the EBS fallback runs it reactively.
+                execution, outcome = _react(
+                    self.config,
+                    pes.fallback,
                     event,
-                    start,
+                    max(arrival, busy_until),
                     previous_config,
-                    mispredicted=True,
-                    thermal=thermal,
-                    faults=faults,
-                )
-                outcomes.append(outcome)
-                busy_until = execution.finish_ms
-                busy_time += execution.cpu_time_ms
-                previous_config = execution.final_config
-                spec_cursor = execution.finish_ms
-
-            else:  # NO_PREDICTION: prediction disabled or nothing pending yet
-                start = max(arrival, busy_until)
-                execution, outcome = self._reactive_execute(
-                    pes,
-                    event,
-                    start,
-                    previous_config,
-                    mispredicted=False,
-                    thermal=thermal,
-                    faults=faults,
+                    thermal,
+                    faults,
+                    mispredicted=verdict is MatchResult.MISPREDICT,
                 )
                 outcomes.append(outcome)
                 busy_until = execution.finish_ms
@@ -683,67 +722,6 @@ class ProactiveEngine:
             )
             pfb.push(frame, assignment.finish_ms)
 
-    def _reactive_execute(
-        self,
-        pes: PesScheduler,
-        event: TraceEvent,
-        start_ms: float,
-        previous_config: AcmpConfig | None,
-        *,
-        mispredicted: bool,
-        thermal: _SessionThermal | None = None,
-        faults: SessionFaultState | None = None,
-    ) -> tuple[ExecutionResult, EventOutcome]:
-        if thermal is not None:
-            thermal.idle_to(start_ms)
-            system = thermal.system_now()
-            planned_throttled = thermal.throttled_now
-        else:
-            system = self.config.system
-            planned_throttled = False
-        battery = _battery_effect(faults, event.index, start_ms)
-        if battery.cap_mhz is not None:
-            system = capped_system(system, battery.cap_mhz)
-        ctx = EventContext(
-            event=event,
-            start_ms=start_ms,
-            system=system,
-            power_table=self.config.power_table,
-            idle_before_ms=0.0,
-        )
-        if battery.force_lowest:
-            plan = ExecutionPlan.single(self.config.system.min_performance_config)
-        else:
-            plan = pes.fallback.plan(ctx)
-        execution = _execute_with_faults(
-            self.config, plan, event.workload, start_ms, previous_config, faults, event.index
-        )
-        execution = _apply_rail_sag(execution, battery, faults)
-        display = self.config.pipeline.next_vsync_ms(execution.finish_ms)
-        outcome = EventOutcome(
-            index=event.index,
-            event_type=event.event_type,
-            arrival_ms=event.arrival_ms,
-            start_ms=start_ms,
-            finish_ms=execution.finish_ms,
-            display_ms=display,
-            qos_target_ms=event.qos_target_ms,
-            active_energy_mj=execution.active_energy_mj,
-            config_label=str(plan.final_config),
-            speculative=False,
-            mispredicted=mispredicted,
-            queue_delay_ms=start_ms - event.arrival_ms,
-        )
-        if thermal is not None:
-            if execution.cpu_time_ms > 0.0:
-                thermal.active(
-                    start_ms,
-                    execution.finish_ms,
-                    execution.active_energy_mj / execution.cpu_time_ms,
-                )
-            thermal.note_event(planned_throttled, outcome.latency_ms)
-        return execution, outcome
-
 
 @dataclass
 class OracleEngine:
@@ -775,13 +753,7 @@ class OracleEngine:
         oracle = oracle or OracleScheduler()
         solver = DynamicProgrammingSolver(bucket_ms=self.dp_bucket_ms)
 
-        faults = (
-            self.config.faults.session(trace, oracle.name)
-            if self.config.faults is not None
-            else None
-        )
-        if faults is not None:
-            trace = faults.transform(trace)
+        trace, faults, thermal = _open_session(self.config, trace, oracle.name)
         events = list(trace)
         outcomes: list[EventOutcome] = []
         busy_time = 0.0
@@ -792,21 +764,12 @@ class OracleEngine:
             oracle.lookahead_events or self.default_lookahead_events or len(events) or 1
         )
 
-        thermal = (
-            _SessionThermal(self.config, faults) if self.config.thermal is not None else None
-        )
-
         while index < len(events):
             chunk = events[index : index + chunk_size]
-            if thermal is not None:
-                # The oracle plans each window against the platform's
-                # capability at planning time (the window's start), the same
-                # sampling discipline as a PES prediction round.
-                planning_system = thermal.system_now()
-                chunk_throttled = thermal.throttled_now
-            else:
-                planning_system = self.config.system
-                chunk_throttled = False
+            # The oracle plans each window against the platform's capability
+            # at planning time (the window's start), the same sampling
+            # discipline as a PES prediction round.
+            planning_system, chunk_throttled = _planning_system(self.config, thermal)
             specs = [
                 EventSpec(
                     label=f"event-{e.index}",
@@ -823,30 +786,15 @@ class OracleEngine:
             ]
             schedule = solver.solve(specs, clock)
             for event, assignment in zip(chunk, schedule.assignments):
-                chosen = assignment.option.config
-                switch = self.config.switching.switch_latency_ms(previous_config, chosen)
-                if (
-                    faults is not None
-                    and previous_config is not None
-                    and chosen != previous_config
-                    and faults.dvfs_transition_fails()
-                ):
-                    faults.note_dvfs_fault(
-                        event.index, switch * self.config.power_table.power_w(previous_config)
-                    )
-                    chosen = previous_config
                 start = max(clock, assignment.start_ms)
-                # Oracle chunk plans are already solved when the event runs,
-                # so misreports cap nothing here (planning=False); brown-outs
-                # and sags still override/scale the execution.
-                battery = _battery_effect(faults, event.index, start, planning=False)
-                if battery.force_lowest:
-                    lowest = self.config.system.min_performance_config
-                    if chosen != lowest:
-                        chosen = lowest
-                        switch = self.config.switching.switch_latency_ms(
-                            previous_config, chosen
-                        )
+                chosen, switch, battery = _planned_config(
+                    self.config,
+                    assignment.option.config,
+                    previous_config,
+                    faults,
+                    event.index,
+                    start,
+                )
                 finish = start + switch + event.workload.latency_ms(self.config.system, chosen)
                 base_power = self.config.power_table.power_w(chosen)
                 power = base_power * battery.power_scale

@@ -2,31 +2,32 @@
 
 A full paper evaluation replays every (scheme x trace) pair, and each replay
 is independent — exactly the embarrassingly parallel shape a process pool
-exploits.  :class:`ParallelEvaluator` fans those jobs out over a
-``multiprocessing`` pool:
+exploits.  :class:`ParallelEvaluator` runs every evaluation as a matrix of
+:class:`MatrixSweep` cells (:meth:`~ParallelEvaluator.evaluate` is a
+one-sweep matrix) and fans the jobs out over a ``multiprocessing`` pool:
 
-* **Worker-local simulator reuse** — each worker process builds one
-  :class:`~repro.runtime.simulator.Simulator` in its pool initializer and
-  keeps it for its whole life, so the hardware model, the per-scheme
-  baseline schedulers, and the per-app PES schedulers are constructed once
-  per worker, not once per job.  The trained learner is shipped to each
-  worker once (via the initializer), not pickled per job.
+* **Simulator reuse** — one lazy :class:`~repro.runtime.simulator.Simulator`
+  per hardware setup, so the hardware model, the per-scheme baseline
+  schedulers, and the per-app PES schedulers are built once per setup, not
+  once per job.  The same cache serves the in-process run, every pool
+  worker (it is the pool initarg, so the trained learner ships to each
+  worker once, not per job), and the parent's serial retries.
 * **Chunked work stealing** — jobs are pulled from a shared queue in small
-  chunks (``imap_unordered``), so a worker that drew short sessions steals
-  the next chunk instead of idling behind a worker stuck on a long one.
-* **Deterministic ordering** — every job carries its index; results are
-  re-sequenced as they arrive, so the output (and every floating-point
-  aggregate fold) is independent of worker count and completion order.
-* **Streaming aggregation** — per-scheme overall and per-app
+  chunks, so a worker that drew short sessions steals the next chunk
+  instead of idling behind a worker stuck on a long one.
+* **Deterministic ordering** — every job carries its global index (sweep,
+  then scheme, then trace); results are re-sequenced as they arrive, so the
+  output (and every floating-point aggregate fold) is independent of worker
+  count and completion order.
+* **Streaming aggregation** — per-cell overall and per-app
   :class:`~repro.runtime.metrics.AggregateMetrics` are folded incrementally
-  (in job order) as workers deliver results; with ``keep_results=False`` a
-  sweep over thousands of sessions never materialises the full
-  ``SessionResult`` lists.
-* **Serial fallback** — ``jobs=1`` bypasses the pool entirely and delegates
-  to :meth:`Simulator.run_scheme`, producing byte-identical output to the
-  plain serial sweep.  Because every replay is deterministic, ``jobs>1``
-  produces bit-identical ``SessionResult`` objects as well; only wall-clock
-  changes.
+  (in job order) as results arrive; with ``keep_results=False`` a sweep
+  over thousands of sessions never materialises the full ``SessionResult``
+  lists.
+* **In-process runs** — with one worker (``jobs=1``, or a single job left
+  to run) the jobs replay in the parent in job order, with no pool.  Every
+  replay is deterministic, so ``jobs>1`` produces bit-identical
+  ``SessionResult`` objects; only wall-clock changes.
 * **Graceful degradation** — a job that raises in a worker comes back as a
   failure payload instead of poisoning the pool; after the pool is torn
   down cleanly, failed (and, with ``job_timeout_s``, stalled) jobs are
@@ -68,7 +69,6 @@ from repro.runtime.metrics import (
     FaultAggregate,
     SessionResult,
     StreamingMatrixAggregator,
-    StreamingSweepAggregator,
     ThermalAggregate,
 )
 from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
@@ -203,119 +203,75 @@ class MatrixOutcome:
 
 
 # -- worker side --------------------------------------------------------------------
-#
-# Pool workers keep one Simulator for their whole life.  The initializer runs
-# once per worker process; _run_jobs then serves every chunk the worker steals.
-
-_WORKER: _WorkerContext | None = None
 
 
 @dataclass
-class _WorkerContext:
-    simulator: Simulator
-    learner: EventSequenceLearner | None
-    pes_config: PesConfig | None
+class _Simulators:
+    """Lazy simulators for one matrix run, one per hardware setup.
 
-
-def _init_worker(
-    setup: SimulationSetup,
-    catalog: AppCatalog,
-    learner: EventSequenceLearner | None,
-    pes_config: PesConfig | None,
-) -> None:
-    global _WORKER
-    _WORKER = _WorkerContext(
-        simulator=Simulator(setup=setup, catalog=catalog),
-        learner=learner,
-        pes_config=pes_config,
-    )
-
-
-def _run_job(job: tuple[int, str, Trace]) -> tuple[int, SessionResult | _JobFailure]:
-    """Replay one (scheme, trace) pair on the worker-local simulator.
-
-    Exceptions come back as :class:`_JobFailure` payloads rather than
-    propagating through the pool: a raising job must not poison the shared
-    ``imap`` stream the rest of the sweep is still flowing through.
-    """
-    index, scheme, trace = job
-    try:
-        assert _WORKER is not None, "worker pool was not initialised"
-        result = _WORKER.simulator.run_scheme(
-            [trace], scheme, learner=_WORKER.learner, pes_config=_WORKER.pes_config
-        )[0]
-    except Exception as exc:
-        return index, _JobFailure.from_exception(exc)
-    return index, result
-
-
-def _run_job_chunk(
-    jobs: list[tuple[int, str, Trace]]
-) -> list[tuple[int, SessionResult | _JobFailure]]:
-    """Replay a chunk of jobs as one pool task (see :func:`_chunked`)."""
-    return [_run_job(job) for job in jobs]
-
-
-_MATRIX_WORKER: _MatrixWorkerContext | None = None
-
-
-@dataclass
-class _MatrixWorkerContext:
-    """Worker-local state for matrix runs: one lazy Simulator per sweep key.
-
-    Simulators are built on first use, so a worker that only ever steals
-    jobs from two scenarios never pays for the other setups' power tables
-    and scheduler caches.
+    Sweeps tagged with the same ``setup_key`` share a simulator; the rest get
+    one per sweep key.  Simulators are built on first use, so a worker that
+    only ever steals jobs from two scenarios never pays for the other
+    setups' power tables and scheduler caches, and a clean pool run never
+    builds the parent's retry simulators.  The in-process run, the pool
+    initializer and the parent's retries all replay through :meth:`run`.
     """
 
     catalog: AppCatalog
     learner: EventSequenceLearner | None
-    setups: dict[str, SimulationSetup]
-    pes_configs: dict[str, PesConfig | None]
-    #: Sweep key -> shared-setup tag; keys absent from the map cache their
-    #: simulator under the sweep key itself (one simulator per sweep).
-    setup_keys: dict[str, str] = field(default_factory=dict)
+    #: Sweep key -> (setup, PES config, simulator cache key).
+    setups: dict[str, tuple[SimulationSetup, PesConfig | None, str]]
     simulators: dict[str, Simulator] = field(default_factory=dict)
 
-    def simulator(self, key: str) -> Simulator:
-        cache_key = self.setup_keys.get(key, key)
+    @classmethod
+    def for_sweeps(
+        cls,
+        sweeps: Sequence[MatrixSweep],
+        catalog: AppCatalog,
+        learner: EventSequenceLearner | None,
+    ) -> "_Simulators":
+        setups = {
+            sweep.key: (sweep.setup, sweep.pes_config, sweep.setup_key or sweep.key)
+            for sweep in sweeps
+        }
+        return cls(catalog=catalog, learner=learner, setups=setups)
+
+    def run(self, key: str, scheme: str, trace: Trace) -> SessionResult:
+        """Replay one (sweep, scheme, trace) job."""
+        setup, pes_config, cache_key = self.setups[key]
         simulator = self.simulators.get(cache_key)
         if simulator is None:
-            simulator = Simulator(setup=self.setups[key], catalog=self.catalog)
+            simulator = Simulator(setup=setup, catalog=self.catalog)
             self.simulators[cache_key] = simulator
-        return simulator
+        return simulator.run_scheme(
+            [trace], scheme, learner=self.learner, pes_config=pes_config
+        )[0]
 
 
-def _init_matrix_worker(
-    catalog: AppCatalog,
-    learner: EventSequenceLearner | None,
-    setups: dict[str, SimulationSetup],
-    pes_configs: dict[str, PesConfig | None],
-    setup_keys: dict[str, str] | None = None,
-) -> None:
+# Pool workers keep one _Simulators for their whole life: the initializer runs
+# once per worker process, then _run_matrix_job_chunk serves every chunk the
+# worker steals.
+_MATRIX_WORKER: _Simulators | None = None
+
+
+def _init_matrix_worker(simulators: _Simulators) -> None:
     global _MATRIX_WORKER
-    _MATRIX_WORKER = _MatrixWorkerContext(
-        catalog=catalog,
-        learner=learner,
-        setups=setups,
-        pes_configs=pes_configs,
-        setup_keys=setup_keys or {},
-    )
+    _MATRIX_WORKER = simulators
 
 
 def _run_matrix_job(
     job: tuple[int, str, str, Trace]
 ) -> tuple[int, SessionResult | _JobFailure]:
-    """Replay one (sweep, scheme, trace) job on the worker's per-key simulator."""
+    """Replay one (sweep, scheme, trace) job on the worker's simulators.
+
+    Exceptions come back as :class:`_JobFailure` payloads rather than
+    propagating through the pool: a raising job must not poison the shared
+    ``imap`` stream the rest of the sweep is still flowing through.
+    """
     index, key, scheme, trace = job
     try:
         assert _MATRIX_WORKER is not None, "matrix worker pool was not initialised"
-        result = _MATRIX_WORKER.simulator(key).run_scheme(
-            [trace],
-            scheme,
-            learner=_MATRIX_WORKER.learner,
-            pes_config=_MATRIX_WORKER.pes_configs[key],
-        )[0]
+        result = _MATRIX_WORKER.run(key, scheme, trace)
     except Exception as exc:
         return index, _JobFailure.from_exception(exc)
     return index, result
@@ -414,50 +370,28 @@ class ParallelEvaluator:
         pes_config: PesConfig | None = None,
         keep_results: bool = True,
     ) -> EvaluationOutcome:
-        """Replay every trace under every scheme, aggregating as results arrive."""
-        trace_list = list(traces)
-        scheme_list = list(schemes)
-        unknown = [scheme for scheme in scheme_list if scheme not in KNOWN_SCHEMES]
-        if unknown:
-            # Reject on the driver side: a bad name surfacing from a worker
-            # would otherwise drain the whole queued sweep first.
-            raise ValueError(f"unknown scheme {unknown[0]!r}")
-        if "PES" in scheme_list and learner is None:
-            raise ValueError("running PES requires a trained learner")
-        n_traces = len(trace_list)
-        n_jobs = n_traces * len(scheme_list)
-        sweeps = {scheme: StreamingSweepAggregator() for scheme in scheme_list}
-        ordered: list[SessionResult | None] = [None] * n_jobs if keep_results else []
+        """Replay every trace under every scheme, aggregating as results arrive.
 
-        if n_jobs == 0:
-            results = {scheme: [] for scheme in scheme_list} if keep_results else None
+        A one-sweep :meth:`evaluate_matrix` run on this evaluator's setup, so
+        the sweep is validated like any matrix cell (known, distinct schemes;
+        a learner for PES).
+        """
+        trace_list = tuple(traces)
+        if not trace_list or not schemes:
+            results = {scheme: [] for scheme in schemes} if keep_results else None
             return EvaluationOutcome(aggregates={}, results=results)
-
-        workers = min(self._jobs, n_jobs)
-        if workers <= 1:
-            self._run_serial(trace_list, scheme_list, learner, pes_config, sweeps, ordered)
-        else:
-            self._run_parallel(
-                trace_list, scheme_list, learner, pes_config, sweeps, ordered, workers
-            )
-
-        aggregates = {
-            scheme: SchemeAggregates(
-                overall=sweep.finalize(),
-                per_app=sweep.finalize_per_app(),
-                thermal=sweep.overall.finalize_thermal(),
-                faults=sweep.overall.finalize_faults(),
-            )
-            for scheme, sweep in sweeps.items()
-            if sweep.overall.n_sessions
-        }
-        results: dict[str, list[SessionResult]] | None = None
-        if keep_results:
-            results = {
-                scheme: ordered[position * n_traces : (position + 1) * n_traces]  # type: ignore[misc]
-                for position, scheme in enumerate(scheme_list)
-            }
-        return EvaluationOutcome(aggregates=aggregates, results=results)
+        sweep = MatrixSweep(
+            key="evaluate",
+            setup=self.setup,
+            traces=trace_list,
+            schemes=tuple(schemes),
+            pes_config=pes_config,
+        )
+        outcome = self.evaluate_matrix([sweep], learner=learner, keep_results=keep_results)
+        return EvaluationOutcome(
+            aggregates=outcome.aggregates[sweep.key],
+            results=None if outcome.results is None else outcome.results[sweep.key],
+        )
 
     def evaluate_matrix(
         self,
@@ -545,11 +479,18 @@ class ParallelEvaluator:
             if finished is not None and on_sweep_complete is not None:
                 on_sweep_complete(finished, _finalize_sweep(aggregator, finished))
 
+        simulators = _Simulators.for_sweeps(sweep_list, self.catalog, learner)
         workers = min(self._jobs, len(jobs) - len(done))
         if workers <= 1:
-            self._run_matrix_serial(sweep_list, learner, fold, done)
+            # In-process: jobs in ``done`` fold their known result without
+            # touching a simulator.
+            for index, key, scheme, trace in jobs:
+                result = done.get(index)
+                if result is None:
+                    result = simulators.run(key, scheme, trace)
+                fold(index, result)
         else:
-            self._run_matrix_parallel(sweep_list, jobs, learner, fold, workers, done)
+            self._drain_pool(jobs, simulators, workers, fold, done)
 
         aggregates: dict[str, dict[str, SchemeAggregates]] = {}
         for sweep in sweep_list:
@@ -569,172 +510,27 @@ class ParallelEvaluator:
                 results[sweep.key] = per_scheme_results
         return MatrixOutcome(aggregates=aggregates, results=results)
 
-    # -- execution strategies -----------------------------------------------------
-
-    def _run_serial(
-        self,
-        traces: list[Trace],
-        schemes: list[str],
-        learner: EventSequenceLearner | None,
-        pes_config: PesConfig | None,
-        sweeps: dict[str, StreamingSweepAggregator],
-        ordered: list[SessionResult | None],
-    ) -> None:
-        """The ``jobs=1`` fallback: one in-process sweep per scheme."""
-        simulator = Simulator(setup=self.setup, catalog=self.catalog)
-        for position, scheme in enumerate(schemes):
-            results = simulator.run_scheme(
-                traces, scheme, learner=learner, pes_config=pes_config
-            )
-            for offset, result in enumerate(results):
-                sweeps[scheme].add(result)
-                if ordered:
-                    ordered[position * len(traces) + offset] = result
-
-    def _run_parallel(
-        self,
-        traces: list[Trace],
-        schemes: list[str],
-        learner: EventSequenceLearner | None,
-        pes_config: PesConfig | None,
-        sweeps: dict[str, StreamingSweepAggregator],
-        ordered: list[SessionResult | None],
-        workers: int,
-    ) -> None:
-        n_traces = len(traces)
-        jobs = [
-            (position * n_traces + offset, scheme, trace)
-            for position, scheme in enumerate(schemes)
-            for offset, trace in enumerate(traces)
-        ]
-
-        def fold(index: int, result: SessionResult) -> None:
-            sweeps[schemes[index // n_traces]].add(result)
-            if ordered:
-                ordered[index] = result
-
-        # Serial re-run path for failed/stalled jobs; the simulator is built
-        # lazily so a clean run never pays for it.
-        parent_simulator: list[Simulator] = []
-
-        def rerun(index: int) -> SessionResult:
-            if not parent_simulator:
-                parent_simulator.append(Simulator(setup=self.setup, catalog=self.catalog))
-            _, scheme, trace = jobs[index]
-            return parent_simulator[0].run_scheme(
-                [trace], scheme, learner=learner, pes_config=pes_config
-            )[0]
-
-        self._drain_pool(
-            n_jobs=len(jobs),
-            submit=lambda pool, chunk: pool.imap_unordered(
-                _run_job_chunk, _chunked(jobs, chunk)
-            ),
-            initializer=_init_worker,
-            initargs=(self.setup, self.catalog, learner, pes_config),
-            workers=workers,
-            fold=fold,
-            rerun=rerun,
-        )
-
-    def _run_matrix_serial(
-        self,
-        sweeps: list[MatrixSweep],
-        learner: EventSequenceLearner | None,
-        fold: Callable[[int, SessionResult], None],
-        done: dict[int, SessionResult],
-    ) -> None:
-        """In-process matrix run: one simulator per setup, global job order.
-
-        Simulators are cached under ``setup_key`` (falling back to the sweep
-        key), so sweeps tagged as sharing a hardware configuration share one
-        simulator here exactly as pool workers do.  Jobs present in ``done``
-        fold their known result without touching a simulator.
-        """
-        simulators: dict[str, Simulator] = {}
-        position = 0
-        for sweep in sweeps:
-            cache_key = sweep.setup_key or sweep.key
-            for scheme in sweep.schemes:
-                for trace in sweep.traces:
-                    result = done.get(position)
-                    if result is None:
-                        simulator = simulators.get(cache_key)
-                        if simulator is None:
-                            simulator = Simulator(setup=sweep.setup, catalog=self.catalog)
-                            simulators[cache_key] = simulator
-                        result = simulator.run_scheme(
-                            [trace], scheme, learner=learner, pes_config=sweep.pes_config
-                        )[0]
-                    fold(position, result)
-                    position += 1
-
-    def _run_matrix_parallel(
-        self,
-        sweeps: list[MatrixSweep],
-        jobs: list[tuple[int, str, str, Trace]],
-        learner: EventSequenceLearner | None,
-        fold: Callable[[int, SessionResult], None],
-        workers: int,
-        done: dict[int, SessionResult],
-    ) -> None:
-        setups = {sweep.key: sweep.setup for sweep in sweeps}
-        pes_configs = {sweep.key: sweep.pes_config for sweep in sweeps}
-        setup_keys = {
-            sweep.key: sweep.setup_key for sweep in sweeps if sweep.setup_key is not None
-        }
-        parent_simulators: dict[str, Simulator] = {}
-
-        def rerun(index: int) -> SessionResult:
-            _, key, scheme, trace = jobs[index]
-            cache_key = setup_keys.get(key, key)
-            simulator = parent_simulators.get(cache_key)
-            if simulator is None:
-                simulator = Simulator(setup=setups[key], catalog=self.catalog)
-                parent_simulators[cache_key] = simulator
-            return simulator.run_scheme(
-                [trace], scheme, learner=learner, pes_config=pes_configs[key]
-            )[0]
-
-        todo = [job for job in jobs if job[0] not in done]
-        self._drain_pool(
-            n_jobs=len(jobs),
-            submit=lambda pool, chunk: pool.imap_unordered(
-                _run_matrix_job_chunk, _chunked(todo, chunk)
-            ),
-            initializer=_init_matrix_worker,
-            initargs=(self.catalog, learner, setups, pes_configs, setup_keys),
-            workers=workers,
-            fold=fold,
-            rerun=rerun,
-            prefill=done,
-        )
-
     # -- pool lifecycle -----------------------------------------------------------
 
     def _drain_pool(
         self,
-        *,
-        n_jobs: int,
-        submit: Callable,
-        initializer: Callable,
-        initargs: tuple,
+        jobs: list[tuple[int, str, str, Trace]],
+        simulators: _Simulators,
         workers: int,
         fold: Callable[[int, SessionResult], None],
-        rerun: Callable[[int], SessionResult],
-        prefill: dict[int, SessionResult] | None = None,
+        done: dict[int, SessionResult],
     ) -> None:
-        """Run one pool to completion with ordered folding and fault recovery.
+        """Run the jobs through one pool with ordered folding and fault recovery.
 
-        ``prefill`` seeds already-known results (resume path): they join the
+        ``done`` holds already-known results (resume path): they join the
         pending map up front, fold at their original position as the prefix
         fills in, and are never submitted to the pool.
 
         Results arrive in completion order (work stealing); the contiguous
         prefix is folded as it fills in, so aggregation order — hence every
-        floating-point total — matches the serial sweep exactly.  A job that
-        failed in its worker parks as a :class:`_JobFailure` and blocks the
-        prefix; once the pool is torn down (cleanly on completion,
+        floating-point total — matches the in-process run exactly.  A job
+        that failed in its worker parks as a :class:`_JobFailure` and blocks
+        the prefix; once the pool is torn down (cleanly on completion,
         ``terminate`` on a stall), failed and undelivered jobs are re-run
         serially in the parent (or surfaced as :class:`WorkerJobError` when
         ``retry_failed_jobs`` is off) and the fold completes in order.
@@ -742,19 +538,23 @@ class ParallelEvaluator:
         and join the pool before propagating — no leaked worker processes,
         no un-joined pool.
         """
-        n_todo = n_jobs - (len(prefill) if prefill else 0)
+        n_jobs = len(jobs)
+        todo = [job for job in jobs if job[0] not in done]
+        n_todo = len(todo)
         chunk = self.chunk_size or pool_chunk_size(n_todo, workers)
         # Deliveries arrive one chunk at a time, and a chunk runs its jobs
         # serially on one worker — so the per-delivery watchdog bound is the
         # per-job timeout scaled by the chunk size.
         timeout = None if self.job_timeout_s is None else self.job_timeout_s * chunk
-        pending: dict[int, SessionResult | _JobFailure] = dict(prefill) if prefill else {}
+        pending: dict[int, SessionResult | _JobFailure] = dict(done)
         next_index = 0
         delivered = 0
         stalled = False
-        pool = mp_context().Pool(processes=workers, initializer=initializer, initargs=initargs)
+        pool = mp_context().Pool(
+            processes=workers, initializer=_init_matrix_worker, initargs=(simulators,)
+        )
         try:
-            iterator = submit(pool, chunk)
+            iterator = pool.imap_unordered(_run_matrix_job_chunk, _chunked(todo, chunk))
             while delivered < n_todo:
                 try:
                     batch = iterator.next(timeout)
@@ -821,7 +621,8 @@ class ParallelEvaluator:
                 stacklevel=3,
             )
             for index in to_recover:
-                pending[index] = rerun(index)
+                _, key, scheme, trace = jobs[index]
+                pending[index] = simulators.run(key, scheme, trace)
 
         while next_index < n_jobs:
             result = pending.pop(next_index)

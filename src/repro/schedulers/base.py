@@ -90,9 +90,6 @@ class ReactiveScheduler(abc.ABC):
     def plan(self, ctx: EventContext) -> ExecutionPlan:
         """Return the execution plan for the event described by ``ctx``."""
 
-    def notify_completion(self, ctx: EventContext, latency_ms: float) -> None:
-        """Hook invoked after the event finished (governors track utilisation)."""
-
     def reset(self) -> None:
         """Clear any per-session state before replaying a new trace."""
 

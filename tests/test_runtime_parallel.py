@@ -94,6 +94,14 @@ class TestParallelEvaluatorApi:
         with pytest.raises(ValueError):
             evaluator.compare(eval_traces, ["Magic"])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_scheme_rejected(self, setup, catalog, eval_traces, jobs):
+        # A repeated scheme used to replay twice and fold every session
+        # twice: the aggregate counted 2x the sessions its results held.
+        evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=jobs)
+        with pytest.raises(ValueError, match="scheme twice"):
+            evaluator.evaluate(eval_traces[:2], ["EBS", "EBS"])
+
 
 class TestMatrixEvaluation:
     """evaluate_matrix: several setups through one pool, scenario-keyed."""

@@ -58,16 +58,28 @@ class TestMpContext:
 class TestSpawnSafety:
     """Pool initargs and job payloads must survive pickling (spawn start)."""
 
-    def test_parallel_evaluator_initargs_are_picklable(self, setup, catalog, learner):
+    def test_parallel_evaluator_initargs_are_picklable(
+        self, setup, catalog, learner, generator
+    ):
         from repro.core.pes import PesConfig
+        from repro.runtime.parallel import MatrixSweep, _Simulators
 
-        restored_setup, restored_catalog, restored_learner, config = pickle.loads(
-            pickle.dumps((setup, catalog, learner, PesConfig()))
+        sweep = MatrixSweep(
+            key="cell",
+            setup=setup,
+            traces=(generator.generate("cnn", seed=7).slice(0, 4),),
+            schemes=("PES",),
+            pes_config=PesConfig(),
         )
+        restored = pickle.loads(
+            pickle.dumps(_Simulators.for_sweeps([sweep], catalog, learner))
+        )
+        restored_setup, config, cache_key = restored.setups["cell"]
         assert restored_setup.system.name == setup.system.name
-        assert len(restored_catalog) == len(catalog)
-        assert restored_learner == learner
-        assert config == PesConfig()
+        assert len(restored.catalog) == len(catalog)
+        assert restored.learner == learner
+        assert (config, cache_key) == (PesConfig(), "cell")
+        assert restored.simulators == {}
 
     def test_trace_job_payload_is_picklable(self, generator):
         trace = generator.generate("cnn", seed=7).slice(0, 6)
@@ -82,8 +94,6 @@ class TestSpawnSafety:
         from repro.traces import generator as trace_generator
 
         for fn in (
-            parallel._init_worker,
-            parallel._run_job,
             parallel._init_matrix_worker,
             parallel._run_matrix_job,
             trace_generator._init_generation_worker,
