@@ -377,10 +377,75 @@ class TestInjectionSeams:
 
 class TestFaultAggregation:
     def test_session_stats_sum_into_aggregate(self):
-        from repro.runtime.metrics import StreamingAggregator
+        from repro.runtime.metrics import SessionResult, StreamingAggregator
 
         aggregator = StreamingAggregator()
         assert aggregator.finalize_faults() is None  # no faulted sessions
+        first = FaultSessionStats(
+            predictor_injected=4,
+            predictor_recovered=3,
+            dvfs_injected=2,
+            dvfs_recovered=1,
+            sensor_injected=5,
+            sensor_recovered=5,
+            events_dropped=1,
+            events_duplicated=2,
+            events_jittered=3,
+            stream_recovered=4,
+            battery_injected=6,
+            battery_recovered=2,
+            fault_energy_mj=3.5,
+        )
+        second = FaultSessionStats(
+            predictor_injected=10,
+            predictor_recovered=7,
+            dvfs_injected=1,
+            sensor_recovered=1,
+            events_dropped=2,
+            events_jittered=5,
+            stream_recovered=1,
+            battery_injected=3,
+            battery_recovered=3,
+            fault_energy_mj=1.25,
+        )
+        for stats, idle in ((first, 100.0), (second, 50.0)):
+            aggregator.add(
+                SessionResult(
+                    app_name="cnn", scheduler_name="EBS", idle_energy_mj=idle, faults=stats
+                )
+            )
+        # A fault-free session counts toward energy but not the fault ledger.
+        aggregator.add(SessionResult(app_name="cnn", scheduler_name="EBS", idle_energy_mj=10.0))
+        aggregate = aggregator.finalize_faults()
+        assert aggregate == FaultAggregate(
+            n_sessions=2,
+            predictor_injected=14,
+            predictor_recovered=10,
+            dvfs_injected=3,
+            dvfs_recovered=1,
+            sensor_injected=5,
+            sensor_recovered=6,
+            events_dropped=3,
+            events_duplicated=2,
+            events_jittered=8,
+            stream_recovered=5,
+            battery_injected=9,
+            battery_recovered=5,
+            fault_energy_mj=4.75,
+            energy_inflation=4.75 / (160.0 - 4.75),
+        )
+        assert aggregate.injected == first.injected + second.injected
+        assert aggregate.recovered == first.recovered + second.recovered
+
+    def test_session_stats_from_dict_defaults_only_the_battery_counters(self):
+        stats = FaultSessionStats(predictor_injected=2, events_jittered=1, fault_energy_mj=0.5)
+        legacy = {k: v for k, v in stats.to_dict().items() if not k.startswith("battery_")}
+        loaded = FaultSessionStats.from_dict(legacy)
+        assert loaded == stats
+        assert (loaded.battery_injected, loaded.battery_recovered) == (0, 0)
+        del legacy["predictor_injected"]
+        with pytest.raises(KeyError, match="predictor_injected"):
+            FaultSessionStats.from_dict(legacy)
 
     def test_aggregate_round_trips(self):
         aggregate = FaultAggregate(

@@ -8,6 +8,7 @@ from repro.runtime.metrics import (
     SessionResult,
     StreamingAggregator,
     StreamingSweepAggregator,
+    ThermalSessionStats,
     aggregate_results,
     group_by_app,
     normalised_energy,
@@ -77,6 +78,25 @@ class TestSessionResult:
         assert empty.mean_latency_ms == 0.0
         assert empty.prediction_accuracy == 0.0
         assert empty.misprediction_waste_ms == 0.0
+
+
+class TestThermalSessionStats:
+    def test_from_dict_coerces_integral_floats(self):
+        stats = ThermalSessionStats(
+            peak_temperature_c=71.5,
+            throttled_ms=1.0,
+            duration_ms=5.0,
+            throttled_events=1,
+            unthrottled_events=2,
+            throttled_latency_ms=40.0,
+            unthrottled_latency_ms=30.0,
+        )
+        payload = {**stats.to_dict(), "duration_ms": 5}
+        loaded = ThermalSessionStats.from_dict(payload)
+        assert type(loaded.duration_ms) is float
+        assert loaded == stats
+        assert loaded.to_dict() == stats.to_dict()
+        assert repr(loaded.to_dict()) == repr(stats.to_dict())
 
 
 class TestAggregation:
