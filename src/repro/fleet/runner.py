@@ -56,22 +56,14 @@ class FleetResult:
         """One device's per-scheme metric row (``None`` = untracked/n-a)."""
         agg = self.device_aggregates[(index, scheme)]
         metrics = agg.finalize()
-        residency: float | None = None
-        peak: float | None = None
-        if agg.thermal_sessions:
-            residency = (
-                agg.thermal_throttled_ms / agg.thermal_duration_ms
-                if agg.thermal_duration_ms > 0
-                else 0.0
-            )
-            peak = agg.thermal_peak_c
+        thermal = agg.finalize_thermal()
         base = self.device_aggregates[(index, self.fleet.baseline)].total_energy_mj
         return {
             "energy_mj": metrics.total_energy_mj,
             "qos_violation_rate": metrics.qos_violation_rate,
             "mean_latency_ms": metrics.mean_latency_ms,
-            "throttle_residency": residency,
-            "peak_temperature_c": peak,
+            "throttle_residency": None if thermal is None else thermal.throttle_residency,
+            "peak_temperature_c": None if thermal is None else thermal.peak_temperature_c,
             "normalised_energy": (
                 metrics.total_energy_mj / base if base > 0 else None
             ),

@@ -150,13 +150,6 @@ def execute_plan(
     )
 
 
-def _session_idle_energy(
-    config: EngineConfig, duration_ms: float, busy_ms: float
-) -> float:
-    idle_ms = max(0.0, duration_ms - busy_ms)
-    return idle_ms * config.power_table.idle_w
-
-
 def _requested_transition(
     plan: ExecutionPlan, previous_config: AcmpConfig | None
 ) -> AcmpConfig | None:
@@ -371,6 +364,32 @@ def _open_session(
     return trace, faults, thermal
 
 
+def _close_session(
+    config: EngineConfig,
+    trace: Trace,
+    scheme: str,
+    outcomes: list[EventOutcome],
+    duration_ms: float,
+    busy_ms: float,
+    thermal: _SessionThermal | None,
+    faults: SessionFaultState | None,
+    **speculation,
+) -> SessionResult:
+    """The finished session: idle energy over the non-busy time, plus the
+    thermal and fault ledgers when their models are on.  ``speculation``
+    carries PES's waste and prediction counters."""
+    return SessionResult(
+        app_name=trace.app_name,
+        scheduler_name=scheme,
+        outcomes=outcomes,
+        idle_energy_mj=max(0.0, duration_ms - busy_ms) * config.power_table.idle_w,
+        duration_ms=duration_ms,
+        thermal=thermal.finalize(duration_ms) if thermal is not None else None,
+        faults=faults.finalize(outcomes) if faults is not None else None,
+        **speculation,
+    )
+
+
 def _planning_system(
     config: EngineConfig, thermal: _SessionThermal | None
 ) -> tuple[AcmpSystem, bool]:
@@ -515,14 +534,8 @@ class ReactiveEngine:
             previous_config = execution.final_config
 
         duration = outcomes[-1].display_ms if outcomes else 0.0
-        return SessionResult(
-            app_name=trace.app_name,
-            scheduler_name=scheduler.name,
-            outcomes=outcomes,
-            idle_energy_mj=_session_idle_energy(self.config, duration, busy_time),
-            duration_ms=duration,
-            thermal=thermal.finalize(duration) if thermal is not None else None,
-            faults=faults.finalize(outcomes) if faults is not None else None,
+        return _close_session(
+            self.config, trace, scheduler.name, outcomes, duration, busy_time, thermal, faults
         )
 
 
@@ -677,11 +690,15 @@ class ProactiveEngine:
                 spec_cursor = round_start
 
         duration = outcomes[-1].display_ms if outcomes else 0.0
-        return SessionResult(
-            app_name=trace.app_name,
-            scheduler_name=pes.name,
-            outcomes=outcomes,
-            idle_energy_mj=_session_idle_energy(self.config, duration, busy_time),
+        return _close_session(
+            self.config,
+            trace,
+            pes.name,
+            outcomes,
+            duration,
+            busy_time,
+            thermal,
+            faults,
             wasted_energy_mj=wasted_energy,
             wasted_time_ms=wasted_time,
             mispredictions=pes.mispredictions,
@@ -689,9 +706,6 @@ class ProactiveEngine:
             predictions_made=pes.predictor.predictions_made,
             prediction_rounds=pes.control.rounds,
             pfb_size_history=list(pes.control.pfb.size_history),
-            duration_ms=duration,
-            thermal=thermal.finalize(duration) if thermal is not None else None,
-            faults=faults.finalize(outcomes) if faults is not None else None,
         )
 
     # -- helpers -----------------------------------------------------------------
@@ -824,12 +838,6 @@ class OracleEngine:
             index += len(chunk)
 
         duration = max((o.display_ms for o in outcomes), default=0.0)
-        return SessionResult(
-            app_name=trace.app_name,
-            scheduler_name=oracle.name,
-            outcomes=outcomes,
-            idle_energy_mj=_session_idle_energy(self.config, duration, busy_time),
-            duration_ms=duration,
-            thermal=thermal.finalize(duration) if thermal is not None else None,
-            faults=faults.finalize(outcomes) if faults is not None else None,
+        return _close_session(
+            self.config, trace, oracle.name, outcomes, duration, busy_time, thermal, faults
         )

@@ -11,7 +11,8 @@ breakdown (Fig. 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 from repro.webapp.events import EventType
@@ -140,8 +141,40 @@ class EventOutcome:
         )
 
 
+#: Field annotations of the flat numeric records, as the callables that coerce
+#: a loaded JSON value back to the declared type.
+_SCALARS = {"int": int, "float": float}
+#: Fault counters newer than the first fault artefacts; payloads written
+#: without them load as zero.  Every other record key is required.
+_OPTIONAL_KEYS = frozenset({"battery_injected", "battery_recovered"})
+
+
+class _FlatRecord:
+    """JSON codec of a frozen dataclass whose fields are all ints and floats.
+
+    ``to_dict`` is :func:`~dataclasses.asdict` (declaration order is the key
+    order).  ``from_dict`` coerces every field to its declared type, so a
+    float stored as ``5`` reloads as ``5.0`` and re-serialises to the same
+    bytes.
+    """
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> _FlatRecord:
+        return cls(
+            **{
+                f.name: _SCALARS[f.type](
+                    payload.get(f.name, 0) if f.name in _OPTIONAL_KEYS else payload[f.name]
+                )
+                for f in fields(cls)
+            }
+        )
+
+
 @dataclass(frozen=True)
-class ThermalSessionStats:
+class ThermalSessionStats(_FlatRecord):
     """Per-session thermal telemetry from a dynamic-thermal engine replay.
 
     Only produced when the engine threads a live
@@ -189,29 +222,6 @@ class ThermalSessionStats:
             self.unthrottled_latency_ms,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "peak_temperature_c": self.peak_temperature_c,
-            "throttled_ms": self.throttled_ms,
-            "duration_ms": self.duration_ms,
-            "throttled_events": self.throttled_events,
-            "unthrottled_events": self.unthrottled_events,
-            "throttled_latency_ms": self.throttled_latency_ms,
-            "unthrottled_latency_ms": self.unthrottled_latency_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ThermalSessionStats":
-        return cls(
-            peak_temperature_c=float(payload["peak_temperature_c"]),
-            throttled_ms=float(payload["throttled_ms"]),
-            duration_ms=float(payload["duration_ms"]),
-            throttled_events=int(payload["throttled_events"]),
-            unthrottled_events=int(payload["unthrottled_events"]),
-            throttled_latency_ms=float(payload["throttled_latency_ms"]),
-            unthrottled_latency_ms=float(payload["unthrottled_latency_ms"]),
-        )
-
 
 def _throttle_slowdown(
     throttled_events: int,
@@ -228,7 +238,7 @@ def _throttle_slowdown(
 
 
 @dataclass(frozen=True)
-class ThermalAggregate:
+class ThermalAggregate(_FlatRecord):
     """Thermal metrics folded over the sessions that carried them."""
 
     n_sessions: int
@@ -237,26 +247,9 @@ class ThermalAggregate:
     throttle_residency: float
     throttle_slowdown: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n_sessions": self.n_sessions,
-            "peak_temperature_c": self.peak_temperature_c,
-            "throttle_residency": self.throttle_residency,
-            "throttle_slowdown": self.throttle_slowdown,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ThermalAggregate":
-        return cls(
-            n_sessions=int(payload["n_sessions"]),
-            peak_temperature_c=float(payload["peak_temperature_c"]),
-            throttle_residency=float(payload["throttle_residency"]),
-            throttle_slowdown=float(payload["throttle_slowdown"]),
-        )
-
 
 @dataclass(frozen=True)
-class FaultSessionStats:
+class FaultSessionStats(_FlatRecord):
     """Per-session fault ledger from a replay with injection enabled.
 
     Only produced when the engine carries a live
@@ -310,85 +303,20 @@ class FaultSessionStats:
             + self.battery_recovered
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "predictor_injected": self.predictor_injected,
-            "predictor_recovered": self.predictor_recovered,
-            "dvfs_injected": self.dvfs_injected,
-            "dvfs_recovered": self.dvfs_recovered,
-            "sensor_injected": self.sensor_injected,
-            "sensor_recovered": self.sensor_recovered,
-            "events_dropped": self.events_dropped,
-            "events_duplicated": self.events_duplicated,
-            "events_jittered": self.events_jittered,
-            "stream_recovered": self.stream_recovered,
-            "battery_injected": self.battery_injected,
-            "battery_recovered": self.battery_recovered,
-            "fault_energy_mj": self.fault_energy_mj,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultSessionStats":
-        return cls(
-            predictor_injected=int(payload["predictor_injected"]),
-            predictor_recovered=int(payload["predictor_recovered"]),
-            dvfs_injected=int(payload["dvfs_injected"]),
-            dvfs_recovered=int(payload["dvfs_recovered"]),
-            sensor_injected=int(payload["sensor_injected"]),
-            sensor_recovered=int(payload["sensor_recovered"]),
-            events_dropped=int(payload["events_dropped"]),
-            events_duplicated=int(payload["events_duplicated"]),
-            events_jittered=int(payload["events_jittered"]),
-            stream_recovered=int(payload["stream_recovered"]),
-            battery_injected=int(payload.get("battery_injected", 0)),
-            battery_recovered=int(payload.get("battery_recovered", 0)),
-            fault_energy_mj=float(payload["fault_energy_mj"]),
-        )
+#: The integer counters of the fault ledger, in declaration order.
+_FAULT_COUNTERS = tuple(f.name for f in fields(FaultSessionStats) if f.type == "int")
 
 
-@dataclass(frozen=True)
-class FaultAggregate:
-    """Fault/resilience metrics folded over the sessions that carried them."""
+@dataclass(frozen=True, kw_only=True)
+class FaultAggregate(FaultSessionStats):
+    """Fault/resilience metrics folded over the sessions that carried them:
+    the summed session ledger plus the session count and energy inflation."""
 
     n_sessions: int
-    predictor_injected: int
-    predictor_recovered: int
-    dvfs_injected: int
-    dvfs_recovered: int
-    sensor_injected: int
-    sensor_recovered: int
-    events_dropped: int
-    events_duplicated: int
-    events_jittered: int
-    stream_recovered: int
-    battery_injected: int
-    battery_recovered: int
-    fault_energy_mj: float
     #: Fraction of total energy directly attributable to injected faults,
     #: expressed against the fault-free remainder (energy inflation).
     energy_inflation: float
-
-    @property
-    def injected(self) -> int:
-        return (
-            self.predictor_injected
-            + self.dvfs_injected
-            + self.sensor_injected
-            + self.events_dropped
-            + self.events_duplicated
-            + self.events_jittered
-            + self.battery_injected
-        )
-
-    @property
-    def recovered(self) -> int:
-        return (
-            self.predictor_recovered
-            + self.dvfs_recovered
-            + self.sensor_recovered
-            + self.stream_recovered
-            + self.battery_recovered
-        )
 
     @property
     def recovery_rate(self) -> float:
@@ -398,44 +326,8 @@ class FaultAggregate:
         return self.recovered / self.injected
 
     def to_dict(self) -> dict:
-        return {
-            "n_sessions": self.n_sessions,
-            "predictor_injected": self.predictor_injected,
-            "predictor_recovered": self.predictor_recovered,
-            "dvfs_injected": self.dvfs_injected,
-            "dvfs_recovered": self.dvfs_recovered,
-            "sensor_injected": self.sensor_injected,
-            "sensor_recovered": self.sensor_recovered,
-            "events_dropped": self.events_dropped,
-            "events_duplicated": self.events_duplicated,
-            "events_jittered": self.events_jittered,
-            "stream_recovered": self.stream_recovered,
-            "battery_injected": self.battery_injected,
-            "battery_recovered": self.battery_recovered,
-            "fault_energy_mj": self.fault_energy_mj,
-            "energy_inflation": self.energy_inflation,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultAggregate":
-        # Battery counters default to zero so PR 6 artefacts still load.
-        return cls(
-            n_sessions=int(payload["n_sessions"]),
-            predictor_injected=int(payload["predictor_injected"]),
-            predictor_recovered=int(payload["predictor_recovered"]),
-            dvfs_injected=int(payload["dvfs_injected"]),
-            dvfs_recovered=int(payload["dvfs_recovered"]),
-            sensor_injected=int(payload["sensor_injected"]),
-            sensor_recovered=int(payload["sensor_recovered"]),
-            events_dropped=int(payload["events_dropped"]),
-            events_duplicated=int(payload["events_duplicated"]),
-            events_jittered=int(payload["events_jittered"]),
-            stream_recovered=int(payload["stream_recovered"]),
-            battery_injected=int(payload.get("battery_injected", 0)),
-            battery_recovered=int(payload.get("battery_recovered", 0)),
-            fault_energy_mj=float(payload["fault_energy_mj"]),
-            energy_inflation=float(payload["energy_inflation"]),
-        )
+        # Artefact payloads lead with n_sessions; key order is part of their bytes.
+        return {"n_sessions": self.n_sessions, **asdict(self)}
 
 
 @dataclass
@@ -609,12 +501,13 @@ class StreamingAggregator:
     results in the same order produces the exact floating-point totals of
     :func:`aggregate_results` (which is itself implemented as a fold).
 
-    :meth:`merge` is a first-class, order-independent operation: every
-    float accumulator is an :class:`ExactSum`, so merging per-shard partial
-    folds is **bit-identical** to a single sequential fold *regardless of
-    where the shard boundaries fall*.  This is the contract the fleet layer
-    (and any future multi-host sharding) is built on, pinned by a
-    hypothesis property test over random shard splits.
+    :meth:`merge` is the one fold body: :meth:`add` merges the one-session
+    fold of its result.  Merging is a first-class, order-independent
+    operation: every float accumulator is an :class:`ExactSum`, so merging
+    per-shard partial folds is **bit-identical** to a single sequential fold
+    *regardless of where the shard boundaries fall*.  This is the contract
+    the fleet layer (and any future multi-host sharding) is built on,
+    pinned by a hypothesis property test over random shard splits.
     """
 
     scheduler_name: str | None = None
@@ -630,20 +523,10 @@ class StreamingAggregator:
     thermal_throttled_events: int = 0
     thermal_unthrottled_events: int = 0
     # Fault accumulators; only sessions carrying FaultSessionStats fold into
-    # these, so mixed faulted/fault-free sweeps aggregate each cleanly.
+    # these, so mixed faulted/fault-free sweeps aggregate each cleanly.  The
+    # ledger counts every FaultSessionStats counter under its field name.
     fault_sessions: int = 0
-    fault_predictor_injected: int = 0
-    fault_predictor_recovered: int = 0
-    fault_dvfs_injected: int = 0
-    fault_dvfs_recovered: int = 0
-    fault_sensor_injected: int = 0
-    fault_sensor_recovered: int = 0
-    fault_events_dropped: int = 0
-    fault_events_duplicated: int = 0
-    fault_events_jittered: int = 0
-    fault_stream_recovered: int = 0
-    fault_battery_injected: int = 0
-    fault_battery_recovered: int = 0
+    _fault_counts: Counter = field(default_factory=Counter, repr=False)
     # Float accumulators: exact sums so merge order / shard boundaries can
     # never drift the totals (max over peaks is associative already).
     _total_latency_ms: ExactSum = field(default_factory=ExactSum, repr=False)
@@ -697,51 +580,7 @@ class StreamingAggregator:
 
     def add(self, result: SessionResult) -> None:
         """Fold one session into the running totals."""
-        if self.scheduler_name is None:
-            self.scheduler_name = result.scheduler_name
-        elif result.scheduler_name != self.scheduler_name:
-            raise ValueError(
-                "cannot aggregate results from different schedulers: "
-                f"{sorted({self.scheduler_name, result.scheduler_name})}"
-            )
-        self.n_sessions += 1
-        self.n_events += result.n_events
-        for outcome in result.outcomes:
-            self._total_latency_ms.add(outcome.latency_ms)
-            if outcome.violated:
-                self.violations += 1
-        self._total_energy_mj.add(result.total_energy_mj)
-        self._wasted_energy_mj.add(result.wasted_energy_mj)
-        self._wasted_time_ms.add(result.wasted_time_ms)
-        self.mispredictions += result.mispredictions
-        self.commits += result.commits
-        if result.thermal is not None:
-            stats = result.thermal
-            if self.thermal_sessions == 0 or stats.peak_temperature_c > self.thermal_peak_c:
-                self.thermal_peak_c = stats.peak_temperature_c
-            self.thermal_sessions += 1
-            self._thermal_throttled_ms.add(stats.throttled_ms)
-            self._thermal_duration_ms.add(stats.duration_ms)
-            self.thermal_throttled_events += stats.throttled_events
-            self.thermal_unthrottled_events += stats.unthrottled_events
-            self._thermal_throttled_latency_ms.add(stats.throttled_latency_ms)
-            self._thermal_unthrottled_latency_ms.add(stats.unthrottled_latency_ms)
-        if result.faults is not None:
-            faults = result.faults
-            self.fault_sessions += 1
-            self.fault_predictor_injected += faults.predictor_injected
-            self.fault_predictor_recovered += faults.predictor_recovered
-            self.fault_dvfs_injected += faults.dvfs_injected
-            self.fault_dvfs_recovered += faults.dvfs_recovered
-            self.fault_sensor_injected += faults.sensor_injected
-            self.fault_sensor_recovered += faults.sensor_recovered
-            self.fault_events_dropped += faults.events_dropped
-            self.fault_events_duplicated += faults.events_duplicated
-            self.fault_events_jittered += faults.events_jittered
-            self.fault_stream_recovered += faults.stream_recovered
-            self.fault_battery_injected += faults.battery_injected
-            self.fault_battery_recovered += faults.battery_recovered
-            self._fault_energy_mj.add(faults.fault_energy_mj)
+        self.merge(_session_fold(result))
 
     def merge(self, other: "StreamingAggregator") -> None:
         """Fold another aggregator's totals into this one.
@@ -781,18 +620,7 @@ class StreamingAggregator:
             self._thermal_unthrottled_latency_ms.merge(other._thermal_unthrottled_latency_ms)
         if other.fault_sessions:
             self.fault_sessions += other.fault_sessions
-            self.fault_predictor_injected += other.fault_predictor_injected
-            self.fault_predictor_recovered += other.fault_predictor_recovered
-            self.fault_dvfs_injected += other.fault_dvfs_injected
-            self.fault_dvfs_recovered += other.fault_dvfs_recovered
-            self.fault_sensor_injected += other.fault_sensor_injected
-            self.fault_sensor_recovered += other.fault_sensor_recovered
-            self.fault_events_dropped += other.fault_events_dropped
-            self.fault_events_duplicated += other.fault_events_duplicated
-            self.fault_events_jittered += other.fault_events_jittered
-            self.fault_stream_recovered += other.fault_stream_recovered
-            self.fault_battery_injected += other.fault_battery_injected
-            self.fault_battery_recovered += other.fault_battery_recovered
+            self._fault_counts.update(other._fault_counts)
             self._fault_energy_mj.merge(other._fault_energy_mj)
 
     def finalize_thermal(self) -> ThermalAggregate | None:
@@ -829,18 +657,7 @@ class StreamingAggregator:
         inflation = self.fault_energy_mj / clean_energy if clean_energy > 0 else 0.0
         return FaultAggregate(
             n_sessions=self.fault_sessions,
-            predictor_injected=self.fault_predictor_injected,
-            predictor_recovered=self.fault_predictor_recovered,
-            dvfs_injected=self.fault_dvfs_injected,
-            dvfs_recovered=self.fault_dvfs_recovered,
-            sensor_injected=self.fault_sensor_injected,
-            sensor_recovered=self.fault_sensor_recovered,
-            events_dropped=self.fault_events_dropped,
-            events_duplicated=self.fault_events_duplicated,
-            events_jittered=self.fault_events_jittered,
-            stream_recovered=self.fault_stream_recovered,
-            battery_injected=self.fault_battery_injected,
-            battery_recovered=self.fault_battery_recovered,
+            **{name: self._fault_counts[name] for name in _FAULT_COUNTERS},
             fault_energy_mj=self.fault_energy_mj,
             energy_inflation=inflation,
         )
@@ -860,6 +677,38 @@ class StreamingAggregator:
             mispredictions=self.mispredictions,
             commits=self.commits,
         )
+
+
+def _session_fold(result: SessionResult) -> StreamingAggregator:
+    """The fold of the single session ``result``, ready to :meth:`merge`."""
+    fold = StreamingAggregator(
+        scheduler_name=result.scheduler_name,
+        n_sessions=1,
+        n_events=result.n_events,
+        violations=result.violations,
+        mispredictions=result.mispredictions,
+        commits=result.commits,
+        _total_latency_ms=ExactSum(o.latency_ms for o in result.outcomes),
+        _total_energy_mj=ExactSum((result.total_energy_mj,)),
+        _wasted_energy_mj=ExactSum((result.wasted_energy_mj,)),
+        _wasted_time_ms=ExactSum((result.wasted_time_ms,)),
+    )
+    stats = result.thermal
+    if stats is not None:
+        fold.thermal_sessions = 1
+        fold.thermal_peak_c = stats.peak_temperature_c
+        fold.thermal_throttled_events = stats.throttled_events
+        fold.thermal_unthrottled_events = stats.unthrottled_events
+        fold._thermal_throttled_ms.add(stats.throttled_ms)
+        fold._thermal_duration_ms.add(stats.duration_ms)
+        fold._thermal_throttled_latency_ms.add(stats.throttled_latency_ms)
+        fold._thermal_unthrottled_latency_ms.add(stats.unthrottled_latency_ms)
+    faults = result.faults
+    if faults is not None:
+        fold.fault_sessions = 1
+        fold._fault_counts.update({name: getattr(faults, name) for name in _FAULT_COUNTERS})
+        fold._fault_energy_mj.add(faults.fault_energy_mj)
+    return fold
 
 
 @dataclass
