@@ -65,7 +65,7 @@ class DomAnalyzer:
 
         candidates = [
             node
-            for node in state.dom.visible_nodes()
+            for node in state.visible_nodes()
             if event_type in node.listeners and node is not root
         ]
         if not candidates:

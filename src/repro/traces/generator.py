@@ -330,7 +330,7 @@ class TraceGenerator:
         if event_type is EventType.SUBMIT:
             submits = [
                 n
-                for n in state.dom.visible_nodes()
+                for n in state.visible_nodes()
                 if EventType.SUBMIT in n.listeners
             ]
             if not submits:
@@ -339,7 +339,7 @@ class TraceGenerator:
             return node, state.semantic.effect_of(node.node_id, event_type).navigates
 
         # Tap targets: visible nodes carrying the listener for this event type.
-        candidates = [n for n in state.dom.visible_nodes() if event_type in n.listeners and n is not root]
+        candidates = [n for n in state.visible_nodes() if event_type in n.listeners and n is not root]
         if not candidates:
             return None, False
         navigating = [

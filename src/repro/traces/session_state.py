@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.utils import stable_seed
 from repro.webapp.apps import AppProfile
-from repro.webapp.dom import DomTree
+from repro.webapp.dom import DomNode, DomTree
 from repro.webapp.events import EventType, Interaction, interaction_of, POINTER_EVENT_TYPES
 from repro.webapp.semantic_tree import SemanticTree
 
@@ -70,6 +70,8 @@ class SessionState:
     doc_index: int = 0
     history: deque[ObservedEvent] = field(default_factory=lambda: deque(maxlen=FEATURE_WINDOW))
     last_navigated: bool = False
+    #: ``dom.visible_nodes()`` of the current state, computed on first use.
+    _visible: list[DomNode] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, profile: AppProfile) -> "SessionState":
@@ -77,12 +79,27 @@ class SessionState:
         dom, semantic = profile.build_dom(document_rng(profile, 0))
         return cls(profile=profile, dom=dom, semantic=semantic, doc_index=0)
 
+    # -- visibility snapshot ---------------------------------------------------
+
+    def visible_nodes(self) -> list[DomNode]:
+        """The DOM nodes inside the viewport, walked once per session state.
+
+        Shared by the features, the LNES and target picking.  Only
+        :meth:`apply_event` and :meth:`reset_document` change the DOM, and
+        both drop the snapshot when they do.  Callers must not mutate the
+        returned list.
+        """
+        if self._visible is None:
+            self._visible = self.dom.visible_nodes()
+        return self._visible
+
     # -- features (Table 1) --------------------------------------------------
 
     def features(self) -> np.ndarray:
         """The five-element feature vector, each component normalised to [0, 1]."""
-        clickable = self.dom.clickable_region_fraction()
-        links = self.dom.visible_link_fraction()
+        visible = self.visible_nodes()
+        clickable = self.dom.clickable_region_fraction(visible)
+        links = self.dom.visible_link_fraction(visible)
 
         distance_to_click = float(FEATURE_WINDOW)
         for distance, observed in enumerate(reversed(self.history), start=1):
@@ -118,7 +135,7 @@ class SessionState:
         """
         if self.last_navigated:
             return {EventType.LOAD}
-        visible = self.dom.visible_event_types()
+        visible = self.dom.visible_event_types(self.visible_nodes())
         return {e for e in visible if e in POINTER_EVENT_TYPES}
 
     # -- state evolution -------------------------------------------------------
@@ -137,6 +154,7 @@ class SessionState:
             # The load event of the new document rebuilds the DOM.
             self.doc_index += 1
             self.dom, self.semantic = self.profile.build_dom(document_rng(self.profile, self.doc_index))
+            self._visible = None
             self.last_navigated = False
         elif did_navigate:
             # A navigating tap tears down the document; only the subsequent
@@ -144,6 +162,7 @@ class SessionState:
             self.last_navigated = True
         else:
             effect.apply(self.dom)
+            self._visible = None
             self.last_navigated = False
 
         self.history.append(ObservedEvent(event_type=event_type, navigated=did_navigate, node_id=node_id))
@@ -153,6 +172,7 @@ class SessionState:
         """Force a fresh document (used at session start)."""
         self.doc_index = 0
         self.dom, self.semantic = self.profile.build_dom(document_rng(self.profile, 0))
+        self._visible = None
         self.last_navigated = False
         self.history.clear()
 
@@ -162,11 +182,15 @@ class SessionState:
         Hand-rolled instead of ``copy.deepcopy`` (which was the single
         largest predictor-side cost): the immutable pieces — the frozen
         :class:`AppProfile`, the frozen ``CallbackEffect`` values, and the
-        frozen ``ObservedEvent`` history entries — are shared, while the
-        mutable DOM tree is cloned node by node and the Semantic-Tree
-        mapping and history window get fresh containers.
+        frozen ``ObservedEvent`` history entries — are shared, and so is the
+        visibility snapshot, since the clone starts in the same DOM state.
+        The DOM tree is a copy-on-write :meth:`DomTree.clone`: a roll-forward
+        copies nodes only when an effect mutates one through
+        :meth:`DomTree.find`, and scrolls and loads never copy; so mutate
+        nodes only through references obtained from ``find``.  The
+        Semantic-Tree mapping and history window get fresh containers.
         """
-        return SessionState(
+        twin = SessionState(
             profile=self.profile,
             dom=self.dom.clone(),
             semantic=SemanticTree(effects=dict(self.semantic.effects)),
@@ -174,3 +198,5 @@ class SessionState:
             history=deque(self.history, maxlen=FEATURE_WINDOW),
             last_navigated=self.last_navigated,
         )
+        twin._visible = self._visible
+        return twin

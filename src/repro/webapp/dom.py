@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.webapp.events import EventType
+
+#: Listener types that make a node count towards the clickable region.
+_CLICK_EVENTS: frozenset[EventType] = frozenset({EventType.CLICK, EventType.TOUCHSTART, EventType.SUBMIT})
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class DomNode:
     listeners: set[EventType] = field(default_factory=set)
     is_link: bool = False
     children: list["DomNode"] = field(default_factory=list)
-    parent: "DomNode | None" = field(default=None, repr=False)
+    parent: "DomNode | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.height < 0 or self.width < 0:
@@ -97,12 +100,9 @@ class DomNode:
             node = node.parent
         return True
 
-    def is_visible(self, viewport: Viewport) -> bool:
-        return self.is_displayed and viewport.intersects(self.y, self.height)
-
     @property
     def is_clickable(self) -> bool:
-        return bool(self.listeners & {EventType.CLICK, EventType.TOUCHSTART, EventType.SUBMIT})
+        return not self.listeners.isdisjoint(_CLICK_EVENTS)
 
     def walk(self) -> Iterator["DomNode"]:
         """Pre-order traversal of the subtree rooted at this node."""
@@ -113,10 +113,12 @@ class DomNode:
     def clone(self) -> "DomNode":
         """Structured deep copy of the subtree rooted at this node.
 
-        Hand-rolled instead of ``copy.deepcopy`` because cloning sits on the
-        prediction hot path (one clone per hypothetical roll-forward step).
-        The copy owns its listener set and children list; the parent pointer
-        of the returned root is left unset.
+        Hand-rolled instead of ``copy.deepcopy``.  :meth:`DomTree.find` calls
+        it to give a copy-on-write tree its private node graph, once, before
+        the first mutation; clones that are only scrolled never copy.  Hence
+        the contract: mutate nodes only through references obtained from
+        ``find``.  The copy owns its listener set and children list; the
+        parent pointer of the returned root is left unset.
         """
         copied = DomNode(
             tag=self.tag,
@@ -143,7 +145,7 @@ class DomTree:
     Provides the aggregate queries the predictor features (Table 1) and the
     DOM analysis need: visible-node iteration, clickable-region percentage,
     visible-link percentage, and the set of events registered on visible
-    nodes.
+    nodes.  Clones are copy-on-write (see :meth:`clone`).
     """
 
     _id_counter = itertools.count()
@@ -152,6 +154,8 @@ class DomTree:
         self.root = root
         self.viewport = viewport or Viewport()
         self._page_height = page_height
+        # True while ``root`` may also be another tree's node graph.
+        self._shared = False
 
     # -- factory helpers ---------------------------------------------------
 
@@ -166,12 +170,35 @@ class DomTree:
     def walk(self) -> Iterator[DomNode]:
         return self.root.walk()
 
-    def visible_nodes(self) -> Iterator[DomNode]:
-        for node in self.walk():
-            if node.is_visible(self.viewport):
-                yield node
+    def visible_nodes(self) -> list[DomNode]:
+        """Displayed nodes intersecting the viewport, in pre-order.
+
+        One explicit-stack pass that skips ``display: none`` subtrees whole,
+        so no node re-walks its ancestors.
+        """
+        top = self.viewport.scroll_y
+        bottom = top + self.viewport.height
+        visible: list[DomNode] = []
+        stack = [self.root] if self.root.is_displayed else []
+        while stack:
+            node = stack.pop()
+            if node.display == "none":
+                continue
+            if node.y < bottom and node.y + node.height > top:
+                visible.append(node)
+            if node.children:
+                stack.extend(reversed(node.children))
+        return visible
 
     def find(self, node_id: str) -> DomNode:
+        """The node with ``node_id``; the returned reference may be mutated.
+
+        On a copy-on-write clone this first copies the node graph, so the
+        mutation stays private to this tree.
+        """
+        if self._shared:
+            self.root = self.root.clone()
+            self._shared = False
         for node in self.walk():
             if node.node_id == node_id:
                 return node
@@ -181,29 +208,47 @@ class DomTree:
         return [node for node in self.walk() if predicate(node)]
 
     # -- aggregate features (Table 1, application-inherent) -----------------
+    #
+    # Each query takes an optional precomputed ``visible_nodes()`` list so a
+    # caller asking several of them about one DOM state walks it once.
 
-    def clickable_region_fraction(self) -> float:
+    def clickable_region_fraction(self, visible: Sequence[DomNode] | None = None) -> float:
         """Fraction of the viewport area covered by visible clickable nodes."""
-        clickable_area = sum(n.area for n in self.visible_nodes() if n.is_clickable)
+        if visible is None:
+            visible = self.visible_nodes()
+        clickable_area = sum(n.area for n in visible if n.is_clickable)
         return min(1.0, clickable_area / self.viewport.area)
 
-    def visible_link_fraction(self) -> float:
+    def visible_link_fraction(self, visible: Sequence[DomNode] | None = None) -> float:
         """Fraction of visible nodes that are hyperlinks."""
-        visible = list(self.visible_nodes())
+        if visible is None:
+            visible = self.visible_nodes()
         if not visible:
             return 0.0
         return sum(1 for n in visible if n.is_link) / len(visible)
 
-    def visible_event_types(self) -> set[EventType]:
+    def visible_event_types(self, visible: Sequence[DomNode] | None = None) -> set[EventType]:
         """Events registered on nodes inside the viewport (LNES ingredient)."""
+        if visible is None:
+            visible = self.visible_nodes()
         events: set[EventType] = set()
-        for node in self.visible_nodes():
+        for node in visible:
             events |= node.listeners
         return events
 
     def clone(self) -> "DomTree":
-        """Independent copy of the tree (viewport is immutable and shared)."""
-        return DomTree(self.root.clone(), viewport=self.viewport, page_height=self._page_height)
+        """Copy-on-write copy of the tree (the viewport is immutable and shared).
+
+        The clone shares this tree's node graph and both trees are marked
+        shared; whichever calls :meth:`find` first copies the graph for
+        itself, so mutate nodes only through references obtained from
+        ``find``.  Scrolling swaps the viewport and never copies, so a
+        hypothetical roll-forward copies the tree only when it toggles a node.
+        """
+        self._shared = True
+        twin = DomTree(self.root, viewport=self.viewport, page_height=self._page_height)
+        twin._shared = True
+        return twin
 
     # -- mutation ----------------------------------------------------------
 

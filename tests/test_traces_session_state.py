@@ -5,6 +5,7 @@ import pytest
 
 from repro.traces.session_state import FEATURE_NAMES, FEATURE_WINDOW, SessionState, document_rng
 from repro.webapp.apps import AppCatalog
+from repro.webapp.dom import DomNode, DomTree
 from repro.webapp.events import EventType
 
 
@@ -105,6 +106,101 @@ class TestStateEvolution:
         clone.apply_event(EventType.SCROLL, clone.dom.root.node_id)
         assert clone.dom.viewport.scroll_y != state.dom.viewport.scroll_y
         assert len(clone.history) != len(state.history)
+
+
+def _observe(state: SessionState) -> tuple:
+    """Everything a side of a clone pair must keep: node styles, features, LNES."""
+    return (
+        [(n.node_id, n.display) for n in state.dom.walk()],
+        state.dom.viewport.scroll_y,
+        tuple(state.features()),
+        state.available_events(),
+        [n.node_id for n in state.dom.visible_nodes()],
+    )
+
+
+def _menu_toggle(state: SessionState) -> None:
+    state.apply_event(EventType.CLICK, f"{state.profile.name}-menu-btn-0")
+
+
+def _scroll(state: SessionState) -> None:
+    state.apply_event(EventType.SCROLL, state.dom.root.node_id)
+
+
+def _find_write(state: SessionState) -> None:
+    state.dom.find(f"{state.profile.name}-menu-0").display = "block"
+
+
+class TestCloneIndependence:
+    @pytest.mark.parametrize("mutate", [_menu_toggle, _scroll, _find_write])
+    @pytest.mark.parametrize("side", ["original", "clone"])
+    def test_mutation_on_one_side_leaves_other_unchanged(self, state, mutate, side):
+        state.features()  # the clone inherits a filled visibility snapshot
+        clone = state.clone()
+        mutated, other = (state, clone) if side == "original" else (clone, state)
+        before = _observe(other)
+        mutate(mutated)
+        assert _observe(other) == before
+        assert _observe(mutated) != before
+
+    def test_clone_shares_snapshot_until_it_changes(self, state):
+        visible = state.visible_nodes()
+        clone = state.clone()
+        assert clone.visible_nodes() is visible
+        _menu_toggle(clone)
+        assert clone.visible_nodes() is not visible
+        assert state.visible_nodes() is visible
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap the one-argument method ``owner.name``; returns the list of its receivers."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestWorkCounts:
+    """Call counts, not timings, so these cannot flake."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        return _count_calls(monkeypatch, DomTree, "visible_nodes")
+
+    @pytest.fixture
+    def node_clones(self, monkeypatch):
+        return _count_calls(monkeypatch, DomNode, "clone")
+
+    def test_features_and_lnes_share_one_visibility_pass(self, state, passes):
+        state.features()
+        state.available_events()
+        assert len(passes) == 1
+
+    def test_each_state_change_costs_one_pass(self, state, passes):
+        for apply in (_scroll, _menu_toggle):
+            apply(state)
+            state.features()
+            state.available_events()
+        assert len(passes) == 2
+
+    def test_scroll_only_roll_forward_copies_no_nodes(self, state, node_clones):
+        clone = state.clone()
+        for _ in range(3):
+            _scroll(clone)
+            clone.features()
+            clone.available_events()
+        assert node_clones == []
+
+    def test_menu_toggle_copies_the_tree_once(self, state, node_clones):
+        clone = state.clone()
+        _menu_toggle(clone)
+        _menu_toggle(clone)
+        assert len(node_clones) == len(list(state.dom.walk()))
 
 
 class TestDocumentRng:

@@ -128,3 +128,24 @@ class TestDomTree:
     def test_negative_dimensions_rejected(self):
         with pytest.raises(ValueError):
             DomNode(tag="div", node_id="x", height=-1)
+
+    def test_is_clickable_checks_pointer_listeners(self):
+        assert DomNode(tag="a", node_id="a", listeners={EventType.TOUCHSTART}).is_clickable
+        assert DomNode(tag="f", node_id="f", listeners={EventType.SUBMIT}).is_clickable
+        assert not DomNode(tag="d", node_id="d", listeners={EventType.SCROLL}).is_clickable
+
+
+class TestDomNodeEquality:
+    def test_tree_equals_its_clone(self):
+        # ``parent`` is excluded from comparison; comparing it used to
+        # recurse back up the tree forever.
+        tree = build_tree()
+        assert tree.root == tree.root.clone()
+        assert tree.root == tree.clone().root
+
+    def test_tree_differs_from_clone_after_display_flip(self):
+        tree = build_tree()
+        twin = tree.clone()
+        twin.find("menu").display = "block"
+        assert twin.root != tree.root
+
