@@ -16,8 +16,8 @@ Four benches anchor the perf trajectory of the repo:
   recording scenario/replay counts so matrix regressions are attributable.
 * ``bench_sweep`` — platform breadth: wall-clock of a swept matrix
   (core counts x little-cluster IPC x thermal curves expanded into derived
-  systems), the shape where per-cell setup cost — power tables, option
-  caches, thermal fixed points — dominates if it regresses.
+  systems), the shape where per-cell setup cost — power tables, operating-point
+  tables, thermal fixed points — dominates if it regresses.
 * ``bench_thermal`` — dynamic thermal: the ``thermal_dynamic`` matrix with
   live per-event thermal state threaded through the engines, the path
   where per-event cap derivation and capped-option enumeration would show
@@ -155,7 +155,7 @@ def bench_solver(min_duration_s: float = 3.0) -> BenchResult:
     setup = SimulationSetup()
     windows = _oracle_windows(setup)
     solver = DynamicProgrammingSolver(bucket_ms=1.0)
-    for specs in windows:  # warm-up (option cache, numpy)
+    for specs in windows:  # warm-up (numpy)
         solver.solve(specs, 0.0)
 
     solves = 0
@@ -224,7 +224,7 @@ def bench_parallel(
     setup = SimulationSetup()
     serial = ParallelEvaluator(setup=setup, catalog=catalog, jobs=1)
     parallel = ParallelEvaluator(setup=setup, catalog=catalog, jobs=jobs)
-    serial.compare(list(traces)[:4], schemes)  # warm-up (option caches, numpy)
+    serial.compare(list(traces)[:4], schemes)  # warm-up (operating-point tables, numpy)
 
     start = time.perf_counter()
     serial_results = serial.compare(traces, schemes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Sequence
 
 #: Name suffix appended by :meth:`AcmpSystem.with_frequency_cap`.  Stripped
@@ -153,6 +154,8 @@ class AcmpSystem:
     name: str
     clusters: Sequence[Cluster]
     _by_name: dict[str, Cluster] = field(init=False, repr=False)
+    #: Throttled copies of this platform by cap, kept by :func:`repro.schedulers.base.capped_system`.
+    capped_systems: dict[int, "AcmpSystem"] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.clusters:
@@ -192,6 +195,19 @@ class AcmpSystem:
             for freq in cluster.frequencies_mhz:
                 configs.append(AcmpConfig(cluster.name, freq))
         return configs
+
+    @cached_property
+    def operating_points(self) -> tuple[tuple[AcmpConfig, float], ...]:
+        """``(config, effective_frequency_ghz(config))`` in :meth:`configurations` order.
+
+        Computed once per platform; Eqn. 1 cannot divide by a non-positive
+        effective frequency, so one raises ``ValueError``.
+        """
+        points = tuple((config, self.effective_frequency_ghz(config)) for config in self.configurations())
+        for config, effective_ghz in points:
+            if effective_ghz <= 0:
+                raise ValueError(f"configuration {config} has non-positive frequency")
+        return points
 
     def __iter__(self) -> Iterator[AcmpConfig]:
         return iter(self.configurations())

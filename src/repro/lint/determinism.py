@@ -3,9 +3,9 @@
 Every artefact this repo writes (``SCENARIOS_*`` / ``FLEET_*`` /
 ``FAULT_SEARCH_*``) is promised to be a pure function of its spec —
 byte-identical across ``--jobs``, resumes, and machines.  The modules
-that produce those payloads (``runtime/``, ``scenarios/``, ``fleet/``,
-``faults/``, ``analysis/``) therefore must not consult anything the spec
-does not determine:
+that produce those payloads (:data:`PAYLOAD_PACKAGES`: the models and
+engines as well as the runners and writers) therefore must not consult
+anything the spec does not determine:
 
 * ``DET-WALLCLOCK`` — wall-clock and timer reads (``time.time``,
   ``datetime.now`` …).  Timestamps belong in filenames chosen by humans,
@@ -17,7 +17,8 @@ does not determine:
   must flow from an explicit seeded generator
   (:func:`repro.utils.stable_seed` -> ``random.Random`` /
   ``np.random.default_rng``).
-* ``DET-IDKEY`` — ``id()`` used as a dict key: ``id`` values change per
+* ``DET-IDKEY`` — ``id()`` used as a dict key, alone, in a tuple, or
+  through a local name bound to either: ``id`` values change per
   process, so any iteration or serialisation keyed on them is
   run-dependent.
 * ``DET-SETITER`` — direct iteration over ``set``/``frozenset`` values:
@@ -41,6 +42,11 @@ PAYLOAD_PACKAGES: tuple[str, ...] = (
     "fleet/",
     "faults/",
     "analysis/",
+    "schedulers/",
+    "core/",
+    "traces/",
+    "webapp/",
+    "hardware/",
 )
 
 
@@ -136,12 +142,19 @@ def _check_global_rng(ctx: FileContext) -> Iterator:
                 )
 
 
-def _is_id_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "id"
-    )
+def _holds_id(node: ast.AST) -> bool:
+    """An ``id(...)`` call, or a tuple with one among its elements."""
+    if isinstance(node, ast.Tuple):
+        return any(_holds_id(element) for element in node.elts)
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``scope``, leaving out the functions nested in it."""
+    for node in ast.iter_child_nodes(scope):
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scope_nodes(node)
 
 
 def _check_id_keys(ctx: FileContext) -> Iterator:
@@ -149,15 +162,26 @@ def _check_id_keys(ctx: FileContext) -> Iterator:
         "id()-keyed mapping: object ids differ per process, so anything "
         "iterating or serialising this mapping is run-dependent"
     )
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Subscript) and _is_id_call(node.slice):
-            yield ctx.finding("DET-IDKEY", node, message)
-        elif isinstance(node, ast.Dict):
-            for key in node.keys:
-                if key is not None and _is_id_call(key):
-                    yield ctx.finding("DET-IDKEY", key, message)
-        elif isinstance(node, ast.DictComp) and _is_id_call(node.key):
-            yield ctx.finding("DET-IDKEY", node.key, message)
+    functions = (n for n in ast.walk(ctx.tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    for scope in (ctx.tree, *functions):
+        nodes = list(_scope_nodes(scope))
+        # Local names bound to an id() key: ``key = (id(x), n); cache.get(key)``.
+        bindings = (node for node in nodes if isinstance(node, ast.Assign) and _holds_id(node.value))
+        id_names = {target.id for node in bindings for target in node.targets if isinstance(target, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Subscript):
+                keys = [(node, node.slice)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                keys = [(node, arg) for arg in node.args[:1] if node.func.attr in ("get", "setdefault")]
+            elif isinstance(node, ast.Dict):
+                keys = [(key, key) for key in node.keys if key is not None]
+            elif isinstance(node, ast.DictComp):
+                keys = [(node.key, node.key)]
+            else:
+                continue
+            for anchor, key in keys:
+                if _holds_id(key) or (isinstance(key, ast.Name) and key.id in id_names):
+                    yield ctx.finding("DET-IDKEY", anchor, message)
 
 
 def _is_set_expr(node: ast.AST) -> bool:

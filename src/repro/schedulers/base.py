@@ -112,50 +112,15 @@ class ConfigOption:
         object.__setattr__(self, "energy_mj", self.power_w * self.latency_ms)
 
 
-#: Memoised ``enumerate_options`` results.  Keys are
-#: ``(id(system), id(power_table), workload, pareto_only)``; each value pins
-#: the system/power-table objects so their ids cannot be recycled while the
-#: entry lives.  ``DvfsModel`` is a frozen dataclass, so workloads that
-#: repeat across events (trained estimators, replayed traces) hash to the
-#: same key and skip the full configuration sweep.
-_OPTIONS_CACHE: dict[tuple, tuple[AcmpSystem, PowerTable, tuple[ConfigOption, ...]]] = {}
-
-#: Safety valve: evict oldest entries beyond this many cached sweeps.
-_OPTIONS_CACHE_MAX = 4096
-
-
-#: Memoised throttled platforms, keyed ``(id(system), cap_mhz)``.  Each value
-#: pins the base system so its id cannot be recycled while the entry lives.
-#: Dynamic thermal throttling re-derives the same few capped systems once per
-#: event (one per curve step), so the memo keeps both the derivation and —
-#: because the returned object's id is stable — the ``_OPTIONS_CACHE`` hits
-#: of every scheduler that enumerates options on the capped platform.
-_CAPPED_SYSTEMS: dict[tuple[int, int], tuple[AcmpSystem, AcmpSystem]] = {}
-
-#: Safety valve: evict oldest entries beyond this many cached derivations
-#: (same role as ``_OPTIONS_CACHE_MAX`` — long-lived services keep building
-#: fresh setups, and an evicted entry only costs a re-derivation plus cold
-#: option caches for that platform, never correctness).
-_CAPPED_SYSTEMS_MAX = 1024
-
-
 def capped_system(system: AcmpSystem, cap_mhz: int) -> AcmpSystem:
-    """``system.with_frequency_cap(cap_mhz)``, memoised with a stable identity."""
-    key = (id(system), cap_mhz)
-    hit = _CAPPED_SYSTEMS.get(key)
-    if hit is not None:
-        return hit[1]
-    capped = system.with_frequency_cap(cap_mhz)
-    if len(_CAPPED_SYSTEMS) >= _CAPPED_SYSTEMS_MAX:
-        _CAPPED_SYSTEMS.pop(next(iter(_CAPPED_SYSTEMS)))
-    _CAPPED_SYSTEMS[key] = (system, capped)
+    """``system.with_frequency_cap(cap_mhz)``, memoised on ``system`` with a stable identity.
+
+    Dynamic thermal throttling asks for the same few capped platforms on every event.
+    """
+    capped = system.capped_systems.get(cap_mhz)
+    if capped is None:
+        capped = system.capped_systems[cap_mhz] = system.with_frequency_cap(cap_mhz)
     return capped
-
-
-def clear_enumerate_options_cache() -> None:
-    """Drop every memoised option sweep (tests / long-lived services)."""
-    _OPTIONS_CACHE.clear()
-    _CAPPED_SYSTEMS.clear()
 
 
 def enumerate_options(
@@ -171,7 +136,8 @@ def enumerate_options(
     With ``pareto_only`` the list is pruned to configurations that are not
     dominated (no other option is both faster and cheaper), which is the
     candidate set the optimizer branches over.  Options are returned sorted
-    by ascending latency.
+    by ascending latency, ties by ascending energy, then in
+    :meth:`AcmpSystem.configurations` order.
 
     ``cap_mhz`` restricts the sweep to the throttled platform
     (:func:`capped_system`): the candidate set a scheduler may pick from
@@ -181,37 +147,28 @@ def enumerate_options(
     *static* platform would produce — the bit-identity the dynamic thermal
     engines rely on.
 
-    Results are memoised per ``(system, power_table, workload, pareto_only)``
-    — keyed on the ``DvfsModel`` *value* — because traces re-use workload
-    models heavily and the sweep sits on the scheduling hot path.  A fresh
-    list is returned on every call so callers may mutate it freely.
+    Eqn. 1 is evaluated over :attr:`AcmpSystem.operating_points` with the
+    float expression of :meth:`DvfsModel.latency_ms`.  Nothing is memoised:
+    every call returns a new list.
     """
     if cap_mhz is not None:
         system = capped_system(system, cap_mhz)
-    key = (id(system), id(power_table), workload, pareto_only)
-    cached = _OPTIONS_CACHE.get(key)
-    if cached is not None:
-        return list(cached[2])
-
-    options = [
-        ConfigOption(
-            config=config,
-            latency_ms=workload.latency_ms(system, config),
-            power_w=power_table.power_w(config),
-        )
-        for config in system.configurations()
-    ]
-    options.sort(key=lambda o: (o.latency_ms, o.energy_mj))
-    if pareto_only:
-        pruned: list[ConfigOption] = []
-        best_energy = float("inf")
-        for option in options:
-            if option.energy_mj < best_energy - 1e-12:
-                pruned.append(option)
-                best_energy = option.energy_mj
-        options = pruned
-
-    if len(_OPTIONS_CACHE) >= _OPTIONS_CACHE_MAX:
-        _OPTIONS_CACHE.pop(next(iter(_OPTIONS_CACHE)))
-    _OPTIONS_CACHE[key] = (system, power_table, tuple(options))
-    return list(options)
+    tmem, ndep = workload.tmem_ms, workload.ndep_mcycles
+    power_of = power_table.power_w
+    # Rows sort as a stable sort by (latency, energy) would; ConfigOption computes
+    # energy_mj with the same product, so only the options kept are built.
+    rows = []
+    for index, (config, effective_ghz) in enumerate(system.operating_points):
+        latency_ms = tmem + ndep / effective_ghz
+        power_w = power_of(config)
+        rows.append((latency_ms, power_w * latency_ms, index, config, power_w))
+    rows.sort()
+    options: list[ConfigOption] = []
+    best_energy = float("inf")
+    for latency_ms, energy_mj, _, config, power_w in rows:
+        if pareto_only:
+            if not energy_mj < best_energy - 1e-12:
+                continue
+            best_energy = energy_mj
+        options.append(ConfigOption(config, latency_ms, power_w))
+    return options

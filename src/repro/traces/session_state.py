@@ -52,12 +52,25 @@ class ObservedEvent:
 def document_rng(profile: AppProfile, doc_index: int) -> np.random.Generator:
     """Deterministic RNG for the ``doc_index``-th document of an application.
 
-    Both the trace generator and the PES predictor rebuild the DOM when a
-    navigation happens.  Deriving the layout RNG from the application name
+    Both the trace generator and the PES predictor load a new document when
+    a navigation happens.  Deriving the layout RNG from the application name
     and a document counter guarantees that the two sides observe the same
     sequence of documents, which is what a shared real page would give them.
     """
     return np.random.default_rng(stable_seed(profile.name, doc_index))
+
+
+#: Pristine documents by ``(profile, doc_index)``: ``build_dom`` is a pure function
+#: of the two and sessions revisit the same few documents, so each is built once.
+_DOCUMENTS: dict[tuple[AppProfile, int], tuple[DomTree, SemanticTree]] = {}
+
+
+def _serve_document(profile: AppProfile, doc_index: int) -> tuple[DomTree, SemanticTree]:
+    """A caller-private, copy-on-write copy of ``profile.build_dom(document_rng(profile, doc_index))``."""
+    if (profile, doc_index) not in _DOCUMENTS:
+        _DOCUMENTS[profile, doc_index] = profile.build_dom(document_rng(profile, doc_index))
+    dom, semantic = _DOCUMENTS[profile, doc_index]
+    return dom.clone(), SemanticTree(effects=dict(semantic.effects))
 
 
 @dataclass
@@ -75,8 +88,8 @@ class SessionState:
 
     @classmethod
     def fresh(cls, profile: AppProfile) -> "SessionState":
-        """Start a new session on a freshly generated document."""
-        dom, semantic = profile.build_dom(document_rng(profile, 0))
+        """Start a new session on the application's first document."""
+        dom, semantic = _serve_document(profile, 0)
         return cls(profile=profile, dom=dom, semantic=semantic, doc_index=0)
 
     # -- visibility snapshot ---------------------------------------------------
@@ -151,9 +164,9 @@ class SessionState:
         did_navigate = effect.navigates if navigates is None else navigates
 
         if event_type is EventType.LOAD:
-            # The load event of the new document rebuilds the DOM.
+            # The load event of the new document replaces the DOM.
             self.doc_index += 1
-            self.dom, self.semantic = self.profile.build_dom(document_rng(self.profile, self.doc_index))
+            self.dom, self.semantic = _serve_document(self.profile, self.doc_index)
             self._visible = None
             self.last_navigated = False
         elif did_navigate:
@@ -171,7 +184,7 @@ class SessionState:
     def reset_document(self) -> None:
         """Force a fresh document (used at session start)."""
         self.doc_index = 0
-        self.dom, self.semantic = self.profile.build_dom(document_rng(self.profile, 0))
+        self.dom, self.semantic = _serve_document(self.profile, 0)
         self._visible = None
         self.last_navigated = False
         self.history.clear()

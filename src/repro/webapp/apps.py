@@ -30,6 +30,15 @@ from repro.webapp.dom import DomNode, DomTree, Viewport
 from repro.webapp.events import EventType
 from repro.webapp.semantic_tree import CallbackEffect, EffectKind, SemanticTree
 
+#: The listener sets and navigation effect ``build_dom`` registers, one
+#: immutable instance each, shared by every node and document that carries it.
+_NO_LISTENERS: frozenset[EventType] = frozenset()
+_CLICK = frozenset({EventType.CLICK})
+_TAP = frozenset({EventType.CLICK, EventType.TOUCHSTART})
+_SUBMIT = frozenset({EventType.CLICK, EventType.SUBMIT})
+_MOVE = frozenset({EventType.SCROLL, EventType.TOUCHMOVE})
+_NAVIGATE = CallbackEffect(kind=EffectKind.NAVIGATE, navigates=True)
+
 #: The 12 applications used for characterisation and predictor training.
 SEEN_APPS: tuple[str, ...] = (
     "163",
@@ -122,7 +131,8 @@ class AppProfile:
         semantic = SemanticTree()
         viewport = Viewport(width=360.0, height=640.0)
 
-        root = DomNode(tag="body", node_id=f"{self.name}-body", y=0.0, height=0.0, width=360.0)
+        # The document root scrolls: it carries the move listeners.
+        root = DomNode(tag="body", node_id=f"{self.name}-body", y=0.0, height=0.0, width=360.0, listeners=_MOVE)
         y = 0.0
 
         # Header / navigation bar with links that navigate.
@@ -138,12 +148,10 @@ class AppProfile:
                     height=40.0,
                     width=80.0,
                     is_link=True,
-                    listeners={EventType.CLICK},
+                    listeners=_CLICK,
                 )
             )
-            semantic.register(
-                link.node_id, EventType.CLICK, CallbackEffect(kind=EffectKind.NAVIGATE, navigates=True)
-            )
+            semantic.register(link.node_id, EventType.CLICK, _NAVIGATE)
         y += 70.0
 
         # Collapsible menus (Fig. 7): a button toggles a hidden submenu.
@@ -155,7 +163,7 @@ class AppProfile:
                     y=y,
                     height=44.0,
                     width=360.0,
-                    listeners={EventType.CLICK, EventType.TOUCHSTART},
+                    listeners=_TAP,
                 )
             )
             submenu = root.append_child(
@@ -177,7 +185,7 @@ class AppProfile:
                         height=40.0,
                         width=360.0,
                         is_link=True,
-                        listeners={EventType.CLICK},
+                        listeners=_CLICK,
                     )
                 )
             effect = CallbackEffect(kind=EffectKind.TOGGLE_DISPLAY, target_node_ids=(submenu.node_id,))
@@ -195,10 +203,6 @@ class AppProfile:
                 height = float(rng.integers(30, 90))
                 is_clickable = bool(rng.random() < self.clickable_density)
                 is_link = bool(rng.random() < self.link_density)
-                listeners: set[EventType] = set()
-                if is_clickable:
-                    listeners.add(EventType.CLICK)
-                    listeners.add(EventType.TOUCHSTART)
                 node = section.append_child(
                     DomNode(
                         tag="div",
@@ -207,14 +211,11 @@ class AppProfile:
                         height=height,
                         width=float(rng.integers(120, 361)),
                         is_link=is_link,
-                        listeners=listeners,
+                        listeners=_TAP if is_clickable else _CLICK if is_link else _NO_LISTENERS,
                     )
                 )
                 if is_link:
-                    node.listeners.add(EventType.CLICK)
-                    semantic.register(
-                        node.node_id, EventType.CLICK, CallbackEffect(kind=EffectKind.NAVIGATE, navigates=True)
-                    )
+                    semantic.register(node.node_id, EventType.CLICK, _NAVIGATE)
                 section_height += height
             section.height = section_height
             y += section_height + 10.0
@@ -230,7 +231,7 @@ class AppProfile:
                 y=y,
                 height=44.0,
                 width=300.0,
-                listeners={EventType.CLICK},
+                listeners=_CLICK,
             )
         )
         submit = form.append_child(
@@ -240,16 +241,12 @@ class AppProfile:
                 y=y + 50.0,
                 height=44.0,
                 width=140.0,
-                listeners={EventType.CLICK, EventType.SUBMIT},
+                listeners=_SUBMIT,
             )
         )
-        semantic.register(
-            submit.node_id, EventType.SUBMIT, CallbackEffect(kind=EffectKind.NAVIGATE, navigates=True)
-        )
+        semantic.register(submit.node_id, EventType.SUBMIT, _NAVIGATE)
         y += 110.0
 
-        # The document root scrolls; register move listeners on the body.
-        root.listeners |= {EventType.SCROLL, EventType.TOUCHMOVE}
         root.height = y
         semantic.register(root.node_id, EventType.SCROLL, CallbackEffect(kind=EffectKind.SCROLL_BY, scroll_delta_y=320.0))
         semantic.register(root.node_id, EventType.TOUCHMOVE, CallbackEffect(kind=EffectKind.SCROLL_BY, scroll_delta_y=160.0))

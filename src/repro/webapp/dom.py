@@ -53,13 +53,14 @@ class Viewport:
         return self.width * self.height
 
 
-@dataclass
+@dataclass(slots=True)
 class DomNode:
     """One element of the DOM tree.
 
     Geometry is simplified to a vertical extent (``y``/``height``) plus a
     width, which is all the viewport-intersection analysis needs, and an
-    ``area`` for the clickable-region feature.
+    ``area`` for the clickable-region feature.  ``listeners`` is immutable,
+    so nodes and their clones may share one set.
     """
 
     tag: str
@@ -68,9 +69,9 @@ class DomNode:
     height: float = 20.0
     width: float = 360.0
     display: str = "block"
-    listeners: set[EventType] = field(default_factory=set)
+    listeners: frozenset[EventType] = frozenset()
     is_link: bool = False
-    children: list["DomNode"] = field(default_factory=list)
+    children: tuple["DomNode", ...] = ()
     parent: "DomNode | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,7 +82,7 @@ class DomNode:
 
     def append_child(self, child: "DomNode") -> "DomNode":
         child.parent = self
-        self.children.append(child)
+        self.children += (child,)
         return child
 
     # -- queries -----------------------------------------------------------
@@ -117,19 +118,10 @@ class DomNode:
         it to give a copy-on-write tree its private node graph, once, before
         the first mutation; clones that are only scrolled never copy.  Hence
         the contract: mutate nodes only through references obtained from
-        ``find``.  The copy owns its listener set and children list; the
-        parent pointer of the returned root is left unset.
+        ``find``.  The copy has its own children and shares the immutable
+        listener set; the parent pointer of the returned root is left unset.
         """
-        copied = DomNode(
-            tag=self.tag,
-            node_id=self.node_id,
-            y=self.y,
-            height=self.height,
-            width=self.width,
-            display=self.display,
-            listeners=set(self.listeners),
-            is_link=self.is_link,
-        )
+        copied = DomNode(self.tag, self.node_id, self.y, self.height, self.width, self.display, self.listeners, self.is_link)
         for child in self.children:
             copied.append_child(child.clone())
         return copied

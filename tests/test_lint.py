@@ -50,6 +50,9 @@ BAD_EXPECTATIONS = {
         ("DET-IDKEY", 7),
         ("DET-IDKEY", 12),
         ("DET-IDKEY", 12),
+        ("DET-IDKEY", 17),  # cache.get(key), key bound to (id(system), ...)
+        ("DET-IDKEY", 19),  # cache[key] = ...
+        ("DET-IDKEY", 24),  # memo.setdefault((id(system), cap_mhz), ...)
     ],
     "runtime/det_setiter.py": [
         ("DET-SETITER", 6),
@@ -96,6 +99,16 @@ class TestBadCorpus:
         assert len(report.findings) == expected
         # The wallclock finding silenced in suppressions.py is counted.
         assert report.suppressed == 1
+
+
+class TestScope:
+    @pytest.mark.parametrize("package", ["schedulers", "core", "traces", "webapp", "hardware"])
+    def test_determinism_rules_cover_model_packages(self, tmp_path, package):
+        path = tmp_path / package / "memo.py"
+        path.parent.mkdir()
+        path.write_text("def lookup(cache, x):\n    key = (id(x), 1)\n    return cache.get(key)\n")
+        findings = LintEngine(tmp_path).lint_file(path)
+        assert [(f.rule, f.line) for f in findings] == [("DET-IDKEY", 3)]
 
 
 class TestGoodCorpus:

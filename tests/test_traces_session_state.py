@@ -1,12 +1,18 @@
 """Unit tests for the session state and Table-1 features."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.predictor.training import PredictorTrainer
+from repro.traces import session_state
+from repro.traces.generator import TraceGenerator
 from repro.traces.session_state import FEATURE_NAMES, FEATURE_WINDOW, SessionState, document_rng
-from repro.webapp.apps import AppCatalog
+from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS, AppCatalog, AppProfile
 from repro.webapp.dom import DomNode, DomTree
 from repro.webapp.events import EventType
+from repro.webapp.semantic_tree import CallbackEffect
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +217,66 @@ class TestDocumentRng:
         c = document_rng(profile, 4).integers(1_000_000)
         assert a == b
         assert a != c
+
+
+def _document(dom: DomTree, semantic) -> tuple:
+    """Every node field in pre-order, the page geometry and the effects."""
+    nodes = [
+        (n.tag, n.node_id, n.y, n.height, n.width, n.display, n.listeners, n.is_link, len(n.children))
+        for n in dom.walk()
+    ]
+    return nodes, dom.viewport, dom.page_height, dict(semantic.effects)
+
+
+def _fresh_build(profile, doc_index: int) -> tuple:
+    return _document(*profile.build_dom(document_rng(profile, doc_index)))
+
+
+class TestDocumentMemo:
+    @pytest.mark.parametrize("app", SEEN_APPS + UNSEEN_APPS)
+    def test_served_documents_equal_fresh_builds(self, catalog, app):
+        profile = catalog.get(app)
+        state = SessionState.fresh(profile)
+        for doc_index in range(6):
+            assert state.doc_index == doc_index
+            assert _document(state.dom, state.semantic) == _fresh_build(profile, doc_index)
+            state.apply_event(EventType.LOAD, state.dom.root.node_id)
+
+    @pytest.mark.parametrize("mutate", [_menu_toggle, _find_write])
+    def test_mutating_a_served_document_leaves_the_memo_unchanged(self, catalog, mutate):
+        profile = catalog.get("cnn")
+        expected = _fresh_build(profile, 0)
+        state = SessionState.fresh(profile)
+        mutate(state)
+        state.semantic.register("cnn-nav-0", EventType.SCROLL, CallbackEffect())
+        assert _document(state.dom, state.semantic) != expected
+        assert _document(*session_state._DOCUMENTS[(profile, 0)]) == expected
+        served = SessionState.fresh(profile)
+        assert _document(served.dom, served.semantic) == expected
+        state.reset_document()
+        assert _document(state.dom, state.semantic) == expected
+
+    def test_each_document_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(session_state, "_DOCUMENTS", {})
+        requested = []
+        built = []
+        original_rng, original_build = session_state.document_rng, AppProfile.build_dom
+
+        def recording_rng(profile, doc_index):
+            requested.append((profile.name, doc_index))
+            return original_rng(profile, doc_index)
+
+        def counting_build(self, rng=None):
+            built.append(self.name)
+            return original_build(self, rng)
+
+        monkeypatch.setattr(session_state, "document_rng", recording_rng)
+        monkeypatch.setattr(AppProfile, "build_dom", counting_build)
+        traces = TraceGenerator().generate_many(["cnn", "google", "slashdot"], 3, base_seed=0)
+        PredictorTrainer(max_iterations=20).train(traces)
+        assert len(built) == len(requested) == len(session_state._DOCUMENTS)
+        assert set(Counter(requested).values()) == {1}
+        # Generator and trainer each open every trace's documents: a first
+        # one per session plus one per load.
+        served = 2 * sum(1 + sum(e.event_type is EventType.LOAD for e in trace) for trace in traces)
+        assert len(built) < served

@@ -7,8 +7,7 @@ from repro.webapp.events import EventType
 
 
 def build_tree() -> DomTree:
-    root = DomNode(tag="body", node_id="body", y=0, height=2000, width=360)
-    root.listeners.add(EventType.SCROLL)
+    root = DomNode(tag="body", node_id="body", y=0, height=2000, width=360, listeners=frozenset({EventType.SCROLL}))
     button = root.append_child(
         DomNode(
             tag="button",
