@@ -217,8 +217,8 @@ def bench_parallel(
     generator = TraceGenerator(catalog=catalog)
     apps = list(SEEN_APPS)
     per_app = -(-min_sessions // len(apps))  # ceil division
-    traces = generator.generate_many_parallel(
-        apps, per_app, base_seed=BENCH_SEED, jobs=jobs
+    traces = generator.generate_many(
+        apps, per_app, base_seed=BENCH_SEED, independent_streams=True
     )
 
     setup = SimulationSetup()

@@ -318,6 +318,9 @@ def run_search(
 
     runner = runner or ScenarioRunner()
     sweep = runner.build_sweep(base_spec)
+    # The sweep carries recipes; every cell replays the same traces, so
+    # generate them once here rather than once per cell and scheme.
+    traces = tuple(sweep.traces)
     learner = (
         runner.train_learner() if any("PES" in scheme for scheme in scheme_tuple) else None
     )
@@ -347,7 +350,7 @@ def run_search(
         per_scheme: dict[str, dict[str, float]] = {}
         for scheme in scheme_tuple:
             aggregator = StreamingSweepAggregator()
-            for index, trace in enumerate(sweep.traces):
+            for index, trace in enumerate(traces):
                 shard_key = f"{scheme}/{index}/{trace.app_name}"
                 payload = shard_map.get(shard_key)
                 if payload is not None:

@@ -4,15 +4,19 @@ A full paper evaluation replays every (scheme x trace) pair, and each replay
 is independent — exactly the embarrassingly parallel shape a process pool
 exploits.  :class:`ParallelEvaluator` runs every evaluation as a matrix of
 :class:`MatrixSweep` cells (:meth:`~ParallelEvaluator.evaluate` is a
-one-sweep matrix) and fans the jobs out over a ``multiprocessing`` pool:
+one-sweep matrix) and fans the jobs out over one ``multiprocessing`` pool:
 
+* **Recipes, not traces** — scenario sweeps carry
+  :class:`~repro.traces.generator.TraceRecipes`.  A pool unit is one
+  (sweep, trace index) with all its schemes left to replay, so each trace
+  is generated once, in the worker that replays it, from a few ints.
 * **Simulator reuse** — one lazy :class:`~repro.runtime.simulator.Simulator`
   per hardware setup, so the hardware model, the per-scheme baseline
   schedulers, and the per-app PES schedulers are built once per setup, not
   once per job.  The same cache serves the in-process run, every pool
-  worker (it is the pool initarg, so the trained learner ships to each
-  worker once, not per job), and the parent's serial retries.
-* **Chunked work stealing** — jobs are pulled from a shared queue in small
+  worker (it is the pool initarg, so the trained learner and the recipes
+  ship to each worker once, not per job), and the parent's serial retries.
+* **Chunked work stealing** — units are pulled from a shared queue in small
   chunks, so a worker that drew short sessions steals the next chunk
   instead of idling behind a worker stuck on a long one.
 * **Deterministic ordering** — every job carries its global index (sweep,
@@ -24,16 +28,17 @@ one-sweep matrix) and fans the jobs out over a ``multiprocessing`` pool:
   (in job order) as results arrive; with ``keep_results=False`` a sweep
   over thousands of sessions never materialises the full ``SessionResult``
   lists.
-* **In-process runs** — with one worker (``jobs=1``, or a single job left
+* **In-process runs** — with one worker (``jobs=1``, or a single unit left
   to run) the jobs replay in the parent in job order, with no pool.  Every
   replay is deterministic, so ``jobs>1`` produces bit-identical
   ``SessionResult`` objects; only wall-clock changes.
 * **Graceful degradation** — a job that raises in a worker comes back as a
-  failure payload instead of poisoning the pool; after the pool is torn
-  down cleanly, failed (and, with ``job_timeout_s``, stalled) jobs are
-  re-run serially in the parent, so a transient worker crash degrades to
-  serial throughput rather than a lost sweep, while a deterministic bug
-  surfaces as the original exception from the serial re-run.  Set
+  failure payload for that job alone instead of poisoning the pool; after
+  the pool is torn down cleanly, failed (and, with ``job_timeout_s``,
+  stalled) jobs are re-run serially in the parent, so a transient worker
+  crash degrades to serial throughput rather than a lost sweep, while a
+  deterministic bug surfaces as the original exception from the serial
+  re-run.  Set
   ``retry_failed_jobs=False`` to get a :class:`WorkerJobError` (carrying
   the worker traceback) instead of the retry.
 
@@ -152,6 +157,11 @@ class MatrixSweep:
     differ in platform, frequency cap, or PES tuning — while the pool and
     the trained learner are shared across the whole matrix.
 
+    ``traces`` is any sequence.  Scenario sweeps carry lazy
+    :class:`~repro.traces.generator.TraceRecipes`, which the evaluator
+    generates once per trace, in the process that replays it; any other
+    caller walking them twice should materialise them with ``tuple()``.
+
     ``setup_key`` tags sweeps that share one hardware configuration: all
     sweeps carrying the same tag must carry the *same* ``setup`` (and
     ``pes_config``) object, and workers then build one simulator per tag
@@ -163,7 +173,7 @@ class MatrixSweep:
 
     key: str
     setup: SimulationSetup
-    traces: tuple[Trace, ...]
+    traces: Sequence[Trace]
     schemes: tuple[str, ...]
     pes_config: PesConfig | None = None
     setup_key: str | None = None
@@ -207,21 +217,29 @@ class MatrixOutcome:
 
 @dataclass
 class _Simulators:
-    """Lazy simulators for one matrix run, one per hardware setup.
+    """Lazy simulators and traces for one matrix run.
 
     Sweeps tagged with the same ``setup_key`` share a simulator; the rest get
     one per sweep key.  Simulators are built on first use, so a worker that
     only ever steals jobs from two scenarios never pays for the other
     setups' power tables and scheduler caches, and a clean pool run never
-    builds the parent's retry simulators.  The in-process run, the pool
-    initializer and the parent's retries all replay through :meth:`run`.
+    builds the parent's retry simulators.  Traces are generated on first
+    use too, and only the current sweep's are kept: jobs arrive grouped by
+    sweep, so each trace is generated once and a process holds one sweep's
+    traces at a time.  The in-process run, the pool workers and the
+    parent's retries all replay through :meth:`run`.
     """
 
     catalog: AppCatalog
     learner: EventSequenceLearner | None
     #: Sweep key -> (setup, PES config, simulator cache key).
     setups: dict[str, tuple[SimulationSetup, PesConfig | None, str]]
+    #: Sweep key -> the sweep's traces (usually recipes).
+    traces: dict[str, Sequence[Trace]]
     simulators: dict[str, Simulator] = field(default_factory=dict)
+    #: The sweep whose traces ``generated`` holds, by trace index.
+    current: str | None = None
+    generated: dict[int, Trace] = field(default_factory=dict)
 
     @classmethod
     def for_sweeps(
@@ -234,22 +252,27 @@ class _Simulators:
             sweep.key: (sweep.setup, sweep.pes_config, sweep.setup_key or sweep.key)
             for sweep in sweeps
         }
-        return cls(catalog=catalog, learner=learner, setups=setups)
+        traces = {sweep.key: sweep.traces for sweep in sweeps}
+        return cls(catalog=catalog, learner=learner, setups=setups, traces=traces)
 
-    def run(self, key: str, scheme: str, trace: Trace) -> SessionResult:
-        """Replay one (sweep, scheme, trace) job."""
+    def run(self, key: str, scheme: str, trace_index: int) -> SessionResult:
+        """Replay one (sweep, scheme, trace index) job."""
+        if key != self.current:
+            self.current, self.generated = key, {}
+        if trace_index not in self.generated:
+            self.generated[trace_index] = self.traces[key][trace_index]
         setup, pes_config, cache_key = self.setups[key]
         simulator = self.simulators.get(cache_key)
         if simulator is None:
             simulator = Simulator(setup=setup, catalog=self.catalog)
             self.simulators[cache_key] = simulator
         return simulator.run_scheme(
-            [trace], scheme, learner=self.learner, pes_config=pes_config
+            [self.generated[trace_index]], scheme, learner=self.learner, pes_config=pes_config
         )[0]
 
 
 # Pool workers keep one _Simulators for their whole life: the initializer runs
-# once per worker process, then _run_matrix_job_chunk serves every chunk the
+# once per worker process, then _run_matrix_units serves every chunk the
 # worker steals.
 _MATRIX_WORKER: _Simulators | None = None
 
@@ -259,33 +282,31 @@ def _init_matrix_worker(simulators: _Simulators) -> None:
     _MATRIX_WORKER = simulators
 
 
-def _run_matrix_job(
-    job: tuple[int, str, str, Trace]
-) -> tuple[int, SessionResult | _JobFailure]:
-    """Replay one (sweep, scheme, trace) job on the worker's simulators.
+def _run_matrix_units(
+    units: list[tuple[tuple[str, int], list[tuple[int, str]]]]
+) -> list[tuple[int, SessionResult | _JobFailure]]:
+    """Replay a chunk of units as one pool task (see :func:`_chunked`).
+
+    A unit is a (sweep key, trace index) and its (job index, scheme) pairs.
 
     Exceptions come back as :class:`_JobFailure` payloads rather than
-    propagating through the pool: a raising job must not poison the shared
-    ``imap`` stream the rest of the sweep is still flowing through.
+    propagating through the pool — a raising job must not poison the shared
+    ``imap`` stream the rest of the sweep is still flowing through — and a
+    scheme (or a trace generation) that raises fails its own jobs only.
     """
-    index, key, scheme, trace = job
-    try:
-        assert _MATRIX_WORKER is not None, "matrix worker pool was not initialised"
-        result = _MATRIX_WORKER.run(key, scheme, trace)
-    except Exception as exc:
-        return index, _JobFailure.from_exception(exc)
-    return index, result
+    assert _MATRIX_WORKER is not None, "matrix worker pool was not initialised"
+    delivered: list[tuple[int, SessionResult | _JobFailure]] = []
+    for (key, trace_index), todo in units:
+        for index, scheme in todo:
+            try:
+                delivered.append((index, _MATRIX_WORKER.run(key, scheme, trace_index)))
+            except Exception as exc:
+                delivered.append((index, _JobFailure.from_exception(exc)))
+    return delivered
 
 
-def _run_matrix_job_chunk(
-    jobs: list[tuple[int, str, str, Trace]]
-) -> list[tuple[int, SessionResult | _JobFailure]]:
-    """Replay a chunk of matrix jobs as one pool task (see :func:`_chunked`)."""
-    return [_run_matrix_job(job) for job in jobs]
-
-
-def _chunked(jobs: list, size: int) -> list[list]:
-    """Split the job list into parent-side chunks of at most ``size`` jobs.
+def _chunked(units: list, size: int) -> list[list]:
+    """Split the unit list into parent-side chunks of at most ``size`` units.
 
     Chunking happens here, not via ``imap_unordered``'s ``chunksize``: with
     ``chunksize > 1`` CPython wraps the result stream in a plain generator,
@@ -294,7 +315,7 @@ def _chunked(jobs: list, size: int) -> list[list]:
     ``IMapUnorderedIterator`` (timeout-capable) while preserving the IPC
     amortisation chunking is for.
     """
-    return [jobs[start : start + size] for start in range(0, len(jobs), size)]
+    return [units[start : start + size] for start in range(0, len(units), size)]
 
 
 # -- driver side --------------------------------------------------------------------
@@ -325,8 +346,9 @@ class ParallelEvaluator:
     setup: SimulationSetup = field(default_factory=SimulationSetup)
     catalog: AppCatalog = field(default_factory=AppCatalog)
     jobs: int | None = None
-    #: Jobs per pool task; ``None`` lets :func:`repro.utils.pool_chunk_size`
-    #: pick one that gives each worker several chunks to steal.
+    #: (sweep, trace) units per pool task; ``None`` lets
+    #: :func:`repro.utils.pool_chunk_size` pick one that gives each worker
+    #: several chunks to steal.
     chunk_size: int | None = None
     #: Stall watchdog: if no result arrives for this many seconds, the pool
     #: is torn down and the undelivered jobs are re-run serially in the
@@ -401,7 +423,7 @@ class ParallelEvaluator:
         keep_results: bool = False,
         on_sweep_complete: Callable[[MatrixSweep, dict[str, SchemeAggregates]], None]
         | None = None,
-        on_job_complete: Callable[[str, str, Trace, SessionResult], None] | None = None,
+        on_job_complete: Callable[[str, str, int, SessionResult], None] | None = None,
         precomputed: dict[tuple[str, str, int], SessionResult] | None = None,
     ) -> MatrixOutcome:
         """Fan several scenarios' (scheme x trace) jobs through one pool.
@@ -419,8 +441,8 @@ class ParallelEvaluator:
         aggregates it receives are identical to the ones returned at the
         end.
 
-        ``on_job_complete`` is called once per (sweep key, scheme, trace)
-        job as ``(key, scheme, trace, result)``, in fold order — i.e. global
+        ``on_job_complete`` is called once per job as ``(key, scheme,
+        trace_index, result)``, in fold order — i.e. global
         job order regardless of worker count, so a shard-level checkpoint
         built on it (:class:`~repro.scenarios.checkpoint.ShardJournal`) is
         deterministic for any ``--jobs`` value.
@@ -430,7 +452,8 @@ class ParallelEvaluator:
         journal on ``--resume``).  Those jobs are never re-simulated; their
         results are folded in their original global job position, so the
         aggregates — and every hook invocation — stay bit-identical to an
-        uninterrupted run.
+        uninterrupted run — and a trace none of whose jobs is left to run
+        is never generated.
         """
         sweep_list = list(sweeps)
         keys = [sweep.key for sweep in sweep_list]
@@ -451,17 +474,23 @@ class ParallelEvaluator:
                     f"setup_key {sweep.setup_key!r} but not the same setup"
                 )
 
-        jobs: list[tuple[int, str, str, Trace]] = []
+        # Job ``i`` is ``jobs[i]``: (sweep key, scheme, trace index).  Jobs
+        # still to run are grouped by trace into units, in (sweep, trace)
+        # order, so each trace is generated once for all its schemes.
+        jobs: list[tuple[str, str, int]] = []
+        units: dict[tuple[str, int], list[tuple[int, str]]] = {}
         sweep_end: dict[int, MatrixSweep] = {}
         done: dict[int, SessionResult] = {}
         for sweep in sweep_list:
             for scheme in sweep.schemes:
-                for trace_index, trace in enumerate(sweep.traces):
-                    if precomputed is not None:
-                        known = precomputed.get((sweep.key, scheme, trace_index))
-                        if known is not None:
-                            done[len(jobs)] = known
-                    jobs.append((len(jobs), sweep.key, scheme, trace))
+                for trace_index in range(len(sweep.traces)):
+                    job = (sweep.key, scheme, trace_index)
+                    known = None if precomputed is None else precomputed.get(job)
+                    if known is not None:
+                        done[len(jobs)] = known
+                    else:
+                        units.setdefault((sweep.key, trace_index), []).append((len(jobs), scheme))
+                    jobs.append(job)
             sweep_end[len(jobs) - 1] = sweep
         aggregator = StreamingMatrixAggregator()
         ordered: list[SessionResult | None] = [None] * len(jobs) if keep_results else []
@@ -469,28 +498,26 @@ class ParallelEvaluator:
             return MatrixOutcome(aggregates={}, results={} if keep_results else None)
 
         def fold(index: int, result: SessionResult) -> None:
-            _, key, scheme, trace = jobs[index]
+            key, scheme, trace_index = jobs[index]
             aggregator.add(key, scheme, result)
             if ordered:
                 ordered[index] = result
             if on_job_complete is not None:
-                on_job_complete(key, scheme, trace, result)
+                on_job_complete(key, scheme, trace_index, result)
             finished = sweep_end.get(index)
             if finished is not None and on_sweep_complete is not None:
                 on_sweep_complete(finished, _finalize_sweep(aggregator, finished))
 
         simulators = _Simulators.for_sweeps(sweep_list, self.catalog, learner)
-        workers = min(self._jobs, len(jobs) - len(done))
+        workers = min(self._jobs, len(units))
         if workers <= 1:
             # In-process: jobs in ``done`` fold their known result without
-            # touching a simulator.
-            for index, key, scheme, trace in jobs:
+            # touching a simulator or generating a trace.
+            for index, job in enumerate(jobs):
                 result = done.get(index)
-                if result is None:
-                    result = simulators.run(key, scheme, trace)
-                fold(index, result)
+                fold(index, simulators.run(*job) if result is None else result)
         else:
-            self._drain_pool(jobs, simulators, workers, fold, done)
+            self._drain_pool(jobs, list(units.items()), simulators, workers, fold, done)
 
         aggregates: dict[str, dict[str, SchemeAggregates]] = {}
         for sweep in sweep_list:
@@ -514,13 +541,14 @@ class ParallelEvaluator:
 
     def _drain_pool(
         self,
-        jobs: list[tuple[int, str, str, Trace]],
+        jobs: list[tuple[str, str, int]],
+        units: list[tuple[tuple[str, int], list[tuple[int, str]]]],
         simulators: _Simulators,
         workers: int,
         fold: Callable[[int, SessionResult], None],
         done: dict[int, SessionResult],
     ) -> None:
-        """Run the jobs through one pool with ordered folding and fault recovery.
+        """Run the units through one pool with ordered folding and fault recovery.
 
         ``done`` holds already-known results (resume path): they join the
         pending map up front, fold at their original position as the prefix
@@ -539,13 +567,13 @@ class ParallelEvaluator:
         no un-joined pool.
         """
         n_jobs = len(jobs)
-        todo = [job for job in jobs if job[0] not in done]
-        n_todo = len(todo)
-        chunk = self.chunk_size or pool_chunk_size(n_todo, workers)
-        # Deliveries arrive one chunk at a time, and a chunk runs its jobs
+        n_todo = n_jobs - len(done)
+        tasks = _chunked(units, self.chunk_size or pool_chunk_size(len(units), workers))
+        # Deliveries arrive one task at a time, and a task runs its jobs
         # serially on one worker — so the per-delivery watchdog bound is the
-        # per-job timeout scaled by the chunk size.
-        timeout = None if self.job_timeout_s is None else self.job_timeout_s * chunk
+        # per-job timeout scaled by the most jobs any task carries.
+        per_task = max(sum(len(todo) for _, todo in task) for task in tasks)
+        timeout = None if self.job_timeout_s is None else self.job_timeout_s * per_task
         pending: dict[int, SessionResult | _JobFailure] = dict(done)
         next_index = 0
         delivered = 0
@@ -554,7 +582,7 @@ class ParallelEvaluator:
             processes=workers, initializer=_init_matrix_worker, initargs=(simulators,)
         )
         try:
-            iterator = pool.imap_unordered(_run_matrix_job_chunk, _chunked(todo, chunk))
+            iterator = pool.imap_unordered(_run_matrix_units, tasks)
             while delivered < n_todo:
                 try:
                     batch = iterator.next(timeout)
@@ -621,8 +649,7 @@ class ParallelEvaluator:
                 stacklevel=3,
             )
             for index in to_recover:
-                _, key, scheme, trace = jobs[index]
-                pending[index] = simulators.run(key, scheme, trace)
+                pending[index] = simulators.run(*jobs[index])
 
         while next_index < n_jobs:
             result = pending.pop(next_index)

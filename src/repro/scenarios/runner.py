@@ -138,10 +138,6 @@ class ScenarioRunner:
     #: caller did not supply one.
     train_traces_per_app: int = 4
     train_seed: int = 0
-    #: Minimum sessions before a scenario's trace generation gets its own
-    #: worker pool; below this, pool start-up (a full interpreter spawn on
-    #: non-Linux platforms) costs more than generating the traces serially.
-    parallel_generation_threshold: int = 16
     #: When ``True``, specs that resolve to the same hardware configuration
     #: (platform variant, regime cap, thermal curve + ambient + mode, fault
     #: spec, PES tuning) share one :class:`SimulationSetup` object and a
@@ -163,23 +159,24 @@ class ScenarioRunner:
     # -- building blocks --------------------------------------------------------
 
     def build_sweep(self, spec: ScenarioSpec) -> MatrixSweep:
-        """Generate a scenario's traces and wire up its platform setup."""
+        """Derive a scenario's trace recipes and wire up its platform setup.
+
+        The sweep carries :class:`~repro.traces.generator.TraceRecipes`
+        (``SeedSequence`` substream seeds, as
+        ``generate_many(..., independent_streams=True)``); the traces are
+        generated by whoever replays them.
+        """
         regime = spec.resolved_regime()
         generator = TraceGenerator(
             catalog=self.catalog,
             session=regime.session,
             workload_params=regime.workload_params,
         )
-        # generate_many_parallel always derives per-trace seeds through
-        # substream_seeds, so the traces are identical for any jobs value
-        # (and to generate_many(..., independent_streams=True)); jobs=1
-        # falls through to the plain serial loop.
-        gen_jobs = 1 if spec.n_sessions < self.parallel_generation_threshold else self.jobs
-        traces = generator.generate_many_parallel(
+        traces = generator.recipes(
             list(spec.resolved_apps()),
             spec.traces_per_app,
             base_seed=spec.seed,
-            jobs=gen_jobs,
+            independent_streams=True,
         )
         setup_key: str | None = None
         pes_config = spec.pes
@@ -220,7 +217,7 @@ class ScenarioRunner:
         return MatrixSweep(
             key=spec.name,
             setup=setup,
-            traces=tuple(traces),
+            traces=traces,
             schemes=spec.schemes,
             pes_config=pes_config,
             setup_key=setup_key,
@@ -360,16 +357,9 @@ class ScenarioRunner:
                 if journal is not None:
                     journal.append(result)
 
-            session_counters: dict[tuple[str, str], int] = {}
-
             def record_session(
-                key: str, scheme: str, trace: object, result: SessionResult
+                key: str, scheme: str, trace_index: int, result: SessionResult
             ) -> None:
-                # Fold order is deterministic per (key, scheme), so a plain
-                # counter recovers the trace index without widening the
-                # evaluate_matrix hook signature.
-                trace_index = session_counters.get((key, scheme), 0)
-                session_counters[(key, scheme)] = trace_index + 1
                 if shards is not None and (key, scheme, trace_index) not in precomputed:
                     shards.append_shard(
                         cell_keys[key], f"{scheme}/{trace_index}", result.to_dict()

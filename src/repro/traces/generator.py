@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.hardware.dvfs import DvfsModel
 from repro.traces.session_state import SessionState
-from repro.utils import mp_context, pool_chunk_size, resolve_jobs
 from repro.traces.trace import Trace, TraceEvent, TraceSet
 from repro.traces.workload import WorkloadModel
 from repro.webapp.apps import AppCatalog, AppProfile
@@ -226,74 +225,33 @@ class TraceGenerator:
         With ``independent_streams`` the per-trace seeds are derived through
         :func:`substream_seeds` (``SeedSequence.spawn``) instead of the
         legacy ``base_seed + app_index * 1000 + t`` arithmetic; this is the
-        seeding used for parallel generation and for sweeps large enough
-        that the arithmetic seeds of adjacent apps would collide.
+        seeding of scenario sweeps, large enough that the arithmetic seeds
+        of adjacent apps would collide.
         """
-        specs = self._trace_specs(
-            app_names, traces_per_app, base_seed, independent_streams
+        recipes = self.recipes(
+            app_names, traces_per_app, base_seed=base_seed, independent_streams=independent_streams
         )
-        traces = TraceSet()
-        for app_name, seed in specs:
-            traces.add(self.generate(app_name, seed=seed))
-        return traces
+        return TraceSet(list(recipes))
 
-    def generate_many_parallel(
+    def recipes(
         self,
         app_names: Sequence[str],
         traces_per_app: int,
         *,
         base_seed: int = 0,
-        jobs: int | None = 1,
-        chunk_size: int | None = None,
-    ) -> TraceSet:
-        """Parallel :meth:`generate_many` over a process pool.
-
-        Always uses :func:`substream_seeds`, so the result is identical for
-        any ``jobs`` value — each trace's seed is fixed by its position
-        before any worker starts.  ``jobs=0`` (or ``None``) means one
-        worker per CPU.
-        """
-        specs = self._trace_specs(app_names, traces_per_app, base_seed, True)
-        workers = min(resolve_jobs(jobs), max(len(specs), 1))
-        if workers == 1 or len(specs) <= 1:
-            traces = TraceSet()
-            for app_name, seed in specs:
-                traces.add(self.generate(app_name, seed=seed))
-            return traces
-
-        chunk = chunk_size or pool_chunk_size(len(specs), workers)
-        pool = mp_context().Pool(
-            processes=workers, initializer=_init_generation_worker, initargs=(self,)
-        )
-        try:
-            generated = pool.map(_generate_one, specs, chunksize=chunk)
-        finally:
-            pool.close()
-            pool.join()
-        traces = TraceSet()
-        traces.extend(generated)
-        return traces
-
-    def _trace_specs(
-        self,
-        app_names: Sequence[str],
-        traces_per_app: int,
-        base_seed: int,
-        independent_streams: bool,
-    ) -> list[tuple[str, int]]:
-        """The (app, seed) list for a batch, in deterministic order."""
+        independent_streams: bool = False,
+    ) -> TraceRecipes:
+        """The batch :meth:`generate_many` would generate, as lazy recipes."""
         if independent_streams:
             seeds = substream_seeds(base_seed, len(app_names) * traces_per_app)
-            return [
-                (app_name, seeds[app_index * traces_per_app + t])
-                for app_index, app_name in enumerate(app_names)
+        else:
+            seeds = [
+                base_seed + app_index * 1000 + t
+                for app_index in range(len(app_names))
                 for t in range(traces_per_app)
             ]
-        return [
-            (app_name, base_seed + app_index * 1000 + t)
-            for app_index, app_name in enumerate(app_names)
-            for t in range(traces_per_app)
-        ]
+        apps = [app_name for app_name in app_names for _ in range(traces_per_app)]
+        return TraceRecipes(self, tuple(zip(apps, seeds)))
 
     # -- internals ---------------------------------------------------------------
 
@@ -382,17 +340,22 @@ class TraceGenerator:
         return max(cfg.min_gap_ms, think)
 
 
-# -- generation pool workers ----------------------------------------------------------
+@dataclass(frozen=True)
+class TraceRecipes(Sequence[Trace]):
+    """A lazy, picklable sequence of traces: one ``(app, seed)`` recipe each.
 
-_GENERATION_WORKER: TraceGenerator | None = None
+    ``len()`` generates nothing and ``recipes[i]`` generates trace ``i``, so
+    a sweep can ship a few ints to whichever process replays the trace
+    instead of the trace itself.  Recipes compare by value (generator and
+    specs), never by generating.
+    """
 
+    generator: TraceGenerator
+    specs: tuple[tuple[str, int], ...]
 
-def _init_generation_worker(generator: TraceGenerator) -> None:
-    global _GENERATION_WORKER
-    _GENERATION_WORKER = generator
+    def __len__(self) -> int:
+        return len(self.specs)
 
-
-def _generate_one(spec: tuple[str, int]) -> Trace:
-    assert _GENERATION_WORKER is not None, "generation pool was not initialised"
-    app_name, seed = spec
-    return _GENERATION_WORKER.generate(app_name, seed=seed)
+    def __getitem__(self, index: int) -> Trace:  # type: ignore[override]
+        app_name, seed = self.specs[index]
+        return self.generator.generate(app_name, seed=seed)

@@ -218,6 +218,41 @@ class TestMidCellResume:
         total = sum(spec.n_sessions * len(spec.schemes) for spec in mini_specs)
         assert replays["n"] == total - 3, "journaled sessions must not re-simulate"
 
+    def test_resume_generates_only_traces_with_sessions_left(
+        self, mini_specs, tmp_path, monkeypatch
+    ):
+        import repro.runtime.simulator as simulator_module
+
+        from repro.scenarios import ShardJournal
+        from repro.traces.generator import TraceGenerator
+
+        shards = ShardJournal(tmp_path / "run.shards.journal")
+        uninterrupted = ScenarioRunner(jobs=1).run(mini_specs[:2], shards=shards)
+        # Drop the last session: the first cell comes back whole, and the
+        # second cell's last trace has its EBS session missing.
+        lines = shards.path.read_text().splitlines(keepends=True)
+        shards.path.write_text("".join(lines[:-1]))
+
+        generate = TraceGenerator.generate
+        run_scheme = simulator_module.Simulator.run_scheme
+        generated: list[str] = []
+        replayed: list[str] = []
+
+        def count_generate(self, app_name, *args, **kwargs):
+            generated.append(app_name)
+            return generate(self, app_name, *args, **kwargs)
+
+        def count_replays(self, traces, scheme, *args, **kwargs):
+            replayed.append(scheme)
+            return run_scheme(self, traces, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(TraceGenerator, "generate", count_generate)
+        monkeypatch.setattr(simulator_module.Simulator, "run_scheme", count_replays)
+        resumed = ScenarioRunner(jobs=1).run(mini_specs[:2], shards=shards, resume=True)
+        assert len(generated) == 1
+        assert replayed == ["EBS"]
+        assert [r.to_dict() for r in resumed] == [r.to_dict() for r in uninterrupted]
+
     def test_torn_shard_tail_is_dropped_on_resume(
         self, mini_specs, tmp_path, uninterrupted_artefact
     ):

@@ -174,6 +174,22 @@ class TestRunSearch:
         # The fault-free baseline cannot leave anything unrecovered.
         assert report["baseline"]["score"] == 0.0
 
+    def test_search_generates_each_trace_once(self, monkeypatch, runner):
+        from repro.scenarios.library import get_scenario
+        from repro.traces.generator import TraceGenerator
+
+        original = TraceGenerator.generate
+        calls = {"n": 0}
+
+        def counting(self, *args, **kwargs):
+            calls["n"] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceGenerator, "generate", counting)
+        run_search("recovery_collapse", budget_evals=3, seed=5, runner=runner)
+        n_traces = len(runner.build_sweep(get_scenario("baseline_seen")).traces)
+        assert calls["n"] == n_traces
+
     def test_invalid_arguments_are_rejected(self, runner):
         with pytest.raises(ValueError, match="budget must be non-negative"):
             run_search("recovery_collapse", budget=-0.1, runner=runner)

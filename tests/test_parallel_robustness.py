@@ -108,6 +108,25 @@ class TestWorkerCrashRecovery:
         assert "Traceback" in str(excinfo.value)
         assert multiprocessing.active_children() == []
 
+    def test_one_failing_scheme_fails_only_its_own_jobs(self, monkeypatch, small_traces):
+        # A unit replays one trace under every scheme; a scheme that raises
+        # must not take the unit's other jobs down with it.
+        original = Simulator.run_scheme
+
+        def crash_ebs_in_workers(self, traces, scheme, **kwargs):
+            if _in_worker() and scheme == "EBS":
+                raise RuntimeError("simulated EBS crash")
+            return original(self, traces, scheme, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run_scheme", crash_ebs_in_workers)
+        evaluator = ParallelEvaluator(jobs=2, retry_failed_jobs=False)
+        with pytest.raises(WorkerJobError) as excinfo:
+            evaluator.compare(small_traces, ["Interactive", "EBS"])
+        # Jobs 0-1 are Interactive, 2-3 EBS (global order: scheme, then trace).
+        message = str(excinfo.value)
+        assert "2 parallel job(s) failed" in message
+        assert "job 2: RuntimeError" in message and "job 3: RuntimeError" in message
+
     def test_stalled_pool_is_terminated_and_recovered(
         self, monkeypatch, small_traces, serial_results
     ):
@@ -123,6 +142,27 @@ class TestWorkerCrashRecovery:
         with pytest.warns(RuntimeWarning, match="re-running serially"):
             results = evaluator.compare(small_traces, ["Interactive", "EBS"])
         assert results == serial_results
+        assert multiprocessing.active_children() == []
+
+
+class TestGenerationFailure:
+    def test_failed_generation_fails_every_job_of_its_trace(self):
+        from repro.traces.generator import TraceGenerator, TraceRecipes
+
+        recipes = TraceRecipes(TraceGenerator(), (("cnn", 1), ("no-such-app", 2)))
+        sweep = MatrixSweep(
+            key="cell",
+            setup=SimulationSetup(),
+            traces=recipes,
+            schemes=("Interactive", "EBS"),
+        )
+        evaluator = ParallelEvaluator(jobs=2, retry_failed_jobs=False)
+        with pytest.raises(WorkerJobError, match="no-such-app") as excinfo:
+            evaluator.evaluate_matrix([sweep])
+        # Trace 1 backs job 1 (Interactive) and job 3 (EBS), and nothing else.
+        message = str(excinfo.value)
+        assert "2 parallel job(s) failed" in message
+        assert "job 1: KeyError" in message and "job 3: KeyError" in message
         assert multiprocessing.active_children() == []
 
 

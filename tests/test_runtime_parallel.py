@@ -190,6 +190,67 @@ class TestMatrixEvaluation:
         with pytest.raises(ValueError, match="traces"):
             MatrixSweep(key="k", setup=setup, traces=(), schemes=("Interactive",))
 
+    @pytest.fixture(scope="class")
+    def recipe_sweeps(self, setup, generator):
+        from repro.runtime.parallel import MatrixSweep
+
+        return [
+            MatrixSweep(
+                key=f"cell{seed}",
+                setup=setup,
+                traces=generator.recipes(
+                    ["cnn", "google"], 2, base_seed=seed, independent_streams=True
+                ),
+                schemes=("Interactive", "EBS"),
+            )
+            for seed in (7, 8)
+        ]
+
+    def test_pool_replays_the_traces_the_recipes_generate(self, catalog, recipe_sweeps):
+        import dataclasses
+
+        from repro.runtime.parallel import ParallelEvaluator
+
+        materialised = [
+            dataclasses.replace(sweep, traces=tuple(sweep.traces)) for sweep in recipe_sweeps
+        ]
+        pooled = ParallelEvaluator(catalog=catalog, jobs=2).evaluate_matrix(
+            recipe_sweeps, keep_results=True
+        )
+        in_process = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
+            materialised, keep_results=True
+        )
+        assert pooled.results == in_process.results
+        for sweep in materialised:
+            for scheme in sweep.schemes:
+                replayed = pooled.results[sweep.key][scheme]
+                assert [r.app_name for r in replayed] == [t.app_name for t in sweep.traces]
+                assert [len(r.outcomes) for r in replayed] == [len(t) for t in sweep.traces]
+
+    def test_job_hook_follows_global_fold_order_at_any_worker_count(
+        self, catalog, recipe_sweeps
+    ):
+        from repro.runtime.parallel import ParallelEvaluator
+
+        def hook_order(jobs: int) -> list[tuple[str, str, int]]:
+            seen: list[tuple[str, str, int]] = []
+            ParallelEvaluator(catalog=catalog, jobs=jobs).evaluate_matrix(
+                recipe_sweeps,
+                on_job_complete=lambda key, scheme, index, result: seen.append(
+                    (key, scheme, index)
+                ),
+            )
+            return seen
+
+        expected = [
+            (sweep.key, scheme, index)
+            for sweep in recipe_sweeps
+            for scheme in sweep.schemes
+            for index in range(len(sweep.traces))
+        ]
+        assert hook_order(1) == expected
+        assert hook_order(2) == expected
+
     def test_empty_matrix(self, catalog):
         from repro.runtime.parallel import ParallelEvaluator
 

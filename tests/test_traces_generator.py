@@ -1,5 +1,7 @@
 """Unit tests for the synthetic user-session generator."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -135,15 +137,24 @@ class TestGeneratedTraces:
         regenerated = generator.generate(first.app_name, seed=first.seed)
         assert regenerated.event_types == first.event_types
 
-    def test_generate_many_parallel_independent_of_worker_count(self, generator):
-        serial = generator.generate_many_parallel(["cnn", "google"], 3, base_seed=11, jobs=1)
-        parallel = generator.generate_many_parallel(["cnn", "google"], 3, base_seed=11, jobs=3)
-        assert len(serial) == len(parallel) == 6
-        for left, right in zip(serial, parallel):
-            assert left.app_name == right.app_name
-            assert left.seed == right.seed
-            assert left.event_types == right.event_types
-            assert [e.arrival_ms for e in left] == [e.arrival_ms for e in right]
+    def test_recipes_equal_generate_many_with_independent_streams(self, generator):
+        recipes = generator.recipes(["cnn", "google"], 3, base_seed=11, independent_streams=True)
+        generated = list(
+            generator.generate_many(["cnn", "google"], 3, base_seed=11, independent_streams=True)
+        )
+        assert len(recipes) == len(generated) == 6
+        for index, trace in enumerate(generated):
+            assert recipes[index] == trace
+
+    def test_recipes_len_and_pickle_generate_nothing(self, generator, monkeypatch):
+        recipes = generator.recipes(["cnn", "bbc"], 2, base_seed=3, independent_streams=True)
+        calls = []
+        monkeypatch.setattr(TraceGenerator, "generate", lambda *args, **kwargs: calls.append(args))
+        assert len(recipes) == 4
+        restored = pickle.loads(pickle.dumps(recipes))
+        assert restored == recipes
+        assert len(restored) == 4
+        assert calls == []
 
     def test_move_bursts_exist(self, generator):
         """Consecutive move events with sub-second gaps (the interference

@@ -79,6 +79,7 @@ class TestSpawnSafety:
         assert len(restored.catalog) == len(catalog)
         assert restored.learner == learner
         assert (config, cache_key) == (PesConfig(), "cell")
+        assert restored.traces == {"cell": sweep.traces}
         assert restored.simulators == {}
 
     def test_trace_job_payload_is_picklable(self, generator):
@@ -91,14 +92,8 @@ class TestSpawnSafety:
         # Spawned workers re-import the entry points; a lambda or closure
         # here would break every non-fork platform.
         from repro.runtime import parallel
-        from repro.traces import generator as trace_generator
 
-        for fn in (
-            parallel._init_matrix_worker,
-            parallel._run_matrix_job,
-            trace_generator._init_generation_worker,
-            trace_generator._generate_one,
-        ):
+        for fn in (parallel._init_matrix_worker, parallel._run_matrix_units):
             module = sys.modules[fn.__module__]
             assert getattr(module, fn.__qualname__) is fn
 
