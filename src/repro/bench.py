@@ -57,7 +57,7 @@ from repro.core.optimizer.schedule import EventSpec
 from repro.runtime.simulator import SimulationSetup, Simulator
 from repro.schedulers.base import enumerate_options
 from repro.traces.generator import TraceGenerator
-from repro.utils import write_json_atomic
+from repro.utils import default_results_dir, write_json_atomic
 from repro.webapp.apps import AppCatalog, SEEN_APPS
 
 #: Applications of the profiled oracle workload the solver bench replays.
@@ -68,17 +68,6 @@ BENCH_SEED: int = 500_000
 
 #: Deadline reserve mirroring ``OracleEngine.safety_margin_ms``.
 SAFETY_MARGIN_MS: float = 8.0
-
-def _default_results_dir() -> Path:
-    """The repo's ``results/`` when running from a checkout, else ``./results``.
-
-    Resolving relative to ``__file__`` would point inside site-packages for
-    an installed distribution and silently drop the trajectory there.
-    """
-    checkout = Path(__file__).resolve().parent.parent.parent
-    if (checkout / "benchmarks").is_dir() and (checkout / "src").is_dir():
-        return checkout / "results"
-    return Path.cwd() / "results"
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,7 @@ def git_rev() -> str:
 
 
 def write_bench_json(result: BenchResult, results_dir: Path | None = None) -> Path:
-    directory = results_dir or _default_results_dir()
+    directory = results_dir or default_results_dir()
     path = directory / f"BENCH_{result.name}.json"
     return write_json_atomic(result.to_json(), path)
 

@@ -29,7 +29,7 @@ Nine subcommands cover the whole workflow:
   (``DET-*``), rate-guarded RNG draws in fault seams (``RNG-GUARD``),
   ExactSum accumulation in metrics merge paths (``SUM-EXACT``), and
   atomic artefact/journal I/O (``ART-*``); non-zero exit on any finding
-  that is neither inline-justified nor baselined (``docs/LINTING.md``).
+  that is not inline-justified (``docs/LINTING.md``).
 
 Thermal curves apply in one of two modes (``--thermal-mode`` on
 ``scenarios sweep``, ``thermal_mode`` on specs/matrices): ``static``
@@ -73,8 +73,8 @@ Examples::
     python -m repro bench --only thermal faults fault_search fleet
     python -m repro lint --format json --out results/LINT_report.json
 
-``evaluate``, ``scenarios run``/``sweep``, and ``bench`` take ``--jobs N``
-to fan the (scheme x trace) replays out over N worker processes
+``evaluate``, ``scenarios run``/``sweep``, ``fleet run`` and ``bench`` take
+``--jobs N`` to fan the (scheme x trace) replays out over N worker processes
 (``--jobs 0`` = one per CPU); results are bit-identical for any worker
 count — see :mod:`repro.runtime.parallel`.  Every ``SCENARIOS_*.json``
 artefact (``run`` and ``sweep`` alike) is a pure function of its matrix —
@@ -85,29 +85,84 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
+import repro
+from repro.analysis.reporting import (
+    fleet_percentile_table,
+    fleet_sample_table,
+    fleet_slice_table,
+    format_table,
+    scenario_energy_table,
+    scenario_faults_table,
+    scenario_qos_table,
+    scenario_thermal_table,
+    sweep_energy_table,
+    sweep_platform_table,
+)
 from repro.core.predictor.training import PredictorTrainer, evaluate_accuracy
+from repro.faults import FAULT_PRESETS, FaultSpec, get_fault_preset, list_fault_presets
+from repro.faults.search import SEARCH_TARGETS, list_search_targets, run_search
+from repro.fleet import (
+    DevicePopulation,
+    FleetRunner,
+    fleet_to_payload,
+    get_fleet_preset,
+    list_fleet_presets,
+    load_fleet_results,
+    write_fleet_results,
+)
 from repro.hardware.platforms import get_platform, list_platforms
+from repro.hardware.thermal import THERMAL_MODELS, list_thermal_models
+from repro.lint import LintEngine
 from repro.runtime.metrics import AggregateMetrics, aggregate_results
-from repro.runtime.simulator import SimulationSetup, Simulator
+from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
+from repro.scenarios import (
+    APP_MIXES,
+    BUILTIN_SCENARIOS,
+    MATRICES,
+    MatrixJournal,
+    PlatformSweep,
+    ScenarioMatrix,
+    ScenarioRunner,
+    ShardJournal,
+    get_matrix,
+    get_scenario,
+    load_results,
+    results_to_rows,
+    write_results,
+)
 from repro.traces.generator import TraceGenerator
 from repro.traces.io import save_traces
+from repro.traces.presets import SESSION_REGIMES
+from repro.utils import default_results_dir, resolve_jobs, write_json_atomic
 from repro.webapp.apps import AppCatalog, SEEN_APPS, UNSEEN_APPS
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (e.g. traces per app)."""
+def _at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (e.g. traces per app)."""
+    return _at_least(text, 1)
+
+
+def _worker_count(text: str) -> int:
+    """argparse type for ``--jobs``: >= 0, where 0 means one per CPU."""
+    return _at_least(text, 0)
 
 
 def _core_count_or_none(text: str) -> int | None:
@@ -130,7 +185,69 @@ def _perf_scale_or_none(text: str) -> float | None:
     return value
 
 
+def _training_flag(default: int) -> argparse.ArgumentParser:
+    """Parent parser for ``--train-traces-per-app``.
+
+    A factory, not one shared parent: ``parents=`` shares the action
+    object itself, so a per-command default needs its own parent.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--train-traces-per-app", type=_positive_int, default=default)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # Flags declared the same way on several commands live on small parent
+    # parsers, passed with ``parents=``; each leaf command names its handler
+    # with ``set_defaults(handler=...)``.
+    jobs_flag = argparse.ArgumentParser(add_help=False)
+    jobs_flag.add_argument(
+        "--jobs",
+        type=_worker_count,
+        default=1,
+        help="worker processes (0 = one per CPU; default 1, serial)",
+    )
+    resume_flag = argparse.ArgumentParser(add_help=False)
+    resume_flag.add_argument(
+        "--resume",
+        action="store_true",
+        help="restore the work already checkpointed in the run's <out>.journal "
+        "sidecar (scenario runs also keep <out>.shards.journal) instead of "
+        "re-simulating it; survives crashes and Ctrl-C, and the resumed "
+        "artefact is byte-identical to an uninterrupted run's",
+    )
+    faults_flag = argparse.ArgumentParser(add_help=False)
+    faults_flag.add_argument(
+        "--faults",
+        nargs="+",
+        default=None,
+        metavar="PRESET|FILE",
+        help="fault specs to cross into the matrix: preset names "
+        f"({', '.join(list_fault_presets())}), 'none' for a fault-free "
+        "control cell, or paths to FaultSpec JSON files (e.g. the "
+        "'best.spec' of a 'faults search' artefact); each spec replays "
+        "every cell with seeded predictor/sensor/DVFS/event-stream/"
+        "battery faults",
+    )
+    training_flag = _training_flag(4)
+    fleet_flags = argparse.ArgumentParser(add_help=False)
+    fleet_flags.add_argument(
+        "--fleet",
+        default="default",
+        choices=list_fleet_presets(),
+        help="named fleet preset (default: default, a 200-device population)",
+    )
+    fleet_flags.add_argument(
+        "--size",
+        type=_positive_int,
+        default=None,
+        help="override the preset's population size (devices keep their "
+        "identity: device i is the same draw at any size)",
+    )
+    fleet_flags.add_argument(
+        "--seed", type=int, default=None, help="override the preset's fleet seed"
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PES (ISCA 2019) reproduction: trace generation, training, evaluation.",
@@ -138,6 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     generate = sub.add_parser("generate", help="generate synthetic interaction traces")
+    generate.set_defaults(handler=_cmd_generate)
     generate.add_argument("--apps", nargs="+", default=list(SEEN_APPS), help="application names")
     generate.add_argument(
         "--traces", type=_positive_int, default=3, help="traces per application (>= 1)"
@@ -146,11 +264,17 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", required=True, help="output JSON file")
 
     train = sub.add_parser("train", help="train the event predictor and report accuracy")
+    train.set_defaults(handler=_cmd_train)
     train.add_argument("--traces-per-app", type=_positive_int, default=6)
     train.add_argument("--eval-traces", type=_positive_int, default=2)
     train.add_argument("--seed", type=int, default=0)
 
-    evaluate = sub.add_parser("evaluate", help="replay traces under scheduling schemes")
+    evaluate = sub.add_parser(
+        "evaluate",
+        parents=[jobs_flag, _training_flag(6)],
+        help="replay traces under scheduling schemes",
+    )
+    evaluate.set_defaults(handler=_cmd_evaluate)
     evaluate.add_argument("--apps", nargs="+", default=["cnn", "google", "ebay"])
     evaluate.add_argument(
         "--traces", type=_positive_int, default=1, help="traces per application (>= 1)"
@@ -159,17 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--schemes",
         nargs="+",
         default=["Interactive", "EBS", "PES", "Oracle"],
-        choices=["Interactive", "Ondemand", "EBS", "PES", "Oracle"],
+        choices=KNOWN_SCHEMES,
     )
     evaluate.add_argument("--platform", default="exynos5410", choices=list_platforms())
-    evaluate.add_argument("--train-traces-per-app", type=_positive_int, default=6)
     evaluate.add_argument("--seed", type=int, default=500_000)
-    evaluate.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the scheme sweep (0 = one per CPU; default 1, serial)",
-    )
 
     scenarios = sub.add_parser(
         "scenarios", help="list/run/compare declarative scenario matrices"
@@ -179,11 +296,17 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios_list = action.add_parser(
         "list", help="list built-in scenarios, matrices, regimes, and app mixes"
     )
+    scenarios_list.set_defaults(handler=_cmd_scenarios_list)
     scenarios_list.add_argument(
         "--matrix", default=None, help="show the expansion of one named matrix"
     )
 
-    scenarios_run = action.add_parser("run", help="run a matrix or named scenarios")
+    scenarios_run = action.add_parser(
+        "run",
+        parents=[jobs_flag, training_flag, faults_flag, resume_flag],
+        help="run a matrix or named scenarios",
+    )
+    scenarios_run.set_defaults(handler=_cmd_scenarios_run)
     run_target = scenarios_run.add_mutually_exclusive_group()
     run_target.add_argument(
         "--matrix", default="default", help="named matrix to expand (default: default)"
@@ -195,48 +318,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run these built-in scenarios instead of a matrix",
     )
     scenarios_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the matrix sweep (0 = one per CPU; default 1, serial)",
-    )
-    scenarios_run.add_argument("--train-traces-per-app", type=_positive_int, default=4)
-    scenarios_run.add_argument(
         "--out", default=None, help="output JSON path (default: results/SCENARIOS_<name>.json)"
     )
 
-    from repro.faults import list_fault_presets
-    from repro.hardware.thermal import list_thermal_models
-
-    def _add_fault_and_resume_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--faults",
-            nargs="+",
-            default=None,
-            metavar="PRESET|FILE",
-            help="fault specs to cross into the matrix: preset names "
-            f"({', '.join(list_fault_presets())}), 'none' for a fault-free "
-            "control cell, or paths to FaultSpec JSON files (e.g. the "
-            "'best.spec' of a 'faults search' artefact); each spec replays "
-            "every cell with seeded predictor/sensor/DVFS/event-stream/"
-            "battery faults",
-        )
-        sub_parser.add_argument(
-            "--resume",
-            action="store_true",
-            help="skip scenarios already completed in the run's <out>.journal "
-            "checkpoint (written per finished scenario) and restore the "
-            "finished sessions of the cell that was in flight from "
-            "<out>.shards.journal (written per finished session); survives "
-            "crashes and Ctrl-C; the resumed artefact is byte-identical to "
-            "an uninterrupted run",
-        )
-
-    _add_fault_and_resume_args(scenarios_run)
-
     scenarios_sweep = action.add_parser(
-        "sweep", help="sweep platform parameters (cores x perf_scale x thermal curves)"
+        "sweep",
+        parents=[jobs_flag, training_flag, faults_flag, resume_flag],
+        help="sweep platform parameters (cores x perf_scale x thermal curves)",
     )
+    scenarios_sweep.set_defaults(handler=_cmd_scenarios_sweep)
     scenarios_sweep.add_argument(
         "--platforms", nargs="+", default=["exynos5410"], choices=list_platforms()
     )
@@ -294,40 +384,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "--name", default="custom", help="sweep name used in the artefact path"
     )
     scenarios_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (0 = one per CPU; default 1, serial)",
-    )
-    scenarios_sweep.add_argument("--train-traces-per-app", type=_positive_int, default=4)
-    scenarios_sweep.add_argument(
         "--out",
         default=None,
         help="output JSON path (default: results/SCENARIOS_sweep_<name>.json)",
     )
-    _add_fault_and_resume_args(scenarios_sweep)
 
     scenarios_compare = action.add_parser(
         "compare", help="render or diff saved SCENARIOS_*.json artefacts"
     )
+    scenarios_compare.set_defaults(handler=_cmd_scenarios_compare)
     scenarios_compare.add_argument("files", nargs="+", help="one artefact to render, two to diff")
 
-    sub.add_parser("platforms", help="list the available hardware platform models")
-
-    from repro.faults.search import list_search_targets
+    platforms = sub.add_parser("platforms", help="list the available hardware platform models")
+    platforms.set_defaults(handler=_cmd_platforms)
 
     faults = sub.add_parser(
         "faults", help="list fault presets / search for adversarial fault specs"
     )
     fault_action = faults.add_subparsers(dest="action", required=True)
 
-    faults_list = fault_action.add_parser(
+    fault_action.add_parser(
         "list", help="list the named fault presets and search targets"
-    )
-    del faults_list  # no arguments
+    ).set_defaults(handler=_cmd_faults_list)
 
     faults_search = fault_action.add_parser(
         "search",
+        parents=[resume_flag],
         help="hill-climb FaultSpec knobs toward a degradation target",
         description="Adversarial fault search: random init + hill-climb over "
         "fault rates, burst-model shape (Gilbert-Elliott enter/exit/"
@@ -338,6 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resume skips finished shards and produces a byte-identical "
         "artefact.",
     )
+    faults_search.set_defaults(handler=_cmd_faults_search)
     faults_search.add_argument(
         "--target",
         default="pes_regression",
@@ -356,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--schemes",
         nargs="+",
         default=None,
-        choices=["Interactive", "Ondemand", "EBS", "PES", "Oracle"],
+        choices=KNOWN_SCHEMES,
         help="schemes to replay per candidate (default: the target's own)",
     )
     faults_search.add_argument(
@@ -380,41 +463,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output JSON path (default: results/FAULT_SEARCH_<target>.json); "
         "the shard journal checkpoints to <out>.journal",
     )
-    faults_search.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from <out>.journal: finished shards and candidates are "
-        "not re-simulated, and the resumed journal and artefact are "
-        "byte-identical to an uninterrupted run's",
-    )
-
-    from repro.fleet import list_fleet_presets
 
     fleet = sub.add_parser(
         "fleet", help="sample/evaluate fleet-scale device populations"
     )
     fleet_action = fleet.add_subparsers(dest="action", required=True)
 
-    def _add_fleet_selection_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--fleet",
-            default="default",
-            choices=list_fleet_presets(),
-            help="named fleet preset (default: default, a 200-device population)",
-        )
-        sub_parser.add_argument(
-            "--size",
-            type=_positive_int,
-            default=None,
-            help="override the preset's population size (devices keep their "
-            "identity: device i is the same draw at any size)",
-        )
-        sub_parser.add_argument(
-            "--seed", type=int, default=None, help="override the preset's fleet seed"
-        )
-
     fleet_sample = fleet_action.add_parser(
         "sample",
+        parents=[fleet_flags],
         help="sample a device population and print it (no simulation)",
         description="Deterministically sample the fleet's devices — one "
         "weighted draw per axis (platform variant, regime, app mix, thermal "
@@ -422,13 +479,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "and print one row per device.  Pure and worker-count independent: "
         "the same (fleet, seed, index) always yields the same device.",
     )
-    _add_fleet_selection_args(fleet_sample)
+    fleet_sample.set_defaults(handler=_cmd_fleet_sample)
     fleet_sample.add_argument(
         "--limit", type=_positive_int, default=None, help="print only the first N devices"
     )
 
     fleet_run = fleet_action.add_parser(
         "run",
+        parents=[fleet_flags, jobs_flag, training_flag, resume_flag],
         help="evaluate every device of a fleet under every scheme",
         description="Sample the population, replay every (device x scheme x "
         "trace) session, and fold per-device aggregates into mergeable "
@@ -440,34 +498,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "sessions (even part-way through a device) and produces a "
         "byte-identical artefact.",
     )
-    _add_fleet_selection_args(fleet_run)
-    fleet_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the fleet matrix (0 = one per CPU; default 1, serial)",
-    )
-    fleet_run.add_argument("--train-traces-per-app", type=_positive_int, default=4)
+    fleet_run.set_defaults(handler=_cmd_fleet_run)
     fleet_run.add_argument(
         "--out",
         default=None,
         help="output JSON path (default: results/FLEET_<name>.json); the "
         "shard journal checkpoints to <out>.journal",
     )
-    fleet_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore sessions already journaled in <out>.journal instead of "
-        "re-simulating them; the resumed artefact is byte-identical to an "
-        "uninterrupted run's",
-    )
 
     fleet_report = fleet_action.add_parser(
         "report", help="render a saved FLEET_*.json artefact"
     )
+    fleet_report.set_defaults(handler=_cmd_fleet_report)
     fleet_report.add_argument("file", help="FLEET_*.json artefact to render")
 
     bench = sub.add_parser("bench", help="run the perf-regression benches")
+    bench.set_defaults(handler=_cmd_bench)
     bench.add_argument(
         "--results-dir", default=None, help="directory for BENCH_*.json (default: results/)"
     )
@@ -508,11 +554,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "Run the AST-based invariant linter (repro.lint) over the repro "
             "package: determinism (DET-*), fault-seam RNG guarding "
             "(RNG-GUARD), exact-sum accumulation (SUM-EXACT), and artefact "
-            "safety (ART-*).  Exits non-zero when any finding is neither "
-            "inline-suppressed ('# repro: allow[RULE-ID] — <reason>') nor "
-            "recorded in the baseline.  See docs/LINTING.md."
+            "safety (ART-*).  Exits non-zero when any finding is not "
+            "inline-suppressed ('# repro: allow[RULE-ID] — <reason>').  "
+            "See docs/LINTING.md."
         ),
     )
+    lint.set_defaults(handler=_cmd_lint)
     lint.add_argument(
         "--format",
         choices=["text", "json"],
@@ -525,21 +572,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="source root to lint (default: the installed repro package)",
     )
     lint.add_argument(
-        "--baseline",
-        default=None,
-        help="JSON baseline of grandfathered findings (absent file = empty)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings into --baseline and exit 0",
-    )
-    lint.add_argument(
         "--out",
         default=None,
         help="also write the JSON report to this path (atomic write)",
     )
     return parser
+
+
+def _out_path(args: argparse.Namespace, filename: str) -> Path:
+    """``--out``, or ``filename`` under the default results directory."""
+    return Path(args.out) if args.out is not None else default_results_dir() / filename
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -606,8 +648,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
         learner = PredictorTrainer(catalog=catalog).train(training).learner
 
-    from repro.utils import resolve_jobs
-
     traces = generator.generate_many(args.apps, args.traces, base_seed=args.seed)
     results = simulator.compare(traces, args.schemes, learner=learner, jobs=resolve_jobs(args.jobs))
 
@@ -632,17 +672,13 @@ def _sweep_axis(values: Sequence | None) -> tuple:
     )
 
 
-def _load_fault_spec_file(path: str):
+def _load_fault_spec_file(path: str) -> FaultSpec:
     """Parse one ``--faults`` file argument, failing with the file named.
 
     Anything that goes wrong — unreadable file, invalid JSON, a payload
     :meth:`~repro.faults.FaultSpec.from_dict` rejects — surfaces as a
     usage error that names the offending file, not a traceback.
     """
-    import json
-
-    from repro.faults import FaultSpec
-
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -671,7 +707,7 @@ def _load_fault_spec_file(path: str):
         ) from None
 
 
-def _fault_axis(names: Sequence[str] | None):
+def _fault_axis(names: Sequence[str] | None) -> tuple[FaultSpec | None, ...] | None:
     """``--faults`` values -> a ``fault_specs`` axis.
 
     Each value is ``'none'`` (a fault-free control cell), a preset name,
@@ -679,8 +715,6 @@ def _fault_axis(names: Sequence[str] | None):
     """
     if names is None:
         return None
-    from repro.faults import FAULT_PRESETS, get_fault_preset
-
     axis = []
     for name in names:
         if name == "none":
@@ -692,223 +726,129 @@ def _fault_axis(names: Sequence[str] | None):
     return tuple(axis)
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    import dataclasses
-    from pathlib import Path
+def _print_report(results: Sequence, sweep_specs: Sequence | None = None) -> None:
+    """The scenario report: energy, QoS, then thermal and fault tables when
+    any cell has them; a sweep's platform and pivot tables lead."""
+    rows = results_to_rows(results)
+    tables = [sweep_platform_table(sweep_specs), sweep_energy_table(rows)] if sweep_specs else []
+    tables += [
+        scenario_energy_table(rows),
+        scenario_qos_table(rows),
+        scenario_thermal_table(results),
+        scenario_faults_table(results),
+    ]
+    print("\n\n".join(table for table in tables if table))
 
-    from repro.analysis.reporting import (
-        format_table,
-        scenario_energy_table,
-        scenario_faults_table,
-        scenario_qos_table,
-        scenario_thermal_table,
-    )
-    from repro.scenarios import (
-        APP_MIXES,
-        BUILTIN_SCENARIOS,
-        MATRICES,
-        MatrixJournal,
-        ScenarioMatrix,
-        ScenarioRunner,
-        ShardJournal,
-        get_matrix,
-        get_scenario,
-        load_results,
-        results_to_rows,
-        write_results,
-    )
-    from repro.traces.presets import SESSION_REGIMES
 
-    if args.action == "list":
-        if args.matrix is not None:
-            matrix = get_matrix(args.matrix)
-            print(f"matrix {matrix.name}: {matrix.n_cells} scenarios — {matrix.description}")
-            for spec in matrix.expand():
-                print(
-                    f"  {spec.name:<40} apps={','.join(spec.resolved_apps())} "
-                    f"schemes={','.join(spec.schemes)}"
-                )
-            return 0
-        print("built-in scenarios:")
-        for name, spec in sorted(BUILTIN_SCENARIOS.items()):
-            print(
-                f"  {name:<18} {spec.platform:<13} {spec.regime:<16} "
-                f"apps={spec.apps if isinstance(spec.apps, str) else ','.join(spec.apps):<10} "
-                f"— {spec.description}"
-            )
-        print("matrices:")
-        for name, matrix in sorted(MATRICES.items()):
-            print(f"  {name:<18} {matrix.n_cells:>3} scenarios — {matrix.description}")
-        from repro.hardware.thermal import THERMAL_MODELS
+def _run_scenarios(
+    args: argparse.Namespace, name: str, build: Callable[[], list], sweep: bool = False
+) -> int:
+    """The one driver behind ``scenarios run`` and ``scenarios sweep``.
 
-        from repro.faults import list_fault_presets
+    ``build()`` makes the specs; an unknown name or an invalid axis is a
+    usage error, not a traceback.  Every finished scenario checkpoints to
+    ``<out>.journal`` and every finished session to
+    ``<out>.shards.journal``; after a crash, ``--resume`` restores both.
+    The artefact is a pure function of the results — never of the worker
+    count — so it is byte-identical for any ``--jobs`` and across resumes.
+    """
+    try:
+        specs = build()
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"scenarios {args.action}: {exc.args[0] if exc.args else exc}")
+    jobs = resolve_jobs(args.jobs)
+    runner = ScenarioRunner(jobs=jobs, train_traces_per_app=args.train_traces_per_app)
+    n_replays = sum(spec.n_sessions * len(spec.schemes) for spec in specs)
+    lead = "running "
+    if sweep:
+        n_variants = len({spec.platform_variant() for spec in specs})
+        lead = f"sweeping {n_variants} platform variant(s), "
+    print(f"{lead}{len(specs)} scenario(s), {n_replays} session replay(s), {jobs} worker(s)...")
+    out = _out_path(args, f"SCENARIOS_{name}.json")
+    journal = MatrixJournal(Path(f"{out}.journal"))
+    shards = ShardJournal(Path(f"{out}.shards.journal"))
+    results = runner.run(specs, journal=journal, shards=shards, resume=args.resume)
+    _print_report(results, specs if sweep else None)
+    path = write_results(results, out, matrix=name)
+    journal.clear()
+    shards.clear()
+    print(f"\nwrote {len(results)} scenario results to {path}")
+    return 0
 
-        print(f"session regimes: {', '.join(sorted(SESSION_REGIMES))}")
-        print(f"app mixes: {', '.join(sorted(APP_MIXES))}")
-        print(f"thermal models: {', '.join(sorted(THERMAL_MODELS))}")
-        print(f"fault presets: {', '.join(list_fault_presets())}")
-        return 0
 
-    if args.action == "run":
-        from repro.bench import _default_results_dir
-        from repro.utils import resolve_jobs
-
+def _cmd_scenarios_run(args: argparse.Namespace) -> int:
+    def build() -> list:
         fault_axis = _fault_axis(args.faults)
         if args.scenario:
             specs = [get_scenario(name) for name in args.scenario]
-            run_name = "custom"
-            if fault_axis is not None:
-                # Cross the named scenarios with the fault axis the way a
-                # matrix would, suffixing cell names only when the axis has
-                # more than one entry (mirrors ScenarioMatrix.expand()).
-                specs = [
-                    dataclasses.replace(
-                        spec,
-                        faults=fault,
-                        name=(
-                            f"{spec.name}/{ScenarioMatrix._fault_label(fault)}"
-                            if len(fault_axis) > 1
-                            else spec.name
-                        ),
-                    )
-                    for spec in specs
-                    for fault in fault_axis
-                ]
-        else:
-            matrix = get_matrix(args.matrix)
-            if fault_axis is not None:
-                matrix = dataclasses.replace(matrix, fault_specs=fault_axis)
-            specs = matrix.expand()
-            run_name = args.matrix
-        jobs = resolve_jobs(args.jobs)
-        runner = ScenarioRunner(jobs=jobs, train_traces_per_app=args.train_traces_per_app)
-        n_replays = sum(spec.n_sessions * len(spec.schemes) for spec in specs)
-        print(
-            f"running {len(specs)} scenario(s), {n_replays} session replay(s), "
-            f"{jobs} worker(s)..."
-        )
-        out = Path(args.out) if args.out is not None else (
-            _default_results_dir() / f"SCENARIOS_{run_name}.json"
-        )
-        # Every finished scenario checkpoints to the journal sidecar, and
-        # every finished *session* to the shard journal; after a crash,
-        # --resume skips the journaled cells, restores the journaled sessions
-        # of the cell that was in flight, and the final artefact is
-        # byte-identical to an uninterrupted run's.
-        journal = MatrixJournal(Path(str(out) + ".journal"))
-        shards = ShardJournal(Path(str(out) + ".shards.journal"))
-        results = runner.run(specs, journal=journal, shards=shards, resume=args.resume)
+            return specs if fault_axis is None else ScenarioMatrix.cross_faults(specs, fault_axis)
+        matrix = get_matrix(args.matrix)
+        if fault_axis is not None:
+            matrix = dataclasses.replace(matrix, fault_specs=fault_axis)
+        return matrix.expand()
 
-        rows = results_to_rows(results)
-        print(scenario_energy_table(rows))
-        print()
-        print(scenario_qos_table(rows))
-        thermal_table = scenario_thermal_table(results)
-        if thermal_table:
-            print()
-            print(thermal_table)
-        faults_table = scenario_faults_table(results)
-        if faults_table:
-            print()
-            print(faults_table)
+    return _run_scenarios(args, "custom" if args.scenario else args.matrix, build)
 
-        # The artefact is a pure function of the results — never of the
-        # worker count — so --jobs 1 and --jobs 4 write byte-identical files
-        # (run and sweep alike; write_results no longer accepts a jobs value).
-        path = write_results(results, out, matrix=run_name)
-        journal.clear()
-        shards.clear()
-        print(f"\nwrote {len(results)} scenario results to {path}")
-        return 0
 
-    if args.action == "sweep":
-        from repro.analysis.reporting import sweep_energy_table, sweep_platform_table
-        from repro.bench import _default_results_dir
-        from repro.scenarios import PlatformSweep
-        from repro.utils import resolve_jobs
+def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
+    def build() -> list:
+        return ScenarioMatrix(
+            name=f"sweep_{args.name}",
+            platform_sweep=PlatformSweep(
+                platforms=tuple(args.platforms),
+                big_core_counts=_sweep_axis(args.big_cores),
+                little_core_counts=_sweep_axis(args.little_cores),
+                perf_scales=_sweep_axis(args.perf_scales),
+                thermal_models=_sweep_axis(args.thermal),
+            ),
+            regimes=tuple(args.regimes),
+            app_mixes=tuple(args.apps),
+            schemes=tuple(args.schemes),
+            traces_per_app=args.traces_per_app,
+            seed=args.seed,
+            thermal_mode=args.thermal_mode,
+            fault_specs=_fault_axis(args.faults) or (None,),
+            description="ad-hoc platform-parameter sweep",
+        ).expand()
 
-        try:
-            matrix = ScenarioMatrix(
-                name=f"sweep_{args.name}",
-                platform_sweep=PlatformSweep(
-                    platforms=tuple(args.platforms),
-                    big_core_counts=_sweep_axis(args.big_cores),
-                    little_core_counts=_sweep_axis(args.little_cores),
-                    perf_scales=_sweep_axis(args.perf_scales),
-                    thermal_models=_sweep_axis(args.thermal),
-                ),
-                regimes=tuple(args.regimes),
-                app_mixes=tuple(args.apps),
-                schemes=tuple(args.schemes),
-                traces_per_app=args.traces_per_app,
-                seed=args.seed,
-                thermal_mode=args.thermal_mode,
-                fault_specs=_fault_axis(args.faults) or (None,),
-                description="ad-hoc platform-parameter sweep",
+    return _run_scenarios(args, f"sweep_{args.name}", build, sweep=True)
+
+
+def _cmd_scenarios_list(args: argparse.Namespace) -> int:
+    if args.matrix is not None:
+        matrix = get_matrix(args.matrix)
+        print(f"matrix {matrix.name}: {matrix.n_cells} scenarios — {matrix.description}")
+        for spec in matrix.expand():
+            print(
+                f"  {spec.name:<40} apps={','.join(spec.resolved_apps())} "
+                f"schemes={','.join(spec.schemes)}"
             )
-            specs = matrix.expand()
-        except (KeyError, ValueError) as exc:
-            # Duplicate axis entries, unknown regimes/mixes/schemes: a usage
-            # error, not a traceback from deep inside the expansion.
-            raise SystemExit(f"scenarios sweep: {exc.args[0] if exc.args else exc}")
-        jobs = resolve_jobs(args.jobs)
-        runner = ScenarioRunner(jobs=jobs, train_traces_per_app=args.train_traces_per_app)
-        n_replays = sum(spec.n_sessions * len(spec.schemes) for spec in specs)
-        print(
-            f"sweeping {len(matrix.platform_variants())} platform variant(s), "
-            f"{len(specs)} scenario(s), {n_replays} session replay(s), {jobs} worker(s)..."
-        )
-        out = Path(args.out) if args.out is not None else (
-            _default_results_dir() / f"SCENARIOS_sweep_{args.name}.json"
-        )
-        journal = MatrixJournal(Path(str(out) + ".journal"))
-        shards = ShardJournal(Path(str(out) + ".shards.journal"))
-        results = runner.run(specs, journal=journal, shards=shards, resume=args.resume)
-
-        rows = results_to_rows(results)
-        print(sweep_platform_table(specs))
-        print()
-        print(sweep_energy_table(rows))
-        print()
-        print(scenario_energy_table(rows))
-        print()
-        print(scenario_qos_table(rows))
-        thermal_table = scenario_thermal_table(results)
-        if thermal_table:
-            print()
-            print(thermal_table)
-        faults_table = scenario_faults_table(results)
-        if faults_table:
-            print()
-            print(faults_table)
-
-        # The artefact is a pure function of the matrix: no jobs field, so
-        # --jobs 1 and --jobs 4 runs produce byte-identical files (the
-        # differential harness compares them with a plain dict ==).
-        path = write_results(results, out, matrix=matrix.name)
-        journal.clear()
-        shards.clear()
-        print(f"\nwrote {len(results)} scenario results to {path}")
         return 0
+    print("built-in scenarios:")
+    for name, spec in sorted(BUILTIN_SCENARIOS.items()):
+        print(
+            f"  {name:<18} {spec.platform:<13} {spec.regime:<16} "
+            f"apps={spec.apps if isinstance(spec.apps, str) else ','.join(spec.apps):<10} "
+            f"— {spec.description}"
+        )
+    print("matrices:")
+    for name, matrix in sorted(MATRICES.items()):
+        print(f"  {name:<18} {matrix.n_cells:>3} scenarios — {matrix.description}")
+    print(f"session regimes: {', '.join(sorted(SESSION_REGIMES))}")
+    print(f"app mixes: {', '.join(sorted(APP_MIXES))}")
+    print(f"thermal models: {', '.join(sorted(THERMAL_MODELS))}")
+    print(f"fault presets: {', '.join(list_fault_presets())}")
+    return 0
 
-    # compare: render one artefact, or diff the total energy of two.
+
+def _cmd_scenarios_compare(args: argparse.Namespace) -> int:
+    """Render one artefact, or diff the total energy of two."""
     if len(args.files) > 2:
         raise SystemExit("scenarios compare takes one or two artefact files")
     payload_a, results_a = load_results(args.files[0])
-    rows_a = results_to_rows(results_a)
     if len(args.files) == 1:
         print(f"{args.files[0]} (matrix={payload_a.get('matrix')})")
-        print(scenario_energy_table(rows_a))
-        print()
-        print(scenario_qos_table(rows_a))
-        thermal_table = scenario_thermal_table(results_a)
-        if thermal_table:
-            print()
-            print(thermal_table)
-        faults_table = scenario_faults_table(results_a)
-        if faults_table:
-            print()
-            print(faults_table)
+        _print_report(results_a)
         return 0
 
     _, results_b = load_results(args.files[1])
@@ -939,8 +879,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench import run_all
 
     run_all(
@@ -952,33 +890,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _cmd_faults_list(_: argparse.Namespace) -> int:
+    print("fault presets:")
+    for name, preset in FAULT_PRESETS.items():
+        print(f"  {name:<18} — {preset.description}")
+    print("search targets:")
+    for name, target in SEARCH_TARGETS.items():
+        print(
+            f"  {name:<18} — {target.description} "
+            f"(scenario {target.scenario}, schemes {','.join(target.schemes)})"
+        )
+    return 0
 
-    from repro.faults import FAULT_PRESETS
-    from repro.faults.search import SEARCH_TARGETS, run_search
-    from repro.scenarios.checkpoint import ShardJournal
-    from repro.utils import write_json_atomic
 
-    if args.action == "list":
-        print("fault presets:")
-        for name, preset in FAULT_PRESETS.items():
-            print(f"  {name:<18} — {preset.description}")
-        print("search targets:")
-        for name, target in SEARCH_TARGETS.items():
-            print(
-                f"  {name:<18} — {target.description} "
-                f"(scenario {target.scenario}, schemes {','.join(target.schemes)})"
-            )
-        return 0
-
-    # search
-    from repro.bench import _default_results_dir
-
-    out = Path(args.out) if args.out is not None else (
-        _default_results_dir() / f"FAULT_SEARCH_{args.target}.json"
-    )
-    journal = ShardJournal(Path(str(out) + ".journal"))
+def _cmd_faults_search(args: argparse.Namespace) -> int:
+    out = _out_path(args, f"FAULT_SEARCH_{args.target}.json")
+    journal = ShardJournal(Path(f"{out}.journal"))
     report = run_search(
         args.target,
         scenario=args.scenario,
@@ -1002,58 +929,28 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    import dataclasses
-    from pathlib import Path
-
-    from repro.analysis.reporting import (
-        fleet_percentile_table,
-        fleet_sample_table,
-        fleet_slice_table,
-    )
-    from repro.fleet import (
-        DevicePopulation,
-        FleetRunner,
-        fleet_to_payload,
-        get_fleet_preset,
-        load_fleet_results,
-        write_fleet_results,
+def _selected_fleet(args: argparse.Namespace):
+    """The ``--fleet`` preset with any ``--size``/``--seed`` override applied."""
+    overrides = {"size": args.size, "seed": args.seed}
+    return dataclasses.replace(
+        get_fleet_preset(args.fleet),
+        **{key: value for key, value in overrides.items() if value is not None},
     )
 
-    if args.action == "report":
-        payload = load_fleet_results(args.file)
-        print(
-            f"{args.file} (fleet={payload['fleet']['name']}, "
-            f"{payload['n_devices']} devices, {payload['n_sessions']} sessions)"
-        )
-        print(fleet_percentile_table(payload))
-        print()
-        print(fleet_slice_table(payload))
-        return 0
 
-    fleet = get_fleet_preset(args.fleet)
-    overrides = {}
-    if args.size is not None:
-        overrides["size"] = args.size
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        fleet = dataclasses.replace(fleet, **overrides)
+def _cmd_fleet_sample(args: argparse.Namespace) -> int:
+    fleet = _selected_fleet(args)
+    devices = DevicePopulation(fleet).devices()
+    shown = devices[: args.limit] if args.limit is not None else devices
+    print(f"fleet {fleet.name}: {fleet.size} device(s), seed {fleet.seed}")
+    print(fleet_sample_table(shown))
+    if len(shown) < len(devices):
+        print(f"... and {len(devices) - len(shown)} more device(s)")
+    return 0
 
-    if args.action == "sample":
-        devices = DevicePopulation(fleet).devices()
-        shown = devices[: args.limit] if args.limit is not None else devices
-        print(f"fleet {fleet.name}: {fleet.size} device(s), seed {fleet.seed}")
-        print(fleet_sample_table(shown))
-        if len(shown) < len(devices):
-            print(f"... and {len(devices) - len(shown)} more device(s)")
-        return 0
 
-    # run
-    from repro.bench import _default_results_dir
-    from repro.scenarios.checkpoint import ShardJournal
-    from repro.utils import resolve_jobs
-
+def _cmd_fleet_run(args: argparse.Namespace) -> int:
+    fleet = _selected_fleet(args)
     jobs = resolve_jobs(args.jobs)
     specs = DevicePopulation(fleet).scenario_specs()
     n_replays = sum(spec.n_sessions * len(spec.schemes) for spec in specs)
@@ -1061,23 +958,29 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"evaluating fleet {fleet.name}: {fleet.size} device(s), "
         f"{n_replays} session replay(s), {jobs} worker(s)..."
     )
-    out = Path(args.out) if args.out is not None else (
-        _default_results_dir() / f"FLEET_{fleet.name}.json"
-    )
+    out = _out_path(args, f"FLEET_{fleet.name}.json")
     # Every finished session checkpoints to the shard journal; after a
     # crash, --resume restores journaled sessions (mid-device included) and
     # the final artefact is byte-identical to an uninterrupted run's.
-    journal = ShardJournal(Path(str(out) + ".journal"))
+    journal = ShardJournal(Path(f"{out}.journal"))
     runner = FleetRunner(jobs=jobs, train_traces_per_app=args.train_traces_per_app)
     result = runner.run(fleet, shards=journal, resume=args.resume)
 
     payload = fleet_to_payload(result)
-    print(fleet_percentile_table(payload))
-    print()
-    print(fleet_slice_table(payload))
+    print(f"{fleet_percentile_table(payload)}\n\n{fleet_slice_table(payload)}")
     path = write_fleet_results(result, out)
     journal.clear()
     print(f"\nwrote {payload['n_devices']} device results to {path}")
+    return 0
+
+
+def _cmd_fleet_report(args: argparse.Namespace) -> int:
+    payload = load_fleet_results(args.file)
+    print(
+        f"{args.file} (fleet={payload['fleet']['name']}, "
+        f"{payload['n_devices']} devices, {payload['n_sessions']} sessions)"
+    )
+    print(f"{fleet_percentile_table(payload)}\n\n{fleet_slice_table(payload)}")
     return 0
 
 
@@ -1093,30 +996,12 @@ def _cmd_platforms(_: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    import repro
-    from repro.lint import LintEngine, load_baseline, write_baseline
-    from repro.utils import write_json_atomic
-
     root = Path(args.root) if args.root is not None else Path(repro.__file__).parent
-    engine = LintEngine(root)
-
-    if args.write_baseline:
-        if args.baseline is None:
-            print("--write-baseline requires --baseline <path>", file=sys.stderr)
-            return 2
-        report = engine.run(baseline=None)
-        write_baseline(report.findings, args.baseline)
-        print(
-            f"recorded {len(report.findings)} finding(s) into baseline "
-            f"{args.baseline} ({report.n_files} files linted)"
-        )
-        return 0
-
-    baseline = load_baseline(args.baseline) if args.baseline is not None else None
-    report = engine.run(baseline=baseline)
+    if not root.is_dir():
+        # A mistyped root would otherwise lint zero files and pass the gate.
+        print(f"lint: --root {args.root!r} is not a directory", file=sys.stderr)
+        return 2
+    report = LintEngine(root).run()
 
     if args.out is not None:
         write_json_atomic(report.to_payload(), args.out)
@@ -1127,7 +1012,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(finding.render())
         summary = (
             f"{len(report.findings)} finding(s) in {report.n_files} files "
-            f"({report.suppressed} suppressed, {report.baselined} baselined)"
+            f"({report.suppressed} suppressed)"
         )
         print(("FAIL: " if report.findings else "ok: ") + summary)
     return 0 if report.ok else 1
@@ -1136,18 +1021,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "train": _cmd_train,
-        "evaluate": _cmd_evaluate,
-        "scenarios": _cmd_scenarios,
-        "platforms": _cmd_platforms,
-        "faults": _cmd_faults,
-        "fleet": _cmd_fleet,
-        "bench": _cmd_bench,
-        "lint": _cmd_lint,
-    }
-    return handlers[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

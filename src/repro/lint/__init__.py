@@ -20,7 +20,7 @@ LINT-SUPPRESS   (meta) suppressions are justified, used, and parseable
 ==============  ========================================================
 
 Entry point: ``python -m repro lint``.  See ``docs/LINTING.md`` for the
-suppression syntax and baseline workflow.
+suppression syntax.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from repro.lint.engine import (
     LintEngine,
     LintReport,
     Rule,
-    load_baseline,
-    write_baseline,
 )
 
 #: Every shipped rule, in stable registration order.
@@ -52,6 +50,4 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "Rule",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -1,4 +1,4 @@
-"""The ``repro lint`` rule engine: AST walking, suppressions, baselines.
+"""The ``repro lint`` rule engine: AST walking and inline suppressions.
 
 Every headline artefact in this reproduction rests on invariants that are
 easy to break with one careless line — a wall-clock call in a payload
@@ -10,18 +10,14 @@ them statically, at lint time, with nothing but stdlib :mod:`ast`.
 The engine walks every ``*.py`` file under a root (the ``repro`` package
 by default), builds one :class:`FileContext` per file — source, AST,
 parent map, import map — and runs every registered :class:`Rule` whose
-path filter matches, collecting :class:`Finding`\\ s.  Two escape hatches
-keep the gate honest rather than annoying:
-
-* **Inline suppressions** — ``# repro: allow[RULE-ID] — <reason>`` on the
-  offending line (or the line directly above) silences that rule there.
-  The reason is mandatory: a suppression without one is itself a finding
-  (``LINT-SUPPRESS``), and so is a suppression that no longer suppresses
-  anything — stale exemptions must be deleted, not accumulated.
-* **A committed JSON baseline** — ``--baseline`` grandfathers a recorded
-  set of findings (matched by content, not line number, so unrelated
-  edits never resurrect them); only *new* findings fail the run.  The
-  intended steady state is an empty baseline: fix or justify, don't bury.
+path filter matches, collecting :class:`Finding`\\ s.  One escape hatch
+keeps the gate honest rather than annoying: an inline suppression,
+``# repro: allow[RULE-ID] — <reason>`` on the offending line (or the line
+directly above), silences that rule there.  The reason is mandatory: a
+suppression without one is itself a finding (``LINT-SUPPRESS``), and so is
+a suppression that no longer suppresses anything — stale exemptions must
+be deleted, not accumulated.  There is no baseline file: every finding is
+fixed or justified where it stands.
 
 Findings are deterministic and sorted (path, line, column, rule), so two
 runs over the same tree produce byte-identical reports — the linter holds
@@ -31,9 +27,8 @@ itself to the repo's own reproducibility bar.
 from __future__ import annotations
 
 import ast
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -57,15 +52,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Content identity used for baseline matching.
-
-        Deliberately excludes the line/column so a baselined finding is
-        not resurrected by unrelated edits shifting the file around.
-        """
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> dict:
         return {
@@ -224,10 +210,9 @@ class Rule:
 class LintReport:
     """The outcome of one engine run."""
 
-    findings: list[Finding]  # new findings (suppressions and baseline applied)
+    findings: list[Finding]  # inline suppressions applied
     n_files: int
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -239,7 +224,6 @@ class LintReport:
             "n_files": self.n_files,
             "n_findings": len(self.findings),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "findings": [finding.to_dict() for finding in self.findings],
         }
 
@@ -360,60 +344,13 @@ class LintEngine:
                 )
         return sorted(kept)
 
-    def run(self, baseline: Sequence[dict] | None = None) -> LintReport:
-        """Lint the whole tree, filtering ``baseline`` findings by content."""
+    def run(self) -> LintReport:
+        """Lint the whole tree."""
         findings: list[Finding] = []
         suppressed = 0
         files = self.files()
         for path in files:
             findings.extend(self.lint_file(path))
-            suppressed += getattr(self, "_last_suppressed", 0)
+            suppressed += self._last_suppressed
         findings.sort()
-        baselined = 0
-        if baseline:
-            remaining = _baseline_counts(baseline)
-            fresh: list[Finding] = []
-            for finding in findings:
-                if remaining.get(finding.key, 0) > 0:
-                    remaining[finding.key] -= 1
-                    baselined += 1
-                else:
-                    fresh.append(finding)
-            findings = fresh
-        return LintReport(
-            findings=findings,
-            n_files=len(files),
-            suppressed=suppressed,
-            baselined=baselined,
-        )
-
-
-# -- baseline io -----------------------------------------------------------------------
-
-
-def _baseline_counts(entries: Sequence[dict]) -> dict[tuple[str, str, str], int]:
-    counts: dict[tuple[str, str, str], int] = {}
-    for entry in entries:
-        key = (str(entry.get("rule")), str(entry.get("path")), str(entry.get("message")))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def load_baseline(path: Path | str) -> list[dict]:
-    """Parsed baseline entries; an absent file is an empty baseline."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    entries = payload.get("findings", payload) if isinstance(payload, dict) else payload
-    if not isinstance(entries, list):
-        raise ValueError(f"baseline {path} is not a findings list")
-    return entries
-
-
-def write_baseline(findings: Sequence[Finding], path: Path | str) -> Path:
-    """Atomically write the grandfathered-findings baseline file."""
-    from repro.utils import write_json_atomic
-
-    payload = {"findings": [finding.to_dict() for finding in sorted(findings)]}
-    return write_json_atomic(payload, path)
+        return LintReport(findings=findings, n_files=len(files), suppressed=suppressed)

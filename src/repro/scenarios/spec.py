@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from itertools import product
+from typing import Sequence
 
 from repro.core.pes import PesConfig
 from repro.faults import FaultSpec
@@ -363,21 +364,40 @@ class ScenarioMatrix:
             * len(self.fault_specs)
         )
 
+    @classmethod
+    def cross_faults(
+        cls, specs: Sequence[ScenarioSpec], fault_specs: Sequence[FaultSpec | None]
+    ) -> list[ScenarioSpec]:
+        """Each spec once per fault-axis entry, the fault varying fastest.
+
+        Cell names gain a ``/<fault name>`` (or ``/nofault``) suffix only
+        when the axis has more than one entry.  :meth:`expand` crosses its
+        own ``fault_specs`` here, and so does ``scenarios run --scenario
+        ... --faults`` for named scenarios.
+        """
+        suffixed = len(fault_specs) > 1
+        return [
+            replace(
+                spec,
+                faults=fault,
+                name=f"{spec.name}/{cls._fault_label(fault)}" if suffixed else spec.name,
+            )
+            for spec in specs
+            for fault in fault_specs
+        ]
+
     def expand(self) -> list[ScenarioSpec]:
         """One validated :class:`ScenarioSpec` per cell, deterministic order."""
         specs: list[ScenarioSpec] = []
-        for variant, regime, mix, (pes_index, pes), fault in product(
+        for variant, regime, mix, (pes_index, pes) in product(
             self.platform_variants(),
             self.regimes,
             self.app_mixes,
             enumerate(self.pes_configs),
-            self.fault_specs,
         ):
             cell = f"{variant.label}/{regime}/{mix}"
             if len(self.pes_configs) > 1:
                 cell += f"/pes{pes_index}"
-            if len(self.fault_specs) > 1:
-                cell += f"/{self._fault_label(fault)}"
             specs.append(
                 ScenarioSpec(
                     name=cell,
@@ -393,11 +413,10 @@ class ScenarioMatrix:
                     perf_scale=variant.perf_scale,
                     thermal=variant.thermal,
                     thermal_mode=self.thermal_mode,
-                    faults=fault,
                     description=self.description,
                 )
             )
-        return specs
+        return self.cross_faults(specs, self.fault_specs)
 
     # -- serialisation ----------------------------------------------------------
 

@@ -17,6 +17,18 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
+def default_results_dir() -> Path:
+    """The repo's ``results/`` when running from a checkout, else ``./results``.
+
+    Resolving relative to ``__file__`` would point inside site-packages for
+    an installed distribution and silently drop the artefacts there.
+    """
+    checkout = Path(__file__).resolve().parent.parent.parent
+    if (checkout / "benchmarks").is_dir() and (checkout / "src").is_dir():
+        return checkout / "results"
+    return Path.cwd() / "results"
+
+
 def mp_context():
     """The multiprocessing context every pool in the repo should use.
 

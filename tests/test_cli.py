@@ -223,9 +223,9 @@ class TestScenariosCommand:
         assert {spec["thermal"] for spec in specs} == {None, "constant_1100"}
 
     def test_sweep_default_out_path_uses_name(self, tmp_path, monkeypatch, capsys):
-        import repro.bench as bench
+        import repro.cli as cli
 
-        monkeypatch.setattr(bench, "_default_results_dir", lambda: tmp_path)
+        monkeypatch.setattr(cli, "default_results_dir", lambda: tmp_path)
         assert main(["scenarios", "sweep", "--name", "defaultpath"]) == 0
         assert (tmp_path / "SCENARIOS_sweep_defaultpath.json").exists()
 
@@ -259,8 +259,12 @@ class TestScenariosCommand:
             main(["scenarios", "compare", "a", "b", "c"])
 
     def test_run_unknown_matrix_fails(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match="unknown matrix 'nope'"):
             main(["scenarios", "run", "--matrix", "nope"])
+
+    def test_run_unknown_scenario_fails(self):
+        with pytest.raises(SystemExit, match="unknown scenario 'nope'"):
+            main(["scenarios", "run", "--scenario", "baseline_seen", "nope"])
 
     def test_run_rejects_matrix_and_scenario_together(self):
         with pytest.raises(SystemExit):
@@ -312,3 +316,15 @@ class TestParser:
     def test_scenarios_requires_action(self):
         with pytest.raises(SystemExit):
             main(["scenarios"])
+
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate"], ["scenarios", "run"], ["scenarios", "sweep"], ["fleet", "run"]],
+    )
+    def test_negative_jobs_rejected_at_parse_time(self, command, capsys):
+        # Regression: `--jobs -2` used to surface as a ValueError traceback
+        # from resolve_jobs, after learner training.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--jobs", "-2"])
+        assert excinfo.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err

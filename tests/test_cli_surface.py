@@ -47,7 +47,7 @@ SURFACE = {
         "--platform": ("platform", "exynos5410", ("exynos5410", "tegra_parker"), None, None),
         "--train-traces-per-app": ("train_traces_per_app", 6, None, None, "_positive_int"),
         "--seed": ("seed", 500000, None, None, "int"),
-        "--jobs": ("jobs", 1, None, None, "int"),
+        "--jobs": ("jobs", 1, None, None, "_worker_count"),
     },
     "scenarios list": {
         "--matrix": ("matrix", None, None, None, None),
@@ -55,7 +55,7 @@ SURFACE = {
     "scenarios run": {
         "--matrix": ("matrix", "default", None, None, None),
         "--scenario": ("scenario", None, None, "+", None),
-        "--jobs": ("jobs", 1, None, None, "int"),
+        "--jobs": ("jobs", 1, None, None, "_worker_count"),
         "--train-traces-per-app": ("train_traces_per_app", 4, None, None, "_positive_int"),
         "--out": ("out", None, None, None, None),
         "--faults": ("faults", None, None, "+", None),
@@ -82,7 +82,7 @@ SURFACE = {
         "--traces-per-app": ("traces_per_app", 1, None, None, "_positive_int"),
         "--seed": ("seed", 500000, None, None, "int"),
         "--name": ("name", "custom", None, None, None),
-        "--jobs": ("jobs", 1, None, None, "int"),
+        "--jobs": ("jobs", 1, None, None, "_worker_count"),
         "--train-traces-per-app": ("train_traces_per_app", 4, None, None, "_positive_int"),
         "--out": ("out", None, None, None, None),
         "--faults": ("faults", None, None, "+", None),
@@ -121,7 +121,7 @@ SURFACE = {
         "--fleet": ("fleet", "default", ("default", "smoke"), None, None),
         "--size": ("size", None, None, None, "_positive_int"),
         "--seed": ("seed", None, None, None, "int"),
-        "--jobs": ("jobs", 1, None, None, "int"),
+        "--jobs": ("jobs", 1, None, None, "_worker_count"),
         "--train-traces-per-app": ("train_traces_per_app", 4, None, None, "_positive_int"),
         "--out": ("out", None, None, None, None),
         "--resume": ("resume", False, None, 0, None),
@@ -145,8 +145,6 @@ SURFACE = {
     "lint": {
         "--format": ("format", "text", ("text", "json"), None, None),
         "--root": ("root", None, None, None, None),
-        "--baseline": ("baseline", None, None, None, None),
-        "--write-baseline": ("write_baseline", False, None, 0, None),
         "--out": ("out", None, None, None, None),
     },
 }

@@ -6,10 +6,9 @@ Three layers of coverage:
   ``tests/fixtures/lint_corpus/``: every bad file must produce exactly the
   expected (rule, line) findings, every good twin must be silent.
 * **Machinery** — inline suppressions (reason required, stale flagged,
-  meta-rule unsuppressable), the content-keyed JSON baseline round trip,
-  and the CLI's exit codes and report formats.
-* **The tree itself** — ``python -m repro lint`` must exit 0 on HEAD with
-  no baseline: the repo stays clean under its own gate.
+  meta-rule unsuppressable) and the CLI's exit codes and report formats.
+* **The tree itself** — ``python -m repro lint`` must exit 0 on HEAD: the
+  repo stays clean under its own gate.
 """
 
 from __future__ import annotations
@@ -21,13 +20,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.lint import (
-    DEFAULT_RULES,
-    LintEngine,
-    Rule,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint import DEFAULT_RULES, LintEngine, Rule
 
 CORPUS = Path(__file__).parent / "fixtures" / "lint_corpus"
 BAD = CORPUS / "bad"
@@ -190,56 +183,6 @@ class TestSuppressions:
         assert findings == []
 
 
-class TestBaseline:
-    def test_round_trip_masks_exactly_the_recorded_findings(self, tmp_path):
-        engine = LintEngine(BAD)
-        baseline_path = tmp_path / "lint_baseline.json"
-        report = engine.run()
-        write_baseline(report.findings, baseline_path)
-        rerun = engine.run(baseline=load_baseline(baseline_path))
-        assert rerun.ok
-        assert rerun.baselined == len(report.findings)
-
-    def test_line_shifts_do_not_resurrect_baselined_findings(self, tmp_path):
-        src = tmp_path / "runtime"
-        src.mkdir(parents=True)
-        mod = src / "mod.py"
-        body = "import time\n\ndef f():\n    return time.time()\n"
-        mod.write_text(body)
-        engine = LintEngine(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(engine.run().findings, baseline_path)
-        # Shift the finding two lines down; the content key still matches.
-        mod.write_text("# shifted\n# shifted\n" + body)
-        rerun = engine.run(baseline=load_baseline(baseline_path))
-        assert rerun.ok and rerun.baselined == 1
-
-    def test_new_findings_are_not_masked(self, tmp_path):
-        src = tmp_path / "runtime"
-        src.mkdir(parents=True)
-        mod = src / "mod.py"
-        mod.write_text("import time\n\ndef f():\n    return time.time()\n")
-        engine = LintEngine(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(engine.run().findings, baseline_path)
-        mod.write_text(
-            "import time\n\ndef f():\n    return time.time()\n"
-            "\ndef g():\n    return time.monotonic()\n"
-        )
-        rerun = engine.run(baseline=load_baseline(baseline_path))
-        assert not rerun.ok
-        assert [f.line for f in rerun.findings] == [7]
-
-    def test_absent_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "missing.json") == []
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"findings": 7}')
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
 class TestEngine:
     def test_duplicate_rule_ids_rejected(self):
         rule = Rule(id="X", summary="x", check=lambda ctx: [])
@@ -268,7 +211,7 @@ class TestEngine:
 
 class TestTreeIsClean:
     def test_repro_package_has_zero_findings(self):
-        """The gate the CI step enforces: HEAD lints clean, no baseline."""
+        """The gate the CI step enforces: HEAD lints clean."""
         report = LintEngine(Path(repro.__file__).parent).run()
         assert report.ok, "\n".join(f.render() for f in report.findings)
 
@@ -292,33 +235,16 @@ class TestCli:
         assert payload["n_findings"] == len(payload["findings"]) > 0
         assert not out.with_name(out.name + ".tmp").exists()
 
-    def test_write_baseline_then_pass(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", "--root", str(BAD), "--baseline", str(baseline)]) == 1
-        assert (
-            main(
-                [
-                    "lint",
-                    "--root",
-                    str(BAD),
-                    "--baseline",
-                    str(baseline),
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["lint", "--root", str(BAD), "--baseline", str(baseline)]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_write_baseline_requires_baseline_path(self, capsys):
-        assert main(["lint", "--write-baseline"]) == 2
-        assert "--baseline" in capsys.readouterr().err
+    def test_missing_root_is_a_usage_error(self, tmp_path, capsys):
+        # A mistyped root used to lint zero files and pass the gate.
+        assert main(["lint", "--root", str(tmp_path / "nonexistent")]) == 2
+        captured = capsys.readouterr()
+        assert "not a directory" in captured.err
+        assert "ok:" not in captured.out
 
     def test_help_documents_the_gate(self, capsys):
         with pytest.raises(SystemExit):
             main(["lint", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--format", "--baseline", "--write-baseline", "--out", "--root"):
+        for flag in ("--format", "--out", "--root"):
             assert flag in out
