@@ -2,7 +2,7 @@
 
 Marked ``perf`` and deselected from the default pytest run; writes
 ``results/BENCH_faults.json`` (uploaded by the non-blocking CI perf job
-alongside the other BENCH artifacts).  The assertions guard the matrix
+with ``results/BENCH_parallel.json``).  The assertions guard the matrix
 shape and the injection signature — every fault preset must actually
 inject, and the fault-free control column must stay clean, otherwise the
 bench is timing a no-op — while wall-clock itself is recorded, not

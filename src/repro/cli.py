@@ -23,7 +23,8 @@ Nine subcommands cover the whole workflow:
   folds per-shard aggregates into mergeable population aggregates, and
   writes ``results/FLEET_*.json`` with per-scheme p50/p95/p99 energy/QoS/
   throttle-residency percentiles and a per-slice win/loss table,
-* ``bench``     — run the perf-regression benches (writes ``BENCH_*.json``),
+* ``bench``     — run the parallel-speedup and fault-matrix benches
+  (writes ``BENCH_*.json``; ``perfbench`` is the main perf harness),
 * ``lint``      — statically check the package against its reproducibility
   invariants (``repro.lint``): determinism in payload modules
   (``DET-*``), rate-guarded RNG draws in fault seams (``RNG-GUARD``),
@@ -70,7 +71,7 @@ Examples::
     python -m repro fleet sample --fleet default --limit 20
     python -m repro fleet run --fleet smoke --jobs 4
     python -m repro fleet report results/FLEET_smoke.json
-    python -m repro bench --only thermal faults fault_search fleet
+    python -m repro bench --only faults --quick
     python -m repro lint --format json --out results/LINT_report.json
 
 ``evaluate``, ``scenarios run``/``sweep``, ``fleet run`` and ``bench`` take
@@ -106,6 +107,7 @@ from repro.analysis.reporting import (
     sweep_energy_table,
     sweep_platform_table,
 )
+from repro.bench import BENCHES, run_all
 from repro.core.predictor.training import PredictorTrainer, evaluate_accuracy
 from repro.faults import FAULT_PRESETS, FaultSpec, get_fault_preset, list_fault_presets
 from repro.faults.search import SEARCH_TARGETS, list_search_targets, run_search
@@ -519,26 +521,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--jobs",
-        type=int,
+        type=_worker_count,
         default=4,
-        help="worker processes for the parallel benches (default 4)",
+        help="worker processes for the benches (default 4, 0 = one per CPU)",
     )
     bench.add_argument(
         "--only",
         nargs="+",
         default=None,
-        choices=[
-            "solver",
-            "compare",
-            "parallel",
-            "scenarios",
-            "sweep",
-            "thermal",
-            "faults",
-            "fault_search",
-            "fleet",
-            "lint",
-        ],
+        choices=list(BENCHES),
         help="run only these benches",
     )
     bench.add_argument(
@@ -879,8 +870,6 @@ def _cmd_scenarios_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_all
-
     run_all(
         results_dir=Path(args.results_dir) if args.results_dir else None,
         jobs=args.jobs,

@@ -41,12 +41,13 @@ of the wall-clock inside it (19.3 s of 20.8 s profiled; tier-1 suite
 On the profiled 4-app oracle workload this is ~27× faster than the seed
 solver (0.35 → 9.7 whole-trace solves/s on windows of 31–48 events) with
 bit-identical schedules (see ``tests/test_optimizer_equivalence.py``).
-Run the regression benches with::
+``perfbench`` times the solver as the ``core.optimizer.solve`` layer of
+its ``pes_matrix`` workload (``--trace 1`` reports the per-layer metrics)::
 
-    PYTHONPATH=src python -m repro bench            # writes results/BENCH_*.json
-    PYTHONPATH=src python -m pytest -m perf benchmarks/test_perf_solver.py
+    python3 perfbench/run.py --workload pes_matrix --seed 0 --seconds 40 --trace 1
 
-(the ``perf`` marker is deselected by default so tier-1 stays fast).
+and ``benchmarks/test_sec63_overheads.py`` reports the per-window solver
+overhead of Sec. 6.3.
 """
 
 from __future__ import annotations

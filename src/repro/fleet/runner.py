@@ -76,8 +76,6 @@ class FleetRunner:
 
     catalog: AppCatalog = field(default_factory=AppCatalog)
     jobs: int = 1
-    chunk_size: int | None = None
-    job_timeout_s: float | None = None
     train_traces_per_app: int = 4
     train_seed: int = 0
 
@@ -103,8 +101,6 @@ class FleetRunner:
         runner = ScenarioRunner(
             catalog=self.catalog,
             jobs=self.jobs,
-            chunk_size=self.chunk_size,
-            job_timeout_s=self.job_timeout_s,
             train_traces_per_app=self.train_traces_per_app,
             train_seed=self.train_seed,
             share_setups=True,

@@ -52,7 +52,7 @@ Route any sweep through the ``jobs`` knob::
 or from the command line::
 
     python -m repro evaluate --apps cnn google --schemes Interactive EBS --jobs 4
-    python -m repro bench --jobs 4     # writes results/BENCH_parallel.json
+    python -m repro bench --only parallel --jobs 4   # writes results/BENCH_parallel.json
 
 ``python -m repro bench`` records the serial-vs-parallel speedup (plus the
 machine's CPU count) in ``results/BENCH_parallel.json``; expect ~linear

@@ -194,7 +194,6 @@ class Simulator:
         learner: EventSequenceLearner | None = None,
         pes_config: PesConfig | None = None,
         jobs: int = 1,
-        chunk_size: int | None = None,
     ) -> dict[str, list[SessionResult]]:
         """Replay the same traces under several schemes.
 
@@ -206,9 +205,7 @@ class Simulator:
         if jobs != 1:
             from repro.runtime.parallel import ParallelEvaluator
 
-            evaluator = ParallelEvaluator(
-                setup=self.setup, catalog=self.catalog, jobs=jobs, chunk_size=chunk_size
-            )
+            evaluator = ParallelEvaluator(setup=self.setup, catalog=self.catalog, jobs=jobs)
             return evaluator.compare(traces, schemes, learner=learner, pes_config=pes_config)
         return {
             scheme: self.run_scheme(traces, scheme, learner=learner, pes_config=pes_config)

@@ -128,12 +128,6 @@ class ScenarioRunner:
 
     catalog: AppCatalog = field(default_factory=AppCatalog)
     jobs: int = 1
-    chunk_size: int | None = None
-    #: Pool-wide stall watchdog forwarded to
-    #: :class:`~repro.runtime.parallel.ParallelEvaluator` — seconds without
-    #: any worker finishing a job before the pool is torn down and the
-    #: unfinished jobs re-run serially in the parent.
-    job_timeout_s: float | None = None
     #: Traces per seen app used when a PES scenario needs a learner and the
     #: caller did not supply one.
     train_traces_per_app: int = 4
@@ -331,12 +325,7 @@ class ScenarioRunner:
             if learner is None and any("PES" in spec.schemes for spec in todo):
                 learner = self.train_learner()
             sweeps = [self.build_sweep(spec) for spec in todo]
-            evaluator = ParallelEvaluator(
-                catalog=self.catalog,
-                jobs=self.jobs,
-                chunk_size=self.chunk_size,
-                job_timeout_s=self.job_timeout_s,
-            )
+            evaluator = ParallelEvaluator(catalog=self.catalog, jobs=self.jobs)
             by_key = {spec.name: spec for spec in todo}
             cell_keys = {spec.name: _spec_key(spec.to_dict()) for spec in todo}
             precomputed: dict[tuple[str, str, int], SessionResult] = {}

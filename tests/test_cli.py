@@ -272,32 +272,29 @@ class TestScenariosCommand:
 
 
 class TestBenchCommand:
-    def test_quick_bench_writes_all_artefacts(self, tmp_path, capsys):
+    def test_quick_bench_writes_all_artefacts(self, tmp_path):
         code = main(["bench", "--quick", "--jobs", "2", "--results-dir", str(tmp_path)])
         assert code == 0
-        for name in ("solver", "compare", "parallel", "scenarios", "sweep", "thermal"):
-            path = tmp_path / f"BENCH_{name}.json"
-            assert path.exists(), f"missing {path.name}"
-            payload = json.loads(path.read_text())
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "BENCH_faults.json",
+            "BENCH_parallel.json",
+        ]
+        for name in ("parallel", "faults"):
+            payload = json.loads((tmp_path / f"BENCH_{name}.json").read_text())
             assert payload["name"] == name
             assert payload["ops_per_sec"] > 0
-        scenario_payload = json.loads((tmp_path / "BENCH_scenarios.json").read_text())
-        assert scenario_payload["matrix"] == "quick"
-        assert scenario_payload["n_scenarios"] == 2
-        sweep_payload = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-        assert sweep_payload["n_variants"] == 2
-        assert sweep_payload["n_scenarios"] == 2
-        thermal_payload = json.loads((tmp_path / "BENCH_thermal.json").read_text())
-        assert thermal_payload["matrix"] == "thermal_quick"
-        assert thermal_payload["throttle_residency"]
+        parallel_payload = json.loads((tmp_path / "BENCH_parallel.json").read_text())
+        assert parallel_payload["identical"] is True
+        faults_payload = json.loads((tmp_path / "BENCH_faults.json").read_text())
+        assert faults_payload["matrix"] == "faults_quick"
+        chaos = faults_payload["injection"]["exynos5410/default/core/chaos"]
+        assert chaos
+        assert sum(counts["injected"] for counts in chaos.values()) > 0
 
     def test_only_filter(self, tmp_path):
-        code = main(
-            ["bench", "--quick", "--only", "scenarios", "--results-dir", str(tmp_path)]
-        )
+        code = main(["bench", "--quick", "--only", "faults", "--results-dir", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "BENCH_scenarios.json").exists()
-        assert not (tmp_path / "BENCH_solver.json").exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["BENCH_faults.json"]
 
     def test_unknown_bench_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -319,7 +316,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command",
-        [["evaluate"], ["scenarios", "run"], ["scenarios", "sweep"], ["fleet", "run"]],
+        [["evaluate"], ["scenarios", "run"], ["scenarios", "sweep"], ["fleet", "run"], ["bench"]],
     )
     def test_negative_jobs_rejected_at_parse_time(self, command, capsys):
         # Regression: `--jobs -2` used to surface as a ValueError traceback

@@ -131,15 +131,8 @@ SURFACE = {
     },
     "bench": {
         "--results-dir": ("results_dir", None, None, None, None),
-        "--jobs": ("jobs", 4, None, None, "int"),
-        "--only": (
-            "only",
-            None,
-            ("solver", "compare", "parallel", "scenarios", "sweep", "thermal",
-             "faults", "fault_search", "fleet", "lint"),
-            "+",
-            None,
-        ),
+        "--jobs": ("jobs", 4, None, None, "_worker_count"),
+        "--only": ("only", None, ("parallel", "faults"), "+", None),
         "--quick": ("quick", False, None, 0, None),
     },
     "lint": {
