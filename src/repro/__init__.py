@@ -27,7 +27,6 @@ from repro.hardware import (
     Cluster,
     ClusterKind,
     DvfsModel,
-    EnergyMeter,
     PowerModel,
     PowerTable,
     SwitchingCosts,
@@ -92,7 +91,6 @@ __all__ = [
     "Cluster",
     "ClusterKind",
     "DvfsModel",
-    "EnergyMeter",
     "PowerModel",
     "PowerTable",
     "SwitchingCosts",

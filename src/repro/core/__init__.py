@@ -4,8 +4,8 @@
   sequence learner + DOM analysis).
 * :mod:`repro.core.optimizer` — global energy/QoS constrained optimisation
   of the speculative schedule (ILP formulation, Eqn. 2–5).
-* :mod:`repro.core.control` — pending frame buffer, commit/squash control
-  unit, and the event dispatcher.
+* :mod:`repro.core.control` — pending frame buffer and the commit/squash
+  control unit.
 * :mod:`repro.core.pes` — the :class:`~repro.core.pes.PesScheduler` facade
   that bundles the three components with their tuning parameters.
 """
@@ -20,7 +20,7 @@ from repro.core.predictor import (
     evaluate_accuracy,
 )
 from repro.core.optimizer import GlobalOptimizer, EventSpec, Schedule, Assignment
-from repro.core.control import PendingFrameBuffer, ControlUnit, EventDispatcher, SpeculativeFrame
+from repro.core.control import PendingFrameBuffer, ControlUnit, SpeculativeFrame
 
 __all__ = [
     "PesScheduler",
@@ -37,6 +37,5 @@ __all__ = [
     "Assignment",
     "PendingFrameBuffer",
     "ControlUnit",
-    "EventDispatcher",
     "SpeculativeFrame",
 ]

@@ -1,14 +1,11 @@
-"""PES control unit: pending frame buffer, commit/squash, event dispatch."""
+"""PES control unit: pending frame buffer and commit/squash."""
 
 from repro.core.control.pfb import PendingFrameBuffer, SpeculativeFrame
 from repro.core.control.control_unit import ControlUnit, MatchResult
-from repro.core.control.dispatcher import EventDispatcher, DispatchedExecution
 
 __all__ = [
     "PendingFrameBuffer",
     "SpeculativeFrame",
     "ControlUnit",
     "MatchResult",
-    "EventDispatcher",
-    "DispatchedExecution",
 ]

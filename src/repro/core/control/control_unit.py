@@ -3,9 +3,9 @@
 The control unit monitors actual user input events and compares them with
 the head of the predicted sequence.  A match commits the corresponding
 speculative frame from the Pending Frame Buffer to the application; a
-mismatch squashes every remaining speculative frame, terminates the
-dispatcher, and asks the predictor to restart.  After more than
-``disable_after`` consecutive mis-predictions the control unit disables
+mismatch squashes every remaining speculative frame and asks the predictor
+to restart (the engine drops the rest of the round's schedule).  After more
+than ``disable_after`` consecutive mis-predictions the control unit disables
 prediction altogether and PES falls back to the best reactive scheduler
 (EBS), which keeps PES robust against unexpected behaviour (Sec. 5.4).
 """

@@ -12,8 +12,11 @@ scheduler through a small protocol:
 
 * :meth:`start_round` — predict the next event sequence and compute the
   speculative schedule (called when no predictions are pending),
-* :meth:`on_actual_event` — validate an arriving event against the pending
-  predictions (match/mispredict/no-prediction),
+* :meth:`validate_event` — check an arriving event against the head of the
+  pending predictions (match/mispredict/no-prediction), followed by
+  :meth:`on_match` or :meth:`on_mispredict`,
+* :meth:`observe_event` — feed the ground-truth event to the predictor and
+  the arrival estimator,
 * the engine then executes the speculative or reactive plan and reports
   back via :meth:`record_execution`.
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.control.control_unit import ControlUnit, MatchResult
-from repro.core.control.dispatcher import EventDispatcher
 from repro.core.optimizer.optimizer import ArrivalEstimator, GlobalOptimizer, WorkloadEstimator
 from repro.core.optimizer.schedule import Schedule
 from repro.core.predictor.hybrid import HybridEventPredictor
@@ -56,6 +58,12 @@ class PesConfig:
             raise ValueError("max_prediction_degree must be positive")
         if self.disable_after_mispredictions <= 0:
             raise ValueError("disable_after_mispredictions must be positive")
+        # Checked here, not only by ArrivalEstimator/EbsScheduler, so a bad
+        # config fails at construction instead of after learner training.
+        if not 0.0 < self.arrival_conservatism <= 1.0:
+            raise ValueError("conservatism must be in (0, 1]")
+        if self.safety_margin_ms < 0:
+            raise ValueError("safety_margin_ms must be non-negative")
 
 
 @dataclass
@@ -65,11 +73,9 @@ class PesScheduler:
     predictor: HybridEventPredictor
     optimizer: GlobalOptimizer
     control: ControlUnit
-    dispatcher: EventDispatcher
     fallback: EbsScheduler
     config: PesConfig
     name: str = field(default="PES", init=False)
-    current_schedule: Schedule | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -109,7 +115,6 @@ class PesScheduler:
             predictor=predictor,
             optimizer=optimizer,
             control=control,
-            dispatcher=EventDispatcher(),
             fallback=EbsScheduler(safety_margin_ms=config.safety_margin_ms),
             config=config,
         )
@@ -141,8 +146,6 @@ class PesScheduler:
         schedule = self.optimizer.compute_schedule(
             now_ms, list(outstanding or []), predictions, system=system
         )
-        self.current_schedule = schedule
-        self.dispatcher.load(schedule)
         return schedule
 
     def pending_predictions(self) -> list[PredictedEvent]:
@@ -157,8 +160,6 @@ class PesScheduler:
 
     def on_mispredict(self, now_ms: float) -> None:
         self.control.handle_mispredict(now_ms)
-        self.dispatcher.stop()
-        self.current_schedule = None
 
     def observe_event(self, event: TraceEvent) -> None:
         """Feed ground truth to the predictor and the estimators."""
@@ -183,15 +184,13 @@ class PesScheduler:
         """Reset per-session state (new trace replay).
 
         Clears *everything* a replay mutates — predictor session state, the
-        control unit, the dispatcher, both optimizer estimators, and the EBS
-        fallback's calibration — so a scheduler instance reused across traces
+        control unit, both optimizer estimators, and the EBS fallback's
+        calibration — so a scheduler instance reused across traces
         (the per-app cache in :class:`~repro.runtime.simulator.Simulator`)
         behaves identically to a freshly constructed one.
         """
         self.predictor.reset()
         self.control.reset()
-        self.dispatcher.reset()
         self.optimizer.workload_estimator.reset()
         self.optimizer.arrival_estimator.reset()
         self.fallback.reset()
-        self.current_schedule = None

@@ -4,9 +4,10 @@ The paper deliberately chooses logistic regression over heavier temporal
 models (LSTMs): "the event sequence learner employs a set of logistic
 models, each of which estimates the probability of one possible next event
 through ln(p/(1-p)) = xβ".  :class:`LogisticRegression` is one such binary
-model; :class:`OneVsRestLogistic` is the set — one model per event class —
-whose per-class probabilities double as the prediction confidence values
-used by the confidence-threshold mechanism.
+model; :class:`OneVsRestLogistic` is the set — one model per event class.
+Training fits :class:`SoftmaxRegression`, their multinomial counterpart,
+whose calibrated class probabilities double as the prediction confidence
+values used by the confidence-threshold mechanism.
 """
 
 from __future__ import annotations

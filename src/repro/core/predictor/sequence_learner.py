@@ -1,8 +1,8 @@
 """Event sequence learner: recurrent next-event prediction with confidence.
 
 The learner estimates ``p(y1..yT' | x1..xT)`` one step at a time: every
-step builds a feature vector from the session state, asks the one-vs-rest
-logistic models for the probability of each candidate next event, predicts
+step builds a feature vector from the session state, asks the softmax
+model for the probability of each candidate next event, predicts
 the most likely one, and feeds the prediction back (by rolling the session
 state forward) to predict the following event.  Prediction stops when the
 *cumulative* confidence — the product of the per-step confidences — drops
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.predictor.dom_analysis import DomAnalyzer
 from repro.core.predictor.features import EventLabelEncoder, FeatureExtractor
-from repro.core.predictor.logistic import OneVsRestLogistic, SoftmaxRegression
+from repro.core.predictor.logistic import SoftmaxRegression
 from repro.traces.session_state import SessionState
 from repro.webapp.events import EventType
 
@@ -48,9 +48,9 @@ class PredictedEvent:
 
 @dataclass
 class EventSequenceLearner:
-    """Trained logistic models plus the recurrent prediction loop."""
+    """Trained softmax model plus the recurrent prediction loop."""
 
-    model: SoftmaxRegression | OneVsRestLogistic
+    model: SoftmaxRegression
     encoder: EventLabelEncoder = field(default_factory=EventLabelEncoder)
     extractor: FeatureExtractor = field(default_factory=FeatureExtractor)
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD

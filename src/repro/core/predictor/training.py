@@ -5,10 +5,10 @@ traces from all 12 training applications (so the statistical model is
 generic), then relies on the runtime DOM analysis to specialise it per
 application.  Training here replays each training trace through a
 :class:`~repro.traces.session_state.SessionState`, collects
-(feature vector, next event) pairs, and fits the one-vs-rest logistic
-models.  :func:`evaluate_accuracy` reproduces the Fig. 8 metric: the
-percentage of events whose type is predicted correctly, teacher-forced over
-held-out traces.
+(feature vector, next event) pairs, fits the multinomial softmax model and
+calibrates its confidence.  :func:`evaluate_accuracy` reproduces the Fig. 8
+metric: the percentage of events whose type is predicted correctly,
+teacher-forced over held-out traces.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.predictor.dom_analysis import DomAnalyzer
 from repro.core.predictor.features import EventLabelEncoder, FeatureExtractor
-from repro.core.predictor.logistic import OneVsRestLogistic, SoftmaxRegression
+from repro.core.predictor.logistic import SoftmaxRegression
 from repro.core.predictor.sequence_learner import (
     DEFAULT_CONFIDENCE_THRESHOLD,
     EventSequenceLearner,
@@ -41,20 +41,14 @@ class TrainingResult:
 
 @dataclass
 class PredictorTrainer:
-    """Builds the training dataset from traces and fits the logistic models."""
+    """Builds the training dataset from traces and fits the softmax model."""
 
     catalog: AppCatalog = field(default_factory=AppCatalog)
     encoder: EventLabelEncoder = field(default_factory=EventLabelEncoder)
     extractor: FeatureExtractor = field(default_factory=FeatureExtractor)
-    #: "softmax" (multinomial, default) or "ovr" (strict one-vs-rest binary
-    #: logistic models); see :mod:`repro.core.predictor.logistic`.
-    model_kind: str = "softmax"
     learning_rate: float = 0.5
     max_iterations: int = 2000
     l2: float = 1e-4
-    #: Calibrate the softmax temperature after fitting so that prediction
-    #: confidence tracks accuracy (drives the prediction degree).
-    calibrate_confidence: bool = True
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
 
     def build_dataset(self, traces: TraceSet) -> tuple[np.ndarray, np.ndarray]:
@@ -77,30 +71,22 @@ class PredictorTrainer:
             raise ValueError("the trace set produced no training samples")
         return np.vstack(feature_rows), np.array(labels, dtype=int)
 
-    def _make_model(self):
-        if self.model_kind == "softmax":
-            return SoftmaxRegression(
-                n_classes=self.encoder.n_classes,
-                learning_rate=self.learning_rate,
-                max_iterations=self.max_iterations,
-                l2=self.l2,
-            )
-        if self.model_kind == "ovr":
-            return OneVsRestLogistic(
-                n_classes=self.encoder.n_classes,
-                learning_rate=self.learning_rate,
-                max_iterations=self.max_iterations,
-                l2=self.l2,
-            )
-        raise ValueError(f"unknown model_kind {self.model_kind!r}; use 'softmax' or 'ovr'")
-
     def train(self, traces: TraceSet) -> TrainingResult:
-        """Fit the logistic event-sequence model on the given traces."""
+        """Fit the softmax event-sequence model on the given traces.
+
+        After fitting, the softmax temperature is calibrated so that
+        prediction confidence tracks accuracy (it drives the prediction
+        degree).
+        """
         features, labels = self.build_dataset(traces)
-        model = self._make_model()
+        model = SoftmaxRegression(
+            n_classes=self.encoder.n_classes,
+            learning_rate=self.learning_rate,
+            max_iterations=self.max_iterations,
+            l2=self.l2,
+        )
         model.fit(features, labels)
-        if self.calibrate_confidence and hasattr(model, "calibrate_temperature"):
-            model.calibrate_temperature(features, labels)
+        model.calibrate_temperature(features, labels)
         learner = EventSequenceLearner(
             model=model,
             encoder=self.encoder,

@@ -179,34 +179,6 @@ class FleetSpec:
             "slice_by": list(self.slice_by),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FleetSpec":
-        return cls(
-            name=payload["name"],
-            size=int(payload["size"]),
-            seed=int(payload["seed"]),
-            variants=tuple(
-                (PlatformVariant(**fields), float(weight))
-                for fields, weight in payload["variants"]
-            ),
-            regimes=tuple((str(r), float(w)) for r, w in payload["regimes"]),
-            app_mixes=tuple((str(m), float(w)) for m, w in payload["app_mixes"]),
-            thermals=tuple(
-                (str(t) if t is not None else None, float(w))
-                for t, w in payload["thermals"]
-            ),
-            ambients=tuple((float(a), float(w)) for a, w in payload["ambients"]),
-            faults=tuple(
-                (str(f) if f is not None else None, float(w))
-                for f, w in payload["faults"]
-            ),
-            apps_per_device=int(payload["apps_per_device"]),
-            traces_per_app=int(payload["traces_per_app"]),
-            schemes=tuple(payload["schemes"]),
-            thermal_mode=str(payload["thermal_mode"]),
-            slice_by=tuple(payload["slice_by"]),
-        )
-
 
 @dataclass(frozen=True)
 class Device:

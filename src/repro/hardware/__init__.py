@@ -9,7 +9,7 @@ latency/power models, which is the same interface the real system exposes.
 from repro.hardware.acmp import AcmpConfig, Cluster, ClusterKind, AcmpSystem
 from repro.hardware.dvfs import DvfsModel, calibrate_two_point
 from repro.hardware.power import PowerModel, PowerTable
-from repro.hardware.energy import EnergyMeter, EnergyRecord, SwitchingCosts
+from repro.hardware.energy import SwitchingCosts
 from repro.hardware.platforms import (
     exynos_5410,
     tegra_parker,
@@ -34,8 +34,6 @@ __all__ = [
     "calibrate_two_point",
     "PowerModel",
     "PowerTable",
-    "EnergyMeter",
-    "EnergyRecord",
     "SwitchingCosts",
     "exynos_5410",
     "tegra_parker",

@@ -1,17 +1,17 @@
-"""Energy accounting — the simulator's stand-in for the DAQ measurement rig.
+"""Fixed costs of changing the hardware configuration.
 
 The paper measures processor energy with current-sense resistors sampled at
-1 kHz.  In the simulator, energy is accounted per execution interval from
-the power table (active power during event execution, idle power otherwise)
-plus fixed costs for DVFS transitions and core migrations.
+1 kHz.  In the simulator, the engines (:mod:`repro.runtime.engine`) account
+energy per execution interval from the power table (active power during
+event execution, idle power otherwise) plus the fixed costs for DVFS
+transitions and core migrations defined here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hardware.acmp import AcmpConfig
-from repro.hardware.power import PowerTable
 
 
 @dataclass(frozen=True)
@@ -36,71 +36,3 @@ class SwitchingCosts:
         if old.frequency_mhz != new.frequency_mhz or old.cluster_name != new.cluster_name:
             cost += self.frequency_switch_ms
         return cost
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Energy consumed by one accounted interval."""
-
-    label: str
-    config: AcmpConfig | None
-    duration_ms: float
-    energy_mj: float
-    wasted: bool = False
-
-
-@dataclass
-class EnergyMeter:
-    """Accumulates energy over a simulated session.
-
-    ``wasted`` intervals correspond to speculative work that was eventually
-    squashed on a mis-prediction; they are included in the total (the
-    hardware really spent that energy) but reported separately so the
-    mis-prediction overhead of Fig. 10 / Sec. 6.3 can be recovered.
-    """
-
-    power_table: PowerTable
-    records: list[EnergyRecord] = field(default_factory=list)
-
-    def record_active(
-        self,
-        label: str,
-        config: AcmpConfig,
-        duration_ms: float,
-        *,
-        wasted: bool = False,
-    ) -> EnergyRecord:
-        if duration_ms < 0:
-            raise ValueError("duration must be non-negative")
-        power_w = self.power_table.power_w(config)
-        energy_mj = power_w * duration_ms  # W * ms == mJ
-        record = EnergyRecord(label, config, duration_ms, energy_mj, wasted)
-        self.records.append(record)
-        return record
-
-    def record_idle(self, label: str, duration_ms: float) -> EnergyRecord:
-        if duration_ms < 0:
-            raise ValueError("duration must be non-negative")
-        energy_mj = self.power_table.idle_w * duration_ms
-        record = EnergyRecord(label, None, duration_ms, energy_mj, wasted=False)
-        self.records.append(record)
-        return record
-
-    @property
-    def total_energy_mj(self) -> float:
-        return sum(r.energy_mj for r in self.records)
-
-    @property
-    def wasted_energy_mj(self) -> float:
-        return sum(r.energy_mj for r in self.records if r.wasted)
-
-    @property
-    def active_energy_mj(self) -> float:
-        return sum(r.energy_mj for r in self.records if r.config is not None)
-
-    @property
-    def idle_energy_mj(self) -> float:
-        return sum(r.energy_mj for r in self.records if r.config is None)
-
-    def reset(self) -> None:
-        self.records.clear()

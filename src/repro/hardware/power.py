@@ -11,9 +11,7 @@ cores at equal frequency).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 from repro.hardware.acmp import AcmpConfig, AcmpSystem, Cluster, ClusterKind
@@ -72,37 +70,6 @@ class PowerTable:
 
     def __contains__(self, config: AcmpConfig) -> bool:
         return config in self.active_w
-
-    def to_json(self) -> str:
-        """Serialise the table, mirroring the paper's persisted power file."""
-        payload = {
-            "idle_w": self.idle_w,
-            "entries": [
-                {
-                    "cluster": cfg.cluster_name,
-                    "frequency_mhz": cfg.frequency_mhz,
-                    "power_w": watts,
-                }
-                for cfg, watts in sorted(self.active_w.items())
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PowerTable":
-        payload = json.loads(text)
-        entries = {
-            AcmpConfig(item["cluster"], int(item["frequency_mhz"])): float(item["power_w"])
-            for item in payload["entries"]
-        }
-        return cls(active_w=entries, idle_w=float(payload.get("idle_w", 0.14)))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PowerTable":
-        return cls.from_json(Path(path).read_text())
 
 
 @dataclass

@@ -163,27 +163,6 @@ class ThermalModel:
                 return capped
         return system.with_frequency_cap(caps[-1])
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "curve": [[float(t), int(cap)] for t, cap in self.curve],
-            "ambient_c": self.ambient_c,
-            "time_constant_s": self.time_constant_s,
-            "c_per_watt": self.c_per_watt,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ThermalModel":
-        return cls(
-            name=payload["name"],
-            curve=tuple((float(t), int(cap)) for t, cap in payload["curve"]),
-            ambient_c=float(payload.get("ambient_c", 25.0)),
-            time_constant_s=float(payload.get("time_constant_s", 45.0)),
-            c_per_watt=float(payload.get("c_per_watt", 12.0)),
-            description=payload.get("description", ""),
-        )
-
 
 @dataclass
 class ThermalState:

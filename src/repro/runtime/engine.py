@@ -541,7 +541,13 @@ class ReactiveEngine:
 
 @dataclass
 class ProactiveEngine:
-    """Replays a trace under PES (speculative, prediction-driven)."""
+    """Replays a trace under PES (speculative, prediction-driven).
+
+    The engine dispatches each round's speculative schedule itself, from its
+    ``pending`` queue of (prediction, assignment) pairs.  Speculative frames
+    make no network requests (paper Sec. 5.3), and the engine models no
+    network I/O.
+    """
 
     config: EngineConfig
 
@@ -741,27 +747,18 @@ class ProactiveEngine:
 class OracleEngine:
     """Replays a trace with a priori knowledge of the whole event sequence.
 
-    ``default_lookahead_events`` bounds the planning window used when the
-    :class:`OracleScheduler` does not pin one itself: solving the whole trace
-    as a single DP instance grows super-linearly with trace length while the
-    extra lookahead stops paying for itself after a few dozen events (events
-    that far apart no longer interfere).  Set it to ``None`` to recover the
-    unbounded whole-trace solve.
+    The planning window comes from :attr:`OracleScheduler.lookahead_events`.
     """
 
     config: EngineConfig
     safety_margin_ms: float = 8.0
     dp_bucket_ms: float = 1.0
-    #: Planning window (in events) used when the scheduler does not set one.
-    default_lookahead_events: int | None = 48
 
     def __post_init__(self) -> None:
         if self.dp_bucket_ms <= 0:
             raise ValueError("dp_bucket_ms must be positive")
         if self.safety_margin_ms < 0:
             raise ValueError("safety_margin_ms must be non-negative")
-        if self.default_lookahead_events is not None and self.default_lookahead_events <= 0:
-            raise ValueError("default_lookahead_events must be positive or None")
 
     def run(self, trace: Trace, oracle: OracleScheduler | None = None) -> SessionResult:
         oracle = oracle or OracleScheduler()
@@ -774,9 +771,7 @@ class OracleEngine:
         previous_config: AcmpConfig | None = None
         clock = 0.0
         index = 0
-        chunk_size = (
-            oracle.lookahead_events or self.default_lookahead_events or len(events) or 1
-        )
+        chunk_size = oracle.lookahead_events or len(events) or 1
 
         while index < len(events):
             chunk = events[index : index + chunk_size]

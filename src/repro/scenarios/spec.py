@@ -417,58 +417,3 @@ class ScenarioMatrix:
                 )
             )
         return self.cross_faults(specs, self.fault_specs)
-
-    # -- serialisation ----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        payload = {
-            "name": self.name,
-            "platforms": list(self.platforms) if self.platforms is not None else None,
-            "regimes": list(self.regimes),
-            "app_mixes": list(self.app_mixes),
-            "schemes": list(self.schemes),
-            "pes_configs": [
-                asdict(pes) if pes is not None else None for pes in self.pes_configs
-            ],
-            "platform_sweep": (
-                self.platform_sweep.to_dict() if self.platform_sweep is not None else None
-            ),
-            "traces_per_app": self.traces_per_app,
-            "seed": self.seed,
-        }
-        if self.thermal_mode != "static":
-            # Same conditional emission as ScenarioSpec: pre-thermal payloads
-            # keep their exact byte shape, from_dict defaults to "static".
-            payload["thermal_mode"] = self.thermal_mode
-        if self.fault_specs != (None,):
-            payload["fault_specs"] = [
-                fault.to_dict() if fault is not None else None
-                for fault in self.fault_specs
-            ]
-        payload["description"] = self.description
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ScenarioMatrix":
-        sweep = payload.get("platform_sweep")
-        platforms = payload.get("platforms")
-        return cls(
-            name=payload["name"],
-            platforms=tuple(platforms) if platforms is not None else None,
-            regimes=tuple(payload.get("regimes", ("default",))),
-            app_mixes=tuple(payload.get("app_mixes", ("core",))),
-            schemes=tuple(payload.get("schemes", ("Interactive", "EBS", "PES"))),
-            pes_configs=tuple(
-                PesConfig(**pes) if pes is not None else None
-                for pes in payload.get("pes_configs", (None,))
-            ),
-            fault_specs=tuple(
-                FaultSpec.from_dict(fault) if fault is not None else None
-                for fault in payload.get("fault_specs", (None,))
-            ),
-            platform_sweep=PlatformSweep.from_dict(sweep) if sweep is not None else None,
-            traces_per_app=int(payload.get("traces_per_app", 1)),
-            seed=int(payload.get("seed", 500_000)),
-            thermal_mode=payload.get("thermal_mode", "static"),
-            description=payload.get("description", ""),
-        )

@@ -5,9 +5,9 @@ Every scenario before this module named one of two fixed SoCs.  A
 base platform, big/little core counts, the little cluster's relative IPC
 (``perf_scale``), and a thermal throttling curve
 (:mod:`repro.hardware.thermal`) — into :class:`PlatformVariant` cells.
-Each variant derives a concrete :class:`~repro.hardware.acmp.AcmpSystem`
-via :func:`~repro.hardware.platforms.derive_platform` plus
-:meth:`~repro.hardware.thermal.ThermalModel.constrain`, and labels itself
+Each variant derives its :class:`~repro.hardware.acmp.AcmpSystem` via
+:func:`~repro.hardware.platforms.derive_platform` (the scenario spec then
+applies the regime's cap and the thermal curve), and labels itself
 (``exynos5410+b2+ps0.3+th.passive_phone``) so swept matrix cells stay
 unique and self-describing — the label is what keys worker-local simulator
 caches in :meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix`,
@@ -77,64 +77,21 @@ class PlatformVariant:
             tokens.append(f"th.{self.thermal}")
         return "+".join(tokens)
 
-    @property
-    def is_base_platform(self) -> bool:
-        return (
-            self.big_cores is None
-            and self.little_cores is None
-            and self.perf_scale is None
-            and self.thermal is None
-        )
-
     def thermal_model(self) -> ThermalModel | None:
         return get_thermal_model(self.thermal) if self.thermal is not None else None
 
     def derived_system(self) -> AcmpSystem:
         """The base platform with the parameter overrides applied (no thermal).
 
-        This is the single derivation path: :meth:`ScenarioSpec.system`
-        composes it with the regime's cap and the thermal throttle, and
-        :meth:`system` composes it with the thermal throttle alone.
+        :meth:`ScenarioSpec.system <repro.scenarios.spec.ScenarioSpec.system>`,
+        the one composition path, applies the regime's cap and the thermal
+        throttle on top of it.
         """
         return derive_platform(
             get_platform(self.platform),
             big_cores=self.big_cores,
             little_cores=self.little_cores,
             little_perf_scale=self.perf_scale,
-        )
-
-    def system(self, *, thermal_dwell_s: float | None = None) -> AcmpSystem:
-        """Derive the concrete platform (thermal throttle applied last).
-
-        ``thermal_dwell_s`` bounds the heat-up time (a session's length):
-        short sessions never reach the steady-state temperature, so the
-        same curve throttles a marathon harder than a flash-crowd burst.
-        """
-        system = self.derived_system()
-        model = self.thermal_model()
-        if model is not None:
-            system = model.constrain(system, dwell_s=thermal_dwell_s)
-        return system
-
-    # -- serialisation ----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "platform": self.platform,
-            "big_cores": self.big_cores,
-            "little_cores": self.little_cores,
-            "perf_scale": self.perf_scale,
-            "thermal": self.thermal,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PlatformVariant":
-        return cls(
-            platform=payload.get("platform", "exynos5410"),
-            big_cores=payload.get("big_cores"),
-            little_cores=payload.get("little_cores"),
-            perf_scale=payload.get("perf_scale"),
-            thermal=payload.get("thermal"),
         )
 
 
@@ -220,27 +177,6 @@ class PlatformSweep:
             seen.add(variant)
             variants.append(variant)
         return variants
-
-    # -- serialisation ----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "platforms": list(self.platforms),
-            "big_core_counts": list(self.big_core_counts),
-            "little_core_counts": list(self.little_core_counts),
-            "perf_scales": list(self.perf_scales),
-            "thermal_models": list(self.thermal_models),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PlatformSweep":
-        return cls(
-            platforms=tuple(payload.get("platforms", ("exynos5410",))),
-            big_core_counts=tuple(payload.get("big_core_counts", (None,))),
-            little_core_counts=tuple(payload.get("little_core_counts", (None,))),
-            perf_scales=tuple(payload.get("perf_scales", (None,))),
-            thermal_models=tuple(payload.get("thermal_models", (None,))),
-        )
 
 
 __all__ = ["PlatformSweep", "PlatformVariant", "list_thermal_models"]

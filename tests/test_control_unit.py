@@ -1,14 +1,11 @@
-"""Unit tests for the PFB, the control unit, and the dispatcher."""
+"""Unit tests for the PFB and the control unit."""
 
 import pytest
 
 from repro.core.control.control_unit import ControlUnit, MatchResult
-from repro.core.control.dispatcher import EventDispatcher
 from repro.core.control.pfb import PendingFrameBuffer, SpeculativeFrame
-from repro.core.optimizer.schedule import Assignment, EventSpec, Schedule
 from repro.core.predictor.sequence_learner import PredictedEvent
 from repro.hardware.acmp import AcmpConfig
-from repro.schedulers.base import ConfigOption
 from repro.webapp.events import EventType
 
 
@@ -27,19 +24,6 @@ def frame(sequence: int, event_type: EventType = EventType.CLICK, ready: float =
 
 def predicted(event_type: EventType) -> PredictedEvent:
     return PredictedEvent(event_type=event_type, confidence=0.9, cumulative_confidence=0.9, node_id="n")
-
-
-def tiny_schedule(n: int = 2) -> Schedule:
-    option = ConfigOption(config=AcmpConfig("A15", 1000), latency_ms=50.0, power_w=1.0)
-    assignments = []
-    clock = 0.0
-    for i in range(n):
-        spec = EventSpec(
-            label=f"predicted-{i}", release_ms=0.0, deadline_ms=10_000.0, options=(option,), speculative=True
-        )
-        assignments.append(Assignment(spec=spec, option=option, start_ms=clock, finish_ms=clock + 50.0))
-        clock += 50.0
-    return Schedule(assignments=tuple(assignments), feasible=True)
 
 
 class TestPendingFrameBuffer:
@@ -151,37 +135,3 @@ class TestControlUnit:
         assert control.mispredictions == 0
         assert not control.has_pending
 
-
-class TestDispatcher:
-    def test_issues_in_order(self):
-        dispatcher = EventDispatcher()
-        dispatcher.load(tiny_schedule(2))
-        first = dispatcher.issue_next()
-        second = dispatcher.issue_next()
-        assert first.assignment.spec.label == "predicted-0"
-        assert second.assignment.spec.label == "predicted-1"
-        assert not dispatcher.has_next
-
-    def test_speculative_executions_suppress_network(self):
-        dispatcher = EventDispatcher()
-        dispatcher.load(tiny_schedule(1))
-        execution = dispatcher.issue_next()
-        assert execution.is_speculative
-        assert execution.network_suppressed
-
-    def test_stop_blocks_further_issue(self):
-        dispatcher = EventDispatcher()
-        dispatcher.load(tiny_schedule(2))
-        dispatcher.issue_next()
-        dispatcher.stop()
-        assert not dispatcher.has_next
-        with pytest.raises(LookupError):
-            dispatcher.issue_next()
-        assert len(dispatcher.remaining()) == 1
-
-    def test_reset_clears_schedule(self):
-        dispatcher = EventDispatcher()
-        dispatcher.load(tiny_schedule(1))
-        dispatcher.reset()
-        assert not dispatcher.has_next
-        assert dispatcher.remaining() == []

@@ -5,6 +5,7 @@ import pytest
 from repro.core.control.control_unit import MatchResult
 from repro.core.pes import PesConfig, PesScheduler
 from repro.hardware.dvfs import DvfsModel
+from repro.scenarios import ScenarioSpec
 from repro.traces.trace import TraceEvent
 from repro.webapp.events import EventType
 
@@ -37,6 +38,29 @@ class TestPesConfig:
             PesConfig(max_prediction_degree=0)
         with pytest.raises(ValueError):
             PesConfig(disable_after_mispredictions=0)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("safety_margin_ms", -5.0, "safety_margin_ms must be non-negative"),
+            ("arrival_conservatism", 0.0, "conservatism must be in"),
+            ("arrival_conservatism", 1.5, "conservatism must be in"),
+        ],
+    )
+    def test_replay_only_values_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PesConfig(**{field: value})
+
+    def test_scenario_payload_with_bad_pes_config_fails_to_load(self):
+        payload = ScenarioSpec(name="x", pes=PesConfig()).to_dict()
+        payload["pes"]["safety_margin_ms"] = -5.0
+        with pytest.raises(ValueError, match="safety_margin_ms"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_boundary_values_accepted(self):
+        config = PesConfig(safety_margin_ms=0.0, arrival_conservatism=1.0)
+        assert config.safety_margin_ms == 0.0
+        assert config.arrival_conservatism == 1.0
 
     def test_defaults_match_paper(self):
         config = PesConfig()
@@ -84,7 +108,6 @@ class TestPesScheduler:
             pes.on_mispredict(1500.0)
             assert not pes.control.has_pending
             assert pes.mispredictions == 1
-            assert pes.current_schedule is None
 
     def test_cannot_start_round_while_pending(self, pes):
         pes.observe_event(event(0, EventType.LOAD, 0.0))

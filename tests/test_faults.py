@@ -494,18 +494,6 @@ class TestFaultAggregation:
         ]
         assert specs[0].faults is None
         assert specs[1].faults == get_fault_preset("chaos")
-        # Matrix serialisation carries the axis...
-        rebuilt = ScenarioMatrix.from_dict(json.loads(json.dumps(matrix.to_dict())))
-        assert rebuilt == matrix
-        # ...but a fault-free matrix keeps its pre-fault byte shape.
-        clean = ScenarioMatrix(
-            name="m",
-            platforms=("exynos5410",),
-            regimes=("default",),
-            app_mixes=("core",),
-            schemes=("Interactive",),
-        )
-        assert "fault_specs" not in clean.to_dict()
 
     def test_duplicate_fault_labels_rejected(self):
         with pytest.raises(ValueError):

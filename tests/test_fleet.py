@@ -59,13 +59,6 @@ class TestFleetSpec:
         with pytest.raises(KeyError, match="unknown fleet"):
             get_fleet_preset("nope")
 
-    def test_round_trips_through_dict(self):
-        spec = get_fleet_preset("default")
-        assert FleetSpec.from_dict(spec.to_dict()) == spec
-        assert FleetSpec.from_dict(
-            json.loads(json.dumps(spec.to_dict()))
-        ) == spec
-
     @pytest.mark.parametrize(
         "overrides, message",
         [

@@ -1,21 +1,9 @@
-"""Unit tests for energy accounting and switching costs."""
+"""Unit tests for hardware switching costs."""
 
 import pytest
 
 from repro.hardware.acmp import AcmpConfig
-from repro.hardware.energy import EnergyMeter, SwitchingCosts
-from repro.hardware.platforms import exynos_5410
-from repro.hardware.power import PowerModel
-
-
-@pytest.fixture
-def table():
-    return PowerModel().build_table(exynos_5410())
-
-
-@pytest.fixture
-def meter(table):
-    return EnergyMeter(power_table=table)
+from repro.hardware.energy import SwitchingCosts
 
 
 class TestSwitchingCosts:
@@ -38,36 +26,3 @@ class TestSwitchingCosts:
         cost = costs.switch_latency_ms(AcmpConfig("A15", 800), AcmpConfig("A7", 500))
         assert cost == pytest.approx(0.12)
 
-
-class TestEnergyMeter:
-    def test_active_energy_is_power_times_time(self, meter, table):
-        config = AcmpConfig("A15", 1800)
-        record = meter.record_active("event", config, 100.0)
-        assert record.energy_mj == pytest.approx(table.power_w(config) * 100.0)
-
-    def test_idle_energy_uses_idle_power(self, meter, table):
-        record = meter.record_idle("gap", 1000.0)
-        assert record.energy_mj == pytest.approx(table.idle_w * 1000.0)
-
-    def test_totals_split_active_idle_wasted(self, meter):
-        config = AcmpConfig("A7", 600)
-        meter.record_active("useful", config, 50.0)
-        meter.record_active("squashed", config, 20.0, wasted=True)
-        meter.record_idle("gap", 10.0)
-        assert meter.total_energy_mj == pytest.approx(
-            meter.active_energy_mj + meter.idle_energy_mj
-        )
-        assert meter.wasted_energy_mj > 0
-        assert meter.wasted_energy_mj < meter.active_energy_mj
-
-    def test_negative_duration_rejected(self, meter):
-        with pytest.raises(ValueError):
-            meter.record_active("bad", AcmpConfig("A7", 600), -1.0)
-        with pytest.raises(ValueError):
-            meter.record_idle("bad", -1.0)
-
-    def test_reset_clears_records(self, meter):
-        meter.record_idle("gap", 10.0)
-        meter.reset()
-        assert meter.total_energy_mj == 0.0
-        assert meter.records == []

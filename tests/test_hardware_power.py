@@ -1,4 +1,4 @@
-"""Unit tests for the power model and the persisted power table."""
+"""Unit tests for the power model and the power lookup table."""
 
 import pytest
 
@@ -61,19 +61,6 @@ class TestPowerModel:
 
 
 class TestPowerTablePersistence:
-    def test_json_round_trip(self, table):
-        restored = PowerTable.from_json(table.to_json())
-        assert restored.idle_w == pytest.approx(table.idle_w)
-        assert set(restored.active_w) == set(table.active_w)
-        for config, watts in table.active_w.items():
-            assert restored.power_w(config) == pytest.approx(watts)
-
-    def test_save_and_load_file(self, table, tmp_path):
-        path = tmp_path / "power.json"
-        table.save(path)
-        restored = PowerTable.load(path)
-        assert len(restored.active_w) == len(table.active_w)
-
     def test_rejects_nonpositive_entries(self, system):
         with pytest.raises(ValueError):
             PowerTable(active_w={AcmpConfig("A15", 800): 0.0})

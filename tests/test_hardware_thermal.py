@@ -206,7 +206,3 @@ class TestRegistry:
     def test_unknown_name_raises_with_choices(self):
         with pytest.raises(KeyError, match="available"):
             get_thermal_model("liquid_nitrogen")
-
-    def test_round_trip_through_dict(self):
-        for model in THERMAL_MODELS.values():
-            assert ThermalModel.from_dict(model.to_dict()) == model

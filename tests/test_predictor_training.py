@@ -34,17 +34,6 @@ class TestTraining:
         assert trained.n_samples == sum(len(t) - 1 for t in training_traces)
         assert sum(trained.class_counts.values()) == trained.n_samples
 
-    def test_unknown_model_kind_rejected(self, catalog, training_traces):
-        trainer = PredictorTrainer(catalog=catalog, model_kind="forest")
-        with pytest.raises(ValueError):
-            trainer.train(training_traces)
-
-    def test_ovr_model_kind_trains(self, catalog, generator):
-        small = generator.generate_many(["cnn", "bbc"], 1, base_seed=5)
-        trainer = PredictorTrainer(catalog=catalog, model_kind="ovr", max_iterations=200)
-        result = trainer.train(small)
-        assert result.learner.model.is_fitted
-
 
 class TestAccuracy:
     def test_accuracy_well_above_chance_on_seen_apps(self, learner, catalog, generator):

@@ -2,7 +2,7 @@
 
 Pins three families of invariants the sweep subsystem rests on:
 
-* serialisation — ``ScenarioSpec`` / ``ScenarioMatrix`` survive a real
+* serialisation — a ``ScenarioSpec`` survives a real
   ``json.dumps``/``json.loads`` round trip losslessly for *arbitrary*
   valid values, not just the built-in library,
 * expansion — a matrix always expands to exactly its axis product, with
@@ -131,12 +131,6 @@ class TestSerialisationProperties:
     def test_spec_json_round_trip_is_lossless(self, spec):
         payload = json.loads(json.dumps(spec.to_dict()))
         assert ScenarioSpec.from_dict(payload) == spec
-
-    @given(matrix=matrices)
-    @settings(max_examples=60, deadline=None)
-    def test_matrix_json_round_trip_is_lossless(self, matrix):
-        payload = json.loads(json.dumps(matrix.to_dict()))
-        assert ScenarioMatrix.from_dict(payload) == matrix
 
 
 class TestExpansionProperties:

@@ -185,12 +185,9 @@ class TestOracleEngine:
         bounded per-window solve cost.  A 12-event window chunks the 39-event
         sample trace into four DP instances; the energy stays within a small
         tolerance of the whole-trace solve and QoS does not regress."""
-        unbounded = OracleEngine(engine_config, default_lookahead_events=None).run(
-            sample_trace, OracleScheduler()
-        )
-        chunked = OracleEngine(engine_config, default_lookahead_events=12).run(
-            sample_trace, OracleScheduler()
-        )
+        engine = OracleEngine(engine_config)
+        unbounded = engine.run(sample_trace, OracleScheduler(lookahead_events=None))
+        chunked = engine.run(sample_trace, OracleScheduler(lookahead_events=12))
         assert chunked.total_energy_mj >= unbounded.total_energy_mj * 0.999
         assert chunked.total_energy_mj <= unbounded.total_energy_mj * 1.02
         assert chunked.qos_violation_rate <= max(unbounded.qos_violation_rate, 0.05)
@@ -208,6 +205,6 @@ class TestOracleEngine:
         with pytest.raises(ValueError, match="safety_margin_ms"):
             OracleEngine(engine_config, safety_margin_ms=-0.5)
 
-    def test_rejects_non_positive_default_lookahead(self, engine_config):
-        with pytest.raises(ValueError, match="default_lookahead_events"):
-            OracleEngine(engine_config, default_lookahead_events=0)
+    def test_rejects_non_positive_default_lookahead(self):
+        with pytest.raises(ValueError, match="lookahead_events"):
+            OracleScheduler(lookahead_events=0)

@@ -84,5 +84,6 @@ class TestOracleMarker:
     def test_lookahead_validation(self):
         with pytest.raises(ValueError):
             OracleScheduler(lookahead_events=0)
-        assert OracleScheduler().lookahead_events is None
+        assert OracleScheduler().lookahead_events == 48
+        assert OracleScheduler(lookahead_events=None).lookahead_events is None
         assert OracleScheduler().name == "Oracle"
