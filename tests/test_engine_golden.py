@@ -18,11 +18,15 @@ retuned.  When a change intentionally moves the numbers, regenerate and
 commit::
 
     PYTHONPATH=src python tests/test_engine_golden.py --regenerate
+
+``--regenerate`` prints how far each field moved (``tests/golden.py``'s
+drift report) before it writes; a regenerating commit quotes that report.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -34,6 +38,8 @@ from repro.runtime.metrics import SessionResult
 from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
 from repro.traces.generator import TraceGenerator
 from repro.webapp.apps import AppCatalog
+
+from golden import assert_matches_golden, regenerate_main
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "ENGINE_golden.json"
 
@@ -63,8 +69,10 @@ def thermal_model(name: str | None) -> ThermalModel | None:
     return dataclasses.replace(get_thermal_model(name), ambient_c=THERMAL_AMBIENT_C)
 
 
-def replay_payload() -> dict:
-    """Replay the golden grid and return its JSON payload."""
+@functools.cache
+def replay_cells() -> dict[str, list[SessionResult]]:
+    """Replay the golden grid once per process: each cell's sessions, keyed
+    ``scheme/thermal/faults``."""
     catalog = AppCatalog()
     generator = TraceGenerator(catalog=catalog)
     seen = [profile.name for profile in catalog.seen()]
@@ -74,7 +82,7 @@ def replay_payload() -> dict:
         .learner
     )
     traces = [generator.generate(app, seed=seed) for app, seed in TRACES]
-    cells: dict[str, list[dict]] = {}
+    cells: dict[str, list[SessionResult]] = {}
     for thermal in THERMAL_MODELS:
         for faults in FAULT_PRESETS:
             setup = SimulationSetup(
@@ -83,10 +91,18 @@ def replay_payload() -> dict:
             )
             simulator = Simulator(setup=setup, catalog=catalog)
             for scheme in KNOWN_SCHEMES:
-                results = simulator.run_scheme(traces, scheme, learner=learner)
-                cells[f"{scheme}/{thermal or 'none'}/{faults or 'none'}"] = [
-                    session_payload(result) for result in results
-                ]
+                cells[f"{scheme}/{thermal or 'none'}/{faults or 'none'}"] = (
+                    simulator.run_scheme(traces, scheme, learner=learner)
+                )
+    return cells
+
+
+def replay_payload() -> dict:
+    """Replay the golden grid and return its JSON payload."""
+    cells = {
+        key: [session_payload(result) for result in results]
+        for key, results in replay_cells().items()
+    }
     payload = {"traces": [list(trace) for trace in TRACES], "cells": cells}
     return json.loads(json.dumps(payload))
 
@@ -102,36 +118,8 @@ class TestEngineGoldenArtefact:
             assert {s["scheduler_name"] for s in sessions} == {key.split("/")[0]}
 
     def test_replay_matches_golden_bit_for_bit(self):
-        from test_scenarios_golden import _describe_drift
-
-        expected = json.loads(GOLDEN_PATH.read_text())
-        actual = replay_payload()
-        if actual != expected:
-            drifts = _describe_drift(expected, actual)
-            preview = "\n  ".join(drifts[:20])
-            raise AssertionError(
-                f"{len(drifts)} value(s) drifted from {GOLDEN_PATH.name}.\n"
-                "If this change is intentional, regenerate with:\n"
-                "  PYTHONPATH=src python tests/test_engine_golden.py --regenerate\n"
-                f"First drifts:\n  {preview}"
-            )
+        assert_matches_golden(GOLDEN_PATH, replay_payload(), Path(__file__).name)
 
 
-def main() -> None:  # pragma: no cover - developer tool
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--regenerate", action="store_true", help="rewrite the golden fixture"
-    )
-    args = parser.parse_args()
-    if not args.regenerate:
-        parser.error("nothing to do; pass --regenerate to rewrite the fixture")
-    payload = replay_payload()
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {GOLDEN_PATH} ({len(payload['cells'])} cells)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+if __name__ == "__main__":  # pragma: no cover - developer tool
+    regenerate_main(__doc__, GOLDEN_PATH, replay_payload)

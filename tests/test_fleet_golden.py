@@ -14,6 +14,9 @@ statistics computed over them.
 When a change intentionally moves the numbers, regenerate and commit::
 
     PYTHONPATH=src python tests/test_fleet_golden.py --regenerate
+
+``--regenerate`` prints how far each field moved (``tests/golden.py``'s
+drift report) before it writes; a regenerating commit quotes that report.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import json
 from pathlib import Path
 
 from repro.fleet import FleetRunner, FleetSpec, fleet_to_payload
+
+from golden import assert_matches_golden, regenerate_main
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "FLEET_golden.json"
 
@@ -59,39 +64,11 @@ class TestFleetGoldenArtefact:
         assert [row["index"] for row in payload["devices"]] == list(range(fleet.size))
 
     def test_replay_matches_golden_bit_for_bit(self):
-        from test_scenarios_golden import _describe_drift
-
-        expected = json.loads(GOLDEN_PATH.read_text())
-        actual = replay_payload(jobs=1)
-        if actual != expected:
-            drifts = _describe_drift(expected, actual)
-            preview = "\n  ".join(drifts[:20])
-            raise AssertionError(
-                f"{len(drifts)} value(s) drifted from {GOLDEN_PATH.name}.\n"
-                "If this change is intentional, regenerate with:\n"
-                "  PYTHONPATH=src python tests/test_fleet_golden.py --regenerate\n"
-                f"First drifts:\n  {preview}"
-            )
+        assert_matches_golden(GOLDEN_PATH, replay_payload(jobs=1), Path(__file__).name)
 
     def test_parallel_replay_matches_golden_too(self):
         assert replay_payload(jobs=2) == json.loads(GOLDEN_PATH.read_text())
 
 
-def main() -> None:  # pragma: no cover - developer tool
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--regenerate", action="store_true", help="rewrite the golden fixture"
-    )
-    args = parser.parse_args()
-    if not args.regenerate:
-        parser.error("nothing to do; pass --regenerate to rewrite the fixture")
-    payload = replay_payload(jobs=1)
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {GOLDEN_PATH} ({payload['n_devices']} devices)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+if __name__ == "__main__":  # pragma: no cover - developer tool
+    regenerate_main(__doc__, GOLDEN_PATH, replay_payload)

@@ -14,7 +14,8 @@ commit it alongside the change::
 
     PYTHONPATH=src python tests/test_scenarios_golden.py --regenerate
 
-The diff of the regenerated JSON then documents exactly what moved.
+``--regenerate`` prints how far each field moved (``tests/golden.py``'s
+drift report) before it writes; a regenerating commit quotes that report.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.scenarios import (
     ScenarioRunner,
     results_to_payload,
 )
+
+from golden import assert_matches_golden, regenerate_main
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "SCENARIOS_golden.json"
 
@@ -63,29 +66,6 @@ def replay_payload(jobs: int = 1) -> dict:
     return json.loads(json.dumps(payload))
 
 
-def _describe_drift(expected: dict, actual: dict, path: str = "$") -> list[str]:
-    """Human-oriented drift summary: the first differing leaves, with paths."""
-    drifts: list[str] = []
-    if type(expected) is not type(actual):
-        return [f"{path}: type {type(expected).__name__} != {type(actual).__name__}"]
-    if isinstance(expected, dict):
-        for key in expected.keys() | actual.keys():
-            if key not in expected:
-                drifts.append(f"{path}.{key}: unexpected key")
-            elif key not in actual:
-                drifts.append(f"{path}.{key}: missing key")
-            else:
-                drifts.extend(_describe_drift(expected[key], actual[key], f"{path}.{key}"))
-    elif isinstance(expected, list):
-        if len(expected) != len(actual):
-            drifts.append(f"{path}: length {len(expected)} != {len(actual)}")
-        for index, (a, b) in enumerate(zip(expected, actual)):
-            drifts.extend(_describe_drift(a, b, f"{path}[{index}]"))
-    elif expected != actual:
-        drifts.append(f"{path}: {expected!r} != {actual!r}")
-    return drifts
-
-
 class TestGoldenArtefact:
     def test_fixture_exists_and_is_well_formed(self):
         payload = json.loads(GOLDEN_PATH.read_text())
@@ -95,17 +75,7 @@ class TestGoldenArtefact:
         assert names == [spec.name for spec in golden_matrix().expand()]
 
     def test_replay_matches_golden_bit_for_bit(self):
-        expected = json.loads(GOLDEN_PATH.read_text())
-        actual = replay_payload(jobs=1)
-        if actual != expected:
-            drifts = _describe_drift(expected, actual)
-            preview = "\n  ".join(drifts[:20])
-            raise AssertionError(
-                f"{len(drifts)} value(s) drifted from {GOLDEN_PATH.name}.\n"
-                "If this change is intentional, regenerate with:\n"
-                "  PYTHONPATH=src python tests/test_scenarios_golden.py --regenerate\n"
-                f"First drifts:\n  {preview}"
-            )
+        assert_matches_golden(GOLDEN_PATH, replay_payload(jobs=1), Path(__file__).name)
 
     def test_flat_cap_cell_matches_constant_curve_cell_semantics(self):
         """Inside the golden fixture itself, the constant_1100 cells must
@@ -126,21 +96,5 @@ class TestGoldenArtefact:
             ), f"{entry['spec']['name']} runs an uncapped ladder"
 
 
-def main() -> None:  # pragma: no cover - developer tool
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--regenerate", action="store_true", help="rewrite the golden fixture"
-    )
-    args = parser.parse_args()
-    if not args.regenerate:
-        parser.error("nothing to do; pass --regenerate to rewrite the fixture")
-    payload = replay_payload(jobs=1)
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {GOLDEN_PATH} ({payload['n_scenarios']} scenarios)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+if __name__ == "__main__":  # pragma: no cover - developer tool
+    regenerate_main(__doc__, GOLDEN_PATH, replay_payload)
