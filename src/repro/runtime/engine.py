@@ -15,12 +15,16 @@ model:
 * :class:`OracleEngine` — the upper bound with a priori knowledge of the
   entire event sequence, arrival times, and workloads.
 
-The reactive schemes and PES's EBS fallback share one per-event kernel,
-:func:`_react`: plan against the instantaneous (thermal- and fuel-gauge-)
-capped platform, execute under the DVFS and battery fault models, and
-record the outcome.  PES commits and Oracle windows run frames that are
-already planned; :func:`_planned_config` resolves the configuration such a
-frame actually runs at.
+Each session replay keeps one ledger, :class:`_Replay`: the fault-perturbed
+trace, the fault and thermal seams, the outcomes, when the execution
+resource frees up, how long it has been busy and the configuration it was
+left in.  Two kernels write it.  :meth:`_Replay.react` plans an event
+against the instantaneous (thermal- and fuel-gauge-) capped platform,
+executes it under the DVFS and battery fault models and records the
+outcome; the reactive schemes and PES's EBS fallback use it.
+:meth:`_Replay.commit` runs a frame that is already planned, at the
+configuration the DVFS and brown-out faults leave it; PES commits and
+Oracle windows use it.
 
 Energy accounting: active intervals are charged at the configuration's
 power from the power table; the remainder of the session is charged at idle
@@ -352,155 +356,172 @@ class _SessionThermal:
         )
 
 
-def _open_session(
-    config: EngineConfig, trace: Trace, scheme: str
-) -> tuple[Trace, SessionFaultState | None, _SessionThermal | None]:
-    """Per-replay state: the fault session (and the trace it perturbs) and
-    the live thermal state, each ``None`` when its model is off."""
-    faults = config.faults.session(trace, scheme) if config.faults is not None else None
-    if faults is not None:
-        trace = faults.transform(trace)
-    thermal = _SessionThermal(config, faults) if config.thermal is not None else None
-    return trace, faults, thermal
+class _Replay:
+    """One session replay's ledger, and the two kernels that write it.
 
-
-def _close_session(
-    config: EngineConfig,
-    trace: Trace,
-    scheme: str,
-    outcomes: list[EventOutcome],
-    duration_ms: float,
-    busy_ms: float,
-    thermal: _SessionThermal | None,
-    faults: SessionFaultState | None,
-    **speculation,
-) -> SessionResult:
-    """The finished session: idle energy over the non-busy time, plus the
-    thermal and fault ledgers when their models are on.  ``speculation``
-    carries PES's waste and prediction counters."""
-    return SessionResult(
-        app_name=trace.app_name,
-        scheduler_name=scheme,
-        outcomes=outcomes,
-        idle_energy_mj=max(0.0, duration_ms - busy_ms) * config.power_table.idle_w,
-        duration_ms=duration_ms,
-        thermal=thermal.finalize(duration_ms) if thermal is not None else None,
-        faults=faults.finalize(outcomes) if faults is not None else None,
-        **speculation,
-    )
-
-
-def _planning_system(
-    config: EngineConfig, thermal: _SessionThermal | None
-) -> tuple[AcmpSystem, bool]:
-    """The platform to plan over right now, and whether its cap is engaged."""
-    if thermal is None:
-        return config.system, False
-    return thermal.system_now(), thermal.throttled_now
-
-
-def _react(
-    config: EngineConfig,
-    scheduler: ReactiveScheduler,
-    event: TraceEvent,
-    start_ms: float,
-    previous_config: AcmpConfig | None,
-    thermal: _SessionThermal | None,
-    faults: SessionFaultState | None,
-    *,
-    idle_before_ms: float = 0.0,
-    mispredicted: bool = False,
-) -> tuple[ExecutionResult, EventOutcome]:
-    """Plan and execute one event reactively — the per-event kernel shared by
-    the reactive schemes and PES's EBS fallback."""
-    if thermal is not None:
-        # Cool through the gap, then plan against the platform's
-        # *instantaneous* capability at the moment execution starts.
-        thermal.idle_to(start_ms)
-    system, planned_throttled = _planning_system(config, thermal)
-    battery = _battery_effect(faults, event.index, start_ms)
-    if battery.cap_mhz is not None:
-        # Misreported fuel gauge: the governor plans this event over the
-        # low-battery ladder even though the cell is fine.
-        system = capped_system(system, battery.cap_mhz)
-    if battery.force_lowest:
-        # Brown-out: the rail overrides the governor entirely and pins the
-        # event to the platform's lowest rung.
-        plan = ExecutionPlan.single(config.system.min_performance_config)
-    else:
-        plan = scheduler.plan(
-            EventContext(
-                event=event,
-                start_ms=start_ms,
-                system=system,
-                power_table=config.power_table,
-                idle_before_ms=idle_before_ms,
-            )
-        )
-    execution = _execute_with_faults(
-        config, plan, event.workload, start_ms, previous_config, faults, event.index
-    )
-    execution = _apply_rail_sag(execution, battery, faults)
-    outcome = EventOutcome(
-        index=event.index,
-        event_type=event.event_type,
-        arrival_ms=event.arrival_ms,
-        start_ms=start_ms,
-        finish_ms=execution.finish_ms,
-        display_ms=config.pipeline.next_vsync_ms(execution.finish_ms),
-        qos_target_ms=event.qos_target_ms,
-        active_energy_mj=execution.active_energy_mj,
-        config_label=str(plan.final_config),
-        mispredicted=mispredicted,
-        queue_delay_ms=start_ms - event.arrival_ms,
-    )
-    if thermal is not None:
-        if execution.cpu_time_ms > 0.0:
-            # Mean power over the interval: exact for single-phase plans,
-            # the energy-preserving average for ramps.
-            thermal.active(
-                start_ms,
-                execution.finish_ms,
-                execution.active_energy_mj / execution.cpu_time_ms,
-            )
-        thermal.note_event(planned_throttled, outcome.latency_ms)
-    return execution, outcome
-
-
-def _planned_config(
-    config: EngineConfig,
-    planned: AcmpConfig,
-    previous_config: AcmpConfig | None,
-    faults: SessionFaultState | None,
-    event_index: int,
-    start_ms: float,
-) -> tuple[AcmpConfig, float, BatteryEffect]:
-    """The configuration an already-planned frame actually runs at.
-
-    Returns ``(config, switch latency, battery effect)``.  A failed DVFS
-    transition holds the prior configuration but still pays the attempted
-    switch latency; a brown-out pins the platform's lowest rung.  The frame
-    is already planned, so a fuel-gauge misreport has nothing left to cap
-    (``planning=False``); brown-outs and rail sags hit the execution itself
-    all the same.
+    Holds the fault-perturbed trace, the fault and thermal seams (each
+    ``None`` when its model is off), the outcomes so far, when the single
+    execution resource frees up (``busy_until``), how long it has been busy
+    (``busy_ms``) and the configuration it was left in.  Only :meth:`react`
+    and :meth:`commit` append outcomes; PES's squash loop adds its wasted
+    time to ``busy_ms`` directly.
     """
-    chosen = planned
-    switch = config.switching.switch_latency_ms(previous_config, chosen)
-    if (
-        faults is not None
-        and previous_config is not None
-        and chosen != previous_config
-        and faults.dvfs_transition_fails()
-    ):
-        faults.note_dvfs_fault(
-            event_index, switch * config.power_table.power_w(previous_config)
+
+    def __init__(self, config: EngineConfig, trace: Trace, scheme: str) -> None:
+        self.config = config
+        self.scheme = scheme
+        self.faults = config.faults.session(trace, scheme) if config.faults is not None else None
+        self.trace = self.faults.transform(trace) if self.faults is not None else trace
+        self.thermal = _SessionThermal(config, self.faults) if config.thermal is not None else None
+        self.outcomes: list[EventOutcome] = []
+        self.busy_until = 0.0
+        self.busy_ms = 0.0
+        self.previous_config: AcmpConfig | None = None
+
+    def planning_system(self) -> tuple[AcmpSystem, bool]:
+        """The platform to plan over right now, and whether its cap is engaged."""
+        if self.thermal is None:
+            return self.config.system, False
+        return self.thermal.system_now(), self.thermal.throttled_now
+
+    def react(
+        self,
+        scheduler: ReactiveScheduler,
+        event: TraceEvent,
+        start_ms: float,
+        *,
+        idle_before_ms: float = 0.0,
+        mispredicted: bool = False,
+    ) -> None:
+        """Plan and execute one event reactively — the kernel shared by the
+        reactive schemes and PES's EBS fallback."""
+        config, faults, thermal = self.config, self.faults, self.thermal
+        if thermal is not None:
+            # Cool through the gap, then plan against the platform's
+            # *instantaneous* capability at the moment execution starts.
+            thermal.idle_to(start_ms)
+        system, planned_throttled = self.planning_system()
+        battery = _battery_effect(faults, event.index, start_ms)
+        if battery.cap_mhz is not None:
+            # Misreported fuel gauge: the governor plans this event over the
+            # low-battery ladder even though the cell is fine.
+            system = capped_system(system, battery.cap_mhz)
+        if battery.force_lowest:
+            # Brown-out: the rail overrides the governor entirely and pins the
+            # event to the platform's lowest rung.
+            plan = ExecutionPlan.single(config.system.min_performance_config)
+        else:
+            plan = scheduler.plan(
+                EventContext(
+                    event=event,
+                    start_ms=start_ms,
+                    system=system,
+                    power_table=config.power_table,
+                    idle_before_ms=idle_before_ms,
+                )
+            )
+        execution = _execute_with_faults(
+            config, plan, event.workload, start_ms, self.previous_config, faults, event.index
         )
-        chosen = previous_config
-    battery = _battery_effect(faults, event_index, start_ms, planning=False)
-    if battery.force_lowest and chosen != config.system.min_performance_config:
-        chosen = config.system.min_performance_config
-        switch = config.switching.switch_latency_ms(previous_config, chosen)
-    return chosen, switch, battery
+        execution = _apply_rail_sag(execution, battery, faults)
+        outcome = EventOutcome(
+            index=event.index,
+            event_type=event.event_type,
+            arrival_ms=event.arrival_ms,
+            start_ms=start_ms,
+            finish_ms=execution.finish_ms,
+            display_ms=config.pipeline.next_vsync_ms(execution.finish_ms),
+            qos_target_ms=event.qos_target_ms,
+            active_energy_mj=execution.active_energy_mj,
+            config_label=str(plan.final_config),
+            mispredicted=mispredicted,
+            queue_delay_ms=start_ms - event.arrival_ms,
+        )
+        self.outcomes.append(outcome)
+        if thermal is not None:
+            if execution.cpu_time_ms > 0.0:
+                # Mean power over the interval: exact for single-phase plans,
+                # the energy-preserving average for ramps.
+                thermal.active(
+                    start_ms,
+                    execution.finish_ms,
+                    execution.active_energy_mj / execution.cpu_time_ms,
+                )
+            thermal.note_event(planned_throttled, outcome.latency_ms)
+        self.busy_until = execution.finish_ms
+        self.busy_ms += execution.cpu_time_ms
+        self.previous_config = execution.final_config
+
+    def commit(
+        self, planned: AcmpConfig, event: TraceEvent, start_ms: float, planned_throttled: bool
+    ) -> None:
+        """Run an already-planned frame — the kernel shared by PES commits and
+        Oracle windows.
+
+        A failed DVFS transition holds the prior configuration but still pays
+        the attempted switch latency; a brown-out pins the platform's lowest
+        rung.  The frame is already planned, so a fuel-gauge misreport has
+        nothing left to cap (``planning=False``); brown-outs and rail sags hit
+        the execution itself all the same.  ``planned_throttled`` is whether
+        the cap was engaged when the frame was planned.
+        """
+        config, faults, previous = self.config, self.faults, self.previous_config
+        chosen = planned
+        switch = config.switching.switch_latency_ms(previous, chosen)
+        if (
+            faults is not None
+            and previous is not None
+            and chosen != previous
+            and faults.dvfs_transition_fails()
+        ):
+            faults.note_dvfs_fault(event.index, switch * config.power_table.power_w(previous))
+            chosen = previous
+        battery = _battery_effect(faults, event.index, start_ms, planning=False)
+        if battery.force_lowest and chosen != config.system.min_performance_config:
+            chosen = config.system.min_performance_config
+            switch = config.switching.switch_latency_ms(previous, chosen)
+        duration = switch + event.workload.latency_ms(config.system, chosen)
+        finish = start_ms + duration
+        base_power = config.power_table.power_w(chosen)
+        power = base_power * battery.power_scale
+        if battery.power_scale != 1.0:
+            faults.note_fault_energy((power - base_power) * duration)
+        outcome = EventOutcome(
+            index=event.index,
+            event_type=event.event_type,
+            arrival_ms=event.arrival_ms,
+            start_ms=start_ms,
+            finish_ms=finish,
+            display_ms=config.pipeline.next_vsync_ms(max(finish, event.arrival_ms)),
+            qos_target_ms=event.qos_target_ms,
+            active_energy_mj=power * duration,
+            config_label=str(chosen),
+            speculative=True,
+        )
+        self.outcomes.append(outcome)
+        if self.thermal is not None:
+            self.thermal.active(start_ms, finish, power)
+            self.thermal.note_event(planned_throttled, outcome.latency_ms)
+        self.busy_until = finish
+        self.busy_ms += duration
+        self.previous_config = chosen
+
+    def close(self, **speculation) -> SessionResult:
+        """The finished session, which lasts until its last frame is displayed:
+        idle energy over the non-busy time, plus the thermal and fault ledgers
+        when their models are on.  ``speculation`` carries PES's waste and
+        prediction counters."""
+        duration = self.outcomes[-1].display_ms if self.outcomes else 0.0
+        return SessionResult(
+            app_name=self.trace.app_name,
+            scheduler_name=self.scheme,
+            outcomes=self.outcomes,
+            idle_energy_mj=max(0.0, duration - self.busy_ms) * self.config.power_table.idle_w,
+            duration_ms=duration,
+            thermal=self.thermal.finalize(duration) if self.thermal is not None else None,
+            faults=self.faults.finalize(self.outcomes) if self.faults is not None else None,
+            **speculation,
+        )
 
 
 @dataclass
@@ -511,32 +532,15 @@ class ReactiveEngine:
 
     def run(self, trace: Trace, scheduler: ReactiveScheduler) -> SessionResult:
         scheduler.reset()
-        trace, faults, thermal = _open_session(self.config, trace, scheduler.name)
-        outcomes: list[EventOutcome] = []
-        busy_until = 0.0
-        busy_time = 0.0
-        previous_config: AcmpConfig | None = None
-
-        for event in trace:
-            execution, outcome = _react(
-                self.config,
+        replay = _Replay(self.config, trace, scheduler.name)
+        for event in replay.trace:
+            replay.react(
                 scheduler,
                 event,
-                max(event.arrival_ms, busy_until),
-                previous_config,
-                thermal,
-                faults,
-                idle_before_ms=max(0.0, event.arrival_ms - busy_until),
+                max(event.arrival_ms, replay.busy_until),
+                idle_before_ms=max(0.0, event.arrival_ms - replay.busy_until),
             )
-            outcomes.append(outcome)
-            busy_until = execution.finish_ms
-            busy_time += execution.cpu_time_ms
-            previous_config = execution.final_config
-
-        duration = outcomes[-1].display_ms if outcomes else 0.0
-        return _close_session(
-            self.config, trace, scheduler.name, outcomes, duration, busy_time, thermal, faults
-        )
+        return replay.close()
 
 
 @dataclass
@@ -553,13 +557,10 @@ class ProactiveEngine:
 
     def run(self, trace: Trace, pes: PesScheduler) -> SessionResult:
         pes.reset()
-        trace, faults, thermal = _open_session(self.config, trace, pes.name)
-        outcomes: list[EventOutcome] = []
-        busy_until = 0.0
-        busy_time = 0.0
+        replay = _Replay(self.config, trace, pes.name)
+        faults, thermal = replay.faults, replay.thermal
         wasted_energy = 0.0
         wasted_time = 0.0
-        previous_config: AcmpConfig | None = None
         # (prediction, planned assignment) pairs for the current round, in order.
         pending: deque[tuple[PredictedEvent, Assignment]] = deque()
         spec_cursor = 0.0  # earliest time the next speculative execution can start
@@ -567,7 +568,7 @@ class ProactiveEngine:
         # solved — committed frames inherit the round's planning conditions.
         round_throttled = False
 
-        for event in trace:
+        for event in replay.trace:
             arrival = event.arrival_ms
             self._push_ready_frames(pes, pending, arrival)
             verdict = pes.validate_event(event.event_type)
@@ -586,52 +587,21 @@ class ProactiveEngine:
             committed = verdict is MatchResult.MATCH and bool(pending)
             if committed:
                 _, assignment = pending.popleft()
-                spec_start = max(spec_cursor, busy_until)
-                chosen, switch, battery = _planned_config(
-                    self.config,
+                replay.commit(
                     assignment.option.config,
-                    previous_config,
-                    faults,
-                    event.index,
-                    spec_start,
+                    event,
+                    max(spec_cursor, replay.busy_until),
+                    round_throttled,
                 )
-                duration = switch + event.workload.latency_ms(self.config.system, chosen)
-                finish = spec_start + duration
-                base_power = self.config.power_table.power_w(chosen)
-                power = base_power * battery.power_scale
-                energy = power * duration
-                if battery.power_scale != 1.0:
-                    faults.note_fault_energy((power - base_power) * duration)
-                display = self.config.pipeline.next_vsync_ms(max(finish, arrival))
                 pes.on_match(arrival)
-                outcome = EventOutcome(
-                    index=event.index,
-                    event_type=event.event_type,
-                    arrival_ms=arrival,
-                    start_ms=spec_start,
-                    finish_ms=finish,
-                    display_ms=display,
-                    qos_target_ms=event.qos_target_ms,
-                    active_energy_mj=energy,
-                    config_label=str(chosen),
-                    speculative=True,
-                )
-                outcomes.append(outcome)
-                if thermal is not None:
-                    thermal.active(spec_start, finish, power)
-                    thermal.note_event(round_throttled, outcome.latency_ms)
-                busy_until = finish
-                busy_time += duration
-                previous_config = chosen
-                spec_cursor = finish
 
             elif verdict is MatchResult.MISPREDICT:
                 # Account the speculative work performed for the (wrong)
                 # predictions, truncated at the moment the actual event
                 # arrives and the control unit squashes.
                 waste_before = wasted_energy
-                waste_clock = max(spec_cursor, busy_until)
-                waste_config = previous_config
+                waste_clock = max(spec_cursor, replay.busy_until)
+                waste_config = replay.previous_config
                 for _, assignment in pending:
                     if waste_clock >= arrival:
                         break
@@ -644,13 +614,13 @@ class ProactiveEngine:
                     power = self.config.power_table.power_w(chosen)
                     wasted_time += run_time
                     wasted_energy += power * run_time
-                    busy_time += run_time
+                    replay.busy_ms += run_time
                     if thermal is not None:
                         # Squashed work heats the package all the same.
                         thermal.active(waste_clock, waste_clock + run_time, power)
                     waste_clock += run_time
                     waste_config = chosen
-                previous_config = waste_config
+                replay.previous_config = waste_config
                 pending.clear()
                 pes.on_mispredict(arrival)
                 if injected_flip:
@@ -661,28 +631,20 @@ class ProactiveEngine:
             if not committed:
                 # Mispredicted, or nothing to commit (prediction disabled or
                 # nothing pending yet): the EBS fallback runs it reactively.
-                execution, outcome = _react(
-                    self.config,
+                replay.react(
                     pes.fallback,
                     event,
-                    max(arrival, busy_until),
-                    previous_config,
-                    thermal,
-                    faults,
+                    max(arrival, replay.busy_until),
                     mispredicted=verdict is MatchResult.MISPREDICT,
                 )
-                outcomes.append(outcome)
-                busy_until = execution.finish_ms
-                busy_time += execution.cpu_time_ms
-                previous_config = execution.final_config
-                spec_cursor = execution.finish_ms
+            spec_cursor = replay.busy_until
 
             pes.observe_event(event)
             pes.record_execution(event.event_type, event.workload)
 
             # Start a new prediction round once the previous one has drained.
             if pes.prediction_enabled and not pes.control.has_pending:
-                round_start = max(busy_until, arrival)
+                round_start = max(replay.busy_until, arrival)
                 if thermal is not None:
                     # The optimizer solves the round against the platform's
                     # capability at the moment the round opens.
@@ -695,16 +657,7 @@ class ProactiveEngine:
                 pending = deque(zip(predictions, schedule.assignments))
                 spec_cursor = round_start
 
-        duration = outcomes[-1].display_ms if outcomes else 0.0
-        return _close_session(
-            self.config,
-            trace,
-            pes.name,
-            outcomes,
-            duration,
-            busy_time,
-            thermal,
-            faults,
+        return replay.close(
             wasted_energy_mj=wasted_energy,
             wasted_time_ms=wasted_time,
             mispredictions=pes.mispredictions,
@@ -743,6 +696,7 @@ class ProactiveEngine:
             pfb.push(frame, assignment.finish_ms)
 
 
+
 @dataclass
 class OracleEngine:
     """Replays a trace with a priori knowledge of the whole event sequence.
@@ -763,22 +717,17 @@ class OracleEngine:
     def run(self, trace: Trace, oracle: OracleScheduler | None = None) -> SessionResult:
         oracle = oracle or OracleScheduler()
         solver = DynamicProgrammingSolver(bucket_ms=self.dp_bucket_ms)
-
-        trace, faults, thermal = _open_session(self.config, trace, oracle.name)
-        events = list(trace)
-        outcomes: list[EventOutcome] = []
-        busy_time = 0.0
-        previous_config: AcmpConfig | None = None
-        clock = 0.0
-        index = 0
+        replay = _Replay(self.config, trace, oracle.name)
+        events = list(replay.trace)
         chunk_size = oracle.lookahead_events or len(events) or 1
 
-        while index < len(events):
+        for index in range(0, len(events), chunk_size):
             chunk = events[index : index + chunk_size]
+            clock = replay.busy_until
             # The oracle plans each window against the platform's capability
             # at planning time (the window's start), the same sampling
             # discipline as a PES prediction round.
-            planning_system, chunk_throttled = _planning_system(self.config, thermal)
+            planning_system, chunk_throttled = replay.planning_system()
             specs = [
                 EventSpec(
                     label=f"event-{e.index}",
@@ -795,44 +744,11 @@ class OracleEngine:
             ]
             schedule = solver.solve(specs, clock)
             for event, assignment in zip(chunk, schedule.assignments):
-                start = max(clock, assignment.start_ms)
-                chosen, switch, battery = _planned_config(
-                    self.config,
+                replay.commit(
                     assignment.option.config,
-                    previous_config,
-                    faults,
-                    event.index,
-                    start,
+                    event,
+                    max(replay.busy_until, assignment.start_ms),
+                    chunk_throttled,
                 )
-                finish = start + switch + event.workload.latency_ms(self.config.system, chosen)
-                base_power = self.config.power_table.power_w(chosen)
-                power = base_power * battery.power_scale
-                energy = power * (finish - start)
-                if battery.power_scale != 1.0:
-                    faults.note_fault_energy((power - base_power) * (finish - start))
-                display = self.config.pipeline.next_vsync_ms(max(finish, event.arrival_ms))
-                outcome = EventOutcome(
-                    index=event.index,
-                    event_type=event.event_type,
-                    arrival_ms=event.arrival_ms,
-                    start_ms=start,
-                    finish_ms=finish,
-                    display_ms=display,
-                    qos_target_ms=event.qos_target_ms,
-                    active_energy_mj=energy,
-                    config_label=str(chosen),
-                    speculative=True,
-                )
-                outcomes.append(outcome)
-                if thermal is not None:
-                    thermal.active(start, finish, power)
-                    thermal.note_event(chunk_throttled, outcome.latency_ms)
-                busy_time += finish - start
-                previous_config = chosen
-                clock = finish
-            index += len(chunk)
 
-        duration = max((o.display_ms for o in outcomes), default=0.0)
-        return _close_session(
-            self.config, trace, oracle.name, outcomes, duration, busy_time, thermal, faults
-        )
+        return replay.close()
