@@ -1,7 +1,7 @@
 """Hybrid event prediction: statistical inference + program (DOM) analysis."""
 
 from repro.core.predictor.features import FeatureExtractor, EventLabelEncoder, FEATURE_NAMES
-from repro.core.predictor.logistic import LogisticRegression, OneVsRestLogistic, SoftmaxRegression
+from repro.core.predictor.logistic import SoftmaxRegression
 from repro.core.predictor.dom_analysis import DomAnalyzer
 from repro.core.predictor.hints import EventHint, HintBook
 from repro.core.predictor.sequence_learner import EventSequenceLearner, PredictedEvent
@@ -12,8 +12,6 @@ __all__ = [
     "FeatureExtractor",
     "EventLabelEncoder",
     "FEATURE_NAMES",
-    "LogisticRegression",
-    "OneVsRestLogistic",
     "SoftmaxRegression",
     "DomAnalyzer",
     "EventHint",

@@ -1,13 +1,12 @@
-"""Logistic regression, implemented from scratch on numpy.
+"""Softmax (multinomial logistic) regression, implemented from scratch on numpy.
 
 The paper deliberately chooses logistic regression over heavier temporal
 models (LSTMs): "the event sequence learner employs a set of logistic
 models, each of which estimates the probability of one possible next event
-through ln(p/(1-p)) = xβ".  :class:`LogisticRegression` is one such binary
-model; :class:`OneVsRestLogistic` is the set — one model per event class.
-Training fits :class:`SoftmaxRegression`, their multinomial counterpart,
-whose calibrated class probabilities double as the prediction confidence
-values used by the confidence-threshold mechanism.
+through ln(p/(1-p)) = xβ".  :class:`SoftmaxRegression` keeps one such linear
+model per event class and normalises their scores jointly; its calibrated
+class probabilities double as the prediction confidence values used by the
+confidence-threshold mechanism.
 """
 
 from __future__ import annotations
@@ -24,10 +23,25 @@ def _weights_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
     return np.array_equal(a, b)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Clipping keeps exp() in range; gradients at the clip edge are ~1e-15
-    # so training behaviour is unaffected.
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+def _class_labels(labels: np.ndarray, n_samples: int, n_classes: int) -> np.ndarray:
+    """``labels`` as integer class indices, one per sample.
+
+    Integral floats are accepted; a fractional or non-finite label raises
+    instead of being truncated to a class it never named.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (n_samples,):
+        raise ValueError("labels must be a vector matching the number of samples")
+    if n_samples == 0:
+        raise ValueError("need at least one sample")
+    if labels.dtype.kind not in "biu" and not (
+        labels.dtype.kind == "f" and np.all(np.isfinite(labels) & (labels == np.trunc(labels)))
+    ):
+        raise ValueError("labels must be integral class indices")
+    labels = labels.astype(int)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError("labels out of range for the configured number of classes")
+    return labels
 
 
 def _mask_and_normalise(
@@ -64,177 +78,6 @@ def _mask_and_normalise(
 
 
 @dataclass
-class LogisticRegression:
-    """Binary logistic model trained by full-batch gradient descent."""
-
-    learning_rate: float = 0.5
-    max_iterations: int = 400
-    l2: float = 1e-3
-    tolerance: float = 1e-6
-    weights: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "LogisticRegression":
-        """Fit on a feature matrix (n_samples, n_features) and 0/1 labels."""
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if labels.shape != (features.shape[0],):
-            raise ValueError("labels must be a vector matching the number of samples")
-        if not np.isin(labels, (0.0, 1.0)).all():
-            raise ValueError("labels must be binary (0/1)")
-
-        n_samples, n_features = features.shape
-        weights = np.zeros(n_features)
-        previous_loss = np.inf
-        for _ in range(self.max_iterations):
-            probabilities = _sigmoid(features @ weights)
-            gradient = features.T @ (probabilities - labels) / n_samples + self.l2 * weights
-            weights -= self.learning_rate * gradient
-            loss = self._loss(features, labels, weights)
-            if abs(previous_loss - loss) < self.tolerance:
-                break
-            previous_loss = loss
-        self.weights = weights
-        return self
-
-    def _loss(self, features: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
-        probabilities = _sigmoid(features @ weights)
-        eps = 1e-12
-        nll = -np.mean(
-            labels * np.log(probabilities + eps) + (1 - labels) * np.log(1 - probabilities + eps)
-        )
-        return float(nll + 0.5 * self.l2 * np.dot(weights, weights))
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Probability of the positive class for each row of ``features``."""
-        if self.weights is None:
-            raise RuntimeError("model is not fitted")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        return _sigmoid(features @ self.weights)
-
-    def decision_value(self, features: np.ndarray) -> np.ndarray:
-        if self.weights is None:
-            raise RuntimeError("model is not fitted")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        return features @ self.weights
-
-    def __eq__(self, other: object) -> bool:
-        # The dataclass-generated __eq__ would compare the weight arrays
-        # with ``==`` (elementwise, ambiguous truth value); compare by value
-        # instead so two separately fitted-but-identical models are equal.
-        if not isinstance(other, LogisticRegression):
-            return NotImplemented
-        return (
-            self.learning_rate == other.learning_rate
-            and self.max_iterations == other.max_iterations
-            and self.l2 == other.l2
-            and self.tolerance == other.tolerance
-            and _weights_equal(self.weights, other.weights)
-        )
-
-
-@dataclass
-class OneVsRestLogistic:
-    """A set of binary logistic models, one per class.
-
-    ``predict_proba`` returns the per-class positive probabilities
-    normalised to sum to one, which serve both for ranking (argmax = the
-    predicted next event) and as the confidence value of the prediction.
-    """
-
-    n_classes: int
-    learning_rate: float = 0.5
-    max_iterations: int = 400
-    l2: float = 1e-3
-    models: list[LogisticRegression] = field(default_factory=list, repr=False)
-    #: Cached stack of the per-class weight vectors, shape (n_classes,
-    #: n_features); rebuilt lazily whenever any model's weights change so a
-    #: whole candidate set is scored with one ``features @ W.T`` matmul
-    #: instead of one Python-level dot product per class.
-    _weight_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _weight_refs: tuple = field(default=(), repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "OneVsRestLogistic":
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        if labels.min() < 0 or labels.max() >= self.n_classes:
-            raise ValueError("labels out of range for the configured number of classes")
-        self.models = []
-        for klass in range(self.n_classes):
-            model = LogisticRegression(
-                learning_rate=self.learning_rate,
-                max_iterations=self.max_iterations,
-                l2=self.l2,
-            )
-            model.fit(features, (labels == klass).astype(float))
-            self.models.append(model)
-        return self
-
-    @property
-    def is_fitted(self) -> bool:
-        return len(self.models) == self.n_classes
-
-    def _stacked_weights(self) -> np.ndarray:
-        refs = tuple(model.weights for model in self.models)
-        if any(weights is None for weights in refs):
-            raise RuntimeError("model is not fitted")
-        stale = (
-            self._weight_matrix is None
-            or len(refs) != len(self._weight_refs)
-            or any(a is not b for a, b in zip(refs, self._weight_refs))
-        )
-        if stale:
-            self._weight_matrix = np.stack(refs, axis=0)
-            self._weight_refs = refs
-        return self._weight_matrix
-
-    def raw_proba(self, features: np.ndarray) -> np.ndarray:
-        """Unnormalised per-class positive probabilities, shape (n, n_classes)."""
-        if not self.is_fitted:
-            raise RuntimeError("model is not fitted")
-        weights = self._stacked_weights()
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        return _sigmoid(features @ weights.T)
-
-    def predict_proba(self, features: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Normalised class probabilities, optionally restricted by ``mask``.
-
-        ``mask`` is a boolean class mask — either one vector of length
-        ``n_classes`` applied to every row, or one row per sample; masked-out
-        classes get probability zero before normalisation — this is how the
-        DOM analysis narrows the prediction space to the Likely-Next-Event-Set.
-        """
-        return _mask_and_normalise(self.raw_proba(features), mask, self.n_classes)
-
-    def predict(self, features: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        return self.predict_proba(features, mask).argmax(axis=1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OneVsRestLogistic):
-            return NotImplemented
-        return (
-            self.n_classes == other.n_classes
-            and self.learning_rate == other.learning_rate
-            and self.max_iterations == other.max_iterations
-            and self.l2 == other.l2
-            and self.models == other.models
-        )
-
-
-@dataclass
 class SoftmaxRegression:
     """Multinomial logistic regression (one linear score function per class).
 
@@ -242,10 +85,8 @@ class SoftmaxRegression:
     every possible next event still gets its own linear model ``x·βk``, but
     the per-class probabilities are normalised jointly (softmax) instead of
     independently.  The joint normalisation recovers a few points of
-    accuracy over the one-vs-rest composition and is the default model used
-    by :class:`~repro.core.predictor.training.PredictorTrainer`;
-    :class:`OneVsRestLogistic` remains available for the strictly binary
-    per-event formulation.
+    accuracy over the one-vs-rest composition and is the model
+    :class:`~repro.core.predictor.training.PredictorTrainer` fits.
     """
 
     n_classes: int
@@ -263,32 +104,69 @@ class SoftmaxRegression:
     def __post_init__(self) -> None:
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
-        if self.learning_rate <= 0 or self.max_iterations <= 0:
+        # Negated comparisons, so that NaN fails them too.
+        if not self.learning_rate > 0 or self.max_iterations <= 0:
             raise ValueError("learning_rate and max_iterations must be positive")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise ValueError("l2 must be non-negative")
-        if self.temperature <= 0:
+        if not self.tolerance >= 0:
+            raise ValueError("tolerance must be non-negative")
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "SoftmaxRegression":
+        """Full-batch gradient descent on the L2-penalised softmax NLL."""
         features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        if labels.shape != (features.shape[0],):
-            raise ValueError("labels must be a vector matching the number of samples")
-        if labels.min() < 0 or labels.max() >= self.n_classes:
-            raise ValueError("labels out of range for the configured number of classes")
-
         n_samples, n_features = features.shape
-        weights = np.zeros((self.n_classes, n_features))
-        one_hot = np.eye(self.n_classes)[labels]
+        n_classes = self.n_classes
+        labels = _class_labels(labels, n_samples, n_classes)
+
+        weights = np.zeros((n_classes, n_features))
+        one_hot = np.eye(n_classes)[labels]
+        # Every step runs in place on buffers allocated here.  A reduction
+        # along a row of a few classes costs more than both matmuls, so the
+        # row max and row sum are chains over the column views instead, and
+        # each chain matches numpy's own reduction bit for bit: max is exact
+        # in any order, and below 8 classes ``add.reduce`` sums a row left
+        # to right (from 8 up it sums pairwise, so there it stays).
+        scores = np.empty((n_samples, n_classes))
+        columns = [scores[:, k] for k in range(n_classes)]
+        row = np.empty(n_samples)
+        picked = np.empty(n_samples)
+        gradient = np.empty_like(weights)
+        penalty = np.empty_like(weights)
+        label_cells = np.arange(n_samples) * n_classes + labels
         previous_loss = np.inf
         for _ in range(self.max_iterations):
-            probabilities = self._softmax(features @ weights.T)
-            gradient = (probabilities - one_hot).T @ features / n_samples + self.l2 * weights
-            weights -= self.learning_rate * gradient
-            loss = self._loss(probabilities, labels, weights)
+            # Softmax of the scores, in ``scores``.
+            np.matmul(features, weights.T, out=scores)
+            np.maximum(columns[0], columns[1], out=row)
+            for column in columns[2:]:
+                np.maximum(row, column, out=row)
+            np.subtract(scores, row[:, None], out=scores)
+            np.exp(scores, out=scores)
+            if n_classes < 8:
+                np.add(columns[0], columns[1], out=row)
+                for column in columns[2:]:
+                    np.add(row, column, out=row)
+            else:
+                scores.sum(axis=1, out=row)
+            np.divide(scores, row[:, None], out=scores)
+            np.take(scores, label_cells, out=picked)
+            # Gradient step; ``scores`` becomes the residual P - one_hot.
+            np.subtract(scores, one_hot, out=scores)
+            np.matmul(scores.T, features, out=gradient)
+            np.divide(gradient, n_samples, out=gradient)
+            np.multiply(weights, self.l2, out=penalty)
+            np.add(gradient, penalty, out=gradient)
+            np.multiply(gradient, self.learning_rate, out=gradient)
+            np.subtract(weights, gradient, out=weights)
+            # Penalised NLL of the probabilities taken before the step.
+            np.add(picked, 1e-12, out=picked)
+            np.log(picked, out=picked)
+            loss = float(-np.mean(picked) + 0.5 * self.l2 * np.sum(weights * weights))
             if abs(previous_loss - loss) < self.tolerance:
                 break
             previous_loss = loss
@@ -300,11 +178,6 @@ class SoftmaxRegression:
         shifted = scores - scores.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         return exp / exp.sum(axis=1, keepdims=True)
-
-    def _loss(self, probabilities: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
-        eps = 1e-12
-        nll = -np.mean(np.log(probabilities[np.arange(labels.shape[0]), labels] + eps))
-        return float(nll + 0.5 * self.l2 * np.sum(weights * weights))
 
     @property
     def is_fitted(self) -> bool:
@@ -331,7 +204,7 @@ class SoftmaxRegression:
         if self.weights is None:
             raise RuntimeError("model is not fitted")
         features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
+        labels = _class_labels(labels, features.shape[0], self.n_classes)
         scores = features @ self.weights.T
         best_temperature, best_nll = self.temperature, np.inf
         for temperature in grid:
@@ -348,9 +221,11 @@ class SoftmaxRegression:
     def predict_proba(self, features: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Class probabilities, optionally restricted to a boolean class mask.
 
-        ``mask`` follows the same convention as
-        :meth:`OneVsRestLogistic.predict_proba`: one vector of length
-        ``n_classes``, or one row per sample for batched scoring.
+        ``mask`` is a boolean class mask — either one vector of length
+        ``n_classes`` applied to every row, or one row per sample for batched
+        scoring; masked-out classes get probability zero before
+        normalisation — this is how the DOM analysis narrows the prediction
+        space to the Likely-Next-Event-Set.
         """
         return _mask_and_normalise(self.raw_proba(features), mask, self.n_classes)
 
