@@ -3,16 +3,17 @@
 The paper implements its own solver rather than shipping a third-party LP
 package (Sec. 5.5).  Two solvers are provided here:
 
-* :class:`BranchAndBoundSolver` — exact.  It explores configuration choices
-  event by event in execution order, pruning branches that (a) already miss
-  a deadline, (b) cannot possibly beat the best energy found so far (lower
-  bound = energy so far + the sum of per-event minimum energies of the
-  remaining events), or (c) cannot finish the remaining events by their
-  deadlines even at maximum performance.
+* :class:`BranchAndBoundSolver` — exact; PES plans its windows with it.  It
+  explores configuration choices event by event in execution order and
+  prunes with a *suffix frontier*: per event, the non-dominated (latest
+  start clock, minimum energy) pairs that complete the window from there.
+  The energy of the first pair at or after the current clock is an exact
+  lower bound, and no such pair means no deadline-safe completion.
 * :class:`DynamicProgrammingSolver` — a fast approximation that discretises
   the timeline and keeps, per finish-time bucket, the cheapest way to reach
-  it.  With a fine bucket (1–2 ms) its solutions match the exact solver on
-  every instance the evaluation produces, while bounding the solve time.
+  it.  The Oracle plans its 48-event windows with it (an exact search of a
+  36-event window took over a minute).  It matches the exact solver's
+  energy on bucket-aligned instances and rounds finishes up elsewhere.
 
 :func:`relax_infeasible_deadlines` implements the "do your best" fallback
 for windows containing Type I events: deadlines that cannot be met even at
@@ -41,8 +42,9 @@ of the wall-clock inside it (19.3 s of 20.8 s profiled; tier-1 suite
 On the profiled 4-app oracle workload this is ~27× faster than the seed
 solver (0.35 → 9.7 whole-trace solves/s on windows of 31–48 events) with
 bit-identical schedules (see ``tests/test_optimizer_equivalence.py``).
-``perfbench`` times the solver as the ``core.optimizer.solve`` layer of
-its ``pes_matrix`` workload (``--trace 1`` reports the per-layer metrics)::
+``perfbench`` times the PES window solver, :class:`BranchAndBoundSolver`,
+as the ``core.optimizer.solve`` layer of its ``pes_matrix`` workload
+(``--trace 1`` reports the per-layer metrics)::
 
     python3 perfbench/run.py --workload pes_matrix --seed 0 --seconds 40 --trace 1
 
@@ -52,23 +54,13 @@ overhead of Sec. 6.3.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.optimizer.schedule import Assignment, EventSpec, Schedule, simulate_order
+from repro.core.optimizer.schedule import EventSpec, Schedule, simulate_order
 from repro.schedulers.base import ConfigOption
-
-
-def _earliest_finishes(specs: list[EventSpec], window_start_ms: float) -> list[float]:
-    """Finish times when every event runs at its fastest configuration."""
-    finishes: list[float] = []
-    clock = window_start_ms
-    for spec in specs:
-        start = max(clock, spec.release_ms)
-        clock = start + spec.fastest_option.latency_ms
-        finishes.append(clock)
-    return finishes
 
 
 def relax_infeasible_deadlines(
@@ -90,7 +82,11 @@ def relax_infeasible_deadlines(
     Returns the (possibly rewritten) specs and whether the original
     instance was feasible.
     """
-    finishes = _earliest_finishes(specs, window_start_ms)
+    # Finish times when every event runs at its fastest configuration.
+    finishes, clock = [], window_start_ms
+    for spec in specs:
+        clock = max(clock, spec.release_ms) + spec.fastest_option.latency_ms
+        finishes.append(clock)
     feasible = all(f <= s.deadline_ms + 1e-9 for f, s in zip(finishes, specs))
     if feasible:
         return list(specs), True
@@ -102,11 +98,14 @@ def relax_infeasible_deadlines(
             relaxed.append(spec)
         else:
             lazy_bound = max(spec.release_ms, previous_deadline) + spec.fastest_option.latency_ms
+            deadline = max(spec.deadline_ms, lazy_bound)
+            # A predecessor may finish up to 1e-9 ms late, which can leave
+            # the lazy bound short of this event's all-fastest finish.
             relaxed.append(
                 EventSpec(
                     label=spec.label,
                     release_ms=spec.release_ms,
-                    deadline_ms=max(spec.deadline_ms, lazy_bound),
+                    deadline_ms=deadline if earliest <= deadline + 1e-9 else earliest,
                     options=spec.options,
                     speculative=spec.speculative,
                 )
@@ -115,75 +114,74 @@ def relax_infeasible_deadlines(
     return relaxed, False
 
 
-@dataclass
 class BranchAndBoundSolver:
-    """Exact branch-and-bound over per-event configuration choices."""
+    """Exact branch-and-bound over per-event configuration choices.
 
-    #: Safety valve on explored nodes; far above what evaluation windows need.
-    max_nodes: int = 200_000
+    Depth-first, cheapest option first; a complete schedule replaces the best
+    only when cheaper by more than 1e-12 mJ, so it returns the first optimum.
+    """
 
     def solve(self, specs: list[EventSpec], window_start_ms: float) -> Schedule:
         if not specs:
-            return Schedule(assignments=(), feasible=True, solver="branch-and-bound")
+            return Schedule(assignments=(), feasible=True)
         working, feasible = relax_infeasible_deadlines(specs, window_start_ms)
-
         n = len(working)
-        # Remaining minimum-energy suffix sums for the lower bound.
-        min_energy_suffix = [0.0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            min_energy_suffix[i] = min_energy_suffix[i + 1] + working[i].cheapest_option.energy_mj
-        # Remaining fastest latencies for the feasibility look-ahead.
-        fastest = [spec.fastest_option.latency_ms for spec in working]
+        ordered = [sorted(s.options, key=lambda o: (o.energy_mj, o.latency_ms)) for s in working]
+
+        # frontiers[i]: non-dominated (latest start clock, minimum energy) pairs
+        # completing events i..n-1, as two ascending lists.  1e-6 ms of clock
+        # padding and 1e-9 mJ off the bound keep rounding from over-pruning.
+        frontiers = [([float("inf")], [0.0])]
+        for spec in reversed(working):
+            clocks, energies = frontiers[-1]
+            limit = spec.deadline_ms + 1e-9
+            cut = bisect_right(clocks, limit)
+            # Pairs up to the deadline, plus the first one past it clipped to it.
+            points = zip(clocks[:cut] + [limit], energies[: cut + 1])
+            candidates = [
+                (clock - o.latency_ms + 1e-6, energy + o.energy_mj)
+                for clock, energy in points
+                for o in spec.options
+                if spec.release_ms + o.latency_ms <= clock
+            ]
+            candidates.sort(key=lambda pair: (-pair[0], pair[1]))
+            kept: list[tuple[float, float]] = []
+            for pair in candidates:
+                if not kept or pair[1] < kept[-1][1]:
+                    kept.append(pair)
+            frontiers.append(([c for c, _ in reversed(kept)], [e for _, e in reversed(kept)]))
+        frontiers.reverse()
 
         best_energy = float("inf")
         best_choice: list[ConfigOption] | None = None
-        nodes_explored = 0
-
-        def remaining_feasible(index: int, clock: float) -> bool:
-            for j in range(index, n):
-                start = max(clock, working[j].release_ms)
-                clock = start + fastest[j]
-                if clock > working[j].deadline_ms + 1e-9:
-                    return False
-            return True
 
         def descend(index: int, clock: float, energy: float, chosen: list[ConfigOption]) -> None:
-            nonlocal best_energy, best_choice, nodes_explored
-            if nodes_explored >= self.max_nodes:
-                return
-            nodes_explored += 1
-            if energy + min_energy_suffix[index] >= best_energy - 1e-12:
-                return
+            nonlocal best_energy, best_choice
             if index == n:
-                best_energy = energy
-                best_choice = list(chosen)
+                if energy < best_energy - 1e-12:
+                    best_energy, best_choice = energy, list(chosen)
                 return
-            if not remaining_feasible(index, clock):
+            clocks, energies = frontiers[index]
+            point = bisect_left(clocks, clock)
+            if point == len(clocks) or energy + energies[point] - 1e-9 >= best_energy - 1e-12:
                 return
             spec = working[index]
-            # Cheapest-first so the first complete solution is already good,
-            # which makes the energy bound effective early.
-            for option in sorted(spec.options, key=lambda o: (o.energy_mj, o.latency_ms)):
-                start = max(clock, spec.release_ms)
+            start = max(clock, spec.release_ms)
+            for option in ordered[index]:
                 finish = start + option.latency_ms
-                if finish > spec.deadline_ms + 1e-9:
-                    continue
-                chosen.append(option)
-                descend(index + 1, finish, energy + option.energy_mj, chosen)
-                chosen.pop()
+                if finish <= spec.deadline_ms + 1e-9:
+                    chosen.append(option)
+                    descend(index + 1, finish, energy + option.energy_mj, chosen)
+                    chosen.pop()
 
         descend(0, window_start_ms, 0.0, [])
-
         if best_choice is None:
-            # Even the relaxed instance could not be solved within the node
-            # budget (or an event has a single impossible option): fall back
-            # to maximum performance everywhere.
-            best_choice = [spec.fastest_option for spec in working]
-            feasible = False
-
+            # relax_infeasible_deadlines makes the all-fastest schedule pass
+            # the deadline test, so the search always reaches a leaf.
+            raise RuntimeError(f"no schedule for the {n}-event window at {window_start_ms!r} ms")
         assignments = simulate_order(specs, best_choice, window_start_ms)
         feasible = feasible and all(a.meets_deadline for a in assignments)
-        return Schedule(assignments=assignments, feasible=feasible, solver="branch-and-bound")
+        return Schedule(assignments=assignments, feasible=feasible)
 
 
 @dataclass
@@ -207,7 +205,7 @@ class DynamicProgrammingSolver:
 
     def solve(self, specs: list[EventSpec], window_start_ms: float) -> Schedule:
         if not specs:
-            return Schedule(assignments=(), feasible=True, solver="dynamic-programming")
+            return Schedule(assignments=(), feasible=True)
         working, feasible = relax_infeasible_deadlines(specs, window_start_ms)
 
         bucket = self.bucket_ms
@@ -287,11 +285,12 @@ class DynamicProgrammingSolver:
                 key_max = key if key_max is None or key > key_max else key_max
 
             if key_min is None:
-                # No feasible continuation: run everything remaining at max
-                # performance (mirrors the exact solver's fallback).
+                # No feasible continuation (rounding finishes up to the bucket
+                # can lose the all-fastest schedule): run every event at
+                # maximum performance.
                 best = [spec2.fastest_option for spec2 in working]
                 assignments = simulate_order(specs, best, window_start_ms)
-                return Schedule(assignments=assignments, feasible=False, solver="dynamic-programming")
+                return Schedule(assignments=assignments, feasible=False)
 
             span = key_max - key_min + 1
             best_energy_arr = np.full(span, np.inf, dtype=np.float64)
@@ -358,4 +357,4 @@ class DynamicProgrammingSolver:
 
         assignments = simulate_order(specs, choices, window_start_ms)
         feasible = feasible and all(a.meets_deadline for a in assignments)
-        return Schedule(assignments=assignments, feasible=feasible, solver="dynamic-programming")
+        return Schedule(assignments=assignments, feasible=feasible)

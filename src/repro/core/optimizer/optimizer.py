@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.optimizer.ilp import BranchAndBoundSolver, DynamicProgrammingSolver
+from repro.core.optimizer.ilp import BranchAndBoundSolver
 from repro.core.optimizer.schedule import EventSpec, Schedule
 from repro.core.predictor.sequence_learner import PredictedEvent
 from repro.hardware.acmp import AcmpSystem
@@ -148,14 +148,8 @@ class GlobalOptimizer:
     power_table: PowerTable
     workload_estimator: WorkloadEstimator
     arrival_estimator: ArrivalEstimator = field(default_factory=ArrivalEstimator)
-    use_exact_solver: bool = True
-    dp_bucket_ms: float = 2.0
     #: Small reserve per event for the rendering hand-off / VSync quantisation.
     safety_margin_ms: float = 8.0
-
-    def __post_init__(self) -> None:
-        self._bb = BranchAndBoundSolver()
-        self._dp = DynamicProgrammingSolver(bucket_ms=self.dp_bucket_ms)
 
     # -- spec construction -------------------------------------------------------
 
@@ -224,8 +218,7 @@ class GlobalOptimizer:
     # -- solving ------------------------------------------------------------------
 
     def solve(self, specs: list[EventSpec], now_ms: float) -> Schedule:
-        solver = self._bb if self.use_exact_solver else self._dp
-        return solver.solve(specs, now_ms)
+        return BranchAndBoundSolver().solve(specs, now_ms)
 
     def compute_schedule(
         self,

@@ -79,7 +79,6 @@ class Schedule:
 
     assignments: tuple[Assignment, ...]
     feasible: bool
-    solver: str = "unspecified"
 
     @property
     def total_energy_mj(self) -> float:

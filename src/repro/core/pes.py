@@ -47,7 +47,6 @@ class PesConfig:
     max_prediction_degree: int = 12
     disable_after_mispredictions: int = 3
     use_dom_analysis: bool = True
-    use_exact_solver: bool = True
     arrival_conservatism: float = 0.8
     safety_margin_ms: float = 8.0
 
@@ -107,7 +106,6 @@ class PesScheduler:
             power_table=power_table,
             workload_estimator=WorkloadEstimator(profile=profile),
             arrival_estimator=ArrivalEstimator(conservatism=config.arrival_conservatism),
-            use_exact_solver=config.use_exact_solver,
             safety_margin_ms=config.safety_margin_ms,
         )
         control = ControlUnit(disable_after=config.disable_after_mispredictions)

@@ -706,17 +706,14 @@ class OracleEngine:
 
     config: EngineConfig
     safety_margin_ms: float = 8.0
-    dp_bucket_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.dp_bucket_ms <= 0:
-            raise ValueError("dp_bucket_ms must be positive")
         if self.safety_margin_ms < 0:
             raise ValueError("safety_margin_ms must be non-negative")
 
     def run(self, trace: Trace, oracle: OracleScheduler | None = None) -> SessionResult:
         oracle = oracle or OracleScheduler()
-        solver = DynamicProgrammingSolver(bucket_ms=self.dp_bucket_ms)
+        solver = DynamicProgrammingSolver(bucket_ms=1.0)
         replay = _Replay(self.config, trace, oracle.name)
         events = list(replay.trace)
         chunk_size = oracle.lookahead_events or len(events) or 1

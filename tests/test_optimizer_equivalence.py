@@ -36,7 +36,7 @@ def reference_seed_dp(specs, window_start_ms, bucket_ms):
     """Verbatim pre-refactor ``DynamicProgrammingSolver.solve`` (dict of
     quantised float finish times, per-state choice-tuple concatenation)."""
     if not specs:
-        return Schedule(assignments=(), feasible=True, solver="dynamic-programming")
+        return Schedule(assignments=(), feasible=True)
     working, feasible = relax_infeasible_deadlines(specs, window_start_ms)
 
     def quantise(t):
@@ -60,7 +60,7 @@ def reference_seed_dp(specs, window_start_ms, bucket_ms):
         if not next_frontier:
             best = [s.fastest_option for s in working]
             assignments = simulate_order(specs, best, window_start_ms)
-            return Schedule(assignments=assignments, feasible=False, solver="dynamic-programming")
+            return Schedule(assignments=assignments, feasible=False)
         pruned = {}
         best_energy = float("inf")
         for finish in sorted(next_frontier):
@@ -72,7 +72,7 @@ def reference_seed_dp(specs, window_start_ms, bucket_ms):
     best_energy, best_choices = min(frontier.values(), key=lambda item: item[0])
     assignments = simulate_order(specs, list(best_choices), window_start_ms)
     feasible = feasible and all(a.meets_deadline for a in assignments)
-    return Schedule(assignments=assignments, feasible=feasible, solver="dynamic-programming")
+    return Schedule(assignments=assignments, feasible=feasible)
 
 
 def random_float_instance(rng: random.Random):

@@ -112,23 +112,6 @@ class TestGlobalOptimizer:
         for assignment in schedule:
             assert assignment.meets_deadline
 
-    def test_exact_and_dp_paths_agree(self, setup, catalog):
-        predictions = [predicted(EventType.CLICK), predicted(EventType.SCROLL)]
-        exact = GlobalOptimizer(
-            system=setup.system,
-            power_table=setup.power_table,
-            workload_estimator=WorkloadEstimator(profile=catalog.get("cnn")),
-            use_exact_solver=True,
-        ).compute_schedule(0.0, [], predictions)
-        approx = GlobalOptimizer(
-            system=setup.system,
-            power_table=setup.power_table,
-            workload_estimator=WorkloadEstimator(profile=catalog.get("cnn")),
-            use_exact_solver=False,
-            dp_bucket_ms=1.0,
-        ).compute_schedule(0.0, [], predictions)
-        assert approx.total_energy_mj == pytest.approx(exact.total_energy_mj, rel=0.05)
-
     def test_empty_window(self, optimizer):
         schedule = optimizer.compute_schedule(0.0, [], [])
         assert len(schedule) == 0

@@ -71,7 +71,7 @@ class TestAssignmentAndSchedule:
             Assignment(spec=s1, option=s1.options[0], start_ms=0.0, finish_ms=100.0),
             Assignment(spec=s2, option=s2.options[1], start_ms=100.0, finish_ms=300.0),
         )
-        schedule = Schedule(assignments=assignments, feasible=False, solver="test")
+        schedule = Schedule(assignments=assignments, feasible=False)
         assert len(schedule) == 2
         assert schedule.total_energy_mj == pytest.approx(
             assignments[0].energy_mj + assignments[1].energy_mj

@@ -195,12 +195,6 @@ class TestOracleEngine:
         default = OracleEngine(engine_config).run(sample_trace, OracleScheduler())
         assert default.total_energy_mj <= unbounded.total_energy_mj * 1.02
 
-    def test_rejects_non_positive_bucket(self, engine_config):
-        with pytest.raises(ValueError, match="dp_bucket_ms"):
-            OracleEngine(engine_config, dp_bucket_ms=0.0)
-        with pytest.raises(ValueError, match="dp_bucket_ms"):
-            OracleEngine(engine_config, dp_bucket_ms=-1.0)
-
     def test_rejects_negative_safety_margin(self, engine_config):
         with pytest.raises(ValueError, match="safety_margin_ms"):
             OracleEngine(engine_config, safety_margin_ms=-0.5)
