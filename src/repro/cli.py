@@ -129,6 +129,7 @@ from repro.scenarios import (
     APP_MIXES,
     BUILTIN_SCENARIOS,
     MATRICES,
+    ArtefactError,
     MatrixJournal,
     PlatformSweep,
     ScenarioMatrix,
@@ -836,13 +837,17 @@ def _cmd_scenarios_compare(args: argparse.Namespace) -> int:
     """Render one artefact, or diff the total energy of two."""
     if len(args.files) > 2:
         raise SystemExit("scenarios compare takes one or two artefact files")
-    payload_a, results_a = load_results(args.files[0])
+    try:
+        loaded = [load_results(path) for path in args.files]
+    except ArtefactError as exc:
+        raise SystemExit(f"scenarios compare: {exc}") from None
+    payload_a, results_a = loaded[0]
     if len(args.files) == 1:
         print(f"{args.files[0]} (matrix={payload_a.get('matrix')})")
         _print_report(results_a)
         return 0
 
-    _, results_b = load_results(args.files[1])
+    _, results_b = loaded[1]
     by_name_b = {result.spec.name: result for result in results_b}
     rows: list[list[object]] = []
     unmatched: list[str] = []

@@ -430,7 +430,8 @@ def load_results(path: str | Path) -> tuple[dict, list[ScenarioResult]]:
 
     Raises :class:`~repro.scenarios.checkpoint.ArtefactError` when the file
     holds corrupt or truncated JSON, naming the file and the parse position
-    instead of surfacing a bare decode error.
+    instead of surfacing a bare decode error, and when the JSON is not a
+    results artefact, naming the file and the entry that does not parse.
     """
     path = Path(path)
     try:
@@ -440,5 +441,13 @@ def load_results(path: str | Path) -> tuple[dict, list[ScenarioResult]]:
             f"results artefact {path} is corrupt or truncated: {exc.msg} at "
             f"line {exc.lineno} column {exc.colno} (char {exc.pos})"
         ) from exc
-    results = [ScenarioResult.from_dict(entry) for entry in payload["scenarios"]]
+    entries = payload.get("scenarios") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise ArtefactError(f"results artefact {path} has no 'scenarios' list")
+    results: list[ScenarioResult] = []
+    for index, entry in enumerate(entries):
+        try:
+            results.append(ScenarioResult.from_dict(entry))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ArtefactError(f"results artefact {path}: bad scenarios[{index}]: {exc!r}") from exc
     return payload, results

@@ -258,6 +258,39 @@ class TestScenariosCommand:
         with pytest.raises(SystemExit):
             main(["scenarios", "compare", "a", "b", "c"])
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"scenarios": [{"spec": ', r"bad\.json is corrupt or truncated"),
+            ('{"foo": 1}', r"bad\.json has no 'scenarios' list"),
+            (
+                json.dumps(
+                    {
+                        "scenarios": [
+                            {
+                                "spec": {
+                                    "name": "old",
+                                    "apps": "core",
+                                    "schemes": ["PES"],
+                                    "pes": {"use_exact_solver": True},
+                                },
+                                "schemes": {},
+                            }
+                        ]
+                    }
+                ),
+                r"bad\.json: bad scenarios\[0\]: TypeError\(.*use_exact_solver",
+            ),
+        ],
+        ids=["truncated", "wrong-shape", "retired-pes-option"],
+    )
+    def test_compare_rejects_bad_artefact_in_one_line(self, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        with pytest.raises(SystemExit, match=f"^scenarios compare: .*{message}") as excinfo:
+            main(["scenarios", "compare", str(bad)])
+        assert "\n" not in str(excinfo.value)
+
     def test_run_unknown_matrix_fails(self):
         with pytest.raises(SystemExit, match="unknown matrix 'nope'"):
             main(["scenarios", "run", "--matrix", "nope"])
