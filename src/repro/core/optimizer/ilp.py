@@ -82,18 +82,17 @@ def relax_infeasible_deadlines(
     Returns the (possibly rewritten) specs and whether the original
     instance was feasible.
     """
-    # Finish times when every event runs at its fastest configuration.
-    finishes, clock = [], window_start_ms
+    fastest_finishes, clock = [], window_start_ms
     for spec in specs:
         clock = max(clock, spec.release_ms) + spec.fastest_option.latency_ms
-        finishes.append(clock)
-    feasible = all(f <= s.deadline_ms + 1e-9 for f, s in zip(finishes, specs))
+        fastest_finishes.append(clock)
+    feasible = all(f <= s.deadline_ms + 1e-9 for f, s in zip(fastest_finishes, specs))
     if feasible:
         return list(specs), True
 
     relaxed: list[EventSpec] = []
     previous_deadline = window_start_ms
-    for spec, earliest in zip(specs, finishes):
+    for spec, earliest in zip(specs, fastest_finishes):
         if earliest <= spec.deadline_ms + 1e-9:
             relaxed.append(spec)
         else:
@@ -133,23 +132,24 @@ class BranchAndBoundSolver:
         # padding and 1e-9 mJ off the bound keep rounding from over-pruning.
         frontiers = [([float("inf")], [0.0])]
         for spec in reversed(working):
-            clocks, energies = frontiers[-1]
+            later_clocks, later_energies = frontiers[-1]
             limit = spec.deadline_ms + 1e-9
-            cut = bisect_right(clocks, limit)
+            cut = bisect_right(later_clocks, limit)
             # Pairs up to the deadline, plus the first one past it clipped to it.
-            points = zip(clocks[:cut] + [limit], energies[: cut + 1])
-            candidates = [
-                (clock - o.latency_ms + 1e-6, energy + o.energy_mj)
+            points = zip(later_clocks[:cut] + [limit], later_energies[: cut + 1])
+            # Negated clocks, so a plain sort walks from the latest start down.
+            candidates = sorted(
+                (-(clock - o.latency_ms + 1e-6), energy + o.energy_mj)
                 for clock, energy in points
                 for o in spec.options
                 if spec.release_ms + o.latency_ms <= clock
-            ]
-            candidates.sort(key=lambda pair: (-pair[0], pair[1]))
-            kept: list[tuple[float, float]] = []
-            for pair in candidates:
-                if not kept or pair[1] < kept[-1][1]:
-                    kept.append(pair)
-            frontiers.append(([c for c, _ in reversed(kept)], [e for _, e in reversed(kept)]))
+            )
+            clocks, energies = [], []
+            for neg_clock, energy in candidates:
+                if not energies or energy < energies[-1]:
+                    clocks.append(-neg_clock)
+                    energies.append(energy)
+            frontiers.append((clocks[::-1], energies[::-1]))
         frontiers.reverse()
 
         best_energy = float("inf")
