@@ -20,9 +20,8 @@ workload and arrival time are not yet known:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.optimizer.ilp import BranchAndBoundSolver
 from repro.core.optimizer.schedule import EventSpec, Schedule
@@ -136,8 +135,29 @@ class ArrivalEstimator:
         if not gaps:
             estimate = self.initial_gap_ms[interaction]
         else:
-            estimate = float(np.quantile(gaps, self.quantile))
+            estimate = linear_quantile(sorted(gaps), self.quantile)
         return self.conservatism * estimate
+
+
+def linear_quantile(ordered: list[float], q: float) -> float:
+    """``float(np.quantile(ordered, q))`` for a sorted, non-empty, NaN-free list.
+
+    numpy's default ``linear`` method in plain Python, bit for bit: the
+    virtual index is ``(n - 1) * q`` and the two neighbours are blended
+    with numpy's ``_lerp``, which interpolates from the upper neighbour
+    once the weight reaches one half.  A windowed list of a few hundred
+    gaps costs far less this way than converting it to an array.
+    """
+    position = (len(ordered) - 1) * q
+    below = math.floor(position)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    gamma = position - below
+    low, high = ordered[below], ordered[below + 1]
+    diff = high - low
+    if gamma >= 0.5:
+        return high - diff * (1 - gamma)
+    return low + diff * gamma
 
 
 @dataclass

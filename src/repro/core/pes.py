@@ -61,7 +61,9 @@ class PesConfig:
         # config fails at construction instead of after learner training.
         if not 0.0 < self.arrival_conservatism <= 1.0:
             raise ValueError("conservatism must be in (0, 1]")
-        if self.safety_margin_ms < 0:
+        # Negated, so that NaN fails too: a NaN margin would make every EBS
+        # budget NaN and silently run each event on the fastest config.
+        if not self.safety_margin_ms >= 0:
             raise ValueError("safety_margin_ms must be non-negative")
 
 

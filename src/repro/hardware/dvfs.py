@@ -36,9 +36,10 @@ class DvfsModel:
     ndep_mcycles: float
 
     def __post_init__(self) -> None:
-        if self.tmem_ms < 0:
+        # Negated comparisons, so that NaN fails them too.
+        if not self.tmem_ms >= 0:
             raise ValueError("tmem_ms must be non-negative")
-        if self.ndep_mcycles < 0:
+        if not self.ndep_mcycles >= 0:
             raise ValueError("ndep_mcycles must be non-negative")
 
     def latency_ms(self, system: AcmpSystem, config: AcmpConfig) -> float:

@@ -48,12 +48,20 @@ DEFAULT_CLUSTER_PARAMS: Mapping[ClusterKind, ClusterPowerParams] = {
 }
 
 
+#: One priced operating point: ``(config, effective GHz, active power W)``.
+PricedPoint = tuple[AcmpConfig, float, float]
+
+
 @dataclass
 class PowerTable:
     """Lookup table mapping configurations to active power in watts."""
 
     active_w: dict[AcmpConfig, float]
     idle_w: float = 0.14
+    #: ``(system, priced_points(system))`` per platform seen, kept by :meth:`priced_points`.
+    _priced: list[tuple[AcmpSystem, tuple[PricedPoint, ...]]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for config, watts in self.active_w.items():
@@ -70,6 +78,23 @@ class PowerTable:
 
     def __contains__(self, config: AcmpConfig) -> bool:
         return config in self.active_w
+
+    def priced_points(self, system: AcmpSystem) -> tuple[PricedPoint, ...]:
+        """:attr:`AcmpSystem.operating_points` with each point's active power appended.
+
+        Built once per platform object and then shared, so the schedulers
+        price a workload without hashing a configuration per option.  A
+        session uses one platform and its few thermally capped copies
+        (:func:`repro.schedulers.base.capped_system` keeps those stable), so
+        the lookup is a short identity scan.  Raises ``KeyError`` for a
+        configuration the table has no entry for.
+        """
+        for known, points in self._priced:
+            if known is system:
+                return points
+        points = tuple((config, effective_ghz, self.power_w(config)) for config, effective_ghz in system.operating_points)
+        self._priced.append((system, points))
+        return points
 
 
 @dataclass

@@ -147,20 +147,20 @@ def enumerate_options(
     *static* platform would produce — the bit-identity the dynamic thermal
     engines rely on.
 
-    Eqn. 1 is evaluated over :attr:`AcmpSystem.operating_points` with the
-    float expression of :meth:`DvfsModel.latency_ms`.  Nothing is memoised:
-    every call returns a new list.
+    Eqn. 1 is evaluated over :meth:`PowerTable.priced_points` (the
+    platform's operating points, priced once per table) with the float
+    expression of :meth:`DvfsModel.latency_ms`.  The options themselves
+    depend on the workload and are not memoised: every call returns a new
+    list.
     """
     if cap_mhz is not None:
         system = capped_system(system, cap_mhz)
     tmem, ndep = workload.tmem_ms, workload.ndep_mcycles
-    power_of = power_table.power_w
     # Rows sort as a stable sort by (latency, energy) would; ConfigOption computes
     # energy_mj with the same product, so only the options kept are built.
     rows = []
-    for index, (config, effective_ghz) in enumerate(system.operating_points):
+    for index, (config, effective_ghz, power_w) in enumerate(power_table.priced_points(system)):
         latency_ms = tmem + ndep / effective_ghz
-        power_w = power_of(config)
         rows.append((latency_ms, power_w * latency_ms, index, config, power_w))
     rows.sort()
     options: list[ConfigOption] = []

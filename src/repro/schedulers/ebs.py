@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hardware.dvfs import DvfsModel
-from repro.schedulers.base import (
-    EventContext,
-    ExecutionPlan,
-    ReactiveScheduler,
-    enumerate_options,
-)
+from repro.schedulers.base import EventContext, ExecutionPlan, ReactiveScheduler
 from repro.webapp.events import EventType
 
 
@@ -54,11 +49,12 @@ class EbsScheduler(ReactiveScheduler):
     _count: dict[EventType, int] = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self) -> None:
-        if self.safety_margin_ms < 0:
+        # Negated comparisons, so that NaN fails them too.
+        if not self.safety_margin_ms >= 0:
             raise ValueError("safety_margin_ms must be non-negative")
         if self.calibration_runs < 0:
             raise ValueError("calibration_runs must be non-negative")
-        if self.workload_safety_factor < 1.0:
+        if not self.workload_safety_factor >= 1.0:
             raise ValueError("workload_safety_factor must be >= 1")
 
     # -- workload calibration -------------------------------------------------
@@ -90,18 +86,24 @@ class EbsScheduler(ReactiveScheduler):
     # -- scheduling -------------------------------------------------------------
 
     def plan(self, ctx: EventContext) -> ExecutionPlan:
+        """The minimum-``(energy, latency)`` configuration whose latency fits the budget.
+
+        When none fits (a Type I event, or the budget was eaten by
+        interference) EBS falls back to the minimum-``(latency, energy)``
+        configuration to minimise the violation.  One pass over the priced
+        operating points, with the floats of :func:`enumerate_options`.
+        """
         predicted_workload = self._predict_workload(ctx)
         self._record(ctx)
-        options = enumerate_options(ctx.system, ctx.power_table, predicted_workload)
+        tmem, ndep = predicted_workload.tmem_ms, predicted_workload.ndep_mcycles
         budget = ctx.remaining_budget_ms - self.safety_margin_ms
-
-        feasible = [o for o in options if o.latency_ms <= budget]
-        if feasible:
-            best = min(feasible, key=lambda o: (o.energy_mj, o.latency_ms))
-            return ExecutionPlan.single(best.config)
-
-        # No configuration meets the deadline (Type I event, or the budget was
-        # eaten by interference): fall back to the highest-performance
-        # configuration to minimise the violation.
-        fastest = min(options, key=lambda o: (o.latency_ms, o.energy_mj))
-        return ExecutionPlan.single(fastest.config)
+        # (key, config) pairs; a strict ``<`` keeps the earliest point on ties.
+        best = fastest = None
+        for config, effective_ghz, power_w in ctx.power_table.priced_points(ctx.system):
+            latency_ms = tmem + ndep / effective_ghz
+            energy_mj = power_w * latency_ms
+            if latency_ms <= budget and (best is None or (energy_mj, latency_ms) < best[0]):
+                best = ((energy_mj, latency_ms), config)
+            if fastest is None or (latency_ms, energy_mj) < fastest[0]:
+                fastest = ((latency_ms, energy_mj), config)
+        return ExecutionPlan.single((best or fastest)[1])

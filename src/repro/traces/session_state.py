@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.utils import stable_seed
 from repro.webapp.apps import AppProfile
-from repro.webapp.dom import DomNode, DomTree
+from repro.webapp.dom import DomNode, DomTree, DomView
 from repro.webapp.events import EventType, Interaction, interaction_of, POINTER_EVENT_TYPES
 from repro.webapp.semantic_tree import SemanticTree
 
@@ -83,8 +83,8 @@ class SessionState:
     doc_index: int = 0
     history: deque[ObservedEvent] = field(default_factory=lambda: deque(maxlen=FEATURE_WINDOW))
     last_navigated: bool = False
-    #: ``dom.visible_nodes()`` of the current state, computed on first use.
-    _visible: list[DomNode] | None = field(default=None, init=False, repr=False, compare=False)
+    #: ``dom.view()`` of the current state, fetched on first use.
+    _view: DomView | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, profile: AppProfile) -> "SessionState":
@@ -94,25 +94,28 @@ class SessionState:
 
     # -- visibility snapshot ---------------------------------------------------
 
-    def visible_nodes(self) -> list[DomNode]:
-        """The DOM nodes inside the viewport, walked once per session state.
+    def view(self) -> DomView:
+        """The visible nodes and their aggregates, looked up once per session state.
 
         Shared by the features, the LNES and target picking.  Only
         :meth:`apply_event` and :meth:`reset_document` change the DOM, and
-        both drop the snapshot when they do.  Callers must not mutate the
-        returned list.
+        both drop the snapshot when they do.  A served document's clones
+        share :meth:`DomTree.view`'s memo, so a DOM state another session or
+        roll-forward has seen is not walked again.
         """
-        if self._visible is None:
-            self._visible = self.dom.visible_nodes()
-        return self._visible
+        if self._view is None:
+            self._view = self.dom.view()
+        return self._view
+
+    def visible_nodes(self) -> list[DomNode]:
+        """The DOM nodes inside the viewport; callers must not mutate the list."""
+        return self.view().nodes
 
     # -- features (Table 1) --------------------------------------------------
 
     def features(self) -> np.ndarray:
         """The five-element feature vector, each component normalised to [0, 1]."""
-        visible = self.visible_nodes()
-        clickable = self.dom.clickable_region_fraction(visible)
-        links = self.dom.visible_link_fraction(visible)
+        view = self.view()
 
         distance_to_click = float(FEATURE_WINDOW)
         for distance, observed in enumerate(reversed(self.history), start=1):
@@ -127,8 +130,8 @@ class SessionState:
 
         return np.array(
             [
-                clickable,
-                links,
+                view.clickable_fraction,
+                view.link_fraction,
                 distance_to_click / FEATURE_WINDOW,
                 navigations / FEATURE_WINDOW,
                 scrolls / FEATURE_WINDOW,
@@ -148,8 +151,7 @@ class SessionState:
         """
         if self.last_navigated:
             return {EventType.LOAD}
-        visible = self.dom.visible_event_types(self.visible_nodes())
-        return {e for e in visible if e in POINTER_EVENT_TYPES}
+        return {e for e in self.view().listeners if e in POINTER_EVENT_TYPES}
 
     # -- state evolution -------------------------------------------------------
 
@@ -167,7 +169,7 @@ class SessionState:
             # The load event of the new document replaces the DOM.
             self.doc_index += 1
             self.dom, self.semantic = _serve_document(self.profile, self.doc_index)
-            self._visible = None
+            self._view = None
             self.last_navigated = False
         elif did_navigate:
             # A navigating tap tears down the document; only the subsequent
@@ -175,7 +177,7 @@ class SessionState:
             self.last_navigated = True
         else:
             effect.apply(self.dom)
-            self._visible = None
+            self._view = None
             self.last_navigated = False
 
         self.history.append(ObservedEvent(event_type=event_type, navigated=did_navigate, node_id=node_id))
@@ -185,7 +187,7 @@ class SessionState:
         """Force a fresh document (used at session start)."""
         self.doc_index = 0
         self.dom, self.semantic = _serve_document(self.profile, 0)
-        self._visible = None
+        self._view = None
         self.last_navigated = False
         self.history.clear()
 
@@ -196,7 +198,7 @@ class SessionState:
         largest predictor-side cost): the immutable pieces — the frozen
         :class:`AppProfile`, the frozen ``CallbackEffect`` values, and the
         frozen ``ObservedEvent`` history entries — are shared, and so is the
-        visibility snapshot, since the clone starts in the same DOM state.
+        view snapshot, since the clone starts in the same DOM state.
         The DOM tree is a copy-on-write :meth:`DomTree.clone`: a roll-forward
         copies nodes only when an effect mutates one through
         :meth:`DomTree.find`, and scrolls and loads never copy; so mutate
@@ -211,5 +213,5 @@ class SessionState:
             history=deque(self.history, maxlen=FEATURE_WINDOW),
             last_navigated=self.last_navigated,
         )
-        twin._visible = self._visible
+        twin._view = self._view
         return twin

@@ -131,6 +131,33 @@ class DomNode:
         self.display = "none" if self.display == "block" else "block"
 
 
+@dataclass(frozen=True, slots=True)
+class DomView:
+    """One DOM state seen through one viewport: the visible nodes and their aggregates.
+
+    ``nodes`` is :meth:`DomTree.visible_nodes` and the other fields are the
+    :class:`DomTree` aggregate queries over it.  Views are shared between
+    trees and session states, so never mutate ``nodes``.
+    """
+
+    nodes: list[DomNode]
+    clickable_fraction: float
+    link_fraction: float
+    listeners: frozenset[EventType]
+
+    @classmethod
+    def of(cls, tree: "DomTree", visible: list[DomNode] | None = None) -> "DomView":
+        """The view of ``tree``'s current state; ``visible`` defaults to a fresh walk."""
+        if visible is None:
+            visible = tree.visible_nodes()
+        return cls(
+            visible,
+            tree.clickable_region_fraction(visible),
+            tree.visible_link_fraction(visible),
+            frozenset(tree.visible_event_types(visible)),
+        )
+
+
 class DomTree:
     """A DOM tree plus the page viewport.
 
@@ -146,8 +173,9 @@ class DomTree:
         self.root = root
         self.viewport = viewport or Viewport()
         self._page_height = page_height
-        # True while ``root`` may also be another tree's node graph.
-        self._shared = False
+        # Views by viewport, shared by every tree on ``root``'s node graph;
+        # None while the graph is private to this tree (and may be mutated).
+        self._views: dict[Viewport, DomView] | None = None
 
     # -- factory helpers ---------------------------------------------------
 
@@ -182,15 +210,32 @@ class DomTree:
                 stack.extend(reversed(node.children))
         return visible
 
+    def view(self) -> DomView:
+        """:class:`DomView` of the current state.
+
+        While the node graph is shared (see :meth:`clone`) it cannot change,
+        so every tree on it shares one memo by viewport, and a state any of
+        them has seen is walked once.  A private graph may be mutated, and
+        is walked on every call.
+        """
+        views = self._views
+        if views is None:
+            return DomView.of(self)
+        view = views.get(self.viewport)
+        if view is None:
+            view = views[self.viewport] = DomView.of(self)
+        return view
+
     def find(self, node_id: str) -> DomNode:
         """The node with ``node_id``; the returned reference may be mutated.
 
         On a copy-on-write clone this first copies the node graph, so the
-        mutation stays private to this tree.
+        mutation stays private to this tree; the copy leaves the shared view
+        memo behind.
         """
-        if self._shared:
+        if self._views is not None:
             self.root = self.root.clone()
-            self._shared = False
+            self._views = None
         for node in self.walk():
             if node.node_id == node_id:
                 return node
@@ -231,15 +276,16 @@ class DomTree:
     def clone(self) -> "DomTree":
         """Copy-on-write copy of the tree (the viewport is immutable and shared).
 
-        The clone shares this tree's node graph and both trees are marked
-        shared; whichever calls :meth:`find` first copies the graph for
-        itself, so mutate nodes only through references obtained from
+        The clone shares this tree's node graph and its view memo; whichever
+        tree calls :meth:`find` first copies the graph for itself and drops
+        the memo, so mutate nodes only through references obtained from
         ``find``.  Scrolling swaps the viewport and never copies, so a
         hypothetical roll-forward copies the tree only when it toggles a node.
         """
-        self._shared = True
+        if self._views is None:
+            self._views = {}
         twin = DomTree(self.root, viewport=self.viewport, page_height=self._page_height)
-        twin._shared = True
+        twin._views = self._views
         return twin
 
     # -- mutation ----------------------------------------------------------

@@ -43,6 +43,7 @@ class TestPesConfig:
         ("field", "value", "message"),
         [
             ("safety_margin_ms", -5.0, "safety_margin_ms must be non-negative"),
+            ("safety_margin_ms", float("nan"), "safety_margin_ms must be non-negative"),
             ("arrival_conservatism", 0.0, "conservatism must be in"),
             ("arrival_conservatism", 1.5, "conservatism must be in"),
         ],
@@ -54,6 +55,12 @@ class TestPesConfig:
     def test_scenario_payload_with_bad_pes_config_fails_to_load(self):
         payload = ScenarioSpec(name="x", pes=PesConfig()).to_dict()
         payload["pes"]["safety_margin_ms"] = -5.0
+        with pytest.raises(ValueError, match="safety_margin_ms"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_scenario_payload_with_nan_margin_fails_to_load(self):
+        payload = ScenarioSpec(name="x", pes=PesConfig()).to_dict()
+        payload["pes"]["safety_margin_ms"] = float("nan")
         with pytest.raises(ValueError, match="safety_margin_ms"):
             ScenarioSpec.from_dict(payload)
 

@@ -19,6 +19,12 @@ class TestDvfsModel:
         with pytest.raises(ValueError):
             DvfsModel(tmem_ms=1.0, ndep_mcycles=-10.0)
 
+    def test_rejects_nan_parameters(self):
+        with pytest.raises(ValueError, match="tmem_ms"):
+            DvfsModel(tmem_ms=float("nan"), ndep_mcycles=10.0)
+        with pytest.raises(ValueError, match="ndep_mcycles"):
+            DvfsModel(tmem_ms=1.0, ndep_mcycles=float("nan"))
+
     def test_latency_is_tmem_plus_cycles_over_frequency(self, system):
         model = DvfsModel(tmem_ms=10.0, ndep_mcycles=180.0)
         latency = model.latency_ms(system, AcmpConfig("A15", 1800))

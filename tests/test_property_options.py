@@ -5,7 +5,13 @@ operating-point table.  The reference here is the sweep it replaced:
 ``workload.latency_ms(system, config)`` over ``system.configurations()`` of
 a freshly capped platform, sorted by (latency, energy) and pruned to the
 Pareto front.  The two must agree exactly, down to the bits of every float.
+
+EBS picks its configuration in one pass over the priced operating points;
+its reference is the planner it replaced, ``min`` over ``enumerate_options``.
 """
+
+import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +20,10 @@ from repro.hardware.acmp import AcmpSystem, Cluster, ClusterKind
 from repro.hardware.dvfs import DvfsModel
 from repro.hardware.platforms import get_platform, list_platforms
 from repro.hardware.power import PowerModel
-from repro.schedulers.base import ConfigOption, capped_system, enumerate_options
+from repro.schedulers.base import ConfigOption, ExecutionPlan, capped_system, enumerate_options
+from repro.schedulers.ebs import EbsScheduler
+from repro.traces.trace import TraceEvent
+from repro.webapp.events import EventType
 
 PLATFORMS = {name: get_platform(name) for name in list_platforms()}
 POWER_TABLES = {name: PowerModel().build_table(system) for name, system in PLATFORMS.items()}
@@ -102,3 +111,97 @@ class TestEnumerateOptionsMatchesNaiveSweep:
         for _ in range(2):
             with pytest.raises(ValueError, match="non-positive frequency"):
                 enumerate_options(system, power_table, DvfsModel(1.0, 10.0))
+
+
+class ReferenceEbs(EbsScheduler):
+    """EBS as it was: every option built and sorted, then two ``min``s."""
+
+    def plan(self, ctx):
+        predicted_workload = self._predict_workload(ctx)
+        self._record(ctx)
+        options = enumerate_options(ctx.system, ctx.power_table, predicted_workload)
+        budget = ctx.remaining_budget_ms - self.safety_margin_ms
+        feasible = [o for o in options if o.latency_ms <= budget]
+        if feasible:
+            best = min(feasible, key=lambda o: (o.energy_mj, o.latency_ms))
+            return ExecutionPlan.single(best.config)
+        fastest = min(options, key=lambda o: (o.latency_ms, o.energy_mj))
+        return ExecutionPlan.single(fastest.config)
+
+
+#: Two identical big clusters: every rung of ``twin-b`` ties exactly with the
+#: same rung of ``twin-a``, so only the lowest-index rule tells them apart.
+TWINS = AcmpSystem(
+    name="twins",
+    clusters=(
+        Cluster("twin-a", ClusterKind.BIG, 2, (800, 1200, 1600)),
+        Cluster("twin-b", ClusterKind.BIG, 2, (800, 1200, 1600)),
+        Cluster("little", ClusterKind.LITTLE, 4, (600, 1000), perf_scale=0.6),
+    ),
+)
+EBS_PLATFORMS = {**PLATFORMS, "twins": TWINS}
+EBS_POWER_TABLES = {**POWER_TABLES, "twins": PowerModel().build_table(TWINS)}
+
+
+def budget_context(system, power_table, workload, budget_ms, event_type=EventType.CLICK, index=0):
+    """What ``EbsScheduler.plan`` reads, with the remaining budget set exactly."""
+    event = TraceEvent(index=index, event_type=event_type, node_id="n", arrival_ms=0.0, workload=workload)
+    return SimpleNamespace(event=event, remaining_budget_ms=budget_ms, system=system, power_table=power_table)
+
+
+def edge_budgets(system, power_table, workload):
+    """Each option's latency and the floats one ulp either side, plus the extremes."""
+    budgets = [-math.inf, 0.0, math.inf]
+    for option in enumerate_options(system, power_table, workload):
+        latency = option.latency_ms
+        budgets += [math.nextafter(latency, -math.inf), latency, math.nextafter(latency, math.inf)]
+    return budgets
+
+
+class TestEbsOnePassMatchesOptionsMin:
+    @given(workload=workloads)
+    @example(workload=DvfsModel(0.0, 0.0))
+    @example(workload=DvfsModel(12.5, 0.0))
+    @example(workload=DvfsModel(3.0, 180.0))
+    @settings(max_examples=30, deadline=None)
+    def test_budgets_at_every_option_latency(self, workload):
+        for name, system in EBS_PLATFORMS.items():
+            power_table = EBS_POWER_TABLES[name]
+            for cap_mhz in caps(system):
+                planned = system if cap_mhz is None else capped_system(system, cap_mhz)
+                for budget in edge_budgets(planned, power_table, workload):
+                    ctx = budget_context(planned, power_table, workload, budget)
+                    got = EbsScheduler(safety_margin_ms=0.0).plan(ctx)
+                    expected = ReferenceEbs(safety_margin_ms=0.0).plan(ctx)
+                    assert got == expected, (name, cap_mhz, budget)
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        power_table = EBS_POWER_TABLES["twins"]
+        workload = DvfsModel(2.0, 240.0)
+        for budget in edge_budgets(TWINS, power_table, workload):
+            ctx = budget_context(TWINS, power_table, workload, budget)
+            plan = EbsScheduler(safety_margin_ms=0.0).plan(ctx)
+            assert plan.final_config.cluster_name != "twin-b"
+            assert plan == ReferenceEbs(safety_margin_ms=0.0).plan(ctx)
+
+    @given(
+        platform=st.sampled_from(sorted(EBS_PLATFORMS)),
+        events=st.lists(
+            st.tuples(
+                st.sampled_from([EventType.CLICK, EventType.SCROLL, EventType.LOAD]),
+                workloads,
+                st.floats(min_value=-50.0, max_value=400.0, allow_nan=False),
+            ),
+            max_size=12,
+        ),
+        margin=st.sampled_from([0.0, 8.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_calibrated_sessions_pick_the_same_plans(self, platform, events, margin):
+        # Past its calibration runs EBS plans against inflated running
+        # averages, so the two schedulers must also agree on those workloads.
+        system, power_table = EBS_PLATFORMS[platform], EBS_POWER_TABLES[platform]
+        fast, reference = EbsScheduler(safety_margin_ms=margin), ReferenceEbs(safety_margin_ms=margin)
+        for index, (event_type, workload, budget) in enumerate(events):
+            ctx = budget_context(system, power_table, workload, budget, event_type, index)
+            assert fast.plan(ctx) == reference.plan(ctx)

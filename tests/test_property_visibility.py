@@ -15,7 +15,7 @@ from repro.core.predictor.features import EventLabelEncoder
 from repro.traces.generator import TraceGenerator
 from repro.traces.session_state import SessionState
 from repro.webapp.apps import AppCatalog
-from repro.webapp.dom import DomTree
+from repro.webapp.dom import DomTree, DomView
 from repro.webapp.events import EventType
 
 CATALOG = AppCatalog()
@@ -31,8 +31,8 @@ def naive_visible(tree: DomTree) -> list:
 class NaiveView(SessionState):
     """A read-only view of a state whose visibility is recomputed naively."""
 
-    def visible_nodes(self):
-        return naive_visible(self.dom)
+    def view(self):
+        return DomView.of(self.dom, naive_visible(self.dom))
 
 
 def naive_view(state: SessionState) -> NaiveView:
@@ -123,6 +123,38 @@ class TestVisibilitySnapshotDifferential:
         for parked, expected in frozen:
             assert observe(parked) == expected
             assert observe(naive_view(parked)) == expected
+
+    @given(
+        app=st.sampled_from(CATALOG.names()),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from(["scroll", "move", "toggle", "top", "clone"]),
+                st.integers(min_value=0, max_value=7),
+            ),
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_clones_of_one_served_document_share_views_exactly(self, app, steps):
+        # Sessions served the same document, and clones of them, share one
+        # view memo.  Every state is queried after every step, so a clone
+        # that toggles or scrolls next does so after the others have filled
+        # the memo, and each query must still equal the naive walk.
+        profile = CATALOG.get(app)
+        states = [SessionState.fresh(profile), SessionState.fresh(profile)]
+        states += [states[0].clone(), states[1].clone()]
+        for who, kind, index in steps:
+            if kind == "clone":
+                states[who] = states[(who + 1) % len(states)].clone()
+            else:
+                act(states[who], kind, index)
+            for state in states:
+                assert observe(state) == observe(naive_view(state))
+                naive = naive_visible(state.dom)
+                view = state.dom.view()
+                assert [id(n) for n in view.nodes] == [id(n) for n in naive]
+                assert view == DomView.of(state.dom, naive)
 
     @given(
         app=st.sampled_from(CATALOG.names()),

@@ -9,6 +9,7 @@ keyed on per-run objects grows on every run and slows each one down.
 import sys
 
 from repro.scenarios import ScenarioRunner, ScenarioSpec
+from repro.traces import session_state
 
 SPECS = [
     ScenarioSpec(name="pes/default", apps=("cnn",), schemes=("Interactive", "EBS", "PES")),
@@ -31,6 +32,11 @@ def module_state_sizes() -> dict[str, int]:
                 sizes[name] = len(value)
             elif callable(getattr(value, "cache_info", None)):
                 sizes[name] = value.cache_info().currsize
+    # Memos nested inside a module-level container are invisible to len():
+    # each served document carries the view memo its clones share.
+    sizes["repro.traces.session_state._DOCUMENTS[*].views"] = sum(
+        len(dom._views or ()) for dom, _ in session_state._DOCUMENTS.values()
+    )
     return sizes
 
 
@@ -45,4 +51,5 @@ def test_second_run_adds_no_module_level_entries():
     after = module_state_sizes()
     grown = {name: (before.get(name, 0), size) for name, size in after.items() if size > before.get(name, 0)}
     assert grown == {}
+    assert before["repro.traces.session_state._DOCUMENTS[*].views"] > 0
     assert [r.to_dict() for r in second] == [r.to_dict() for r in first]

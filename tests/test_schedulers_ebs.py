@@ -79,6 +79,19 @@ class TestEbs:
         with pytest.raises(ValueError):
             EbsScheduler(safety_margin_ms=-1.0)
 
+    @pytest.mark.parametrize(
+        ("field", "message"),
+        [
+            ("safety_margin_ms", "safety_margin_ms must be non-negative"),
+            ("workload_safety_factor", "workload_safety_factor must be >= 1"),
+        ],
+    )
+    def test_nan_rejected_at_construction(self, field, message):
+        # A NaN margin would make every budget NaN: no option fits, so every
+        # event would silently run on the fastest configuration.
+        with pytest.raises(ValueError, match=message):
+            EbsScheduler(**{field: float("nan")})
+
 
 class TestOracleMarker:
     def test_lookahead_validation(self):

@@ -174,6 +174,11 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
 class TestWorkCounts:
     """Call counts, not timings, so these cannot flake."""
 
+    @pytest.fixture(autouse=True)
+    def fresh_documents(self, monkeypatch):
+        # Served documents share their view memo process-wide; count from an empty one.
+        monkeypatch.setattr(session_state, "_DOCUMENTS", {})
+
     @pytest.fixture
     def passes(self, monkeypatch):
         return _count_calls(monkeypatch, DomTree, "visible_nodes")
@@ -192,6 +197,22 @@ class TestWorkCounts:
             apply(state)
             state.features()
             state.available_events()
+        assert len(passes) == 2
+
+    def test_sessions_on_one_document_share_its_views(self, state, catalog, passes):
+        state.features()
+        twin = SessionState.fresh(catalog.get("cnn"))
+        twin.features()
+        _scroll(twin)
+        twin.available_events()
+        _scroll(state)
+        state.available_events()
+        assert len(passes) == 2
+
+    def test_a_private_tree_walks_every_query(self, state, passes):
+        _menu_toggle(state)
+        state.dom.view()
+        state.dom.view()
         assert len(passes) == 2
 
     def test_scroll_only_roll_forward_copies_no_nodes(self, state, node_clones):
