@@ -11,9 +11,11 @@ package (Sec. 5.5).  Two solvers are provided here:
   lower bound, and no such pair means no deadline-safe completion.
 * :class:`DynamicProgrammingSolver` — a fast approximation that discretises
   the timeline and keeps, per finish-time bucket, the cheapest way to reach
-  it.  The Oracle plans its 48-event windows with it (an exact search of a
-  36-event window took over a minute).  It matches the exact solver's
-  energy on bucket-aligned instances and rounds finishes up elsewhere.
+  it.  The Oracle plans its 48-event windows with it: on tegra_parker, with
+  24–25 options per event, the exact solver's time per window is
+  heavy-tailed (measurements in ROADMAP item 1).  It matches the exact
+  solver's energy on bucket-aligned instances and rounds finishes up
+  elsewhere.
 
 :func:`relax_infeasible_deadlines` implements the "do your best" fallback
 for windows containing Type I events: deadlines that cannot be met even at
@@ -23,10 +25,8 @@ energy subject to minimal lateness.
 
 Performance
 -----------
-``DynamicProgrammingSolver.solve`` is the hot path of the whole evaluation:
-profiling a full ``Simulator.compare()`` run at the seed revision put ~93%
-of the wall-clock inside it (19.3 s of 20.8 s profiled; tier-1 suite
-~146 s).  The solver therefore works on an **integer bucket lattice**:
+``DynamicProgrammingSolver.solve`` plans every Oracle window, so it works
+on an **integer bucket lattice**:
 
 * a DP state is an integer bucket index relative to the window start
   (``finish = window_start + bucket * bucket_ms``), never a quantised

@@ -3,7 +3,6 @@
 from repro.core.predictor.features import FeatureExtractor, EventLabelEncoder, FEATURE_NAMES
 from repro.core.predictor.logistic import SoftmaxRegression
 from repro.core.predictor.dom_analysis import DomAnalyzer
-from repro.core.predictor.hints import EventHint, HintBook
 from repro.core.predictor.sequence_learner import EventSequenceLearner, PredictedEvent
 from repro.core.predictor.hybrid import HybridEventPredictor
 from repro.core.predictor.training import PredictorTrainer, TrainingResult, evaluate_accuracy
@@ -14,8 +13,6 @@ __all__ = [
     "FEATURE_NAMES",
     "SoftmaxRegression",
     "DomAnalyzer",
-    "EventHint",
-    "HintBook",
     "EventSequenceLearner",
     "PredictedEvent",
     "HybridEventPredictor",

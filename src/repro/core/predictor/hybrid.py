@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.predictor.dom_analysis import DomAnalyzer
-from repro.core.predictor.hints import HintBook
 from repro.core.predictor.sequence_learner import EventSequenceLearner, PredictedEvent
 from repro.traces.session_state import SessionState
 from repro.webapp.apps import AppProfile
@@ -34,9 +33,6 @@ class HybridEventPredictor:
     learner: EventSequenceLearner
     profile: AppProfile
     use_dom_analysis: bool = True
-    #: Optional developer-provided hints (Sec. 7 future-work extension);
-    #: consulted before the statistical model at every prediction step.
-    hints: HintBook | None = None
     state: SessionState = field(init=False)
     analyzer: DomAnalyzer = field(init=False)
     predictions_made: int = 0
@@ -60,7 +56,6 @@ class HybridEventPredictor:
             self.state,
             self.analyzer,
             use_dom_analysis=self.use_dom_analysis,
-            hint_provider=self.hints.suggest if self.hints is not None else None,
         )
         self.rounds += 1
         self.predictions_made += len(predictions)
@@ -68,10 +63,6 @@ class HybridEventPredictor:
 
     def predict_next(self) -> tuple[EventType, float]:
         """Predict only the immediate next event (used by accuracy evaluation)."""
-        if self.hints is not None:
-            suggestion = self.hints.suggest(self.state)
-            if suggestion is not None:
-                return suggestion
         mask = self.analyzer.lnes_mask(self.state) if self.use_dom_analysis else None
         return self.learner.predict_next(self.state, mask=mask)
 

@@ -99,16 +99,12 @@ class EventSequenceLearner:
         analyzer: DomAnalyzer | None = None,
         *,
         use_dom_analysis: bool = True,
-        hint_provider=None,
     ) -> list[PredictedEvent]:
         """Predict the upcoming event sequence from the current session state.
 
         ``analyzer`` provides the DOM analysis; when omitted or when
         ``use_dom_analysis`` is False the learner predicts over the full
-        event-type space (the ablation of Sec. 6.5).  ``hint_provider`` is an
-        optional callable mapping the (hypothetical) session state to a
-        ``(event type, confidence)`` developer hint; when it fires for a step
-        it takes precedence over the statistical model (Sec. 7 extension).
+        event-type space (the ablation of Sec. 6.5).
         """
         predictions: list[PredictedEvent] = []
         cumulative = 1.0
@@ -116,12 +112,8 @@ class EventSequenceLearner:
         dom = analyzer if (analyzer is not None and use_dom_analysis) else None
 
         for _ in range(self.max_degree):
-            suggestion = hint_provider(current) if hint_provider is not None else None
-            if suggestion is not None:
-                event_type, confidence = suggestion
-            else:
-                mask = dom.lnes_mask(current) if dom is not None else None
-                event_type, confidence = self.predict_next(current, mask=mask)
+            mask = dom.lnes_mask(current) if dom is not None else None
+            event_type, confidence = self.predict_next(current, mask=mask)
             cumulative *= confidence
             if cumulative < self.confidence_threshold:
                 break

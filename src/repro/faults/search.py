@@ -15,7 +15,10 @@ periodic random restarts; no new deps) toward a target metric:
 * ``throttle_inflation`` — maximise throttle-induced latency slowdown on a
   live-thermal scenario (sensor faults only bite there).
 
-Every candidate is journaled through a
+Every candidate replays as a one-cell
+:class:`~repro.runtime.parallel.MatrixSweep` through
+:meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix`, over
+traces generated once per search, and is journaled through a
 :class:`~repro.scenarios.checkpoint.ShardJournal` at (scheme, trace)
 granularity: a search killed mid-candidate resumes without re-simulating
 finished shards, and — because candidates are named deterministically,
@@ -44,8 +47,9 @@ from repro.faults.spec import (
     PredictorFaults,
     SensorFaults,
 )
-from repro.runtime.metrics import SessionResult, StreamingSweepAggregator
-from repro.runtime.simulator import SimulationSetup, Simulator
+from repro.runtime.metrics import SessionResult
+from repro.runtime.parallel import ParallelEvaluator, SchemeAggregates
+from repro.runtime.simulator import SimulationSetup
 from repro.scenarios.checkpoint import ShardJournal, _spec_key
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import ScenarioRunner
@@ -266,23 +270,19 @@ def spec_from_knobs(values: Mapping[str, float], *, name: str, seed: int) -> Fau
 # -- evaluation + search driver -----------------------------------------------------
 
 
-def _summarise(aggregator: StreamingSweepAggregator) -> dict[str, float]:
-    metrics = aggregator.finalize()
-    fault_aggregate = aggregator.overall.finalize_faults()
-    thermal_aggregate = aggregator.overall.finalize_thermal()
+def _summarise(aggregates: SchemeAggregates) -> dict[str, float]:
+    metrics, faults, thermal = aggregates.overall, aggregates.faults, aggregates.thermal
     return {
         "total_energy_mj": metrics.total_energy_mj,
         "qos_violation_rate": metrics.qos_violation_rate,
         "mean_latency_ms": metrics.mean_latency_ms,
-        "injected": fault_aggregate.injected if fault_aggregate else 0,
-        "recovered": fault_aggregate.recovered if fault_aggregate else 0,
-        "recovery_rate": fault_aggregate.recovery_rate if fault_aggregate else 0.0,
-        "energy_inflation": fault_aggregate.energy_inflation if fault_aggregate else 0.0,
-        "battery_injected": fault_aggregate.battery_injected if fault_aggregate else 0,
-        "battery_recovered": fault_aggregate.battery_recovered if fault_aggregate else 0,
-        "throttle_slowdown": (
-            thermal_aggregate.throttle_slowdown if thermal_aggregate else 0.0
-        ),
+        "injected": faults.injected if faults else 0,
+        "recovered": faults.recovered if faults else 0,
+        "recovery_rate": faults.recovery_rate if faults else 0.0,
+        "energy_inflation": faults.energy_inflation if faults else 0.0,
+        "battery_injected": faults.battery_injected if faults else 0,
+        "battery_recovered": faults.battery_recovered if faults else 0,
+        "throttle_slowdown": thermal.throttle_slowdown if thermal else 0.0,
     }
 
 
@@ -337,32 +337,44 @@ def run_search(
         if progress is not None:
             progress(message)
 
-    def evaluate(fault_spec: FaultSpec | None, cell_key: str) -> dict:
+    evaluator = ParallelEvaluator(catalog=runner.catalog, jobs=runner.jobs)
+
+    def run_cell(fault_spec: FaultSpec | None, cell_key: str) -> dict:
         """Per-scheme summaries, journal-backed at shard granularity."""
         stored = cells.get(cell_key)
         if stored is not None:
             return stored
-        shard_map = shards.get(cell_key, {})
         setup = SimulationSetup(
             system=sweep.setup.system, thermal=sweep.setup.thermal, faults=fault_spec
         )
-        simulator = Simulator(setup, catalog=runner.catalog)
-        per_scheme: dict[str, dict[str, float]] = {}
-        for scheme in scheme_tuple:
-            aggregator = StreamingSweepAggregator()
-            for index, trace in enumerate(traces):
-                shard_key = f"{scheme}/{index}/{trace.app_name}"
-                payload = shard_map.get(shard_key)
-                if payload is not None:
-                    result = SessionResult.from_dict(payload)
-                else:
-                    result = simulator.run_scheme(
-                        [trace], scheme, learner=learner, pes_config=sweep.pes_config
-                    )[0]
-                    if journal is not None:
-                        journal.append_shard(cell_key, shard_key, result.to_dict())
-                aggregator.add(result)
-            per_scheme[scheme] = _summarise(aggregator)
+        cell = replace(sweep, setup=setup, traces=traces)
+        shard_keys = {
+            (cell.key, scheme, index): f"{scheme}/{index}/{trace.app_name}"
+            for scheme in scheme_tuple
+            for index, trace in enumerate(traces)
+        }
+        shard_map = shards.get(cell_key, {})
+        precomputed = {
+            job: SessionResult.from_dict(shard_map[shard_key])
+            for job, shard_key in shard_keys.items()
+            if shard_key in shard_map
+        }
+
+        def record(key: str, scheme: str, index: int, result: SessionResult) -> None:
+            job = (key, scheme, index)
+            if job not in precomputed:
+                journal.append_shard(cell_key, shard_keys[job], result.to_dict())
+
+        outcome = evaluator.evaluate_matrix(
+            [cell],
+            learner=learner,
+            on_job_complete=None if journal is None else record,
+            precomputed=precomputed or None,
+        )
+        per_scheme = {
+            scheme: _summarise(aggregates)
+            for scheme, aggregates in outcome.aggregates[cell.key].items()
+        }
         cell_payload = {
             "spec": None if fault_spec is None else fault_spec.to_dict(),
             "metrics": per_scheme,
@@ -373,7 +385,7 @@ def run_search(
         cells[cell_key] = cell_payload
         return cell_payload
 
-    baseline = evaluate(None, "baseline")
+    baseline = run_cell(None, "baseline")
     note(f"baseline score {baseline['score']:.4f} on {scenario_name}")
 
     # The hill-climb replays deterministically on resume: candidate knobs
@@ -390,7 +402,7 @@ def run_search(
             values = _mutate(rng, dict(best_values), knobs, budget)
         candidate = spec_from_knobs(values, name=f"search{index:04d}", seed=seed)
         cell_key = _spec_key(candidate.to_dict())
-        payload = evaluate(candidate, cell_key)
+        payload = run_cell(candidate, cell_key)
         accepted = best is None or payload["score"] > best["score"]
         log.append(
             {

@@ -47,6 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+# Float bound checks in this module are negated (``not x >= bound``) so
+# that NaN fails them: a ``--faults`` spec file can spell NaN.
 def _check_rate(owner: str, name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{owner}.{name} must be a probability in [0, 1], got {value}")
@@ -77,7 +79,7 @@ class BurstModel:
     def __post_init__(self) -> None:
         _check_rate("burst", "enter_rate", self.enter_rate)
         _check_rate("burst", "exit_rate", self.exit_rate)
-        if self.burst_multiplier < 0.0:
+        if not self.burst_multiplier >= 0.0:
             raise ValueError(
                 f"burst.burst_multiplier must be non-negative, got {self.burst_multiplier}"
             )
@@ -181,7 +183,7 @@ class SensorFaults:
         _check_rate("sensor", "stuck_rate", self.stuck_rate)
         if self.lag_readings < 0:
             raise ValueError(f"sensor.lag_readings must be non-negative, got {self.lag_readings}")
-        if self.noise_c < 0.0:
+        if not self.noise_c >= 0.0:
             raise ValueError(f"sensor.noise_c must be non-negative, got {self.noise_c}")
 
     @property
@@ -234,7 +236,7 @@ class EventStreamFaults:
         _check_rate("events", "drop_rate", self.drop_rate)
         _check_rate("events", "duplicate_rate", self.duplicate_rate)
         _check_rate("events", "jitter_rate", self.jitter_rate)
-        if self.jitter_ms < 0.0:
+        if not self.jitter_ms >= 0.0:
             raise ValueError(f"events.jitter_ms must be non-negative, got {self.jitter_ms}")
 
     @property
@@ -281,12 +283,12 @@ class BatteryFaults:
         _check_rate("battery", "sag_rate", self.sag_rate)
         _check_rate("battery", "brownout_rate", self.brownout_rate)
         _check_rate("battery", "misreport_rate", self.misreport_rate)
-        if self.sag_power_scale < 1.0:
+        if not self.sag_power_scale >= 1.0:
             raise ValueError(
                 f"battery.sag_power_scale must be >= 1 (a sag never saves energy), "
                 f"got {self.sag_power_scale}"
             )
-        if self.brownout_dwell_ms < 0.0:
+        if not self.brownout_dwell_ms >= 0.0:
             raise ValueError(
                 f"battery.brownout_dwell_ms must be non-negative, got {self.brownout_dwell_ms}"
             )

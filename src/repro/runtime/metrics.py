@@ -722,18 +722,6 @@ class StreamingSweepAggregator:
         self.overall.add(result)
         self.per_app.setdefault(result.app_name, StreamingAggregator()).add(result)
 
-    def merge(self, other: "StreamingSweepAggregator") -> None:
-        """Fold another sweep aggregator in (overall + per-app, app-wise).
-
-        Like :meth:`StreamingAggregator.merge`, bit-identical to a single
-        sequential fold over the union of sessions; per-app keys appear in
-        first-seen order (self's keys first, then other's new ones), which
-        matches the sequential order when shards are contiguous.
-        """
-        self.overall.merge(other.overall)
-        for app, agg in other.per_app.items():
-            self.per_app.setdefault(app, StreamingAggregator()).merge(agg)
-
     def finalize(self) -> AggregateMetrics:
         return self.overall.finalize()
 
@@ -756,17 +744,6 @@ class StreamingMatrixAggregator:
 
     def add(self, key: str, scheme: str, result: SessionResult) -> None:
         self.cells.setdefault((key, scheme), StreamingSweepAggregator()).add(result)
-
-    def merge(self, other: "StreamingMatrixAggregator") -> None:
-        """Fold another matrix aggregator in, cell by cell.
-
-        The shard-merge counterpart of :meth:`add`: cell totals are
-        bit-identical to a single sequential fold over all sessions, for
-        any assignment of sessions to shards (exact-sum accumulators
-        underneath).  Cells keep first-seen order.
-        """
-        for cell_key, sweep in other.cells.items():
-            self.cells.setdefault(cell_key, StreamingSweepAggregator()).merge(sweep)
 
     def finalize_cell(
         self, key: str, scheme: str

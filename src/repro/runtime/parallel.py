@@ -3,7 +3,7 @@
 A full paper evaluation replays every (scheme x trace) pair, and each replay
 is independent — exactly the embarrassingly parallel shape a process pool
 exploits.  :class:`ParallelEvaluator` runs every evaluation as a matrix of
-:class:`MatrixSweep` cells (:meth:`~ParallelEvaluator.evaluate` is a
+:class:`MatrixSweep` cells (:meth:`~ParallelEvaluator.compare` is a
 one-sweep matrix) and fans the jobs out over one ``multiprocessing`` pool:
 
 * **Recipes, not traces** — scenario sweeps carry
@@ -38,9 +38,7 @@ one-sweep matrix) and fans the jobs out over one ``multiprocessing`` pool:
   stalled) jobs are re-run serially in the parent, so a transient worker
   crash degrades to serial throughput rather than a lost sweep, while a
   deterministic bug surfaces as the original exception from the serial
-  re-run.  Set
-  ``retry_failed_jobs=False`` to get a :class:`WorkerJobError` (carrying
-  the worker traceback) instead of the retry.
+  re-run.  A ``RuntimeWarning`` names every re-run job and its error.
 
 Running evaluations in parallel
 -------------------------------
@@ -62,7 +60,6 @@ scaling up to the physical core count and ~1x on single-core containers.
 from __future__ import annotations
 
 import multiprocessing
-import traceback as traceback_module
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -82,23 +79,12 @@ from repro.utils import mp_context, pool_chunk_size, resolve_jobs
 from repro.webapp.apps import AppCatalog
 
 __all__ = [
-    "EvaluationOutcome",
     "MatrixOutcome",
     "MatrixSweep",
     "ParallelEvaluator",
     "SchemeAggregates",
-    "WorkerJobError",
     "resolve_jobs",
 ]
-
-
-class WorkerJobError(RuntimeError):
-    """A parallel replay job failed in a worker and retries were disabled.
-
-    The message embeds the worker-side traceback, so the failure is
-    diagnosable even though the original exception object died with the
-    worker process.
-    """
 
 
 @dataclass(frozen=True)
@@ -107,15 +93,10 @@ class _JobFailure:
 
     error_type: str
     message: str
-    traceback: str
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "_JobFailure":
-        return cls(
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback=traceback_module.format_exc(),
-        )
+        return cls(error_type=type(exc).__name__, message=str(exc))
 
 
 @dataclass(frozen=True)
@@ -134,19 +115,6 @@ class SchemeAggregates:
     per_app: dict[str, AggregateMetrics]
     thermal: ThermalAggregate | None = None
     faults: FaultAggregate | None = None
-
-
-@dataclass
-class EvaluationOutcome:
-    """Everything a batched sweep produces.
-
-    ``results`` preserves the :meth:`Simulator.compare` shape (scheme ->
-    sessions in trace order); it is ``None`` when the sweep ran with
-    ``keep_results=False`` and only the streamed aggregates were retained.
-    """
-
-    aggregates: dict[str, SchemeAggregates]
-    results: dict[str, list[SessionResult]] | None = None
 
 
 @dataclass(frozen=True)
@@ -194,10 +162,6 @@ class MatrixSweep:
             # A zero-trace sweep would silently vanish from the aggregates
             # and surface as a KeyError in whoever indexes by sweep key.
             raise ValueError(f"matrix sweep {self.key!r} has no traces")
-
-    @property
-    def n_jobs(self) -> int:
-        return len(self.traces) * len(self.schemes)
 
 
 @dataclass
@@ -346,22 +310,12 @@ class ParallelEvaluator:
     setup: SimulationSetup = field(default_factory=SimulationSetup)
     catalog: AppCatalog = field(default_factory=AppCatalog)
     jobs: int | None = None
-    #: (sweep, trace) units per pool task; ``None`` lets
-    #: :func:`repro.utils.pool_chunk_size` pick one that gives each worker
-    #: several chunks to steal.
-    chunk_size: int | None = None
     #: Stall watchdog: if no result arrives for this many seconds, the pool
     #: is torn down and the undelivered jobs are re-run serially in the
     #: parent.  ``None`` (the default) waits indefinitely.  This is a
     #: *progress* timeout on the whole pool, not a per-job deadline — it
     #: only fires when every worker has gone quiet (hung or dead).
     job_timeout_s: float | None = None
-    #: When ``True`` (the default), jobs that failed in a worker — or never
-    #: arrived before a stall — are re-run serially in the parent after the
-    #: pool is torn down, so one crashing worker degrades throughput instead
-    #: of losing the sweep.  ``False`` raises :class:`WorkerJobError`
-    #: carrying the worker traceback.
-    retry_failed_jobs: bool = True
 
     def __post_init__(self) -> None:
         self._jobs = resolve_jobs(self.jobs)
@@ -376,44 +330,24 @@ class ParallelEvaluator:
         learner: EventSequenceLearner | None = None,
         pes_config: PesConfig | None = None,
     ) -> dict[str, list[SessionResult]]:
-        """Drop-in parallel :meth:`Simulator.compare`."""
-        outcome = self.evaluate(
-            traces, schemes, learner=learner, pes_config=pes_config, keep_results=True
-        )
-        assert outcome.results is not None
-        return outcome.results
+        """Drop-in parallel :meth:`Simulator.compare`: a one-sweep matrix run.
 
-    def evaluate(
-        self,
-        traces: TraceSet | Sequence[Trace],
-        schemes: Sequence[str],
-        *,
-        learner: EventSequenceLearner | None = None,
-        pes_config: PesConfig | None = None,
-        keep_results: bool = True,
-    ) -> EvaluationOutcome:
-        """Replay every trace under every scheme, aggregating as results arrive.
-
-        A one-sweep :meth:`evaluate_matrix` run on this evaluator's setup, so
-        the sweep is validated like any matrix cell (known, distinct schemes;
-        a learner for PES).
+        The sweep is validated like any matrix cell (known, distinct
+        schemes; a learner for PES).
         """
         trace_list = tuple(traces)
         if not trace_list or not schemes:
-            results = {scheme: [] for scheme in schemes} if keep_results else None
-            return EvaluationOutcome(aggregates={}, results=results)
+            return {scheme: [] for scheme in schemes}
         sweep = MatrixSweep(
-            key="evaluate",
+            key="compare",
             setup=self.setup,
             traces=trace_list,
             schemes=tuple(schemes),
             pes_config=pes_config,
         )
-        outcome = self.evaluate_matrix([sweep], learner=learner, keep_results=keep_results)
-        return EvaluationOutcome(
-            aggregates=outcome.aggregates[sweep.key],
-            results=None if outcome.results is None else outcome.results[sweep.key],
-        )
+        outcome = self.evaluate_matrix([sweep], learner=learner, keep_results=True)
+        assert outcome.results is not None
+        return outcome.results[sweep.key]
 
     def evaluate_matrix(
         self,
@@ -560,15 +494,14 @@ class ParallelEvaluator:
         that failed in its worker parks as a :class:`_JobFailure` and blocks
         the prefix; once the pool is torn down (cleanly on completion,
         ``terminate`` on a stall), failed and undelivered jobs are re-run
-        serially in the parent (or surfaced as :class:`WorkerJobError` when
-        ``retry_failed_jobs`` is off) and the fold completes in order.
+        serially in the parent and the fold completes in order.
         KeyboardInterrupt and other parent-side exceptions still terminate
         and join the pool before propagating — no leaked worker processes,
         no un-joined pool.
         """
         n_jobs = len(jobs)
         n_todo = n_jobs - len(done)
-        tasks = _chunked(units, self.chunk_size or pool_chunk_size(len(units), workers))
+        tasks = _chunked(units, pool_chunk_size(len(units), workers))
         # Deliveries arrive one task at a time, and a task runs its jobs
         # serially on one worker — so the per-delivery watchdog bound is the
         # per-job timeout scaled by the most jobs any task carries.
@@ -626,16 +559,6 @@ class ParallelEvaluator:
         ]
         to_recover = sorted(failures.keys() | set(undelivered))
         if to_recover:
-            if not self.retry_failed_jobs:
-                detail = "\n\n".join(
-                    f"job {index}: {failure.error_type}: {failure.message}\n"
-                    f"{failure.traceback}"
-                    for index, failure in sorted(failures.items())
-                ) or f"jobs {undelivered} stalled past job_timeout_s={self.job_timeout_s}"
-                raise WorkerJobError(
-                    f"{len(to_recover)} parallel job(s) failed and "
-                    f"retry_failed_jobs is off:\n{detail}"
-                )
             reasons = [
                 f"job {index}: {failures[index].error_type}: {failures[index].message}"
                 if index in failures

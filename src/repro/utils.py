@@ -51,13 +51,13 @@ def mp_context():
     return multiprocessing.get_context("spawn" if "spawn" in methods else None)
 
 
-def pool_chunk_size(n_items: int, workers: int, chunks_per_worker: int = 8) -> int:
-    """Chunk size giving each worker ~``chunks_per_worker`` chunks to steal.
+def pool_chunk_size(n_items: int, workers: int) -> int:
+    """Chunk size giving each worker ~8 chunks to steal.
 
     More chunks = finer work stealing (better load balance); fewer chunks =
     less IPC overhead.
     """
-    return max(1, n_items // (workers * chunks_per_worker))
+    return max(1, n_items // (workers * 8))
 
 
 def write_text_atomic(text: str, path: Path | str) -> Path:

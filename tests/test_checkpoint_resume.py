@@ -411,6 +411,17 @@ class TestCliIntegration:
         with pytest.raises(SystemExit, match="flip_rate"):
             main(["scenarios", "run", "--scenario", "baseline_seen", "--faults", str(bad_rate)])
 
+    def test_faults_file_with_nan_exits_with_one_line_error(self, tmp_path):
+        nan_spec = tmp_path / "nan.json"
+        nan_spec.write_text('{"sensor": {"noise_c": NaN}, "events": {"jitter_ms": NaN}}')
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["scenarios", "run", "--scenario", "hot_chassis_live", "--faults", str(nan_spec)]
+            )
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        assert "nan.json" in message and "sensor.noise_c" in message
+
 
 class TestFaultsCli:
     def test_faults_list(self, capsys):

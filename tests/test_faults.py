@@ -91,6 +91,25 @@ class TestFaultSpec:
         assert spec.dvfs.fail_rate == 0.3
         assert spec.predictor.is_null and spec.sensor.is_null and spec.events.is_null
 
+    @pytest.mark.parametrize(
+        "block, field",
+        [
+            ("sensor", "noise_c"),
+            ("events", "jitter_ms"),
+            ("battery", "sag_power_scale"),
+            ("battery", "brownout_dwell_ms"),
+            ("burst", "burst_multiplier"),
+        ],
+    )
+    def test_from_dict_rejects_nan_magnitudes(self, block, field):
+        # NaN passes a plain ``x < bound`` check; a spec file can spell it.
+        if block == "burst":
+            payload = {"dvfs": {"fail_rate": 0.1, "burst": {field: float("nan")}}}
+        else:
+            payload = {block: {field: float("nan")}}
+        with pytest.raises(ValueError, match=f"{block}.{field}"):
+            FaultSpec.from_dict(json.loads(json.dumps(payload)))
+
     def test_preset_registry(self):
         assert list_fault_presets() == sorted(FAULT_PRESETS)
         with pytest.raises(KeyError, match="available"):

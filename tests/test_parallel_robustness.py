@@ -9,8 +9,7 @@ The parallel evaluator must degrade, never lose work silently:
 * a *deterministic* bug fails again in the parent re-run and surfaces as
   the original exception — after the pool has been joined, with no leaked
   worker processes,
-* ``retry_failed_jobs=False`` raises :class:`WorkerJobError` carrying the
-  worker-side traceback,
+* the warning lists exactly the failed jobs, each with its error,
 * ``job_timeout_s`` is a pool-wide progress watchdog: hung workers are
   terminated and the undelivered jobs recovered serially,
 * a ``KeyboardInterrupt`` (Ctrl-C) mid-fold terminates and joins the pool
@@ -29,7 +28,7 @@ import time
 
 import pytest
 
-from repro.runtime.parallel import MatrixSweep, ParallelEvaluator, WorkerJobError
+from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import SimulationSetup, Simulator
 from repro.utils import mp_context
 
@@ -94,21 +93,9 @@ class TestWorkerCrashRecovery:
         # worker processes.
         assert multiprocessing.active_children() == []
 
-    def test_retry_disabled_raises_worker_job_error(self, monkeypatch, small_traces):
-        def crash_in_workers(self, traces, scheme, **kwargs):
-            if _in_worker():
-                raise RuntimeError("simulated worker crash")
-            raise AssertionError("parent should not re-run with retries off")
-
-        monkeypatch.setattr(Simulator, "run_scheme", crash_in_workers)
-        evaluator = ParallelEvaluator(jobs=2, retry_failed_jobs=False)
-        with pytest.raises(WorkerJobError, match="simulated worker crash") as excinfo:
-            evaluator.compare(small_traces, ["Interactive", "EBS"])
-        # The worker-side traceback travels with the error.
-        assert "Traceback" in str(excinfo.value)
-        assert multiprocessing.active_children() == []
-
-    def test_one_failing_scheme_fails_only_its_own_jobs(self, monkeypatch, small_traces):
+    def test_one_failing_scheme_fails_only_its_own_jobs(
+        self, monkeypatch, small_traces, serial_results
+    ):
         # A unit replays one trace under every scheme; a scheme that raises
         # must not take the unit's other jobs down with it.
         original = Simulator.run_scheme
@@ -119,13 +106,17 @@ class TestWorkerCrashRecovery:
             return original(self, traces, scheme, **kwargs)
 
         monkeypatch.setattr(Simulator, "run_scheme", crash_ebs_in_workers)
-        evaluator = ParallelEvaluator(jobs=2, retry_failed_jobs=False)
-        with pytest.raises(WorkerJobError) as excinfo:
-            evaluator.compare(small_traces, ["Interactive", "EBS"])
+        evaluator = ParallelEvaluator(jobs=2)
+        with pytest.warns(RuntimeWarning, match="re-running serially") as record:
+            results = evaluator.compare(small_traces, ["Interactive", "EBS"])
         # Jobs 0-1 are Interactive, 2-3 EBS (global order: scheme, then trace).
-        message = str(excinfo.value)
+        message = str(record[0].message)
         assert "2 parallel job(s) failed" in message
-        assert "job 2: RuntimeError" in message and "job 3: RuntimeError" in message
+        assert "job 2: RuntimeError: simulated EBS crash" in message
+        assert "job 3: RuntimeError: simulated EBS crash" in message
+        assert "job 0:" not in message and "job 1:" not in message
+        assert results == serial_results
+        assert multiprocessing.active_children() == []
 
     def test_stalled_pool_is_terminated_and_recovered(
         self, monkeypatch, small_traces, serial_results
@@ -156,12 +147,15 @@ class TestGenerationFailure:
             traces=recipes,
             schemes=("Interactive", "EBS"),
         )
-        evaluator = ParallelEvaluator(jobs=2, retry_failed_jobs=False)
-        with pytest.raises(WorkerJobError, match="no-such-app") as excinfo:
-            evaluator.evaluate_matrix([sweep])
+        evaluator = ParallelEvaluator(jobs=2)
+        # Generation fails in the workers and again in the parent's re-run.
+        with pytest.warns(RuntimeWarning, match="re-running serially") as record:
+            with pytest.raises(KeyError, match="no-such-app"):
+                evaluator.evaluate_matrix([sweep])
         # Trace 1 backs job 1 (Interactive) and job 3 (EBS), and nothing else.
-        message = str(excinfo.value)
+        message = str(record[0].message)
         assert "2 parallel job(s) failed" in message
+        assert "job 0:" not in message and "job 2:" not in message
         assert "job 1: KeyError" in message and "job 3: KeyError" in message
         assert multiprocessing.active_children() == []
 

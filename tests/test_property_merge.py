@@ -26,8 +26,6 @@ from repro.runtime.metrics import (
     FaultSessionStats,
     SessionResult,
     StreamingAggregator,
-    StreamingMatrixAggregator,
-    StreamingSweepAggregator,
     ThermalSessionStats,
     aggregate_results,
 )
@@ -194,45 +192,6 @@ class TestMergeEqualsFoldDeterministic:
         results = self.results()
         merged = fold_shards(results, [4])
         assert merged.finalize() == aggregate_results(results)
-
-    def test_sweep_aggregator_merges_per_app(self):
-        results = self.results()
-        sequential = StreamingSweepAggregator()
-        for result in results:
-            sequential.add(result)
-        merged = StreamingSweepAggregator()
-        for start, end in ((0, 3), (3, 7), (7, len(results))):
-            shard = StreamingSweepAggregator()
-            for result in results[start:end]:
-                shard.add(result)
-            merged.merge(shard)
-        assert merged.finalize() == sequential.finalize()
-        assert merged.finalize_per_app() == sequential.finalize_per_app()
-        assert list(merged.per_app) == list(sequential.per_app)
-
-    def test_matrix_aggregator_merges_cell_wise(self):
-        results = self.results()
-        cells = [("sc-a", "EBS"), ("sc-b", "EBS")]
-        sequential = StreamingMatrixAggregator()
-        for i, result in enumerate(results):
-            key, scheme = cells[i % 2]
-            sequential.add(key, scheme, result)
-        merged = StreamingMatrixAggregator()
-        for start, end in ((0, 5), (5, len(results))):
-            shard = StreamingMatrixAggregator()
-            for i in range(start, end):
-                key, scheme = cells[i % 2]
-                shard.add(key, scheme, results[i])
-            merged.merge(shard)
-        assert set(merged.cells) == set(sequential.cells)
-        for key, scheme in cells:
-            assert merged.finalize_cell(key, scheme) == sequential.finalize_cell(key, scheme)
-            assert merged.finalize_cell_thermal(key, scheme) == sequential.finalize_cell_thermal(
-                key, scheme
-            )
-            assert merged.finalize_cell_faults(key, scheme) == sequential.finalize_cell_faults(
-                key, scheme
-            )
 
 
 finite = st.floats(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.metrics import aggregate_results
-from repro.runtime.parallel import ParallelEvaluator, resolve_jobs
+from repro.runtime.parallel import MatrixSweep, ParallelEvaluator, resolve_jobs
 from repro.runtime.simulator import Simulator
 
 ALL_SCHEMES = ["Interactive", "Ondemand", "EBS", "PES", "Oracle"]
@@ -27,6 +27,10 @@ def eval_traces(generator):
         generator.generate("ebay", seed=304),
     ]
     return [t.slice(0, 10) for t in traces]
+
+
+def one_sweep(setup, traces, schemes) -> list[MatrixSweep]:
+    return [MatrixSweep(key="cell", setup=setup, traces=tuple(traces), schemes=tuple(schemes))]
 
 
 @pytest.fixture(scope="module")
@@ -47,24 +51,24 @@ class TestParallelEquivalence:
 
     def test_aggregates_match_serial_fold(self, setup, catalog, eval_traces, learner, serial_results):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=3)
-        outcome = evaluator.evaluate(
-            eval_traces, ALL_SCHEMES, learner=learner, keep_results=False
+        outcome = evaluator.evaluate_matrix(
+            one_sweep(setup, eval_traces, ALL_SCHEMES), learner=learner
         )
         assert outcome.results is None
         for scheme in ALL_SCHEMES:
             expected = aggregate_results(serial_results[scheme])
-            assert outcome.aggregates[scheme].overall == expected
+            assert outcome.aggregates["cell"][scheme].overall == expected
 
     def test_streaming_per_app_matches_grouped_aggregation(
         self, setup, catalog, eval_traces, serial_results
     ):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=2)
-        outcome = evaluator.evaluate(eval_traces, ["EBS"], keep_results=False)
+        outcome = evaluator.evaluate_matrix(one_sweep(setup, eval_traces, ["EBS"]))
         expected = Simulator.aggregate_per_app(serial_results["EBS"])
-        assert outcome.aggregates["EBS"].per_app == expected
+        assert outcome.aggregates["cell"]["EBS"].per_app == expected
 
     def test_result_ordering_is_trace_order(self, setup, catalog, eval_traces):
-        evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=4, chunk_size=1)
+        evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=4)
         results = evaluator.compare(eval_traces, ["Interactive"])
         apps = [r.app_name for r in results["Interactive"]]
         assert apps == [t.app_name for t in eval_traces]
@@ -78,9 +82,7 @@ class TestParallelEvaluatorApi:
 
     def test_empty_sweep(self, setup, catalog):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=2)
-        outcome = evaluator.evaluate([], ["EBS"], keep_results=True)
-        assert outcome.results == {"EBS": []}
-        assert outcome.aggregates == {}
+        assert evaluator.compare([], ["EBS"]) == {"EBS": []}
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -100,7 +102,7 @@ class TestParallelEvaluatorApi:
         # twice: the aggregate counted 2x the sessions its results held.
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=jobs)
         with pytest.raises(ValueError, match="scheme twice"):
-            evaluator.evaluate(eval_traces[:2], ["EBS", "EBS"])
+            evaluator.compare(eval_traces[:2], ["EBS", "EBS"])
 
 
 class TestMatrixEvaluation:
@@ -299,7 +301,7 @@ class TestSweptPlatformMatrixEquivalence:
         serial = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
             swept_sweeps, keep_results=True
         )
-        parallel = ParallelEvaluator(catalog=catalog, jobs=4, chunk_size=1).evaluate_matrix(
+        parallel = ParallelEvaluator(catalog=catalog, jobs=4).evaluate_matrix(
             swept_sweeps, keep_results=True
         )
         assert parallel.results == serial.results

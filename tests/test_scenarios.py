@@ -17,6 +17,7 @@ from repro.scenarios import (
     get_scenario,
     load_results,
     resolve_app_mix,
+    results_to_payload,
     write_results,
 )
 from repro.scenarios.runner import ScenarioResult
@@ -240,6 +241,29 @@ class TestScenarioRunner:
         )
         results = runner.run([spec])
         assert "PES" in results[0].aggregates
+
+    def test_shared_setups_do_not_change_results(self, catalog, learner, monkeypatch):
+        # Same platform and regime, different app mixes: one setup key.
+        specs = [
+            ScenarioSpec(name="s/cnn", apps=("cnn",), schemes=("Interactive", "EBS", "PES")),
+            ScenarioSpec(name="s/ebay", apps=("ebay",), schemes=("Interactive", "EBS", "PES")),
+        ]
+        built = []
+        build_sweep = ScenarioRunner.build_sweep
+
+        def recording_build_sweep(runner, spec):
+            built.append(build_sweep(runner, spec))
+            return built[-1]
+
+        monkeypatch.setattr(ScenarioRunner, "build_sweep", recording_build_sweep)
+        shared = ScenarioRunner(catalog=catalog, share_setups=True).run(specs, learner=learner)
+        assert built[0].setup_key is not None
+        assert built[0].setup_key == built[1].setup_key
+        assert built[0].setup is built[1].setup
+        built.clear()
+        plain = ScenarioRunner(catalog=catalog).run(specs, learner=learner)
+        assert built[0].setup is not built[1].setup
+        assert results_to_payload(shared) == results_to_payload(plain)
 
     def test_empty_run_returns_empty(self, catalog):
         assert ScenarioRunner(catalog=catalog).run([]) == []
