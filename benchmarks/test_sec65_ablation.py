@@ -5,9 +5,6 @@ sequence learner) costs about 5 accuracy points; the reverse ablation is
 not possible because the DOM analysis alone makes no prediction.  This
 benchmark measures both the accuracy drop and its downstream effect on the
 scheduler (energy / QoS on a sample of applications).
-
-A second design ablation covers the optimizer: the exact branch-and-bound
-solver against the discretised dynamic-programming fast path.
 """
 
 from __future__ import annotations

@@ -1,11 +1,7 @@
 """Energy/QoS global optimizer: the constrained-optimisation scheduler core."""
 
 from repro.core.optimizer.schedule import EventSpec, Assignment, Schedule
-from repro.core.optimizer.ilp import (
-    BranchAndBoundSolver,
-    DynamicProgrammingSolver,
-    relax_infeasible_deadlines,
-)
+from repro.core.optimizer.ilp import BranchAndBoundSolver, relax_infeasible_deadlines
 from repro.core.optimizer.optimizer import (
     GlobalOptimizer,
     WorkloadEstimator,
@@ -17,7 +13,6 @@ __all__ = [
     "Assignment",
     "Schedule",
     "BranchAndBoundSolver",
-    "DynamicProgrammingSolver",
     "relax_infeasible_deadlines",
     "GlobalOptimizer",
     "WorkloadEstimator",

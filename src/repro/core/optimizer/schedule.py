@@ -65,10 +65,6 @@ class Assignment:
         return self.finish_ms <= self.spec.deadline_ms + 1e-9
 
     @property
-    def lateness_ms(self) -> float:
-        return max(0.0, self.finish_ms - self.spec.deadline_ms)
-
-    @property
     def energy_mj(self) -> float:
         return self.option.energy_mj
 
@@ -83,14 +79,6 @@ class Schedule:
     @property
     def total_energy_mj(self) -> float:
         return sum(a.energy_mj for a in self.assignments)
-
-    @property
-    def total_lateness_ms(self) -> float:
-        return sum(a.lateness_ms for a in self.assignments)
-
-    @property
-    def violations(self) -> int:
-        return sum(1 for a in self.assignments if not a.meets_deadline)
 
     def __len__(self) -> int:
         return len(self.assignments)

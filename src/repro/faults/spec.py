@@ -44,14 +44,20 @@ bit-identical to the fault-free path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
 # Float bound checks in this module are negated (``not x >= bound``) so
-# that NaN fails them: a ``--faults`` spec file can spell NaN.
+# that NaN fails them: a ``--faults`` spec file can spell NaN and Infinity.
 def _check_rate(owner: str, name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{owner}.{name} must be a probability in [0, 1], got {value}")
+
+
+def _check_magnitude(owner: str, name: str, value: float, low: float = 0.0) -> None:
+    if not low <= value < math.inf:
+        raise ValueError(f"{owner}.{name} must be finite and >= {low:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +85,7 @@ class BurstModel:
     def __post_init__(self) -> None:
         _check_rate("burst", "enter_rate", self.enter_rate)
         _check_rate("burst", "exit_rate", self.exit_rate)
-        if not self.burst_multiplier >= 0.0:
-            raise ValueError(
-                f"burst.burst_multiplier must be non-negative, got {self.burst_multiplier}"
-            )
+        _check_magnitude("burst", "burst_multiplier", self.burst_multiplier)
 
     @property
     def is_null(self) -> bool:
@@ -183,8 +186,7 @@ class SensorFaults:
         _check_rate("sensor", "stuck_rate", self.stuck_rate)
         if self.lag_readings < 0:
             raise ValueError(f"sensor.lag_readings must be non-negative, got {self.lag_readings}")
-        if not self.noise_c >= 0.0:
-            raise ValueError(f"sensor.noise_c must be non-negative, got {self.noise_c}")
+        _check_magnitude("sensor", "noise_c", self.noise_c)
 
     @property
     def is_null(self) -> bool:
@@ -236,8 +238,7 @@ class EventStreamFaults:
         _check_rate("events", "drop_rate", self.drop_rate)
         _check_rate("events", "duplicate_rate", self.duplicate_rate)
         _check_rate("events", "jitter_rate", self.jitter_rate)
-        if not self.jitter_ms >= 0.0:
-            raise ValueError(f"events.jitter_ms must be non-negative, got {self.jitter_ms}")
+        _check_magnitude("events", "jitter_ms", self.jitter_ms)
 
     @property
     def is_null(self) -> bool:
@@ -283,15 +284,9 @@ class BatteryFaults:
         _check_rate("battery", "sag_rate", self.sag_rate)
         _check_rate("battery", "brownout_rate", self.brownout_rate)
         _check_rate("battery", "misreport_rate", self.misreport_rate)
-        if not self.sag_power_scale >= 1.0:
-            raise ValueError(
-                f"battery.sag_power_scale must be >= 1 (a sag never saves energy), "
-                f"got {self.sag_power_scale}"
-            )
-        if not self.brownout_dwell_ms >= 0.0:
-            raise ValueError(
-                f"battery.brownout_dwell_ms must be non-negative, got {self.brownout_dwell_ms}"
-            )
+        # A sag never saves energy.
+        _check_magnitude("battery", "sag_power_scale", self.sag_power_scale, low=1.0)
+        _check_magnitude("battery", "brownout_dwell_ms", self.brownout_dwell_ms)
         if self.misreport_cap_mhz <= 0:
             raise ValueError(
                 f"battery.misreport_cap_mhz must be positive, got {self.misreport_cap_mhz}"

@@ -47,7 +47,7 @@ from itertools import islice
 
 from repro.core.control.control_unit import MatchResult
 from repro.core.control.pfb import SpeculativeFrame
-from repro.core.optimizer.ilp import DynamicProgrammingSolver
+from repro.core.optimizer.ilp import BranchAndBoundSolver
 from repro.core.optimizer.schedule import Assignment, EventSpec
 from repro.core.pes import PesScheduler
 from repro.core.predictor.sequence_learner import PredictedEvent
@@ -713,7 +713,7 @@ class OracleEngine:
 
     def run(self, trace: Trace, oracle: OracleScheduler | None = None) -> SessionResult:
         oracle = oracle or OracleScheduler()
-        solver = DynamicProgrammingSolver(bucket_ms=1.0)
+        solver = BranchAndBoundSolver()
         replay = _Replay(self.config, trace, oracle.name)
         events = list(replay.trace)
         chunk_size = oracle.lookahead_events or len(events) or 1

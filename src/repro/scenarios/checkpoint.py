@@ -102,7 +102,7 @@ class MatrixJournal:
 
     def append(self, result: "ScenarioResult") -> None:
         """Durably record one completed cell (flushed and fsynced)."""
-        line = json.dumps(result.to_dict())
+        line = json.dumps(result.to_dict(), allow_nan=False)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
@@ -190,7 +190,7 @@ class ShardJournal:
     # -- writing ----------------------------------------------------------------
 
     def _append(self, record: dict) -> None:
-        line = json.dumps(record)
+        line = json.dumps(record, allow_nan=False)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")

@@ -8,8 +8,8 @@ QoS violations and maximises energy savings.
 
 In this reproduction the oracle runs on its own engine,
 :class:`~repro.runtime.engine.OracleEngine`, which plans windows of known
-future events with the dynamic-programming solver.  :class:`OracleScheduler`
-carries the knobs that configure it; it is not a
+future events with the exact branch-and-bound window solver.
+:class:`OracleScheduler` carries the knobs that configure it; it is not a
 :class:`~repro.schedulers.base.ReactiveScheduler`.
 """
 
@@ -27,8 +27,8 @@ class OracleScheduler:
     lookahead_events:
         How many future events the oracle plans over at a time (48 by
         default).  ``None`` means the entire remaining trace (the paper's
-        infinite prediction degree).  Solving the whole trace as a single DP
-        instance grows super-linearly with trace length, while the extra
+        infinite prediction degree).  Solving the whole trace as a single
+        window grows super-linearly with trace length, while the extra
         lookahead stops paying for itself after a few dozen events (events
         that far apart no longer interfere).
     """

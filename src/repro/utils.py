@@ -87,8 +87,11 @@ def write_json_atomic(
     indent: int | None = 2,
     trailing_newline: bool = True,
 ) -> Path:
-    """Serialise ``payload`` as JSON and write it via :func:`write_text_atomic`."""
-    text = json.dumps(payload, indent=indent)
+    """Serialise ``payload`` as JSON and write it via :func:`write_text_atomic`.
+
+    NaN and infinity raise ``ValueError``: JSON has no spelling for them.
+    """
+    text = json.dumps(payload, indent=indent, allow_nan=False)
     if trailing_newline:
         text += "\n"
     return write_text_atomic(text, path)

@@ -102,13 +102,15 @@ class TestFaultSpec:
         ],
     )
     def test_from_dict_rejects_nan_magnitudes(self, block, field):
-        # NaN passes a plain ``x < bound`` check; a spec file can spell it.
-        if block == "burst":
-            payload = {"dvfs": {"fail_rate": 0.1, "burst": {field: float("nan")}}}
-        else:
-            payload = {block: {field: float("nan")}}
-        with pytest.raises(ValueError, match=f"{block}.{field}"):
-            FaultSpec.from_dict(json.loads(json.dumps(payload)))
+        # NaN passes a plain ``x < bound`` check and infinity any lower
+        # bound; a spec file can spell both.
+        for value in (float("nan"), float("inf")):
+            if block == "burst":
+                payload = {"dvfs": {"fail_rate": 0.1, "burst": {field: value}}}
+            else:
+                payload = {block: {field: value}}
+            with pytest.raises(ValueError, match=f"{block}.{field}"):
+                FaultSpec.from_dict(json.loads(json.dumps(payload)))
 
     def test_preset_registry(self):
         assert list_fault_presets() == sorted(FAULT_PRESETS)

@@ -11,7 +11,13 @@ cap.  These tests pin that down three ways:
   finish;
 * against brute force, on the energy of windows of up to five events;
 * on two real PES windows the capped search cut short, pinned in
-  ``fixtures/PES_capped_windows.json`` with their exact optimum.
+  ``fixtures/PES_capped_windows.json`` with their exact optimum, and on two
+  real tegra_parker Oracle windows, pinned in ``fixtures/ORACLE_windows.json``
+  with their exact optimum below the plan of the dynamic program the Oracle
+  used before.
+
+A hypothesis property adds a metamorphic relation: raising one event's
+deadline never raises the planned energy.
 """
 
 from __future__ import annotations
@@ -23,14 +29,14 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.optimizer.ilp import BranchAndBoundSolver, relax_infeasible_deadlines
 from repro.core.optimizer.schedule import EventSpec, Schedule, simulate_order
 from repro.hardware.acmp import AcmpConfig
 from repro.schedulers.base import ConfigOption
 
-FIXTURE = Path(__file__).parent / "fixtures" / "PES_capped_windows.json"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 DEADLINE_MODES = ("loose", "exact", "+1e-9", "-1e-9", "+ulp", "-ulp", "-tolerance-ulp", "short")
 
@@ -122,23 +128,42 @@ def tight_deadline(mode, finish, rng):
 
 
 def random_window(rng, max_events=8, max_options=5):
-    """A random window; half share one option table across every event."""
+    """A random window; half share one option table across every event.
+
+    A quarter are shaped like the Oracle's: every event is released at the
+    window start, each event's slowest option is 8-12x its fastest and
+    costs less energy, and most deadlines lie far past the all-slowest
+    finish, so the suffix frontiers reach well beyond the reachable clocks.
+    """
+    oracle = rng.random() < 0.25
 
     def table():
+        if not oracle:
+            return tuple(
+                ConfigOption(AcmpConfig("A15", 200 + 100 * t), rng.uniform(1.0, 300.0), rng.uniform(0.2, 4.0))
+                for t in range(rng.randint(1, max_options))
+            )
+        fastest, power = rng.uniform(1.0, 40.0), rng.uniform(0.5, 4.0)
+        spreads = [1.0, rng.uniform(8.0, 12.0)] + [rng.uniform(1.0, 12.0) for _ in range(max_options - 2)]
         return tuple(
-            ConfigOption(AcmpConfig("A15", 200 + 100 * t), rng.uniform(1.0, 300.0), rng.uniform(0.2, 4.0))
-            for t in range(rng.randint(1, max_options))
+            ConfigOption(AcmpConfig("A15", 200 + 100 * t), fastest * spread, power / spread ** rng.uniform(1.2, 2.0))
+            for t, spread in enumerate(spreads[: rng.randint(2, max_options)])
         )
 
     n = rng.randint(1, max_events)
     start = rng.choice([0.0, rng.uniform(0.0, 500.0)])
     shared = table() if rng.random() < 0.5 else None
     tables = [shared or table() for _ in range(n)]
-    specs, release, finish = [], start, start
+    specs, release, finish, slowest_finish = [], start, start, start
     for i, options in enumerate(tables):
-        release += rng.choice([0.0, rng.uniform(0.0, 200.0)])
+        if not oracle:
+            release += rng.choice([0.0, rng.uniform(0.0, 200.0)])
         finish = max(finish, release) + min(o.latency_ms for o in options)
-        deadline = tight_deadline(rng.choice(DEADLINE_MODES), finish, rng)
+        slowest_finish += max(o.latency_ms for o in options)
+        if oracle and i > 0 and rng.random() < 0.75:
+            deadline = slowest_finish + rng.uniform(100.0, 5000.0)
+        else:
+            deadline = tight_deadline(rng.choice(DEADLINE_MODES), finish, rng)
         specs.append(EventSpec(f"e{i}", release, max(deadline, release), options))
     return specs, start
 
@@ -163,28 +188,52 @@ class TestMatchesUncappedSearch:
             ), f"trial {trial}"
 
 
+def pinned_windows(name):
+    return json.loads((FIXTURES / name).read_text())["windows"]
+
+
+def solve_pinned(window, options_of):
+    specs = [
+        EventSpec(
+            label=f"event-{i}",
+            release_ms=event["release_ms"],
+            deadline_ms=event["deadline_ms"],
+            options=options_of(event),
+        )
+        for i, event in enumerate(window["events"])
+    ]
+    schedule = BranchAndBoundSolver().solve(specs, window["window_start_ms"])
+    chosen = [spec.options.index(a.option) for spec, a in zip(specs, schedule)]
+    assert chosen == window["expected_options"]
+    assert repr(schedule.total_energy_mj) == window["expected_energy_mj"]
+    return schedule
+
+
 class TestPinnedCappedWindows:
-    @pytest.mark.parametrize(
-        "window", json.loads(FIXTURE.read_text())["windows"], ids=lambda w: w["name"]
-    )
+    @pytest.mark.parametrize("window", pinned_windows("PES_capped_windows.json"), ids=lambda w: w["name"])
     def test_exact_optimum(self, window):
-        specs = [
-            EventSpec(
-                label=f"event-{i}",
-                release_ms=event["release_ms"],
-                deadline_ms=event["deadline_ms"],
-                options=tuple(
-                    ConfigOption(AcmpConfig(o["cluster"], o["mhz"]), o["latency_ms"], o["power_w"])
-                    for o in event["options"]
-                ),
-            )
-            for i, event in enumerate(window["events"])
-        ]
-        schedule = BranchAndBoundSolver().solve(specs, window["window_start_ms"])
-        chosen = [spec.options.index(a.option) for spec, a in zip(specs, schedule)]
-        assert chosen == window["expected_options"]
-        assert repr(schedule.total_energy_mj) == window["expected_energy_mj"]
+        schedule = solve_pinned(
+            window,
+            lambda event: tuple(
+                ConfigOption(AcmpConfig(o["cluster"], o["mhz"]), o["latency_ms"], o["power_w"])
+                for o in event["options"]
+            ),
+        )
         assert schedule.total_energy_mj < float(window["capped_energy_mj"])
+
+
+class TestPinnedOracleWindows:
+    @pytest.mark.parametrize("window", pinned_windows("ORACLE_windows.json"), ids=lambda w: w["name"])
+    def test_exact_optimum_beats_the_dynamic_program(self, window):
+        schedule = solve_pinned(
+            window,
+            lambda event: tuple(
+                ConfigOption(AcmpConfig(cluster, mhz), latency, power)
+                for cluster, mhz, latency, power in event["options"]
+            ),
+        )
+        assert schedule.feasible == window["feasible"]
+        assert schedule.total_energy_mj < float(window["dp_energy_mj"])
 
 
 option_tables = st.lists(
@@ -239,3 +288,40 @@ class TestNeverRunsOutOfSchedules:
         fastest = simulate_order(working, [first, second], 0.0)
         assert all(a.finish_ms <= w.deadline_ms + 1e-9 for a, w in zip(fastest, working))
         assert len(BranchAndBoundSolver().solve(specs, 0.0)) == 2
+
+
+class TestDeadlineMonotonicity:
+    @given(window=tight_windows(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_raising_a_deadline_never_raises_the_planned_energy(self, window, data):
+        specs, start = window
+        index = data.draw(st.integers(min_value=0, max_value=len(specs) - 1))
+        raise_ms = data.draw(st.floats(min_value=0.0, max_value=600.0))
+        spec = specs[index]
+        fastest_finish = start
+        for earlier in specs[: index + 1]:
+            fastest_finish = max(fastest_finish, earlier.release_ms) + earlier.fastest_option.latency_ms
+        # An impossible deadline made possible is the failing case pinned below.
+        assume(not spec.deadline_ms + 1e-9 < fastest_finish <= spec.deadline_ms + raise_ms + 1e-9)
+        raised = list(specs)
+        raised[index] = EventSpec(spec.label, spec.release_ms, spec.deadline_ms + raise_ms, spec.options)
+        before = BranchAndBoundSolver().solve(specs, start).total_energy_mj
+        after = BranchAndBoundSolver().solve(raised, start).total_energy_mj
+        assert after <= before + 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="relax_infeasible_deadlines moves an impossible deadline out to the "
+        "lazy-predecessor bound, later than the barely possible one",
+    )
+    def test_making_an_impossible_deadline_possible_never_raises_the_planned_energy(self):
+        fast, slow = ConfigOption(AcmpConfig("A15", 1800), 2.0, 2.0), ConfigOption(AcmpConfig("A15", 600), 4.0, 0.5)
+        last = ConfigOption(AcmpConfig("A15", 1800), 1.0, 1.0)
+
+        def planned_energy(deadline_ms):
+            specs = [EventSpec("e0", 0.0, 100.0, (fast, slow)), EventSpec("e1", 0.0, deadline_ms, (last,))]
+            return BranchAndBoundSolver().solve(specs, 0.0).total_energy_mj
+
+        # e1 cannot finish before 3 ms.  At 2 ms it is relaxed to 101 ms and
+        # e0 runs slow (3 mJ in all); at 3 ms e0 must run fast (5 mJ).
+        assert planned_energy(3.0) <= planned_energy(2.0)

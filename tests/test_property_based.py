@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.optimizer.ilp import BranchAndBoundSolver, DynamicProgrammingSolver
+from repro.core.optimizer.ilp import BranchAndBoundSolver
 from repro.core.optimizer.schedule import EventSpec
 from repro.hardware.acmp import AcmpConfig
 from repro.hardware.dvfs import DvfsModel, calibrate_two_point
@@ -103,14 +103,6 @@ class TestSolverProperties:
         assert len(schedule) == len(specs)
         if schedule.feasible:
             assert all(a.meets_deadline for a in schedule)
-
-    @given(specs=windows)
-    @settings(max_examples=40, deadline=None)
-    def test_dp_never_beats_exact_optimum(self, specs):
-        exact = BranchAndBoundSolver().solve(specs, 0.0)
-        approx = DynamicProgrammingSolver(bucket_ms=1.0).solve(specs, 0.0)
-        if exact.feasible and approx.feasible:
-            assert approx.total_energy_mj >= exact.total_energy_mj - 1e-6
 
     @given(specs=windows)
     @settings(max_examples=40, deadline=None)

@@ -183,7 +183,7 @@ class TestOracleEngine:
     def test_bounded_default_lookahead_close_to_unbounded(self, engine_config, sample_trace):
         """A bounded planning window trades a tiny amount of energy for
         bounded per-window solve cost.  A 12-event window chunks the 39-event
-        sample trace into four DP instances; the energy stays within a small
+        sample trace into four solver windows; the energy stays within a small
         tolerance of the whole-trace solve and QoS does not regress."""
         engine = OracleEngine(engine_config)
         unbounded = engine.run(sample_trace, OracleScheduler(lookahead_events=None))

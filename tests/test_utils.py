@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import sys
@@ -127,6 +128,11 @@ class TestAtomicWrites:
             {"a": 1}, tmp_path / "compact.json", indent=None, trailing_newline=False
         )
         assert compact.read_text() == '{"a": 1}'
+
+    def test_write_json_atomic_rejects_non_finite_floats(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json_atomic({"x": math.inf}, tmp_path / "inf.json")
+        assert not (tmp_path / "inf.json").exists()
 
     def test_fsync_happens_before_the_rename(self, tmp_path, monkeypatch):
         # Durability orders strictly: data reaches disk *before* the rename
