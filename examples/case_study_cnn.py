@@ -9,17 +9,15 @@ governor (Interactive), EBS, PES, and the oracle.
 
 from __future__ import annotations
 
-from repro import (
-    AppCatalog,
-    DvfsModel,
-    EbsScheduler,
-    EventType,
-    InteractiveGovernor,
-    PredictorTrainer,
-    Simulator,
-    TraceGenerator,
-)
+from repro.core.predictor.training import PredictorTrainer
+from repro.hardware.dvfs import DvfsModel
+from repro.runtime.simulator import Simulator
+from repro.schedulers.ebs import EbsScheduler
+from repro.schedulers.interactive import InteractiveGovernor
+from repro.traces.generator import TraceGenerator
 from repro.traces.trace import Trace, TraceEvent
+from repro.webapp.apps import AppCatalog
+from repro.webapp.events import EventType
 
 
 def build_case_study() -> Trace:

@@ -19,10 +19,12 @@ import sys
 
 import numpy as np
 
-from repro import AppCatalog, PredictorTrainer, Simulator, TraceGenerator
 from repro.analysis.pareto import non_dominated_schemes, points_from_metrics
+from repro.core.predictor.training import PredictorTrainer
 from repro.runtime.metrics import aggregate_results
-from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
+from repro.runtime.simulator import Simulator
+from repro.traces.generator import TraceGenerator
+from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS, AppCatalog
 
 SCHEMES = ["Interactive", "Ondemand", "EBS", "PES", "Oracle"]
 

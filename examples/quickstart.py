@@ -7,14 +7,12 @@ and QoS of the Android Interactive governor, EBS, PES, and the oracle.
 
 from __future__ import annotations
 
-from repro import (
-    AppCatalog,
-    EbsScheduler,
-    InteractiveGovernor,
-    PredictorTrainer,
-    Simulator,
-    TraceGenerator,
-)
+from repro.core.predictor.training import PredictorTrainer
+from repro.runtime.simulator import Simulator
+from repro.schedulers.ebs import EbsScheduler
+from repro.schedulers.interactive import InteractiveGovernor
+from repro.traces.generator import TraceGenerator
+from repro.webapp.apps import AppCatalog
 
 
 def main() -> None:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import AppCatalog, PredictorTrainer, Simulator, TraceGenerator
 from repro.analysis.sensitivity import sweep_confidence_threshold
-from repro.webapp.apps import SEEN_APPS
+from repro.core.predictor.training import PredictorTrainer
+from repro.runtime.simulator import Simulator
+from repro.traces.generator import TraceGenerator
+from repro.webapp.apps import SEEN_APPS, AppCatalog
 
 THRESHOLDS = (0.3, 0.5, 0.7, 0.9, 1.0)
 APPS = ("cnn", "ebay", "google", "slashdot", "sina")

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import AppCatalog, PredictorTrainer, TraceGenerator, evaluate_accuracy, load_traces, save_traces
-from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
+from repro.core.predictor.training import PredictorTrainer, evaluate_accuracy
+from repro.traces.generator import TraceGenerator
+from repro.traces.io import load_traces, save_traces
+from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS, AppCatalog
 
 
 def main() -> None:

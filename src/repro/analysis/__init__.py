@@ -1,28 +1,1 @@
 """Analysis utilities behind the paper's characterisation and evaluation figures."""
-
-from repro.analysis.event_types import EventCategory, classify_events, category_distribution
-from repro.analysis.pareto import ParetoPoint, pareto_frontier, dominates
-from repro.analysis.sensitivity import ConfidenceSweepResult, sweep_confidence_threshold
-from repro.analysis.reporting import (
-    format_table,
-    format_percentage_map,
-    scenario_energy_table,
-    scenario_faults_table,
-    scenario_qos_table,
-)
-
-__all__ = [
-    "EventCategory",
-    "classify_events",
-    "category_distribution",
-    "ParetoPoint",
-    "pareto_frontier",
-    "dominates",
-    "ConfidenceSweepResult",
-    "sweep_confidence_threshold",
-    "format_table",
-    "format_percentage_map",
-    "scenario_energy_table",
-    "scenario_faults_table",
-    "scenario_qos_table",
-]

@@ -111,6 +111,7 @@ from repro.bench import BENCHES, run_all
 from repro.core.predictor.training import PredictorTrainer, evaluate_accuracy
 from repro.faults import FAULT_PRESETS, FaultSpec, get_fault_preset, list_fault_presets
 from repro.faults.search import SEARCH_TARGETS, list_search_targets, run_search
+from repro.faults.spec import FAULT_CATEGORIES
 from repro.fleet import (
     DevicePopulation,
     FleetRunner,
@@ -684,11 +685,10 @@ def _load_fault_spec_file(path: str) -> FaultSpec:
     # from_dict is deliberately lenient (old artefacts omit newer keys), so
     # a shape check catches files that are valid JSON but not FaultSpecs at
     # all — those must not silently become a fault-free spec.
-    categories = ("predictor", "sensor", "dvfs", "events", "battery")
-    if not isinstance(payload, dict) or not any(key in payload for key in categories):
+    if not isinstance(payload, dict) or not any(key in payload for key in FAULT_CATEGORIES):
         raise SystemExit(
             f"--faults: {path!r} is not a valid FaultSpec payload (expected a "
-            f"JSON object with at least one of: {', '.join(categories)})"
+            f"JSON object with at least one of: {', '.join(FAULT_CATEGORIES)})"
         )
     try:
         return FaultSpec.from_dict(payload)
@@ -969,7 +969,10 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_report(args: argparse.Namespace) -> int:
-    payload = load_fleet_results(args.file)
+    try:
+        payload = load_fleet_results(args.file)
+    except ArtefactError as exc:
+        raise SystemExit(f"fleet report: {exc}") from None
     print(
         f"{args.file} (fleet={payload['fleet']['name']}, "
         f"{payload['n_devices']} devices, {payload['n_sessions']} sessions)"

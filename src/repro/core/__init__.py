@@ -9,33 +9,3 @@
 * :mod:`repro.core.pes` — the :class:`~repro.core.pes.PesScheduler` facade
   that bundles the three components with their tuning parameters.
 """
-
-from repro.core.pes import PesScheduler, PesConfig
-from repro.core.predictor import (
-    HybridEventPredictor,
-    EventSequenceLearner,
-    PredictedEvent,
-    PredictorTrainer,
-    TrainingResult,
-    evaluate_accuracy,
-)
-from repro.core.optimizer import GlobalOptimizer, EventSpec, Schedule, Assignment
-from repro.core.control import PendingFrameBuffer, ControlUnit, SpeculativeFrame
-
-__all__ = [
-    "PesScheduler",
-    "PesConfig",
-    "HybridEventPredictor",
-    "EventSequenceLearner",
-    "PredictedEvent",
-    "PredictorTrainer",
-    "TrainingResult",
-    "evaluate_accuracy",
-    "GlobalOptimizer",
-    "EventSpec",
-    "Schedule",
-    "Assignment",
-    "PendingFrameBuffer",
-    "ControlUnit",
-    "SpeculativeFrame",
-]

@@ -2,14 +2,14 @@
 
 Declarative :class:`FaultSpec` bundles (predictor / thermal-sensor / DVFS /
 event-stream / battery fault models, each optionally modulated by a
-Gilbert–Elliott :class:`BurstModel`) plus the :class:`FaultInjector`
-runtime that threads them through the engines, and the adversarial
-fault-search driver in :mod:`repro.faults.search`.  See
+Gilbert–Elliott :class:`BurstModel`), the per-session
+:class:`~repro.faults.injector.SessionFaultState` the engines draw them
+from, and the adversarial fault-search driver in
+:mod:`repro.faults.search`.  See
 :mod:`repro.faults.spec` for the model semantics and the zero-rate
 identity invariant.
 """
 
-from repro.faults.injector import BatteryEffect, FaultInjector, SessionFaultState
 from repro.faults.spec import (
     FAULT_PRESETS,
     BatteryFaults,
@@ -24,17 +24,14 @@ from repro.faults.spec import (
 )
 
 __all__ = [
-    "BatteryEffect",
     "BatteryFaults",
     "BurstModel",
     "DvfsFaults",
     "EventStreamFaults",
     "FAULT_PRESETS",
-    "FaultInjector",
     "FaultSpec",
     "PredictorFaults",
     "SensorFaults",
-    "SessionFaultState",
     "get_fault_preset",
     "list_fault_presets",
 ]

@@ -1,11 +1,10 @@
 """Deterministic per-session fault injection.
 
-A :class:`FaultInjector` is the runtime half of a
-:class:`~repro.faults.spec.FaultSpec`: a tiny picklable factory carried on
-:class:`~repro.runtime.engine.EngineConfig` that mints one
-:class:`SessionFaultState` per (trace, scheme) replay.  The state owns the
-session's RNG — seeded from :func:`repro.utils.stable_seed` over the spec
-seed plus the session identity — so the fault stream each replay sees is a
+A :class:`SessionFaultState` is the runtime half of a
+:class:`~repro.faults.spec.FaultSpec`: each (trace, scheme) replay whose
+setup carries a non-null spec opens one.  The state owns the session's
+RNG — seeded from :func:`repro.utils.stable_seed` over the spec seed plus
+the session identity — so the fault stream each replay sees is a
 pure function of *what* is being replayed, never of worker count, job
 order, or which other sessions share the sweep.
 
@@ -76,17 +75,8 @@ class BatteryEffect:
     force_lowest: bool = False
 
 
-_BATTERY_NO_EFFECT = BatteryEffect()
-
-
-@dataclass(frozen=True)
-class FaultInjector:
-    """Picklable factory binding a :class:`FaultSpec` to engine sessions."""
-
-    spec: FaultSpec
-
-    def session(self, trace: Trace, scheme: str) -> "SessionFaultState":
-        return SessionFaultState(self.spec, trace, scheme)
+#: The one null effect, shared by fault-free replays and quiet draws.
+NO_BATTERY_EFFECT = BatteryEffect()
 
 
 class SessionFaultState:
@@ -268,7 +258,7 @@ class SessionFaultState:
         """
         faults = self.spec.battery
         if faults.is_null:
-            return _BATTERY_NO_EFFECT
+            return NO_BATTERY_EFFECT
         rng = self._rng
         factor = self._burst_factor("battery")
         sagged = bool(faults.sag_rate) and rng.random() < min(1.0, faults.sag_rate * factor)
@@ -289,7 +279,7 @@ class SessionFaultState:
         if sagged or force_lowest or misreported:
             self._battery_indices.add(event_index)
         if not (sagged or force_lowest or misreported):
-            return _BATTERY_NO_EFFECT
+            return NO_BATTERY_EFFECT
         return BatteryEffect(
             power_scale=faults.sag_power_scale if sagged else 1.0,
             cap_mhz=faults.misreport_cap_mhz if misreported else None,

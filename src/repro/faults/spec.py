@@ -37,15 +37,15 @@ Everything is data: validation happens at construction (mirroring
 ``[0, 1]``, and ``to_dict``/``from_dict`` round-trip losslessly through
 the JSON artefacts.  The identity invariant the whole subsystem is pinned
 on: a spec whose every rate and magnitude is zero (``is_null``) injects
-*nothing* — :meth:`repro.runtime.simulator.SimulationSetup.engine_config`
-maps it to no injector at all, so zero-rate and absent specs are
-bit-identical to the fault-free path.
+*nothing* — a session replay opens no
+:class:`~repro.faults.injector.SessionFaultState` for it, so zero-rate and
+absent specs are bit-identical to the fault-free path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 # Float bound checks in this module are negated (``not x >= bound``) so
@@ -110,32 +110,37 @@ class BurstModel:
         return (1.0 - occupancy) * base_rate + occupancy * burst_rate
 
     def to_dict(self) -> dict:
-        return {
-            "enter_rate": self.enter_rate,
-            "exit_rate": self.exit_rate,
-            "burst_multiplier": self.burst_multiplier,
-        }
+        return _model_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BurstModel":
-        return cls(
-            enter_rate=float(payload.get("enter_rate", 0.0)),
-            exit_rate=float(payload.get("exit_rate", 1.0)),
-            burst_multiplier=float(payload.get("burst_multiplier", 1.0)),
-        )
+        return _model_from_dict(cls, payload)
 
 
-def _optional_burst(payload: dict) -> BurstModel | None:
-    burst = payload.get("burst")
-    return None if burst is None else BurstModel.from_dict(burst)
+def _model_to_dict(model) -> dict:
+    """A fault model's fields in declaration order, then ``burst`` if set.
 
-
-def _with_burst(payload: dict, burst: BurstModel | None) -> dict:
-    # The "burst" key is emitted only when a model is present, so burst-free
-    # specs keep the exact payload bytes they had before the model existed.
+    The "burst" key is emitted only when a model is present, so burst-free
+    specs keep the exact payload bytes they had before the model existed.
+    """
+    payload = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "burst"}
+    burst = getattr(model, "burst", None)
     if burst is not None:
-        payload["burst"] = burst.to_dict()
+        payload["burst"] = _model_to_dict(burst)
     return payload
+
+
+def _model_from_dict(cls, payload: dict):
+    """Inverse of :func:`_model_to_dict`: a missing key takes the field's
+    default, and every value is coerced to the default's type."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name == "burst":
+            burst = payload.get("burst")
+            kwargs["burst"] = None if burst is None else _model_from_dict(BurstModel, burst)
+        else:
+            kwargs[f.name] = type(f.default)(payload.get(f.name, f.default))
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -302,6 +307,11 @@ class BatteryFaults:
         )
 
 
+#: The five fault categories: the :class:`FaultSpec` fields holding a fault
+#: model, in payload order.
+FAULT_CATEGORIES = ("predictor", "sensor", "dvfs", "events", "battery")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """A named, seeded bundle of fault models — one resilience condition.
@@ -330,107 +340,40 @@ class FaultSpec:
     def is_null(self) -> bool:
         """True when no model can ever inject anything (zero-rate spec).
 
-        The simulation layer maps a null spec to *no injector at all*, so a
+        A session replay opens no fault state for a null spec, so a
         zero-rate spec is bit-identical to running without one — the
         subsystem's pinned identity invariant.
         """
-        return (
-            self.predictor.is_null
-            and self.sensor.is_null
-            and self.dvfs.is_null
-            and self.events.is_null
-            and self.battery.is_null
-        )
+        return all(getattr(self, name).is_null for name in FAULT_CATEGORIES)
 
     # -- serialisation ----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        # "burst" and "battery" are emitted only when present/non-default, so
-        # payloads for specs PR 6 could express keep their exact byte shape
-        # (journals and artefacts match specs by serialised content).
-        payload = {
-            "name": self.name,
-            "seed": self.seed,
-            "predictor": _with_burst(
-                {"flip_rate": self.predictor.flip_rate}, self.predictor.burst
-            ),
-            "sensor": _with_burst(
-                {
-                    "stuck_rate": self.sensor.stuck_rate,
-                    "lag_readings": self.sensor.lag_readings,
-                    "noise_c": self.sensor.noise_c,
-                },
-                self.sensor.burst,
-            ),
-            "dvfs": _with_burst({"fail_rate": self.dvfs.fail_rate}, self.dvfs.burst),
-            "events": _with_burst(
-                {
-                    "drop_rate": self.events.drop_rate,
-                    "duplicate_rate": self.events.duplicate_rate,
-                    "jitter_rate": self.events.jitter_rate,
-                    "jitter_ms": self.events.jitter_ms,
-                },
-                self.events.burst,
-            ),
-        }
-        # Compared against the default, not is_null: a null-but-non-default
-        # battery block (say a sag_rate with scale 1.0) must still round-trip.
-        if self.battery != BatteryFaults():
-            payload["battery"] = _with_burst(
-                {
-                    "sag_rate": self.battery.sag_rate,
-                    "sag_power_scale": self.battery.sag_power_scale,
-                    "brownout_rate": self.battery.brownout_rate,
-                    "brownout_dwell_ms": self.battery.brownout_dwell_ms,
-                    "misreport_rate": self.battery.misreport_rate,
-                    "misreport_cap_mhz": self.battery.misreport_cap_mhz,
-                },
-                self.battery.burst,
-            )
+        payload: dict = {"name": self.name, "seed": self.seed}
+        for name in FAULT_CATEGORIES:
+            model = getattr(self, name)
+            # "battery" is emitted only when non-default, so specs without a
+            # battery model keep the payload bytes they had before it existed
+            # (journals and artefacts match specs by serialised content).  It
+            # is compared against the default, not is_null: a null-but-non-
+            # default block (say a sag_rate with scale 1.0) must round-trip.
+            if name != "battery" or model != BatteryFaults():
+                payload[name] = _model_to_dict(model)
         payload["description"] = self.description
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultSpec":
-        predictor = payload.get("predictor", {})
-        sensor = payload.get("sensor", {})
-        dvfs = payload.get("dvfs", {})
-        events = payload.get("events", {})
-        battery = payload.get("battery", {})
+        models = {
+            f.name: _model_from_dict(f.default_factory, payload.get(f.name, {}))
+            for f in fields(cls)
+            if f.name in FAULT_CATEGORIES
+        }
         return cls(
             name=payload.get("name", "faults"),
             seed=int(payload.get("seed", 0)),
-            predictor=PredictorFaults(
-                flip_rate=float(predictor.get("flip_rate", 0.0)),
-                burst=_optional_burst(predictor),
-            ),
-            sensor=SensorFaults(
-                stuck_rate=float(sensor.get("stuck_rate", 0.0)),
-                lag_readings=int(sensor.get("lag_readings", 0)),
-                noise_c=float(sensor.get("noise_c", 0.0)),
-                burst=_optional_burst(sensor),
-            ),
-            dvfs=DvfsFaults(
-                fail_rate=float(dvfs.get("fail_rate", 0.0)),
-                burst=_optional_burst(dvfs),
-            ),
-            events=EventStreamFaults(
-                drop_rate=float(events.get("drop_rate", 0.0)),
-                duplicate_rate=float(events.get("duplicate_rate", 0.0)),
-                jitter_rate=float(events.get("jitter_rate", 0.0)),
-                jitter_ms=float(events.get("jitter_ms", 0.0)),
-                burst=_optional_burst(events),
-            ),
-            battery=BatteryFaults(
-                sag_rate=float(battery.get("sag_rate", 0.0)),
-                sag_power_scale=float(battery.get("sag_power_scale", 1.0)),
-                brownout_rate=float(battery.get("brownout_rate", 0.0)),
-                brownout_dwell_ms=float(battery.get("brownout_dwell_ms", 0.0)),
-                misreport_rate=float(battery.get("misreport_rate", 0.0)),
-                misreport_cap_mhz=int(battery.get("misreport_cap_mhz", 1_100)),
-                burst=_optional_burst(battery),
-            ),
             description=payload.get("description", ""),
+            **models,
         )
 
 

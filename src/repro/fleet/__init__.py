@@ -18,21 +18,14 @@ results into population aggregates via the first-class ``merge`` op, which
 is bit-identical to a single sequential fold for any shard boundaries.
 """
 
-from repro.fleet.metrics import (
-    PERCENTILES,
-    percentile,
-    percentile_block,
-)
+from repro.fleet.metrics import percentile, percentile_block
 from repro.fleet.population import (
-    FLEET_PRESETS,
-    Device,
     DevicePopulation,
     FleetSpec,
     get_fleet_preset,
     list_fleet_presets,
 )
 from repro.fleet.runner import (
-    FleetResult,
     FleetRunner,
     fleet_to_payload,
     load_fleet_results,
@@ -40,13 +33,9 @@ from repro.fleet.runner import (
 )
 
 __all__ = [
-    "Device",
     "DevicePopulation",
-    "FLEET_PRESETS",
-    "FleetResult",
     "FleetRunner",
     "FleetSpec",
-    "PERCENTILES",
     "fleet_to_payload",
     "get_fleet_preset",
     "list_fleet_presets",

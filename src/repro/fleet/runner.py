@@ -232,13 +232,18 @@ def load_fleet_results(path: str | Path) -> dict:
     """Read a ``FLEET_*.json`` artefact back as its payload dict.
 
     Raises :class:`~repro.scenarios.checkpoint.ArtefactError` with the
-    parse position on corrupt or truncated files.
+    parse position on corrupt or truncated files, and naming the first
+    missing top-level key ``fleet report`` reads on any other JSON.
     """
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ArtefactError(
             f"fleet artefact {path} is corrupt or truncated: {exc.msg} at "
             f"line {exc.lineno} column {exc.colno} (char {exc.pos})"
         ) from exc
+    for key in ("fleet", "n_devices", "n_sessions", "population", "slices"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ArtefactError(f"fleet artefact {path} has no {key!r} key")
+    return payload

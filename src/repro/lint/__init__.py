@@ -26,28 +26,11 @@ suppression syntax.
 from __future__ import annotations
 
 from repro.lint import artefact_safety, determinism, exact_sum, rng_guard
-from repro.lint.engine import (
-    META_RULE,
-    FileContext,
-    Finding,
-    ImportMap,
-    LintEngine,
-    LintReport,
-    Rule,
-)
+from repro.lint.engine import LintEngine, Rule
 
 #: Every shipped rule, in stable registration order.
 DEFAULT_RULES: tuple[Rule, ...] = tuple(
     determinism.RULES + rng_guard.RULES + exact_sum.RULES + artefact_safety.RULES
 )
 
-__all__ = [
-    "DEFAULT_RULES",
-    "META_RULE",
-    "FileContext",
-    "Finding",
-    "ImportMap",
-    "LintEngine",
-    "LintReport",
-    "Rule",
-]
+__all__ = ["DEFAULT_RULES", "LintEngine", "Rule"]

@@ -42,8 +42,9 @@ Fig. 9 plot is based on the optimizer's planned completion times.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from repro.core.control.control_unit import MatchResult
 from repro.core.control.pfb import SpeculativeFrame
@@ -51,12 +52,10 @@ from repro.core.optimizer.ilp import BranchAndBoundSolver
 from repro.core.optimizer.schedule import Assignment, EventSpec
 from repro.core.pes import PesScheduler
 from repro.core.predictor.sequence_learner import PredictedEvent
-from repro.faults import BatteryEffect, FaultInjector, SessionFaultState
+from repro.faults.injector import NO_BATTERY_EFFECT, BatteryEffect, SessionFaultState
 from repro.hardware.acmp import AcmpConfig, AcmpSystem
 from repro.hardware.dvfs import DvfsModel
-from repro.hardware.energy import SwitchingCosts
-from repro.hardware.power import PowerTable
-from repro.hardware.thermal import ThermalModel, ThermalState
+from repro.hardware.thermal import ThermalState
 from repro.runtime.metrics import EventOutcome, SessionResult, ThermalSessionStats
 from repro.schedulers.base import (
     EventContext,
@@ -67,36 +66,9 @@ from repro.schedulers.base import (
 )
 from repro.schedulers.oracle import OracleScheduler
 from repro.traces.trace import Trace, TraceEvent
-from repro.webapp.rendering import RenderingPipeline
 
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Hardware and rendering models shared by every engine.
-
-    ``thermal`` switches the engines into *dynamic* thermal mode: a live
-    :class:`~repro.hardware.thermal.ThermalState` is threaded through the
-    event loop — temperature advances through every active interval at that
-    interval's power and through idle gaps at idle power — and the
-    instantaneous frequency cap shrinks the configuration space each
-    scheduler plans the *next* event over.  ``None`` (the default) keeps the
-    pre-thermal behaviour bit-for-bit: the platform in ``system`` is taken
-    as-is, whether unconstrained or already statically throttled.
-
-    ``faults`` enables seeded fault injection (:mod:`repro.faults`): each
-    session replay opens its own deterministic
-    :class:`~repro.faults.injector.SessionFaultState` and the engines draw
-    predictor/sensor/DVFS/event-stream/battery faults from it.  ``None``
-    (the default) keeps every code path bit-identical to the fault-free
-    engine.
-    """
-
-    system: AcmpSystem
-    power_table: PowerTable
-    pipeline: RenderingPipeline = field(default_factory=RenderingPipeline)
-    switching: SwitchingCosts = field(default_factory=SwitchingCosts)
-    thermal: ThermalModel | None = None
-    faults: FaultInjector | None = None
+if TYPE_CHECKING:  # pragma: no cover - simulator.py imports this module
+    from repro.runtime.simulator import SimulationSetup
 
 
 @dataclass(frozen=True)
@@ -110,7 +82,7 @@ class ExecutionResult:
 
 
 def execute_plan(
-    config: EngineConfig,
+    setup: SimulationSetup,
     plan: ExecutionPlan,
     workload: DvfsModel,
     start_ms: float,
@@ -128,13 +100,13 @@ def execute_plan(
     remaining = 1.0
     current = previous_config
     for phase in plan.phases:
-        switch = config.switching.switch_latency_ms(current, phase.config)
-        power = config.power_table.power_w(phase.config)
+        switch = setup.switching.switch_latency_ms(current, phase.config)
+        power = setup.power_table.power_w(phase.config)
         if switch > 0.0:
             elapsed += switch
             energy += power * switch
         current = phase.config
-        full_latency = workload.latency_ms(config.system, phase.config)
+        full_latency = workload.latency_ms(setup.system, phase.config)
         needed = remaining * full_latency
         if phase.duration_ms is None or needed <= phase.duration_ms:
             elapsed += needed
@@ -167,7 +139,7 @@ def _requested_transition(
 
 
 def _execute_with_faults(
-    config: EngineConfig,
+    setup: SimulationSetup,
     plan: ExecutionPlan,
     workload: DvfsModel,
     start_ms: float,
@@ -186,11 +158,11 @@ def _execute_with_faults(
     if faults is not None:
         requested = _requested_transition(plan, previous_config)
         if requested is not None and faults.dvfs_transition_fails():
-            penalty_ms = config.switching.switch_latency_ms(previous_config, requested)
-            penalty_mj = penalty_ms * config.power_table.power_w(previous_config)
+            penalty_ms = setup.switching.switch_latency_ms(previous_config, requested)
+            penalty_mj = penalty_ms * setup.power_table.power_w(previous_config)
             faults.note_dvfs_fault(event_index, penalty_mj)
             held = execute_plan(
-                config,
+                setup,
                 ExecutionPlan.single(previous_config),
                 workload,
                 start_ms + penalty_ms,
@@ -202,11 +174,7 @@ def _execute_with_faults(
                 active_energy_mj=held.active_energy_mj + penalty_mj,
                 final_config=held.final_config,
             )
-    return execute_plan(config, plan, workload, start_ms, previous_config)
-
-
-#: Shared no-op effect so fault-free replays never touch the battery seam.
-_NO_BATTERY = BatteryEffect()
+    return execute_plan(setup, plan, workload, start_ms, previous_config)
 
 
 def _battery_effect(
@@ -217,7 +185,7 @@ def _battery_effect(
     planning: bool = True,
 ) -> BatteryEffect:
     if faults is None:
-        return _NO_BATTERY
+        return NO_BATTERY_EFFECT
     return faults.battery_event(event_index, start_ms, planning=planning)
 
 
@@ -267,14 +235,14 @@ class _SessionThermal:
     governor's actual, possibly-wrong behaviour via the sensed cap).
     """
 
-    def __init__(self, config: EngineConfig, faults: SessionFaultState | None = None) -> None:
-        assert config.thermal is not None
-        self._base_system = config.system
-        self._idle_w = config.power_table.idle_w
+    def __init__(self, setup: SimulationSetup, faults: SessionFaultState | None = None) -> None:
+        assert setup.thermal is not None
+        self._base_system = setup.system
+        self._idle_w = setup.power_table.idle_w
         self._full_max_mhz = max(
-            cluster.max_frequency_mhz for cluster in config.system.clusters
+            cluster.max_frequency_mhz for cluster in setup.system.clusters
         )
-        self.state = ThermalState(config.thermal)
+        self.state = ThermalState(setup.thermal)
         self.clock_ms = 0.0
         self.peak_c = self.state.temperature_c
         self.throttled_ms = 0.0
@@ -367,12 +335,17 @@ class _Replay:
     time to ``busy_ms`` directly.
     """
 
-    def __init__(self, config: EngineConfig, trace: Trace, scheme: str) -> None:
-        self.config = config
+    def __init__(self, setup: SimulationSetup, trace: Trace, scheme: str) -> None:
+        self.setup = setup
         self.scheme = scheme
-        self.faults = config.faults.session(trace, scheme) if config.faults is not None else None
+        # A zero-rate spec injects nothing, so it opens no fault state and
+        # draws no randomness: bit-identical to running without one.
+        spec = setup.faults
+        self.faults = (
+            SessionFaultState(spec, trace, scheme) if spec is not None and not spec.is_null else None
+        )
         self.trace = self.faults.transform(trace) if self.faults is not None else trace
-        self.thermal = _SessionThermal(config, self.faults) if config.thermal is not None else None
+        self.thermal = _SessionThermal(setup, self.faults) if setup.thermal is not None else None
         self.outcomes: list[EventOutcome] = []
         self.busy_until = 0.0
         self.busy_ms = 0.0
@@ -381,7 +354,7 @@ class _Replay:
     def planning_system(self) -> tuple[AcmpSystem, bool]:
         """The platform to plan over right now, and whether its cap is engaged."""
         if self.thermal is None:
-            return self.config.system, False
+            return self.setup.system, False
         return self.thermal.system_now(), self.thermal.throttled_now
 
     def react(
@@ -395,7 +368,7 @@ class _Replay:
     ) -> None:
         """Plan and execute one event reactively — the kernel shared by the
         reactive schemes and PES's EBS fallback."""
-        config, faults, thermal = self.config, self.faults, self.thermal
+        setup, faults, thermal = self.setup, self.faults, self.thermal
         if thermal is not None:
             # Cool through the gap, then plan against the platform's
             # *instantaneous* capability at the moment execution starts.
@@ -409,19 +382,19 @@ class _Replay:
         if battery.force_lowest:
             # Brown-out: the rail overrides the governor entirely and pins the
             # event to the platform's lowest rung.
-            plan = ExecutionPlan.single(config.system.min_performance_config)
+            plan = ExecutionPlan.single(setup.system.min_performance_config)
         else:
             plan = scheduler.plan(
                 EventContext(
                     event=event,
                     start_ms=start_ms,
                     system=system,
-                    power_table=config.power_table,
+                    power_table=setup.power_table,
                     idle_before_ms=idle_before_ms,
                 )
             )
         execution = _execute_with_faults(
-            config, plan, event.workload, start_ms, self.previous_config, faults, event.index
+            setup, plan, event.workload, start_ms, self.previous_config, faults, event.index
         )
         execution = _apply_rail_sag(execution, battery, faults)
         outcome = EventOutcome(
@@ -430,7 +403,7 @@ class _Replay:
             arrival_ms=event.arrival_ms,
             start_ms=start_ms,
             finish_ms=execution.finish_ms,
-            display_ms=config.pipeline.next_vsync_ms(execution.finish_ms),
+            display_ms=setup.pipeline.next_vsync_ms(execution.finish_ms),
             qos_target_ms=event.qos_target_ms,
             active_energy_mj=execution.active_energy_mj,
             config_label=str(plan.final_config),
@@ -465,24 +438,24 @@ class _Replay:
         the execution itself all the same.  ``planned_throttled`` is whether
         the cap was engaged when the frame was planned.
         """
-        config, faults, previous = self.config, self.faults, self.previous_config
+        setup, faults, previous = self.setup, self.faults, self.previous_config
         chosen = planned
-        switch = config.switching.switch_latency_ms(previous, chosen)
+        switch = setup.switching.switch_latency_ms(previous, chosen)
         if (
             faults is not None
             and previous is not None
             and chosen != previous
             and faults.dvfs_transition_fails()
         ):
-            faults.note_dvfs_fault(event.index, switch * config.power_table.power_w(previous))
+            faults.note_dvfs_fault(event.index, switch * setup.power_table.power_w(previous))
             chosen = previous
         battery = _battery_effect(faults, event.index, start_ms, planning=False)
-        if battery.force_lowest and chosen != config.system.min_performance_config:
-            chosen = config.system.min_performance_config
-            switch = config.switching.switch_latency_ms(previous, chosen)
-        duration = switch + event.workload.latency_ms(config.system, chosen)
+        if battery.force_lowest and chosen != setup.system.min_performance_config:
+            chosen = setup.system.min_performance_config
+            switch = setup.switching.switch_latency_ms(previous, chosen)
+        duration = switch + event.workload.latency_ms(setup.system, chosen)
         finish = start_ms + duration
-        base_power = config.power_table.power_w(chosen)
+        base_power = setup.power_table.power_w(chosen)
         power = base_power * battery.power_scale
         if battery.power_scale != 1.0:
             faults.note_fault_energy((power - base_power) * duration)
@@ -492,7 +465,7 @@ class _Replay:
             arrival_ms=event.arrival_ms,
             start_ms=start_ms,
             finish_ms=finish,
-            display_ms=config.pipeline.next_vsync_ms(max(finish, event.arrival_ms)),
+            display_ms=setup.pipeline.next_vsync_ms(max(finish, event.arrival_ms)),
             qos_target_ms=event.qos_target_ms,
             active_energy_mj=power * duration,
             config_label=str(chosen),
@@ -516,7 +489,7 @@ class _Replay:
             app_name=self.trace.app_name,
             scheduler_name=self.scheme,
             outcomes=self.outcomes,
-            idle_energy_mj=max(0.0, duration - self.busy_ms) * self.config.power_table.idle_w,
+            idle_energy_mj=max(0.0, duration - self.busy_ms) * self.setup.power_table.idle_w,
             duration_ms=duration,
             thermal=self.thermal.finalize(duration) if self.thermal is not None else None,
             faults=self.faults.finalize(self.outcomes) if self.faults is not None else None,
@@ -528,11 +501,11 @@ class _Replay:
 class ReactiveEngine:
     """Replays a trace under a reactive (per-event) scheduler."""
 
-    config: EngineConfig
+    setup: SimulationSetup
 
     def run(self, trace: Trace, scheduler: ReactiveScheduler) -> SessionResult:
         scheduler.reset()
-        replay = _Replay(self.config, trace, scheduler.name)
+        replay = _Replay(self.setup, trace, scheduler.name)
         for event in replay.trace:
             replay.react(
                 scheduler,
@@ -553,11 +526,11 @@ class ProactiveEngine:
     network I/O.
     """
 
-    config: EngineConfig
+    setup: SimulationSetup
 
     def run(self, trace: Trace, pes: PesScheduler) -> SessionResult:
         pes.reset()
-        replay = _Replay(self.config, trace, pes.name)
+        replay = _Replay(self.setup, trace, pes.name)
         faults, thermal = replay.faults, replay.thermal
         wasted_energy = 0.0
         wasted_time = 0.0
@@ -607,11 +580,11 @@ class ProactiveEngine:
                         break
                     chosen = assignment.option.config
                     est_duration = (
-                        self.config.switching.switch_latency_ms(waste_config, chosen)
+                        self.setup.switching.switch_latency_ms(waste_config, chosen)
                         + assignment.option.latency_ms
                     )
                     run_time = min(est_duration, arrival - waste_clock)
-                    power = self.config.power_table.power_w(chosen)
+                    power = self.setup.power_table.power_w(chosen)
                     wasted_time += run_time
                     wasted_energy += power * run_time
                     replay.busy_ms += run_time
@@ -704,7 +677,7 @@ class OracleEngine:
     The planning window comes from :attr:`OracleScheduler.lookahead_events`.
     """
 
-    config: EngineConfig
+    setup: SimulationSetup
     safety_margin_ms: float = 8.0
 
     def __post_init__(self) -> None:
@@ -714,7 +687,7 @@ class OracleEngine:
     def run(self, trace: Trace, oracle: OracleScheduler | None = None) -> SessionResult:
         oracle = oracle or OracleScheduler()
         solver = BranchAndBoundSolver()
-        replay = _Replay(self.config, trace, oracle.name)
+        replay = _Replay(self.setup, trace, oracle.name)
         events = list(replay.trace)
         chunk_size = oracle.lookahead_events or len(events) or 1
 
@@ -732,7 +705,7 @@ class OracleEngine:
                     deadline_ms=max(e.deadline_ms - self.safety_margin_ms, clock),
                     options=tuple(
                         enumerate_options(
-                            planning_system, self.config.power_table, e.workload, pareto_only=True
+                            planning_system, self.setup.power_table, e.workload, pareto_only=True
                         )
                     ),
                     speculative=True,

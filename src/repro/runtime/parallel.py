@@ -83,7 +83,6 @@ __all__ = [
     "MatrixSweep",
     "ParallelEvaluator",
     "SchemeAggregates",
-    "resolve_jobs",
 ]
 
 

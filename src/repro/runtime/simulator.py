@@ -14,13 +14,13 @@ from typing import Mapping, Sequence
 
 from repro.core.pes import PesConfig, PesScheduler
 from repro.core.predictor.sequence_learner import EventSequenceLearner
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults.spec import FaultSpec
 from repro.hardware.acmp import AcmpSystem
 from repro.hardware.energy import SwitchingCosts
 from repro.hardware.platforms import exynos_5410
 from repro.hardware.power import PowerModel, PowerTable
 from repro.hardware.thermal import ThermalModel
-from repro.runtime.engine import EngineConfig, OracleEngine, ProactiveEngine, ReactiveEngine
+from repro.runtime.engine import OracleEngine, ProactiveEngine, ReactiveEngine
 from repro.runtime.metrics import AggregateMetrics, SessionResult, aggregate_results, group_by_app
 from repro.schedulers.base import ReactiveScheduler
 from repro.schedulers.ebs import EbsScheduler
@@ -55,10 +55,14 @@ class SimulationSetup:
     already *statically* throttled via
     :meth:`~repro.hardware.thermal.ThermalModel.constrain`).
 
-    ``faults`` enables seeded fault injection (see :mod:`repro.faults`): the
-    engines draw deterministic predictor/sensor/DVFS/event-stream faults per
-    session.  A ``None`` or zero-rate (``is_null``) spec maps to no injector
-    at all, so it is bit-identical to the fault-free path.
+    ``faults`` enables seeded fault injection (see :mod:`repro.faults`): each
+    session replay opens its own deterministic
+    :class:`~repro.faults.injector.SessionFaultState` and the engines draw
+    predictor/sensor/DVFS/event-stream/battery faults from it.  A ``None``
+    or zero-rate (``is_null``) spec opens no fault state at all, so it is
+    bit-identical to the fault-free path.
+
+    The engines read this object directly.
     """
 
     system: AcmpSystem = field(default_factory=exynos_5410)
@@ -72,17 +76,6 @@ class SimulationSetup:
     def __post_init__(self) -> None:
         self.power_table = self.power_model.build_table(self.system)
 
-    def engine_config(self) -> EngineConfig:
-        inject = self.faults is not None and not self.faults.is_null
-        return EngineConfig(
-            system=self.system,
-            power_table=self.power_table,
-            pipeline=self.pipeline,
-            switching=self.switching,
-            thermal=self.thermal,
-            faults=FaultInjector(self.faults) if inject else None,
-        )
-
 
 @dataclass
 class Simulator:
@@ -92,10 +85,9 @@ class Simulator:
     catalog: AppCatalog = field(default_factory=AppCatalog)
 
     def __post_init__(self) -> None:
-        config = self.setup.engine_config()
-        self._reactive = ReactiveEngine(config)
-        self._proactive = ProactiveEngine(config)
-        self._oracle = OracleEngine(config)
+        self._reactive = ReactiveEngine(self.setup)
+        self._proactive = ProactiveEngine(self.setup)
+        self._oracle = OracleEngine(self.setup)
         #: scheme name -> factory for the reactive baselines.  ``run_scheme``
         #: builds one scheduler per scheme and relies on ``reset()`` between
         #: traces instead of re-dispatching and reconstructing per trace.

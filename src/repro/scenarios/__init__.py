@@ -21,8 +21,6 @@ from repro.scenarios.library import (
     MATRICES,
     get_matrix,
     get_scenario,
-    list_matrices,
-    list_scenarios,
 )
 from repro.scenarios.runner import (
     ScenarioResult,
@@ -55,8 +53,6 @@ __all__ = [
     "ShardJournal",
     "get_matrix",
     "get_scenario",
-    "list_matrices",
-    "list_scenarios",
     "load_results",
     "resolve_app_mix",
     "results_to_payload",

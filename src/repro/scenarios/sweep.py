@@ -26,7 +26,7 @@ from repro.hardware.platforms import (
     list_platforms,
     platform_override_tokens,
 )
-from repro.hardware.thermal import ThermalModel, get_thermal_model, list_thermal_models
+from repro.hardware.thermal import ThermalModel, get_thermal_model
 
 
 @dataclass(frozen=True)
@@ -179,4 +179,4 @@ class PlatformSweep:
         return variants
 
 
-__all__ = ["PlatformSweep", "PlatformVariant", "list_thermal_models"]
+__all__ = ["PlatformSweep", "PlatformVariant"]

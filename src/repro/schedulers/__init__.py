@@ -11,29 +11,3 @@
 
 PES itself lives in :mod:`repro.core`.
 """
-
-from repro.schedulers.base import (
-    ConfigPhase,
-    EventContext,
-    ExecutionPlan,
-    ReactiveScheduler,
-    enumerate_options,
-    ConfigOption,
-)
-from repro.schedulers.interactive import InteractiveGovernor
-from repro.schedulers.ondemand import OndemandGovernor
-from repro.schedulers.ebs import EbsScheduler
-from repro.schedulers.oracle import OracleScheduler
-
-__all__ = [
-    "ConfigPhase",
-    "EventContext",
-    "ExecutionPlan",
-    "ReactiveScheduler",
-    "ConfigOption",
-    "enumerate_options",
-    "InteractiveGovernor",
-    "OndemandGovernor",
-    "EbsScheduler",
-    "OracleScheduler",
-]

@@ -7,36 +7,3 @@ behaviour models that preserve the published statistics (≈110 s sessions,
 ≈25 events, up to 70, think time between interactions) and the temporal
 correlation that makes event sequences predictable.
 """
-
-from repro.traces.trace import TraceEvent, Trace, TraceSet
-from repro.traces.workload import WorkloadModel, WorkloadParams, INTERACTION_WORKLOADS
-from repro.traces.generator import TraceGenerator, UserBehaviorModel, SessionConfig
-from repro.traces.presets import (
-    SESSION_REGIMES,
-    SessionRegime,
-    get_regime,
-    list_regimes,
-    scaled_workloads,
-)
-from repro.traces.io import trace_to_dict, trace_from_dict, save_traces, load_traces
-
-__all__ = [
-    "TraceEvent",
-    "Trace",
-    "TraceSet",
-    "WorkloadModel",
-    "WorkloadParams",
-    "INTERACTION_WORKLOADS",
-    "TraceGenerator",
-    "UserBehaviorModel",
-    "SessionConfig",
-    "SessionRegime",
-    "SESSION_REGIMES",
-    "get_regime",
-    "list_regimes",
-    "scaled_workloads",
-    "trace_to_dict",
-    "trace_from_dict",
-    "save_traces",
-    "load_traces",
-]

@@ -11,35 +11,3 @@ webpages of the paper's benchmark suite.  It provides:
   VSync-quantised frame submission),
 * a catalog of the 18 benchmark applications with per-app characteristics.
 """
-
-from repro.webapp.events import (
-    EventType,
-    Interaction,
-    QOS_TARGETS_MS,
-    qos_target_ms,
-    interaction_of,
-)
-from repro.webapp.dom import DomNode, DomTree, Viewport
-from repro.webapp.semantic_tree import SemanticTree, CallbackEffect
-from repro.webapp.rendering import RenderingPipeline, VSYNC_PERIOD_MS, FrameResult
-from repro.webapp.apps import AppProfile, AppCatalog, SEEN_APPS, UNSEEN_APPS
-
-__all__ = [
-    "EventType",
-    "Interaction",
-    "QOS_TARGETS_MS",
-    "qos_target_ms",
-    "interaction_of",
-    "DomNode",
-    "DomTree",
-    "Viewport",
-    "SemanticTree",
-    "CallbackEffect",
-    "RenderingPipeline",
-    "VSYNC_PERIOD_MS",
-    "FrameResult",
-    "AppProfile",
-    "AppCatalog",
-    "SEEN_APPS",
-    "UNSEEN_APPS",
-]

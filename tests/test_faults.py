@@ -31,14 +31,15 @@ from repro.faults import (
     DvfsFaults,
     EventStreamFaults,
     FAULT_PRESETS,
-    FaultInjector,
     FaultSpec,
     PredictorFaults,
     SensorFaults,
     get_fault_preset,
     list_fault_presets,
 )
+from repro.faults.injector import SessionFaultState
 from repro.hardware.thermal import get_thermal_model
+from repro.runtime.engine import _Replay
 from repro.runtime.metrics import FaultAggregate, FaultSessionStats
 from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
 from repro.scenarios import ScenarioMatrix, ScenarioResult, ScenarioRunner, ScenarioSpec
@@ -164,11 +165,11 @@ class TestFaultSpec:
 
 
 class TestZeroRateIdentity:
-    def test_null_spec_maps_to_no_injector(self):
-        assert SimulationSetup(faults=None).engine_config().faults is None
-        assert SimulationSetup(faults=FaultSpec()).engine_config().faults is None
-        config = SimulationSetup(faults=get_fault_preset("chaos")).engine_config()
-        assert isinstance(config.faults, FaultInjector)
+    def test_null_spec_maps_to_no_injector(self, fault_trace):
+        for spec in (None, FaultSpec()):
+            assert _Replay(SimulationSetup(faults=spec), fault_trace, "EBS").faults is None
+        replay = _Replay(SimulationSetup(faults=get_fault_preset("chaos")), fault_trace, "EBS")
+        assert isinstance(replay.faults, SessionFaultState)
 
     @pytest.mark.parametrize("scheme", KNOWN_SCHEMES)
     def test_zero_rate_spec_is_bit_identical_on_every_scheme(
@@ -296,14 +297,13 @@ class TestInjectionSeams:
 
     def test_stream_transform_yields_valid_deterministic_traces(self, fault_trace):
         spec = get_fault_preset("lossy_events")
-        injector = FaultInjector(spec)
-        first = injector.session(fault_trace, "EBS").transform(fault_trace)
-        second = injector.session(fault_trace, "EBS").transform(fault_trace)
+        first = SessionFaultState(spec, fault_trace, "EBS").transform(fault_trace)
+        second = SessionFaultState(spec, fault_trace, "EBS").transform(fault_trace)
         # Valid by construction (Trace validates indices and arrival order)
         # and deterministic for the same (spec, trace, scheme) identity.
         assert [e.index for e in first.events] == list(range(len(first.events)))
         assert first.events == second.events
-        other_scheme = injector.session(fault_trace, "PES").transform(fault_trace)
+        other_scheme = SessionFaultState(spec, fault_trace, "PES").transform(fault_trace)
         assert other_scheme.events != first.events
 
     def test_stream_faults_change_the_replay(self, catalog, fault_trace):

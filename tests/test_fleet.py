@@ -344,6 +344,21 @@ class TestFleetCli:
 
     def test_report_rejects_corrupt_artefacts(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("not json")
-        with pytest.raises(ArtefactError):
+        path.write_text('{"fleet": {"name": "x", ')
+        with pytest.raises(SystemExit, match=r"^fleet report: .*bad\.json is corrupt") as excinfo:
             main(["fleet", "report", str(path)])
+        assert "\n" not in str(excinfo.value)
+
+    def test_report_rejects_a_scenarios_artefact(self, tmp_path):
+        path = tmp_path / "SCENARIOS_x.json"
+        path.write_text(json.dumps({"matrix": "default", "scenarios": []}))
+        with pytest.raises(SystemExit, match=r"^fleet report: .*SCENARIOS_x\.json has no 'fleet' key"):
+            main(["fleet", "report", str(path)])
+
+    def test_load_names_the_first_missing_key(self, tiny_run, tmp_path):
+        payload = json.loads(tiny_run[1])
+        del payload["population"], payload["slices"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtefactError, match="has no 'population' key"):
+            load_fleet_results(path)

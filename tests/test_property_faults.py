@@ -6,9 +6,9 @@ specs rather than just the built-in presets:
 * serialisation — every ``FaultSpec`` survives a real ``json.dumps`` /
   ``json.loads`` round trip losslessly (rates are floats, and JSON float
   repr round-trips exactly),
-* the identity invariant — any zero-rate spec is ``is_null`` and maps to
-  *no injector at all* in ``SimulationSetup.engine_config``, which is what
-  makes zero-rate and absent specs bit-identical by construction,
+* the identity invariant — any zero-rate spec is ``is_null`` and a session
+  replay under it opens no ``SessionFaultState``, which is what makes
+  zero-rate and absent specs bit-identical by construction,
 * stream-transform accounting — for any rates, the transformed trace is a
   valid trace whose event count reconciles exactly with the ledger
   (kept = original - dropped + duplicated), every per-category count is
@@ -33,12 +33,12 @@ from repro.faults import (
     BurstModel,
     DvfsFaults,
     EventStreamFaults,
-    FaultInjector,
     FaultSpec,
     PredictorFaults,
     SensorFaults,
 )
-from repro.faults.injector import _GilbertElliott
+from repro.faults.injector import SessionFaultState, _GilbertElliott
+from repro.runtime.engine import _Replay
 from repro.runtime.simulator import SimulationSetup, Simulator
 from repro.traces.generator import TraceGenerator
 from repro.webapp.apps import AppCatalog
@@ -123,18 +123,18 @@ def test_fault_specs_round_trip_json_losslessly(spec):
 def test_zero_rate_specs_map_to_no_injector(seed, name, jitter_ms):
     # jitter_ms without a jitter_rate can never move an arrival, so any
     # zero-rate spec — whatever its name, seed, or inert magnitudes — is
-    # null and the simulation layer builds no injector at all.
+    # null and a replay under it opens no fault state at all.
     spec = FaultSpec(
         name=name, seed=seed, events=EventStreamFaults(jitter_ms=jitter_ms)
     )
     assert spec.is_null
-    assert SimulationSetup(faults=spec).engine_config().faults is None
+    assert _Replay(SimulationSetup(faults=spec), _TRACE, "EBS").faults is None
 
 
 @given(spec=fault_specs)
 @settings(max_examples=60, deadline=None)
 def test_stream_transform_accounting_reconciles(spec):
-    session = FaultInjector(spec).session(_TRACE, "EBS")
+    session = SessionFaultState(spec, _TRACE, "EBS")
     transformed = session.transform(_TRACE)
     stats = session.finalize([])
 
@@ -156,9 +156,8 @@ def test_stream_transform_accounting_reconciles(spec):
 @given(spec=fault_specs)
 @settings(max_examples=30, deadline=None)
 def test_stream_transform_is_deterministic_per_identity(spec):
-    injector = FaultInjector(spec)
-    first = injector.session(_TRACE, "EBS").transform(_TRACE)
-    second = injector.session(_TRACE, "EBS").transform(_TRACE)
+    first = SessionFaultState(spec, _TRACE, "EBS").transform(_TRACE)
+    second = SessionFaultState(spec, _TRACE, "EBS").transform(_TRACE)
     assert first.events == second.events
 
 
@@ -228,8 +227,8 @@ def test_null_burst_models_leave_the_fault_stream_bit_identical(spec, enter_zero
         events=nullify(bare.events),
         battery=nullify(bare.battery),
     )
-    session_a = FaultInjector(bare).session(_TRACE, "EBS")
-    session_b = FaultInjector(nulled).session(_TRACE, "EBS")
+    session_a = SessionFaultState(bare, _TRACE, "EBS")
+    session_b = SessionFaultState(nulled, _TRACE, "EBS")
     assert session_a.transform(_TRACE).events == session_b.transform(_TRACE).events
     # The per-event decision draws agree too, not just the stream shape.
     decisions_a = [

@@ -11,8 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.metrics import aggregate_results
-from repro.runtime.parallel import MatrixSweep, ParallelEvaluator, resolve_jobs
+from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import Simulator
+from repro.utils import resolve_jobs
 
 ALL_SCHEMES = ["Interactive", "Ondemand", "EBS", "PES", "Oracle"]
 

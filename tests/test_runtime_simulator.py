@@ -13,11 +13,6 @@ class TestSimulationSetup:
         setup = SimulationSetup()
         assert len(setup.power_table.active_w) == len(setup.system)
 
-    def test_engine_config_bundles_models(self, setup):
-        config = setup.engine_config()
-        assert config.system is setup.system
-        assert config.power_table is setup.power_table
-
 
 class TestSimulator:
     def test_run_reactive(self, simulator, small_trace):

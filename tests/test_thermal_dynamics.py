@@ -184,7 +184,7 @@ class TestTrackerProperties:
     def test_residency_in_unit_interval_and_peak_at_least_ambient(self, profile, curve):
         model = get_thermal_model(curve)
         setup = SimulationSetup(system=exynos_5410(), thermal=model)
-        tracker = _SessionThermal(setup.engine_config())
+        tracker = _SessionThermal(setup)
         clock = 0.0
         for power_w, duration_ms, active in profile:
             if active:
@@ -209,7 +209,7 @@ class TestTrackerProperties:
     def test_peak_is_bounded_by_the_hotter_of_start_and_steady_state(self, power_w, dwell_ms):
         model = get_thermal_model("cramped_chassis")
         setup = SimulationSetup(system=exynos_5410(), thermal=model)
-        tracker = _SessionThermal(setup.engine_config())
+        tracker = _SessionThermal(setup)
         tracker.active(0.0, dwell_ms, power_w)
         ceiling = max(model.ambient_c, model.steady_state_c(power_w))
         assert tracker.peak_c <= ceiling + 1e-9
