@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.predictor.training import PredictorTrainer
+from repro.runtime.parallel import ParallelEvaluator
 from repro.runtime.simulator import SimulationSetup, Simulator
 from repro.traces.generator import TraceGenerator
 from repro.webapp.apps import AppCatalog, SEEN_APPS, UNSEEN_APPS
@@ -74,9 +75,9 @@ def evaluation_traces(generator: TraceGenerator):
 
 
 @pytest.fixture(scope="session")
-def scheme_results(simulator: Simulator, evaluation_traces, learner):
+def scheme_results(catalog: AppCatalog, setup: SimulationSetup, evaluation_traces, learner):
     """Every evaluation trace replayed under every scheme (Figs. 11-13)."""
-    return simulator.compare(
+    return ParallelEvaluator(setup=setup, catalog=catalog, jobs=1).compare(
         evaluation_traces,
         ["Interactive", "Ondemand", "EBS", "PES", "Oracle"],
         learner=learner,

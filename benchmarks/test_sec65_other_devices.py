@@ -13,16 +13,17 @@ from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.hardware.platforms import tegra_parker
 from repro.runtime.metrics import aggregate_results
-from repro.runtime.simulator import SimulationSetup, Simulator
+from repro.runtime.parallel import ParallelEvaluator
+from repro.runtime.simulator import SimulationSetup
 
 SAMPLE_APPS = ("cnn", "google", "ebay", "bbc")
 SCHEMES = ("Interactive", "EBS", "PES")
 
 
 def run_on_parker(catalog, evaluation_traces, learner):
-    simulator = Simulator(setup=SimulationSetup(system=tegra_parker()), catalog=catalog)
+    evaluator = ParallelEvaluator(setup=SimulationSetup(system=tegra_parker()), catalog=catalog, jobs=1)
     traces = [t for t in evaluation_traces if t.app_name in SAMPLE_APPS]
-    results = simulator.compare(traces, list(SCHEMES), learner=learner)
+    results = evaluator.compare(traces, list(SCHEMES), learner=learner)
     return {scheme: aggregate_results(res) for scheme, res in results.items()}
 
 

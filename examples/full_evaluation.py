@@ -22,6 +22,7 @@ import numpy as np
 from repro.analysis.pareto import non_dominated_schemes, points_from_metrics
 from repro.core.predictor.training import PredictorTrainer
 from repro.runtime.metrics import aggregate_results
+from repro.runtime.parallel import ParallelEvaluator
 from repro.runtime.simulator import Simulator
 from repro.traces.generator import TraceGenerator
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS, AppCatalog
@@ -34,7 +35,7 @@ def main() -> None:
 
     catalog = AppCatalog()
     generator = TraceGenerator(catalog=catalog)
-    simulator = Simulator(catalog=catalog)
+    evaluator = ParallelEvaluator(catalog=catalog, jobs=1)
 
     print("Training the event predictor on the 12 seen applications...")
     training = generator.generate_many(list(SEEN_APPS), traces_per_app=6, base_seed=0)
@@ -46,7 +47,7 @@ def main() -> None:
     )
 
     print("Replaying every trace under every scheme (this is the slow part)...")
-    scheme_results = simulator.compare(evaluation, SCHEMES, learner=learner)
+    scheme_results = evaluator.compare(evaluation, SCHEMES, learner=learner)
 
     # Per-app normalised energy (Fig. 11) and QoS violation (Fig. 12).
     normalised = Simulator.normalised_energy_by_app(scheme_results, baseline="Interactive")

@@ -8,17 +8,17 @@ the module that defines it.
 Typical usage::
 
     from repro.core.predictor.training import PredictorTrainer
-    from repro.runtime.simulator import Simulator
+    from repro.runtime.parallel import ParallelEvaluator
     from repro.traces.generator import TraceGenerator
-    from repro.webapp.apps import AppCatalog
+    from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS, AppCatalog
 
     catalog = AppCatalog()
     generator = TraceGenerator(catalog=catalog)
-    training = generator.generate_many([p.name for p in catalog.seen()], 8)
+    training = generator.generate_many(list(SEEN_APPS), 8)
     learner = PredictorTrainer(catalog=catalog).train(training).learner
 
-    evaluation = generator.generate_many(catalog.names(), 3, base_seed=50_000)
-    simulator = Simulator(catalog=catalog)
-    results = simulator.compare(evaluation, ["Interactive", "EBS", "PES", "Oracle"],
+    evaluation = generator.generate_many(list(SEEN_APPS + UNSEEN_APPS), 3, base_seed=50_000)
+    evaluator = ParallelEvaluator(catalog=catalog, jobs=1)
+    results = evaluator.compare(evaluation, ["Interactive", "EBS", "PES", "Oracle"],
                                 learner=learner)
 """

@@ -20,11 +20,6 @@ def format_percentage(value: float, *, decimals: int = 1) -> str:
     return f"{value * 100:.{decimals}f}%"
 
 
-def format_percentage_map(values: Mapping[str, float], *, decimals: int = 1) -> str:
-    """One 'key: pct' line per entry, preserving insertion order."""
-    return "\n".join(f"{key}: {format_percentage(val, decimals=decimals)}" for key, val in values.items())
-
-
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],

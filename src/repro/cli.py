@@ -125,7 +125,8 @@ from repro.hardware.platforms import get_platform, list_platforms
 from repro.hardware.thermal import THERMAL_MODELS, list_thermal_models
 from repro.lint import LintEngine
 from repro.runtime.metrics import AggregateMetrics, aggregate_results
-from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
+from repro.runtime.parallel import ParallelEvaluator
+from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup
 from repro.scenarios import (
     APP_MIXES,
     BUILTIN_SCENARIOS,
@@ -632,7 +633,11 @@ def _evaluation_rows(
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     catalog = AppCatalog()
     generator = TraceGenerator(catalog=catalog)
-    simulator = Simulator(setup=SimulationSetup(system=get_platform(args.platform)), catalog=catalog)
+    evaluator = ParallelEvaluator(
+        setup=SimulationSetup(system=get_platform(args.platform)),
+        catalog=catalog,
+        jobs=resolve_jobs(args.jobs),
+    )
 
     learner = None
     if "PES" in args.schemes:
@@ -642,7 +647,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         learner = PredictorTrainer(catalog=catalog).train(training).learner
 
     traces = generator.generate_many(args.apps, args.traces, base_seed=args.seed)
-    results = simulator.compare(traces, args.schemes, learner=learner, jobs=resolve_jobs(args.jobs))
+    results = evaluator.compare(traces, args.schemes, learner=learner)
 
     metrics = {scheme: aggregate_results(res) for scheme, res in results.items()}
     baseline = args.schemes[0]
@@ -968,16 +973,24 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fleet_report(path: str) -> str:
+    """``fleet report``'s text; a payload of the wrong shape raises ArtefactError."""
+    payload = load_fleet_results(path)
+    try:
+        return (
+            f"{path} (fleet={payload['fleet']['name']}, "
+            f"{payload['n_devices']} devices, {payload['n_sessions']} sessions)\n"
+            f"{fleet_percentile_table(payload)}\n\n{fleet_slice_table(payload)}"
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ArtefactError(f"fleet artefact {path} is malformed: {exc!r}") from exc
+
+
 def _cmd_fleet_report(args: argparse.Namespace) -> int:
     try:
-        payload = load_fleet_results(args.file)
+        print(_fleet_report(args.file))
     except ArtefactError as exc:
         raise SystemExit(f"fleet report: {exc}") from None
-    print(
-        f"{args.file} (fleet={payload['fleet']['name']}, "
-        f"{payload['n_devices']} devices, {payload['n_sessions']} sessions)"
-    )
-    print(f"{fleet_percentile_table(payload)}\n\n{fleet_slice_table(payload)}")
     return 0
 
 

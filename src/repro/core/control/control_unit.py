@@ -59,10 +59,6 @@ class ControlUnit:
     def has_pending(self) -> bool:
         return bool(self.pending)
 
-    @property
-    def next_pending(self) -> PredictedEvent | None:
-        return self.pending[0] if self.pending else None
-
     # -- validation ----------------------------------------------------------------
 
     def validate(self, actual_type: EventType) -> MatchResult:

@@ -55,9 +55,6 @@ class PendingFrameBuffer:
         self.frames.append(frame)
         self._record(now_ms)
 
-    def peek(self) -> SpeculativeFrame | None:
-        return self.frames[0] if self.frames else None
-
     def commit_head(self, now_ms: float) -> SpeculativeFrame:
         """Commit (pop) the oldest speculative frame for display."""
         if not self.frames:

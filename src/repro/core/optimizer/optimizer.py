@@ -65,9 +65,6 @@ class WorkloadEstimator:
             ndep_mcycles=self._sum_ndep[event_type] / count,
         )
 
-    def observations(self, event_type: EventType) -> int:
-        return self._count.get(event_type, 0)
-
     def reset(self) -> None:
         """Forget every recorded measurement (new session)."""
         self._sum_tmem.clear()

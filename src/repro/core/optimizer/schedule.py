@@ -46,10 +46,6 @@ class EventSpec:
     def fastest_option(self) -> ConfigOption:
         return min(self.options, key=lambda o: (o.latency_ms, o.energy_mj))
 
-    @property
-    def cheapest_option(self) -> ConfigOption:
-        return min(self.options, key=lambda o: (o.energy_mj, o.latency_ms))
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -79,12 +75,6 @@ class Schedule:
     @property
     def total_energy_mj(self) -> float:
         return sum(a.energy_mj for a in self.assignments)
-
-    def __len__(self) -> int:
-        return len(self.assignments)
-
-    def __iter__(self):
-        return iter(self.assignments)
 
 
 def simulate_order(

@@ -83,11 +83,3 @@ class DomAnalyzer:
         if plain:
             return plain[0]
         return candidates[0]
-
-    def roll_forward(self, state: SessionState, event_type: EventType) -> SessionState:
-        """Return a cloned state after hypothetically applying ``event_type``."""
-        hypothetical = state.clone()
-        target = self.representative_target(hypothetical, event_type)
-        node_id = target.node_id if target is not None else hypothetical.dom.root.node_id
-        hypothetical.apply_event(event_type, node_id)
-        return hypothetical

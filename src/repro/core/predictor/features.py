@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.traces.session_state import FEATURE_NAMES, SessionState
+from repro.traces.session_state import SessionState
 from repro.webapp.events import EventType
 
-__all__ = ["FeatureExtractor", "EventLabelEncoder", "FEATURE_NAMES"]
+__all__ = ["FeatureExtractor", "EventLabelEncoder"]
 
 
 @dataclass
@@ -31,21 +31,11 @@ class FeatureExtractor:
 
     include_bias: bool = True
 
-    @property
-    def dimension(self) -> int:
-        return len(FEATURE_NAMES) + (1 if self.include_bias else 0)
-
     def extract(self, state: SessionState) -> np.ndarray:
         features = state.features()
         if self.include_bias:
             return np.concatenate([features, [1.0]])
         return features
-
-    def names(self) -> list[str]:
-        names = list(FEATURE_NAMES)
-        if self.include_bias:
-            names.append("bias")
-        return names
 
 
 @dataclass
@@ -73,6 +63,3 @@ class EventLabelEncoder:
 
     def decode(self, index: int) -> EventType:
         return self.classes[index]
-
-    def encode_many(self, event_types: list[EventType]) -> np.ndarray:
-        return np.array([self.encode(e) for e in event_types], dtype=int)

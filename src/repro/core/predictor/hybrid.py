@@ -61,11 +61,6 @@ class HybridEventPredictor:
         self.predictions_made += len(predictions)
         return predictions
 
-    def predict_next(self) -> tuple[EventType, float]:
-        """Predict only the immediate next event (used by accuracy evaluation)."""
-        mask = self.analyzer.lnes_mask(self.state) if self.use_dom_analysis else None
-        return self.learner.predict_next(self.state, mask=mask)
-
     # -- lifecycle ----------------------------------------------------------------
 
     def reset(self) -> None:

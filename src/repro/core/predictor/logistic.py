@@ -179,10 +179,6 @@ class SoftmaxRegression:
         exp = np.exp(shifted)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    @property
-    def is_fitted(self) -> bool:
-        return self.weights is not None
-
     def raw_proba(self, features: np.ndarray) -> np.ndarray:
         if self.weights is None:
             raise RuntimeError("model is not fitted")
@@ -228,9 +224,6 @@ class SoftmaxRegression:
         space to the Likely-Next-Event-Set.
         """
         return _mask_and_normalise(self.raw_proba(features), mask, self.n_classes)
-
-    def predict(self, features: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        return self.predict_proba(features, mask).argmax(axis=1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftmaxRegression):

@@ -109,13 +109,6 @@ class BurstModel:
         burst_rate = min(1.0, base_rate * self.burst_multiplier)
         return (1.0 - occupancy) * base_rate + occupancy * burst_rate
 
-    def to_dict(self) -> dict:
-        return _model_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BurstModel":
-        return _model_from_dict(cls, payload)
-
 
 def _model_to_dict(model) -> dict:
     """A fault model's fields in declaration order, then ``burst`` if set.

@@ -49,9 +49,6 @@ class FleetResult:
     device_aggregates: dict[tuple[int, str], StreamingAggregator]
     population: dict[str, StreamingAggregator]
 
-    def device_energy(self, index: int, scheme: str) -> float:
-        return self.device_aggregates[(index, scheme)].total_energy_mj
-
     def device_metrics(self, index: int, scheme: str) -> dict:
         """One device's per-scheme metric row (``None`` = untracked/n-a)."""
         agg = self.device_aggregates[(index, scheme)]
@@ -231,13 +228,16 @@ def write_fleet_results(result: FleetResult, path: str | Path) -> Path:
 def load_fleet_results(path: str | Path) -> dict:
     """Read a ``FLEET_*.json`` artefact back as its payload dict.
 
-    Raises :class:`~repro.scenarios.checkpoint.ArtefactError` with the
-    parse position on corrupt or truncated files, and naming the first
-    missing top-level key ``fleet report`` reads on any other JSON.
+    Raises :class:`~repro.scenarios.checkpoint.ArtefactError` naming the
+    file when it cannot be read, with the parse position on corrupt or
+    truncated files, and naming the first missing top-level key
+    ``fleet report`` reads on any other JSON.
     """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise ArtefactError(f"fleet artefact {path} cannot be read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArtefactError(
             f"fleet artefact {path} is corrupt or truncated: {exc.msg} at "

@@ -13,7 +13,7 @@ import enum
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 #: Name suffix appended by :meth:`AcmpSystem.with_frequency_cap`.  Stripped
 #: before re-suffixing so repeated caps rewrite the tag instead of stacking
@@ -97,20 +97,6 @@ class Cluster:
     def design_max_frequency_mhz(self) -> int:
         """The silicon's maximum frequency, ignoring any policy cap."""
         return self.nominal_max_frequency_mhz or self.frequencies_mhz[-1]
-
-    def nearest_frequency(self, target_mhz: float) -> int:
-        """Return the available frequency closest to ``target_mhz``.
-
-        Ties are resolved toward the higher frequency so a utilisation-driven
-        governor never under-provisions due to rounding.
-        """
-        best = self.frequencies_mhz[0]
-        best_dist = abs(best - target_mhz)
-        for freq in self.frequencies_mhz[1:]:
-            dist = abs(freq - target_mhz)
-            if dist < best_dist or (dist == best_dist and freq > best):
-                best, best_dist = freq, dist
-        return best
 
     def ceil_frequency(self, target_mhz: float) -> int:
         """Return the smallest available frequency >= ``target_mhz``.
@@ -208,20 +194,6 @@ class AcmpSystem:
             if effective_ghz <= 0:
                 raise ValueError(f"configuration {config} has non-positive frequency")
         return points
-
-    def __iter__(self) -> Iterator[AcmpConfig]:
-        return iter(self.configurations())
-
-    def __len__(self) -> int:
-        return sum(len(c.frequencies_mhz) for c in self.clusters)
-
-    def validate_config(self, config: AcmpConfig) -> None:
-        """Raise ``ValueError`` if ``config`` is not realisable on this system."""
-        cluster = self.cluster_of(config)
-        if config.frequency_mhz not in cluster.frequencies_mhz:
-            raise ValueError(
-                f"{config} is not an operating point of cluster {cluster.name!r}"
-            )
 
     @property
     def max_performance_config(self) -> AcmpConfig:

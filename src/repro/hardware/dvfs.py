@@ -6,10 +6,10 @@ The paper models the execution time of an event's work on a configuration as
 
 where ``Tmem`` is the memory-bound portion that does not scale with CPU
 frequency and ``Ndep`` is the number of CPU cycles that are not overlapped
-with memory accesses.  The first two times an event is encountered its
-latency is measured under two different frequencies and the two-equation
-system is solved for ``Tmem`` and ``Ndep`` — reproduced here by
-:func:`calibrate_two_point`.
+with memory accesses.  In the paper the first two times an event is
+encountered its latency is measured under two different frequencies and
+the two-equation system is solved for ``Tmem`` and ``Ndep``; here each
+event's trace carries its model directly (:class:`DvfsModel`).
 """
 
 from __future__ import annotations
@@ -48,44 +48,3 @@ class DvfsModel:
         if effective_ghz <= 0:
             raise ValueError(f"configuration {config} has non-positive frequency")
         return self.tmem_ms + self.ndep_mcycles / effective_ghz
-
-    def latency_at_ghz(self, effective_ghz: float) -> float:
-        """Latency at an arbitrary effective frequency (used by governors)."""
-        if effective_ghz <= 0:
-            raise ValueError("effective frequency must be positive")
-        return self.tmem_ms + self.ndep_mcycles / effective_ghz
-
-    def scaled(self, factor: float) -> "DvfsModel":
-        """Return a model for ``factor`` times the amount of work."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return DvfsModel(self.tmem_ms * factor, self.ndep_mcycles * factor)
-
-
-def calibrate_two_point(
-    latency_a_ms: float,
-    effective_ghz_a: float,
-    latency_b_ms: float,
-    effective_ghz_b: float,
-) -> DvfsModel:
-    """Solve Eqn. 1 from two (latency, frequency) measurements.
-
-    Given measurements at two distinct effective frequencies (in GHz) the
-    system
-
-        latency_a = Tmem + Ndep / f_a
-        latency_b = Tmem + Ndep / f_b
-
-    has a unique solution.  Small negative values produced by measurement
-    noise are clamped to zero, matching the defensive behaviour a real
-    runtime needs.
-    """
-    if effective_ghz_a <= 0 or effective_ghz_b <= 0:
-        raise ValueError("frequencies must be positive")
-    if abs(effective_ghz_a - effective_ghz_b) < 1e-9:
-        raise ValueError("calibration requires two distinct frequencies")
-    inv_a = 1.0 / effective_ghz_a
-    inv_b = 1.0 / effective_ghz_b
-    ndep = (latency_a_ms - latency_b_ms) / (inv_a - inv_b)
-    tmem = latency_a_ms - ndep * inv_a
-    return DvfsModel(tmem_ms=max(tmem, 0.0), ndep_mcycles=max(ndep, 0.0))

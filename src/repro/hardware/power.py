@@ -76,9 +76,6 @@ class PowerTable:
         except KeyError:
             raise KeyError(f"no power entry for configuration {config}") from None
 
-    def __contains__(self, config: AcmpConfig) -> bool:
-        return config in self.active_w
-
     def priced_points(self, system: AcmpSystem) -> tuple[PricedPoint, ...]:
         """:attr:`AcmpSystem.operating_points` with each point's active power appended.
 

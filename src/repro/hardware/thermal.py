@@ -85,11 +85,6 @@ class ThermalModel:
 
     # -- the throttling curve ----------------------------------------------------
 
-    @property
-    def is_constant(self) -> bool:
-        """True when the curve ignores temperature (a flat cap)."""
-        return len({cap for _, cap in self.curve}) == 1
-
     def cap_mhz(self, temperature_c: float) -> int:
         """The frequency ceiling at ``temperature_c`` (non-increasing in T)."""
         cap = self.curve[0][1]

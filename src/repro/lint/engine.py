@@ -131,9 +131,6 @@ class FileContext:
 
     # -- tree navigation --------------------------------------------------------
 
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return self._parents.get(node)
-
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         """Parents of ``node``, innermost first, up to the module."""
         current = self._parents.get(node)

@@ -64,18 +64,12 @@ class ExactSum:
         """Correctly rounded float of the exact sum (``-0.0`` normalised)."""
         return math.fsum(self.partials) + 0.0
 
-    def __float__(self) -> float:
-        return self.value
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExactSum):
             return self.value == other.value
         if isinstance(other, (int, float)):
             return self.value == other
         return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ExactSum({self.value!r})"
 
 
 @dataclass(frozen=True)
@@ -102,10 +96,6 @@ class EventOutcome:
     @property
     def violated(self) -> bool:
         return self.latency_ms > self.qos_target_ms + 1e-6
-
-    @property
-    def slack_ms(self) -> float:
-        return self.qos_target_ms - self.latency_ms
 
     def to_dict(self) -> dict:
         return {
@@ -396,20 +386,6 @@ class SessionResult:
             return 0.0
         return self.commits / validated
 
-    @property
-    def misprediction_waste_ms(self) -> float:
-        """Average wasted frame-generation time per mis-prediction (Fig. 10)."""
-        if self.mispredictions == 0:
-            return 0.0
-        return self.wasted_time_ms / self.mispredictions
-
-    @property
-    def mean_prediction_degree(self) -> float:
-        """Average number of events predicted per prediction round."""
-        if self.prediction_rounds == 0:
-            return 0.0
-        return self.predictions_made / self.prediction_rounds
-
     # -- serialisation ------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -476,12 +452,6 @@ class AggregateMetrics:
     wasted_time_ms: float
     mispredictions: int
     commits: int
-
-    @property
-    def energy_per_event_mj(self) -> float:
-        if self.n_events == 0:
-            return 0.0
-        return self.total_energy_mj / self.n_events
 
     @property
     def prediction_accuracy(self) -> float:
@@ -767,15 +737,6 @@ def aggregate_results(results: Iterable[SessionResult]) -> AggregateMetrics:
     for result in results:
         aggregator.add(result)
     return aggregator.finalize()
-
-
-def normalised_energy(
-    metrics: AggregateMetrics, baseline: AggregateMetrics
-) -> float:
-    """Energy of ``metrics`` relative to ``baseline`` (Fig. 11 style)."""
-    if baseline.total_energy_mj <= 0:
-        raise ValueError("baseline energy must be positive")
-    return metrics.total_energy_mj / baseline.total_energy_mj
 
 
 def group_by_app(results: Sequence[SessionResult]) -> dict[str, list[SessionResult]]:

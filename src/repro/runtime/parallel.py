@@ -45,7 +45,9 @@ Running evaluations in parallel
 
 Route any sweep through the ``jobs`` knob::
 
-    simulator.compare(traces, schemes, learner=learner, jobs=4)
+    ParallelEvaluator(setup=setup, catalog=catalog, jobs=4).compare(
+        traces, schemes, learner=learner
+    )
 
 or from the command line::
 
@@ -329,7 +331,7 @@ class ParallelEvaluator:
         learner: EventSequenceLearner | None = None,
         pes_config: PesConfig | None = None,
     ) -> dict[str, list[SessionResult]]:
-        """Drop-in parallel :meth:`Simulator.compare`: a one-sweep matrix run.
+        """Replay the same traces under several schemes: a one-sweep matrix run.
 
         The sweep is validated like any matrix cell (known, distinct
         schemes; a learner for PES).

@@ -32,14 +32,14 @@ from repro.webapp.apps import AppCatalog
 from repro.webapp.rendering import RenderingPipeline
 
 #: The reactive baselines, in evaluation-figure order — the single source
-#: for scheme dispatch, ``default_baselines``, and scheme-name validation.
+#: for scheme dispatch and scheme-name validation.
 BASELINE_FACTORIES: dict[str, type[ReactiveScheduler]] = {
     "Interactive": InteractiveGovernor,
     "Ondemand": OndemandGovernor,
     "EBS": EbsScheduler,
 }
 
-#: Every scheme name ``run_scheme``/``compare`` accept.
+#: Every scheme name ``run_scheme`` accepts.
 KNOWN_SCHEMES: tuple[str, ...] = tuple(BASELINE_FACTORIES) + ("PES", "Oracle")
 
 
@@ -88,12 +88,9 @@ class Simulator:
         self._reactive = ReactiveEngine(self.setup)
         self._proactive = ProactiveEngine(self.setup)
         self._oracle = OracleEngine(self.setup)
-        #: scheme name -> factory for the reactive baselines.  ``run_scheme``
-        #: builds one scheduler per scheme and relies on ``reset()`` between
-        #: traces instead of re-dispatching and reconstructing per trace.
-        self._baseline_factories = dict(BASELINE_FACTORIES)
-        #: scheme name -> scheduler reused across sweeps (``ReactiveEngine.run``
-        #: resets it before every replay, so reuse is result-identical).
+        #: scheme name -> scheduler reused across traces and sweeps
+        #: (``ReactiveEngine.run`` resets it before every replay, so reuse is
+        #: result-identical).
         self._baseline_cache: dict[str, ReactiveScheduler] = {}
         #: app name -> (learner, config, scheduler): a PES sweep reuses one
         #: scheduler per application the way the reactive baselines reuse
@@ -145,9 +142,6 @@ class Simulator:
 
     # -- scheme sweeps --------------------------------------------------------------
 
-    def default_baselines(self) -> list[ReactiveScheduler]:
-        return [factory() for factory in self._baseline_factories.values()]
-
     def run_scheme(
         self,
         traces: TraceSet | Sequence[Trace],
@@ -163,7 +157,7 @@ class Simulator:
         once per sweep: baselines reuse a single scheduler instance across
         traces (``ReactiveEngine.run`` resets it before each replay).
         """
-        factory = self._baseline_factories.get(scheme)
+        factory = BASELINE_FACTORIES.get(scheme)
         if factory is not None:
             scheduler = self._baseline_cache.get(scheme)
             if scheduler is None:
@@ -178,32 +172,6 @@ class Simulator:
             return [self.run_oracle(trace) for trace in traces]
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    def compare(
-        self,
-        traces: TraceSet | Sequence[Trace],
-        schemes: Sequence[str],
-        *,
-        learner: EventSequenceLearner | None = None,
-        pes_config: PesConfig | None = None,
-        jobs: int = 1,
-    ) -> dict[str, list[SessionResult]]:
-        """Replay the same traces under several schemes.
-
-        ``jobs`` fans the (scheme x trace) pairs out over a process pool
-        (see :mod:`repro.runtime.parallel`); every replay is deterministic,
-        so any ``jobs`` value produces identical results — ``jobs=1`` simply
-        runs the sweep in-process.
-        """
-        if jobs != 1:
-            from repro.runtime.parallel import ParallelEvaluator
-
-            evaluator = ParallelEvaluator(setup=self.setup, catalog=self.catalog, jobs=jobs)
-            return evaluator.compare(traces, schemes, learner=learner, pes_config=pes_config)
-        return {
-            scheme: self.run_scheme(traces, scheme, learner=learner, pes_config=pes_config)
-            for scheme in schemes
-        }
-
     # -- aggregation ------------------------------------------------------------------
 
     @staticmethod
@@ -215,10 +183,6 @@ class Simulator:
             app: aggregate_results(app_results)
             for app, app_results in group_by_app(results).items()
         }
-
-    @staticmethod
-    def aggregate_overall(results: Sequence[SessionResult]) -> AggregateMetrics:
-        return aggregate_results(results)
 
     @staticmethod
     def normalised_energy_by_app(

@@ -238,20 +238,12 @@ def _builtin_matrices() -> dict[str, ScenarioMatrix]:
 MATRICES: dict[str, ScenarioMatrix] = _builtin_matrices()
 
 
-def list_scenarios() -> list[str]:
-    return sorted(BUILTIN_SCENARIOS)
-
-
-def list_matrices() -> list[str]:
-    return sorted(MATRICES)
-
-
 def get_scenario(name: str) -> ScenarioSpec:
     try:
         return BUILTIN_SCENARIOS[name]
     except KeyError:
         raise KeyError(
-            f"unknown scenario {name!r}; available: {', '.join(list_scenarios())}"
+            f"unknown scenario {name!r}; available: {', '.join(sorted(BUILTIN_SCENARIOS))}"
         ) from None
 
 
@@ -260,5 +252,5 @@ def get_matrix(name: str) -> ScenarioMatrix:
         return MATRICES[name]
     except KeyError:
         raise KeyError(
-            f"unknown matrix {name!r}; available: {', '.join(list_matrices())}"
+            f"unknown matrix {name!r}; available: {', '.join(sorted(MATRICES))}"
         ) from None

@@ -45,9 +45,6 @@ class ScenarioResult:
     spec: ScenarioSpec
     aggregates: dict[str, SchemeAggregates]
 
-    def overall(self, scheme: str) -> AggregateMetrics:
-        return self.aggregates[scheme].overall
-
     def normalised_energy(self) -> dict[str, float | None]:
         """Total energy of each scheme relative to the scenario's baseline.
 
@@ -429,13 +426,16 @@ def load_results(path: str | Path) -> tuple[dict, list[ScenarioResult]]:
     """Read a ``SCENARIOS_*.json`` artefact back into result objects.
 
     Raises :class:`~repro.scenarios.checkpoint.ArtefactError` when the file
-    holds corrupt or truncated JSON, naming the file and the parse position
-    instead of surfacing a bare decode error, and when the JSON is not a
-    results artefact, naming the file and the entry that does not parse.
+    cannot be read, when it holds corrupt or truncated JSON (naming the file
+    and the parse position instead of surfacing a bare decode error), and
+    when the JSON is not a results artefact, naming the file and the entry
+    that does not parse.
     """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise ArtefactError(f"results artefact {path} cannot be read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArtefactError(
             f"results artefact {path} is corrupt or truncated: {exc.msg} at "

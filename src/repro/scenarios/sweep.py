@@ -125,15 +125,10 @@ class PlatformSweep:
             if len(set(axis)) != len(axis):
                 raise ValueError(f"platform sweep {axis_name} axis has duplicate entries")
         # Expand once, eagerly: a bad axis value fails here (before any
-        # matrix is built), and every later variants()/n_variants access —
+        # matrix is built), and every later variants() access —
         # matrix validation, n_cells, expand, CLI summaries — reuses the
         # cached tuple instead of re-deriving the cross-product.
         object.__setattr__(self, "_variants", tuple(self._expand_variants()))
-
-    @property
-    def n_variants(self) -> int:
-        """Distinct variants after per-platform normalisation (see :meth:`variants`)."""
-        return len(self._variants)
 
     def variants(self) -> list[PlatformVariant]:
         """One validated :class:`PlatformVariant` per cell, deterministic order.

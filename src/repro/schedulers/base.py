@@ -71,10 +71,6 @@ class EventContext:
     queue_length: int = 0
 
     @property
-    def queue_delay_ms(self) -> float:
-        return max(0.0, self.start_ms - self.event.arrival_ms)
-
-    @property
     def remaining_budget_ms(self) -> float:
         """Time left until the event's deadline when execution starts."""
         return self.event.deadline_ms - self.start_ms

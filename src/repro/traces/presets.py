@@ -218,16 +218,11 @@ def _builtin_regimes() -> dict[str, SessionRegime]:
 SESSION_REGIMES: dict[str, SessionRegime] = _builtin_regimes()
 
 
-def list_regimes() -> list[str]:
-    """Names accepted by :func:`get_regime`."""
-    return sorted(SESSION_REGIMES)
-
-
 def get_regime(name: str) -> SessionRegime:
     """Look up a built-in regime; raises ``KeyError`` for unknown names."""
     try:
         return SESSION_REGIMES[name]
     except KeyError:
         raise KeyError(
-            f"unknown session regime {name!r}; available: {', '.join(list_regimes())}"
+            f"unknown session regime {name!r}; available: {', '.join(sorted(SESSION_REGIMES))}"
         ) from None

@@ -98,8 +98,8 @@ class SessionState:
         """The visible nodes and their aggregates, looked up once per session state.
 
         Shared by the features, the LNES and target picking.  Only
-        :meth:`apply_event` and :meth:`reset_document` change the DOM, and
-        both drop the snapshot when they do.  A served document's clones
+        :meth:`apply_event` changes the DOM, and it drops the snapshot when
+        it does.  A served document's clones
         share :meth:`DomTree.view`'s memo, so a DOM state another session or
         roll-forward has seen is not walked again.
         """
@@ -182,14 +182,6 @@ class SessionState:
 
         self.history.append(ObservedEvent(event_type=event_type, navigated=did_navigate, node_id=node_id))
         return did_navigate
-
-    def reset_document(self) -> None:
-        """Force a fresh document (used at session start)."""
-        self.doc_index = 0
-        self.dom, self.semantic = _serve_document(self.profile, 0)
-        self._view = None
-        self.last_navigated = False
-        self.history.clear()
 
     def clone(self) -> "SessionState":
         """Structured copy used for hypothetical roll-forward during prediction.

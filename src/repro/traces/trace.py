@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.hardware.dvfs import DvfsModel
-from repro.webapp.events import EventType, Interaction, interaction_of, qos_target_ms
+from repro.webapp.events import EventType, qos_target_ms
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class TraceEvent:
             raise ValueError("index must be non-negative")
         if self.arrival_ms < 0:
             raise ValueError("arrival_ms must be non-negative")
-
-    @property
-    def interaction(self) -> Interaction:
-        return interaction_of(self.event_type)
 
     @property
     def qos_target_ms(self) -> float:
@@ -87,35 +83,6 @@ class Trace:
             return 0.0
         return self.events[-1].arrival_ms
 
-    @property
-    def event_types(self) -> list[EventType]:
-        return [event.event_type for event in self.events]
-
-    def count_by_interaction(self) -> dict[Interaction, int]:
-        counts: dict[Interaction, int] = {kind: 0 for kind in Interaction}
-        for event in self.events:
-            counts[event.interaction] += 1
-        return counts
-
-    def slice(self, start: int, stop: int) -> "Trace":
-        """A re-indexed sub-session covering events ``start:stop``."""
-        selected = self.events[start:stop]
-        if not selected:
-            return Trace(self.app_name, self.user_id, [], seed=self.seed)
-        offset = selected[0].arrival_ms
-        reindexed = [
-            TraceEvent(
-                index=i,
-                event_type=e.event_type,
-                node_id=e.node_id,
-                arrival_ms=e.arrival_ms - offset,
-                workload=e.workload,
-                navigates=e.navigates,
-            )
-            for i, e in enumerate(selected)
-        ]
-        return Trace(self.app_name, self.user_id, reindexed, seed=self.seed)
-
 
 @dataclass
 class TraceSet:
@@ -126,17 +93,8 @@ class TraceSet:
     def add(self, trace: Trace) -> None:
         self.traces.append(trace)
 
-    def extend(self, traces: Sequence[Trace]) -> None:
-        self.traces.extend(traces)
-
     def for_app(self, app_name: str) -> list[Trace]:
         return [t for t in self.traces if t.app_name == app_name]
-
-    def app_names(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for trace in self.traces:
-            seen.setdefault(trace.app_name, None)
-        return list(seen)
 
     def __len__(self) -> int:
         return len(self.traces)

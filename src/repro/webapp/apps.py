@@ -20,7 +20,6 @@ has many compute-light events; news pages like ``cnn`` carry heavy taps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -309,22 +308,5 @@ class AppCatalog:
     def seen(self) -> list[AppProfile]:
         return [p for p in self.profiles.values() if p.seen]
 
-    def unseen(self) -> list[AppProfile]:
-        return [p for p in self.profiles.values() if not p.seen]
-
-    def all(self) -> list[AppProfile]:
-        return list(self.profiles.values())
-
-    def names(self) -> list[str]:
-        return list(self.profiles)
-
-    def __iter__(self) -> Iterator[AppProfile]:
-        return iter(self.profiles.values())
-
     def __len__(self) -> int:
         return len(self.profiles)
-
-    def add(self, profile: AppProfile) -> None:
-        if profile.name in self.profiles:
-            raise ValueError(f"application {profile.name!r} already registered")
-        self.profiles[profile.name] = profile

@@ -9,9 +9,8 @@ a set of registered event listeners, and a visibility style.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.webapp.events import EventType
 
@@ -35,18 +34,6 @@ class Viewport:
 
     def scrolled(self, delta_y: float) -> "Viewport":
         return Viewport(self.width, self.height, max(0.0, self.scroll_y + delta_y))
-
-    @property
-    def top(self) -> float:
-        return self.scroll_y
-
-    @property
-    def bottom(self) -> float:
-        return self.scroll_y + self.height
-
-    def intersects(self, y: float, height: float) -> bool:
-        """Whether a box spanning [y, y+height) in page coordinates is visible."""
-        return y < self.bottom and (y + height) > self.top
 
     @property
     def area(self) -> float:
@@ -167,8 +154,6 @@ class DomTree:
     nodes.  Clones are copy-on-write (see :meth:`clone`).
     """
 
-    _id_counter = itertools.count()
-
     def __init__(self, root: DomNode, viewport: Viewport | None = None, page_height: float | None = None):
         self.root = root
         self.viewport = viewport or Viewport()
@@ -176,14 +161,6 @@ class DomTree:
         # Views by viewport, shared by every tree on ``root``'s node graph;
         # None while the graph is private to this tree (and may be mutated).
         self._views: dict[Viewport, DomView] | None = None
-
-    # -- factory helpers ---------------------------------------------------
-
-    @classmethod
-    def new_node(cls, tag: str, **kwargs) -> DomNode:
-        """Create a node with an auto-assigned unique id."""
-        node_id = kwargs.pop("node_id", f"{tag}-{next(cls._id_counter)}")
-        return DomNode(tag=tag, node_id=node_id, **kwargs)
 
     # -- traversal ---------------------------------------------------------
 
@@ -241,9 +218,6 @@ class DomTree:
                 return node
         raise KeyError(f"no DOM node with id {node_id!r}")
 
-    def find_all(self, predicate: Callable[[DomNode], bool]) -> list[DomNode]:
-        return [node for node in self.walk() if predicate(node)]
-
     # -- aggregate features (Table 1, application-inherent) -----------------
     #
     # Each query takes an optional precomputed ``visible_nodes()`` list so a
@@ -297,9 +271,3 @@ class DomTree:
             max_scroll = max(0.0, self._page_height - viewport.height)
             viewport = Viewport(viewport.width, viewport.height, min(viewport.scroll_y, max_scroll))
         self.viewport = viewport
-
-    @property
-    def page_height(self) -> float:
-        if self._page_height is not None:
-            return self._page_height
-        return max((n.y + n.height for n in self.walk()), default=self.viewport.height)

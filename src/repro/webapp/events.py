@@ -30,10 +30,6 @@ class EventType(enum.Enum):
     TOUCHMOVE = "touchmove"
     SCROLL = "scroll"
 
-    @property
-    def interaction(self) -> Interaction:
-        return _EVENT_TO_INTERACTION[self]
-
 
 _EVENT_TO_INTERACTION: Mapping[EventType, Interaction] = {
     EventType.LOAD: Interaction.LOAD,

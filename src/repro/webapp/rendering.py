@@ -7,8 +7,8 @@ idle wait until the next display refresh (VSync at 60 Hz).
 
 The CPU-visible work (callback + rendering stages) is what the DVFS model
 scales with frequency; the VSync quantisation adds a frequency-independent
-idle tail.  :class:`RenderingPipeline` splits a unit of event work into the
-per-stage shares and computes frame-completion/display times.
+idle tail.  :class:`RenderingPipeline` holds the per-stage shares of that
+work and quantises a frame's completion time to the next VSync.
 """
 
 from __future__ import annotations
@@ -33,29 +33,8 @@ DEFAULT_STAGE_SHARES: Mapping[str, float] = {
 
 
 @dataclass(frozen=True)
-class FrameResult:
-    """Timing of a produced frame.
-
-    ``ready_ms`` is when the frame finished compositing; ``display_ms`` is
-    when it is actually shown (the next VSync at or after ``ready_ms``).
-    """
-
-    start_ms: float
-    ready_ms: float
-    display_ms: float
-
-    @property
-    def idle_wait_ms(self) -> float:
-        return self.display_ms - self.ready_ms
-
-    @property
-    def total_latency_ms(self) -> float:
-        return self.display_ms - self.start_ms
-
-
-@dataclass(frozen=True)
 class RenderingPipeline:
-    """Splits event work into pipeline stages and quantises to VSync."""
+    """Pipeline stage shares of event work, and VSync quantisation."""
 
     stage_shares: Mapping[str, float] = None  # type: ignore[assignment]
     vsync_period_ms: float = VSYNC_PERIOD_MS
@@ -71,21 +50,9 @@ class RenderingPipeline:
         if self.vsync_period_ms <= 0:
             raise ValueError("vsync period must be positive")
 
-    def stage_breakdown_ms(self, cpu_time_ms: float) -> dict[str, float]:
-        """Split a total CPU time across the pipeline stages."""
-        if cpu_time_ms < 0:
-            raise ValueError("cpu_time_ms must be non-negative")
-        return {stage: share * cpu_time_ms for stage, share in self.stage_shares.items()}
-
     def next_vsync_ms(self, time_ms: float) -> float:
         """The first VSync at or after ``time_ms``."""
         if time_ms < 0:
             raise ValueError("time must be non-negative")
         ticks = math.ceil(time_ms / self.vsync_period_ms - 1e-9)
         return ticks * self.vsync_period_ms
-
-    def frame_for(self, start_ms: float, cpu_time_ms: float) -> FrameResult:
-        """Produce the frame timing for work starting at ``start_ms``."""
-        ready = start_ms + cpu_time_ms
-        display = self.next_vsync_ms(ready)
-        return FrameResult(start_ms=start_ms, ready_ms=ready, display_ms=display)

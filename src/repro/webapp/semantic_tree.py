@@ -88,6 +88,3 @@ class SemanticTree:
 
     def has_effect(self, node_id: str, event_type: EventType) -> bool:
         return (node_id, event_type) in self.effects
-
-    def __len__(self) -> int:
-        return len(self.effects)

@@ -7,6 +7,8 @@ not regenerate them.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.predictor.training import PredictorTrainer
@@ -62,4 +64,4 @@ def sample_trace(generator: TraceGenerator):
 def small_trace(generator: TraceGenerator):
     """A short google session for faster per-test simulations."""
     trace = generator.generate("google", seed=99)
-    return trace.slice(0, min(len(trace), 12))
+    return replace(trace, events=trace.events[:12])

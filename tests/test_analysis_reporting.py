@@ -2,19 +2,13 @@
 
 import pytest
 
-from repro.analysis.reporting import format_percentage, format_percentage_map, format_table
+from repro.analysis.reporting import format_percentage, format_table
 
 
 class TestPercentages:
     def test_format_percentage(self):
         assert format_percentage(0.265) == "26.5%"
         assert format_percentage(0.07512, decimals=2) == "7.51%"
-
-    def test_format_percentage_map_preserves_order(self):
-        text = format_percentage_map({"cnn": 0.1, "bbc": 0.2})
-        lines = text.splitlines()
-        assert lines[0].startswith("cnn:")
-        assert lines[1].startswith("bbc:")
 
 
 class TestTable:

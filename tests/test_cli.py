@@ -25,7 +25,7 @@ class TestGenerateCommand:
         assert code == 0
         traces = load_traces(out)
         assert len(traces) == 2
-        assert set(traces.app_names()) == {"cnn", "bbc"}
+        assert {t.app_name for t in traces} == {"cnn", "bbc"}
         assert "wrote 2 traces" in capsys.readouterr().out
 
     def test_unknown_app_fails(self, tmp_path):
@@ -281,12 +281,14 @@ class TestScenariosCommand:
                 ),
                 r"bad\.json: bad scenarios\[0\]: TypeError\(.*use_exact_solver",
             ),
+            (None, r"bad\.json cannot be read: No such file or directory"),
         ],
-        ids=["truncated", "wrong-shape", "retired-pes-option"],
+        ids=["truncated", "wrong-shape", "retired-pes-option", "missing"],
     )
     def test_compare_rejects_bad_artefact_in_one_line(self, tmp_path, content, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(content)
+        if content is not None:
+            bad.write_text(content)
         with pytest.raises(SystemExit, match=f"^scenarios compare: .*{message}") as excinfo:
             main(["scenarios", "compare", str(bad)])
         assert "\n" not in str(excinfo.value)

@@ -79,7 +79,7 @@ class TestControlUnit:
         committed = control.confirm_match(20.0)
         assert committed is not None and committed.event_type is EventType.SCROLL
         assert control.commits == 1
-        assert control.next_pending.event_type is EventType.CLICK
+        assert control.pending[0].event_type is EventType.CLICK
 
     def test_match_without_buffered_frame(self):
         control = ControlUnit()

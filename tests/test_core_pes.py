@@ -125,7 +125,7 @@ class TestPesScheduler:
 
     def test_record_execution_feeds_workload_estimator(self, pes):
         pes.record_execution(EventType.CLICK, DvfsModel(20.0, 300.0))
-        assert pes.optimizer.workload_estimator.observations(EventType.CLICK) == 1
+        assert pes.optimizer.workload_estimator.estimate(EventType.CLICK) == DvfsModel(20.0, 300.0)
 
     def test_observe_event_updates_arrival_estimator(self, pes):
         pes.observe_event(event(0, EventType.CLICK, 1000.0, node="cnn-menu-btn-0"))

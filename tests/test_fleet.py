@@ -343,11 +343,27 @@ class TestFleetCli:
         assert "--resume" in out and "byte-identical" in out
 
     def test_report_rejects_corrupt_artefacts(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"fleet": {"name": "x", ')
-        with pytest.raises(SystemExit, match=r"^fleet report: .*bad\.json is corrupt") as excinfo:
-            main(["fleet", "report", str(path)])
-        assert "\n" not in str(excinfo.value)
+        header = {"fleet": {"name": "x"}, "n_devices": 1, "n_sessions": 1}
+        cases = [
+            ('{"fleet": {"name": "x", ', r"bad\.json is corrupt"),
+            (None, r"bad\.json cannot be read: No such file or directory"),
+            (
+                json.dumps({**header, "fleet": 1, "population": [], "slices": {}}),
+                r"bad\.json is malformed: TypeError",
+            ),
+            (
+                json.dumps({**header, "population": {"PES": 3}, "slices": {}}),
+                r"bad\.json is malformed: TypeError",
+            ),
+        ]
+        for content, message in cases:
+            path = tmp_path / "bad.json"
+            path.unlink(missing_ok=True)
+            if content is not None:
+                path.write_text(content)
+            with pytest.raises(SystemExit, match=rf"^fleet report: .*{message}") as excinfo:
+                main(["fleet", "report", str(path)])
+            assert "\n" not in str(excinfo.value)
 
     def test_report_rejects_a_scenarios_artefact(self, tmp_path):
         path = tmp_path / "SCENARIOS_x.json"

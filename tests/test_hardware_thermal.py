@@ -75,11 +75,6 @@ class TestCurveLookup:
         caps = [curve_model.cap_mhz(t) for t in temps]
         assert all(later <= earlier for earlier, later in zip(caps, caps[1:]))
 
-    def test_constant_detection(self, curve_model):
-        assert not curve_model.is_constant
-        assert ThermalModel(name="t", curve=((0.0, 900),)).is_constant
-        assert ThermalModel(name="t", curve=((0.0, 900), (60.0, 900))).is_constant
-
 
 class TestDynamics:
     def test_steady_state_is_linear_in_power(self, curve_model):

@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.event_types import EventCategory, category_distribution, classify_events
 from repro.analysis.pareto import non_dominated_schemes, points_from_metrics
 from repro.runtime.metrics import aggregate_results
+from repro.runtime.parallel import ParallelEvaluator
 from repro.schedulers.ebs import EbsScheduler
 
 
@@ -20,8 +21,8 @@ def evaluation_traces(generator):
 
 
 @pytest.fixture(scope="module")
-def scheme_results(simulator, evaluation_traces, learner):
-    return simulator.compare(
+def scheme_results(setup, catalog, evaluation_traces, learner):
+    return ParallelEvaluator(setup=setup, catalog=catalog, jobs=1).compare(
         evaluation_traces, ["Interactive", "EBS", "PES", "Oracle"], learner=learner
     )
 

@@ -56,7 +56,7 @@ class TestDeadlineSafety:
             if not was_feasible:
                 seen_infeasible += 1
                 assert not schedule.feasible
-            for assignment, relaxed_spec in zip(schedule, relaxed):
+            for assignment, relaxed_spec in zip(schedule.assignments, relaxed):
                 assert assignment.finish_ms <= relaxed_spec.deadline_ms + 1e-9
         assert seen_infeasible > 10, "generator should produce infeasible instances"
 
@@ -71,6 +71,6 @@ class TestDeadlineSafety:
             checked += 1
             schedule = BranchAndBoundSolver().solve(specs, start)
             assert schedule.feasible
-            for assignment in schedule:
+            for assignment in schedule.assignments:
                 assert assignment.meets_deadline
         assert checked > N_TRIALS // 2

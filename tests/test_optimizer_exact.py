@@ -51,7 +51,7 @@ def reference_branch_and_bound(specs, window_start_ms):
     # Remaining minimum-energy suffix sums for the lower bound.
     min_energy_suffix = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        min_energy_suffix[i] = min_energy_suffix[i + 1] + working[i].cheapest_option.energy_mj
+        min_energy_suffix[i] = min_energy_suffix[i + 1] + min(o.energy_mj for o in working[i].options)
     # Remaining fastest latencies for the feasibility look-ahead.
     fastest = [spec.fastest_option.latency_ms for spec in working]
 
@@ -176,7 +176,7 @@ class TestMatchesUncappedSearch:
             new = BranchAndBoundSolver().solve(specs, start)
             old = reference_branch_and_bound(specs, start)
             assert new.feasible == old.feasible, f"trial {trial}"
-            assert all(a.option is b.option for a, b in zip(new, old)), f"trial {trial}"
+            assert all(a.option is b.option for a, b in zip(new.assignments, old.assignments)), f"trial {trial}"
 
     def test_energy_matches_brute_force(self):
         rng = random.Random(0x5EED)
@@ -203,7 +203,7 @@ def solve_pinned(window, options_of):
         for i, event in enumerate(window["events"])
     ]
     schedule = BranchAndBoundSolver().solve(specs, window["window_start_ms"])
-    chosen = [spec.options.index(a.option) for spec, a in zip(specs, schedule)]
+    chosen = [spec.options.index(a.option) for spec, a in zip(specs, schedule.assignments)]
     assert chosen == window["expected_options"]
     assert repr(schedule.total_energy_mj) == window["expected_energy_mj"]
     return schedule
@@ -269,9 +269,9 @@ class TestNeverRunsOutOfSchedules:
     def test_solve_never_raises_on_tight_windows(self, window):
         specs, start = window
         schedule = BranchAndBoundSolver().solve(specs, start)
-        assert len(schedule) == len(specs)
+        assert len(schedule.assignments) == len(specs)
         working, _ = relax_infeasible_deadlines(specs, start)
-        assert all(a.finish_ms <= w.deadline_ms + 1e-9 for a, w in zip(schedule, working))
+        assert all(a.finish_ms <= w.deadline_ms + 1e-9 for a, w in zip(schedule.assignments, working))
 
     def test_relaxed_window_admits_the_all_fastest_schedule(self):
         """A predecessor finishing within the 1e-9 ms tolerance past its
@@ -287,7 +287,7 @@ class TestNeverRunsOutOfSchedules:
         assert not feasible
         fastest = simulate_order(working, [first, second], 0.0)
         assert all(a.finish_ms <= w.deadline_ms + 1e-9 for a, w in zip(fastest, working))
-        assert len(BranchAndBoundSolver().solve(specs, 0.0)) == 2
+        assert len(BranchAndBoundSolver().solve(specs, 0.0).assignments) == 2
 
 
 class TestDeadlineMonotonicity:

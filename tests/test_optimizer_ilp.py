@@ -76,14 +76,14 @@ class TestBranchAndBound:
 
     def test_respects_deadlines(self):
         schedule = BranchAndBoundSolver().solve(three_event_window(), 0.0)
-        for assignment in schedule:
+        for assignment in schedule.assignments:
             assert assignment.meets_deadline
 
     def test_prefers_cheap_configs_with_loose_deadlines(self):
         options = (option(50.0, 3.0, 10), option(200.0, 0.5, 0))
         specs = [make_spec(f"e{i}", 0.0, 10_000.0, options) for i in range(4)]
         schedule = BranchAndBoundSolver().solve(specs, 0.0)
-        assert all(a.option.latency_ms == pytest.approx(200.0) for a in schedule)
+        assert all(a.option.latency_ms == pytest.approx(200.0) for a in schedule.assignments)
 
     def test_speeds_up_predecessor_to_fit_heavy_event(self):
         """The Fig. 2 coordination pattern: the first event must run faster
@@ -109,7 +109,7 @@ class TestBranchAndBound:
     def test_empty_window(self):
         schedule = BranchAndBoundSolver().solve([], 0.0)
         assert schedule.feasible
-        assert len(schedule) == 0
+        assert len(schedule.assignments) == 0
 
     def test_release_times_respected(self):
         options = (option(50.0, 3.0, 10), option(200.0, 0.5, 0))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.optimizer.optimizer import ArrivalEstimator
 from repro.core.predictor.logistic import SoftmaxRegression
-from repro.webapp.events import EventType
+from repro.webapp.events import EventType, interaction_of
 
 
 def argmax_dataset(n=800, seed=2):
@@ -20,9 +20,9 @@ class TestTemperatureCalibration:
     def test_calibration_does_not_change_predictions(self):
         X, y = argmax_dataset()
         model = SoftmaxRegression(n_classes=3, max_iterations=800).fit(X, y)
-        before = model.predict(X)
+        before = model.predict_proba(X).argmax(axis=1)
         model.calibrate_temperature(X, y)
-        after = model.predict(X)
+        after = model.predict_proba(X).argmax(axis=1)
         assert np.array_equal(before, after)
 
     def test_calibration_improves_nll(self):
@@ -82,7 +82,7 @@ class TestQuantileArrivalEstimator:
         for _ in range(50):
             clock += 100.0
             estimator.record_arrival(EventType.CLICK, clock)
-        assert len(estimator._gaps[EventType.CLICK.interaction]) == 10
+        assert len(estimator._gaps[interaction_of(EventType.CLICK)]) == 10
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

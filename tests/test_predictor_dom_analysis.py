@@ -63,26 +63,3 @@ class TestRepresentativeTargets:
         target = analyzer.representative_target(state, EventType.SUBMIT)
         if target is not None:
             assert EventType.SUBMIT in target.listeners
-
-
-class TestRollForward:
-    def test_roll_forward_does_not_mutate_original(self, analyzer, state):
-        scroll_before = state.dom.viewport.scroll_y
-        analyzer.roll_forward(state, EventType.SCROLL)
-        assert state.dom.viewport.scroll_y == pytest.approx(scroll_before)
-
-    def test_roll_forward_scroll_moves_clone_viewport(self, analyzer, state):
-        clone = analyzer.roll_forward(state, EventType.SCROLL)
-        assert clone.dom.viewport.scroll_y > state.dom.viewport.scroll_y
-
-    def test_roll_forward_click_updates_history(self, analyzer, state):
-        clone = analyzer.roll_forward(state, EventType.CLICK)
-        assert len(clone.history) == len(state.history) + 1
-
-    def test_roll_forward_through_menu_click_changes_lnes_features(self, analyzer, state):
-        """The Fig. 7 case: the post-click DOM state (menu expanded) is derived
-        statically, changing what the next prediction step sees."""
-        clone = analyzer.roll_forward(state, EventType.CLICK)
-        assert clone.dom.clickable_region_fraction() != pytest.approx(
-            state.dom.clickable_region_fraction()
-        ) or clone.dom.visible_link_fraction() != pytest.approx(state.dom.visible_link_fraction())

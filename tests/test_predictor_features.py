@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.predictor.features import EventLabelEncoder, FeatureExtractor, FEATURE_NAMES
-from repro.traces.session_state import SessionState
+from repro.core.predictor.features import EventLabelEncoder, FeatureExtractor
+from repro.traces.session_state import FEATURE_NAMES, SessionState
 from repro.webapp.events import EventType
 
 
 class TestFeatureExtractor:
-    def test_dimension_includes_bias(self):
-        assert FeatureExtractor(include_bias=True).dimension == len(FEATURE_NAMES) + 1
-        assert FeatureExtractor(include_bias=False).dimension == len(FEATURE_NAMES)
 
     def test_table1_feature_names(self):
-        names = FeatureExtractor(include_bias=False).names()
-        assert names == list(FEATURE_NAMES)
+        names = list(FEATURE_NAMES)
         assert "clickable_region_fraction" in names
         assert "visible_link_fraction" in names
         assert "distance_to_previous_click" in names
@@ -40,12 +36,6 @@ class TestLabelEncoder:
         assert encoder.n_classes == len(EventType)
         for event_type in EventType:
             assert encoder.decode(encoder.encode(event_type)) is event_type
-
-    def test_encode_many(self):
-        encoder = EventLabelEncoder()
-        encoded = encoder.encode_many([EventType.CLICK, EventType.LOAD])
-        assert encoded.shape == (2,)
-        assert encoder.decode(int(encoded[0])) is EventType.CLICK
 
     def test_rejects_duplicate_classes(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.predictor.hybrid import HybridEventPredictor
 from repro.core.predictor.training import PredictorTrainer, evaluate_accuracy
+from repro.traces.session_state import FEATURE_NAMES
 from repro.traces.trace import TraceSet
 from repro.webapp.events import EventType
 
@@ -14,7 +15,7 @@ class TestDatasetConstruction:
         trainer = PredictorTrainer(catalog=catalog)
         features, labels = trainer.build_dataset(training_traces)
         expected = sum(len(t) - 1 for t in training_traces)
-        assert features.shape == (expected, trainer.extractor.dimension)
+        assert features.shape == (expected, len(FEATURE_NAMES) + 1)
         assert labels.shape == (expected,)
 
     def test_empty_trace_set_rejected(self, catalog):
@@ -89,9 +90,9 @@ class TestHybridPredictor:
         predictions = predictor.predict_sequence()
         assert predictor.rounds == 1
         assert predictor.predictions_made == len(predictions)
-        event_type, confidence = predictor.predict_next()
-        assert isinstance(event_type, EventType)
-        assert 0.0 <= confidence <= 1.0
+        for prediction in predictions:
+            assert isinstance(prediction.event_type, EventType)
+            assert 0.0 <= prediction.confidence <= 1.0
 
     def test_reset_clears_state(self, learner, catalog):
         predictor = HybridEventPredictor(learner=learner, profile=catalog.get("cnn"))
@@ -105,5 +106,4 @@ class TestHybridPredictor:
     def test_navigation_observation_forces_load_prediction(self, learner, catalog):
         predictor = HybridEventPredictor(learner=learner, profile=catalog.get("cnn"))
         predictor.observe(EventType.CLICK, "cnn-nav-0", navigates=True)
-        event_type, _ = predictor.predict_next()
-        assert event_type is EventType.LOAD
+        assert predictor.predict_sequence()[0].event_type is EventType.LOAD

@@ -167,8 +167,9 @@ def test_stream_transform_is_deterministic_per_identity(spec):
 @given(burst=burst_models)
 @settings(max_examples=60, deadline=None)
 def test_burst_models_round_trip_json_losslessly(burst):
-    payload = json.loads(json.dumps(burst.to_dict()))
-    assert BurstModel.from_dict(payload) == burst
+    spec = FaultSpec(predictor=PredictorFaults(flip_rate=0.5, burst=burst))
+    payload = json.loads(json.dumps(spec.to_dict()))
+    assert FaultSpec.from_dict(payload).predictor.burst == burst
 
 
 @given(

@@ -25,7 +25,8 @@ PICKED_EVENTS = (EventType.CLICK, EventType.TOUCHSTART, EventType.SUBMIT, EventT
 
 
 def naive_visible(tree: DomTree) -> list:
-    return [n for n in tree.walk() if n.is_displayed and tree.viewport.intersects(n.y, n.height)]
+    top, height = tree.viewport.scroll_y, tree.viewport.height
+    return [n for n in tree.walk() if n.is_displayed and n.y < top + height and n.y + n.height > top]
 
 
 class NaiveView(SessionState):
@@ -102,7 +103,7 @@ actions = st.lists(
 
 
 class TestVisibilitySnapshotDifferential:
-    @given(app=st.sampled_from(CATALOG.names()), steps=actions)
+    @given(app=st.sampled_from(list(CATALOG.profiles)), steps=actions)
     @settings(max_examples=40, deadline=None)
     def test_live_state_and_clones_match_naive_reference(self, app, steps):
         live = SessionState.fresh(CATALOG.get(app))
@@ -125,7 +126,7 @@ class TestVisibilitySnapshotDifferential:
             assert observe(naive_view(parked)) == expected
 
     @given(
-        app=st.sampled_from(CATALOG.names()),
+        app=st.sampled_from(list(CATALOG.profiles)),
         steps=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=3),
@@ -157,7 +158,7 @@ class TestVisibilitySnapshotDifferential:
                 assert view == DomView.of(state.dom, naive)
 
     @given(
-        app=st.sampled_from(CATALOG.names()),
+        app=st.sampled_from(list(CATALOG.profiles)),
         writes=st.lists(
             st.tuples(st.integers(min_value=0, max_value=200), st.floats(min_value=0.0, max_value=900.0), st.booleans()),
             max_size=15,

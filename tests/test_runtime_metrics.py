@@ -3,7 +3,6 @@
 import pytest
 
 from repro.runtime.metrics import (
-    AggregateMetrics,
     EventOutcome,
     SessionResult,
     StreamingAggregator,
@@ -11,7 +10,6 @@ from repro.runtime.metrics import (
     ThermalSessionStats,
     aggregate_results,
     group_by_app,
-    normalised_energy,
 )
 from repro.webapp.events import EventType
 
@@ -35,7 +33,6 @@ class TestEventOutcome:
         ok = outcome(0, latency=100.0, qos=300.0)
         assert ok.latency_ms == pytest.approx(100.0)
         assert not ok.violated
-        assert ok.slack_ms == pytest.approx(200.0)
         late = outcome(1, latency=400.0, qos=300.0)
         assert late.violated
 
@@ -69,15 +66,12 @@ class TestSessionResult:
     def test_prediction_statistics(self):
         result = self.make_result()
         assert result.prediction_accuracy == pytest.approx(0.8)
-        assert result.misprediction_waste_ms == pytest.approx(20.0)
-        assert result.mean_prediction_degree == pytest.approx(2.5)
 
     def test_empty_session(self):
         empty = SessionResult(app_name="cnn", scheduler_name="EBS")
         assert empty.qos_violation_rate == 0.0
         assert empty.mean_latency_ms == 0.0
         assert empty.prediction_accuracy == 0.0
-        assert empty.misprediction_waste_ms == 0.0
 
 
 class TestThermalSessionStats:
@@ -118,11 +112,6 @@ class TestAggregation:
     def test_aggregate_rejects_empty(self):
         with pytest.raises(ValueError):
             aggregate_results([])
-
-    def test_normalised_energy(self):
-        pes = AggregateMetrics("PES", 1, 10, 750.0, 0.05, 50.0, 0.0, 0.0, 0, 0)
-        base = AggregateMetrics("Interactive", 1, 10, 1000.0, 0.2, 40.0, 0.0, 0.0, 0, 0)
-        assert normalised_energy(pes, base) == pytest.approx(0.75)
 
     def test_group_by_app(self):
         results = [SessionResult("cnn", "EBS"), SessionResult("bbc", "EBS"), SessionResult("cnn", "EBS")]

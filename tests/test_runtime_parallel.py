@@ -8,12 +8,20 @@ schemes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.runtime.metrics import aggregate_results
 from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import Simulator
 from repro.utils import resolve_jobs
+
+
+def _head(trace, n):
+    """The first ``n`` events of ``trace``; its first event arrives at 0 ms."""
+    return replace(trace, events=trace.events[:n])
+
 
 ALL_SCHEMES = ["Interactive", "Ondemand", "EBS", "PES", "Oracle"]
 
@@ -27,7 +35,7 @@ def eval_traces(generator):
         generator.generate("google", seed=303),
         generator.generate("ebay", seed=304),
     ]
-    return [t.slice(0, 10) for t in traces]
+    return [_head(t, 10) for t in traces]
 
 
 def one_sweep(setup, traces, schemes) -> list[MatrixSweep]:
@@ -36,14 +44,18 @@ def one_sweep(setup, traces, schemes) -> list[MatrixSweep]:
 
 @pytest.fixture(scope="module")
 def serial_results(simulator, eval_traces, learner):
-    return simulator.compare(eval_traces, ALL_SCHEMES, learner=learner, jobs=1)
+    return {
+        scheme: simulator.run_scheme(eval_traces, scheme, learner=learner)
+        for scheme in ALL_SCHEMES
+    }
 
 
 class TestParallelEquivalence:
     def test_parallel_matches_serial_for_all_schemes(
-        self, simulator, eval_traces, learner, serial_results
+        self, setup, catalog, eval_traces, learner, serial_results
     ):
-        parallel = simulator.compare(eval_traces, ALL_SCHEMES, learner=learner, jobs=4)
+        evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=4)
+        parallel = evaluator.compare(eval_traces, ALL_SCHEMES, learner=learner)
         assert set(parallel) == set(serial_results)
         for scheme in ALL_SCHEMES:
             assert parallel[scheme] == serial_results[scheme], (
@@ -115,8 +127,8 @@ class TestMatrixEvaluation:
         from repro.runtime.parallel import MatrixSweep
         from repro.runtime.simulator import SimulationSetup
 
-        cnn = [generator.generate("cnn", seed=601).slice(0, 8)]
-        google = [generator.generate("google", seed=602).slice(0, 8)]
+        cnn = [_head(generator.generate("cnn", seed=601), 8)]
+        google = [_head(generator.generate("google", seed=602), 8)]
         return [
             MatrixSweep(
                 key="exynos", setup=setup, traces=tuple(cnn), schemes=("Interactive", "EBS")
@@ -175,7 +187,7 @@ class TestMatrixEvaluation:
         sweep = MatrixSweep(
             key="k",
             setup=setup,
-            traces=(generator.generate("cnn", seed=603).slice(0, 4),),
+            traces=(_head(generator.generate("cnn", seed=603), 4),),
             schemes=("PES",),
         )
         with pytest.raises(ValueError, match="learner"):
@@ -278,7 +290,7 @@ class TestSweptPlatformMatrixEquivalence:
         from repro.runtime.parallel import MatrixSweep
         from repro.runtime.simulator import SimulationSetup
 
-        trace = generator.generate("cnn", seed=605).slice(0, 8)
+        trace = _head(generator.generate("cnn", seed=605), 8)
         base = derive_platform("exynos5410")
         variants = {
             "exynos5410": base,
@@ -336,7 +348,7 @@ class TestSpawnSafety:
         monkeypatch.setattr(
             parallel_module, "mp_context", lambda: multiprocessing.get_context("spawn")
         )
-        traces = [generator.generate("cnn", seed=604).slice(0, 6)]
+        traces = [_head(generator.generate("cnn", seed=604), 6)]
         schemes = ["Interactive", "EBS"]
         spawned = ParallelEvaluator(setup=setup, catalog=catalog, jobs=2).compare(
             traces, schemes

@@ -1,5 +1,7 @@
 """Tests for the Simulator experiment driver."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.pes import PesConfig
@@ -8,10 +10,15 @@ from repro.runtime.simulator import SimulationSetup, Simulator
 from repro.schedulers.ebs import EbsScheduler
 
 
+def _head(trace, n):
+    """The first ``n`` events of ``trace``; its first event arrives at 0 ms."""
+    return replace(trace, events=trace.events[:n])
+
+
 class TestSimulationSetup:
     def test_power_table_covers_platform(self):
         setup = SimulationSetup()
-        assert len(setup.power_table.active_w) == len(setup.system)
+        assert len(setup.power_table.active_w) == len(setup.system.configurations())
 
 
 class TestSimulator:
@@ -36,23 +43,20 @@ class TestSimulator:
         with pytest.raises(ValueError):
             simulator.run_scheme([small_trace], "Magic")
 
-    def test_compare_runs_all_schemes(self, simulator, small_trace, learner):
-        results = simulator.compare([small_trace], ["EBS", "PES"], learner=learner)
-        assert set(results) == {"EBS", "PES"}
-        assert all(len(v) == 1 for v in results.values())
-
     def test_pes_config_propagates(self, simulator, small_trace, learner):
         result = simulator.run_pes(small_trace, learner, PesConfig(confidence_threshold=1.0))
         assert result.commits == 0
 
     def test_aggregate_per_app(self, simulator, generator, learner):
         traces = [generator.generate("cnn", seed=7), generator.generate("bbc", seed=8)]
-        results = simulator.run_scheme([t.slice(0, 10) for t in traces], "EBS")
+        results = simulator.run_scheme([_head(t, 10) for t in traces], "EBS")
         per_app = Simulator.aggregate_per_app(results)
         assert set(per_app) == {"cnn", "bbc"}
 
     def test_normalised_energy_by_app(self, simulator, small_trace, learner):
-        scheme_results = simulator.compare([small_trace], ["Interactive", "EBS"], learner=learner)
+        scheme_results = {
+            scheme: simulator.run_scheme([small_trace], scheme) for scheme in ("Interactive", "EBS")
+        }
         normalised = Simulator.normalised_energy_by_app(scheme_results, baseline="Interactive")
         app = small_trace.app_name
         assert normalised["Interactive"][app] == pytest.approx(1.0)
@@ -62,16 +66,6 @@ class TestSimulator:
         results = {"EBS": simulator.run_scheme([small_trace], "EBS")}
         with pytest.raises(KeyError):
             Simulator.normalised_energy_by_app(results, baseline="Interactive")
-
-    def test_aggregate_overall(self, simulator, small_trace):
-        results = simulator.run_scheme([small_trace], "EBS")
-        metrics = Simulator.aggregate_overall(results)
-        assert metrics.n_sessions == 1
-        assert metrics.n_events == len(small_trace)
-
-    def test_default_baselines_cover_every_reactive_scheme(self, simulator):
-        names = [scheduler.name for scheduler in simulator.default_baselines()]
-        assert names == ["Interactive", "Ondemand", "EBS"]
 
 
 class TestSchedulerReuse:
@@ -85,16 +79,16 @@ class TestSchedulerReuse:
 
     def test_pes_scheduler_cached_per_app(self, setup, catalog, generator, learner):
         simulator = Simulator(setup=setup, catalog=catalog)
-        traces = [generator.generate("cnn", seed=41).slice(0, 8),
-                  generator.generate("cnn", seed=42).slice(0, 8)]
+        traces = [_head(generator.generate("cnn", seed=41), 8),
+                  _head(generator.generate("cnn", seed=42), 8)]
         simulator.run_scheme(traces, "PES", learner=learner)
         assert set(simulator._pes_cache) == {"cnn"}
 
     def test_cached_pes_matches_fresh_scheduler_per_trace(
         self, setup, catalog, generator, learner
     ):
-        traces = [generator.generate("google", seed=51).slice(0, 8),
-                  generator.generate("google", seed=52).slice(0, 8)]
+        traces = [_head(generator.generate("google", seed=51), 8),
+                  _head(generator.generate("google", seed=52), 8)]
         cached = Simulator(setup=setup, catalog=catalog).run_scheme(
             traces, "PES", learner=learner
         )

@@ -200,7 +200,7 @@ class TestScenarioRunner:
         assert [r.spec.name for r in tiny_results] == [s.name for s in tiny_specs]
         for result, spec in zip(tiny_results, tiny_specs):
             assert set(result.aggregates) == set(spec.schemes)
-            assert result.overall("Interactive").n_sessions == spec.n_sessions
+            assert result.aggregates["Interactive"].overall.n_sessions == spec.n_sessions
 
     def test_parallel_matches_serial_bit_for_bit(self, catalog, tiny_specs, tiny_results):
         parallel = ScenarioRunner(catalog=catalog, jobs=2).run(tiny_specs)

@@ -66,7 +66,7 @@ class TestPlatformSweep:
             thermal_models=(None, "passive_phone"),
         )
         variants = sweep.variants()
-        assert len(variants) == sweep.n_variants == 2 * 2 * 3 * 2
+        assert len(variants) == 2 * 2 * 3 * 2
         assert len({v.label for v in variants}) == len(variants)
 
     def test_empty_axis_rejected(self):
@@ -87,7 +87,7 @@ class TestPlatformSweep:
         # identically-derived cells under different labels.
         sweep = PlatformSweep(platforms=("exynos5410",), big_core_counts=(None, 4, 2))
         assert [v.label for v in sweep.variants()] == ["exynos5410", "exynos5410+b2"]
-        assert sweep.n_variants == 2
+        assert len(sweep.variants()) == 2
 
     def test_base_equal_override_still_bites_on_other_platform(self):
         # The same axis normalises per platform: 4 little cores is the
@@ -250,11 +250,11 @@ class TestSweptMatrixExecution:
         throttled = by_name["exynos5410+th.cramped_chassis/default/core"]
         fewer_cores = by_name["exynos5410+b2/default/core"]
         capable_little = by_name["exynos5410+ps0.9/default/core"]
-        base_energy = base.overall("Interactive").total_energy_mj
+        base_energy = base.aggregates["Interactive"].overall.total_energy_mj
         # Fewer big cores -> less leakage+idle silicon -> strictly less energy.
-        assert fewer_cores.overall("Interactive").total_energy_mj < base_energy
+        assert fewer_cores.aggregates["Interactive"].overall.total_energy_mj < base_energy
         # A near-big-IPC little cluster wins some EBS placements.
-        assert capable_little.overall("EBS").total_energy_mj != base.overall("EBS").total_energy_mj
+        assert capable_little.aggregates["EBS"].overall.total_energy_mj != base.aggregates["EBS"].overall.total_energy_mj
         # The cramped chassis throttles the big cluster over a full session.
         assert throttled.aggregates != base.aggregates
 

@@ -47,7 +47,7 @@ class TestExecutionPlan:
 
 
 class TestEventContext:
-    def test_budget_and_queue_delay(self, system, power_table):
+    def test_remaining_budget(self, system, power_table):
         event = TraceEvent(
             index=0,
             event_type=EventType.CLICK,
@@ -56,14 +56,13 @@ class TestEventContext:
             workload=DvfsModel(10.0, 100.0),
         )
         ctx = EventContext(event=event, start_ms=1100.0, system=system, power_table=power_table)
-        assert ctx.queue_delay_ms == pytest.approx(100.0)
         assert ctx.remaining_budget_ms == pytest.approx(200.0)
 
 
 class TestEnumerateOptions:
     def test_one_option_per_configuration(self, system, power_table):
         options = enumerate_options(system, power_table, DvfsModel(10.0, 200.0))
-        assert len(options) == len(system)
+        assert len(options) == len(system.configurations())
 
     def test_sorted_by_latency(self, system, power_table):
         options = enumerate_options(system, power_table, DvfsModel(10.0, 200.0))

@@ -14,7 +14,7 @@ from repro.traces.generator import (
 )
 from repro.traces.session_state import SessionState
 from repro.webapp.apps import AppCatalog
-from repro.webapp.events import EventType, Interaction
+from repro.webapp.events import EventType, Interaction, interaction_of
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +68,13 @@ class TestGeneratedTraces:
     def test_deterministic_given_seed(self, generator):
         a = generator.generate("ebay", seed=123)
         b = generator.generate("ebay", seed=123)
-        assert a.event_types == b.event_types
+        assert [e.event_type for e in a] == [e.event_type for e in b]
         assert [e.arrival_ms for e in a] == pytest.approx([e.arrival_ms for e in b])
 
     def test_different_seeds_differ(self, generator):
         a = generator.generate("ebay", seed=1)
         b = generator.generate("ebay", seed=2)
-        assert a.event_types != b.event_types or [e.arrival_ms for e in a] != [e.arrival_ms for e in b]
+        assert [e.event_type for e in a] != [e.event_type for e in b] or [e.arrival_ms for e in a] != [e.arrival_ms for e in b]
 
     def test_starts_with_load(self, generator):
         trace = generator.generate("cnn", seed=5)
@@ -109,8 +109,8 @@ class TestGeneratedTraces:
                 trace = generator.generate(app, seed=seed)
                 lengths.append(len(trace))
                 durations.append(trace.duration_ms)
-                for kind, count in trace.count_by_interaction().items():
-                    interactions[kind] += count
+                for event in trace:
+                    interactions[interaction_of(event.event_type)] += 1
         assert 15 <= float(np.mean(lengths)) <= 60
         assert 60_000 <= float(np.mean(durations)) <= 130_000
         assert all(count > 0 for count in interactions.values())
@@ -118,7 +118,7 @@ class TestGeneratedTraces:
     def test_generate_many_covers_apps(self, generator):
         traces = generator.generate_many(["cnn", "bbc"], 2, base_seed=10)
         assert len(traces) == 4
-        assert set(traces.app_names()) == {"cnn", "bbc"}
+        assert {t.app_name for t in traces} == {"cnn", "bbc"}
 
     def test_substream_seeds_deterministic_and_distinct(self):
         seeds = substream_seeds(42, 64)
@@ -131,11 +131,11 @@ class TestGeneratedTraces:
         a = generator.generate_many(["cnn", "bbc"], 2, base_seed=5, independent_streams=True)
         b = generator.generate_many(["cnn", "bbc"], 2, base_seed=5, independent_streams=True)
         assert [t.seed for t in a] == [t.seed for t in b]
-        assert [t.event_types for t in a] == [t.event_types for t in b]
+        assert [[e.event_type for e in t] for t in a] == [[e.event_type for e in t] for t in b]
         # Each trace is regenerable from its recorded substream seed alone.
         first = list(a)[0]
         regenerated = generator.generate(first.app_name, seed=first.seed)
-        assert regenerated.event_types == first.event_types
+        assert [e.event_type for e in regenerated] == [e.event_type for e in first]
 
     def test_recipes_equal_generate_many_with_independent_streams(self, generator):
         recipes = generator.recipes(["cnn", "google"], 3, base_seed=11, independent_streams=True)
@@ -164,8 +164,8 @@ class TestGeneratedTraces:
             trace = generator.generate("ebay", seed=seed)
             for previous, current in zip(trace, trace.events[1:]):
                 if (
-                    previous.interaction is Interaction.MOVE
-                    and current.interaction is Interaction.MOVE
+                    interaction_of(previous.event_type) is Interaction.MOVE
+                    and interaction_of(current.event_type) is Interaction.MOVE
                     and current.arrival_ms - previous.arrival_ms < 1000.0
                 ):
                     found_burst = True

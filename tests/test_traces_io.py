@@ -15,7 +15,7 @@ class TestRoundTrip:
         assert restored.app_name == trace.app_name
         assert restored.user_id == trace.user_id
         assert restored.seed == trace.seed
-        assert restored.event_types == trace.event_types
+        assert [e.event_type for e in restored] == [e.event_type for e in trace]
         assert [e.arrival_ms for e in restored] == pytest.approx([e.arrival_ms for e in trace])
         assert [e.workload.ndep_mcycles for e in restored] == pytest.approx(
             [e.workload.ndep_mcycles for e in trace]
@@ -30,7 +30,7 @@ class TestRoundTrip:
         save_traces(traces, path)
         restored = load_traces(path)
         assert len(restored) == 2
-        assert restored.app_names() == ["cnn", "bbc"]
+        assert [t.app_name for t in restored] == ["cnn", "bbc"]
         assert restored.total_events == traces.total_events
 
     def test_version_check(self, tmp_path):

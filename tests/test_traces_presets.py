@@ -10,7 +10,6 @@ from repro.traces.presets import (
     SESSION_REGIMES,
     SessionRegime,
     get_regime,
-    list_regimes,
     scaled_workloads,
 )
 from repro.traces.workload import INTERACTION_WORKLOADS
@@ -27,7 +26,7 @@ class TestRegistry:
             "marathon",
             "network_limited",
             "fg_bg_switching",
-        } <= set(list_regimes())
+        } <= set(SESSION_REGIMES)
 
     def test_get_regime_unknown_raises(self):
         with pytest.raises(KeyError, match="regime"):

@@ -100,13 +100,6 @@ class TestStateEvolution:
         assert a.dom.clickable_region_fraction() == pytest.approx(b.dom.clickable_region_fraction())
         assert a.doc_index == b.doc_index == 1
 
-    def test_reset_document(self, state):
-        state.apply_event(EventType.SCROLL, state.dom.root.node_id)
-        state.reset_document()
-        assert state.doc_index == 0
-        assert len(state.history) == 0
-        assert state.dom.viewport.scroll_y == 0.0
-
     def test_clone_is_independent(self, state):
         clone = state.clone()
         clone.apply_event(EventType.SCROLL, clone.dom.root.node_id)
@@ -246,7 +239,7 @@ def _document(dom: DomTree, semantic) -> tuple:
         (n.tag, n.node_id, n.y, n.height, n.width, n.display, n.listeners, n.is_link, len(n.children))
         for n in dom.walk()
     ]
-    return nodes, dom.viewport, dom.page_height, dict(semantic.effects)
+    return nodes, dom.viewport, dom._page_height, dict(semantic.effects)
 
 
 def _fresh_build(profile, doc_index: int) -> tuple:
@@ -274,8 +267,6 @@ class TestDocumentMemo:
         assert _document(*session_state._DOCUMENTS[(profile, 0)]) == expected
         served = SessionState.fresh(profile)
         assert _document(served.dom, served.semantic) == expected
-        state.reset_document()
-        assert _document(state.dom, state.semantic) == expected
 
     def test_each_document_is_built_once(self, monkeypatch):
         monkeypatch.setattr(session_state, "_DOCUMENTS", {})

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware.dvfs import DvfsModel
 from repro.traces.trace import Trace, TraceEvent, TraceSet
-from repro.webapp.events import EventType, Interaction
+from repro.webapp.events import EventType
 
 
 def make_event(index: int, arrival: float, event_type: EventType = EventType.CLICK) -> TraceEvent:
@@ -21,7 +21,6 @@ class TestTraceEvent:
     def test_deadline_is_arrival_plus_qos(self):
         event = make_event(0, 1000.0, EventType.CLICK)
         assert event.deadline_ms == pytest.approx(1300.0)
-        assert event.interaction is Interaction.TAP
 
     def test_rejects_negative_index_or_arrival(self):
         with pytest.raises(ValueError):
@@ -47,42 +46,6 @@ class TestTrace:
     def test_empty_trace_duration(self):
         assert Trace("cnn", "u", []).duration_ms == 0.0
 
-    def test_count_by_interaction(self):
-        trace = Trace(
-            "cnn",
-            "u",
-            [
-                make_event(0, 0.0, EventType.LOAD),
-                make_event(1, 10.0, EventType.SCROLL),
-                make_event(2, 20.0, EventType.CLICK),
-                make_event(3, 30.0, EventType.TOUCHSTART),
-            ],
-        )
-        counts = trace.count_by_interaction()
-        assert counts[Interaction.LOAD] == 1
-        assert counts[Interaction.MOVE] == 1
-        assert counts[Interaction.TAP] == 2
-
-    def test_slice_reindexes_and_rebases_time(self):
-        trace = Trace(
-            "cnn",
-            "u",
-            [make_event(0, 0.0), make_event(1, 100.0), make_event(2, 250.0)],
-        )
-        sub = trace.slice(1, 3)
-        assert len(sub) == 2
-        assert sub[0].index == 0
-        assert sub[0].arrival_ms == pytest.approx(0.0)
-        assert sub[1].arrival_ms == pytest.approx(150.0)
-
-    def test_slice_empty(self):
-        trace = Trace("cnn", "u", [make_event(0, 0.0)])
-        assert len(trace.slice(5, 9)) == 0
-
-    def test_event_types_property(self):
-        trace = Trace("cnn", "u", [make_event(0, 0.0, EventType.LOAD), make_event(1, 1.0)])
-        assert trace.event_types == [EventType.LOAD, EventType.CLICK]
-
 
 class TestTraceSet:
     def test_grouping_by_app(self):
@@ -93,9 +56,3 @@ class TestTraceSet:
         assert len(traces) == 3
         assert traces.total_events == 4
         assert len(traces.for_app("cnn")) == 2
-        assert traces.app_names() == ["cnn", "bbc"]
-
-    def test_extend(self):
-        traces = TraceSet()
-        traces.extend([Trace("cnn", "a", []), Trace("cnn", "b", [])])
-        assert len(traces) == 2

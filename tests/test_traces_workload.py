@@ -53,7 +53,7 @@ class TestSampling:
         its QoS target on the fastest configuration — Type I events are the
         exception, not the rule."""
         system = exynos_5410()
-        for app in catalog:
+        for app in catalog.profiles.values():
             model = WorkloadModel(app)
             for event_type in (EventType.LOAD, EventType.CLICK, EventType.SCROLL):
                 latency = model.typical(event_type).latency_ms(system, system.max_performance_config)

@@ -68,7 +68,7 @@ class TestSpawnSafety:
         sweep = MatrixSweep(
             key="cell",
             setup=setup,
-            traces=(generator.generate("cnn", seed=7).slice(0, 4),),
+            traces=(generator.generate("cnn", seed=7),),
             schemes=("PES",),
             pes_config=PesConfig(),
         )
@@ -84,7 +84,7 @@ class TestSpawnSafety:
         assert restored.simulators == {}
 
     def test_trace_job_payload_is_picklable(self, generator):
-        trace = generator.generate("cnn", seed=7).slice(0, 6)
+        trace = generator.generate("cnn", seed=7)
         index, scheme, restored = pickle.loads(pickle.dumps((3, "EBS", trace)))
         assert (index, scheme) == (3, "EBS")
         assert restored == trace

@@ -42,12 +42,6 @@ class TestViewport:
         viewport = Viewport(scroll_y=100)
         assert viewport.scrolled(-500).scroll_y == 0.0
 
-    def test_intersects(self):
-        viewport = Viewport(width=360, height=640, scroll_y=100)
-        assert viewport.intersects(y=700, height=50)
-        assert not viewport.intersects(y=741, height=50)
-        assert not viewport.intersects(y=0, height=99)
-
 
 class TestDomTree:
     def test_walk_visits_all_nodes(self):
@@ -113,16 +107,6 @@ class TestDomTree:
         assert menu.display == "block"
         menu.toggle_display()
         assert menu.display == "none"
-
-    def test_find_all_predicate(self):
-        tree = build_tree()
-        links = tree.find_all(lambda n: n.is_link)
-        assert {n.node_id for n in links} == {"menu-item", "deep-link"}
-
-    def test_new_node_assigns_unique_ids(self):
-        a = DomTree.new_node("div")
-        b = DomTree.new_node("div")
-        assert a.node_id != b.node_id
 
     def test_negative_dimensions_rejected(self):
         with pytest.raises(ValueError):

@@ -28,10 +28,6 @@ class TestInteractionMapping:
     def test_load_maps_to_load(self):
         assert interaction_of(EventType.LOAD) is Interaction.LOAD
 
-    def test_interaction_property_matches_function(self):
-        for event_type in EventType:
-            assert event_type.interaction is interaction_of(event_type)
-
 
 class TestQosTargets:
     def test_paper_qos_targets(self):

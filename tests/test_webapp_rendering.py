@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.webapp.rendering import DEFAULT_STAGE_SHARES, FrameResult, RenderingPipeline, VSYNC_PERIOD_MS
+from repro.webapp.rendering import DEFAULT_STAGE_SHARES, RenderingPipeline, VSYNC_PERIOD_MS
 
 
 class TestPipelineConstruction:
@@ -22,18 +22,6 @@ class TestPipelineConstruction:
             RenderingPipeline(vsync_period_ms=0.0)
 
 
-class TestStageBreakdown:
-    def test_breakdown_partitions_total(self):
-        pipeline = RenderingPipeline()
-        breakdown = pipeline.stage_breakdown_ms(100.0)
-        assert sum(breakdown.values()) == pytest.approx(100.0)
-        assert breakdown["callback"] > breakdown["composite"]
-
-    def test_breakdown_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            RenderingPipeline().stage_breakdown_ms(-1.0)
-
-
 class TestVsync:
     def test_60hz_period(self):
         assert VSYNC_PERIOD_MS == pytest.approx(1000.0 / 60.0)
@@ -48,19 +36,3 @@ class TestVsync:
     def test_next_vsync_rejects_negative_time(self):
         with pytest.raises(ValueError):
             RenderingPipeline().next_vsync_ms(-1.0)
-
-
-class TestFrame:
-    def test_frame_waits_for_next_refresh(self):
-        pipeline = RenderingPipeline()
-        frame = pipeline.frame_for(start_ms=10.0, cpu_time_ms=20.0)
-        assert frame.ready_ms == pytest.approx(30.0)
-        assert frame.display_ms == pytest.approx(2 * VSYNC_PERIOD_MS)
-        assert frame.idle_wait_ms == pytest.approx(frame.display_ms - 30.0)
-        assert frame.total_latency_ms == pytest.approx(frame.display_ms - 10.0)
-
-    def test_frame_latency_includes_idle_period(self):
-        """The event latency of Fig. 1 includes the idle wait until VSync."""
-        frame = FrameResult(start_ms=0.0, ready_ms=20.0, display_ms=33.3)
-        assert frame.total_latency_ms == pytest.approx(33.3)
-        assert frame.idle_wait_ms == pytest.approx(13.3)

@@ -54,7 +54,7 @@ class TestSemanticTree:
         semantic.register("toggle", EventType.CLICK, effect)
         assert semantic.has_effect("toggle", EventType.CLICK)
         assert semantic.effect_of("toggle", EventType.CLICK) is effect
-        assert len(semantic) == 1
+        assert len(semantic.effects) == 1
 
     def test_unknown_callback_returns_noop(self):
         semantic = SemanticTree()
