@@ -31,7 +31,7 @@ class DomAnalyzer:
 
     encoder: EventLabelEncoder
 
-    def likely_next_events(self, state: SessionState) -> set[EventType]:
+    def likely_next_events(self, state: SessionState) -> frozenset[EventType]:
         """The Likely-Next-Event-Set for the current DOM state."""
         return state.available_events()
 

@@ -100,6 +100,10 @@ class SoftmaxRegression:
     #: confidence-threshold mechanism (prediction degree) depends on it.
     temperature: float = 1.0
     weights: np.ndarray | None = field(default=None, repr=False)
+    #: :meth:`predict_step` results by input row and mask, valid while the
+    #: weights and temperature equal ``_steps_for``.
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _steps_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_classes < 2:
@@ -224,6 +228,35 @@ class SoftmaxRegression:
         space to the Likely-Next-Event-Set.
         """
         return _mask_and_normalise(self.raw_proba(features), mask, self.n_classes)
+
+    def predict_step(self, features: np.ndarray, mask: np.ndarray | None = None) -> tuple[int, float]:
+        """The most likely class of one feature row and its probability.
+
+        Exactly ``predict_proba(features, mask)[0]``'s argmax and its value.
+        Sessions revisit the same few (features, mask) inputs, so results are
+        memoised by the bytes of both; the memo empties whenever the weights
+        or the temperature no longer equal the ones it was filled under.
+        """
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 1:
+            raise ValueError("predict_step takes one feature row")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.ndim != 1:
+                raise ValueError("predict_step takes one class mask")
+        if self.weights is None:
+            raise RuntimeError("model is not fitted")
+        model = (self.weights.dtype.str, self.weights.shape, self.weights.tobytes(), self.temperature)
+        if model != self._steps_for:
+            self._steps = {}
+            self._steps_for = model
+        key = (features.tobytes(), None if mask is None else mask.tobytes())
+        step = self._steps.get(key)
+        if step is None:
+            probabilities = self.predict_proba(features, mask)[0]
+            index = int(probabilities.argmax())
+            step = self._steps[key] = (index, float(probabilities[index]))
+        return step
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftmaxRegression):

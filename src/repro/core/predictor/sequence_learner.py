@@ -68,10 +68,8 @@ class EventSequenceLearner:
         self, state: SessionState, *, mask: np.ndarray | None = None
     ) -> tuple[EventType, float]:
         """Predict the immediate next event type and its confidence."""
-        features = self.extractor.extract(state)
-        probabilities = self.model.predict_proba(features, mask)[0]
-        index = int(probabilities.argmax())
-        return self.encoder.decode(index), float(probabilities[index])
+        index, confidence = self.model.predict_step(self.extractor.extract(state), mask)
+        return self.encoder.decode(index), confidence
 
     def predict_next_batch(
         self, features: np.ndarray, masks: np.ndarray | None = None
@@ -105,11 +103,50 @@ class EventSequenceLearner:
         ``analyzer`` provides the DOM analysis; when omitted or when
         ``use_dom_analysis`` is False the learner predicts over the full
         event-type space (the ablation of Sec. 6.5).
+
+        A round is a pure function of the DOM state, the feature window,
+        ``last_navigated`` and the learner, so it is memoised on the state's
+        view like every other pure function of the DOM state, keyed by the
+        window's ``(event_type, navigated)`` pairs, ``last_navigated`` and
+        :meth:`_round_inputs`.  An unfitted learner skips the memo and
+        raises from the loop.
         """
+        dom = analyzer if (analyzer is not None and use_dom_analysis) else None
+        if self.model.weights is None:
+            return self._roll_forward(state, dom)
+        key = (
+            "predict_sequence",
+            self._round_inputs(dom),
+            tuple((observed.event_type, observed.navigated) for observed in state.history),
+            state.last_navigated,
+        )
+        memo = state.view().memo
+        predictions = memo.get(key)
+        if predictions is None:
+            predictions = memo[key] = tuple(self._roll_forward(state, dom))
+        return list(predictions)
+
+    def _round_inputs(self, dom: DomAnalyzer | None) -> tuple:
+        """Every learner field a prediction round reads, by value."""
+        weights = self.model.weights
+        return (
+            weights.dtype.str,
+            weights.shape,
+            weights.tobytes(),
+            self.model.n_classes,
+            self.model.temperature,
+            self.confidence_threshold,
+            self.max_degree,
+            self.encoder.classes,
+            self.extractor.include_bias,
+            None if dom is None else dom.encoder.classes,
+        )
+
+    def _roll_forward(self, state: SessionState, dom: DomAnalyzer | None) -> list[PredictedEvent]:
+        """The prediction loop: predict, roll a clone forward, repeat."""
         predictions: list[PredictedEvent] = []
         cumulative = 1.0
         current = state.clone()
-        dom = analyzer if (analyzer is not None and use_dom_analysis) else None
 
         for _ in range(self.max_degree):
             mask = dom.lnes_mask(current) if dom is not None else None

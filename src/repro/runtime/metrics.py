@@ -689,8 +689,10 @@ class StreamingSweepAggregator:
     per_app: dict[str, StreamingAggregator] = field(default_factory=dict)
 
     def add(self, result: SessionResult) -> None:
-        self.overall.add(result)
-        self.per_app.setdefault(result.app_name, StreamingAggregator()).add(result)
+        # One fold serves both aggregators: ``merge`` only reads its argument.
+        fold = _session_fold(result)
+        self.overall.merge(fold)
+        self.per_app.setdefault(result.app_name, StreamingAggregator()).merge(fold)
 
     def finalize(self) -> AggregateMetrics:
         return self.overall.finalize()

@@ -18,6 +18,7 @@ and taps and short gaps inside scroll bursts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,7 +105,11 @@ class UserBehaviorModel:
         weights: Mapping[EventType, tuple[float, tuple[float, ...]]] | None = None,
     ):
         self.profile = profile
-        self.weights = dict(weights or DEFAULT_BEHAVIOR_WEIGHTS)
+        # Read-only, so that the memo key below keeps naming these weights.
+        self.weights: Mapping[EventType, tuple[float, tuple[float, ...]]] = MappingProxyType(
+            {event_type: (bias, tuple(w)) for event_type, (bias, w) in (weights or DEFAULT_BEHAVIOR_WEIGHTS).items()}
+        )
+        self._weights_key = frozenset(self.weights.items())
 
     def scores(self, features: np.ndarray, candidates: set[EventType]) -> dict[EventType, float]:
         """Raw behaviour scores for the candidate next events."""
@@ -131,16 +136,36 @@ class UserBehaviorModel:
         if candidates == {EventType.LOAD}:
             return EventType.LOAD
 
-        scored = self.scores(state.features(), candidates)
+        scored, ordered = self.ranked_candidates(state, candidates)
         if not scored:
-            ordered_candidates = sorted(candidates, key=lambda e: e.value)
-            return ordered_candidates[int(rng.integers(len(ordered_candidates)))]
-        ordered = sorted(scored.items(), key=lambda kv: (-kv[1], kv[0].value))
-        most_likely = ordered[0][0]
+            return ordered[int(rng.integers(len(ordered)))]
         if rng.random() >= self.profile.behaviour_entropy or len(ordered) == 1:
-            return most_likely
-        alternatives = [event for event, _ in ordered[1:]]
+            return ordered[0]
+        alternatives = ordered[1:]
         return alternatives[int(rng.integers(len(alternatives)))]
+
+    def ranked_candidates(
+        self, state: SessionState, candidates: frozenset[EventType]
+    ) -> tuple[bool, tuple[EventType, ...]]:
+        """Whether any candidate has a behaviour score, and the candidates ranked.
+
+        Scored candidates come by descending score, unscored ones (only when
+        none has a score) by event name.  The ranking is a pure function of the
+        view, the window counts, the weights and ``candidates``, so it is
+        memoised on the view.
+        """
+        key = ("ranked_candidates", self._weights_key, candidates, state.window_counts())
+        memo = state.view().memo
+        ranked = memo.get(key)
+        if ranked is None:
+            scored = self.scores(state.features(), candidates)
+            if scored:
+                ordered = sorted(scored.items(), key=lambda kv: (-kv[1], kv[0].value))
+                ranked = (True, tuple(event for event, _ in ordered))
+            else:
+                ranked = (False, tuple(sorted(candidates, key=lambda e: e.value)))
+            memo[key] = ranked
+        return ranked
 
 
 def substream_seeds(base_seed: int, count: int) -> list[int]:
@@ -296,14 +321,9 @@ class TraceGenerator:
             node = submits[int(rng.integers(len(submits)))]
             return node, state.semantic.effect_of(node.node_id, event_type).navigates
 
-        # Tap targets: visible nodes carrying the listener for this event type.
-        candidates = [n for n in state.visible_nodes() if event_type in n.listeners and n is not root]
-        if not candidates:
+        in_page, navigating = self._tap_targets(state, event_type)
+        if not in_page and not navigating:
             return None, False
-        navigating = [
-            n for n in candidates if state.semantic.effect_of(n.node_id, event_type).navigates
-        ]
-        in_page = [n for n in candidates if n not in navigating]
         if in_page and (not navigating or rng.random() >= self.session.navigation_probability):
             pool = in_page
         else:
@@ -311,6 +331,28 @@ class TraceGenerator:
         node = pool[int(rng.integers(len(pool)))]
         navigates = state.semantic.effect_of(node.node_id, event_type).navigates
         return node, navigates
+
+    @staticmethod
+    def _tap_targets(
+        state: SessionState, event_type: EventType
+    ) -> tuple[tuple[DomNode, ...], tuple[DomNode, ...]]:
+        """The in-page and the navigating tap targets of ``event_type``, once per view.
+
+        Tap targets are the visible nodes other than the root that carry the
+        event type's listener.
+        """
+        memo = state.view().memo
+        key = ("tap_targets", event_type)
+        targets = memo.get(key)
+        if targets is None:
+            root = state.dom.root
+            candidates = [n for n in state.visible_nodes() if event_type in n.listeners and n is not root]
+            navigating = [
+                n for n in candidates if state.semantic.effect_of(n.node_id, event_type).navigates
+            ]
+            in_page = [n for n in candidates if n not in navigating]
+            targets = memo[key] = (tuple(in_page), tuple(navigating))
+        return targets
 
     def _think_time(
         self,

@@ -113,21 +113,28 @@ class SessionState:
 
     # -- features (Table 1) --------------------------------------------------
 
-    def features(self) -> np.ndarray:
-        """The five-element feature vector, each component normalised to [0, 1]."""
-        view = self.view()
+    def window_counts(self) -> tuple[int, int, int]:
+        """The interaction-dependent features before normalisation.
 
-        distance_to_click = float(FEATURE_WINDOW)
+        Events since the most recent tap (``FEATURE_WINDOW`` when the window
+        holds none), navigations and move events in the window.
+        """
+        distance_to_click = FEATURE_WINDOW
         for distance, observed in enumerate(reversed(self.history), start=1):
             if interaction_of(observed.event_type) is Interaction.TAP:
-                distance_to_click = float(distance)
+                distance_to_click = distance
                 break
 
         navigations = sum(1 for o in self.history if o.navigated)
         scrolls = sum(
             1 for o in self.history if interaction_of(o.event_type) is Interaction.MOVE
         )
+        return distance_to_click, navigations, scrolls
 
+    def features(self) -> np.ndarray:
+        """The five-element feature vector, each component normalised to [0, 1]."""
+        view = self.view()
+        distance_to_click, navigations, scrolls = self.window_counts()
         return np.array(
             [
                 view.clickable_fraction,
@@ -141,7 +148,7 @@ class SessionState:
 
     # -- DOM-derived candidate events (LNES ingredient) ------------------------
 
-    def available_events(self) -> set[EventType]:
+    def available_events(self) -> frozenset[EventType]:
         """Events that the current DOM state allows the user to trigger next.
 
         After a navigation the only possible next event is the ``load`` of
@@ -150,8 +157,8 @@ class SessionState:
         always supports).
         """
         if self.last_navigated:
-            return {EventType.LOAD}
-        return {e for e in self.view().listeners if e in POINTER_EVENT_TYPES}
+            return frozenset({EventType.LOAD})
+        return frozenset(e for e in self.view().listeners if e in POINTER_EVENT_TYPES)
 
     # -- state evolution -------------------------------------------------------
 

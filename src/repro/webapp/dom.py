@@ -125,12 +125,23 @@ class DomView:
     ``nodes`` is :meth:`DomTree.visible_nodes` and the other fields are the
     :class:`DomTree` aggregate queries over it.  Views are shared between
     trees and session states, so never mutate ``nodes``.
+
+    ``memo`` holds pure functions of the DOM state behind the view, filled
+    on first use by whoever computes them (whole prediction rounds, the
+    user model's ranking and tap targets).  Each key names the function
+    and every input beyond the DOM state, by value; each value is
+    immutable.  A view only ever describes one DOM state, so every memo
+    follows this one rule.  A view of a shared graph (see
+    :meth:`DomTree.view`) stands for one served document with its Semantic
+    Tree in one viewport, so its memo serves every session that reaches the
+    state; a private graph's view is dropped when its state changes.
     """
 
     nodes: list[DomNode]
     clickable_fraction: float
     link_fraction: float
     listeners: frozenset[EventType]
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, tree: "DomTree", visible: list[DomNode] | None = None) -> "DomView":
@@ -191,9 +202,10 @@ class DomTree:
         """:class:`DomView` of the current state.
 
         While the node graph is shared (see :meth:`clone`) it cannot change,
-        so every tree on it shares one memo by viewport, and a state any of
-        them has seen is walked once.  A private graph may be mutated, and
-        is walked on every call.
+        so every tree on it shares one memo by viewport: a state any of them
+        has seen is walked once, and the view's own ``memo`` is reused with
+        it.  A private graph may be mutated, so it is walked on every call
+        and each call returns a new view with an empty memo.
         """
         views = self._views
         if views is None:

@@ -2,21 +2,10 @@
 
 import pytest
 
-from repro.webapp.rendering import DEFAULT_STAGE_SHARES, RenderingPipeline, VSYNC_PERIOD_MS
+from repro.webapp.rendering import RenderingPipeline, VSYNC_PERIOD_MS
 
 
 class TestPipelineConstruction:
-    def test_default_shares_sum_to_one(self):
-        assert sum(DEFAULT_STAGE_SHARES.values()) == pytest.approx(1.0)
-
-    def test_rejects_shares_not_summing_to_one(self):
-        with pytest.raises(ValueError):
-            RenderingPipeline(stage_shares={"callback": 0.5, "style": 0.1})
-
-    def test_rejects_negative_share(self):
-        with pytest.raises(ValueError):
-            RenderingPipeline(stage_shares={"callback": 1.2, "style": -0.2})
-
     def test_rejects_nonpositive_vsync(self):
         with pytest.raises(ValueError):
             RenderingPipeline(vsync_period_ms=0.0)
