@@ -47,7 +47,7 @@ from repro.faults.spec import (
     PredictorFaults,
     SensorFaults,
 )
-from repro.runtime.metrics import SessionResult
+from repro.runtime.metrics import FinishedSession, restore_session
 from repro.runtime.parallel import ParallelEvaluator, SchemeAggregates
 from repro.runtime.simulator import SimulationSetup
 from repro.scenarios.checkpoint import ShardJournal, _spec_key
@@ -354,20 +354,23 @@ def run_search(
             for index, trace in enumerate(traces)
         }
         shard_map = shards.get(cell_key, {})
-        precomputed = {
-            job: SessionResult.from_dict(shard_map[shard_key])
-            for job, shard_key in shard_keys.items()
-            if shard_key in shard_map
-        }
+        precomputed: dict[tuple[str, str, int], FinishedSession] = {}
+        for job, shard_key in shard_keys.items():
+            # A payload that does not decode (another codec) is stale: its
+            # session re-simulates.
+            restored = restore_session(shard_map[shard_key]) if shard_key in shard_map else None
+            if restored is not None:
+                precomputed[job] = restored
 
-        def record(key: str, scheme: str, index: int, result: SessionResult) -> None:
+        def record(key: str, scheme: str, index: int, session: FinishedSession) -> None:
             job = (key, scheme, index)
             if job not in precomputed:
-                journal.append_shard(cell_key, shard_keys[job], result.to_dict())
+                journal.append_shard(cell_key, shard_keys[job], session.payload)
 
         outcome = evaluator.evaluate_matrix(
             [cell],
             learner=learner,
+            encode=journal is not None,
             on_job_complete=None if journal is None else record,
             precomputed=precomputed or None,
         )

@@ -5,7 +5,8 @@ into one scenario cell, fans every (device × scheme × trace) job through the
 :class:`~repro.scenarios.runner.ScenarioRunner` /
 :meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix` machinery
 (with setup sharing, so a 200-device fleet builds one simulator per distinct
-hardware configuration), and folds every session into per-(device, scheme)
+hardware configuration), and merges every session's fold — made once, where
+the session finished — into per-(device, scheme)
 :class:`~repro.runtime.metrics.StreamingAggregator` shards.  Population
 aggregates are then the first-class ``merge`` of those shards in device
 order — bit-identical to a single sequential fold for any sharding, which
@@ -28,7 +29,7 @@ from typing import Sequence
 from repro.core.predictor.sequence_learner import EventSequenceLearner
 from repro.fleet.metrics import mean_or_none, percentile_block, win_loss
 from repro.fleet.population import Device, DevicePopulation, FleetSpec
-from repro.runtime.metrics import SessionResult, StreamingAggregator
+from repro.runtime.metrics import FinishedSession, StreamingAggregator
 from repro.scenarios.checkpoint import ArtefactError, ShardJournal
 from repro.scenarios.runner import ScenarioRunner
 from repro.utils import write_json_atomic
@@ -105,10 +106,12 @@ class FleetRunner:
         index_by_name = {spec.name: index for index, spec in enumerate(specs)}
         device_aggregates: dict[tuple[int, str], StreamingAggregator] = {}
 
-        def on_session(key: str, scheme: str, trace_index: int, result: SessionResult) -> None:
+        def on_session(
+            key: str, scheme: str, trace_index: int, session: FinishedSession
+        ) -> None:
             device_aggregates.setdefault(
                 (index_by_name[key], scheme), StreamingAggregator()
-            ).add(result)
+            ).merge(session.fold)
 
         runner.run(
             specs, learner=learner, shards=shards, resume=resume, on_session=on_session

@@ -12,12 +12,13 @@ disciplines:
   truncated ``results/*.json`` after a crash or power loss, which
   ``load_results`` will then reject and a resume cannot repair.
 * ``ART-JOURNAL`` — append-mode writes are how checkpoints reach disk,
-  and getting them crash-safe (flush + fsync per record, torn-tail
-  truncation on resume) is subtle enough that it lives in exactly two
-  audited places: :class:`~repro.scenarios.checkpoint.MatrixJournal` and
-  :class:`~repro.scenarios.checkpoint.ShardJournal`.  Any ``open(...,
-  "a")`` outside a ``*Journal`` class is a hand-rolled journal and is
-  flagged.
+  and getting them crash-safe (one write and one fsync per record,
+  torn-tail truncation on resume) is subtle enough that it lives in one
+  audited place: the journal classes of :mod:`repro.scenarios.checkpoint`.
+  An append-mode open outside a ``*Journal`` class is a hand-rolled
+  journal and is flagged, in all three spellings: builtin ``open(path,
+  "a")`` (and ``io.open``), a method ``.open("a")`` such as
+  ``Path.open``, and ``os.open`` with ``O_APPEND`` in its flags.
 """
 
 from __future__ import annotations
@@ -31,11 +32,15 @@ _JSON_CALLS = {"json.dump", "json.dumps"}
 _OPEN_CALLS = {"open", "io.open"}
 
 
-def _call_mode(node: ast.Call) -> str | None:
-    """The literal mode string of an ``open`` call, if statically visible."""
+def _call_mode(node: ast.Call, position: int = 1) -> str | None:
+    """The literal mode string of an ``open`` call, if statically visible.
+
+    ``position`` is the mode's positional index: 1 for ``open(path, mode)``,
+    0 for a method such as ``Path.open(mode)``.
+    """
     mode: ast.expr | None = None
-    if len(node.args) >= 2:
-        mode = node.args[1]
+    if len(node.args) > position:
+        mode = node.args[position]
     for keyword in node.keywords:
         if keyword.arg == "mode":
             mode = keyword.value
@@ -104,14 +109,36 @@ def _check_atomic(ctx: FileContext) -> Iterator:
                 )
 
 
+def _names_o_append(node: ast.Call) -> bool:
+    """Whether an ``os.open`` call's flags name ``O_APPEND``."""
+    flags = [keyword.value for keyword in node.keywords if keyword.arg == "flags"]
+    flags.extend(node.args[1:2])
+    return any(
+        (isinstance(part, ast.Attribute) and part.attr == "O_APPEND")
+        or (isinstance(part, ast.Name) and part.id == "O_APPEND")
+        for flag in flags
+        for part in ast.walk(flag)
+    )
+
+
+def _opens_for_append(ctx: FileContext, node: ast.Call) -> bool:
+    """Whether ``node`` opens a file for appending, in any of three spellings."""
+    resolved = ctx.resolve_call(node)
+    if resolved == "os.open":
+        return _names_o_append(node)
+    if resolved in _OPEN_CALLS:
+        mode = _call_mode(node)
+    elif resolved is None and isinstance(node.func, ast.Attribute) and node.func.attr == "open":
+        # A method on an object the linter cannot resolve (``Path.open``).
+        mode = _call_mode(node, position=0)
+    else:
+        return False
+    return mode is not None and mode.startswith("a")
+
+
 def _check_journal(ctx: FileContext) -> Iterator:
     for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if ctx.resolve_call(node) not in _OPEN_CALLS:
-            continue
-        mode = _call_mode(node)
-        if mode is None or not mode.startswith("a"):
+        if not isinstance(node, ast.Call) or not _opens_for_append(ctx, node):
             continue
         enclosing = ctx.enclosing_class(node)
         if enclosing is not None and "Journal" in enclosing.name:

@@ -10,10 +10,15 @@ breakdown (Fig. 3).
 
 from __future__ import annotations
 
+import base64
+import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.webapp.events import EventType
 
@@ -97,38 +102,90 @@ class EventOutcome:
     def violated(self) -> bool:
         return self.latency_ms > self.qos_target_ms + 1e-6
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "event_type": self.event_type.value,
-            "arrival_ms": self.arrival_ms,
-            "start_ms": self.start_ms,
-            "finish_ms": self.finish_ms,
-            "display_ms": self.display_ms,
-            "qos_target_ms": self.qos_target_ms,
-            "active_energy_mj": self.active_energy_mj,
-            "config_label": self.config_label,
-            "speculative": self.speculative,
-            "mispredicted": self.mispredicted,
-            "queue_delay_ms": self.queue_delay_ms,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EventOutcome":
-        return cls(
-            index=int(payload["index"]),
-            event_type=EventType(payload["event_type"]),
-            arrival_ms=float(payload["arrival_ms"]),
-            start_ms=float(payload["start_ms"]),
-            finish_ms=float(payload["finish_ms"]),
-            display_ms=float(payload["display_ms"]),
-            qos_target_ms=float(payload["qos_target_ms"]),
-            active_energy_mj=float(payload["active_energy_mj"]),
-            config_label=str(payload["config_label"]),
-            speculative=bool(payload["speculative"]),
-            mispredicted=bool(payload["mispredicted"]),
-            queue_delay_ms=float(payload["queue_delay_ms"]),
+#: Codec tag of a :meth:`SessionResult.to_dict` payload.  A payload with any
+#: other tag, or with none (the per-event row payloads of earlier builds),
+#: does not decode.
+SESSION_CODEC = "packed-f64le/1"
+#: The float fields of :class:`EventOutcome`, in the order of their packed columns.
+_PACKED_FLOATS = (
+    "arrival_ms",
+    "start_ms",
+    "finish_ms",
+    "display_ms",
+    "qos_target_ms",
+    "active_energy_mj",
+    "queue_delay_ms",
+)
+#: The other fields of :class:`EventOutcome`, each stored as a JSON list.
+_LISTED = ("index", "event_type", "config_label", "speculative", "mispredicted")
+#: Little-endian float64, whatever the host's byte order.
+_PACKED_DTYPE = np.dtype("<f8")
+# ``_value_`` is the member's value as a plain attribute (``.value`` is a
+# property), which keeps the whole row one C-level getter call.
+_outcome_columns = attrgetter(
+    "index",
+    "event_type._value_",
+    "config_label",
+    "speculative",
+    "mispredicted",
+    *_PACKED_FLOATS,
+)
+
+
+def _pack_outcomes(outcomes: Sequence[EventOutcome]) -> dict:
+    """Outcomes as columns: JSON lists, plus every float in one base64 block.
+
+    The block holds the :data:`_PACKED_FLOATS` columns one after another as
+    little-endian float64, so each value keeps its exact bits (``-0.0`` and
+    subnormals included).  Like ``json.dumps(..., allow_nan=False)``, the
+    codec refuses NaN and infinity.
+    """
+    columns = list(zip(*map(_outcome_columns, outcomes))) or [()] * (
+        len(_LISTED) + len(_PACKED_FLOATS)
+    )
+    index, types, labels, speculative, mispredicted = columns[: len(_LISTED)]
+    floats = np.array(columns[len(_LISTED) :], dtype=_PACKED_DTYPE)
+    if not np.isfinite(floats).all():
+        raise ValueError("session outcomes hold a non-finite float, which the codec refuses")
+    return {
+        "index": list(index),
+        "event_type": list(types),
+        "config_label": list(labels),
+        "speculative": list(map(int, speculative)),
+        "mispredicted": list(map(int, mispredicted)),
+        "floats": base64.b64encode(floats.tobytes()).decode("ascii"),
+    }
+
+
+def _unpack_outcomes(packed: dict) -> list[EventOutcome]:
+    """Inverse of :func:`_pack_outcomes`; ``ValueError`` on a malformed block."""
+    listed = [packed[name] for name in _LISTED]
+    n = len(listed[0])
+    raw = base64.b64decode(packed["floats"], validate=True)
+    if len(raw) != 8 * n * len(_PACKED_FLOATS) or any(len(column) != n for column in listed):
+        raise ValueError("packed session outcomes have columns of different lengths")
+    arrival, start, finish, display, qos, energy, queue = (
+        np.frombuffer(raw, dtype=_PACKED_DTYPE).reshape(len(_PACKED_FLOATS), n).tolist()
+    )
+    index, types, labels, speculative, mispredicted = listed
+    return list(
+        map(
+            EventOutcome,
+            map(int, index),
+            map(EventType, types),
+            arrival,
+            start,
+            finish,
+            display,
+            qos,
+            energy,
+            labels,
+            map(bool, speculative),
+            map(bool, mispredicted),
+            queue,
         )
+    )
 
 
 #: Field annotations of the flat numeric records, as the callables that coerce
@@ -389,18 +446,22 @@ class SessionResult:
     # -- serialisation ------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Lossless JSON payload of the full session (shard checkpoints).
+        """The session's shard payload in the packed exact codec.
 
-        Every float survives a JSON round trip exactly (``repr``-based
-        float serialisation), so folding restored sessions in the original
-        order reproduces aggregate totals bit-identically — the property
-        the :class:`~repro.scenarios.checkpoint.ShardJournal` resume path
-        is pinned on.
+        The payload leads with ``"codec": SESSION_CODEC``.  Session-level
+        fields stay plain JSON (``repr``-exact floats); the outcomes are
+        columns (see :func:`_pack_outcomes`), with their floats as base64
+        little-endian float64.  Every float therefore survives the JSON
+        round trip bit for bit, so restored sessions fold into the same
+        aggregates as the originals: the property the
+        :class:`~repro.scenarios.checkpoint.ShardJournal` resume path rests
+        on.  A non-finite float raises ``ValueError``.
         """
         return {
+            "codec": SESSION_CODEC,
             "app_name": self.app_name,
             "scheduler_name": self.scheduler_name,
-            "outcomes": [o.to_dict() for o in self.outcomes],
+            "outcomes": _pack_outcomes(self.outcomes),
             "idle_energy_mj": self.idle_energy_mj,
             "wasted_energy_mj": self.wasted_energy_mj,
             "wasted_time_ms": self.wasted_time_ms,
@@ -416,12 +477,20 @@ class SessionResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SessionResult":
+        """Decode a :meth:`to_dict` payload.
+
+        A payload of another codec raises ``ValueError`` naming its tag; a
+        malformed one raises ``KeyError``, ``TypeError`` or ``ValueError``.
+        """
+        codec = payload.get("codec")
+        if codec != SESSION_CODEC:
+            raise ValueError(f"session payload codec {codec!r} is not {SESSION_CODEC!r}")
         thermal = payload.get("thermal")
         faults = payload.get("faults")
         return cls(
             app_name=str(payload["app_name"]),
             scheduler_name=str(payload["scheduler_name"]),
-            outcomes=[EventOutcome.from_dict(o) for o in payload["outcomes"]],
+            outcomes=_unpack_outcomes(payload["outcomes"]),
             idle_energy_mj=float(payload["idle_energy_mj"]),
             wasted_energy_mj=float(payload["wasted_energy_mj"]),
             wasted_time_ms=float(payload["wasted_time_ms"]),
@@ -681,6 +750,52 @@ def _session_fold(result: SessionResult) -> StreamingAggregator:
     return fold
 
 
+class FinishedSession(NamedTuple):
+    """A replayed session as its consumers take it, made once where it finished.
+
+    Pool workers ship this instead of the :class:`SessionResult`, so the
+    parent only merges ``fold`` and appends ``payload``.
+    """
+
+    #: The session's one-session fold (:func:`_session_fold`).
+    fold: StreamingAggregator
+    app_name: str
+    #: The JSON text of its shard payload (:func:`encode_session`), when the
+    #: run journals.
+    payload: str | None = None
+    #: The session itself, only when the run keeps results.
+    result: SessionResult | None = None
+
+
+def encode_session(result: SessionResult) -> str:
+    """The JSON text of a session's shard payload (``ValueError`` on NaN/inf)."""
+    return json.dumps(result.to_dict(), allow_nan=False)
+
+
+def finish_session(result: SessionResult, *, encode: bool, keep: bool) -> FinishedSession:
+    """Fold ``result`` (and encode it when ``encode``): the one fold it ever gets."""
+    return FinishedSession(
+        fold=_session_fold(result),
+        app_name=result.app_name,
+        payload=encode_session(result) if encode else None,
+        result=result if keep else None,
+    )
+
+
+def restore_session(payload: dict) -> FinishedSession | None:
+    """Fold a journaled shard payload back, or ``None`` if it does not decode.
+
+    A payload that is not a session of :data:`SESSION_CODEC` (a record of an
+    earlier build's codec, say) is stale, like a record of a changed spec:
+    the caller drops it and the session is simulated again.
+    """
+    try:
+        result = SessionResult.from_dict(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return FinishedSession(fold=_session_fold(result), app_name=result.app_name)
+
+
 @dataclass
 class StreamingSweepAggregator:
     """Streaming overall + per-application aggregation for one scheme."""
@@ -688,11 +803,11 @@ class StreamingSweepAggregator:
     overall: StreamingAggregator = field(default_factory=StreamingAggregator)
     per_app: dict[str, StreamingAggregator] = field(default_factory=dict)
 
-    def add(self, result: SessionResult) -> None:
-        # One fold serves both aggregators: ``merge`` only reads its argument.
-        fold = _session_fold(result)
+    def add(self, fold: StreamingAggregator, app_name: str) -> None:
+        """Merge one session's fold; one fold serves both levels, as ``merge``
+        only reads its argument."""
         self.overall.merge(fold)
-        self.per_app.setdefault(result.app_name, StreamingAggregator()).merge(fold)
+        self.per_app.setdefault(app_name, StreamingAggregator()).merge(fold)
 
     def finalize(self) -> AggregateMetrics:
         return self.overall.finalize()
@@ -706,16 +821,16 @@ class StreamingMatrixAggregator:
     """Streaming aggregation over (scenario key, scheme) cells.
 
     The scenario matrix fans jobs from *several* sweeps through one pool;
-    this folds each delivered result into its ``(key, scheme)`` cell so a
-    matrix over thousands of sessions never materialises per-cell result
-    lists.  Cells appear in fold order, and folding in job order reproduces
-    the serial sweep's floating-point totals exactly.
+    this merges each delivered session's fold into its ``(key, scheme)``
+    cell so a matrix over thousands of sessions never materialises per-cell
+    result lists.  Cells appear in merge order, and the exact-sum
+    accumulators make every total bit-identical to a serial fold.
     """
 
     cells: dict[tuple[str, str], StreamingSweepAggregator] = field(default_factory=dict)
 
-    def add(self, key: str, scheme: str, result: SessionResult) -> None:
-        self.cells.setdefault((key, scheme), StreamingSweepAggregator()).add(result)
+    def add(self, key: str, scheme: str, fold: StreamingAggregator, app_name: str) -> None:
+        self.cells.setdefault((key, scheme), StreamingSweepAggregator()).add(fold, app_name)
 
     def finalize_cell(
         self, key: str, scheme: str

@@ -23,15 +23,21 @@ one-sweep matrix) and fans the jobs out over one ``multiprocessing`` pool:
   then scheme, then trace); results are re-sequenced as they arrive, so the
   output (and every floating-point aggregate fold) is independent of worker
   count and completion order.
-* **Streaming aggregation** — per-cell overall and per-app
-  :class:`~repro.runtime.metrics.AggregateMetrics` are folded incrementally
-  (in job order) as results arrive; with ``keep_results=False`` a sweep
-  over thousands of sessions never materialises the full ``SessionResult``
-  lists.
+* **Fold where the session finishes** — whoever replays a job (a pool
+  worker, or the parent at one worker) folds the session once and, when the
+  run journals, encodes its shard payload once
+  (:func:`~repro.runtime.metrics.finish_session`).  Workers return a
+  :class:`~repro.runtime.metrics.FinishedSession` per job: the fold, the
+  app name and the encoded payload.  The ``SessionResult`` itself crosses
+  the pipe only when the caller keeps results (``keep_results=True``, the
+  :meth:`~ParallelEvaluator.compare` path).  The parent only merges each
+  fold into its cell's overall and per-app aggregates, in job order, and
+  hands the session to the hooks, which append the payload as it is.
 * **In-process runs** — with one worker (``jobs=1``, or a single unit left
   to run) the jobs replay in the parent in job order, with no pool.  Every
-  replay is deterministic, so ``jobs>1`` produces bit-identical
-  ``SessionResult`` objects; only wall-clock changes.
+  replay is deterministic and every fold merges through exact sums, so
+  ``jobs>1`` produces bit-identical aggregates, hook calls and journal
+  bytes; only wall-clock changes.
 * **Graceful degradation** — a job that raises in a worker comes back as a
   failure payload for that job alone instead of poisoning the pool; after
   the pool is torn down cleanly, failed (and, with ``job_timeout_s``,
@@ -71,9 +77,11 @@ from repro.core.predictor.sequence_learner import EventSequenceLearner
 from repro.runtime.metrics import (
     AggregateMetrics,
     FaultAggregate,
+    FinishedSession,
     SessionResult,
     StreamingMatrixAggregator,
     ThermalAggregate,
+    finish_session,
 )
 from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
 from repro.traces.trace import Trace, TraceSet
@@ -192,7 +200,9 @@ class _Simulators:
     use too, and only the current sweep's are kept: jobs arrive grouped by
     sweep, so each trace is generated once and a process holds one sweep's
     traces at a time.  The in-process run, the pool workers and the
-    parent's retries all replay through :meth:`run`.
+    parent's retries all replay through :meth:`run`, and hand each session
+    on through :meth:`finish`: folded, encoded when ``encode``, and kept
+    whole only when ``keep``.
     """
 
     catalog: AppCatalog
@@ -201,6 +211,10 @@ class _Simulators:
     setups: dict[str, tuple[SimulationSetup, PesConfig | None, str]]
     #: Sweep key -> the sweep's traces (usually recipes).
     traces: dict[str, Sequence[Trace]]
+    #: Encode each session's shard payload (the run journals).
+    encode: bool = False
+    #: Ship each session whole (the run keeps results).
+    keep: bool = False
     simulators: dict[str, Simulator] = field(default_factory=dict)
     #: The sweep whose traces ``generated`` holds, by trace index.
     current: str | None = None
@@ -212,13 +226,23 @@ class _Simulators:
         sweeps: Sequence[MatrixSweep],
         catalog: AppCatalog,
         learner: EventSequenceLearner | None,
+        *,
+        encode: bool = False,
+        keep: bool = False,
     ) -> "_Simulators":
         setups = {
             sweep.key: (sweep.setup, sweep.pes_config, sweep.setup_key or sweep.key)
             for sweep in sweeps
         }
         traces = {sweep.key: sweep.traces for sweep in sweeps}
-        return cls(catalog=catalog, learner=learner, setups=setups, traces=traces)
+        return cls(
+            catalog=catalog,
+            learner=learner,
+            setups=setups,
+            traces=traces,
+            encode=encode,
+            keep=keep,
+        )
 
     def run(self, key: str, scheme: str, trace_index: int) -> SessionResult:
         """Replay one (sweep, scheme, trace index) job."""
@@ -235,6 +259,12 @@ class _Simulators:
             [self.generated[trace_index]], scheme, learner=self.learner, pes_config=pes_config
         )[0]
 
+    def finish(self, key: str, scheme: str, trace_index: int) -> FinishedSession:
+        """Replay one job and fold it (and encode it) where it ran."""
+        return finish_session(
+            self.run(key, scheme, trace_index), encode=self.encode, keep=self.keep
+        )
+
 
 # Pool workers keep one _Simulators for their whole life: the initializer runs
 # once per worker process, then _run_matrix_units serves every chunk the
@@ -249,10 +279,14 @@ def _init_matrix_worker(simulators: _Simulators) -> None:
 
 def _run_matrix_units(
     units: list[tuple[tuple[str, int], list[tuple[int, str]]]]
-) -> list[tuple[int, SessionResult | _JobFailure]]:
+) -> list[tuple[int, FinishedSession | _JobFailure]]:
     """Replay a chunk of units as one pool task (see :func:`_chunked`).
 
     A unit is a (sweep key, trace index) and its (job index, scheme) pairs.
+    Each job comes back as a :class:`FinishedSession`: its fold, its app and,
+    when the run journals, its encoded shard payload.  The
+    :class:`SessionResult` itself crosses the pipe only when the run keeps
+    results.
 
     Exceptions come back as :class:`_JobFailure` payloads rather than
     propagating through the pool — a raising job must not poison the shared
@@ -260,11 +294,11 @@ def _run_matrix_units(
     scheme (or a trace generation) that raises fails its own jobs only.
     """
     assert _MATRIX_WORKER is not None, "matrix worker pool was not initialised"
-    delivered: list[tuple[int, SessionResult | _JobFailure]] = []
+    delivered: list[tuple[int, FinishedSession | _JobFailure]] = []
     for (key, trace_index), todo in units:
         for index, scheme in todo:
             try:
-                delivered.append((index, _MATRIX_WORKER.run(key, scheme, trace_index)))
+                delivered.append((index, _MATRIX_WORKER.finish(key, scheme, trace_index)))
             except Exception as exc:
                 delivered.append((index, _JobFailure.from_exception(exc)))
     return delivered
@@ -356,18 +390,20 @@ class ParallelEvaluator:
         *,
         learner: EventSequenceLearner | None = None,
         keep_results: bool = False,
+        encode: bool = False,
         on_sweep_complete: Callable[[MatrixSweep, dict[str, SchemeAggregates]], None]
         | None = None,
-        on_job_complete: Callable[[str, str, int, SessionResult], None] | None = None,
-        precomputed: dict[tuple[str, str, int], SessionResult] | None = None,
+        on_job_complete: Callable[[str, str, int, FinishedSession], None] | None = None,
+        precomputed: dict[tuple[str, str, int], FinishedSession] | None = None,
     ) -> MatrixOutcome:
         """Fan several scenarios' (scheme x trace) jobs through one pool.
 
         Jobs from every sweep share the pool, so a short scenario's workers
         steal from a long one instead of idling at scenario boundaries.
-        Aggregation folds results in global job order (sweep, then scheme,
-        then trace), making every per-scenario aggregate bit-identical for
-        any worker count.
+        Each session is folded once, where it finished (a pool worker, or
+        the parent at one worker), and the parent merges the folds in global
+        job order (sweep, then scheme, then trace), making every
+        per-scenario aggregate bit-identical for any worker count.
 
         ``on_sweep_complete`` is called once per sweep, in matrix order, the
         moment that sweep's last job has been folded — while later sweeps
@@ -377,18 +413,23 @@ class ParallelEvaluator:
         end.
 
         ``on_job_complete`` is called once per job as ``(key, scheme,
-        trace_index, result)``, in fold order — i.e. global
-        job order regardless of worker count, so a shard-level checkpoint
-        built on it (:class:`~repro.scenarios.checkpoint.ShardJournal`) is
-        deterministic for any ``--jobs`` value.
+        trace_index, session)`` with the job's :class:`FinishedSession`, in
+        fold order — i.e. global job order regardless of worker count, so a
+        shard-level checkpoint built on it
+        (:class:`~repro.scenarios.checkpoint.ShardJournal`) is deterministic
+        for any ``--jobs`` value.  With ``encode=True`` every fresh session
+        carries its encoded shard payload, made where it finished.
 
         ``precomputed`` maps ``(sweep key, scheme, trace index)`` to an
-        already-known :class:`SessionResult` (e.g. restored from a shard
-        journal on ``--resume``).  Those jobs are never re-simulated; their
-        results are folded in their original global job position, so the
-        aggregates — and every hook invocation — stay bit-identical to an
-        uninterrupted run — and a trace none of whose jobs is left to run
-        is never generated.
+        already-known :class:`FinishedSession` (e.g. restored from a shard
+        journal on ``--resume``, see
+        :func:`~repro.runtime.metrics.restore_session`).  Those jobs are
+        never re-simulated; their folds merge in their original global job
+        position, so the aggregates — and every hook invocation — stay
+        bit-identical to an uninterrupted run — and a trace none of whose
+        jobs is left to run is never generated.  Restored sessions carry no
+        :class:`SessionResult`, so ``keep_results`` runs take no
+        ``precomputed``.
         """
         sweep_list = list(sweeps)
         keys = [sweep.key for sweep in sweep_list]
@@ -396,6 +437,8 @@ class ParallelEvaluator:
             raise ValueError("matrix sweep keys must be unique")
         if learner is None and any("PES" in sweep.schemes for sweep in sweep_list):
             raise ValueError("running PES requires a trained learner")
+        if keep_results and precomputed:
+            raise ValueError("restored sessions carry no results: keep_results takes no precomputed")
         shared_setups: dict[str, MatrixSweep] = {}
         for sweep in sweep_list:
             if sweep.setup_key is None:
@@ -415,7 +458,7 @@ class ParallelEvaluator:
         jobs: list[tuple[str, str, int]] = []
         units: dict[tuple[str, int], list[tuple[int, str]]] = {}
         sweep_end: dict[int, MatrixSweep] = {}
-        done: dict[int, SessionResult] = {}
+        done: dict[int, FinishedSession] = {}
         for sweep in sweep_list:
             for scheme in sweep.schemes:
                 for trace_index in range(len(sweep.traces)):
@@ -432,25 +475,27 @@ class ParallelEvaluator:
         if not jobs:
             return MatrixOutcome(aggregates={}, results={} if keep_results else None)
 
-        def fold(index: int, result: SessionResult) -> None:
+        def fold(index: int, session: FinishedSession) -> None:
             key, scheme, trace_index = jobs[index]
-            aggregator.add(key, scheme, result)
+            aggregator.add(key, scheme, session.fold, session.app_name)
             if ordered:
-                ordered[index] = result
+                ordered[index] = session.result
             if on_job_complete is not None:
-                on_job_complete(key, scheme, trace_index, result)
+                on_job_complete(key, scheme, trace_index, session)
             finished = sweep_end.get(index)
             if finished is not None and on_sweep_complete is not None:
                 on_sweep_complete(finished, _finalize_sweep(aggregator, finished))
 
-        simulators = _Simulators.for_sweeps(sweep_list, self.catalog, learner)
+        simulators = _Simulators.for_sweeps(
+            sweep_list, self.catalog, learner, encode=encode, keep=keep_results
+        )
         workers = min(self._jobs, len(units))
         if workers <= 1:
-            # In-process: jobs in ``done`` fold their known result without
+            # In-process: jobs in ``done`` merge their known fold without
             # touching a simulator or generating a trace.
             for index, job in enumerate(jobs):
-                result = done.get(index)
-                fold(index, simulators.run(*job) if result is None else result)
+                session = done.get(index)
+                fold(index, simulators.finish(*job) if session is None else session)
         else:
             self._drain_pool(jobs, list(units.items()), simulators, workers, fold, done)
 
@@ -480,22 +525,22 @@ class ParallelEvaluator:
         units: list[tuple[tuple[str, int], list[tuple[int, str]]]],
         simulators: _Simulators,
         workers: int,
-        fold: Callable[[int, SessionResult], None],
-        done: dict[int, SessionResult],
+        fold: Callable[[int, FinishedSession], None],
+        done: dict[int, FinishedSession],
     ) -> None:
         """Run the units through one pool with ordered folding and fault recovery.
 
-        ``done`` holds already-known results (resume path): they join the
+        ``done`` holds already-known sessions (resume path): they join the
         pending map up front, fold at their original position as the prefix
         fills in, and are never submitted to the pool.
 
-        Results arrive in completion order (work stealing); the contiguous
-        prefix is folded as it fills in, so aggregation order — hence every
-        floating-point total — matches the in-process run exactly.  A job
-        that failed in its worker parks as a :class:`_JobFailure` and blocks
-        the prefix; once the pool is torn down (cleanly on completion,
-        ``terminate`` on a stall), failed and undelivered jobs are re-run
-        serially in the parent and the fold completes in order.
+        Sessions arrive in completion order (work stealing); the contiguous
+        prefix is merged as it fills in, so hook order matches the
+        in-process run exactly.  A job that failed in its worker parks as a
+        :class:`_JobFailure` and blocks the prefix; once the pool is torn
+        down (cleanly on completion, ``terminate`` on a stall), failed and
+        undelivered jobs are re-run serially in the parent and the fold
+        completes in order.
         KeyboardInterrupt and other parent-side exceptions still terminate
         and join the pool before propagating — no leaked worker processes,
         no un-joined pool.
@@ -508,7 +553,7 @@ class ParallelEvaluator:
         # per-job timeout scaled by the most jobs any task carries.
         per_task = max(sum(len(todo) for _, todo in task) for task in tasks)
         timeout = None if self.job_timeout_s is None else self.job_timeout_s * per_task
-        pending: dict[int, SessionResult | _JobFailure] = dict(done)
+        pending: dict[int, FinishedSession | _JobFailure] = dict(done)
         next_index = 0
         delivered = 0
         stalled = False
@@ -573,7 +618,7 @@ class ParallelEvaluator:
                 stacklevel=3,
             )
             for index in to_recover:
-                pending[index] = simulators.run(*jobs[index])
+                pending[index] = simulators.finish(*jobs[index])
 
         while next_index < n_jobs:
             result = pending.pop(next_index)

@@ -1,43 +1,62 @@
 """Crash-tolerant checkpointing for matrix runs.
 
-A :class:`MatrixJournal` is an append-only JSON-lines file sitting next to
-the final artefact: every time a scenario cell finishes (the
+Both journals are append-only JSON-lines files next to the final artefact.
+Each record is one line, written with one ``write`` call on an ``O_APPEND``
+descriptor and then ``fsync``-ed before the next record is made.
+
+A :class:`MatrixJournal` records every scenario cell as it finishes (the
 ``on_sweep_complete`` hook of
-:meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix`), its
-fully-serialised :class:`~repro.scenarios.runner.ScenarioResult` is
-appended and fsynced.  If the run dies — worker crash, OOM kill, Ctrl-C —
-the journal holds every completed cell; re-running with ``--resume`` skips
-those cells and replays only the remainder.
+:meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix`): one
+line holding the cell's fully-serialised
+:class:`~repro.scenarios.runner.ScenarioResult`.  Re-running with
+``--resume`` skips those cells.
 
 A :class:`ShardJournal` checkpoints one level finer: *within* a cell, per
-(scheme, trace) shard.  Each shard record carries the shard's complete
-serialised :class:`~repro.runtime.metrics.SessionResult`, and each cell
-record carries whatever summary the producer scores a finished cell with.
-The adversarial fault search (:mod:`repro.faults.search`) journals every
-candidate through one, so a search killed mid-candidate resumes without
-re-simulating the shards that already ran — and, because appends happen in
-a deterministic order and :meth:`ShardJournal.open_for_resume` truncates
-any torn tail before new appends, the resumed journal file itself is
-byte-identical to an uninterrupted run's.
+(scheme, trace) shard.  Records look like::
 
-Two properties make resume safe:
+    {"kind": "shard", "cell": "<cell key>", "shard": "<shard key>", "payload": {...}}
+    {"kind": "cell", "cell": "<cell key>", "payload": {...}}
+
+A shard payload is the whole session in the packed codec of
+:meth:`~repro.runtime.metrics.SessionResult.to_dict`.  It leads with
+``"codec": "packed-f64le/1"``
+(:data:`~repro.runtime.metrics.SESSION_CODEC`); the per-event floats are
+little-endian float64 columns in base64, everything else short JSON lists
+and scalars.  The payload text is encoded once, where the session finished
+(a pool worker, or the parent at one worker), and spliced into the record
+as it is.  A cell record carries whatever summary the producer scores a
+finished cell with.  Scenario runs, fleet runs and the adversarial fault
+search (:mod:`repro.faults.search`) all journal through one, so a run
+killed mid-cell resumes without re-simulating the sessions that already
+ran.  Appends happen in global job order, and
+:meth:`ShardJournal.open_for_resume` truncates any torn tail before new
+appends, so the resumed journal file itself is byte-identical to an
+uninterrupted run's.
+
+What survives a crash: every record whose line, newline included, reached
+the file.  The record being written when the process died is lost, and
+so is its session, which simply re-simulates.  Three rules make resume
+safe:
 
 * **Torn tails are dropped, not fatal.**  A crash mid-append leaves a
   truncated last line; the newline-strict scan (:func:`_scan_jsonl`) stops
   at the first line that is unparseable *or* missing its terminating
-  newline, so that cell simply re-runs — and
-  :meth:`MatrixJournal.open_for_resume` /
+  newline — and :meth:`MatrixJournal.open_for_resume` /
   :meth:`ShardJournal.open_for_resume` truncate the torn bytes before any
   new append can concatenate onto them.
 * **Stale entries are ignored by content, not position.**  A journal entry
   only counts as completed if its serialised spec matches a spec of the
   *current* run exactly, so editing the matrix between runs silently
   invalidates exactly the cells that changed.
+* **Payloads of another codec are stale too.**  A shard record whose
+  payload does not decode as a session of the current codec (one written
+  by an earlier build, say) is dropped
+  (:func:`~repro.runtime.metrics.restore_session`), and its session
+  re-simulates.
 
-Because every replay is deterministic and
-:meth:`~repro.scenarios.runner.ScenarioResult.to_dict` round-trips
-losslessly through JSON, a resumed run's final artefact is byte-identical
-to an uninterrupted one.
+Because every replay is deterministic and both payload codecs round-trip
+every float exactly, a resumed run's final artefact is byte-identical to
+an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -91,23 +110,65 @@ def _scan_jsonl(path: Path) -> tuple[list[dict], int]:
     return records, valid_end
 
 
+#: Flags of a journal append: create the file if needed, never overwrite.
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
+
 @dataclass
-class MatrixJournal:
-    """Append-only per-cell checkpoint file for a scenario matrix run."""
+class _AppendOnlyJournal:
+    """One JSON-lines journal file: durable appends, torn-tail truncation."""
 
     path: Path
 
     def __post_init__(self) -> None:
         self.path = Path(self.path)
 
+    def _append_line(self, line: str) -> None:
+        """Durably append one record: one ``write`` and one ``fsync``.
+
+        The record goes straight to an ``O_APPEND`` descriptor, with no
+        buffered file object in between.  The parent directory is created
+        only when the first open finds it missing.
+        """
+        data = (line + "\n").encode("utf-8")
+        try:
+            fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # a regular file takes the record in one write
+                view = view[os.write(fd, view) :]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def _resume_records(self) -> list[dict]:
+        """Parsed records, truncating any torn tail first.
+
+        Appends made after this call land exactly where an uninterrupted
+        run would have written them, so the resumed journal file stays
+        byte-identical to an uninterrupted one, and a complete but
+        unterminated last line can never be corrupted by concatenation.
+        """
+        records, valid_end = _scan_jsonl(self.path)
+        if self.path.exists() and valid_end < self.path.stat().st_size:
+            os.truncate(self.path, valid_end)
+        return records
+
+    def clear(self) -> None:
+        """Delete the journal (a fresh, non-resumed run starts clean)."""
+        self.path.unlink(missing_ok=True)
+
+
+@dataclass
+class MatrixJournal(_AppendOnlyJournal):
+    """Append-only per-cell checkpoint file for a scenario matrix run."""
+
     def append(self, result: "ScenarioResult") -> None:
-        """Durably record one completed cell (flushed and fsynced)."""
-        line = json.dumps(result.to_dict(), allow_nan=False)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Durably record one completed cell (fsynced)."""
+        self._append_line(json.dumps(result.to_dict(), allow_nan=False))
 
     def entries(self) -> list[dict]:
         """Parsed journal entries, dropping a torn tail from a mid-write crash.
@@ -121,19 +182,8 @@ class MatrixJournal:
         return records
 
     def open_for_resume(self) -> list[dict]:
-        """:meth:`entries`, truncating any torn tail first.
-
-        Called at the start of a resumed run so that subsequent
-        :meth:`append` calls land exactly where an uninterrupted run would
-        have written them — the resumed journal file stays byte-identical
-        to an uninterrupted one, and a complete-but-unterminated last line
-        can never be corrupted by concatenation.
-        """
-        records, valid_end = _scan_jsonl(self.path)
-        if self.path.exists() and valid_end < self.path.stat().st_size:
-            with open(self.path, "rb+") as handle:
-                handle.truncate(valid_end)
-        return records
+        """:meth:`entries`, truncating any torn tail first."""
+        return self._resume_records()
 
     def completed_results(
         self, specs: Sequence[ScenarioSpec]
@@ -158,20 +208,17 @@ class MatrixJournal:
             completed[name] = ScenarioResult.from_dict(entry)
         return completed
 
-    def clear(self) -> None:
-        """Delete the journal (a fresh, non-resumed run starts clean)."""
-        self.path.unlink(missing_ok=True)
-
 
 @dataclass
-class ShardJournal:
+class ShardJournal(_AppendOnlyJournal):
     """Append-only within-cell checkpoint file, one record per trace shard.
 
     Two record kinds share the JSON-lines file:
 
     * ``{"kind": "shard", "cell": ..., "shard": ..., "payload": ...}`` — one
       (scheme, trace) shard of a cell finished; the payload is its
-      serialised :class:`~repro.runtime.metrics.SessionResult`,
+      session in the packed codec of
+      :meth:`~repro.runtime.metrics.SessionResult.to_dict`,
     * ``{"kind": "cell", "cell": ..., "payload": ...}`` — the whole cell
       finished; the payload is whatever summary the producer scores it with
       (the fault search stores the candidate spec and its score).
@@ -182,38 +229,30 @@ class ShardJournal:
     :class:`MatrixJournal`.
     """
 
-    path: Path
-
-    def __post_init__(self) -> None:
-        self.path = Path(self.path)
-
     # -- writing ----------------------------------------------------------------
 
-    def _append(self, record: dict) -> None:
-        line = json.dumps(record, allow_nan=False)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+    def append_shard(self, cell: str, shard: str, payload: dict | str) -> None:
+        """Durably record one completed (scheme, trace) shard of a cell.
 
-    def append_shard(self, cell: str, shard: str, payload: dict) -> None:
-        """Durably record one completed (scheme, trace) shard of a cell."""
-        self._append({"kind": "shard", "cell": cell, "shard": shard, "payload": payload})
+        A ``str`` payload is the payload's JSON text, already encoded where
+        the session finished (:func:`~repro.runtime.metrics.encode_session`);
+        it is spliced into the record as it is.  The record's bytes equal
+        ``json.dumps`` of the whole record either way.
+        """
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, allow_nan=False)
+        self._append_line(
+            f'{{"kind": "shard", "cell": {json.dumps(cell)}, '
+            f'"shard": {json.dumps(shard)}, "payload": {payload}}}'
+        )
 
     def append_cell(self, cell: str, payload: dict) -> None:
         """Durably record a completed cell's summary."""
-        self._append({"kind": "cell", "cell": cell, "payload": payload})
+        self._append_line(
+            json.dumps({"kind": "cell", "cell": cell, "payload": payload}, allow_nan=False)
+        )
 
     # -- reading ----------------------------------------------------------------
-
-    def _scan(self) -> tuple[list[dict], int]:
-        """Parsed records plus the byte offset where the valid prefix ends.
-
-        Delegates to :func:`_scan_jsonl` — the same newline-strict scan
-        :class:`MatrixJournal` uses.
-        """
-        return _scan_jsonl(self.path)
 
     @staticmethod
     def _fold(records: list[dict]) -> tuple[dict[str, dict], dict[str, dict[str, dict]]]:
@@ -233,22 +272,9 @@ class ShardJournal:
 
     def load(self) -> tuple[dict[str, dict], dict[str, dict[str, dict]]]:
         """``(cells, shards)``: payloads keyed by cell, and by cell then shard."""
-        records, _ = self._scan()
+        records, _ = _scan_jsonl(self.path)
         return self._fold(records)
 
     def open_for_resume(self) -> tuple[dict[str, dict], dict[str, dict[str, dict]]]:
-        """:meth:`load`, truncating any torn tail first.
-
-        Appends made after this call land exactly where an uninterrupted
-        run would have written them, which is what makes a resumed journal
-        file byte-identical to an uninterrupted one.
-        """
-        records, valid_end = self._scan()
-        if self.path.exists() and valid_end < self.path.stat().st_size:
-            with open(self.path, "rb+") as handle:
-                handle.truncate(valid_end)
-        return self._fold(records)
-
-    def clear(self) -> None:
-        """Delete the journal (a fresh, non-resumed run starts clean)."""
-        self.path.unlink(missing_ok=True)
+        """:meth:`load`, truncating any torn tail first (see :meth:`_resume_records`)."""
+        return self._fold(self._resume_records())

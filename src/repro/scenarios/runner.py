@@ -26,8 +26,9 @@ from repro.core.predictor.training import PredictorTrainer
 from repro.runtime.metrics import (
     AggregateMetrics,
     FaultAggregate,
-    SessionResult,
+    FinishedSession,
     ThermalAggregate,
+    restore_session,
 )
 from repro.runtime.parallel import MatrixSweep, ParallelEvaluator, SchemeAggregates
 from repro.runtime.simulator import SimulationSetup
@@ -245,7 +246,7 @@ class ScenarioRunner:
         journal: MatrixJournal | None = None,
         shards: ShardJournal | None = None,
         resume: bool = False,
-        on_session: "Callable[[str, str, int, SessionResult], None] | None" = None,
+        on_session: "Callable[[str, str, int, FinishedSession], None] | None" = None,
     ) -> list[ScenarioResult]:
         """Run every scenario, returning one result per spec in spec order.
 
@@ -267,13 +268,16 @@ class ScenarioRunner:
         hook order, the final artefact, *and the journal file itself*
         byte-identical to an uninterrupted run.  Cells are matched by
         serialised spec content, so editing the matrix invalidates exactly
-        the cells that changed.
+        the cells that changed, and a shard whose payload does not decode
+        (another codec) re-simulates.  Each session's payload is encoded
+        where it finished; the parent appends it as it is.
 
         ``on_session`` is called as ``(spec name, scheme, trace index,
-        result)`` for every session of every non-skipped spec, in
-        deterministic fold order — restored and freshly-simulated sessions
-        alike, which is what lets the fleet layer rebuild per-device
-        aggregates across a resume.
+        session)`` with the :class:`~repro.runtime.metrics.FinishedSession`
+        of every session of every non-skipped spec, in deterministic fold
+        order — restored and freshly-simulated sessions alike, which is
+        what lets the fleet layer rebuild per-device aggregates across a
+        resume from the sessions' folds.
         """
         spec_list = list(specs)
         if not spec_list:
@@ -325,15 +329,15 @@ class ScenarioRunner:
             evaluator = ParallelEvaluator(catalog=self.catalog, jobs=self.jobs)
             by_key = {spec.name: spec for spec in todo}
             cell_keys = {spec.name: _spec_key(spec.to_dict()) for spec in todo}
-            precomputed: dict[tuple[str, str, int], SessionResult] = {}
+            precomputed: dict[tuple[str, str, int], FinishedSession] = {}
             for spec in todo:
                 for shard_key, payload in shard_map.get(cell_keys[spec.name], {}).items():
                     scheme, _, trace_index = shard_key.rpartition("/")
                     if not scheme or not trace_index.isdigit():
                         continue
-                    precomputed[(spec.name, scheme, int(trace_index))] = (
-                        SessionResult.from_dict(payload)
-                    )
+                    restored = restore_session(payload)
+                    if restored is not None:
+                        precomputed[(spec.name, scheme, int(trace_index))] = restored
 
             def checkpoint(
                 sweep: MatrixSweep, aggregates: dict[str, SchemeAggregates]
@@ -344,14 +348,14 @@ class ScenarioRunner:
                     journal.append(result)
 
             def record_session(
-                key: str, scheme: str, trace_index: int, result: SessionResult
+                key: str, scheme: str, trace_index: int, session: FinishedSession
             ) -> None:
                 if shards is not None and (key, scheme, trace_index) not in precomputed:
                     shards.append_shard(
-                        cell_keys[key], f"{scheme}/{trace_index}", result.to_dict()
+                        cell_keys[key], f"{scheme}/{trace_index}", session.payload
                     )
                 if on_session is not None:
-                    on_session(key, scheme, trace_index, result)
+                    on_session(key, scheme, trace_index, session)
 
             on_job = (
                 record_session if (shards is not None or on_session is not None) else None
@@ -359,6 +363,7 @@ class ScenarioRunner:
             evaluator.evaluate_matrix(
                 sweeps,
                 learner=learner,
+                encode=shards is not None,
                 on_sweep_complete=checkpoint,
                 on_job_complete=on_job,
                 precomputed=precomputed or None,

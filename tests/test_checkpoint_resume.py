@@ -282,6 +282,64 @@ class TestMidCellResume:
         assert n_second == mini_specs[1].n_sessions * len(mini_specs[1].schemes)
         assert n_first == mini_specs[0].n_sessions * len(mini_specs[0].schemes)
 
+    def test_shard_of_another_codec_is_stale_and_re_simulates(
+        self, mini_specs, tmp_path, monkeypatch, uninterrupted_artefact
+    ):
+        """A shard record that parses but whose payload is not a session of
+        the current codec (here the per-event row payload earlier builds
+        wrote) is dropped like a stale spec: its session re-simulates, and
+        the resume does not fail."""
+        import json
+
+        import repro.runtime.simulator as simulator_module
+
+        from repro.runtime.metrics import SessionResult
+        from repro.scenarios import ShardJournal
+
+        shards = ShardJournal(tmp_path / "run.shards.journal")
+        ScenarioRunner(jobs=1).run(mini_specs, shards=shards)
+        lines = shards.path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        session = SessionResult.from_dict(record["payload"])
+        rows = {
+            key: value
+            for key, value in record["payload"].items()
+            if key not in ("codec", "outcomes")
+        }
+        rows["outcomes"] = [
+            {
+                "index": o.index,
+                "event_type": o.event_type.value,
+                "arrival_ms": o.arrival_ms,
+                "start_ms": o.start_ms,
+                "finish_ms": o.finish_ms,
+                "display_ms": o.display_ms,
+                "qos_target_ms": o.qos_target_ms,
+                "active_energy_mj": o.active_energy_mj,
+                "config_label": o.config_label,
+                "speculative": o.speculative,
+                "mispredicted": o.mispredicted,
+                "queue_delay_ms": o.queue_delay_ms,
+            }
+            for o in session.outcomes
+        ]
+        lines[0] = json.dumps({**record, "payload": rows}) + "\n"
+        shards.path.write_text("".join(lines))
+
+        run_scheme = simulator_module.Simulator.run_scheme
+        replays = {"n": 0}
+
+        def count_replays(self, traces, scheme, *args, **kwargs):
+            replays["n"] += 1
+            return run_scheme(self, traces, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(simulator_module.Simulator, "run_scheme", count_replays)
+        results = ScenarioRunner(jobs=1).run(mini_specs, shards=shards, resume=True)
+        out = tmp_path / "mini.json"
+        write_results(results, out, matrix="mini")
+        assert out.read_text() == uninterrupted_artefact
+        assert replays["n"] == 1, "only the stale shard's session re-simulates"
+
     def test_parallel_resume_matches_serial_resume(self, mini_specs, tmp_path):
         from repro.scenarios import ShardJournal
 

@@ -7,10 +7,10 @@ on a small fixed-seed grid: all five schemes x thermal {none,
 ``cnn``/``google`` traces.  The chassis runs at a 40 C ambient: at the
 default 25 C these short sessions never reach the first throttle step, and
 the cap-engaged planning paths would go unpinned.  Each session is stored
-as its ``SessionResult.to_dict()`` payload without the per-event
-``outcomes``, plus a SHA-256 over those outcomes, so any drift in any
-engine path (reactive replay, PES commit/squash/fallback, Oracle windows,
-the thermal and fault seams) fails loudly while the fixture stays small.
+as its session-level fields plus a SHA-256 over its per-event outcomes as
+rows of named fields, so any drift in any engine path (reactive replay, PES
+commit/squash/fallback, Oracle windows, the thermal and fault seams) fails
+loudly while the fixture stays small.
 
 The PES learner is self-contained (one training trace per seen app, 300
 iterations), so the fixture does not move when the shared test learner is
@@ -34,7 +34,7 @@ from pathlib import Path
 from repro.core.predictor.training import PredictorTrainer
 from repro.faults import get_fault_preset
 from repro.hardware.thermal import ThermalModel, get_thermal_model
-from repro.runtime.metrics import SessionResult
+from repro.runtime.metrics import EventOutcome, SessionResult
 from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
 from repro.traces.generator import TraceGenerator
 from repro.webapp.apps import AppCatalog
@@ -54,12 +54,47 @@ TRACES: tuple[tuple[str, int], ...] = (
 )
 
 
+def outcome_row(outcome: EventOutcome) -> dict:
+    """One outcome as a row of named fields, the view the digest is taken over."""
+    return {
+        "index": outcome.index,
+        "event_type": outcome.event_type.value,
+        "arrival_ms": outcome.arrival_ms,
+        "start_ms": outcome.start_ms,
+        "finish_ms": outcome.finish_ms,
+        "display_ms": outcome.display_ms,
+        "qos_target_ms": outcome.qos_target_ms,
+        "active_energy_mj": outcome.active_energy_mj,
+        "config_label": outcome.config_label,
+        "speculative": outcome.speculative,
+        "mispredicted": outcome.mispredicted,
+        "queue_delay_ms": outcome.queue_delay_ms,
+    }
+
+
 def session_payload(result: SessionResult) -> dict:
-    """A session's payload with the outcomes replaced by their digest."""
-    payload = result.to_dict()
-    outcomes = json.dumps(payload.pop("outcomes"), sort_keys=True)
-    payload["outcomes_sha256"] = hashlib.sha256(outcomes.encode()).hexdigest()
-    return payload
+    """A session's fields, with the outcomes replaced by a digest of their rows.
+
+    Built here field by field rather than from ``SessionResult.to_dict()``,
+    so the fixture pins the replay, not the shard codec.
+    """
+    outcomes = json.dumps([outcome_row(o) for o in result.outcomes], sort_keys=True)
+    return {
+        "app_name": result.app_name,
+        "scheduler_name": result.scheduler_name,
+        "idle_energy_mj": result.idle_energy_mj,
+        "wasted_energy_mj": result.wasted_energy_mj,
+        "wasted_time_ms": result.wasted_time_ms,
+        "mispredictions": result.mispredictions,
+        "commits": result.commits,
+        "predictions_made": result.predictions_made,
+        "prediction_rounds": result.prediction_rounds,
+        "pfb_size_history": [[at_ms, size] for at_ms, size in result.pfb_size_history],
+        "duration_ms": result.duration_ms,
+        "thermal": None if result.thermal is None else result.thermal.to_dict(),
+        "faults": None if result.faults is None else result.faults.to_dict(),
+        "outcomes_sha256": hashlib.sha256(outcomes.encode()).hexdigest(),
+    }
 
 
 def thermal_model(name: str | None) -> ThermalModel | None:

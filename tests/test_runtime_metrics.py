@@ -10,6 +10,7 @@ from repro.runtime.metrics import (
     ThermalSessionStats,
     aggregate_results,
     group_by_app,
+    _session_fold,
 )
 from repro.webapp.events import EventType
 
@@ -181,7 +182,7 @@ class TestStreamingAggregation:
         cnn = SessionResult("cnn", "EBS", [outcome(0, 100.0, 300.0)])
         bbc = SessionResult("bbc", "EBS", [outcome(0, 400.0, 300.0)])
         for result in (cnn, bbc, cnn):
-            sweep.add(result)
+            sweep.add(_session_fold(result), result.app_name)
         assert sweep.finalize().n_sessions == 3
         per_app = sweep.finalize_per_app()
         assert set(per_app) == {"cnn", "bbc"}
