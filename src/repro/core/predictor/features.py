@@ -37,6 +37,12 @@ class FeatureExtractor:
             return np.concatenate([features, [1.0]])
         return features
 
+    def values(self, state: SessionState) -> tuple[float, ...]:
+        """:meth:`extract`'s values as plain floats: a row for a dataset
+        that is made into one array at the end."""
+        values = state.feature_values()
+        return values + (1.0,) if self.include_bias else values
+
 
 @dataclass
 class EventLabelEncoder:

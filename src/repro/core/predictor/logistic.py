@@ -44,6 +44,13 @@ def _class_labels(labels: np.ndarray, n_samples: int, n_classes: int) -> np.ndar
     return labels
 
 
+def _require_finite(features: np.ndarray) -> None:
+    """Reject NaN and infinite features, which would fit (or calibrate on)
+    NaN scores without any error."""
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
+
+
 def _mask_and_normalise(
     probabilities: np.ndarray, mask: np.ndarray | None, n_classes: int
 ) -> np.ndarray:
@@ -123,45 +130,58 @@ class SoftmaxRegression:
         features = np.asarray(features, dtype=float)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
+        _require_finite(features)
         n_samples, n_features = features.shape
         n_classes = self.n_classes
         labels = _class_labels(labels, n_samples, n_classes)
 
         weights = np.zeros((n_classes, n_features))
         one_hot = np.eye(n_classes)[labels]
-        # Every step runs in place on buffers allocated here.  A reduction
-        # along a row of a few classes costs more than both matmuls, so the
-        # row max and row sum are chains over the column views instead, and
-        # each chain matches numpy's own reduction bit for bit: max is exact
-        # in any order, and below 8 classes ``add.reduce`` sums a row left
-        # to right (from 8 up it sums pairwise, so there it stays).
-        scores = np.empty((n_samples, n_classes))
-        columns = [scores[:, k] for k in range(n_classes)]
+        # Every step runs in place on buffers allocated here, and the softmax
+        # runs class-major: ``scores`` is (n_classes, n_samples), so each
+        # class's scores are one contiguous row and the per-sample max, sum
+        # and divide stream over whole rows instead of rows of a few classes.
+        # Each step reaches exactly the bits of the plain sample-major loop
+        # (``tests/test_predictor_logistic.py``'s ``reference_softmax_fit``):
+        # - ``weights @ features_t`` equals ``features @ weights.T``.  This
+        #   is verified, not true by construction (BLAS picks its kernel by
+        #   layout); the reference-fit tests guard it.  Writing the
+        #   sample-major product into ``out=scores.T`` is not equal: numpy
+        #   leaves BLAS for a strided ``out``.
+        # - The max, subtract, exp and divide are exact per element.
+        # - Below 8 classes, ``add.reduce`` over axis 0 adds the class rows
+        #   left to right, the order in which the sample-major reduction sums
+        #   a short row.  From 8 classes up that reduction sums pairwise, so
+        #   there it runs on a sample-major copy.
+        # - The gradient stays ``residual.T @ features`` on a sample-major
+        #   residual, the call the reference makes: the class-major
+        #   ``scores @ features`` takes another BLAS kernel and other bits.
+        # - ``add.reduce(picked) / n`` is how ``np.mean`` computes.
+        features_t = np.ascontiguousarray(features.T)
+        scores = np.empty((n_classes, n_samples))
+        residual = np.empty((n_samples, n_classes))
         row = np.empty(n_samples)
         picked = np.empty(n_samples)
         gradient = np.empty_like(weights)
         penalty = np.empty_like(weights)
-        label_cells = np.arange(n_samples) * n_classes + labels
+        label_cells = labels * n_samples + np.arange(n_samples)
         previous_loss = np.inf
         for _ in range(self.max_iterations):
             # Softmax of the scores, in ``scores``.
-            np.matmul(features, weights.T, out=scores)
-            np.maximum(columns[0], columns[1], out=row)
-            for column in columns[2:]:
-                np.maximum(row, column, out=row)
-            np.subtract(scores, row[:, None], out=scores)
+            np.matmul(weights, features_t, out=scores)
+            np.maximum.reduce(scores, axis=0, out=row)
+            np.subtract(scores, row, out=scores)
             np.exp(scores, out=scores)
             if n_classes < 8:
-                np.add(columns[0], columns[1], out=row)
-                for column in columns[2:]:
-                    np.add(row, column, out=row)
+                np.add.reduce(scores, axis=0, out=row)
             else:
-                scores.sum(axis=1, out=row)
-            np.divide(scores, row[:, None], out=scores)
+                np.copyto(residual, scores.T)
+                residual.sum(axis=1, out=row)
+            np.divide(scores, row, out=scores)
             np.take(scores, label_cells, out=picked)
-            # Gradient step; ``scores`` becomes the residual P - one_hot.
-            np.subtract(scores, one_hot, out=scores)
-            np.matmul(scores.T, features, out=gradient)
+            # Gradient step on the residual P - one_hot.
+            np.subtract(scores.T, one_hot, out=residual)
+            np.matmul(residual.T, features, out=gradient)
             np.divide(gradient, n_samples, out=gradient)
             np.multiply(weights, self.l2, out=penalty)
             np.add(gradient, penalty, out=gradient)
@@ -170,7 +190,8 @@ class SoftmaxRegression:
             # Penalised NLL of the probabilities taken before the step.
             np.add(picked, 1e-12, out=picked)
             np.log(picked, out=picked)
-            loss = float(-np.mean(picked) + 0.5 * self.l2 * np.sum(weights * weights))
+            nll = -(np.add.reduce(picked) / n_samples)
+            loss = float(nll + 0.5 * self.l2 * np.sum(weights * weights))
             if abs(previous_loss - loss) < self.tolerance:
                 break
             previous_loss = loss
@@ -204,6 +225,7 @@ class SoftmaxRegression:
         if self.weights is None:
             raise RuntimeError("model is not fitted")
         features = np.asarray(features, dtype=float)
+        _require_finite(features)
         labels = _class_labels(labels, features.shape[0], self.n_classes)
         scores = features @ self.weights.T
         best_temperature, best_nll = self.temperature, np.inf

@@ -57,19 +57,19 @@ class PredictorTrainer:
         For each event after the first, the sample's features describe the
         session state *before* the event and the label is the event's type.
         """
-        feature_rows: list[np.ndarray] = []
+        feature_rows: list[tuple[float, ...]] = []
         labels: list[int] = []
         for trace in traces:
             profile = self.catalog.get(trace.app_name)
             state = SessionState.fresh(profile)
             for position, event in enumerate(trace):
                 if position > 0:
-                    feature_rows.append(self.extractor.extract(state))
+                    feature_rows.append(self.extractor.values(state))
                     labels.append(self.encoder.encode(event.event_type))
                 state.apply_event(event.event_type, event.node_id, navigates=event.navigates)
         if not feature_rows:
             raise ValueError("the trace set produced no training samples")
-        return np.vstack(feature_rows), np.array(labels, dtype=int)
+        return np.array(feature_rows, dtype=float), np.array(labels, dtype=int)
 
     def train(self, traces: TraceSet) -> TrainingResult:
         """Fit the softmax event-sequence model on the given traces.
@@ -130,12 +130,12 @@ def evaluate_accuracy(
     for trace in trace_list:
         profile = catalog.get(trace.app_name)
         state = SessionState.fresh(profile)
-        feature_rows: list[np.ndarray] = []
+        feature_rows: list[tuple[float, ...]] = []
         mask_rows: list[np.ndarray] = []
         actual: list = []
         for position, event in enumerate(trace):
             if position > 0:
-                feature_rows.append(learner.extractor.extract(state))
+                feature_rows.append(learner.extractor.values(state))
                 if use_dom_analysis:
                     mask_rows.append(analyzer.lnes_mask(state))
                 actual.append(event.event_type)
@@ -143,7 +143,7 @@ def evaluate_accuracy(
         if not feature_rows:
             continue
         masks = np.vstack(mask_rows) if use_dom_analysis else None
-        predictions = learner.predict_next_batch(np.vstack(feature_rows), masks)
+        predictions = learner.predict_next_batch(np.array(feature_rows, dtype=float), masks)
         total[trace.app_name] = total.get(trace.app_name, 0) + len(actual)
         hits = sum(1 for (predicted, _), truth in zip(predictions, actual) if predicted == truth)
         correct[trace.app_name] = correct.get(trace.app_name, 0) + hits

@@ -408,9 +408,8 @@ class ParallelEvaluator:
         ``on_sweep_complete`` is called once per sweep, in matrix order, the
         moment that sweep's last job has been folded — while later sweeps
         may still be running.  The checkpoint journal hangs off this hook:
-        finalisation is a pure function of the folded sums, so the
-        aggregates it receives are identical to the ones returned at the
-        end.
+        each sweep is finalised once, when its last job folds, and the
+        aggregates the hook receives are the ones returned at the end.
 
         ``on_job_complete`` is called once per job as ``(key, scheme,
         trace_index, session)`` with the job's :class:`FinishedSession`, in
@@ -471,6 +470,7 @@ class ParallelEvaluator:
                     jobs.append(job)
             sweep_end[len(jobs) - 1] = sweep
         aggregator = StreamingMatrixAggregator()
+        finalized: dict[str, dict[str, SchemeAggregates]] = {}
         ordered: list[SessionResult | None] = [None] * len(jobs) if keep_results else []
         if not jobs:
             return MatrixOutcome(aggregates={}, results={} if keep_results else None)
@@ -483,8 +483,10 @@ class ParallelEvaluator:
             if on_job_complete is not None:
                 on_job_complete(key, scheme, trace_index, session)
             finished = sweep_end.get(index)
-            if finished is not None and on_sweep_complete is not None:
-                on_sweep_complete(finished, _finalize_sweep(aggregator, finished))
+            if finished is not None:
+                per_scheme = finalized[finished.key] = _finalize_sweep(aggregator, finished)
+                if on_sweep_complete is not None:
+                    on_sweep_complete(finished, per_scheme)
 
         simulators = _Simulators.for_sweeps(
             sweep_list, self.catalog, learner, encode=encode, keep=keep_results
@@ -499,11 +501,8 @@ class ParallelEvaluator:
         else:
             self._drain_pool(jobs, list(units.items()), simulators, workers, fold, done)
 
-        aggregates: dict[str, dict[str, SchemeAggregates]] = {}
-        for sweep in sweep_list:
-            per_scheme = _finalize_sweep(aggregator, sweep)
-            if per_scheme:
-                aggregates[sweep.key] = per_scheme
+        # Every sweep has jobs, so each was finalised as its last job folded.
+        aggregates = {sweep.key: finalized[sweep.key] for sweep in sweep_list}
 
         results: dict[str, dict[str, list[SessionResult]]] | None = None
         if keep_results:

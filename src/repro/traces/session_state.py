@@ -131,20 +131,21 @@ class SessionState:
         )
         return distance_to_click, navigations, scrolls
 
-    def features(self) -> np.ndarray:
-        """The five-element feature vector, each component normalised to [0, 1]."""
+    def feature_values(self) -> tuple[float, float, float, float, float]:
+        """The five features, each normalised to [0, 1], as plain floats."""
         view = self.view()
         distance_to_click, navigations, scrolls = self.window_counts()
-        return np.array(
-            [
-                view.clickable_fraction,
-                view.link_fraction,
-                distance_to_click / FEATURE_WINDOW,
-                navigations / FEATURE_WINDOW,
-                scrolls / FEATURE_WINDOW,
-            ],
-            dtype=float,
+        return (
+            view.clickable_fraction,
+            view.link_fraction,
+            distance_to_click / FEATURE_WINDOW,
+            navigations / FEATURE_WINDOW,
+            scrolls / FEATURE_WINDOW,
         )
+
+    def features(self) -> np.ndarray:
+        """The five-element feature vector of :meth:`feature_values`."""
+        return np.array(self.feature_values(), dtype=float)
 
     # -- DOM-derived candidate events (LNES ingredient) ------------------------
 

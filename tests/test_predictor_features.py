@@ -29,6 +29,21 @@ class TestFeatureExtractor:
         vector = FeatureExtractor(include_bias=False).extract(state)
         assert np.allclose(vector, state.features())
 
+    @pytest.mark.parametrize("include_bias", [True, False])
+    def test_dataset_rows_have_the_bytes_of_extract(self, catalog, generator, include_bias):
+        """``build_dataset`` stacks ``values`` rows; the predictor's step memo
+        keys on ``extract``'s bytes.  Both must describe the same input."""
+        extractor = FeatureExtractor(include_bias=include_bias)
+        trace = generator.generate("cnn", seed=5)
+        state = SessionState.fresh(catalog.get("cnn"))
+        rows, vectors = [], []
+        for event in trace:
+            rows.append(extractor.values(state))
+            vectors.append(extractor.extract(state))
+            state.apply_event(event.event_type, event.node_id, navigates=event.navigates)
+        assert all(type(value) is float for row in rows for value in row)
+        assert np.array(rows, dtype=float).tobytes() == np.vstack(vectors).tobytes()
+
 
 class TestLabelEncoder:
     def test_bijection_over_event_types(self):

@@ -19,6 +19,10 @@ from repro.core.predictor.logistic import (
     _weights_equal,
 )
 
+from repro.core.predictor.training import PredictorTrainer
+from repro.traces.generator import TraceGenerator
+from repro.webapp.apps import SEEN_APPS, AppCatalog
+
 from test_train_golden import training_dataset
 
 
@@ -511,6 +515,32 @@ class TestSoftmaxFitMatchesReference:
             reference.calibrate_temperature(features, labels)
         )
 
+    def test_train_command_dataset(self):
+        """``train --traces-per-app 6``'s dataset (12 seen apps x 6 traces,
+        seed 0): the class-major forward product equals the sample-major one
+        on it for all 2,000 steps, which holds by measurement, not by
+        construction."""
+        traces = TraceGenerator(catalog=AppCatalog()).generate_many(
+            list(SEEN_APPS), 6, base_seed=0
+        )
+        features, labels = PredictorTrainer(catalog=AppCatalog()).build_dataset(traces)
+        assert features.shape == (2575, 6)
+        model = SoftmaxRegression(n_classes=6)
+        expected, iterations = reference_softmax_fit(model, features, labels)
+        assert iterations == model.max_iterations
+        assert np.array_equal(model.fit(features, labels).weights, expected)
+
+    @pytest.mark.parametrize("n_classes", [2, 6, 7, 8, 9, 16])
+    def test_large_random_problems(self, n_classes):
+        rng = np.random.default_rng(1000 + n_classes)
+        n_samples = int(rng.integers(1000, 4001))
+        features = rng.normal(size=(n_samples, 6))
+        features[:, -1] = 1.0
+        labels = rng.integers(0, n_classes, size=n_samples)
+        model = SoftmaxRegression(n_classes=n_classes, max_iterations=40)
+        expected, _ = reference_softmax_fit(model, features, labels)
+        assert np.array_equal(model.fit(features, labels).weights, expected)
+
 
 class TestSoftmaxRejectsBadInput:
     def test_empty_dataset(self):
@@ -532,6 +562,18 @@ class TestSoftmaxRejectsBadInput:
         X, y = three_class_problem(n=30)
         as_float = SoftmaxRegression(n_classes=3).fit(X, y.astype(float))
         assert as_float == SoftmaxRegression(n_classes=3).fit(X, y)
+
+    @pytest.mark.parametrize("bad_feature", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features(self, bad_feature):
+        X, y = three_class_problem(n=30)
+        model = SoftmaxRegression(n_classes=3).fit(X, y)
+        X = X.copy()
+        X[4, 1] = bad_feature
+        with pytest.raises(ValueError, match="finite"):
+            SoftmaxRegression(n_classes=3).fit(X, y)
+        with pytest.raises(ValueError, match="finite"):
+            model.calibrate_temperature(X, y)
+        assert model.temperature == 1.0
 
     def test_labels_out_of_range(self):
         X, y = three_class_problem(n=30)

@@ -274,6 +274,49 @@ class TestMatrixEvaluation:
         assert outcome.results == {}
 
 
+class TestSweepsFinalisedOnce:
+    """Each sweep is finalised once, as its last job folds, and that same
+    result is both handed to ``on_sweep_complete`` and returned."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_finalisation_per_sweep(self, jobs, monkeypatch):
+        from repro.fleet import FleetRunner, get_fleet_preset
+        from repro.runtime import parallel
+
+        # Sweeps finalise in the parent, where the folds merge, so a
+        # parent-side counter sees every call at any worker count.
+        calls = []
+        finalize = parallel._finalize_sweep
+
+        def counting_finalize(aggregator, sweep):
+            calls.append(sweep.key)
+            return finalize(aggregator, sweep)
+
+        monkeypatch.setattr(parallel, "_finalize_sweep", counting_finalize)
+        FleetRunner(jobs=jobs).run(replace(get_fleet_preset("smoke"), size=5))
+        assert len(calls) == len(set(calls)) == 5
+
+    def test_hook_receives_the_returned_aggregates(self, catalog, setup, generator):
+        sweeps = [
+            MatrixSweep(
+                key=f"k{seed}",
+                setup=setup,
+                traces=(_head(generator.generate("cnn", seed=seed), 6),),
+                schemes=("Interactive", "EBS"),
+            )
+            for seed in (611, 612)
+        ]
+        received = {}
+        outcome = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
+            sweeps, on_sweep_complete=lambda sweep, aggregates: received.setdefault(
+                sweep.key, aggregates
+            )
+        )
+        assert list(received) == list(outcome.aggregates) == ["k611", "k612"]
+        for key, aggregates in outcome.aggregates.items():
+            assert received[key] is aggregates
+
+
 class TestSweptPlatformMatrixEquivalence:
     """jobs=N == jobs=1 for matrices whose cells are *derived* platforms.
 
