@@ -86,11 +86,12 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,7 +111,7 @@ from repro.analysis.reporting import (
 from repro.bench import BENCHES, run_all
 from repro.core.predictor.training import PredictorTrainer, evaluate_accuracy
 from repro.faults import FAULT_PRESETS, FaultSpec, get_fault_preset, list_fault_presets
-from repro.faults.search import SEARCH_TARGETS, list_search_targets, run_search
+from repro.faults.search import SEARCH_TARGETS, list_search_targets, run_search, search_spec
 from repro.faults.spec import FAULT_CATEGORIES
 from repro.fleet import (
     DevicePopulation,
@@ -126,7 +127,7 @@ from repro.hardware.thermal import THERMAL_MODELS, list_thermal_models
 from repro.lint import LintEngine
 from repro.runtime.metrics import AggregateMetrics, aggregate_results
 from repro.runtime.parallel import ParallelEvaluator
-from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup
+from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, check_schemes
 from repro.scenarios import (
     APP_MIXES,
     BUILTIN_SCENARIOS,
@@ -188,6 +189,16 @@ def _perf_scale_or_none(text: str) -> float | None:
     if not 0.0 < value <= 1.0:
         raise argparse.ArgumentTypeError(f"perf_scale must be in (0, 1], got {value}")
     return value
+
+
+@contextlib.contextmanager
+def _usage_errors(command: str) -> Iterator[None]:
+    """Report a ``KeyError`` or ``ValueError`` raised while building a
+    command's specs as one ``<command>: <message>`` line and exit non-zero."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"{command}: {exc.args[0] if exc.args else exc}") from None
 
 
 def _training_flag(default: int) -> argparse.ArgumentParser:
@@ -631,6 +642,8 @@ def _evaluation_rows(
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    with _usage_errors("evaluate"):
+        check_schemes(args.schemes, "--schemes")
     catalog = AppCatalog()
     generator = TraceGenerator(catalog=catalog)
     evaluator = ParallelEvaluator(
@@ -749,10 +762,8 @@ def _run_scenarios(
     The artefact is a pure function of the results — never of the worker
     count — so it is byte-identical for any ``--jobs`` and across resumes.
     """
-    try:
+    with _usage_errors(f"scenarios {args.action}"):
         specs = build()
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"scenarios {args.action}: {exc.args[0] if exc.args else exc}")
     jobs = resolve_jobs(args.jobs)
     runner = ScenarioRunner(jobs=jobs, train_traces_per_app=args.train_traces_per_app)
     n_replays = sum(spec.n_sessions * len(spec.schemes) for spec in specs)
@@ -903,6 +914,14 @@ def _cmd_faults_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_faults_search(args: argparse.Namespace) -> int:
+    with _usage_errors("faults search"):
+        search_spec(
+            args.target,
+            scenario=args.scenario,
+            schemes=args.schemes,
+            budget=args.budget,
+            budget_evals=args.budget_evals,
+        )
     out = _out_path(args, f"FAULT_SEARCH_{args.target}.json")
     journal = ShardJournal(Path(f"{out}.journal"))
     report = run_search(

@@ -1,21 +1,25 @@
-"""Control unit: validates predictions and recovers from mis-predictions.
+"""Control unit: owns the speculative round and recovers from mis-predictions.
 
-The control unit monitors actual user input events and compares them with
-the head of the predicted sequence.  A match commits the corresponding
-speculative frame from the Pending Frame Buffer to the application; a
-mismatch squashes every remaining speculative frame and asks the predictor
-to restart (the engine drops the rest of the round's schedule).  After more
-than ``disable_after`` consecutive mis-predictions the control unit disables
-prediction altogether and PES falls back to the best reactive scheduler
-(EBS), which keeps PES robust against unexpected behaviour (Sec. 5.4).
+PES has one speculative round at a time: the predictor's event sequence
+paired, head first, with the optimizer's planned assignment for each event.
+The control unit holds that round in :attr:`ControlUnit.pending` and
+compares each actual user input event with its head.  A match pops the head
+and commits its frame from the Pending Frame Buffer if it is buffered; a
+mismatch squashes every remaining speculative frame and drops the round, so
+the predictor restarts.  After more than ``disable_after`` consecutive
+mis-predictions the control unit disables prediction altogether and PES
+falls back to the best reactive scheduler (EBS), which keeps PES robust
+against unexpected behaviour (Sec. 5.4).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from repro.core.control.pfb import PendingFrameBuffer, SpeculativeFrame
+from repro.core.control.pfb import PendingFrameBuffer
+from repro.core.optimizer.schedule import Assignment
 from repro.core.predictor.sequence_learner import PredictedEvent
 from repro.webapp.events import EventType
 
@@ -30,11 +34,12 @@ class MatchResult(enum.Enum):
 
 @dataclass
 class ControlUnit:
-    """Tracks the predicted-event queue, the PFB, and mis-prediction state."""
+    """Holds the speculative round, the PFB, and mis-prediction state."""
 
     disable_after: int = 3
     pfb: PendingFrameBuffer = field(default_factory=PendingFrameBuffer)
-    pending: list[PredictedEvent] = field(default_factory=list)
+    #: The round's (prediction, planned assignment) pairs, head first.
+    pending: list[tuple[PredictedEvent, Assignment]] = field(default_factory=list)
     consecutive_mispredictions: int = 0
     prediction_enabled: bool = True
     commits: int = 0
@@ -47,17 +52,15 @@ class ControlUnit:
 
     # -- prediction rounds --------------------------------------------------------
 
-    def begin_round(self, predictions: list[PredictedEvent]) -> None:
-        """Install a new predicted sequence (after the previous one drained)."""
+    def begin_round(
+        self, predictions: Sequence[PredictedEvent], assignments: Sequence[Assignment]
+    ) -> None:
+        """Install a new round (after the previous one drained)."""
         if self.pending:
             raise RuntimeError("cannot begin a round while predictions are still pending")
-        self.pending = list(predictions)
+        self.pending = list(zip(predictions, assignments, strict=True))
         if predictions:
             self.rounds += 1
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self.pending)
 
     # -- validation ----------------------------------------------------------------
 
@@ -65,30 +68,29 @@ class ControlUnit:
         """Compare an actual event against the head of the predicted sequence."""
         if not self.prediction_enabled or not self.pending:
             return MatchResult.NO_PREDICTION
-        if self.pending[0].event_type == actual_type:
+        if self.pending[0][0].event_type == actual_type:
             return MatchResult.MATCH
         return MatchResult.MISPREDICT
 
-    def confirm_match(self, now_ms: float) -> SpeculativeFrame | None:
-        """Consume the matched prediction; commit its frame if one is buffered."""
+    def confirm_match(self, now_ms: float) -> Assignment:
+        """Pop the matched head, commit its frame if buffered; return its plan."""
         if not self.pending:
             raise RuntimeError("no pending prediction to confirm")
-        self.pending.pop(0)
+        _, assignment = self.pending.pop(0)
         self.commits += 1
         self.consecutive_mispredictions = 0
-        if not self.pfb.is_empty:
-            return self.pfb.commit_head(now_ms)
-        return None
+        if self.pfb.size:
+            self.pfb.commit_head(now_ms)
+        return assignment
 
-    def handle_mispredict(self, now_ms: float) -> list[SpeculativeFrame]:
-        """Squash all speculative state and update the mis-prediction counters."""
+    def handle_mispredict(self, now_ms: float) -> None:
+        """Drop the round, squash the PFB and update the mis-prediction counters."""
         self.pending.clear()
         self.mispredictions += 1
         self.consecutive_mispredictions += 1
-        squashed = self.pfb.squash_all(now_ms)
+        self.pfb.squash_all(now_ms)
         if self.consecutive_mispredictions > self.disable_after:
             self.prediction_enabled = False
-        return squashed
 
     # -- lifecycle -------------------------------------------------------------------
 

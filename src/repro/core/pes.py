@@ -7,29 +7,23 @@ prediction is disabled.  A :class:`PesScheduler` instance is per-session
 state; :meth:`PesScheduler.create` wires one up for a given application,
 trained learner, and hardware platform.
 
-The proactive runtime engine (:mod:`repro.runtime.engine`) drives the
-scheduler through a small protocol:
-
-* :meth:`start_round` — predict the next event sequence and compute the
-  speculative schedule (called when no predictions are pending),
-* :meth:`validate_event` — check an arriving event against the head of the
-  pending predictions (match/mispredict/no-prediction), followed by
-  :meth:`on_match` or :meth:`on_mispredict`,
-* :meth:`observe_event` — feed the ground-truth event to the predictor and
-  the arrival estimator,
-* the engine then executes the speculative or reactive plan and reports
-  back via :meth:`record_execution`.
+The proactive runtime engine (:mod:`repro.runtime.engine`) drives it with
+:meth:`~PesScheduler.start_round` (predict, solve, and hand the round to the
+control unit once the previous round has drained),
+:meth:`~PesScheduler.observe_event` and :meth:`~PesScheduler.record_execution`,
+and works on the control unit directly for the rest: ``validate`` checks an
+arriving event against the head of the round, ``confirm_match`` pops the head
+and returns its planned assignment, and ``handle_mispredict`` drops the round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.control.control_unit import ControlUnit, MatchResult
+from repro.core.control.control_unit import ControlUnit
 from repro.core.optimizer.optimizer import ArrivalEstimator, GlobalOptimizer, WorkloadEstimator
-from repro.core.optimizer.schedule import Schedule
 from repro.core.predictor.hybrid import HybridEventPredictor
-from repro.core.predictor.sequence_learner import EventSequenceLearner, PredictedEvent
+from repro.core.predictor.sequence_learner import EventSequenceLearner
 from repro.hardware.acmp import AcmpSystem
 from repro.hardware.dvfs import DvfsModel
 from repro.hardware.power import PowerTable
@@ -121,45 +115,17 @@ class PesScheduler:
 
     # -- engine protocol ------------------------------------------------------------
 
-    @property
-    def prediction_enabled(self) -> bool:
-        return self.control.prediction_enabled
-
-    def start_round(
-        self,
-        now_ms: float,
-        outstanding: list[TraceEvent] | None = None,
-        *,
-        system: AcmpSystem | None = None,
-    ) -> Schedule:
-        """Predict the next event sequence and compute the speculative schedule.
+    def start_round(self, now_ms: float, *, system: AcmpSystem | None = None) -> None:
+        """Predict the next event sequence, solve it and begin the round.
 
         ``system`` overrides the platform the round is solved against — the
         dynamic thermal engine passes the instantaneously throttled platform
         so the speculative schedule only uses operating points the thermal
         governor currently admits.  ``None`` keeps the session platform.
         """
-        if self.control.has_pending:
-            raise RuntimeError("previous prediction round has not drained yet")
-        predictions = self.predictor.predict_sequence() if self.prediction_enabled else []
-        self.control.begin_round(predictions)
-        schedule = self.optimizer.compute_schedule(
-            now_ms, list(outstanding or []), predictions, system=system
-        )
-        return schedule
-
-    def pending_predictions(self) -> list[PredictedEvent]:
-        return list(self.control.pending)
-
-    def validate_event(self, event_type: EventType) -> MatchResult:
-        """Check an arriving event against the head of the predicted sequence."""
-        return self.control.validate(event_type)
-
-    def on_match(self, now_ms: float) -> None:
-        self.control.confirm_match(now_ms)
-
-    def on_mispredict(self, now_ms: float) -> None:
-        self.control.handle_mispredict(now_ms)
+        predictions = self.predictor.predict_sequence() if self.control.prediction_enabled else []
+        schedule = self.optimizer.compute_schedule(now_ms, [], predictions, system=system)
+        self.control.begin_round(predictions, schedule.assignments)
 
     def observe_event(self, event: TraceEvent) -> None:
         """Feed ground truth to the predictor and the estimators."""
@@ -170,15 +136,7 @@ class PesScheduler:
         """Report a completed execution so workload calibration improves."""
         self.optimizer.workload_estimator.record(event_type, workload)
 
-    # -- statistics --------------------------------------------------------------------
-
-    @property
-    def mispredictions(self) -> int:
-        return self.control.mispredictions
-
-    @property
-    def commits(self) -> int:
-        return self.control.commits
+    # -- lifecycle -------------------------------------------------------------------
 
     def reset(self) -> None:
         """Reset per-session state (new trace replay).

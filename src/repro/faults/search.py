@@ -53,6 +53,7 @@ from repro.runtime.simulator import SimulationSetup
 from repro.scenarios.checkpoint import ShardJournal, _spec_key
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import ScenarioSpec
 from repro.utils import stable_seed
 
 # -- targets ------------------------------------------------------------------------
@@ -286,6 +287,25 @@ def _summarise(aggregates: SchemeAggregates) -> dict[str, float]:
     }
 
 
+def search_spec(
+    target: str,
+    *,
+    scenario: str | None = None,
+    schemes: Sequence[str] | None = None,
+    budget: float = 0.6,
+    budget_evals: int = 24,
+) -> tuple[SearchTarget, ScenarioSpec]:
+    """Check a search's inputs (replays nothing); return its target and base scenario."""
+    if budget < 0.0:
+        raise ValueError(f"fault budget must be non-negative, got {budget}")
+    if budget_evals < 1:
+        raise ValueError(f"budget_evals must be at least 1, got {budget_evals}")
+    target_def = get_search_target(target)
+    scheme_tuple = tuple(schemes) if schemes is not None else target_def.schemes
+    base = get_scenario(scenario or target_def.scenario)
+    return target_def, replace(base, schemes=scheme_tuple, faults=None)
+
+
 def run_search(
     target: str,
     *,
@@ -307,14 +327,9 @@ def run_search(
     ``journal`` the search is additionally resumable at shard granularity
     and the resumed log is byte-identical to an uninterrupted one.
     """
-    if budget < 0.0:
-        raise ValueError(f"fault budget must be non-negative, got {budget}")
-    if budget_evals < 1:
-        raise ValueError(f"budget_evals must be at least 1, got {budget_evals}")
-    target_def = get_search_target(target)
-    scenario_name = scenario or target_def.scenario
-    scheme_tuple = tuple(schemes) if schemes is not None else target_def.schemes
-    base_spec = replace(get_scenario(scenario_name), schemes=scheme_tuple, faults=None)
+    target_def, base_spec = search_spec(
+        target, scenario=scenario, schemes=schemes, budget=budget, budget_evals=budget_evals
+    )
 
     runner = runner or ScenarioRunner()
     sweep = runner.build_sweep(base_spec)
@@ -322,7 +337,7 @@ def run_search(
     # generate them once here rather than once per cell and scheme.
     traces = tuple(sweep.traces)
     learner = (
-        runner.train_learner() if any("PES" in scheme for scheme in scheme_tuple) else None
+        runner.train_learner() if any("PES" in scheme for scheme in base_spec.schemes) else None
     )
     knobs = _knobs_for(dynamic_thermal=sweep.setup.thermal is not None)
 
@@ -350,7 +365,7 @@ def run_search(
         cell = replace(sweep, setup=setup, traces=traces)
         shard_keys = {
             (cell.key, scheme, index): f"{scheme}/{index}/{trace.app_name}"
-            for scheme in scheme_tuple
+            for scheme in base_spec.schemes
             for index, trace in enumerate(traces)
         }
         shard_map = shards.get(cell_key, {})
@@ -389,12 +404,12 @@ def run_search(
         return cell_payload
 
     baseline = run_cell(None, "baseline")
-    note(f"baseline score {baseline['score']:.4f} on {scenario_name}")
+    note(f"baseline score {baseline['score']:.4f} on {base_spec.name}")
 
     # The hill-climb replays deterministically on resume: candidate knobs
     # depend only on this RNG and on the accept/reject history, which in
     # turn depends only on journaled scores.
-    rng = random.Random(stable_seed("fault-search", seed, target, scenario_name, budget))
+    rng = random.Random(stable_seed("fault-search", seed, target, base_spec.name, budget))
     best: dict | None = None
     best_values: dict[str, float] | None = None
     log: list[dict] = []
@@ -427,8 +442,8 @@ def run_search(
     return {
         "target": target_def.name,
         "objective": target_def.description,
-        "scenario": scenario_name,
-        "schemes": list(scheme_tuple),
+        "scenario": base_spec.name,
+        "schemes": list(base_spec.schemes),
         "budget": budget,
         "budget_evals": budget_evals,
         "seed": seed,

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from repro.faults import FaultSpec, get_fault_preset
 from repro.hardware.thermal import get_thermal_model
-from repro.runtime.simulator import KNOWN_SCHEMES
+from repro.runtime.simulator import check_schemes
 from repro.scenarios.spec import ScenarioSpec, resolve_app_mix
 from repro.scenarios.sweep import PlatformVariant
 from repro.traces.presets import get_regime
@@ -102,13 +102,7 @@ class FleetSpec:
             raise ValueError("apps_per_device must be >= 1")
         if self.traces_per_app < 1:
             raise ValueError("traces_per_app must be >= 1")
-        if not self.schemes:
-            raise ValueError(f"fleet {self.name!r} has no schemes")
-        unknown = [scheme for scheme in self.schemes if scheme not in KNOWN_SCHEMES]
-        if unknown:
-            raise ValueError(f"unknown scheme {unknown[0]!r} in fleet {self.name!r}")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ValueError(f"fleet {self.name!r} lists a scheme twice")
+        check_schemes(self.schemes, f"fleet {self.name!r}")
         if self.thermal_mode not in ("static", "dynamic"):
             raise ValueError(
                 f"fleet {self.name!r} thermal_mode must be 'static' or 'dynamic'"

@@ -41,17 +41,14 @@ Fig. 9 plot is based on the optimizer's planned completion times.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from repro.core.control.control_unit import MatchResult
-from repro.core.control.pfb import SpeculativeFrame
+from repro.core.control.control_unit import ControlUnit, MatchResult
 from repro.core.optimizer.ilp import BranchAndBoundSolver
-from repro.core.optimizer.schedule import Assignment, EventSpec
+from repro.core.optimizer.schedule import EventSpec
 from repro.core.pes import PesScheduler
-from repro.core.predictor.sequence_learner import PredictedEvent
 from repro.faults.injector import NO_BATTERY_EFFECT, BatteryEffect, SessionFaultState
 from repro.hardware.acmp import AcmpConfig, AcmpSystem
 from repro.hardware.dvfs import DvfsModel
@@ -520,22 +517,21 @@ class ReactiveEngine:
 class ProactiveEngine:
     """Replays a trace under PES (speculative, prediction-driven).
 
-    The engine dispatches each round's speculative schedule itself, from its
-    ``pending`` queue of (prediction, assignment) pairs.  Speculative frames
-    make no network requests (paper Sec. 5.3), and the engine models no
-    network I/O.
+    The engine dispatches the control unit's round (:attr:`ControlUnit.pending`)
+    itself: it commits the head on a match and charges the rest as waste on a
+    mis-prediction.  Speculative frames make no network requests (paper
+    Sec. 5.3), and the engine models no network I/O.
     """
 
     setup: SimulationSetup
 
     def run(self, trace: Trace, pes: PesScheduler) -> SessionResult:
         pes.reset()
+        control = pes.control
         replay = _Replay(self.setup, trace, pes.name)
         faults, thermal = replay.faults, replay.thermal
         wasted_energy = 0.0
         wasted_time = 0.0
-        # (prediction, planned assignment) pairs for the current round, in order.
-        pending: deque[tuple[PredictedEvent, Assignment]] = deque()
         spec_cursor = 0.0  # earliest time the next speculative execution can start
         # Whether the cap was engaged when the current round's schedule was
         # solved — committed frames inherit the round's planning conditions.
@@ -543,13 +539,12 @@ class ProactiveEngine:
 
         for event in replay.trace:
             arrival = event.arrival_ms
-            self._push_ready_frames(pes, pending, arrival)
-            verdict = pes.validate_event(event.event_type)
+            self._push_ready_frames(control, arrival)
+            verdict = control.validate(event.event_type)
             injected_flip = False
             if (
                 faults is not None
                 and verdict is MatchResult.MATCH
-                and pending
                 and faults.flip_prediction(event.index)
             ):
                 # Forced misprediction: the frame that would have committed is
@@ -557,16 +552,15 @@ class ProactiveEngine:
                 injected_flip = True
                 verdict = MatchResult.MISPREDICT
 
-            committed = verdict is MatchResult.MATCH and bool(pending)
+            committed = verdict is MatchResult.MATCH
             if committed:
-                _, assignment = pending.popleft()
+                assignment = control.confirm_match(arrival)
                 replay.commit(
                     assignment.option.config,
                     event,
                     max(spec_cursor, replay.busy_until),
                     round_throttled,
                 )
-                pes.on_match(arrival)
 
             elif verdict is MatchResult.MISPREDICT:
                 # Account the speculative work performed for the (wrong)
@@ -575,7 +569,7 @@ class ProactiveEngine:
                 waste_before = wasted_energy
                 waste_clock = max(spec_cursor, replay.busy_until)
                 waste_config = replay.previous_config
-                for _, assignment in pending:
+                for _, assignment in control.pending:
                     if waste_clock >= arrival:
                         break
                     chosen = assignment.option.config
@@ -594,8 +588,7 @@ class ProactiveEngine:
                     waste_clock += run_time
                     waste_config = chosen
                 replay.previous_config = waste_config
-                pending.clear()
-                pes.on_mispredict(arrival)
+                control.handle_mispredict(arrival)
                 if injected_flip:
                     # The squashed speculative work only went to waste because
                     # of the injected flip; charge it to the fault ledger.
@@ -616,58 +609,37 @@ class ProactiveEngine:
             pes.record_execution(event.event_type, event.workload)
 
             # Start a new prediction round once the previous one has drained.
-            if pes.prediction_enabled and not pes.control.has_pending:
+            if control.prediction_enabled and not control.pending:
                 round_start = max(replay.busy_until, arrival)
                 if thermal is not None:
                     # The optimizer solves the round against the platform's
                     # capability at the moment the round opens.
                     thermal.idle_to(round_start)
-                    schedule = pes.start_round(round_start, system=thermal.system_now())
+                    pes.start_round(round_start, system=thermal.system_now())
                     round_throttled = thermal.throttled_now
                 else:
-                    schedule = pes.start_round(round_start)
-                predictions = pes.pending_predictions()
-                pending = deque(zip(predictions, schedule.assignments))
+                    pes.start_round(round_start)
                 spec_cursor = round_start
 
         return replay.close(
             wasted_energy_mj=wasted_energy,
             wasted_time_ms=wasted_time,
-            mispredictions=pes.mispredictions,
-            commits=pes.commits,
+            mispredictions=control.mispredictions,
+            commits=control.commits,
             predictions_made=pes.predictor.predictions_made,
-            prediction_rounds=pes.control.rounds,
-            pfb_size_history=list(pes.control.pfb.size_history),
+            prediction_rounds=control.rounds,
+            pfb_size_history=list(control.pfb.size_history),
         )
 
-    # -- helpers -----------------------------------------------------------------
-
-    def _push_ready_frames(
-        self,
-        pes: PesScheduler,
-        pending: deque[tuple[PredictedEvent, Assignment]],
-        now_ms: float,
-    ) -> None:
-        """Move planned speculative frames whose planned completion time has
-        passed into the Pending Frame Buffer (used for the Fig. 9 dynamics)."""
-        pfb = pes.control.pfb
-        already_buffered = len(pfb)
-        next_sequence = pfb.committed + pfb.squashed + already_buffered
-        for offset, (prediction, assignment) in enumerate(islice(pending, already_buffered, None)):
+    @staticmethod
+    def _push_ready_frames(control: ControlUnit, now_ms: float) -> None:
+        """Park the round's frames whose planned completion time has passed
+        in the Pending Frame Buffer (used for the Fig. 9 dynamics)."""
+        pfb = control.pfb
+        for _, assignment in islice(control.pending, pfb.size, None):
             if assignment.finish_ms > now_ms:
                 break
-            frame = SpeculativeFrame(
-                sequence=next_sequence + offset,
-                event_type=prediction.event_type,
-                node_id=prediction.node_id,
-                config=assignment.option.config,
-                started_ms=assignment.start_ms,
-                ready_ms=assignment.finish_ms,
-                cpu_time_ms=assignment.option.latency_ms,
-                energy_mj=assignment.option.energy_mj,
-            )
-            pfb.push(frame, assignment.finish_ms)
-
+            pfb.push(assignment.finish_ms)
 
 
 @dataclass

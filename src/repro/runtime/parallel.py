@@ -83,7 +83,7 @@ from repro.runtime.metrics import (
     ThermalAggregate,
     finish_session,
 )
-from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
+from repro.runtime.simulator import SimulationSetup, Simulator, check_schemes
 from repro.traces.trace import Trace, TraceSet
 from repro.utils import mp_context, pool_chunk_size, resolve_jobs
 from repro.webapp.apps import AppCatalog
@@ -158,15 +158,7 @@ class MatrixSweep:
     def __post_init__(self) -> None:
         if not self.key:
             raise ValueError("a matrix sweep needs a non-empty key")
-        if not self.schemes:
-            raise ValueError(f"matrix sweep {self.key!r} has no schemes")
-        unknown = [scheme for scheme in self.schemes if scheme not in KNOWN_SCHEMES]
-        if unknown:
-            raise ValueError(f"unknown scheme {unknown[0]!r} in matrix sweep {self.key!r}")
-        if len(set(self.schemes)) != len(self.schemes):
-            # A duplicated scheme replays twice and double-counts its
-            # streamed aggregates.
-            raise ValueError(f"matrix sweep {self.key!r} lists a scheme twice")
+        check_schemes(self.schemes, f"matrix sweep {self.key!r}")
         if not self.traces:
             # A zero-trace sweep would silently vanish from the aggregates
             # and surface as a KeyError in whoever indexes by sweep key.

@@ -43,6 +43,19 @@ BASELINE_FACTORIES: dict[str, type[ReactiveScheduler]] = {
 KNOWN_SCHEMES: tuple[str, ...] = tuple(BASELINE_FACTORIES) + ("PES", "Oracle")
 
 
+def check_schemes(schemes: Sequence[str], owner: str) -> None:
+    """Reject an empty, unknown or repeated scheme list; ``owner`` names it."""
+    if not schemes:
+        raise ValueError(f"{owner} has no schemes")
+    unknown = [scheme for scheme in schemes if scheme not in KNOWN_SCHEMES]
+    if unknown:
+        raise ValueError(f"unknown scheme {unknown[0]!r} in {owner}")
+    if len(set(schemes)) != len(schemes):
+        # A duplicated scheme would replay twice and silently double every
+        # streamed aggregate (sessions, energy) for that scheme.
+        raise ValueError(f"{owner} lists a scheme twice")
+
+
 @dataclass
 class SimulationSetup:
     """Hardware platform plus derived models used by every simulation.

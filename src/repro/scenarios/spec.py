@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.core.pes import PesConfig
 from repro.faults import FaultSpec
 from repro.hardware.acmp import AcmpSystem
-from repro.runtime.simulator import KNOWN_SCHEMES
+from repro.runtime.simulator import check_schemes
 from repro.scenarios.sweep import PlatformSweep, PlatformVariant
 from repro.traces.presets import SessionRegime, get_regime
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
@@ -122,15 +122,7 @@ class ScenarioSpec:
         self.platform_variant()
         get_regime(self.regime)  # raises KeyError with the available names
         resolve_app_mix(self.apps)
-        if not self.schemes:
-            raise ValueError(f"scenario {self.name!r} has no schemes")
-        unknown = [scheme for scheme in self.schemes if scheme not in KNOWN_SCHEMES]
-        if unknown:
-            raise ValueError(f"unknown scheme {unknown[0]!r} in scenario {self.name!r}")
-        if len(set(self.schemes)) != len(self.schemes):
-            # A duplicated scheme would replay twice and silently double
-            # every streamed aggregate (sessions, energy) for that scheme.
-            raise ValueError(f"scenario {self.name!r} lists a scheme twice")
+        check_schemes(self.schemes, f"scenario {self.name!r}")
         if self.traces_per_app < 1:
             raise ValueError("traces_per_app must be >= 1")
         if self.ambient_c is not None and self.thermal is None:

@@ -253,6 +253,39 @@ class TestScenariosCommand:
         with pytest.raises(SystemExit, match="app mix"):
             main(["scenarios", "sweep", "--apps", "everything"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "--schemes", "EBS", "EBS"], r"^evaluate: --schemes lists a scheme twice$"),
+            (
+                ["faults", "search", "--schemes", "EBS", "EBS"],
+                r"^faults search: scenario 'baseline_seen' lists a scheme twice$",
+            ),
+            (["faults", "search", "--scenario", "nosuch"], r"^faults search: unknown scenario 'nosuch'; "),
+            (["faults", "search", "--budget", "-1"], r"^faults search: fault budget must be non-negative"),
+        ],
+    )
+    def test_bad_specs_exit_with_one_line(self, argv, message, tmp_path, capsys):
+        with pytest.raises(SystemExit, match=message) as excinfo:
+            main([*argv, *(["--out", str(tmp_path / "x.json")] if argv[0] == "faults" else [])])
+        assert "\n" not in str(excinfo.value.code)
+        # Nothing ran: the error comes before any replay or training.
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_errors_during_replay_still_propagate(self, tmp_path, monkeypatch):
+        from repro import cli
+
+        def fail(*args, **kwargs):
+            raise ValueError("raised by the replay")
+
+        monkeypatch.setattr(cli.ParallelEvaluator, "compare", fail)
+        with pytest.raises(ValueError, match="raised by the replay"):
+            main(["evaluate", "--apps", "cnn", "--schemes", "EBS", "--traces", "1"])
+        monkeypatch.setattr(cli, "run_search", fail)
+        with pytest.raises(ValueError, match="raised by the replay"):
+            main(["faults", "search", "--out", str(tmp_path / "x.json")])
+
 
     def test_compare_rejects_three_files(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -30,6 +30,17 @@ def event(index: int, event_type: EventType, arrival: float, node: str = "cnn-bo
     )
 
 
+def open_round(pes: PesScheduler, trace) -> None:
+    """Observe ``trace`` until :meth:`PesScheduler.start_round` opens a
+    non-empty round (a bare ``LOAD`` on ``cnn-body`` predicts nothing)."""
+    for trace_event in trace:
+        pes.observe_event(trace_event)
+        pes.start_round(trace_event.arrival_ms)
+        if pes.control.pending:
+            return
+    pytest.fail("no state of the trace opens a non-empty round")
+
+
 class TestPesConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,7 +90,7 @@ class TestPesConfig:
 class TestPesScheduler:
     def test_create_wires_components(self, pes):
         assert pes.name == "PES"
-        assert pes.prediction_enabled
+        assert pes.control.prediction_enabled
         assert pes.fallback.name == "EBS"
         assert pes.predictor.profile.name == "cnn"
 
@@ -94,34 +105,46 @@ class TestPesScheduler:
         assert pes.predictor.learner.confidence_threshold == pytest.approx(0.9)
         assert pes.predictor.learner.max_degree == 3
 
-    def test_round_lifecycle_with_match(self, pes):
-        pes.observe_event(event(0, EventType.LOAD, 0.0))
-        schedule = pes.start_round(1000.0)
-        predictions = pes.pending_predictions()
-        assert len(schedule.assignments) == len(predictions)
-        if predictions:
-            verdict = pes.validate_event(predictions[0].event_type)
-            assert verdict is MatchResult.MATCH
-            pes.on_match(1500.0)
-            assert len(pes.pending_predictions()) == len(predictions) - 1
+    def test_round_lifecycle_with_match(self, pes, sample_trace):
+        open_round(pes, sample_trace)
+        round_ = list(pes.control.pending)
+        assert round_
+        assert pes.control.rounds >= 1
+        head, head_assignment = round_[0]
+        assert pes.control.validate(head.event_type) is MatchResult.MATCH
+        assert pes.control.confirm_match(1500.0) is head_assignment
+        assert pes.control.pending == round_[1:]
+        assert pes.control.commits == 1
 
-    def test_mispredict_clears_round(self, pes):
-        pes.observe_event(event(0, EventType.LOAD, 0.0))
-        pes.start_round(1000.0)
-        predictions = pes.pending_predictions()
-        if predictions:
-            wrong = EventType.SUBMIT if predictions[0].event_type != EventType.SUBMIT else EventType.LOAD
-            assert pes.validate_event(wrong) is MatchResult.MISPREDICT
-            pes.on_mispredict(1500.0)
-            assert not pes.control.has_pending
-            assert pes.mispredictions == 1
+    def test_round_pairs_each_prediction_with_its_assignment(self, pes, sample_trace):
+        open_round(pes, sample_trace)
+        assert pes.control.pending
+        for position, (prediction, assignment) in enumerate(pes.control.pending):
+            assert assignment.spec.speculative
+            assert assignment.spec.label == f"predicted-{position}-{prediction.event_type.value}"
 
-    def test_cannot_start_round_while_pending(self, pes):
-        pes.observe_event(event(0, EventType.LOAD, 0.0))
-        pes.start_round(1000.0)
-        if pes.control.has_pending:
-            with pytest.raises(RuntimeError):
-                pes.start_round(2000.0)
+    def test_mispredict_clears_round(self, pes, sample_trace):
+        open_round(pes, sample_trace)
+        head, _ = pes.control.pending[0]
+        wrong = EventType.SUBMIT if head.event_type != EventType.SUBMIT else EventType.LOAD
+        assert pes.control.validate(wrong) is MatchResult.MISPREDICT
+        pes.control.handle_mispredict(1500.0)
+        assert not pes.control.pending
+        assert pes.control.mispredictions == 1
+
+    def test_cannot_start_round_while_pending(self, pes, sample_trace):
+        open_round(pes, sample_trace)
+        assert pes.control.pending
+        with pytest.raises(RuntimeError):
+            pes.start_round(sample_trace.events[-1].arrival_ms)
+
+    def test_disabled_prediction_begins_an_empty_round(self, pes, sample_trace):
+        pes.control.prediction_enabled = False
+        for trace_event in sample_trace.events[:5]:
+            pes.observe_event(trace_event)
+            pes.start_round(trace_event.arrival_ms)
+            assert not pes.control.pending
+        assert pes.control.rounds == 0
 
     def test_record_execution_feeds_workload_estimator(self, pes):
         pes.record_execution(EventType.CLICK, DvfsModel(20.0, 300.0))
@@ -133,13 +156,14 @@ class TestPesScheduler:
         gap = pes.optimizer.arrival_estimator.expected_gap_ms(EventType.CLICK)
         assert gap == pytest.approx(2000.0 * pes.config.arrival_conservatism)
 
-    def test_reset_restores_fresh_session(self, pes):
-        pes.observe_event(event(0, EventType.LOAD, 0.0))
-        pes.start_round(500.0)
+    def test_reset_restores_fresh_session(self, pes, sample_trace):
+        open_round(pes, sample_trace)
+        pes.control.confirm_match(sample_trace.events[-1].arrival_ms)
         pes.reset()
-        assert not pes.control.has_pending
-        assert pes.commits == 0
-        assert pes.prediction_enabled
+        assert not pes.control.pending
+        assert pes.control.commits == 0
+        assert pes.control.rounds == 0
+        assert pes.control.prediction_enabled
         assert len(pes.predictor.state.history) == 0
 
     def test_dom_analysis_ablation_flag(self, learner, catalog, setup):

@@ -248,7 +248,8 @@ class TestInjectionSeams:
         assert faulty.faults is not None
         assert faulty.faults.predictor_injected > 0
         # Squashed speculation shows up as misprediction waste the clean run
-        # never pays; the seam is the real on_mispredict machinery.
+        # never pays; the seam is the control unit's real handle_mispredict
+        # recovery.
         assert faulty.wasted_energy_mj > clean.wasted_energy_mj
         assert faulty.faults.fault_energy_mj > 0
 

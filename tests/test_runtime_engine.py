@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.core.control.control_unit import ControlUnit
 from repro.core.pes import PesConfig, PesScheduler
+from repro.faults import get_fault_preset
 from repro.hardware.acmp import AcmpConfig
 from repro.hardware.dvfs import DvfsModel
 from repro.runtime.engine import OracleEngine, ProactiveEngine, ReactiveEngine, execute_plan
+from repro.runtime.simulator import SimulationSetup, Simulator
+from repro.scenarios.library import BUILTIN_SCENARIOS
 from repro.schedulers.base import ConfigPhase, ExecutionPlan
 from repro.schedulers.ebs import EbsScheduler
 from repro.schedulers.interactive import InteractiveGovernor
 from repro.schedulers.oracle import OracleScheduler
+from repro.traces.generator import TraceGenerator
 from repro.traces.trace import Trace, TraceEvent
 from repro.webapp.events import EventType
 
@@ -149,6 +154,51 @@ class TestProactiveEngine:
         if result.commits > 0:
             assert result.pfb_size_history
             assert all(size >= 0 for _, size in result.pfb_size_history)
+
+
+def pfb_case(case: str, catalog) -> tuple[SimulationSetup, list[Trace]]:
+    """A setup and two traces: no faults, ``chaos`` faults, or the
+    ``hot_chassis_live`` scenario (flash-crowd sessions, dynamic thermal)."""
+    generator = TraceGenerator(catalog=catalog)
+    if case == "no_faults":
+        setup = SimulationSetup()
+    elif case == "chaos":
+        setup = SimulationSetup(faults=get_fault_preset("chaos"))
+    else:
+        spec = BUILTIN_SCENARIOS[case]
+        regime = spec.resolved_regime()
+        generator = TraceGenerator(
+            catalog=catalog, session=regime.session, workload_params=regime.workload_params
+        )
+        setup = SimulationSetup(system=spec.system(), thermal=spec.dynamic_thermal_model())
+    return setup, [generator.generate("cnn", seed=4242), generator.generate("google", seed=99)]
+
+
+class TestPfbCountsTheRound:
+    """The buffered frames are always the head of the control unit's round."""
+
+    @pytest.mark.parametrize("case", ["no_faults", "chaos", "hot_chassis_live"])
+    def test_pfb_never_outgrows_the_round(self, case, catalog, learner, monkeypatch):
+        sizes: list[int] = []
+        validate = ControlUnit.validate
+
+        def audited(control, actual_type):
+            assert 0 <= control.pfb.size <= len(control.pending)
+            sizes.append(control.pfb.size)
+            return validate(control, actual_type)
+
+        monkeypatch.setattr(ControlUnit, "validate", audited)
+        setup, traces = pfb_case(case, catalog)
+        results = Simulator(setup=setup, catalog=catalog).run_scheme(traces, "PES", learner=learner)
+        # One check per replayed event (chaos drops and duplicates events).
+        assert len(sizes) == sum(len(result.outcomes) for result in results)
+        # Frames were buffered, so the bound was exercised, not vacuous.
+        assert max(sizes) > 0
+        assert sum(result.commits for result in results) > 0
+        if case == "chaos":
+            assert sum(result.faults.predictor_injected for result in results) > 0
+        if case == "hot_chassis_live":
+            assert all(result.thermal is not None for result in results)
 
 
 class TestOracleEngine:
