@@ -2,10 +2,10 @@
 
 Each ``test_figXX_*.py`` module regenerates one table/figure of the paper.
 The expensive artefacts — the trained predictor, the evaluation trace set,
-and the replay of every trace under every scheduling scheme — are computed
-once per session here and shared; the ``benchmark`` fixture in each module
-then measures the per-figure analysis step and the module writes the
-regenerated rows/series to ``results/``.
+and the aggregates of every trace replayed under every scheduling scheme —
+are computed once per session here and shared; the ``benchmark`` fixture in
+each module then measures the per-figure analysis step and the module
+writes the regenerated rows/series to ``results/``.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def evaluation_traces(generator: TraceGenerator):
 
 
 @pytest.fixture(scope="session")
-def scheme_results(catalog: AppCatalog, setup: SimulationSetup, evaluation_traces, learner):
-    """Every evaluation trace replayed under every scheme (Figs. 11-13)."""
+def scheme_aggregates(catalog: AppCatalog, setup: SimulationSetup, evaluation_traces, learner):
+    """Every evaluation trace replayed under every scheme, aggregated overall
+    and per app (Figs. 10-13)."""
     return ParallelEvaluator(setup=setup, catalog=catalog, jobs=1).compare(
         evaluation_traces,
         ["Interactive", "Ondemand", "EBS", "PES", "Oracle"],

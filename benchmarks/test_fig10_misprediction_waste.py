@@ -15,23 +15,21 @@ from repro.analysis.reporting import format_table
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
 
 
-def collect(scheme_results):
-    per_app: dict[str, dict[str, float]] = {}
-    for result in scheme_results["PES"]:
-        entry = per_app.setdefault(
-            result.app_name,
-            {"wasted_ms": 0.0, "wasted_mj": 0.0, "mispredictions": 0, "events": 0, "energy": 0.0},
-        )
-        entry["wasted_ms"] += result.wasted_time_ms
-        entry["wasted_mj"] += result.wasted_energy_mj
-        entry["mispredictions"] += result.mispredictions
-        entry["events"] += result.n_events
-        entry["energy"] += result.total_energy_mj
-    return per_app
+def collect(scheme_aggregates):
+    return {
+        app: {
+            "wasted_ms": metrics.wasted_time_ms,
+            "wasted_mj": metrics.wasted_energy_mj,
+            "mispredictions": metrics.mispredictions,
+            "events": metrics.n_events,
+            "energy": metrics.total_energy_mj,
+        }
+        for app, metrics in scheme_aggregates["PES"].per_app.items()
+    }
 
 
-def test_fig10_misprediction_waste(benchmark, scheme_results):
-    per_app = benchmark.pedantic(collect, args=(scheme_results,), rounds=1, iterations=1)
+def test_fig10_misprediction_waste(benchmark, scheme_aggregates):
+    per_app = benchmark.pedantic(collect, args=(scheme_aggregates,), rounds=1, iterations=1)
 
     rows = []
     waste_values = []

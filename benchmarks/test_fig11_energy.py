@@ -13,20 +13,20 @@ import numpy as np
 
 from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
-from repro.runtime.simulator import Simulator
+from repro.runtime.metrics import normalised_energy_by_app
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
 
 SCHEMES = ("Interactive", "EBS", "PES", "Oracle")
 
 
-def normalise(scheme_results):
-    return Simulator.normalised_energy_by_app(
-        {scheme: scheme_results[scheme] for scheme in SCHEMES}, baseline="Interactive"
+def normalise(scheme_aggregates):
+    return normalised_energy_by_app(
+        {scheme: scheme_aggregates[scheme] for scheme in SCHEMES}, baseline="Interactive"
     )
 
 
-def test_fig11_normalised_energy(benchmark, scheme_results):
-    normalised = benchmark.pedantic(normalise, args=(scheme_results,), rounds=1, iterations=1)
+def test_fig11_normalised_energy(benchmark, scheme_aggregates):
+    normalised = benchmark.pedantic(normalise, args=(scheme_aggregates,), rounds=1, iterations=1)
 
     rows = []
     for app in list(SEEN_APPS) + list(UNSEEN_APPS):

@@ -12,26 +12,25 @@ import numpy as np
 
 from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
-from repro.runtime.metrics import aggregate_results
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
 
 SCHEMES = ("Interactive", "EBS", "PES")
 
 
-def violation_by_app(scheme_results):
-    table: dict[str, dict[str, float]] = {}
-    for scheme in SCHEMES + ("Oracle",):
-        per_app: dict[str, list] = {}
-        for result in scheme_results[scheme]:
-            per_app.setdefault(result.app_name, []).append(result)
-        table[scheme] = {
-            app: aggregate_results(results).qos_violation_rate for app, results in per_app.items()
+def violation_by_app(scheme_aggregates):
+    return {
+        scheme: {
+            app: metrics.qos_violation_rate
+            for app, metrics in scheme_aggregates[scheme].per_app.items()
         }
-    return table
+        for scheme in SCHEMES + ("Oracle",)
+    }
 
 
-def test_fig12_qos_violation(benchmark, scheme_results):
-    violations = benchmark.pedantic(violation_by_app, args=(scheme_results,), rounds=1, iterations=1)
+def test_fig12_qos_violation(benchmark, scheme_aggregates):
+    violations = benchmark.pedantic(
+        violation_by_app, args=(scheme_aggregates,), rounds=1, iterations=1
+    )
 
     rows = []
     for app in list(SEEN_APPS) + list(UNSEEN_APPS):

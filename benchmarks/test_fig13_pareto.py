@@ -11,18 +11,17 @@ from __future__ import annotations
 from benchmarks.conftest import write_result
 from repro.analysis.pareto import dominates, non_dominated_schemes, points_from_metrics
 from repro.analysis.reporting import format_table
-from repro.runtime.metrics import aggregate_results
 
 SCHEMES = ("Interactive", "Ondemand", "EBS", "PES", "Oracle")
 
 
-def build_points(scheme_results):
-    metrics = {scheme: aggregate_results(scheme_results[scheme]) for scheme in SCHEMES}
+def build_points(scheme_aggregates):
+    metrics = {scheme: scheme_aggregates[scheme].overall for scheme in SCHEMES}
     return {p.scheme: p for p in points_from_metrics(metrics, baseline="Interactive")}
 
 
-def test_fig13_pareto(benchmark, scheme_results):
-    points = benchmark.pedantic(build_points, args=(scheme_results,), rounds=1, iterations=1)
+def test_fig13_pareto(benchmark, scheme_aggregates):
+    points = benchmark.pedantic(build_points, args=(scheme_aggregates,), rounds=1, iterations=1)
 
     rows = [
         [scheme, f"{points[scheme].qos_violation * 100:.1f}%", round(points[scheme].normalised_energy * 100, 1)]

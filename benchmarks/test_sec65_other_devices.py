@@ -12,7 +12,6 @@ from __future__ import annotations
 from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.hardware.platforms import tegra_parker
-from repro.runtime.metrics import aggregate_results
 from repro.runtime.parallel import ParallelEvaluator
 from repro.runtime.simulator import SimulationSetup
 
@@ -23,8 +22,8 @@ SCHEMES = ("Interactive", "EBS", "PES")
 def run_on_parker(catalog, evaluation_traces, learner):
     evaluator = ParallelEvaluator(setup=SimulationSetup(system=tegra_parker()), catalog=catalog, jobs=1)
     traces = [t for t in evaluation_traces if t.app_name in SAMPLE_APPS]
-    results = evaluator.compare(traces, list(SCHEMES), learner=learner)
-    return {scheme: aggregate_results(res) for scheme, res in results.items()}
+    aggregates = evaluator.compare(traces, list(SCHEMES), learner=learner)
+    return {scheme: aggregates[scheme].overall for scheme in SCHEMES}
 
 
 def test_sec65_other_devices(benchmark, catalog, evaluation_traces, learner):

@@ -21,9 +21,8 @@ import numpy as np
 
 from repro.analysis.pareto import non_dominated_schemes, points_from_metrics
 from repro.core.predictor.training import PredictorTrainer
-from repro.runtime.metrics import aggregate_results
+from repro.runtime.metrics import normalised_energy_by_app
 from repro.runtime.parallel import ParallelEvaluator
-from repro.runtime.simulator import Simulator
 from repro.traces.generator import TraceGenerator
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS, AppCatalog
 
@@ -47,10 +46,10 @@ def main() -> None:
     )
 
     print("Replaying every trace under every scheme (this is the slow part)...")
-    scheme_results = evaluator.compare(evaluation, SCHEMES, learner=learner)
+    aggregates = evaluator.compare(evaluation, SCHEMES, learner=learner)
 
     # Per-app normalised energy (Fig. 11) and QoS violation (Fig. 12).
-    normalised = Simulator.normalised_energy_by_app(scheme_results, baseline="Interactive")
+    normalised = normalised_energy_by_app(aggregates, baseline="Interactive")
     print(f"\n{'app':<15} {'set':<7}" + "".join(f"{s:>13}" for s in SCHEMES) + "   (energy % of Interactive)")
     for app in list(SEEN_APPS) + list(UNSEEN_APPS):
         group = "seen" if app in SEEN_APPS else "unseen"
@@ -60,7 +59,7 @@ def main() -> None:
         )
 
     print(f"\n{'scheme':<13} {'norm. energy':>13} {'QoS violation':>15}")
-    metrics = {scheme: aggregate_results(results) for scheme, results in scheme_results.items()}
+    metrics = {scheme: aggregates[scheme].overall for scheme in SCHEMES}
     base_energy = metrics["Interactive"].total_energy_mj
     for scheme in SCHEMES:
         print(

@@ -19,6 +19,7 @@ Typical usage::
 
     evaluation = generator.generate_many(list(SEEN_APPS + UNSEEN_APPS), 3, base_seed=50_000)
     evaluator = ParallelEvaluator(catalog=catalog, jobs=1)
-    results = evaluator.compare(evaluation, ["Interactive", "EBS", "PES", "Oracle"],
-                                learner=learner)
+    aggregates = evaluator.compare(evaluation, ["Interactive", "EBS", "PES", "Oracle"],
+                                   learner=learner)
+    pes_energy_mj = aggregates["PES"].overall.total_energy_mj
 """

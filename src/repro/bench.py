@@ -97,10 +97,10 @@ def bench_parallel(
 
     Generates at least ``min_sessions`` sessions (SeedSequence substreams,
     deterministic across worker counts), replays them under ``schemes`` with
-    ``jobs=1`` and ``jobs=jobs``, verifies the two sweeps are bit-identical,
-    and records the speedup together with the machine's CPU count — a 1-core
-    container cannot show parallel speedup, so readers of the trajectory
-    need both numbers.
+    ``jobs=1`` and ``jobs=jobs``, verifies the two sweeps' aggregates are
+    bit-identical, and records the speedup together with the machine's CPU
+    count — a 1-core container cannot show parallel speedup, so readers of
+    the trajectory need both numbers.
     """
     jobs = resolve_jobs(jobs)
     catalog = AppCatalog()
@@ -117,14 +117,14 @@ def bench_parallel(
     serial.compare(list(traces)[:4], schemes)  # warm-up (operating-point tables, numpy)
 
     start = time.perf_counter()
-    serial_results = serial.compare(traces, schemes)
+    serial_aggregates = serial.compare(traces, schemes)
     serial_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel_results = parallel.compare(traces, schemes)
+    parallel_aggregates = parallel.compare(traces, schemes)
     parallel_wall = time.perf_counter() - start
 
-    identical = serial_results == parallel_results
+    identical = serial_aggregates == parallel_aggregates
     replays = len(schemes) * len(traces)
     return BenchResult(
         name="parallel",

@@ -125,7 +125,7 @@ from repro.fleet import (
 from repro.hardware.platforms import get_platform, list_platforms
 from repro.hardware.thermal import THERMAL_MODELS, list_thermal_models
 from repro.lint import LintEngine
-from repro.runtime.metrics import AggregateMetrics, aggregate_results
+from repro.runtime.metrics import AggregateMetrics
 from repro.runtime.parallel import ParallelEvaluator
 from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, check_schemes
 from repro.scenarios import (
@@ -591,6 +591,9 @@ def _out_path(args: argparse.Namespace, filename: str) -> Path:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     catalog = AppCatalog()
+    with _usage_errors("generate"):
+        for app in args.apps:
+            catalog.get(app)
     generator = TraceGenerator(catalog=catalog)
     traces = generator.generate_many(args.apps, args.traces, base_seed=args.seed)
     save_traces(traces, args.out)
@@ -642,9 +645,11 @@ def _evaluation_rows(
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    catalog = AppCatalog()
     with _usage_errors("evaluate"):
         check_schemes(args.schemes, "--schemes")
-    catalog = AppCatalog()
+        for app in args.apps:
+            catalog.get(app)
     generator = TraceGenerator(catalog=catalog)
     evaluator = ParallelEvaluator(
         setup=SimulationSetup(system=get_platform(args.platform)),
@@ -660,9 +665,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         learner = PredictorTrainer(catalog=catalog).train(training).learner
 
     traces = generator.generate_many(args.apps, args.traces, base_seed=args.seed)
-    results = evaluator.compare(traces, args.schemes, learner=learner)
+    aggregates = evaluator.compare(traces, args.schemes, learner=learner)
 
-    metrics = {scheme: aggregate_results(res) for scheme, res in results.items()}
+    metrics = {scheme: aggregates[scheme].overall for scheme in args.schemes}
     baseline = args.schemes[0]
     print(f"platform={args.platform}  apps={','.join(args.apps)}  traces/app={args.traces}")
     print(f"{'scheme':<13} {'energy (mJ)':>12} {'vs ' + baseline:>10} {'QoS violation':>14}")

@@ -47,8 +47,8 @@ from repro.faults.spec import (
     PredictorFaults,
     SensorFaults,
 )
-from repro.runtime.metrics import FinishedSession, restore_session
-from repro.runtime.parallel import ParallelEvaluator, SchemeAggregates
+from repro.runtime.metrics import FinishedSession, SchemeAggregates, restore_session
+from repro.runtime.parallel import ParallelEvaluator
 from repro.runtime.simulator import SimulationSetup
 from repro.scenarios.checkpoint import ShardJournal, _spec_key
 from repro.scenarios.library import get_scenario
@@ -71,6 +71,9 @@ class SearchTarget:
     schemes: tuple[str, ...]
     #: Maps ``{scheme: summary}`` to the scalar being maximised.
     score: Callable[[Mapping[str, Mapping[str, float]]], float]
+    #: The score reads live thermal telemetry, so the base scenario must
+    #: track temperature mid-session (``thermal_mode="dynamic"`` with a curve).
+    needs_live_thermal: bool = False
 
 
 def _score_pes_regression(per_scheme: Mapping[str, Mapping[str, float]]) -> float:
@@ -110,6 +113,7 @@ SEARCH_TARGETS: dict[str, SearchTarget] = {
         scenario="hot_chassis_live",
         schemes=("Interactive", "EBS"),
         score=_score_throttle_inflation,
+        needs_live_thermal=True,
     ),
 }
 
@@ -303,6 +307,12 @@ def search_spec(
     target_def = get_search_target(target)
     scheme_tuple = tuple(schemes) if schemes is not None else target_def.schemes
     base = get_scenario(scenario or target_def.scenario)
+    if target_def.needs_live_thermal and base.dynamic_thermal_model() is None:
+        # A static-thermal scenario scores 0.0 for every candidate.
+        raise ValueError(
+            f"target {target!r} needs a live-thermal scenario (thermal_mode 'dynamic' "
+            f"with a thermal curve); {base.name!r} has none"
+        )
     return target_def, replace(base, schemes=scheme_tuple, faults=None)
 
 
@@ -382,16 +392,15 @@ def run_search(
             if job not in precomputed:
                 journal.append_shard(cell_key, shard_keys[job], session.payload)
 
-        outcome = evaluator.evaluate_matrix(
+        per_scheme_aggregates = evaluator.evaluate_matrix(
             [cell],
             learner=learner,
             encode=journal is not None,
             on_job_complete=None if journal is None else record,
             precomputed=precomputed or None,
-        )
+        )[cell.key]
         per_scheme = {
-            scheme: _summarise(aggregates)
-            for scheme, aggregates in outcome.aggregates[cell.key].items()
+            scheme: _summarise(aggregates) for scheme, aggregates in per_scheme_aggregates.items()
         }
         cell_payload = {
             "spec": None if fault_spec is None else fault_spec.to_dict(),

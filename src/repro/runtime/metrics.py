@@ -13,10 +13,11 @@ from __future__ import annotations
 import base64
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -763,8 +764,6 @@ class FinishedSession(NamedTuple):
     #: The JSON text of its shard payload (:func:`encode_session`), when the
     #: run journals.
     payload: str | None = None
-    #: The session itself, only when the run keeps results.
-    result: SessionResult | None = None
 
 
 def encode_session(result: SessionResult) -> str:
@@ -772,13 +771,12 @@ def encode_session(result: SessionResult) -> str:
     return json.dumps(result.to_dict(), allow_nan=False)
 
 
-def finish_session(result: SessionResult, *, encode: bool, keep: bool) -> FinishedSession:
+def finish_session(result: SessionResult, *, encode: bool) -> FinishedSession:
     """Fold ``result`` (and encode it when ``encode``): the one fold it ever gets."""
     return FinishedSession(
         fold=_session_fold(result),
         app_name=result.app_name,
         payload=encode_session(result) if encode else None,
-        result=result if keep else None,
     )
 
 
@@ -796,6 +794,24 @@ def restore_session(payload: dict) -> FinishedSession | None:
     return FinishedSession(fold=_session_fold(result), app_name=result.app_name)
 
 
+@dataclass(frozen=True)
+class SchemeAggregates:
+    """Streamed aggregates of one scheme's sweep.
+
+    ``thermal`` carries the folded dynamic-thermal telemetry (peak
+    temperature, throttle residency, throttle slowdown) and is ``None``
+    whenever the sweep's sessions did not track live thermal state —
+    static-thermal and thermal-free runs keep their aggregate shape (and
+    serialised artefacts) unchanged.  ``faults`` likewise carries the folded
+    resilience metrics and is ``None`` for fault-free sweeps.
+    """
+
+    overall: AggregateMetrics
+    per_app: dict[str, AggregateMetrics]
+    thermal: ThermalAggregate | None = None
+    faults: FaultAggregate | None = None
+
+
 @dataclass
 class StreamingSweepAggregator:
     """Streaming overall + per-application aggregation for one scheme."""
@@ -809,11 +825,15 @@ class StreamingSweepAggregator:
         self.overall.merge(fold)
         self.per_app.setdefault(app_name, StreamingAggregator()).merge(fold)
 
-    def finalize(self) -> AggregateMetrics:
-        return self.overall.finalize()
-
-    def finalize_per_app(self) -> dict[str, AggregateMetrics]:
-        return {app: agg.finalize() for app, agg in self.per_app.items()}
+    def finalize(self) -> SchemeAggregates:
+        """The scheme's aggregates: overall, per app (in first-fold order),
+        thermal and faults."""
+        return SchemeAggregates(
+            overall=self.overall.finalize(),
+            per_app={app: agg.finalize() for app, agg in self.per_app.items()},
+            thermal=self.overall.finalize_thermal(),
+            faults=self.overall.finalize_faults(),
+        )
 
 
 @dataclass
@@ -832,21 +852,6 @@ class StreamingMatrixAggregator:
     def add(self, key: str, scheme: str, fold: StreamingAggregator, app_name: str) -> None:
         self.cells.setdefault((key, scheme), StreamingSweepAggregator()).add(fold, app_name)
 
-    def finalize_cell(
-        self, key: str, scheme: str
-    ) -> tuple[AggregateMetrics, dict[str, AggregateMetrics]]:
-        """Overall and per-app aggregates of one ``(key, scheme)`` cell."""
-        sweep = self.cells[(key, scheme)]
-        return sweep.finalize(), sweep.finalize_per_app()
-
-    def finalize_cell_thermal(self, key: str, scheme: str) -> ThermalAggregate | None:
-        """Thermal aggregate of one cell (``None`` when its sessions carried none)."""
-        return self.cells[(key, scheme)].overall.finalize_thermal()
-
-    def finalize_cell_faults(self, key: str, scheme: str) -> FaultAggregate | None:
-        """Fault aggregate of one cell (``None`` when its sessions carried none)."""
-        return self.cells[(key, scheme)].overall.finalize_faults()
-
 
 def aggregate_results(results: Iterable[SessionResult]) -> AggregateMetrics:
     """Aggregate sessions replayed under the same scheduler."""
@@ -856,9 +861,34 @@ def aggregate_results(results: Iterable[SessionResult]) -> AggregateMetrics:
     return aggregator.finalize()
 
 
-def group_by_app(results: Sequence[SessionResult]) -> dict[str, list[SessionResult]]:
-    """Group session results by application name, preserving insertion order."""
-    grouped: dict[str, list[SessionResult]] = {}
-    for result in results:
-        grouped.setdefault(result.app_name, []).append(result)
-    return grouped
+def normalised_energy_by_app(
+    aggregates: Mapping[str, SchemeAggregates], baseline: str = "Interactive"
+) -> dict[str, dict[str, float]]:
+    """Per-app energy of every scheme normalised to ``baseline`` (Fig. 11).
+
+    ``aggregates`` maps each scheme to its sweep's aggregates (as
+    :meth:`~repro.runtime.parallel.ParallelEvaluator.compare` returns them).
+    Applications whose baseline energy is not positive cannot be
+    normalised; they are dropped from the result with a ``UserWarning``
+    (a silent drop made Fig. 11 rows disappear without explanation).
+    """
+    if baseline not in aggregates:
+        raise KeyError(f"baseline scheme {baseline!r} missing from results")
+    baseline_per_app = aggregates[baseline].per_app
+    normalised: dict[str, dict[str, float]] = {}
+    dropped: set[str] = set()
+    for scheme, scheme_aggregates in aggregates.items():
+        normalised[scheme] = {}
+        for app, metrics in scheme_aggregates.per_app.items():
+            base = baseline_per_app.get(app)
+            if base is None or base.total_energy_mj <= 0:
+                dropped.add(app)
+                continue
+            normalised[scheme][app] = metrics.total_energy_mj / base.total_energy_mj
+    if dropped:
+        warnings.warn(
+            f"dropping {sorted(dropped)} from normalised energy: "
+            f"no positive {baseline!r} baseline energy to normalise against",
+            stacklevel=2,
+        )
+    return normalised

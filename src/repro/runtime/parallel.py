@@ -20,19 +20,20 @@ one-sweep matrix) and fans the jobs out over one ``multiprocessing`` pool:
   chunks, so a worker that drew short sessions steals the next chunk
   instead of idling behind a worker stuck on a long one.
 * **Deterministic ordering** — every job carries its global index (sweep,
-  then scheme, then trace); results are re-sequenced as they arrive, so the
-  output (and every floating-point aggregate fold) is independent of worker
-  count and completion order.
+  then scheme, then trace); sessions are re-sequenced as they arrive, so
+  every floating-point aggregate fold and every hook call is independent of
+  worker count and completion order.
 * **Fold where the session finishes** — whoever replays a job (a pool
   worker, or the parent at one worker) folds the session once and, when the
   run journals, encodes its shard payload once
   (:func:`~repro.runtime.metrics.finish_session`).  Workers return a
   :class:`~repro.runtime.metrics.FinishedSession` per job: the fold, the
-  app name and the encoded payload.  The ``SessionResult`` itself crosses
-  the pipe only when the caller keeps results (``keep_results=True``, the
-  :meth:`~ParallelEvaluator.compare` path).  The parent only merges each
-  fold into its cell's overall and per-app aggregates, in job order, and
-  hands the session to the hooks, which append the payload as it is.
+  app name and the encoded payload; a ``SessionResult`` never crosses the
+  pipe.  The parent only merges each fold into its cell's overall and
+  per-app aggregates, in job order, and hands the session to the hooks,
+  which append the payload as it is.  The cell aggregates
+  (:class:`~repro.runtime.metrics.SchemeAggregates`) are what every run
+  returns, :meth:`~ParallelEvaluator.compare` included.
 * **In-process runs** — with one worker (``jobs=1``, or a single unit left
   to run) the jobs replay in the parent in job order, with no pool.  Every
   replay is deterministic and every fold merges through exact sums, so
@@ -51,9 +52,10 @@ Running evaluations in parallel
 
 Route any sweep through the ``jobs`` knob::
 
-    ParallelEvaluator(setup=setup, catalog=catalog, jobs=4).compare(
+    aggregates = ParallelEvaluator(setup=setup, catalog=catalog, jobs=4).compare(
         traces, schemes, learner=learner
     )
+    cnn_energy_mj = aggregates["PES"].per_app["cnn"].total_energy_mj
 
 or from the command line::
 
@@ -75,12 +77,10 @@ from typing import Callable, Sequence
 from repro.core.pes import PesConfig
 from repro.core.predictor.sequence_learner import EventSequenceLearner
 from repro.runtime.metrics import (
-    AggregateMetrics,
-    FaultAggregate,
     FinishedSession,
+    SchemeAggregates,
     SessionResult,
     StreamingMatrixAggregator,
-    ThermalAggregate,
     finish_session,
 )
 from repro.runtime.simulator import SimulationSetup, Simulator, check_schemes
@@ -89,10 +89,8 @@ from repro.utils import mp_context, pool_chunk_size, resolve_jobs
 from repro.webapp.apps import AppCatalog
 
 __all__ = [
-    "MatrixOutcome",
     "MatrixSweep",
     "ParallelEvaluator",
-    "SchemeAggregates",
 ]
 
 
@@ -106,24 +104,6 @@ class _JobFailure:
     @classmethod
     def from_exception(cls, exc: BaseException) -> "_JobFailure":
         return cls(error_type=type(exc).__name__, message=str(exc))
-
-
-@dataclass(frozen=True)
-class SchemeAggregates:
-    """Streamed aggregates of one scheme's sweep.
-
-    ``thermal`` carries the folded dynamic-thermal telemetry (peak
-    temperature, throttle residency, throttle slowdown) and is ``None``
-    whenever the sweep's sessions did not track live thermal state —
-    static-thermal and thermal-free runs keep their aggregate shape (and
-    serialised artefacts) unchanged.  ``faults`` likewise carries the folded
-    resilience metrics and is ``None`` for fault-free sweeps.
-    """
-
-    overall: AggregateMetrics
-    per_app: dict[str, AggregateMetrics]
-    thermal: ThermalAggregate | None = None
-    faults: FaultAggregate | None = None
 
 
 @dataclass(frozen=True)
@@ -165,18 +145,6 @@ class MatrixSweep:
             raise ValueError(f"matrix sweep {self.key!r} has no traces")
 
 
-@dataclass
-class MatrixOutcome:
-    """Streamed aggregates (and optionally raw results) of a matrix run.
-
-    Both mappings are keyed ``sweep key -> scheme``; ``results`` is ``None``
-    unless the matrix ran with ``keep_results=True``.
-    """
-
-    aggregates: dict[str, dict[str, SchemeAggregates]]
-    results: dict[str, dict[str, list[SessionResult]]] | None = None
-
-
 # -- worker side --------------------------------------------------------------------
 
 
@@ -193,8 +161,7 @@ class _Simulators:
     sweep, so each trace is generated once and a process holds one sweep's
     traces at a time.  The in-process run, the pool workers and the
     parent's retries all replay through :meth:`run`, and hand each session
-    on through :meth:`finish`: folded, encoded when ``encode``, and kept
-    whole only when ``keep``.
+    on through :meth:`finish`: folded, and encoded when ``encode``.
     """
 
     catalog: AppCatalog
@@ -205,8 +172,6 @@ class _Simulators:
     traces: dict[str, Sequence[Trace]]
     #: Encode each session's shard payload (the run journals).
     encode: bool = False
-    #: Ship each session whole (the run keeps results).
-    keep: bool = False
     simulators: dict[str, Simulator] = field(default_factory=dict)
     #: The sweep whose traces ``generated`` holds, by trace index.
     current: str | None = None
@@ -220,7 +185,6 @@ class _Simulators:
         learner: EventSequenceLearner | None,
         *,
         encode: bool = False,
-        keep: bool = False,
     ) -> "_Simulators":
         setups = {
             sweep.key: (sweep.setup, sweep.pes_config, sweep.setup_key or sweep.key)
@@ -233,7 +197,6 @@ class _Simulators:
             setups=setups,
             traces=traces,
             encode=encode,
-            keep=keep,
         )
 
     def run(self, key: str, scheme: str, trace_index: int) -> SessionResult:
@@ -253,9 +216,7 @@ class _Simulators:
 
     def finish(self, key: str, scheme: str, trace_index: int) -> FinishedSession:
         """Replay one job and fold it (and encode it) where it ran."""
-        return finish_session(
-            self.run(key, scheme, trace_index), encode=self.encode, keep=self.keep
-        )
+        return finish_session(self.run(key, scheme, trace_index), encode=self.encode)
 
 
 # Pool workers keep one _Simulators for their whole life: the initializer runs
@@ -276,9 +237,7 @@ def _run_matrix_units(
 
     A unit is a (sweep key, trace index) and its (job index, scheme) pairs.
     Each job comes back as a :class:`FinishedSession`: its fold, its app and,
-    when the run journals, its encoded shard payload.  The
-    :class:`SessionResult` itself crosses the pipe only when the run keeps
-    results.
+    when the run journals, its encoded shard payload.
 
     Exceptions come back as :class:`_JobFailure` payloads rather than
     propagating through the pool — a raising job must not poison the shared
@@ -316,18 +275,7 @@ def _finalize_sweep(
     aggregator: StreamingMatrixAggregator, sweep: MatrixSweep
 ) -> dict[str, SchemeAggregates]:
     """Finalise one sweep's cells from the folded sums (pure, repeatable)."""
-    per_scheme: dict[str, SchemeAggregates] = {}
-    for scheme in sweep.schemes:
-        if (sweep.key, scheme) not in aggregator.cells:
-            continue
-        overall, per_app = aggregator.finalize_cell(sweep.key, scheme)
-        per_scheme[scheme] = SchemeAggregates(
-            overall=overall,
-            per_app=per_app,
-            thermal=aggregator.finalize_cell_thermal(sweep.key, scheme),
-            faults=aggregator.finalize_cell_faults(sweep.key, scheme),
-        )
-    return per_scheme
+    return {scheme: aggregator.cells[(sweep.key, scheme)].finalize() for scheme in sweep.schemes}
 
 
 @dataclass
@@ -356,39 +304,37 @@ class ParallelEvaluator:
         *,
         learner: EventSequenceLearner | None = None,
         pes_config: PesConfig | None = None,
-    ) -> dict[str, list[SessionResult]]:
+    ) -> dict[str, SchemeAggregates]:
         """Replay the same traces under several schemes: a one-sweep matrix run.
 
-        The sweep is validated like any matrix cell (known, distinct
-        schemes; a learner for PES).
+        Returns each scheme's streamed aggregates (overall and per app, in
+        trace order of first appearance).  The sweep is validated like any
+        matrix cell (known, distinct schemes; a learner for PES; at least
+        one trace).
         """
-        trace_list = tuple(traces)
-        if not trace_list or not schemes:
-            return {scheme: [] for scheme in schemes}
         sweep = MatrixSweep(
             key="compare",
             setup=self.setup,
-            traces=trace_list,
+            traces=tuple(traces),
             schemes=tuple(schemes),
             pes_config=pes_config,
         )
-        outcome = self.evaluate_matrix([sweep], learner=learner, keep_results=True)
-        assert outcome.results is not None
-        return outcome.results[sweep.key]
+        return self.evaluate_matrix([sweep], learner=learner)[sweep.key]
 
     def evaluate_matrix(
         self,
         sweeps: Sequence[MatrixSweep],
         *,
         learner: EventSequenceLearner | None = None,
-        keep_results: bool = False,
         encode: bool = False,
         on_sweep_complete: Callable[[MatrixSweep, dict[str, SchemeAggregates]], None]
         | None = None,
         on_job_complete: Callable[[str, str, int, FinishedSession], None] | None = None,
         precomputed: dict[tuple[str, str, int], FinishedSession] | None = None,
-    ) -> MatrixOutcome:
+    ) -> dict[str, dict[str, SchemeAggregates]]:
         """Fan several scenarios' (scheme x trace) jobs through one pool.
+
+        Returns ``{sweep key: {scheme: SchemeAggregates}}`` in matrix order.
 
         Jobs from every sweep share the pool, so a short scenario's workers
         steal from a long one instead of idling at scenario boundaries.
@@ -418,9 +364,7 @@ class ParallelEvaluator:
         never re-simulated; their folds merge in their original global job
         position, so the aggregates — and every hook invocation — stay
         bit-identical to an uninterrupted run — and a trace none of whose
-        jobs is left to run is never generated.  Restored sessions carry no
-        :class:`SessionResult`, so ``keep_results`` runs take no
-        ``precomputed``.
+        jobs is left to run is never generated.
         """
         sweep_list = list(sweeps)
         keys = [sweep.key for sweep in sweep_list]
@@ -428,8 +372,6 @@ class ParallelEvaluator:
             raise ValueError("matrix sweep keys must be unique")
         if learner is None and any("PES" in sweep.schemes for sweep in sweep_list):
             raise ValueError("running PES requires a trained learner")
-        if keep_results and precomputed:
-            raise ValueError("restored sessions carry no results: keep_results takes no precomputed")
         shared_setups: dict[str, MatrixSweep] = {}
         for sweep in sweep_list:
             if sweep.setup_key is None:
@@ -463,15 +405,10 @@ class ParallelEvaluator:
             sweep_end[len(jobs) - 1] = sweep
         aggregator = StreamingMatrixAggregator()
         finalized: dict[str, dict[str, SchemeAggregates]] = {}
-        ordered: list[SessionResult | None] = [None] * len(jobs) if keep_results else []
-        if not jobs:
-            return MatrixOutcome(aggregates={}, results={} if keep_results else None)
 
         def fold(index: int, session: FinishedSession) -> None:
             key, scheme, trace_index = jobs[index]
             aggregator.add(key, scheme, session.fold, session.app_name)
-            if ordered:
-                ordered[index] = session.result
             if on_job_complete is not None:
                 on_job_complete(key, scheme, trace_index, session)
             finished = sweep_end.get(index)
@@ -480,9 +417,7 @@ class ParallelEvaluator:
                 if on_sweep_complete is not None:
                     on_sweep_complete(finished, per_scheme)
 
-        simulators = _Simulators.for_sweeps(
-            sweep_list, self.catalog, learner, encode=encode, keep=keep_results
-        )
+        simulators = _Simulators.for_sweeps(sweep_list, self.catalog, learner, encode=encode)
         workers = min(self._jobs, len(units))
         if workers <= 1:
             # In-process: jobs in ``done`` merge their known fold without
@@ -493,20 +428,9 @@ class ParallelEvaluator:
         else:
             self._drain_pool(jobs, list(units.items()), simulators, workers, fold, done)
 
-        # Every sweep has jobs, so each was finalised as its last job folded.
-        aggregates = {sweep.key: finalized[sweep.key] for sweep in sweep_list}
-
-        results: dict[str, dict[str, list[SessionResult]]] | None = None
-        if keep_results:
-            results = {}
-            cursor = 0
-            for sweep in sweep_list:
-                per_scheme_results: dict[str, list[SessionResult]] = {}
-                for scheme in sweep.schemes:
-                    per_scheme_results[scheme] = ordered[cursor : cursor + len(sweep.traces)]  # type: ignore[assignment]
-                    cursor += len(sweep.traces)
-                results[sweep.key] = per_scheme_results
-        return MatrixOutcome(aggregates=aggregates, results=results)
+        # Every sweep has jobs, so each was finalised, in matrix order, as its
+        # last job folded.
+        return finalized
 
     # -- pool lifecycle -----------------------------------------------------------
 

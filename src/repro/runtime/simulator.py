@@ -2,15 +2,13 @@
 
 :class:`Simulator` owns the hardware model (platform, power table,
 rendering pipeline) and knows how to run a trace under each scheme —
-reactive baselines, PES, and the oracle — and how to aggregate results per
-application, which is what the evaluation figures consume.
+reactive baselines, PES, and the oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.pes import PesConfig, PesScheduler
 from repro.core.predictor.sequence_learner import EventSequenceLearner
@@ -21,7 +19,7 @@ from repro.hardware.platforms import exynos_5410
 from repro.hardware.power import PowerModel, PowerTable
 from repro.hardware.thermal import ThermalModel
 from repro.runtime.engine import OracleEngine, ProactiveEngine, ReactiveEngine
-from repro.runtime.metrics import AggregateMetrics, SessionResult, aggregate_results, group_by_app
+from repro.runtime.metrics import SessionResult
 from repro.schedulers.base import ReactiveScheduler
 from repro.schedulers.ebs import EbsScheduler
 from repro.schedulers.interactive import InteractiveGovernor
@@ -184,51 +182,3 @@ class Simulator:
         if scheme == "Oracle":
             return [self.run_oracle(trace) for trace in traces]
         raise ValueError(f"unknown scheme {scheme!r}")
-
-    # -- aggregation ------------------------------------------------------------------
-
-    @staticmethod
-    def aggregate_per_app(
-        results: Sequence[SessionResult],
-    ) -> dict[str, AggregateMetrics]:
-        """Aggregate a scheme's results per application."""
-        return {
-            app: aggregate_results(app_results)
-            for app, app_results in group_by_app(results).items()
-        }
-
-    @staticmethod
-    def normalised_energy_by_app(
-        scheme_results: Mapping[str, Sequence[SessionResult]],
-        baseline: str = "Interactive",
-    ) -> dict[str, dict[str, float]]:
-        """Per-app energy of every scheme normalised to ``baseline`` (Fig. 11).
-
-        Applications whose baseline energy is not positive cannot be
-        normalised; they are dropped from the result with a ``UserWarning``
-        (a silent drop made Fig. 11 rows disappear without explanation).
-        """
-        if baseline not in scheme_results:
-            raise KeyError(f"baseline scheme {baseline!r} missing from results")
-        per_scheme_per_app = {
-            scheme: Simulator.aggregate_per_app(list(results))
-            for scheme, results in scheme_results.items()
-        }
-        baseline_per_app = per_scheme_per_app[baseline]
-        normalised: dict[str, dict[str, float]] = {}
-        dropped: set[str] = set()
-        for scheme, per_app in per_scheme_per_app.items():
-            normalised[scheme] = {}
-            for app, metrics in per_app.items():
-                base = baseline_per_app.get(app)
-                if base is None or base.total_energy_mj <= 0:
-                    dropped.add(app)
-                    continue
-                normalised[scheme][app] = metrics.total_energy_mj / base.total_energy_mj
-        if dropped:
-            warnings.warn(
-                f"dropping {sorted(dropped)} from normalised energy: "
-                f"no positive {baseline!r} baseline energy to normalise against",
-                stacklevel=2,
-            )
-        return normalised

@@ -27,10 +27,11 @@ from repro.runtime.metrics import (
     AggregateMetrics,
     FaultAggregate,
     FinishedSession,
+    SchemeAggregates,
     ThermalAggregate,
     restore_session,
 )
-from repro.runtime.parallel import MatrixSweep, ParallelEvaluator, SchemeAggregates
+from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import SimulationSetup
 from repro.scenarios.checkpoint import ArtefactError, MatrixJournal, ShardJournal, _spec_key
 from repro.scenarios.spec import ScenarioSpec

@@ -112,6 +112,9 @@ def capped_system(system: AcmpSystem, cap_mhz: int) -> AcmpSystem:
     """``system.with_frequency_cap(cap_mhz)``, memoised on ``system`` with a stable identity.
 
     Dynamic thermal throttling asks for the same few capped platforms on every event.
+    The capped platform keeps each cluster's ``perf_scale`` and design-maximum
+    frequency, so options enumerated on it carry exactly the latency/power of an
+    identically capped *static* platform.
     """
     capped = system.capped_systems.get(cap_mhz)
     if capped is None:
@@ -125,7 +128,6 @@ def enumerate_options(
     workload: DvfsModel,
     *,
     pareto_only: bool = False,
-    cap_mhz: int | None = None,
 ) -> list[ConfigOption]:
     """Enumerate the latency/energy of every configuration for a workload.
 
@@ -135,22 +137,12 @@ def enumerate_options(
     by ascending latency, ties by ascending energy, then in
     :meth:`AcmpSystem.configurations` order.
 
-    ``cap_mhz`` restricts the sweep to the throttled platform
-    (:func:`capped_system`): the candidate set a scheduler may pick from
-    while a thermal governor caps the ladder.  Because the capped platform
-    keeps each cluster's ``perf_scale`` and design-maximum frequency, the
-    filtered options carry exactly the latency/power an identically capped
-    *static* platform would produce — the bit-identity the dynamic thermal
-    engines rely on.
-
     Eqn. 1 is evaluated over :meth:`PowerTable.priced_points` (the
     platform's operating points, priced once per table) with the float
     expression of :meth:`DvfsModel.latency_ms`.  The options themselves
     depend on the workload and are not memoised: every call returns a new
     list.
     """
-    if cap_mhz is not None:
-        system = capped_system(system, cap_mhz)
     tmem, ndep = workload.tmem_ms, workload.ndep_mcycles
     # Rows sort as a stable sort by (latency, energy) would; ConfigOption computes
     # energy_mj with the same product, so only the options kept are built.

@@ -1,0 +1,54 @@
+"""Session-level checks of pool runs: every job's shard payload text, in fold order.
+
+``evaluate_matrix`` returns aggregates only.  To check a run session by
+session, run it with ``encode=True`` and collect the payload each job hands
+to ``on_job_complete``; compare that with ``encode_session`` of sessions
+replayed in-process.  The packed codec is bit-exact, so equal payload text
+means equal sessions, down to every float's bits.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Mapping, Sequence
+
+from repro.runtime.metrics import SessionResult, encode_session
+
+#: ``(sweep key, scheme, trace index, payload text)`` per job, in fold order.
+Payloads = list[tuple[str, str, int, str]]
+
+
+def pool_payloads(evaluator, sweeps, **kwargs) -> tuple[dict, Payloads]:
+    """Run ``sweeps`` through ``evaluator`` with ``encode=True``.
+
+    Returns the aggregates and every job's payload as ``on_job_complete``
+    received it.
+    """
+    payloads: Payloads = []
+    aggregates = evaluator.evaluate_matrix(
+        sweeps,
+        encode=True,
+        on_job_complete=lambda key, scheme, index, session: payloads.append(
+            (key, scheme, index, session.payload)
+        ),
+        **kwargs,
+    )
+    return aggregates, payloads
+
+
+def encoded(key: str, scheme_results: Mapping[str, Sequence[SessionResult]]) -> Payloads:
+    """The payloads a one-sweep run keyed ``key`` should hand on for these sessions."""
+    return [
+        (key, scheme, index, encode_session(result))
+        for scheme, results in scheme_results.items()
+        for index, result in enumerate(results)
+    ]
+
+
+def sessions(payloads: Payloads, key: str, scheme: str) -> list[SessionResult]:
+    """Decode one cell's sessions from ``payloads``, in trace order."""
+    return [
+        SessionResult.from_dict(json.loads(payload))
+        for cell_key, cell_scheme, _, payload in payloads
+        if (cell_key, cell_scheme) == (key, scheme)
+    ]

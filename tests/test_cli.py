@@ -29,8 +29,9 @@ class TestGenerateCommand:
         assert "wrote 2 traces" in capsys.readouterr().out
 
     def test_unknown_app_fails(self, tmp_path):
-        with pytest.raises(KeyError):
-            main(["generate", "--apps", "myspace", "--out", str(tmp_path / "x.json")])
+        with pytest.raises(SystemExit, match=r"^generate: unknown application 'myspace'$"):
+            main(["generate", "--apps", "cnn", "myspace", "--out", str(tmp_path / "x.json")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_traces_rejected_at_parse_time(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -68,6 +69,20 @@ class TestEvaluateCommand:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(SystemExit):
             main(["evaluate", "--schemes", "Magic"])
+
+    def test_rejects_unknown_app_before_training_or_generating(self, monkeypatch, capsys):
+        from repro import cli
+        from repro.traces.generator import TraceGenerator
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the app names were checked")
+
+        monkeypatch.setattr(cli.PredictorTrainer, "train", must_not_run)
+        monkeypatch.setattr(TraceGenerator, "generate", must_not_run)
+        with pytest.raises(SystemExit, match=r"^evaluate: unknown application 'nosuch'$") as excinfo:
+            main(["evaluate", "--apps", "cnn", "nosuch", "--schemes", "Interactive", "PES"])
+        assert "\n" not in str(excinfo.value.code)
+        assert capsys.readouterr().out == ""
 
     def test_rejects_unknown_platform(self):
         with pytest.raises(SystemExit):
@@ -263,6 +278,11 @@ class TestScenariosCommand:
             ),
             (["faults", "search", "--scenario", "nosuch"], r"^faults search: unknown scenario 'nosuch'; "),
             (["faults", "search", "--budget", "-1"], r"^faults search: fault budget must be non-negative"),
+            (
+                ["faults", "search", "--target", "throttle_inflation", "--scenario", "baseline_seen"],
+                r"^faults search: target 'throttle_inflation' needs a live-thermal scenario .*"
+                r"'baseline_seen' has none$",
+            ),
         ],
     )
     def test_bad_specs_exit_with_one_line(self, argv, message, tmp_path, capsys):

@@ -196,6 +196,16 @@ class TestRunSearch:
         with pytest.raises(ValueError, match="budget_evals"):
             run_search("recovery_collapse", budget_evals=0, runner=runner)
 
+    def test_live_thermal_target_rejects_a_static_scenario(self, runner, monkeypatch):
+        # A static-thermal scenario has no live sensor: every candidate would
+        # score 0.0, so the pairing is refused before anything replays.
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("built a sweep for a search that cannot score")
+
+        monkeypatch.setattr(ScenarioRunner, "build_sweep", must_not_build)
+        with pytest.raises(ValueError, match="needs a live-thermal scenario"):
+            run_search("throttle_inflation", scenario="baseline_seen", runner=runner)
+
     def test_killed_search_resumes_byte_identically(self, tmp_path, monkeypatch, runner):
         kwargs = dict(budget_evals=3, seed=5, runner=runner)
         straight = ShardJournal(tmp_path / "straight.journal")

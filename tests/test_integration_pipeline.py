@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.event_types import EventCategory, category_distribution, classify_events
 from repro.analysis.pareto import non_dominated_schemes, points_from_metrics
-from repro.runtime.metrics import aggregate_results
 from repro.runtime.parallel import ParallelEvaluator
 from repro.schedulers.ebs import EbsScheduler
 
@@ -21,49 +20,53 @@ def evaluation_traces(generator):
 
 
 @pytest.fixture(scope="module")
-def scheme_results(setup, catalog, evaluation_traces, learner):
+def scheme_aggregates(setup, catalog, evaluation_traces, learner):
     return ParallelEvaluator(setup=setup, catalog=catalog, jobs=1).compare(
         evaluation_traces, ["Interactive", "EBS", "PES", "Oracle"], learner=learner
     )
 
 
 class TestEndToEnd:
-    def test_every_scheme_covers_every_event(self, scheme_results, evaluation_traces):
+    def test_every_scheme_covers_every_event(self, scheme_aggregates, evaluation_traces):
         total_events = sum(len(t) for t in evaluation_traces)
-        for results in scheme_results.values():
-            assert sum(len(r.outcomes) for r in results) == total_events
+        for aggregates in scheme_aggregates.values():
+            assert aggregates.overall.n_sessions == len(evaluation_traces)
+            assert aggregates.overall.n_events == total_events
+            assert {
+                app: metrics.n_events for app, metrics in aggregates.per_app.items()
+            } == {t.app_name: len(t) for t in evaluation_traces}
 
-    def test_energy_ordering_matches_paper(self, scheme_results):
+    def test_energy_ordering_matches_paper(self, scheme_aggregates):
         """Interactive > EBS > PES >= Oracle in total energy."""
         energy = {
-            scheme: aggregate_results(results).total_energy_mj
-            for scheme, results in scheme_results.items()
+            scheme: aggregates.overall.total_energy_mj
+            for scheme, aggregates in scheme_aggregates.items()
         }
         assert energy["Interactive"] > energy["EBS"]
         assert energy["EBS"] > energy["PES"]
         assert energy["PES"] >= energy["Oracle"] * 0.999
 
-    def test_qos_ordering_matches_paper(self, scheme_results):
+    def test_qos_ordering_matches_paper(self, scheme_aggregates):
         """PES substantially reduces QoS violations; the oracle removes them."""
         violation = {
-            scheme: aggregate_results(results).qos_violation_rate
-            for scheme, results in scheme_results.items()
+            scheme: aggregates.overall.qos_violation_rate
+            for scheme, aggregates in scheme_aggregates.items()
         }
         assert violation["Oracle"] == pytest.approx(0.0)
         assert violation["PES"] < violation["EBS"]
         assert violation["PES"] < violation["Interactive"]
 
-    def test_pes_pareto_dominates_reactive_schemes(self, scheme_results):
+    def test_pes_pareto_dominates_reactive_schemes(self, scheme_aggregates):
         metrics = {
-            scheme: aggregate_results(results)
-            for scheme, results in scheme_results.items()
+            scheme: aggregates.overall
+            for scheme, aggregates in scheme_aggregates.items()
             if scheme != "Oracle"
         }
         points = points_from_metrics(metrics, baseline="Interactive")
         assert "PES" in non_dominated_schemes(points)
 
-    def test_predictor_online_accuracy_is_high(self, scheme_results):
-        pes = aggregate_results(scheme_results["PES"])
+    def test_predictor_online_accuracy_is_high(self, scheme_aggregates):
+        pes = scheme_aggregates["PES"].overall
         assert pes.prediction_accuracy > 0.75
 
     def test_event_type_distribution_shows_optimisation_room(

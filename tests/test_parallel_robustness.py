@@ -4,8 +4,9 @@ The parallel evaluator must degrade, never lose work silently:
 
 * a job that raises in a worker comes back as a failure payload, the pool
   is torn down cleanly, and the job re-runs serially in the parent — the
-  sweep's results stay bit-identical to a serial run (with a
-  ``RuntimeWarning`` naming the recovered jobs),
+  sweep's sessions (as the shard payload text each job hands on) and
+  aggregates stay bit-identical to a serial run (with a ``RuntimeWarning``
+  naming the recovered jobs),
 * a *deterministic* bug fails again in the parent re-run and surfaces as
   the original exception — after the pool has been joined, with no leaked
   worker processes,
@@ -32,6 +33,8 @@ from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import SimulationSetup, Simulator
 from repro.utils import mp_context
 
+from pool_payloads import encoded, pool_payloads
+
 fork_only = pytest.mark.skipif(
     mp_context().get_start_method() != "fork",
     reason="crash simulation needs fork workers to inherit the parent's monkeypatch",
@@ -48,16 +51,27 @@ def small_traces(generator):
 
 
 @pytest.fixture()
-def serial_results(small_traces):
-    evaluator = ParallelEvaluator(jobs=1)
-    return evaluator.compare(small_traces, ["Interactive", "EBS"])
+def sweep(small_traces):
+    return MatrixSweep(
+        key="cell",
+        setup=SimulationSetup(),
+        traces=tuple(small_traces),
+        schemes=("Interactive", "EBS"),
+    )
+
+
+@pytest.fixture()
+def serial(small_traces, sweep):
+    """The aggregates and payloads of an in-process run, before any patch."""
+    simulator = Simulator(setup=sweep.setup)
+    results = {scheme: simulator.run_scheme(small_traces, scheme) for scheme in sweep.schemes}
+    aggregates = ParallelEvaluator(jobs=1).evaluate_matrix([sweep])
+    return aggregates, encoded(sweep.key, results)
 
 
 @fork_only
 class TestWorkerCrashRecovery:
-    def test_worker_only_crash_recovers_serially(
-        self, monkeypatch, small_traces, serial_results
-    ):
+    def test_worker_only_crash_recovers_serially(self, monkeypatch, sweep, serial):
         original = Simulator.run_scheme
 
         def crash_in_workers(self, traces, scheme, **kwargs):
@@ -68,9 +82,9 @@ class TestWorkerCrashRecovery:
         monkeypatch.setattr(Simulator, "run_scheme", crash_in_workers)
         evaluator = ParallelEvaluator(jobs=2)
         with pytest.warns(RuntimeWarning, match="re-running serially"):
-            results = evaluator.compare(small_traces, ["Interactive", "EBS"])
+            recovered = pool_payloads(evaluator, [sweep])
         # Recovery is invisible in the output: bit-identical to serial.
-        assert results == serial_results
+        assert recovered == serial
 
     def test_deterministic_bug_surfaces_original_exception(
         self, monkeypatch, small_traces
@@ -93,9 +107,7 @@ class TestWorkerCrashRecovery:
         # worker processes.
         assert multiprocessing.active_children() == []
 
-    def test_one_failing_scheme_fails_only_its_own_jobs(
-        self, monkeypatch, small_traces, serial_results
-    ):
+    def test_one_failing_scheme_fails_only_its_own_jobs(self, monkeypatch, sweep, serial):
         # A unit replays one trace under every scheme; a scheme that raises
         # must not take the unit's other jobs down with it.
         original = Simulator.run_scheme
@@ -108,19 +120,17 @@ class TestWorkerCrashRecovery:
         monkeypatch.setattr(Simulator, "run_scheme", crash_ebs_in_workers)
         evaluator = ParallelEvaluator(jobs=2)
         with pytest.warns(RuntimeWarning, match="re-running serially") as record:
-            results = evaluator.compare(small_traces, ["Interactive", "EBS"])
+            recovered = pool_payloads(evaluator, [sweep])
         # Jobs 0-1 are Interactive, 2-3 EBS (global order: scheme, then trace).
         message = str(record[0].message)
         assert "2 parallel job(s) failed" in message
         assert "job 2: RuntimeError: simulated EBS crash" in message
         assert "job 3: RuntimeError: simulated EBS crash" in message
         assert "job 0:" not in message and "job 1:" not in message
-        assert results == serial_results
+        assert recovered == serial
         assert multiprocessing.active_children() == []
 
-    def test_stalled_pool_is_terminated_and_recovered(
-        self, monkeypatch, small_traces, serial_results
-    ):
+    def test_stalled_pool_is_terminated_and_recovered(self, monkeypatch, sweep, serial):
         original = Simulator.run_scheme
 
         def hang_in_workers(self, traces, scheme, **kwargs):
@@ -131,8 +141,8 @@ class TestWorkerCrashRecovery:
         monkeypatch.setattr(Simulator, "run_scheme", hang_in_workers)
         evaluator = ParallelEvaluator(jobs=2, job_timeout_s=1.0)
         with pytest.warns(RuntimeWarning, match="re-running serially"):
-            results = evaluator.compare(small_traces, ["Interactive", "EBS"])
-        assert results == serial_results
+            recovered = pool_payloads(evaluator, [sweep])
+        assert recovered == serial
         assert multiprocessing.active_children() == []
 
 
@@ -192,11 +202,11 @@ class TestSweepCompletionHook:
         ]
         seen: list[tuple[str, object]] = []
         evaluator = ParallelEvaluator(jobs=2)
-        outcome = evaluator.evaluate_matrix(
+        returned = evaluator.evaluate_matrix(
             sweeps, on_sweep_complete=lambda s, a: seen.append((s.key, a))
         )
         assert [key for key, _ in seen] == ["cell0", "cell1", "cell2"]
         # Finalisation is pure over the folded sums: the hook saw exactly
         # what the end-of-run aggregates report.
         for key, aggregates in seen:
-            assert aggregates == outcome.aggregates[key]
+            assert aggregates == returned[key]

@@ -74,11 +74,10 @@ class TestEnumerateOptionsMatchesNaiveSweep:
             power_table = POWER_TABLES[name]
             for cap_mhz in caps(system):
                 reference_system = system if cap_mhz is None else system.with_frequency_cap(cap_mhz)
+                planned = system if cap_mhz is None else capped_system(system, cap_mhz)
                 for pareto_only in (False, True):
                     expected = naive_options(reference_system, power_table, workload, pareto_only)
-                    got = enumerate_options(
-                        system, power_table, workload, pareto_only=pareto_only, cap_mhz=cap_mhz
-                    )
+                    got = enumerate_options(planned, power_table, workload, pareto_only=pareto_only)
                     assert got == expected
                     assert bits(got) == bits(expected)
 

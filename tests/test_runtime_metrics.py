@@ -9,7 +9,6 @@ from repro.runtime.metrics import (
     StreamingSweepAggregator,
     ThermalSessionStats,
     aggregate_results,
-    group_by_app,
     _session_fold,
 )
 from repro.webapp.events import EventType
@@ -114,12 +113,6 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate_results([])
 
-    def test_group_by_app(self):
-        results = [SessionResult("cnn", "EBS"), SessionResult("bbc", "EBS"), SessionResult("cnn", "EBS")]
-        grouped = group_by_app(results)
-        assert list(grouped) == ["cnn", "bbc"]
-        assert len(grouped["cnn"]) == 2
-
 
 class TestStreamingAggregation:
     def sessions(self) -> list[SessionResult]:
@@ -183,8 +176,10 @@ class TestStreamingAggregation:
         bbc = SessionResult("bbc", "EBS", [outcome(0, 400.0, 300.0)])
         for result in (cnn, bbc, cnn):
             sweep.add(_session_fold(result), result.app_name)
-        assert sweep.finalize().n_sessions == 3
-        per_app = sweep.finalize_per_app()
-        assert set(per_app) == {"cnn", "bbc"}
+        aggregates = sweep.finalize()
+        assert aggregates.overall == aggregate_results([cnn, bbc, cnn])
+        assert aggregates.thermal is None and aggregates.faults is None
+        per_app = aggregates.per_app
+        assert list(per_app) == ["cnn", "bbc"], "apps keep their first-fold order"
         assert per_app["cnn"] == aggregate_results([cnn, cnn])
         assert per_app["bbc"] == aggregate_results([bbc])

@@ -1,13 +1,14 @@
 """Parallel-vs-serial equivalence tests for the batched evaluation engine.
 
 Every trace replay is deterministic, so fanning the (scheme x trace) jobs
-out over worker processes must produce *bit-identical* ``SessionResult``
-objects and aggregates — these tests pin that contract for all five
-schemes.
+out over worker processes must produce *bit-identical* sessions (checked as
+the shard payload text each job hands on) and aggregates — these tests pin
+that contract for all five schemes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,8 @@ from repro.runtime.metrics import aggregate_results
 from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import Simulator
 from repro.utils import resolve_jobs
+
+from pool_payloads import encoded, pool_payloads, sessions
 
 
 def _head(trace, n):
@@ -55,35 +58,44 @@ class TestParallelEquivalence:
         self, setup, catalog, eval_traces, learner, serial_results
     ):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=4)
-        parallel = evaluator.compare(eval_traces, ALL_SCHEMES, learner=learner)
-        assert set(parallel) == set(serial_results)
-        for scheme in ALL_SCHEMES:
-            assert parallel[scheme] == serial_results[scheme], (
-                f"{scheme}: parallel replay diverged from serial"
-            )
+        _, parallel = pool_payloads(
+            evaluator, one_sweep(setup, eval_traces, ALL_SCHEMES), learner=learner
+        )
+        assert parallel == encoded("cell", serial_results)
 
     def test_aggregates_match_serial_fold(self, setup, catalog, eval_traces, learner, serial_results):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=3)
-        outcome = evaluator.evaluate_matrix(
+        aggregates = evaluator.evaluate_matrix(
             one_sweep(setup, eval_traces, ALL_SCHEMES), learner=learner
         )
-        assert outcome.results is None
         for scheme in ALL_SCHEMES:
             expected = aggregate_results(serial_results[scheme])
-            assert outcome.aggregates["cell"][scheme].overall == expected
+            assert aggregates["cell"][scheme].overall == expected
 
     def test_streaming_per_app_matches_grouped_aggregation(
-        self, setup, catalog, eval_traces, serial_results
+        self, setup, catalog, eval_traces, learner, serial_results
     ):
-        evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=2)
-        outcome = evaluator.evaluate_matrix(one_sweep(setup, eval_traces, ["EBS"]))
-        expected = Simulator.aggregate_per_app(serial_results["EBS"])
-        assert outcome.aggregates["cell"]["EBS"].per_app == expected
+        """``compare``'s per-app aggregates against the list path: in-process
+        sessions grouped by app here, each group through ``aggregate_results``."""
+        grouped: dict[str, dict[str, list]] = {}
+        for scheme, results in serial_results.items():
+            for result in results:
+                grouped.setdefault(scheme, {}).setdefault(result.app_name, []).append(result)
+        for jobs in (1, 2):
+            evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=jobs)
+            aggregates = evaluator.compare(eval_traces, ALL_SCHEMES, learner=learner)
+            assert list(aggregates) == ALL_SCHEMES
+            for scheme, by_app in grouped.items():
+                expected = {app: aggregate_results(results) for app, results in by_app.items()}
+                assert aggregates[scheme].per_app == expected, (scheme, jobs)
+                assert list(aggregates[scheme].per_app) == list(expected)
+                assert aggregates[scheme].overall == aggregate_results(serial_results[scheme])
 
     def test_result_ordering_is_trace_order(self, setup, catalog, eval_traces):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=4)
-        results = evaluator.compare(eval_traces, ["Interactive"])
-        apps = [r.app_name for r in results["Interactive"]]
+        _, payloads = pool_payloads(evaluator, one_sweep(setup, eval_traces, ["Interactive"]))
+        assert [index for _, _, index, _ in payloads] == list(range(len(eval_traces)))
+        apps = [json.loads(payload)["app_name"] for *_, payload in payloads]
         assert apps == [t.app_name for t in eval_traces]
 
 
@@ -94,8 +106,10 @@ class TestParallelEvaluatorApi:
             evaluator.compare(eval_traces, ["PES"])
 
     def test_empty_sweep(self, setup, catalog):
+        # A sweep with no traces has no aggregates to return.
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=2)
-        assert evaluator.compare([], ["EBS"]) == {"EBS": []}
+        with pytest.raises(ValueError, match="no traces"):
+            evaluator.compare([], ["EBS"])
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -144,36 +158,28 @@ class TestMatrixEvaluation:
     def test_serial_and_parallel_matrices_are_identical(self, catalog, sweeps):
         from repro.runtime.parallel import ParallelEvaluator
 
-        serial = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
-            sweeps, keep_results=True
-        )
-        parallel = ParallelEvaluator(catalog=catalog, jobs=3).evaluate_matrix(
-            sweeps, keep_results=True
-        )
-        assert parallel.results == serial.results
-        assert parallel.aggregates == serial.aggregates
+        serial = pool_payloads(ParallelEvaluator(catalog=catalog, jobs=1), sweeps)
+        parallel = pool_payloads(ParallelEvaluator(catalog=catalog, jobs=3), sweeps)
+        assert parallel == serial
 
     def test_per_key_setups_actually_differ(self, catalog, sweeps):
         from repro.runtime.parallel import ParallelEvaluator
 
-        outcome = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
-            sweeps, keep_results=True
-        )
-        exynos_label = outcome.results["exynos"]["Interactive"][0].outcomes[0].config_label
-        tegra_label = outcome.results["tegra"]["Interactive"][0].outcomes[0].config_label
+        _, payloads = pool_payloads(ParallelEvaluator(catalog=catalog, jobs=1), sweeps)
+        exynos_label = sessions(payloads, "exynos", "Interactive")[0].outcomes[0].config_label
+        tegra_label = sessions(payloads, "tegra", "Interactive")[0].outcomes[0].config_label
         assert "A15" in exynos_label or "A7" in exynos_label
         assert "A57" in tegra_label
 
     def test_aggregates_match_per_cell_fold(self, catalog, sweeps):
         from repro.runtime.parallel import ParallelEvaluator
 
-        outcome = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
-            sweeps, keep_results=True
-        )
+        aggregates = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(sweeps)
         for sweep in sweeps:
+            simulator = Simulator(setup=sweep.setup, catalog=catalog)
             for scheme in sweep.schemes:
-                expected = aggregate_results(outcome.results[sweep.key][scheme])
-                assert outcome.aggregates[sweep.key][scheme].overall == expected
+                expected = aggregate_results(simulator.run_scheme(sweep.traces, scheme))
+                assert aggregates[sweep.key][scheme].overall == expected
 
     def test_duplicate_keys_rejected(self, catalog, sweeps):
         from repro.runtime.parallel import ParallelEvaluator
@@ -229,16 +235,12 @@ class TestMatrixEvaluation:
         materialised = [
             dataclasses.replace(sweep, traces=tuple(sweep.traces)) for sweep in recipe_sweeps
         ]
-        pooled = ParallelEvaluator(catalog=catalog, jobs=2).evaluate_matrix(
-            recipe_sweeps, keep_results=True
-        )
-        in_process = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
-            materialised, keep_results=True
-        )
-        assert pooled.results == in_process.results
+        pooled = pool_payloads(ParallelEvaluator(catalog=catalog, jobs=2), recipe_sweeps)
+        in_process = pool_payloads(ParallelEvaluator(catalog=catalog, jobs=1), materialised)
+        assert pooled == in_process
         for sweep in materialised:
             for scheme in sweep.schemes:
-                replayed = pooled.results[sweep.key][scheme]
+                replayed = sessions(pooled[1], sweep.key, scheme)
                 assert [r.app_name for r in replayed] == [t.app_name for t in sweep.traces]
                 assert [len(r.outcomes) for r in replayed] == [len(t) for t in sweep.traces]
 
@@ -269,9 +271,7 @@ class TestMatrixEvaluation:
     def test_empty_matrix(self, catalog):
         from repro.runtime.parallel import ParallelEvaluator
 
-        outcome = ParallelEvaluator(catalog=catalog).evaluate_matrix([], keep_results=True)
-        assert outcome.aggregates == {}
-        assert outcome.results == {}
+        assert ParallelEvaluator(catalog=catalog).evaluate_matrix([]) == {}
 
 
 class TestSweepsFinalisedOnce:
@@ -307,13 +307,13 @@ class TestSweepsFinalisedOnce:
             for seed in (611, 612)
         ]
         received = {}
-        outcome = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
+        returned = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
             sweeps, on_sweep_complete=lambda sweep, aggregates: received.setdefault(
                 sweep.key, aggregates
             )
         )
-        assert list(received) == list(outcome.aggregates) == ["k611", "k612"]
-        for key, aggregates in outcome.aggregates.items():
+        assert list(received) == list(returned) == ["k611", "k612"]
+        for key, aggregates in returned.items():
             assert received[key] is aggregates
 
 
@@ -354,26 +354,19 @@ class TestSweptPlatformMatrixEquivalence:
     def test_parallel_matches_serial_bit_for_bit(self, catalog, swept_sweeps):
         from repro.runtime.parallel import ParallelEvaluator
 
-        serial = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
-            swept_sweeps, keep_results=True
-        )
-        parallel = ParallelEvaluator(catalog=catalog, jobs=4).evaluate_matrix(
-            swept_sweeps, keep_results=True
-        )
-        assert parallel.results == serial.results
-        assert parallel.aggregates == serial.aggregates
+        serial = pool_payloads(ParallelEvaluator(catalog=catalog, jobs=1), swept_sweeps)
+        parallel = pool_payloads(ParallelEvaluator(catalog=catalog, jobs=4), swept_sweeps)
+        assert parallel == serial
 
     def test_variant_cells_are_not_shared(self, catalog, swept_sweeps):
         """Distinct overrides must produce distinct outcomes somewhere —
         otherwise the per-key simulators were (wrongly) shared."""
         from repro.runtime.parallel import ParallelEvaluator
 
-        outcome = ParallelEvaluator(catalog=catalog, jobs=2).evaluate_matrix(
-            swept_sweeps, keep_results=False
-        )
-        base = outcome.aggregates["exynos5410"]
-        assert outcome.aggregates["exynos5410+b2"] != base
-        assert outcome.aggregates["exynos5410+th.cramped"] != base
+        aggregates = ParallelEvaluator(catalog=catalog, jobs=2).evaluate_matrix(swept_sweeps)
+        base = aggregates["exynos5410"]
+        assert aggregates["exynos5410+b2"] != base
+        assert aggregates["exynos5410+th.cramped"] != base
 
 
 class TestSpawnSafety:
@@ -391,12 +384,8 @@ class TestSpawnSafety:
         monkeypatch.setattr(
             parallel_module, "mp_context", lambda: multiprocessing.get_context("spawn")
         )
-        traces = [_head(generator.generate("cnn", seed=604), 6)]
-        schemes = ["Interactive", "EBS"]
-        spawned = ParallelEvaluator(setup=setup, catalog=catalog, jobs=2).compare(
-            traces, schemes
-        )
-        serial = ParallelEvaluator(setup=setup, catalog=catalog, jobs=1).compare(
-            traces, schemes
-        )
+        traces = [_head(generator.generate(app, seed=604), 6) for app in ("cnn", "google")]
+        sweeps = one_sweep(setup, traces, ["Interactive", "EBS"])
+        spawned = pool_payloads(ParallelEvaluator(setup=setup, catalog=catalog, jobs=2), sweeps)
+        serial = pool_payloads(ParallelEvaluator(setup=setup, catalog=catalog, jobs=1), sweeps)
         assert spawned == serial

@@ -5,7 +5,13 @@ from dataclasses import replace
 import pytest
 
 from repro.core.pes import PesConfig
-from repro.runtime.metrics import aggregate_results
+from repro.runtime.metrics import (
+    SessionResult,
+    StreamingSweepAggregator,
+    _session_fold,
+    normalised_energy_by_app,
+)
+from repro.runtime.parallel import ParallelEvaluator
 from repro.runtime.simulator import SimulationSetup, Simulator
 from repro.schedulers.ebs import EbsScheduler
 
@@ -47,25 +53,19 @@ class TestSimulator:
         result = simulator.run_pes(small_trace, learner, PesConfig(confidence_threshold=1.0))
         assert result.commits == 0
 
-    def test_aggregate_per_app(self, simulator, generator, learner):
-        traces = [generator.generate("cnn", seed=7), generator.generate("bbc", seed=8)]
-        results = simulator.run_scheme([_head(t, 10) for t in traces], "EBS")
-        per_app = Simulator.aggregate_per_app(results)
-        assert set(per_app) == {"cnn", "bbc"}
-
-    def test_normalised_energy_by_app(self, simulator, small_trace, learner):
-        scheme_results = {
-            scheme: simulator.run_scheme([small_trace], scheme) for scheme in ("Interactive", "EBS")
-        }
-        normalised = Simulator.normalised_energy_by_app(scheme_results, baseline="Interactive")
+    def test_normalised_energy_by_app(self, setup, catalog, small_trace):
+        evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=1)
+        aggregates = evaluator.compare([small_trace], ["Interactive", "EBS"])
+        normalised = normalised_energy_by_app(aggregates, baseline="Interactive")
         app = small_trace.app_name
         assert normalised["Interactive"][app] == pytest.approx(1.0)
         assert 0.0 < normalised["EBS"][app] <= 1.05
 
-    def test_normalised_energy_requires_baseline(self, simulator, small_trace):
-        results = {"EBS": simulator.run_scheme([small_trace], "EBS")}
+    def test_normalised_energy_requires_baseline(self, setup, catalog, small_trace):
+        evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=1)
+        aggregates = evaluator.compare([small_trace], ["EBS"])
         with pytest.raises(KeyError):
-            Simulator.normalised_energy_by_app(results, baseline="Interactive")
+            normalised_energy_by_app(aggregates, baseline="Interactive")
 
 
 class TestSchedulerReuse:
@@ -145,12 +145,16 @@ class TestPesCacheKeying:
 
 class TestNormalisedEnergyWarning:
     def test_zero_energy_baseline_app_warns_instead_of_silent_drop(self):
-        from repro.runtime.metrics import SessionResult
+        def aggregates_of(session: SessionResult):
+            sweep = StreamingSweepAggregator()
+            sweep.add(_session_fold(session), session.app_name)
+            return sweep.finalize()
 
         empty = SessionResult(app_name="ghost", scheduler_name="Interactive")
         empty_ebs = SessionResult(app_name="ghost", scheduler_name="EBS")
         with pytest.warns(UserWarning, match="ghost"):
-            normalised = Simulator.normalised_energy_by_app(
-                {"Interactive": [empty], "EBS": [empty_ebs]}, baseline="Interactive"
+            normalised = normalised_energy_by_app(
+                {"Interactive": aggregates_of(empty), "EBS": aggregates_of(empty_ebs)},
+                baseline="Interactive",
             )
         assert normalised == {"Interactive": {}, "EBS": {}}

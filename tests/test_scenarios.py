@@ -282,8 +282,7 @@ class TestResultArtefacts:
             assert loaded.aggregates == original.aggregates
 
     def test_zero_energy_baseline_normalises_to_none(self):
-        from repro.runtime.metrics import AggregateMetrics
-        from repro.runtime.parallel import SchemeAggregates
+        from repro.runtime.metrics import AggregateMetrics, SchemeAggregates
 
         def metrics(energy):
             return AggregateMetrics(

@@ -22,6 +22,8 @@ from repro.scenarios import (
     get_matrix,
 )
 
+from pool_payloads import pool_payloads
+
 
 class TestPlatformVariant:
     def test_base_variant_label_is_platform_name(self):
@@ -279,9 +281,12 @@ class TestConstantCurveFlatCapEquivalence:
             schemes=thermal_sweep.schemes,
         )
         evaluator = ParallelEvaluator(catalog=catalog, jobs=1)
-        outcome = evaluator.evaluate_matrix([thermal_sweep, flat_sweep], keep_results=True)
-        assert outcome.results["thermal"] == outcome.results["flat"]
-        assert outcome.aggregates["thermal"] == outcome.aggregates["flat"]
+        aggregates, payloads = pool_payloads(evaluator, [thermal_sweep, flat_sweep])
+        by_cell: dict[str, list] = {}
+        for key, scheme, index, payload in payloads:
+            by_cell.setdefault(key, []).append((scheme, index, payload))
+        assert by_cell["thermal"] == by_cell["flat"]
+        assert aggregates["thermal"] == aggregates["flat"]
 
     def test_spec_system_equals_flat_capped_platform(self):
         spec = ScenarioSpec(name="x", thermal="constant_1100")

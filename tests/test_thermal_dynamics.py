@@ -132,26 +132,27 @@ class TestConstantCurveExactness:
 
 
 class TestCapFilteredEnumeration:
-    """``enumerate_options(cap_mhz=)`` ≡ enumerating the capped platform."""
+    """Enumerating ``capped_system(system, cap)`` ≡ enumerating the flat-capped platform."""
 
     def test_cap_filter_matches_capped_system_enumeration(self, setup, small_trace):
         from repro.schedulers.base import capped_system, enumerate_options
 
         workload = small_trace.events[0].workload
         for cap in (600, 1_100, 1_500):
-            filtered = enumerate_options(
-                setup.system, setup.power_table, workload, pareto_only=True, cap_mhz=cap
+            capped = enumerate_options(
+                capped_system(setup.system, cap), setup.power_table, workload, pareto_only=True
             )
-            capped = capped_system(setup.system, cap)
-            direct = enumerate_options(capped, setup.power_table, workload, pareto_only=True)
-            assert filtered == direct
+            flat = enumerate_options(
+                setup.system.with_frequency_cap(cap), setup.power_table, workload, pareto_only=True
+            )
+            assert capped == flat
             # with_frequency_cap keeps a cluster's minimum rung when its
             # whole ladder sits above the cap (so it stays schedulable).
             minimums = {c.name: c.min_frequency_mhz for c in setup.system.clusters}
             assert all(
                 o.config.frequency_mhz <= cap
                 or o.config.frequency_mhz == minimums[o.config.cluster_name]
-                for o in filtered
+                for o in capped
             )
 
     def test_cap_above_the_ladder_is_a_no_op(self, setup, small_trace):
@@ -161,7 +162,7 @@ class TestCapFilteredEnumeration:
         top = max(c.max_frequency_mhz for c in setup.system.clusters)
         assert capped_system(setup.system, top) is setup.system
         assert enumerate_options(
-            setup.system, setup.power_table, workload, cap_mhz=top
+            capped_system(setup.system, top), setup.power_table, workload
         ) == enumerate_options(setup.system, setup.power_table, workload)
 
 

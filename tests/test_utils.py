@@ -73,7 +73,7 @@ class TestSpawnSafety:
             pes_config=PesConfig(),
         )
         restored = pickle.loads(
-            pickle.dumps(_Simulators.for_sweeps([sweep], catalog, learner))
+            pickle.dumps(_Simulators.for_sweeps([sweep], catalog, learner, encode=True))
         )
         restored_setup, config, cache_key = restored.setups["cell"]
         assert restored_setup.system.name == setup.system.name
@@ -81,6 +81,7 @@ class TestSpawnSafety:
         assert restored.learner == learner
         assert (config, cache_key) == (PesConfig(), "cell")
         assert restored.traces == {"cell": sweep.traces}
+        assert restored.encode is True
         assert restored.simulators == {}
 
     def test_trace_job_payload_is_picklable(self, generator):
