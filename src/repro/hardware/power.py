@@ -58,10 +58,11 @@ class PowerTable:
 
     active_w: dict[AcmpConfig, float]
     idle_w: float = 0.14
-    #: ``(system, priced_points(system))`` per platform seen, kept by :meth:`priced_points`.
-    _priced: list[tuple[AcmpSystem, tuple[PricedPoint, ...]]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
+    #: ``(system, priced_points(system), priced_configs(system))`` per platform
+    #: seen, kept by :meth:`priced_points`.
+    _priced: list[
+        tuple[AcmpSystem, tuple[PricedPoint, ...], dict[AcmpConfig, tuple[float, float]]]
+    ] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for config, watts in self.active_w.items():
@@ -86,12 +87,25 @@ class PowerTable:
         the lookup is a short identity scan.  Raises ``KeyError`` for a
         configuration the table has no entry for.
         """
-        for known, points in self._priced:
-            if known is system:
-                return points
+        return self._prices(system)[1]
+
+    def priced_configs(self, system: AcmpSystem) -> dict[AcmpConfig, tuple[float, float]]:
+        """:meth:`priced_points` by configuration: ``config -> (effective GHz, active W)``.
+
+        Built with the points and shared the same way; the engines read a
+        planned configuration's Eqn.-1 frequency and power from it.  Callers
+        must not mutate it.
+        """
+        return self._prices(system)[2]
+
+    def _prices(self, system: AcmpSystem):
+        for entry in self._priced:
+            if entry[0] is system:
+                return entry
         points = tuple((config, effective_ghz, self.power_w(config)) for config, effective_ghz in system.operating_points)
-        self._priced.append((system, points))
-        return points
+        entry = (system, points, {config: (effective_ghz, power_w) for config, effective_ghz, power_w in points})
+        self._priced.append(entry)
+        return entry
 
 
 @dataclass

@@ -26,6 +26,15 @@ outcome; the reactive schemes and PES's EBS fallback use it.
 configuration the DVFS and brown-out faults leave it; PES commits and
 Oracle windows use it.
 
+Per event the reactive kernel rebuilds nothing that stays fixed between
+events: :func:`execute_plan` reads each configuration's effective GHz and
+power from the platform's :meth:`PowerTable.priced_configs` table (built
+once per platform), the EBS and Interactive schedulers hand out memoised
+immutable plans (one per configuration or ramp, keyed by value), and the
+live thermal state recomputes its cap, and the platform the cap leaves,
+only when the temperature moves.  What an event does create is its
+scheduler context and its :class:`EventOutcome`.
+
 Energy accounting: active intervals are charged at the configuration's
 power from the power table; the remainder of the session is charged at idle
 power; work squashed on a mis-prediction is counted both in the total and
@@ -49,7 +58,7 @@ from repro.core.control.control_unit import ControlUnit, MatchResult
 from repro.core.optimizer.ilp import BranchAndBoundSolver
 from repro.core.optimizer.schedule import EventSpec
 from repro.core.pes import PesScheduler
-from repro.faults.injector import NO_BATTERY_EFFECT, BatteryEffect, SessionFaultState
+from repro.faults.injector import NO_BATTERY_EFFECT, SessionFaultState
 from repro.hardware.acmp import AcmpConfig, AcmpSystem
 from repro.hardware.dvfs import DvfsModel
 from repro.hardware.thermal import ThermalState
@@ -68,59 +77,56 @@ if TYPE_CHECKING:  # pragma: no cover - simulator.py imports this module
     from repro.runtime.simulator import SimulationSetup
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    """Outcome of executing one event's work under an execution plan."""
-
-    finish_ms: float
-    cpu_time_ms: float
-    active_energy_mj: float
-    final_config: AcmpConfig
-
-
 def execute_plan(
     setup: SimulationSetup,
     plan: ExecutionPlan,
     workload: DvfsModel,
     start_ms: float,
     previous_config: AcmpConfig | None,
-) -> ExecutionResult:
+) -> tuple[float, float, float, AcmpConfig]:
     """Run an event's work through the plan's configuration phases.
 
+    Returns ``(finish_ms, cpu_time_ms, active_energy_mj, final_config)``.
     Work progresses proportionally: running for ``d`` milliseconds at a
     configuration whose full-event latency is ``T`` completes ``d / T`` of
     the event.  Configuration switches (cluster migration and/or frequency
     change) add latency charged at the destination configuration's power.
+    Each configuration's effective GHz and power come from the platform's
+    :meth:`PowerTable.priced_configs` table, with the float expressions of
+    :meth:`DvfsModel.latency_ms` and :meth:`PowerTable.power_w`.
     """
+    priced = setup.power_table.priced_configs(setup.system)
+    tmem, ndep = workload.tmem_ms, workload.ndep_mcycles
     elapsed = 0.0
     energy = 0.0
     remaining = 1.0
     current = previous_config
     for phase in plan.phases:
-        switch = setup.switching.switch_latency_ms(current, phase.config)
-        power = setup.power_table.power_w(phase.config)
-        if switch > 0.0:
-            elapsed += switch
-            energy += power * switch
-        current = phase.config
-        full_latency = workload.latency_ms(setup.system, phase.config)
+        config = phase.config
+        try:
+            effective_ghz, power = priced[config]
+        except KeyError:
+            raise KeyError(f"no power entry for configuration {config}") from None
+        if current is not None and current is not config:
+            switch = setup.switching.switch_latency_ms(current, config)
+            if switch > 0.0:
+                elapsed += switch
+                energy += power * switch
+        current = config
+        full_latency = tmem + ndep / effective_ghz
         needed = remaining * full_latency
-        if phase.duration_ms is None or needed <= phase.duration_ms:
+        duration = phase.duration_ms
+        if duration is None or needed <= duration:
             elapsed += needed
             energy += power * needed
             remaining = 0.0
             break
-        elapsed += phase.duration_ms
-        energy += power * phase.duration_ms
-        remaining -= phase.duration_ms / full_latency
+        elapsed += duration
+        energy += power * duration
+        remaining -= duration / full_latency
     if remaining > 1e-9:
         raise RuntimeError("execution plan ended before the event's work completed")
-    return ExecutionResult(
-        finish_ms=start_ms + elapsed,
-        cpu_time_ms=elapsed,
-        active_energy_mj=energy,
-        final_config=current if current is not None else plan.final_config,
-    )
+    return start_ms + elapsed, elapsed, energy, current
 
 
 def _requested_transition(
@@ -133,77 +139,6 @@ def _requested_transition(
         if phase.config != previous_config:
             return phase.config
     return None
-
-
-def _execute_with_faults(
-    setup: SimulationSetup,
-    plan: ExecutionPlan,
-    workload: DvfsModel,
-    start_ms: float,
-    previous_config: AcmpConfig | None,
-    faults: SessionFaultState | None,
-    event_index: int,
-) -> ExecutionResult:
-    """:func:`execute_plan`, with the DVFS-transition fault model applied.
-
-    A fault draw happens only when the plan actually requests a switch away
-    from the current configuration.  On a failed transition the event runs
-    entirely at the prior configuration, but the attempted switch latency is
-    still paid — as time and as energy at the prior configuration's power —
-    before the work starts.
-    """
-    if faults is not None:
-        requested = _requested_transition(plan, previous_config)
-        if requested is not None and faults.dvfs_transition_fails():
-            penalty_ms = setup.switching.switch_latency_ms(previous_config, requested)
-            penalty_mj = penalty_ms * setup.power_table.power_w(previous_config)
-            faults.note_dvfs_fault(event_index, penalty_mj)
-            held = execute_plan(
-                setup,
-                ExecutionPlan.single(previous_config),
-                workload,
-                start_ms + penalty_ms,
-                previous_config,
-            )
-            return ExecutionResult(
-                finish_ms=held.finish_ms,
-                cpu_time_ms=held.cpu_time_ms + penalty_ms,
-                active_energy_mj=held.active_energy_mj + penalty_mj,
-                final_config=held.final_config,
-            )
-    return execute_plan(setup, plan, workload, start_ms, previous_config)
-
-
-def _battery_effect(
-    faults: SessionFaultState | None,
-    event_index: int,
-    start_ms: float,
-    *,
-    planning: bool = True,
-) -> BatteryEffect:
-    if faults is None:
-        return NO_BATTERY_EFFECT
-    return faults.battery_event(event_index, start_ms, planning=planning)
-
-
-def _apply_rail_sag(
-    execution: ExecutionResult, effect: BatteryEffect, faults: SessionFaultState | None
-) -> ExecutionResult:
-    """Scale an execution's energy through a sagging rail, ledgering the extra.
-
-    Only the delta above the nominal draw is fault-attributed, so the
-    ledger can never exceed the session's total energy.
-    """
-    if effect.power_scale == 1.0 or faults is None:
-        return execution
-    extra = execution.active_energy_mj * (effect.power_scale - 1.0)
-    faults.note_fault_energy(extra)
-    return ExecutionResult(
-        finish_ms=execution.finish_ms,
-        cpu_time_ms=execution.cpu_time_ms,
-        active_energy_mj=execution.active_energy_mj + extra,
-        final_config=execution.final_config,
-    )
 
 
 class _SessionThermal:
@@ -230,6 +165,10 @@ class _SessionThermal:
     temperature, refreshed once per advanced interval.  Peak temperature and
     throttled-time telemetry stay true-physics (throttled-time counts the
     governor's actual, possibly-wrong behaviour via the sensed cap).
+
+    The cap, and the platform it leaves, change only when the temperature
+    does, so :meth:`_advance` recomputes them and every other read is an
+    attribute.
     """
 
     def __init__(self, setup: SimulationSetup, faults: SessionFaultState | None = None) -> None:
@@ -249,30 +188,28 @@ class _SessionThermal:
         self._unthrottled_latency_ms = 0.0
         self._faults = faults if faults is not None and not faults.spec.sensor.is_null else None
         self._sensed_c = self.state.temperature_c
+        self._refresh_cap()
 
     # -- instantaneous capability ------------------------------------------------
 
-    def _cap_now(self) -> int:
-        """The cap the throttle governor enforces right now.
+    def _refresh_cap(self) -> None:
+        """Recompute the cap the throttle governor enforces, and what it leaves.
 
-        Identical to the true cap unless a sensor fault model is active, in
+        The cap is the true one unless a sensor fault model is active, in
         which case the governor derives it from the corrupted reading.
+        ``throttled_now`` is true when the cap removes at least the top
+        ladder rung, and ``_system`` is the platform the scheduler must see.
         """
         if self._faults is None:
-            return self.state.cap_mhz
-        return self.state.model.cap_mhz(self._sensed_c)
-
-    @property
-    def throttled_now(self) -> bool:
-        """True when the current cap removes at least the top ladder rung."""
-        return self._cap_now() < self._full_max_mhz
+            cap = self.state.cap_mhz
+        else:
+            cap = self.state.model.cap_mhz(self._sensed_c)
+        self.throttled_now = cap < self._full_max_mhz
+        self._system = capped_system(self._base_system, cap) if self.throttled_now else self._base_system
 
     def system_now(self) -> AcmpSystem:
         """The platform as the scheduler must see it at the current instant."""
-        cap = self._cap_now()
-        if cap >= self._full_max_mhz:
-            return self._base_system
-        return capped_system(self._base_system, cap)
+        return self._system
 
     # -- timeline advancement ----------------------------------------------------
 
@@ -288,6 +225,7 @@ class _SessionThermal:
         if self._faults is not None:
             self._sensed_c = self._faults.sense(temperature, self.state.model)
         self.clock_ms = until_ms
+        self._refresh_cap()
 
     def idle_to(self, until_ms: float) -> None:
         """Cool (or keep relaxing) through an idle gap up to ``until_ms``."""
@@ -364,14 +302,21 @@ class _Replay:
         mispredicted: bool = False,
     ) -> None:
         """Plan and execute one event reactively — the kernel shared by the
-        reactive schemes and PES's EBS fallback."""
+        reactive schemes and PES's EBS fallback.
+
+        A failed DVFS transition (drawn only when the plan asks to switch)
+        runs the whole event at the prior configuration, after paying the
+        attempted switch latency as time and as energy at the prior
+        configuration's power.  A sagging rail scales the event's energy and
+        ledgers only the extra above the nominal draw.
+        """
         setup, faults, thermal = self.setup, self.faults, self.thermal
         if thermal is not None:
             # Cool through the gap, then plan against the platform's
             # *instantaneous* capability at the moment execution starts.
             thermal.idle_to(start_ms)
         system, planned_throttled = self.planning_system()
-        battery = _battery_effect(faults, event.index, start_ms)
+        battery = NO_BATTERY_EFFECT if faults is None else faults.battery_event(event.index, start_ms)
         if battery.cap_mhz is not None:
             # Misreported fuel gauge: the governor plans this event over the
             # low-battery ladder even though the cell is fine.
@@ -382,45 +327,52 @@ class _Replay:
             plan = ExecutionPlan.single(setup.system.min_performance_config)
         else:
             plan = scheduler.plan(
-                EventContext(
-                    event=event,
-                    start_ms=start_ms,
-                    system=system,
-                    power_table=setup.power_table,
-                    idle_before_ms=idle_before_ms,
-                )
+                EventContext(event, start_ms, system, setup.power_table, idle_before_ms)
             )
-        execution = _execute_with_faults(
-            setup, plan, event.workload, start_ms, self.previous_config, faults, event.index
+        previous = self.previous_config
+        requested = _requested_transition(plan, previous) if faults is not None else None
+        if requested is not None and faults.dvfs_transition_fails():
+            penalty_ms = setup.switching.switch_latency_ms(previous, requested)
+            penalty_mj = penalty_ms * setup.power_table.power_w(previous)
+            faults.note_dvfs_fault(event.index, penalty_mj)
+            finish, cpu_ms, energy, final = execute_plan(
+                setup, ExecutionPlan.single(previous), event.workload, start_ms + penalty_ms, previous
+            )
+            cpu_ms += penalty_ms
+            energy += penalty_mj
+        else:
+            finish, cpu_ms, energy, final = execute_plan(
+                setup, plan, event.workload, start_ms, previous
+            )
+        if battery.power_scale != 1.0:
+            extra = energy * (battery.power_scale - 1.0)
+            faults.note_fault_energy(extra)
+            energy += extra
+        display = setup.pipeline.next_vsync_ms(finish)
+        self.outcomes.append(
+            EventOutcome(
+                index=event.index,
+                event_type=event.event_type,
+                arrival_ms=event.arrival_ms,
+                start_ms=start_ms,
+                finish_ms=finish,
+                display_ms=display,
+                qos_target_ms=event.qos_target_ms,
+                active_energy_mj=energy,
+                config_label=str(plan.final_config),
+                mispredicted=mispredicted,
+                queue_delay_ms=start_ms - event.arrival_ms,
+            )
         )
-        execution = _apply_rail_sag(execution, battery, faults)
-        outcome = EventOutcome(
-            index=event.index,
-            event_type=event.event_type,
-            arrival_ms=event.arrival_ms,
-            start_ms=start_ms,
-            finish_ms=execution.finish_ms,
-            display_ms=setup.pipeline.next_vsync_ms(execution.finish_ms),
-            qos_target_ms=event.qos_target_ms,
-            active_energy_mj=execution.active_energy_mj,
-            config_label=str(plan.final_config),
-            mispredicted=mispredicted,
-            queue_delay_ms=start_ms - event.arrival_ms,
-        )
-        self.outcomes.append(outcome)
         if thermal is not None:
-            if execution.cpu_time_ms > 0.0:
+            if cpu_ms > 0.0:
                 # Mean power over the interval: exact for single-phase plans,
                 # the energy-preserving average for ramps.
-                thermal.active(
-                    start_ms,
-                    execution.finish_ms,
-                    execution.active_energy_mj / execution.cpu_time_ms,
-                )
-            thermal.note_event(planned_throttled, outcome.latency_ms)
-        self.busy_until = execution.finish_ms
-        self.busy_ms += execution.cpu_time_ms
-        self.previous_config = execution.final_config
+                thermal.active(start_ms, finish, energy / cpu_ms)
+            thermal.note_event(planned_throttled, display - event.arrival_ms)
+        self.busy_until = finish
+        self.busy_ms += cpu_ms
+        self.previous_config = final
 
     def commit(
         self, planned: AcmpConfig, event: TraceEvent, start_ms: float, planned_throttled: bool
@@ -446,7 +398,11 @@ class _Replay:
         ):
             faults.note_dvfs_fault(event.index, switch * setup.power_table.power_w(previous))
             chosen = previous
-        battery = _battery_effect(faults, event.index, start_ms, planning=False)
+        battery = (
+            NO_BATTERY_EFFECT
+            if faults is None
+            else faults.battery_event(event.index, start_ms, planning=False)
+        )
         if battery.force_lowest and chosen != setup.system.min_performance_config:
             chosen = setup.system.min_performance_config
             switch = setup.switching.switch_latency_ms(previous, chosen)

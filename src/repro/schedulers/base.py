@@ -68,7 +68,6 @@ class EventContext:
     system: AcmpSystem
     power_table: PowerTable
     idle_before_ms: float = 0.0
-    queue_length: int = 0
 
     @property
     def remaining_budget_ms(self) -> float:

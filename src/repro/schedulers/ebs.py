@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.hardware.dvfs import DvfsModel
+from repro.hardware.acmp import AcmpConfig
 from repro.schedulers.base import EventContext, ExecutionPlan, ReactiveScheduler
 from repro.webapp.events import EventType
 
@@ -44,9 +44,14 @@ class EbsScheduler(ReactiveScheduler):
     #: EBS similarly provisions conservatively against its latency model.
     workload_safety_factor: float = 1.3
     name: str = field(default="EBS", init=False)
-    _sum_tmem: dict[EventType, float] = field(default_factory=dict, repr=False, init=False)
-    _sum_ndep: dict[EventType, float] = field(default_factory=dict, repr=False, init=False)
-    _count: dict[EventType, int] = field(default_factory=dict, repr=False, init=False)
+    #: Per event type, ``[sum of Tmem, sum of Ndep, count]`` of the workloads
+    #: seen this session.
+    _seen: dict[EventType, list] = field(default_factory=dict, repr=False, init=False)
+    #: One immutable single-phase plan per configuration, reused across events
+    #: and sessions (a plan is a pure function of its configuration).
+    _plans: dict[AcmpConfig, ExecutionPlan] = field(
+        default_factory=dict, repr=False, init=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Negated comparisons, so that NaN fails them too.
@@ -57,31 +62,8 @@ class EbsScheduler(ReactiveScheduler):
         if not self.workload_safety_factor >= 1.0:
             raise ValueError("workload_safety_factor must be >= 1")
 
-    # -- workload calibration -------------------------------------------------
-
-    def _predict_workload(self, ctx: EventContext) -> DvfsModel:
-        event_type = ctx.event.event_type
-        count = self._count.get(event_type, 0)
-        if count < self.calibration_runs or count == 0:
-            # Calibration phase: the event's latency is being measured, so the
-            # scheduler effectively knows its true cost.
-            return ctx.event.workload
-        return DvfsModel(
-            tmem_ms=self._sum_tmem[event_type] / count * self.workload_safety_factor,
-            ndep_mcycles=self._sum_ndep[event_type] / count * self.workload_safety_factor,
-        )
-
-    def _record(self, ctx: EventContext) -> None:
-        event_type = ctx.event.event_type
-        workload = ctx.event.workload
-        self._sum_tmem[event_type] = self._sum_tmem.get(event_type, 0.0) + workload.tmem_ms
-        self._sum_ndep[event_type] = self._sum_ndep.get(event_type, 0.0) + workload.ndep_mcycles
-        self._count[event_type] = self._count.get(event_type, 0) + 1
-
     def reset(self) -> None:
-        self._sum_tmem.clear()
-        self._sum_ndep.clear()
-        self._count.clear()
+        self._seen.clear()
 
     # -- scheduling -------------------------------------------------------------
 
@@ -92,18 +74,55 @@ class EbsScheduler(ReactiveScheduler):
         interference) EBS falls back to the minimum-``(latency, energy)``
         configuration to minimise the violation.  One pass over the priced
         operating points, with the floats of :func:`enumerate_options`.
+
+        The workload planned for is the event's own while its type is being
+        calibrated (the first ``calibration_runs`` occurrences), then the
+        inflated running average of the type's workloads, as plain floats.
         """
-        predicted_workload = self._predict_workload(ctx)
-        self._record(ctx)
-        tmem, ndep = predicted_workload.tmem_ms, predicted_workload.ndep_mcycles
+        event = ctx.event
+        workload = event.workload
+        seen = self._seen.get(event.event_type)
+        if seen is None or seen[2] < self.calibration_runs:
+            # Calibration phase: the event's latency is being measured, so the
+            # scheduler effectively knows its true cost.
+            tmem, ndep = workload.tmem_ms, workload.ndep_mcycles
+        else:
+            count = seen[2]
+            tmem = seen[0] / count * self.workload_safety_factor
+            ndep = seen[1] / count * self.workload_safety_factor
+            # DvfsModel's checks, negated so that NaN fails them too.
+            if not tmem >= 0:
+                raise ValueError("predicted tmem_ms must be non-negative")
+            if not ndep >= 0:
+                raise ValueError("predicted ndep_mcycles must be non-negative")
+        if seen is None:
+            self._seen[event.event_type] = [0.0 + workload.tmem_ms, 0.0 + workload.ndep_mcycles, 1]
+        else:
+            seen[0] += workload.tmem_ms
+            seen[1] += workload.ndep_mcycles
+            seen[2] += 1
         budget = ctx.remaining_budget_ms - self.safety_margin_ms
-        # (key, config) pairs; a strict ``<`` keeps the earliest point on ties.
+        # Lexicographic (energy, latency) and (latency, energy) minima; a
+        # strict ``<`` keeps the earliest point on ties.
         best = fastest = None
+        best_energy = best_latency = fastest_latency = fastest_energy = 0.0
         for config, effective_ghz, power_w in ctx.power_table.priced_points(ctx.system):
             latency_ms = tmem + ndep / effective_ghz
             energy_mj = power_w * latency_ms
-            if latency_ms <= budget and (best is None or (energy_mj, latency_ms) < best[0]):
-                best = ((energy_mj, latency_ms), config)
-            if fastest is None or (latency_ms, energy_mj) < fastest[0]:
-                fastest = ((latency_ms, energy_mj), config)
-        return ExecutionPlan.single((best or fastest)[1])
+            if latency_ms <= budget and (
+                best is None
+                or energy_mj < best_energy
+                or (energy_mj == best_energy and latency_ms < best_latency)
+            ):
+                best, best_energy, best_latency = config, energy_mj, latency_ms
+            if (
+                fastest is None
+                or latency_ms < fastest_latency
+                or (latency_ms == fastest_latency and energy_mj < fastest_energy)
+            ):
+                fastest, fastest_latency, fastest_energy = config, latency_ms, energy_mj
+        config = best if best is not None else fastest
+        plan = self._plans.get(config)
+        if plan is None:
+            plan = self._plans[config] = ExecutionPlan.single(config)
+        return plan

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.hardware.acmp import AcmpConfig
 from repro.schedulers.base import EventContext, ExecutionPlan, ReactiveScheduler
 
 
@@ -37,6 +38,11 @@ class InteractiveGovernor(ReactiveScheduler):
     high_util_threshold: float = 0.85
     util_window_ms: float = 100.0
     name: str = field(default="Interactive", init=False)
+    #: One immutable plan per ramp, keyed by its values: (big cluster,
+    #: initial MHz, final MHz, sample period).
+    _plans: dict[tuple[str, int, int, float], ExecutionPlan] = field(
+        default_factory=dict, repr=False, init=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.sample_period_ms <= 0 or self.util_window_ms <= 0:
@@ -58,10 +64,11 @@ class InteractiveGovernor(ReactiveScheduler):
             target = big.max_frequency_mhz * utilisation / self.high_util_threshold
             initial_freq = big.ceil_frequency(max(target, big.min_frequency_mhz))
 
-        from repro.hardware.acmp import AcmpConfig
-
-        initial = AcmpConfig(big.name, initial_freq)
-        final = AcmpConfig(big.name, big.max_frequency_mhz)
-        if initial == final:
-            return ExecutionPlan.single(final)
-        return ExecutionPlan.ramp(initial, self.sample_period_ms, final)
+        key = (big.name, initial_freq, big.max_frequency_mhz, self.sample_period_ms)
+        plan = self._plans.get(key)
+        if plan is None:
+            final = AcmpConfig(big.name, big.max_frequency_mhz)
+            plan = self._plans[key] = ExecutionPlan.ramp(
+                AcmpConfig(big.name, initial_freq), self.sample_period_ms, final
+            )
+        return plan

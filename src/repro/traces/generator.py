@@ -13,11 +13,21 @@ level of difficulty that reproduces the accuracy spread of Fig. 8.
 Timing follows the published session statistics: sessions of roughly 110 s
 containing roughly 25 events (up to 70), with long think times after loads
 and taps and short gaps inside scroll bursts.
+
+Per event the generator draws from its RNG and looks the rest up: the
+think-time log-medians are tabulated once per :class:`SessionConfig`, the
+workload log-medians once per :class:`~repro.traces.workload.WorkloadModel`
+(both with the ``np.log`` calls the draws used to make, so the bits are
+the same), and the candidate events, the behaviour ranking and the tap and
+submit target pools are memoised on the DOM state's view.  Every RNG call
+is made as before, in the same order: the draw sequence defines the trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -26,7 +36,7 @@ import numpy as np
 from repro.hardware.dvfs import DvfsModel
 from repro.traces.session_state import SessionState
 from repro.traces.trace import Trace, TraceEvent, TraceSet
-from repro.traces.workload import WorkloadModel
+from repro.traces.workload import WorkloadModel, check_workload_params
 from repro.webapp.apps import AppCatalog, AppProfile
 from repro.webapp.dom import DomNode
 from repro.webapp.events import EventType, Interaction, interaction_of
@@ -50,6 +60,17 @@ DEFAULT_BEHAVIOR_WEIGHTS: Mapping[EventType, tuple[float, tuple[float, float, fl
     EventType.SUBMIT: (-3.4, (1.0, 0.0, 0.8, 0.0, 1.5)),
     EventType.LOAD: (-4.0, (0.0, 0.0, 0.0, 3.0, 0.0)),
 }
+
+
+#: The :class:`SessionConfig` think-time medians, each the median of a log-normal draw.
+_THINK_MEDIANS = (
+    "think_after_load_ms",
+    "think_tap_after_move_ms",
+    "think_tap_after_tap_ms",
+    "think_tap_ms",
+    "move_burst_gap_ms",
+    "move_start_gap_ms",
+)
 
 
 @dataclass(frozen=True)
@@ -88,12 +109,48 @@ class SessionConfig:
     navigation_probability: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.target_duration_ms <= 0:
-            raise ValueError("target_duration_ms must be positive")
+        # Negated comparisons, so that NaN fails them too.
+        if not self.target_duration_ms > 0:
+            raise ValueError("SessionConfig.target_duration_ms must be positive")
         if not 0 < self.min_events <= self.max_events:
             raise ValueError("need 0 < min_events <= max_events")
-        if self.min_gap_ms <= 0:
-            raise ValueError("min_gap_ms must be positive")
+        for name in (*_THINK_MEDIANS, "min_gap_ms"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"SessionConfig.{name} must be positive and finite")
+        if not 0.0 <= self.think_sigma < math.inf:
+            raise ValueError("SessionConfig.think_sigma must be non-negative and finite")
+        if not 0.0 <= self.navigation_probability <= 1.0:
+            raise ValueError("SessionConfig.navigation_probability must be in [0, 1]")
+
+    def think_median_ms(self, previous: Interaction | None, following: Interaction) -> float:
+        """The median think time before a ``following`` event after a ``previous`` one."""
+        if previous is Interaction.LOAD:
+            return self.think_after_load_ms
+        if following is Interaction.MOVE:
+            return self.move_burst_gap_ms if previous is Interaction.MOVE else self.move_start_gap_ms
+        if following is Interaction.TAP and previous is Interaction.MOVE:
+            return self.think_tap_after_move_ms
+        if following is Interaction.TAP and previous is Interaction.TAP:
+            return self.think_tap_after_tap_ms
+        return self.think_tap_ms
+
+    @cached_property
+    def think_log_medians(self) -> dict[tuple[EventType | None, EventType], float]:
+        """``np.log`` of :meth:`think_median_ms` for every (previous, next) event type pair.
+
+        Built on first use (``None`` stands for no previous event), so a
+        think-time draw is a lookup and one ``lognormal`` call.
+        """
+        return {
+            (previous, following): np.log(
+                self.think_median_ms(
+                    interaction_of(previous) if previous is not None else None,
+                    interaction_of(following),
+                )
+            )
+            for previous in (None, *EventType)
+            for following in EventType
+        }
 
 
 class UserBehaviorModel:
@@ -194,6 +251,10 @@ class TraceGenerator:
     #: Per-interaction workload overrides (session-regime presets); ``None``
     #: keeps :data:`repro.traces.workload.INTERACTION_WORKLOADS`.
     workload_params: Mapping | None = None
+
+    def __post_init__(self) -> None:
+        if self.workload_params is not None:
+            check_workload_params(self.workload_params)
 
     # -- public API ------------------------------------------------------------
 
@@ -311,11 +372,12 @@ class TraceGenerator:
             return root, False
 
         if event_type is EventType.SUBMIT:
-            submits = [
-                n
-                for n in state.visible_nodes()
-                if EventType.SUBMIT in n.listeners
-            ]
+            memo = state.view().memo
+            submits = memo.get("submit_targets")
+            if submits is None:
+                submits = memo["submit_targets"] = tuple(
+                    n for n in state.visible_nodes() if EventType.SUBMIT in n.listeners
+                )
             if not submits:
                 return None, False
             node = submits[int(rng.integers(len(submits)))]
@@ -325,12 +387,9 @@ class TraceGenerator:
         if not in_page and not navigating:
             return None, False
         if in_page and (not navigating or rng.random() >= self.session.navigation_probability):
-            pool = in_page
-        else:
-            pool = navigating or in_page
-        node = pool[int(rng.integers(len(pool)))]
-        navigates = state.semantic.effect_of(node.node_id, event_type).navigates
-        return node, navigates
+            return in_page[int(rng.integers(len(in_page)))], False
+        # Here ``navigating`` is never empty, and its targets all navigate.
+        return navigating[int(rng.integers(len(navigating)))], True
 
     @staticmethod
     def _tap_targets(
@@ -362,23 +421,7 @@ class TraceGenerator:
     ) -> float:
         """Gap (ms) between the previous event's arrival and the next one's."""
         cfg = self.session
-        prev_interaction = interaction_of(previous_type) if previous_type else None
-        next_interaction = interaction_of(next_type)
-
-        if prev_interaction is Interaction.LOAD:
-            median = cfg.think_after_load_ms
-        elif next_interaction is Interaction.MOVE and prev_interaction is Interaction.MOVE:
-            median = cfg.move_burst_gap_ms
-        elif next_interaction is Interaction.MOVE:
-            median = cfg.move_start_gap_ms
-        elif next_interaction is Interaction.TAP and prev_interaction is Interaction.MOVE:
-            median = cfg.think_tap_after_move_ms
-        elif next_interaction is Interaction.TAP and prev_interaction is Interaction.TAP:
-            median = cfg.think_tap_after_tap_ms
-        else:
-            median = cfg.think_tap_ms
-
-        think = float(rng.lognormal(np.log(median), cfg.think_sigma))
+        think = float(rng.lognormal(cfg.think_log_medians[previous_type, next_type], cfg.think_sigma))
         return max(cfg.min_gap_ms, think)
 
 

@@ -12,6 +12,16 @@ predictor (which observes it) need the same view of an ongoing session:
 Keeping this in the traces layer lets the predictor consume exactly the
 same feature definitions the behaviour model is driven by, without the
 substrate depending on the core library.
+
+Nothing that stays fixed between two events is recomputed per event:
+
+* the window counts (distance to the last tap, navigations and moves in the
+  window) are kept up to date by :meth:`SessionState.apply_event` as the
+  ``maxlen`` history evicts, so reading them, and cloning a state, costs
+  three ints instead of a rescan;
+* :meth:`SessionState.available_events` is memoised on the state's
+  :class:`~repro.webapp.dom.DomView` (a pure function of the DOM state),
+  and after a navigation it is one module constant.
 """
 
 from __future__ import annotations
@@ -60,6 +70,23 @@ def document_rng(profile: AppProfile, doc_index: int) -> np.random.Generator:
     return np.random.default_rng(stable_seed(profile.name, doc_index))
 
 
+#: The only event a navigation leaves possible: the new document's load.
+_AFTER_NAVIGATION: frozenset[EventType] = frozenset({EventType.LOAD})
+
+
+def _rescan_window(history: deque[ObservedEvent]) -> tuple[int, int, int]:
+    """The history's window counts by a full scan: the distance to the most
+    recent tap (0 when the window holds none), navigations and move events."""
+    tap_distance = 0
+    for distance, observed in enumerate(reversed(history), start=1):
+        if interaction_of(observed.event_type) is Interaction.TAP:
+            tap_distance = distance
+            break
+    navigations = sum(1 for o in history if o.navigated)
+    moves = sum(1 for o in history if interaction_of(o.event_type) is Interaction.MOVE)
+    return tap_distance, navigations, moves
+
+
 #: Pristine documents by ``(profile, doc_index)``: ``build_dom`` is a pure function
 #: of the two and sessions revisit the same few documents, so each is built once.
 _DOCUMENTS: dict[tuple[AppProfile, int], tuple[DomTree, SemanticTree]] = {}
@@ -85,6 +112,15 @@ class SessionState:
     last_navigated: bool = False
     #: ``dom.view()`` of the current state, fetched on first use.
     _view: DomView | None = field(default=None, init=False, repr=False, compare=False)
+    #: The window counts of ``history``, kept up to date by :meth:`apply_event`:
+    #: the distance to the most recent tap (0 = none in the window), the
+    #: navigations and the move events.
+    _tap_distance: int = field(default=0, init=False, repr=False, compare=False)
+    _navigations: int = field(default=0, init=False, repr=False, compare=False)
+    _moves: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._tap_distance, self._navigations, self._moves = _rescan_window(self.history)
 
     @classmethod
     def fresh(cls, profile: AppProfile) -> "SessionState":
@@ -117,19 +153,10 @@ class SessionState:
         """The interaction-dependent features before normalisation.
 
         Events since the most recent tap (``FEATURE_WINDOW`` when the window
-        holds none), navigations and move events in the window.
+        holds none), navigations and move events in the window.  Kept up to
+        date by :meth:`apply_event`, not rescanned.
         """
-        distance_to_click = FEATURE_WINDOW
-        for distance, observed in enumerate(reversed(self.history), start=1):
-            if interaction_of(observed.event_type) is Interaction.TAP:
-                distance_to_click = distance
-                break
-
-        navigations = sum(1 for o in self.history if o.navigated)
-        scrolls = sum(
-            1 for o in self.history if interaction_of(o.event_type) is Interaction.MOVE
-        )
-        return distance_to_click, navigations, scrolls
+        return self._tap_distance or FEATURE_WINDOW, self._navigations, self._moves
 
     def feature_values(self) -> tuple[float, float, float, float, float]:
         """The five features, each normalised to [0, 1], as plain floats."""
@@ -158,8 +185,14 @@ class SessionState:
         always supports).
         """
         if self.last_navigated:
-            return frozenset({EventType.LOAD})
-        return frozenset(e for e in self.view().listeners if e in POINTER_EVENT_TYPES)
+            return _AFTER_NAVIGATION
+        view = self.view()
+        events = view.memo.get("available_events")
+        if events is None:
+            events = view.memo["available_events"] = frozenset(
+                e for e in view.listeners if e in POINTER_EVENT_TYPES
+            )
+        return events
 
     # -- state evolution -------------------------------------------------------
 
@@ -188,7 +221,20 @@ class SessionState:
             self._view = None
             self.last_navigated = False
 
-        self.history.append(ObservedEvent(event_type=event_type, navigated=did_navigate, node_id=node_id))
+        history = self.history
+        if len(history) == history.maxlen:
+            evicted = history[0]
+            self._navigations -= evicted.navigated
+            self._moves -= interaction_of(evicted.event_type) is Interaction.MOVE
+        history.append(ObservedEvent(event_type=event_type, navigated=did_navigate, node_id=node_id))
+        interaction = interaction_of(event_type)
+        if interaction is Interaction.TAP:
+            self._tap_distance = 1
+        elif self._tap_distance:
+            # The tap moves one further back, and leaves with the oldest event.
+            self._tap_distance = self._tap_distance + 1 if self._tap_distance < len(history) else 0
+        self._navigations += did_navigate
+        self._moves += interaction is Interaction.MOVE
         return did_navigate
 
     def clone(self) -> "SessionState":
@@ -198,20 +244,17 @@ class SessionState:
         largest predictor-side cost): the immutable pieces — the frozen
         :class:`AppProfile`, the frozen ``CallbackEffect`` values, and the
         frozen ``ObservedEvent`` history entries — are shared, and so is the
-        view snapshot, since the clone starts in the same DOM state.
+        view snapshot, since the clone starts in the same DOM state, and the
+        window counts are copied, not rescanned.
         The DOM tree is a copy-on-write :meth:`DomTree.clone`: a roll-forward
         copies nodes only when an effect mutates one through
         :meth:`DomTree.find`, and scrolls and loads never copy; so mutate
         nodes only through references obtained from ``find``.  The
         Semantic-Tree mapping and history window get fresh containers.
         """
-        twin = SessionState(
-            profile=self.profile,
-            dom=self.dom.clone(),
-            semantic=SemanticTree(effects=dict(self.semantic.effects)),
-            doc_index=self.doc_index,
-            history=deque(self.history, maxlen=FEATURE_WINDOW),
-            last_navigated=self.last_navigated,
-        )
-        twin._view = self._view
+        twin = SessionState.__new__(SessionState)
+        twin.__dict__.update(self.__dict__)
+        twin.dom = self.dom.clone()
+        twin.semantic = SemanticTree(effects=dict(self.semantic.effects))
+        twin.history = deque(self.history, maxlen=FEATURE_WINDOW)
         return twin

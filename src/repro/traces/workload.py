@@ -18,7 +18,8 @@ scaled by the application's ``workload_scale``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -45,10 +46,10 @@ class WorkloadParams:
     heavy_ndep_mcycles: float
 
     def __post_init__(self) -> None:
-        if min(self.ndep_median_mcycles, self.tmem_median_ms, self.heavy_ndep_mcycles) < 0:
-            raise ValueError("workload medians must be non-negative")
-        if self.ndep_sigma < 0 or self.tmem_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
+        # Negated comparisons, so that NaN fails them too.
+        for name in ("ndep_median_mcycles", "ndep_sigma", "tmem_median_ms", "tmem_sigma", "heavy_ndep_mcycles"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"WorkloadParams.{name} must be non-negative and finite")
 
 
 #: Default workload parameters per interaction class.
@@ -77,6 +78,15 @@ INTERACTION_WORKLOADS: Mapping[Interaction, WorkloadParams] = {
 }
 
 
+def check_workload_params(params: Mapping[Interaction, WorkloadParams]) -> None:
+    """Reject a per-interaction mapping that leaves an interaction out."""
+    for interaction in Interaction:
+        if interaction not in params:
+            raise ValueError(
+                f"workload_params has no entry for the {interaction.value!r} interaction"
+            )
+
+
 @dataclass
 class WorkloadModel:
     """Samples per-event workloads for an application.
@@ -84,14 +94,37 @@ class WorkloadModel:
     The model also answers "how heavy would this event *type* typically be"
     without sampling, which the schedulers use when they have to provision
     for a predicted event whose concrete workload has not been measured yet.
+
+    Construction tabulates, per event type, everything :meth:`sample` needs
+    besides its draws: the heavy-tail probability, the sigmas and ``np.log``
+    of the three scaled medians, computed with the very expressions the
+    draws used to evaluate per event, so every sample keeps its bits.
     """
 
     profile: AppProfile
     params: Mapping[Interaction, WorkloadParams] = None  # type: ignore[assignment]
+    #: Event type -> (heavy probability, log heavy median, log median,
+    #: ndep sigma, log tmem median, tmem sigma).
+    _table: dict[EventType, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.params is None:
             self.params = dict(INTERACTION_WORKLOADS)
+        check_workload_params(self.params)
+        scale = self.profile.workload_scale
+        rows = {}
+        for interaction, params in self.params.items():
+            rows[interaction] = (
+                np.log(params.heavy_ndep_mcycles * scale),
+                np.log(params.ndep_median_mcycles * scale),
+                params.ndep_sigma,
+                np.log(params.tmem_median_ms * scale),
+                params.tmem_sigma,
+            )
+        self._table = {
+            event_type: (self.heavy_probability(event_type),) + rows[interaction_of(event_type)]
+            for event_type in EventType
+        }
 
     def _params_for(self, event_type: EventType) -> WorkloadParams:
         return self.params[interaction_of(event_type)]
@@ -107,12 +140,10 @@ class WorkloadModel:
 
     def sample(self, event_type: EventType, rng: np.random.Generator) -> DvfsModel:
         """Draw one event's workload."""
-        params = self._params_for(event_type)
-        scale = self.profile.workload_scale
-        heavy = rng.random() < self.heavy_probability(event_type)
-        ndep_median = params.heavy_ndep_mcycles if heavy else params.ndep_median_mcycles
-        ndep = float(rng.lognormal(np.log(ndep_median * scale), params.ndep_sigma))
-        tmem = float(rng.lognormal(np.log(params.tmem_median_ms * scale), params.tmem_sigma))
+        heavy_p, log_heavy, log_median, ndep_sigma, log_tmem, tmem_sigma = self._table[event_type]
+        heavy = rng.random() < heavy_p
+        ndep = float(rng.lognormal(log_heavy if heavy else log_median, ndep_sigma))
+        tmem = float(rng.lognormal(log_tmem, tmem_sigma))
         return DvfsModel(tmem_ms=tmem, ndep_mcycles=ndep)
 
     def typical(self, event_type: EventType) -> DvfsModel:

@@ -19,6 +19,11 @@ class Interaction(enum.Enum):
     TAP = "tap"
     MOVE = "move"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # is a value hash; ``Enum.__hash__`` is a Python-level call, and these
+    # enums are dictionary and set keys on every generated and replayed event.
+    __hash__ = object.__hash__
+
 
 class EventType(enum.Enum):
     """DOM-level event types observed in interaction traces."""
@@ -29,6 +34,9 @@ class EventType(enum.Enum):
     SUBMIT = "submit"
     TOUCHMOVE = "touchmove"
     SCROLL = "scroll"
+
+    # See Interaction.
+    __hash__ = object.__hash__
 
 
 _EVENT_TO_INTERACTION: Mapping[EventType, Interaction] = {
@@ -53,9 +61,15 @@ def interaction_of(event_type: EventType) -> Interaction:
     return _EVENT_TO_INTERACTION[event_type]
 
 
+#: :data:`QOS_TARGETS_MS` by event type.
+_QOS_BY_EVENT: Mapping[EventType, float] = {
+    event_type: QOS_TARGETS_MS[interaction] for event_type, interaction in _EVENT_TO_INTERACTION.items()
+}
+
+
 def qos_target_ms(event_type: EventType) -> float:
     """QoS target (deadline) for a DOM event type, in milliseconds."""
-    return QOS_TARGETS_MS[interaction_of(event_type)]
+    return _QOS_BY_EVENT[event_type]
 
 
 #: Event types a user can trigger through pointer input (i.e. excluding the

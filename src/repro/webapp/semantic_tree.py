@@ -69,13 +69,17 @@ class CallbackEffect:
                 node.display = "none"
 
 
+#: The effect of every unregistered (node, event type) pair; frozen, so one is shared.
+NO_EFFECT = CallbackEffect()
+
+
 @dataclass
 class SemanticTree:
     """Accessibility-Tree-backed memoisation of callback effects.
 
-    Keys are ``(node_id, event_type)`` pairs.  ``effect_of`` returns a no-op
-    effect when nothing is registered, mirroring callbacks whose effects the
-    analysis cannot (or need not) model.
+    Keys are ``(node_id, event_type)`` pairs.  ``effect_of`` returns the
+    shared no-op :data:`NO_EFFECT` when nothing is registered, mirroring
+    callbacks whose effects the analysis cannot (or need not) model.
     """
 
     effects: dict[tuple[str, EventType], CallbackEffect] = field(default_factory=dict)
@@ -84,7 +88,7 @@ class SemanticTree:
         self.effects[(node_id, event_type)] = effect
 
     def effect_of(self, node_id: str, event_type: EventType) -> CallbackEffect:
-        return self.effects.get((node_id, event_type), CallbackEffect())
+        return self.effects.get((node_id, event_type), NO_EFFECT)
 
     def has_effect(self, node_id: str, event_type: EventType) -> bool:
         return (node_id, event_type) in self.effects

@@ -73,7 +73,7 @@ class TestWorkloadCalibration:
         scheduler = EbsScheduler(calibration_runs=1)
         scheduler.plan(ctx_for(system, power_table, DvfsModel(5.0, 50.0), index=0))
         scheduler.reset()
-        assert scheduler._count == {}
+        assert scheduler._seen == {}
 
     def test_safety_factor_validation(self):
         with pytest.raises(ValueError):

@@ -113,9 +113,32 @@ class TestEnumerateOptionsMatchesNaiveSweep:
 
 
 class ReferenceEbs(EbsScheduler):
-    """EBS as it was: every option built and sorted, then two ``min``s."""
+    """EBS as it was: a ``DvfsModel`` prediction from three per-type sums,
+    every option built and sorted, then two ``min``s."""
+
+    def reset(self):
+        self._sum_tmem, self._sum_ndep, self._count = {}, {}, {}
+
+    def _predict_workload(self, ctx):
+        event_type = ctx.event.event_type
+        count = self._count.get(event_type, 0)
+        if count < self.calibration_runs or count == 0:
+            return ctx.event.workload
+        return DvfsModel(
+            tmem_ms=self._sum_tmem[event_type] / count * self.workload_safety_factor,
+            ndep_mcycles=self._sum_ndep[event_type] / count * self.workload_safety_factor,
+        )
+
+    def _record(self, ctx):
+        event_type = ctx.event.event_type
+        workload = ctx.event.workload
+        self._sum_tmem[event_type] = self._sum_tmem.get(event_type, 0.0) + workload.tmem_ms
+        self._sum_ndep[event_type] = self._sum_ndep.get(event_type, 0.0) + workload.ndep_mcycles
+        self._count[event_type] = self._count.get(event_type, 0) + 1
 
     def plan(self, ctx):
+        if not hasattr(self, "_count"):
+            self.reset()
         predicted_workload = self._predict_workload(ctx)
         self._record(ctx)
         options = enumerate_options(ctx.system, ctx.power_table, predicted_workload)

@@ -34,11 +34,11 @@ class TestExecutePlan:
         workload = DvfsModel(10.0, 180.0)
         config = AcmpConfig("A15", 1800)
         plan = ExecutionPlan.single(config)
-        result = execute_plan(setup, plan, workload, 100.0, previous_config=config)
-        assert result.finish_ms == pytest.approx(100.0 + workload.latency_ms(setup.system, config))
-        assert result.active_energy_mj == pytest.approx(
-            setup.power_table.power_w(config) * result.cpu_time_ms
+        finish_ms, cpu_time_ms, active_energy_mj, _ = execute_plan(
+            setup, plan, workload, 100.0, previous_config=config
         )
+        assert finish_ms == pytest.approx(100.0 + workload.latency_ms(setup.system, config))
+        assert active_energy_mj == pytest.approx(setup.power_table.power_w(config) * cpu_time_ms)
 
     def test_switching_cost_added_when_config_changes(self, setup):
         workload = DvfsModel(10.0, 180.0)
@@ -47,7 +47,7 @@ class TestExecutePlan:
         cold = execute_plan(setup, plan, workload, 0.0, previous_config=AcmpConfig("A7", 600))
         warm = execute_plan(setup, plan, workload, 0.0, previous_config=config)
         expected_switch = setup.switching.switch_latency_ms(AcmpConfig("A7", 600), config)
-        assert cold.cpu_time_ms == pytest.approx(warm.cpu_time_ms + expected_switch)
+        assert cold[1] == pytest.approx(warm[1] + expected_switch)
 
     def test_ramp_is_slower_than_final_config_alone(self, setup):
         workload = DvfsModel(10.0, 400.0)
@@ -57,15 +57,15 @@ class TestExecutePlan:
             setup, ExecutionPlan.ramp(slow, 20.0, fast), workload, 0.0, previous_config=slow
         )
         direct = execute_plan(setup, ExecutionPlan.single(fast), workload, 0.0, previous_config=fast)
-        assert ramp.cpu_time_ms > direct.cpu_time_ms
+        assert ramp[1] > direct[1]
 
     def test_work_fully_completes_within_bounded_phase_when_short(self, setup):
         workload = DvfsModel(1.0, 9.0)  # ~6 ms at max performance
         fast = AcmpConfig("A15", 1800)
         plan = ExecutionPlan(phases=(ConfigPhase(fast, 20.0), ConfigPhase(AcmpConfig("A15", 800))))
-        result = execute_plan(setup, plan, workload, 0.0, previous_config=fast)
-        assert result.final_config == fast
-        assert result.cpu_time_ms < 20.0
+        _, cpu_time_ms, _, final_config = execute_plan(setup, plan, workload, 0.0, previous_config=fast)
+        assert final_config == fast
+        assert cpu_time_ms < 20.0
 
 
 class TestReactiveEngine:

@@ -13,6 +13,7 @@ from repro.traces.generator import (
     substream_seeds,
 )
 from repro.traces.session_state import SessionState
+from repro.traces.workload import INTERACTION_WORKLOADS, WorkloadModel
 from repro.webapp.apps import AppCatalog
 from repro.webapp.events import EventType, Interaction, interaction_of
 
@@ -37,6 +38,52 @@ class TestSessionConfig:
             SessionConfig(min_events=50, max_events=10)
         with pytest.raises(ValueError):
             SessionConfig(min_gap_ms=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Each was accepted: a negative or NaN think median gave NaN
+            # think times that ``max`` clamped to the minimum gap, and a NaN
+            # duration ran every session to ``max_events``.
+            ("think_tap_ms", -1.0),
+            ("think_tap_ms", float("nan")),
+            ("think_after_load_ms", 0.0),
+            ("move_burst_gap_ms", float("inf")),
+            ("think_sigma", float("nan")),
+            ("think_sigma", -0.1),
+            ("target_duration_ms", float("nan")),
+            ("min_gap_ms", float("nan")),
+            ("navigation_probability", 2.0),
+            ("navigation_probability", float("nan")),
+        ],
+    )
+    def test_bad_values_are_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"SessionConfig.{field}"):
+            SessionConfig(**{field: value})
+
+    def test_think_log_medians_are_the_logs_the_draws_used(self):
+        config = SessionConfig()
+        assert config.think_log_medians[None, EventType.SCROLL] == np.log(config.move_start_gap_ms)
+        assert config.think_log_medians[EventType.LOAD, EventType.SCROLL] == np.log(config.think_after_load_ms)
+        assert config.think_log_medians[EventType.SCROLL, EventType.TOUCHMOVE] == np.log(config.move_burst_gap_ms)
+        assert config.think_log_medians[EventType.SCROLL, EventType.CLICK] == np.log(config.think_tap_after_move_ms)
+        assert config.think_log_medians[EventType.SUBMIT, EventType.CLICK] == np.log(config.think_tap_after_tap_ms)
+        assert config.think_log_medians[None, EventType.CLICK] == np.log(config.think_tap_ms)
+        assert config.think_log_medians[EventType.CLICK, EventType.LOAD] == np.log(config.think_tap_ms)
+
+
+class TestWorkloadParamsCoverage:
+    def test_a_mapping_without_an_interaction_is_rejected_at_construction(self, catalog):
+        # It used to fail mid-trace with a bare KeyError(<Interaction.MOVE: 'move'>).
+        partial = {
+            interaction: params
+            for interaction, params in INTERACTION_WORKLOADS.items()
+            if interaction is not Interaction.MOVE
+        }
+        with pytest.raises(ValueError, match="workload_params has no entry for the 'move' interaction"):
+            TraceGenerator(catalog=catalog, workload_params=partial)
+        with pytest.raises(ValueError, match="'move'"):
+            WorkloadModel(catalog.get("cnn"), params=partial)
 
 
 class TestBehaviorModel:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.predictor.training import PredictorTrainer
 from repro.traces import session_state
@@ -11,7 +12,7 @@ from repro.traces.generator import TraceGenerator
 from repro.traces.session_state import FEATURE_NAMES, FEATURE_WINDOW, SessionState, document_rng
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS, AppCatalog, AppProfile
 from repro.webapp.dom import DomNode, DomTree
-from repro.webapp.events import EventType
+from repro.webapp.events import EventType, Interaction, interaction_of
 from repro.webapp.semantic_tree import CallbackEffect
 
 
@@ -292,3 +293,54 @@ class TestDocumentMemo:
         # one per session plus one per load.
         served = 2 * sum(1 + sum(e.event_type is EventType.LOAD for e in trace) for trace in traces)
         assert len(built) < served
+
+
+def rescanned_window_counts(state: SessionState) -> tuple[int, int, int]:
+    """The window counts as they were computed before they were kept
+    incrementally: a full scan of the history on every call."""
+    distance_to_click = FEATURE_WINDOW
+    for distance, observed in enumerate(reversed(state.history), start=1):
+        if interaction_of(observed.event_type) is Interaction.TAP:
+            distance_to_click = distance
+            break
+    navigations = sum(1 for o in state.history if o.navigated)
+    moves = sum(1 for o in state.history if interaction_of(o.event_type) is Interaction.MOVE)
+    return distance_to_click, navigations, moves
+
+
+#: One step of a drawn session: an event type, whether it navigates, and
+#: whether to continue on a clone of the state from here on.
+window_steps = st.lists(
+    st.tuples(st.sampled_from(list(EventType)), st.booleans(), st.booleans()),
+    max_size=3 * FEATURE_WINDOW + 4,
+)
+
+
+class TestIncrementalWindowCounts:
+    @given(steps=window_steps, app=st.sampled_from(["cnn", "amazon"]))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_equal_a_rescan_through_eviction_and_clones(self, steps, app):
+        state = SessionState.fresh(AppCatalog().get(app))
+        assert state.window_counts() == rescanned_window_counts(state)
+        for event_type, navigates, fork in steps:
+            if fork:
+                original = state
+                state = state.clone()
+                assert state.window_counts() == rescanned_window_counts(original)
+            state.apply_event(event_type, state.dom.root.node_id, navigates=navigates)
+            assert len(state.history) <= FEATURE_WINDOW
+            assert state.window_counts() == rescanned_window_counts(state)
+            if fork:
+                # The clone's events never reach the state it was cloned from.
+                assert original.window_counts() == rescanned_window_counts(original)
+
+    def test_a_state_built_on_a_history_counts_it(self, state):
+        for event_type in (EventType.CLICK, EventType.SCROLL, EventType.TOUCHMOVE):
+            state.apply_event(event_type, state.dom.root.node_id, navigates=event_type is EventType.CLICK)
+        rebuilt = SessionState(
+            profile=state.profile,
+            dom=state.dom,
+            semantic=state.semantic,
+            history=state.history.copy(),
+        )
+        assert rebuilt.window_counts() == rescanned_window_counts(state) == (3, 1, 2)

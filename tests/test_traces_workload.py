@@ -26,6 +26,19 @@ class TestWorkloadParams:
         with pytest.raises(ValueError):
             WorkloadParams(1.0, -0.1, 1.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["ndep_median_mcycles", "ndep_sigma", "tmem_median_ms", "tmem_sigma", "heavy_ndep_mcycles"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nan_and_infinite_values_naming_the_field(self, field, value):
+        # A NaN median and an infinite sigma were both accepted.
+        values = dict(
+            ndep_median_mcycles=1.0, ndep_sigma=0.1, tmem_median_ms=1.0, tmem_sigma=0.1, heavy_ndep_mcycles=1.0
+        )
+        values[field] = value
+        with pytest.raises(ValueError, match=f"WorkloadParams.{field}"):
+            WorkloadParams(**values)
+
     def test_defaults_cover_all_interactions(self):
         assert set(INTERACTION_WORKLOADS) == set(Interaction)
 
