@@ -32,9 +32,6 @@ class Viewport:
         if self.scroll_y < 0:
             raise ValueError("scroll offset must be non-negative")
 
-    def scrolled(self, delta_y: float) -> "Viewport":
-        return Viewport(self.width, self.height, max(0.0, self.scroll_y + delta_y))
-
     @property
     def area(self) -> float:
         return self.width * self.height
@@ -277,9 +274,9 @@ class DomTree:
     # -- mutation ----------------------------------------------------------
 
     def scroll(self, delta_y: float) -> None:
-        """Scroll the viewport, clamped to the page height when known."""
-        viewport = self.viewport.scrolled(delta_y)
+        """Scroll the viewport, clamped at the top and, when known, to the page height."""
+        viewport = self.viewport
+        scroll_y = max(0.0, viewport.scroll_y + delta_y)
         if self._page_height is not None:
-            max_scroll = max(0.0, self._page_height - viewport.height)
-            viewport = Viewport(viewport.width, viewport.height, min(viewport.scroll_y, max_scroll))
-        self.viewport = viewport
+            scroll_y = min(scroll_y, max(0.0, self._page_height - viewport.height))
+        self.viewport = Viewport(viewport.width, viewport.height, scroll_y)

@@ -38,12 +38,13 @@ class TestViewport:
         with pytest.raises(ValueError):
             Viewport(width=100, height=100, scroll_y=-1)
 
-    def test_scrolled_clamps_at_zero(self):
-        viewport = Viewport(scroll_y=100)
-        assert viewport.scrolled(-500).scroll_y == 0.0
-
 
 class TestDomTree:
+    def test_scroll_clamps_at_zero(self):
+        tree = DomTree(root=DomNode("body", "root", height=2000), viewport=Viewport(scroll_y=100))
+        tree.scroll(-500)
+        assert tree.viewport == Viewport(scroll_y=0.0)
+
     def test_walk_visits_all_nodes(self):
         tree = build_tree()
         assert len(list(tree.walk())) == 5
