@@ -26,14 +26,14 @@ outcome; the reactive schemes and PES's EBS fallback use it.
 configuration the DVFS and brown-out faults leave it; PES commits and
 Oracle windows use it.
 
-Per event the reactive kernel rebuilds nothing that stays fixed between
-events: :func:`execute_plan` reads each configuration's effective GHz and
-power from the platform's :meth:`PowerTable.priced_configs` table (built
-once per platform), the EBS and Interactive schedulers hand out memoised
-immutable plans (one per configuration or ramp, keyed by value), and the
-live thermal state recomputes its cap, and the platform the cap leaves,
-only when the temperature moves.  What an event does create is its
-scheduler context and its :class:`EventOutcome`.
+Per event the kernels rebuild nothing that stays fixed between events:
+both read each configuration's effective GHz and power from the platform's
+:meth:`PowerTable.priced_configs` table (built once per platform, and used
+with the float expressions of Eqn. 1), the EBS and Interactive schedulers
+hand out memoised immutable plans (one per configuration or ramp, keyed by
+value), and the live thermal state recomputes its cap, and the platform
+the cap leaves, only when the temperature moves.  What a reactive event
+does create is its scheduler context and its :class:`EventOutcome`.
 
 Energy accounting: active intervals are charged at the configuration's
 power from the power table; the remainder of the session is charged at idle
@@ -281,6 +281,8 @@ class _Replay:
         )
         self.trace = self.faults.transform(trace) if self.faults is not None else trace
         self.thermal = _SessionThermal(setup, self.faults) if setup.thermal is not None else None
+        #: Configuration -> (effective GHz, active W) on the session's platform.
+        self.priced = setup.power_table.priced_configs(setup.system)
         self.outcomes: list[EventOutcome] = []
         self.busy_until = 0.0
         self.busy_ms = 0.0
@@ -406,9 +408,11 @@ class _Replay:
         if battery.force_lowest and chosen != setup.system.min_performance_config:
             chosen = setup.system.min_performance_config
             switch = setup.switching.switch_latency_ms(previous, chosen)
-        duration = switch + event.workload.latency_ms(setup.system, chosen)
+        effective_ghz, base_power = self.priced[chosen]
+        workload = event.workload
+        # Eqn. 1 with the float expression of DvfsModel.latency_ms.
+        duration = switch + (workload.tmem_ms + workload.ndep_mcycles / effective_ghz)
         finish = start_ms + duration
-        base_power = setup.power_table.power_w(chosen)
         power = base_power * battery.power_scale
         if battery.power_scale != 1.0:
             faults.note_fault_energy((power - base_power) * duration)
