@@ -122,7 +122,7 @@ class SessionConfig:
         if not 0.0 <= self.navigation_probability <= 1.0:
             raise ValueError("SessionConfig.navigation_probability must be in [0, 1]")
 
-    def think_median_ms(self, previous: Interaction | None, following: Interaction) -> float:
+    def _think_median_ms(self, previous: Interaction | None, following: Interaction) -> float:
         """The median think time before a ``following`` event after a ``previous`` one."""
         if previous is Interaction.LOAD:
             return self.think_after_load_ms
@@ -136,14 +136,14 @@ class SessionConfig:
 
     @cached_property
     def think_log_medians(self) -> dict[tuple[EventType | None, EventType], float]:
-        """``np.log`` of :meth:`think_median_ms` for every (previous, next) event type pair.
+        """``np.log`` of the median think time for every (previous, next) event type pair.
 
         Built on first use (``None`` stands for no previous event), so a
         think-time draw is a lookup and one ``lognormal`` call.
         """
         return {
             (previous, following): np.log(
-                self.think_median_ms(
+                self._think_median_ms(
                     interaction_of(previous) if previous is not None else None,
                     interaction_of(following),
                 )
