@@ -98,7 +98,9 @@ class PowerTable:
         """
         return self._prices(system)[2]
 
-    def _prices(self, system: AcmpSystem):
+    def _prices(
+        self, system: AcmpSystem
+    ) -> tuple[AcmpSystem, tuple[PricedPoint, ...], dict[AcmpConfig, tuple[float, float]]]:
         for entry in self._priced:
             if entry[0] is system:
                 return entry

@@ -113,7 +113,8 @@ class WorkloadModel:
         check_workload_params(self.params)
         scale = self.profile.workload_scale
         rows = {}
-        for interaction, params in self.params.items():
+        for interaction in Interaction:
+            params = self.params[interaction]
             rows[interaction] = (
                 np.log(params.heavy_ndep_mcycles * scale),
                 np.log(params.ndep_median_mcycles * scale),
@@ -125,9 +126,6 @@ class WorkloadModel:
             event_type: (self.heavy_probability(event_type),) + rows[interaction_of(event_type)]
             for event_type in EventType
         }
-
-    def _params_for(self, event_type: EventType) -> WorkloadParams:
-        return self.params[interaction_of(event_type)]
 
     def heavy_probability(self, event_type: EventType) -> float:
         """Probability that an event of this type is drawn from the heavy tail."""
@@ -152,7 +150,7 @@ class WorkloadModel:
         Used by schedulers that must provision for a *predicted* event before
         its real workload has been calibrated.
         """
-        params = self._params_for(event_type)
+        params = self.params[interaction_of(event_type)]
         scale = self.profile.workload_scale
         return DvfsModel(
             tmem_ms=params.tmem_median_ms * scale,

@@ -227,3 +227,29 @@ class TestEbsOnePassMatchesOptionsMin:
         for index, (event_type, workload, budget) in enumerate(events):
             ctx = budget_context(system, power_table, workload, budget, event_type, index)
             assert fast.plan(ctx) == reference.plan(ctx)
+
+    @given(
+        platform=st.sampled_from(sorted(EBS_PLATFORMS)),
+        history=st.lists(workloads, min_size=2, max_size=5),
+        workload=workloads,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_calibrated_predictions_at_every_option_latency(self, platform, history, workload):
+        # Budgets on the latencies of the reference's inflated running average,
+        # and one ulp either side: a prediction that differs in its last bit
+        # picks another plan at one of them.
+        system, power_table = EBS_PLATFORMS[platform], EBS_POWER_TABLES[platform]
+
+        def calibrated(scheduler):
+            for index, past in enumerate(history):
+                scheduler.plan(budget_context(system, power_table, past, 0.0, index=index))
+            return scheduler
+
+        predicted = calibrated(ReferenceEbs())._predict_workload(
+            budget_context(system, power_table, workload, 0.0, index=len(history))
+        )
+        for budget in edge_budgets(system, power_table, predicted):
+            ctx = budget_context(system, power_table, workload, budget, index=len(history))
+            fast = calibrated(EbsScheduler(safety_margin_ms=0.0))
+            reference = calibrated(ReferenceEbs(safety_margin_ms=0.0))
+            assert fast.plan(ctx) == reference.plan(ctx), budget

@@ -106,10 +106,6 @@ class ReferenceThermal(_SessionThermal):
     def throttled_now(self) -> bool:
         return self._cap() < self._full_max_mhz
 
-    @throttled_now.setter
-    def throttled_now(self, value) -> None:
-        pass
-
     def system_now(self):
         cap = self._cap()
         if cap >= self._full_max_mhz:
@@ -131,7 +127,6 @@ THERMALS = {
 }
 SETUPS = {name: SimulationSetup(system=system) for name, system in SYSTEMS.items()}
 FAULTS = (
-    None,
     "dvfs_flaky",
     "sensor_noisy",
     "sensor_stuck",
@@ -182,7 +177,7 @@ class TestSessionsMatchTheReferencePath:
         fast, reference = replay_both(setup, traces, scheme, monkeypatch)
         assert_same_bits(fast, reference)
 
-    @pytest.mark.parametrize("faults", FAULTS[1:])
+    @pytest.mark.parametrize("faults", FAULTS)
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_fault_presets_under_a_live_curve(self, faults, scheme, traces, monkeypatch):
         setup = SimulationSetup(
@@ -195,20 +190,20 @@ class TestSessionsMatchTheReferencePath:
 
     def test_the_matrix_reaches_throttling_ramps_and_fault_holds(self, traces, monkeypatch):
         # The cases above are only worth their bits if they exercise the paths.
-        hot = SimulationSetup(system=PLATFORMS["exynos5410"], thermal=THERMALS["cramped_warm"])
-        fast, _ = replay_both(hot, traces, "Interactive", monkeypatch)
+        warm = SimulationSetup(system=PLATFORMS["exynos5410"], thermal=THERMALS["cramped_warm"])
+        fast, _ = replay_both(warm, traces, "Interactive", monkeypatch)
         assert sum(result.thermal.throttled_events for result in fast) > 0
         assert sum(result.thermal.unthrottled_events for result in fast) > 0
         governor = InteractiveGovernor()
         for trace in traces:
-            ReactiveEngine(hot).run(trace, governor)
+            ReactiveEngine(warm).run(trace, governor)
         assert any(len(plan.phases) == 2 for plan in governor._plans.values())
         for preset, injected in (
             ("dvfs_flaky", "dvfs_injected"),
             ("sensor_noisy", "sensor_injected"),
             ("rail_brownout", "battery_injected"),
         ):
-            faulty = dataclasses.replace(hot, faults=get_fault_preset(preset))
+            faulty = dataclasses.replace(warm, faults=get_fault_preset(preset))
             fast, _ = replay_both(faulty, traces, "EBS", monkeypatch)
             assert sum(getattr(result.faults, injected) for result in fast) > 0, preset
 
