@@ -398,18 +398,22 @@ class TraceGenerator:
         """The in-page and the navigating tap targets of ``event_type``, once per view.
 
         Tap targets are the visible nodes other than the root that carry the
-        event type's listener.
+        event type's listener, each in visible order; a target is navigating
+        when its Semantic-Tree effect navigates.
         """
         memo = state.view().memo
         key = ("tap_targets", event_type)
         targets = memo.get(key)
         if targets is None:
             root = state.dom.root
-            candidates = [n for n in state.visible_nodes() if event_type in n.listeners and n is not root]
-            navigating = [
-                n for n in candidates if state.semantic.effect_of(n.node_id, event_type).navigates
-            ]
-            in_page = [n for n in candidates if n not in navigating]
+            in_page: list[DomNode] = []
+            navigating: list[DomNode] = []
+            for node in state.visible_nodes():
+                if event_type in node.listeners and node is not root:
+                    if state.semantic.effect_of(node.node_id, event_type).navigates:
+                        navigating.append(node)
+                    else:
+                        in_page.append(node)
             targets = memo[key] = (tuple(in_page), tuple(navigating))
         return targets
 
