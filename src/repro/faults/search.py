@@ -392,16 +392,14 @@ def run_search(
             if job not in precomputed:
                 journal.append_shard(cell_key, shard_keys[job], session.payload)
 
-        per_scheme_aggregates = evaluator.evaluate_matrix(
+        scheme_cells = evaluator.evaluate_matrix(
             [cell],
             learner=learner,
             encode=journal is not None,
             on_job_complete=None if journal is None else record,
             precomputed=precomputed or None,
         )[cell.key]
-        per_scheme = {
-            scheme: _summarise(aggregates) for scheme, aggregates in per_scheme_aggregates.items()
-        }
+        per_scheme = {scheme: _summarise(agg.finalize()) for scheme, agg in scheme_cells.items()}
         cell_payload = {
             "spec": None if fault_spec is None else fault_spec.to_dict(),
             "metrics": per_scheme,

@@ -12,10 +12,11 @@ Sampling is deterministic and worker-count independent: every device is an
 independent :func:`repro.utils.stable_seed`-derived draw, so device ``i``
 of fleet ``(name, seed)`` is the same device on any machine, for any
 ``--jobs`` value, in any sampling order.  Evaluation shards devices across
-:meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix` workers
-and folds per-shard :class:`~repro.runtime.metrics.StreamingAggregator`
-results into population aggregates via the first-class ``merge`` op, which
-is bit-identical to a single sequential fold for any shard boundaries.
+:meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix` workers,
+reads each device's per-scheme cells, and merges their overall
+:class:`~repro.runtime.metrics.StreamingAggregator` folds into population
+aggregates via the first-class ``merge`` op, which is bit-identical to a
+single sequential fold for any shard boundaries.
 """
 
 from repro.fleet.metrics import percentile, percentile_block

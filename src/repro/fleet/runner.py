@@ -1,14 +1,13 @@
 """Evaluate a device population and fold it into population aggregates.
 
 :class:`FleetRunner` turns each sampled :class:`~repro.fleet.population.Device`
-into one scenario cell, fans every (device × scheme × trace) job through the
-:class:`~repro.scenarios.runner.ScenarioRunner` /
+into one scenario cell and fans every (device × scheme × trace) job through
+the :class:`~repro.scenarios.runner.ScenarioRunner` /
 :meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix` machinery
 (with setup sharing, so a 200-device fleet builds one simulator per distinct
-hardware configuration), and merges every session's fold — made once, where
-the session finished — into per-(device, scheme)
-:class:`~repro.runtime.metrics.StreamingAggregator` shards.  Population
-aggregates are then the first-class ``merge`` of those shards in device
+hardware configuration).  Each device's per-scheme aggregate is the overall
+:class:`~repro.runtime.metrics.StreamingAggregator` of its matrix cell.
+Population aggregates are the first-class ``merge`` of those cells in device
 order — bit-identical to a single sequential fold for any sharding, which
 is what keeps ``FLEET_*.json`` byte-identical across ``--jobs`` values.
 
@@ -29,7 +28,7 @@ from typing import Sequence
 from repro.core.predictor.sequence_learner import EventSequenceLearner
 from repro.fleet.metrics import mean_or_none, percentile_block, win_loss
 from repro.fleet.population import Device, DevicePopulation, FleetSpec
-from repro.runtime.metrics import FinishedSession, StreamingAggregator
+from repro.runtime.metrics import StreamingAggregator
 from repro.scenarios.checkpoint import ArtefactError, ShardJournal
 from repro.scenarios.runner import ScenarioRunner
 from repro.utils import write_json_atomic
@@ -41,8 +40,8 @@ class FleetResult:
     """Everything one fleet evaluation produced.
 
     ``device_aggregates`` holds one streaming aggregator per (device
-    index, scheme) — the per-shard folds; ``population`` holds their
-    in-order merge per scheme.
+    index, scheme): the overall fold of that device's matrix cell;
+    ``population`` holds their in-order merge per scheme.
     """
 
     fleet: FleetSpec
@@ -88,9 +87,9 @@ class FleetRunner:
         """Evaluate every device of the fleet under every scheme.
 
         Any ``jobs`` value produces bit-identical aggregates: sessions fold
-        in deterministic global order, per-device shard aggregators are
-        keyed by content, and the population merge runs in device order
-        over exact-sum accumulators.  With a ``shards`` journal the run is
+        into their device's cells in deterministic global order, and the
+        population merge runs in device order over exact-sum
+        accumulators.  With a ``shards`` journal the run is
         resumable mid-device (see :class:`~repro.scenarios.checkpoint.ShardJournal`).
         """
         population = DevicePopulation(fleet)
@@ -103,26 +102,15 @@ class FleetRunner:
             train_seed=self.train_seed,
             share_setups=True,
         )
-        index_by_name = {spec.name: index for index, spec in enumerate(specs)}
-        device_aggregates: dict[tuple[int, str], StreamingAggregator] = {}
-
-        def on_session(
-            key: str, scheme: str, trace_index: int, session: FinishedSession
-        ) -> None:
-            device_aggregates.setdefault(
-                (index_by_name[key], scheme), StreamingAggregator()
-            ).merge(session.fold)
-
-        runner.run(
-            specs, learner=learner, shards=shards, resume=resume, on_session=on_session
-        )
-
+        cells = runner.run_cells(specs, learner=learner, shards=shards, resume=resume)
+        device_aggregates = {
+            (index, scheme): cells[spec.name][scheme].overall
+            for index, spec in enumerate(specs)
+            for scheme in fleet.schemes
+        }
         population_aggregates = {scheme: StreamingAggregator() for scheme in fleet.schemes}
-        for index in range(len(devices)):
-            for scheme in fleet.schemes:
-                shard = device_aggregates.get((index, scheme))
-                if shard is not None:
-                    population_aggregates[scheme].merge(shard)
+        for (_, scheme), aggregate in device_aggregates.items():
+            population_aggregates[scheme].merge(aggregate)
         return FleetResult(
             fleet=fleet,
             devices=devices,
@@ -142,17 +130,26 @@ def fleet_to_payload(result: FleetResult) -> dict:
     ``--jobs 1`` and ``--jobs 4`` write byte-identical files.
     """
     fleet = result.fleet
-    device_rows: list[dict] = []
     metric_names = (
         "energy_mj",
         "qos_violation_rate",
         "mean_latency_ms",
         "throttle_residency",
     )
-    # scheme -> metric -> per-device values (None-metrics excluded).
-    population_values: dict[str, dict[str, list[float]]] = {
-        scheme: {name: [] for name in metric_names} for scheme in fleet.schemes
+    # (device index, scheme) -> metric row, built once for the device rows,
+    # the population percentiles and the slice blocks.
+    metric_rows = {
+        (device.index, scheme): result.device_metrics(device.index, scheme)
+        for device in result.devices
+        for scheme in fleet.schemes
     }
+
+    def values(indices: Sequence[int], scheme: str, name: str) -> list[float]:
+        """One metric of these devices under ``scheme``, in device order, n/a left out."""
+        rows = (metric_rows[(index, scheme)] for index in indices)
+        return [row[name] for row in rows if row[name] is not None]
+
+    device_rows: list[dict] = []
     # slice -> device indices, first-seen (device-order) slices.
     slice_members: dict[str, list[int]] = {}
     for device in result.devices:
@@ -160,38 +157,27 @@ def fleet_to_payload(result: FleetResult) -> dict:
         slice_members.setdefault(slice_label, []).append(device.index)
         row = device.to_dict()
         row["slice"] = slice_label
-        row["schemes"] = {}
-        for scheme in fleet.schemes:
-            metrics = result.device_metrics(device.index, scheme)
-            row["schemes"][scheme] = metrics
-            for name in metric_names:
-                if metrics[name] is not None:
-                    population_values[scheme][name].append(metrics[name])
+        row["schemes"] = {scheme: metric_rows[(device.index, scheme)] for scheme in fleet.schemes}
         device_rows.append(row)
 
     def scheme_blocks(indices: Sequence[int]) -> dict[str, dict]:
         blocks: dict[str, dict] = {}
         for scheme in fleet.schemes:
-            rows = [result.device_metrics(index, scheme) for index in indices]
-            residencies = [
-                row["throttle_residency"]
-                for row in rows
-                if row["throttle_residency"] is not None
-            ]
-            ratios = [
-                row["normalised_energy"] for row in rows if row["normalised_energy"] is not None
-            ]
+            ratios = values(indices, scheme, "normalised_energy")
             blocks[scheme] = {
-                "energy_mj": percentile_block([row["energy_mj"] for row in rows]),
+                "energy_mj": percentile_block(values(indices, scheme, "energy_mj")),
                 "qos_violation_rate": percentile_block(
-                    [row["qos_violation_rate"] for row in rows]
+                    values(indices, scheme, "qos_violation_rate")
                 ),
-                "throttle_residency": percentile_block(residencies),
+                "throttle_residency": percentile_block(
+                    values(indices, scheme, "throttle_residency")
+                ),
                 "mean_normalised_energy": mean_or_none(ratios),
                 **win_loss(ratios),
             }
         return blocks
 
+    every_device = [device.index for device in result.devices]
     population_block: dict[str, dict] = {}
     for scheme, aggregator in result.population.items():
         thermal = aggregator.finalize_thermal()
@@ -201,8 +187,8 @@ def fleet_to_payload(result: FleetResult) -> dict:
             "thermal": thermal.to_dict() if thermal is not None else None,
             "faults": faults.to_dict() if faults is not None else None,
             "percentiles": {
-                name: percentile_block(values)
-                for name, values in population_values[scheme].items()
+                name: percentile_block(values(every_device, scheme, name))
+                for name in metric_names
             },
         }
 

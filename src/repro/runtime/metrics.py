@@ -841,16 +841,20 @@ class StreamingMatrixAggregator:
     """Streaming aggregation over (scenario key, scheme) cells.
 
     The scenario matrix fans jobs from *several* sweeps through one pool;
-    this merges each delivered session's fold into its ``(key, scheme)``
-    cell so a matrix over thousands of sessions never materialises per-cell
-    result lists.  Cells appear in merge order, and the exact-sum
-    accumulators make every total bit-identical to a serial fold.
+    this merges each delivered session's fold into ``cells[key][scheme]`` so
+    a matrix over thousands of sessions never materialises per-cell result
+    lists.  Cells appear in merge order, and the exact-sum accumulators make
+    every total bit-identical to a serial fold.
     """
 
-    cells: dict[tuple[str, str], StreamingSweepAggregator] = field(default_factory=dict)
+    cells: dict[str, dict[str, StreamingSweepAggregator]] = field(default_factory=dict)
 
     def add(self, key: str, scheme: str, fold: StreamingAggregator, app_name: str) -> None:
-        self.cells.setdefault((key, scheme), StreamingSweepAggregator()).add(fold, app_name)
+        row = self.cells.setdefault(key, {})
+        cell = row.get(scheme)
+        if cell is None:
+            cell = row[scheme] = StreamingSweepAggregator()
+        cell.add(fold, app_name)
 
 
 def aggregate_results(results: Iterable[SessionResult]) -> AggregateMetrics:

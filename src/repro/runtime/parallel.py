@@ -31,9 +31,11 @@ one-sweep matrix) and fans the jobs out over one ``multiprocessing`` pool:
   app name and the encoded payload; a ``SessionResult`` never crosses the
   pipe.  The parent only merges each fold into its cell's overall and
   per-app aggregates, in job order, and hands the session to the hooks,
-  which append the payload as it is.  The cell aggregates
-  (:class:`~repro.runtime.metrics.SchemeAggregates`) are what every run
-  returns, :meth:`~ParallelEvaluator.compare` included.
+  which append the payload as it is.
+* **Cells are the result** — :meth:`~ParallelEvaluator.evaluate_matrix`
+  returns its cells unfinalised (a
+  :class:`~repro.runtime.metrics.StreamingSweepAggregator` per sweep and
+  scheme); callers merge them, or finalise each once.
 * **In-process runs** — with one worker (``jobs=1``, or a single unit left
   to run) the jobs replay in the parent in job order, with no pool.  Every
   replay is deterministic and every fold merges through exact sums, so
@@ -81,6 +83,7 @@ from repro.runtime.metrics import (
     SchemeAggregates,
     SessionResult,
     StreamingMatrixAggregator,
+    StreamingSweepAggregator,
     finish_session,
 )
 from repro.runtime.simulator import SimulationSetup, Simulator, check_schemes
@@ -271,13 +274,6 @@ def _chunked(units: list, size: int) -> list[list]:
 # -- driver side --------------------------------------------------------------------
 
 
-def _finalize_sweep(
-    aggregator: StreamingMatrixAggregator, sweep: MatrixSweep
-) -> dict[str, SchemeAggregates]:
-    """Finalise one sweep's cells from the folded sums (pure, repeatable)."""
-    return {scheme: aggregator.cells[(sweep.key, scheme)].finalize() for scheme in sweep.schemes}
-
-
 @dataclass
 class ParallelEvaluator:
     """Fans (scheme x trace) replay jobs out over a process pool."""
@@ -307,10 +303,10 @@ class ParallelEvaluator:
     ) -> dict[str, SchemeAggregates]:
         """Replay the same traces under several schemes: a one-sweep matrix run.
 
-        Returns each scheme's streamed aggregates (overall and per app, in
-        trace order of first appearance).  The sweep is validated like any
-        matrix cell (known, distinct schemes; a learner for PES; at least
-        one trace).
+        Returns each scheme's finalised cell (overall and per app, in trace
+        order of first appearance).  The sweep is validated like any matrix
+        cell (known, distinct schemes; a learner for PES; at least one
+        trace).
         """
         sweep = MatrixSweep(
             key="compare",
@@ -319,7 +315,8 @@ class ParallelEvaluator:
             schemes=tuple(schemes),
             pes_config=pes_config,
         )
-        return self.evaluate_matrix([sweep], learner=learner)[sweep.key]
+        cells = self.evaluate_matrix([sweep], learner=learner)[sweep.key]
+        return {scheme: cell.finalize() for scheme, cell in cells.items()}
 
     def evaluate_matrix(
         self,
@@ -327,14 +324,16 @@ class ParallelEvaluator:
         *,
         learner: EventSequenceLearner | None = None,
         encode: bool = False,
-        on_sweep_complete: Callable[[MatrixSweep, dict[str, SchemeAggregates]], None]
+        on_sweep_complete: Callable[[MatrixSweep, dict[str, StreamingSweepAggregator]], None]
         | None = None,
         on_job_complete: Callable[[str, str, int, FinishedSession], None] | None = None,
         precomputed: dict[tuple[str, str, int], FinishedSession] | None = None,
-    ) -> dict[str, dict[str, SchemeAggregates]]:
+    ) -> dict[str, dict[str, StreamingSweepAggregator]]:
         """Fan several scenarios' (scheme x trace) jobs through one pool.
 
-        Returns ``{sweep key: {scheme: SchemeAggregates}}`` in matrix order.
+        Returns the cells, ``{sweep key: {scheme: StreamingSweepAggregator}}``
+        in matrix order, unfinalised: merge them, or call ``finalize()`` on
+        a cell for its :class:`~repro.runtime.metrics.SchemeAggregates`.
 
         Jobs from every sweep share the pool, so a short scenario's workers
         steal from a long one instead of idling at scenario boundaries.
@@ -345,9 +344,9 @@ class ParallelEvaluator:
 
         ``on_sweep_complete`` is called once per sweep, in matrix order, the
         moment that sweep's last job has been folded — while later sweeps
-        may still be running.  The checkpoint journal hangs off this hook:
-        each sweep is finalised once, when its last job folds, and the
-        aggregates the hook receives are the ones returned at the end.
+        may still be running — with that sweep's ``{scheme: cell}``: the
+        same objects the run returns, complete.  The checkpoint journal
+        hangs off this hook.
 
         ``on_job_complete`` is called once per job as ``(key, scheme,
         trace_index, session)`` with the job's :class:`FinishedSession`, in
@@ -404,7 +403,6 @@ class ParallelEvaluator:
                     jobs.append(job)
             sweep_end[len(jobs) - 1] = sweep
         aggregator = StreamingMatrixAggregator()
-        finalized: dict[str, dict[str, SchemeAggregates]] = {}
 
         def fold(index: int, session: FinishedSession) -> None:
             key, scheme, trace_index = jobs[index]
@@ -412,10 +410,8 @@ class ParallelEvaluator:
             if on_job_complete is not None:
                 on_job_complete(key, scheme, trace_index, session)
             finished = sweep_end.get(index)
-            if finished is not None:
-                per_scheme = finalized[finished.key] = _finalize_sweep(aggregator, finished)
-                if on_sweep_complete is not None:
-                    on_sweep_complete(finished, per_scheme)
+            if finished is not None and on_sweep_complete is not None:
+                on_sweep_complete(finished, aggregator.cells[finished.key])
 
         simulators = _Simulators.for_sweeps(sweep_list, self.catalog, learner, encode=encode)
         workers = min(self._jobs, len(units))
@@ -428,9 +424,9 @@ class ParallelEvaluator:
         else:
             self._drain_pool(jobs, list(units.items()), simulators, workers, fold, done)
 
-        # Every sweep has jobs, so each was finalised, in matrix order, as its
-        # last job folded.
-        return finalized
+        # Jobs fold in (sweep, scheme, trace) order and every sweep has jobs,
+        # so the cells are in matrix order.
+        return aggregator.cells
 
     # -- pool lifecycle -----------------------------------------------------------
 

@@ -4,10 +4,10 @@ Both journals are append-only JSON-lines files next to the final artefact.
 Each record is one line, written with one ``write`` call on an ``O_APPEND``
 descriptor and then ``fsync``-ed before the next record is made.
 
-A :class:`MatrixJournal` records every scenario cell as it finishes (the
+A :class:`MatrixJournal` records every scenario as it finishes (the
 ``on_sweep_complete`` hook of
 :meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix`): one
-line holding the cell's fully-serialised
+line holding the scenario's fully-serialised
 :class:`~repro.scenarios.runner.ScenarioResult`.  Re-running with
 ``--resume`` skips those cells.
 

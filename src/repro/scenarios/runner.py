@@ -28,6 +28,7 @@ from repro.runtime.metrics import (
     FaultAggregate,
     FinishedSession,
     SchemeAggregates,
+    StreamingSweepAggregator,
     ThermalAggregate,
     restore_session,
 )
@@ -247,7 +248,6 @@ class ScenarioRunner:
         journal: MatrixJournal | None = None,
         shards: ShardJournal | None = None,
         resume: bool = False,
-        on_session: "Callable[[str, str, int, FinishedSession], None] | None" = None,
     ) -> list[ScenarioResult]:
         """Run every scenario, returning one result per spec in spec order.
 
@@ -272,24 +272,12 @@ class ScenarioRunner:
         the cells that changed, and a shard whose payload does not decode
         (another codec) re-simulates.  Each session's payload is encoded
         where it finished; the parent appends it as it is.
-
-        ``on_session`` is called as ``(spec name, scheme, trace index,
-        session)`` with the :class:`~repro.runtime.metrics.FinishedSession`
-        of every session of every non-skipped spec, in deterministic fold
-        order — restored and freshly-simulated sessions alike, which is
-        what lets the fleet layer rebuild per-device aggregates across a
-        resume from the sessions' folds.
         """
         spec_list = list(specs)
         if not spec_list:
             return []
+        shard_map = _open_shards(shards, resume)
         completed: dict[str, ScenarioResult] = {}
-        shard_map: dict[str, dict[str, dict]] = {}
-        if shards is not None:
-            if resume:
-                _, shard_map = shards.open_for_resume()
-            else:
-                shards.clear()
         if journal is not None:
             if resume:
                 # A resume that resumes nothing is usually a mistake — a
@@ -322,57 +310,81 @@ class ScenarioRunner:
             else:
                 journal.clear()
         todo = [spec for spec in spec_list if spec.name not in completed]
-        fresh: dict[str, ScenarioResult] = {}
-        if todo:
-            if learner is None and any("PES" in spec.schemes for spec in todo):
-                learner = self.train_learner()
-            sweeps = [self.build_sweep(spec) for spec in todo]
-            evaluator = ParallelEvaluator(catalog=self.catalog, jobs=self.jobs)
-            by_key = {spec.name: spec for spec in todo}
-            cell_keys = {spec.name: _spec_key(spec.to_dict()) for spec in todo}
-            precomputed: dict[tuple[str, str, int], FinishedSession] = {}
-            for spec in todo:
-                for shard_key, payload in shard_map.get(cell_keys[spec.name], {}).items():
-                    scheme, _, trace_index = shard_key.rpartition("/")
-                    if not scheme or not trace_index.isdigit():
-                        continue
-                    restored = restore_session(payload)
-                    if restored is not None:
-                        precomputed[(spec.name, scheme, int(trace_index))] = restored
+        by_key = {spec.name: spec for spec in todo}
 
-            def checkpoint(
-                sweep: MatrixSweep, aggregates: dict[str, SchemeAggregates]
-            ) -> None:
-                result = ScenarioResult(spec=by_key[sweep.key], aggregates=aggregates)
-                fresh[sweep.key] = result
-                if journal is not None:
-                    journal.append(result)
+        def checkpoint(sweep: MatrixSweep, cells: dict[str, StreamingSweepAggregator]) -> None:
+            aggregates = {scheme: cell.finalize() for scheme, cell in cells.items()}
+            result = completed[sweep.key] = ScenarioResult(by_key[sweep.key], aggregates)
+            if journal is not None:
+                journal.append(result)
 
-            def record_session(
-                key: str, scheme: str, trace_index: int, session: FinishedSession
-            ) -> None:
-                if shards is not None and (key, scheme, trace_index) not in precomputed:
-                    shards.append_shard(
-                        cell_keys[key], f"{scheme}/{trace_index}", session.payload
-                    )
-                if on_session is not None:
-                    on_session(key, scheme, trace_index, session)
+        self._replay(todo, learner, shards, shard_map, checkpoint)
+        return [completed[spec.name] for spec in spec_list]
 
-            on_job = (
-                record_session if (shards is not None or on_session is not None) else None
-            )
-            evaluator.evaluate_matrix(
-                sweeps,
-                learner=learner,
-                encode=shards is not None,
-                on_sweep_complete=checkpoint,
-                on_job_complete=on_job,
-                precomputed=precomputed or None,
-            )
-        return [
-            completed[spec.name] if spec.name in completed else fresh[spec.name]
-            for spec in spec_list
-        ]
+    def run_cells(
+        self,
+        specs: Sequence[ScenarioSpec],
+        *,
+        learner: EventSequenceLearner | None = None,
+        shards: ShardJournal | None = None,
+        resume: bool = False,
+    ) -> dict[str, dict[str, StreamingSweepAggregator]]:
+        """Replay every scenario and return its cells, unfinalised.
+
+        The cells are ``{spec name: {scheme: StreamingSweepAggregator}}`` in
+        spec order; no :class:`ScenarioResult` is built.  ``shards`` and
+        ``resume`` work as in :meth:`run`.
+        """
+        return self._replay(list(specs), learner, shards, _open_shards(shards, resume))
+
+    def _replay(
+        self,
+        specs: list[ScenarioSpec],
+        learner: EventSequenceLearner | None,
+        shards: ShardJournal | None,
+        shard_map: dict[str, dict[str, dict]],
+        on_sweep_complete: Callable[[MatrixSweep, dict[str, StreamingSweepAggregator]], None]
+        | None = None,
+    ) -> dict[str, dict[str, StreamingSweepAggregator]]:
+        """Replay ``specs`` as one matrix, restoring and journaling shards."""
+        if learner is None and any("PES" in spec.schemes for spec in specs):
+            learner = self.train_learner()
+        sweeps = [self.build_sweep(spec) for spec in specs]
+        cell_keys = {spec.name: _spec_key(spec.to_dict()) for spec in specs}
+        precomputed: dict[tuple[str, str, int], FinishedSession] = {}
+        for spec in specs:
+            for shard_key, payload in shard_map.get(cell_keys[spec.name], {}).items():
+                scheme, _, trace_index = shard_key.rpartition("/")
+                if not scheme or not trace_index.isdigit():
+                    continue
+                restored = restore_session(payload)
+                if restored is not None:
+                    precomputed[(spec.name, scheme, int(trace_index))] = restored
+
+        def record_session(
+            key: str, scheme: str, trace_index: int, session: FinishedSession
+        ) -> None:
+            if (key, scheme, trace_index) not in precomputed:
+                shards.append_shard(cell_keys[key], f"{scheme}/{trace_index}", session.payload)
+
+        return ParallelEvaluator(catalog=self.catalog, jobs=self.jobs).evaluate_matrix(
+            sweeps,
+            learner=learner,
+            encode=shards is not None,
+            on_sweep_complete=on_sweep_complete,
+            on_job_complete=None if shards is None else record_session,
+            precomputed=precomputed or None,
+        )
+
+
+def _open_shards(shards: ShardJournal | None, resume: bool) -> dict[str, dict[str, dict]]:
+    """The shard journal's records by cell on ``resume``; otherwise clear it."""
+    if shards is None:
+        return {}
+    if resume:
+        return shards.open_for_resume()[1]
+    shards.clear()
+    return {}
 
 
 def results_to_rows(

@@ -1,6 +1,7 @@
 """Session-level checks of pool runs: every job's shard payload text, in fold order.
 
-``evaluate_matrix`` returns aggregates only.  To check a run session by
+``evaluate_matrix`` returns the cell aggregates only (compare them through
+:func:`finalized`).  To check a run session by
 session, run it with ``encode=True`` and collect the payload each job hands
 to ``on_job_complete``; compare that with ``encode_session`` of sessions
 replayed in-process.  The packed codec is bit-exact, so equal payload text
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Mapping, Sequence
 
-from repro.runtime.metrics import SessionResult, encode_session
+from repro.runtime.metrics import SessionResult, StreamingSweepAggregator, encode_session
 
 #: ``(sweep key, scheme, trace index, payload text)`` per job, in fold order.
 Payloads = list[tuple[str, str, int, str]]
@@ -21,11 +22,11 @@ Payloads = list[tuple[str, str, int, str]]
 def pool_payloads(evaluator, sweeps, **kwargs) -> tuple[dict, Payloads]:
     """Run ``sweeps`` through ``evaluator`` with ``encode=True``.
 
-    Returns the aggregates and every job's payload as ``on_job_complete``
-    received it.
+    Returns the finalised cells and every job's payload as
+    ``on_job_complete`` received it.
     """
     payloads: Payloads = []
-    aggregates = evaluator.evaluate_matrix(
+    cells = evaluator.evaluate_matrix(
         sweeps,
         encode=True,
         on_job_complete=lambda key, scheme, index, session: payloads.append(
@@ -33,7 +34,15 @@ def pool_payloads(evaluator, sweeps, **kwargs) -> tuple[dict, Payloads]:
         ),
         **kwargs,
     )
-    return aggregates, payloads
+    return finalized(cells), payloads
+
+
+def finalized(cells: Mapping[str, Mapping[str, StreamingSweepAggregator]]) -> dict:
+    """``evaluate_matrix``'s cells as ``{sweep key: {scheme: SchemeAggregates}}``."""
+    return {
+        key: {scheme: cell.finalize() for scheme, cell in row.items()}
+        for key, row in cells.items()
+    }
 
 
 def encoded(key: str, scheme_results: Mapping[str, Sequence[SessionResult]]) -> Payloads:

@@ -212,6 +212,30 @@ class TestFleetEvaluation:
                 assert left.total_latency_ms == merged.total_latency_ms
                 assert left.n_sessions == merged.n_sessions
 
+    def test_device_aggregates_match_an_in_process_replay(self, tiny_run):
+        """Each device's aggregate folds exactly that device's sessions:
+        replay its sweep in-process and aggregate the session list."""
+        from repro.runtime.metrics import StreamingAggregator, aggregate_results
+        from repro.runtime.simulator import Simulator
+        from repro.scenarios.runner import ScenarioRunner
+
+        result, _ = tiny_run
+        fleet = result.fleet
+        runner = ScenarioRunner()
+        for device in result.devices:
+            sweep = runner.build_sweep(device.to_scenario_spec(fleet))
+            simulator = Simulator(setup=sweep.setup)
+            traces = tuple(sweep.traces)
+            for scheme in fleet.schemes:
+                sessions = simulator.run_scheme(traces, scheme)
+                aggregate = result.device_aggregates[(device.index, scheme)]
+                assert aggregate.finalize() == aggregate_results(sessions)
+                folded = StreamingAggregator()
+                for session in sessions:
+                    folded.add(session)
+                assert aggregate.finalize_thermal() == folded.finalize_thermal()
+                assert aggregate.finalize_faults() == folded.finalize_faults()
+
     def test_jobs_values_write_byte_identical_artefacts(self, tiny_run, tmp_path):
         _, reference = tiny_run
         parallel = FleetRunner(jobs=2).run(tiny_fleet())

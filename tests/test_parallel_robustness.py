@@ -33,7 +33,7 @@ from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import SimulationSetup, Simulator
 from repro.utils import mp_context
 
-from pool_payloads import encoded, pool_payloads
+from pool_payloads import encoded, finalized, pool_payloads
 
 fork_only = pytest.mark.skipif(
     mp_context().get_start_method() != "fork",
@@ -65,7 +65,7 @@ def serial(small_traces, sweep):
     """The aggregates and payloads of an in-process run, before any patch."""
     simulator = Simulator(setup=sweep.setup)
     results = {scheme: simulator.run_scheme(small_traces, scheme) for scheme in sweep.schemes}
-    aggregates = ParallelEvaluator(jobs=1).evaluate_matrix([sweep])
+    aggregates = finalized(ParallelEvaluator(jobs=1).evaluate_matrix([sweep]))
     return aggregates, encoded(sweep.key, results)
 
 
@@ -200,13 +200,14 @@ class TestSweepCompletionHook:
             )
             for i in range(3)
         ]
-        seen: list[tuple[str, object]] = []
-        evaluator = ParallelEvaluator(jobs=2)
-        returned = evaluator.evaluate_matrix(
-            sweeps, on_sweep_complete=lambda s, a: seen.append((s.key, a))
-        )
+        seen: list[tuple[str, dict]] = []
+
+        def finalise_now(sweep, cells):
+            seen.append((sweep.key, {scheme: cell.finalize() for scheme, cell in cells.items()}))
+
+        returned = ParallelEvaluator(jobs=2).evaluate_matrix(sweeps, on_sweep_complete=finalise_now)
         assert [key for key, _ in seen] == ["cell0", "cell1", "cell2"]
-        # Finalisation is pure over the folded sums: the hook saw exactly
-        # what the end-of-run aggregates report.
+        # The cells were complete when the hook fired: what it finalised
+        # then is what the end-of-run cells report.
         for key, aggregates in seen:
-            assert aggregates == returned[key]
+            assert aggregates == finalized(returned)[key]

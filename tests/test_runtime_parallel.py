@@ -9,16 +9,21 @@ that contract for all five schemes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.runtime.metrics import aggregate_results
+from repro.runtime.metrics import (
+    StreamingAggregator,
+    StreamingSweepAggregator,
+    aggregate_results,
+)
 from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import Simulator
 from repro.utils import resolve_jobs
 
-from pool_payloads import encoded, pool_payloads, sessions
+from pool_payloads import encoded, finalized, pool_payloads, sessions
 
 
 def _head(trace, n):
@@ -65,8 +70,8 @@ class TestParallelEquivalence:
 
     def test_aggregates_match_serial_fold(self, setup, catalog, eval_traces, learner, serial_results):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=3)
-        aggregates = evaluator.evaluate_matrix(
-            one_sweep(setup, eval_traces, ALL_SCHEMES), learner=learner
+        aggregates = finalized(
+            evaluator.evaluate_matrix(one_sweep(setup, eval_traces, ALL_SCHEMES), learner=learner)
         )
         for scheme in ALL_SCHEMES:
             expected = aggregate_results(serial_results[scheme])
@@ -174,7 +179,7 @@ class TestMatrixEvaluation:
     def test_aggregates_match_per_cell_fold(self, catalog, sweeps):
         from repro.runtime.parallel import ParallelEvaluator
 
-        aggregates = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(sweeps)
+        aggregates = finalized(ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(sweeps))
         for sweep in sweeps:
             simulator = Simulator(setup=sweep.setup, catalog=catalog)
             for scheme in sweep.schemes:
@@ -274,27 +279,66 @@ class TestMatrixEvaluation:
         assert ParallelEvaluator(catalog=catalog).evaluate_matrix([]) == {}
 
 
+def _counting(counts: Counter, name: str, method):
+    """``method``, counting its calls under ``name``."""
+
+    def counted(self, *args, **kwargs):
+        counts[name] += 1
+        return method(self, *args, **kwargs)
+
+    return counted
+
+
 class TestSweepsFinalisedOnce:
-    """Each sweep is finalised once, as its last job folds, and that same
-    result is both handed to ``on_sweep_complete`` and returned."""
+    """``evaluate_matrix`` returns its cells unfinalised, and the hook gets
+    the same objects.  A scenario run finalises each cell once; a fleet run
+    finalises none and merges each session's fold into one cell only."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_finalisation_per_sweep(self, jobs, monkeypatch):
+    def test_fleet_reads_the_cells(self, jobs, monkeypatch):
         from repro.fleet import FleetRunner, get_fleet_preset
-        from repro.runtime import parallel
+        from repro.scenarios import runner
 
-        # Sweeps finalise in the parent, where the folds merge, so a
-        # parent-side counter sees every call at any worker count.
-        calls = []
-        finalize = parallel._finalize_sweep
+        # Folds merge in the parent, so parent-side counters see every call
+        # at any worker count.
+        counts: Counter = Counter()
+        for owner, name in (
+            (StreamingAggregator, "merge"),
+            (StreamingSweepAggregator, "finalize"),
+            (runner.ScenarioResult, "__init__"),
+        ):
+            monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
+        fleet = replace(get_fleet_preset("smoke"), size=20)
+        result = FleetRunner(jobs=jobs).run(fleet)
+        n_sessions = sum(agg.n_sessions for agg in result.population.values())
+        assert n_sessions == 20 * len(fleet.schemes) == 40
+        # Each session merges into its cell's overall and per-app aggregates
+        # (80), and each (device, scheme) cell into the population (40).
+        assert counts["merge"] == 2 * n_sessions + 40 == 120
+        assert counts["__init__"] == 0
+        assert counts["finalize"] == 0
 
-        def counting_finalize(aggregator, sweep):
-            calls.append(sweep.key)
-            return finalize(aggregator, sweep)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scenario_run_finalises_each_cell_once(self, catalog, jobs, monkeypatch):
+        from repro.scenarios.runner import ScenarioRunner
+        from repro.scenarios.spec import ScenarioSpec
 
-        monkeypatch.setattr(parallel, "_finalize_sweep", counting_finalize)
-        FleetRunner(jobs=jobs).run(replace(get_fleet_preset("smoke"), size=5))
-        assert len(calls) == len(set(calls)) == 5
+        specs = [
+            ScenarioSpec(name="a", apps=("cnn",), schemes=("Interactive", "EBS")),
+            ScenarioSpec(name="b", apps=("google",), schemes=("Interactive", "Ondemand")),
+            ScenarioSpec(name="c", apps=("ebay",), schemes=("EBS",)),
+        ]
+        finalised: list[StreamingSweepAggregator] = []
+        finalize = StreamingSweepAggregator.finalize
+
+        def recording_finalize(cell):
+            finalised.append(cell)
+            return finalize(cell)
+
+        monkeypatch.setattr(StreamingSweepAggregator, "finalize", recording_finalize)
+        results = ScenarioRunner(catalog=catalog, jobs=jobs).run(specs)
+        assert [result.spec.name for result in results] == ["a", "b", "c"]
+        assert len(finalised) == len({id(cell) for cell in finalised}) == 5
 
     def test_hook_receives_the_returned_aggregates(self, catalog, setup, generator):
         sweeps = [
@@ -308,13 +352,14 @@ class TestSweepsFinalisedOnce:
         ]
         received = {}
         returned = ParallelEvaluator(catalog=catalog, jobs=1).evaluate_matrix(
-            sweeps, on_sweep_complete=lambda sweep, aggregates: received.setdefault(
-                sweep.key, aggregates
-            )
+            sweeps, on_sweep_complete=lambda sweep, cells: received.setdefault(sweep.key, cells)
         )
         assert list(received) == list(returned) == ["k611", "k612"]
-        for key, aggregates in returned.items():
-            assert received[key] is aggregates
+        for key, cells in returned.items():
+            assert list(cells) == ["Interactive", "EBS"]
+            for scheme, cell in cells.items():
+                assert isinstance(cell, StreamingSweepAggregator)
+                assert received[key][scheme] is cell
 
 
 class TestSweptPlatformMatrixEquivalence:
@@ -363,7 +408,9 @@ class TestSweptPlatformMatrixEquivalence:
         otherwise the per-key simulators were (wrongly) shared."""
         from repro.runtime.parallel import ParallelEvaluator
 
-        aggregates = ParallelEvaluator(catalog=catalog, jobs=2).evaluate_matrix(swept_sweeps)
+        aggregates = finalized(
+            ParallelEvaluator(catalog=catalog, jobs=2).evaluate_matrix(swept_sweeps)
+        )
         base = aggregates["exynos5410"]
         assert aggregates["exynos5410+b2"] != base
         assert aggregates["exynos5410+th.cramped"] != base

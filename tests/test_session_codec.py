@@ -7,8 +7,8 @@
   the same type and the same bits.  Non-finite floats are refused, and a
   payload of another codec does not decode.
 * **One fold per session** — each session is folded once, where it
-  finished (a pool worker, or the parent at one worker); the fleet's
-  per-device shards merge that fold instead of folding again.
+  finished (a pool worker, or the parent at one worker); the fleet reads
+  the matrix cells that fold was merged into instead of folding again.
 * **Journal bytes** — workers encode the shard payloads, so the journal's
   bytes must not depend on the worker count or the hash seed.
 """
