@@ -38,6 +38,7 @@ overhead of Sec. 6.3.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 
 from repro.core.optimizer.schedule import EventSpec, Schedule, simulate_order
@@ -63,9 +64,16 @@ def relax_infeasible_deadlines(
     Returns the (possibly rewritten) specs and whether the original
     instance was feasible.
     """
+    return _relax(specs, window_start_ms, [spec.fastest_option for spec in specs])
+
+
+def _relax(
+    specs: list[EventSpec], window_start_ms: float, fastest: list[ConfigOption]
+) -> tuple[list[EventSpec], bool]:
+    """:func:`relax_infeasible_deadlines` given each spec's fastest option."""
     fastest_finishes, clock = [], window_start_ms
-    for spec in specs:
-        clock = max(clock, spec.release_ms) + spec.fastest_option.latency_ms
+    for spec, option in zip(specs, fastest):
+        clock = max(clock, spec.release_ms) + option.latency_ms
         fastest_finishes.append(clock)
     feasible = all(f <= s.deadline_ms + 1e-9 for f, s in zip(fastest_finishes, specs))
     if feasible:
@@ -73,11 +81,11 @@ def relax_infeasible_deadlines(
 
     relaxed: list[EventSpec] = []
     previous_deadline = window_start_ms
-    for spec, earliest in zip(specs, fastest_finishes):
+    for spec, earliest, option in zip(specs, fastest_finishes, fastest):
         if earliest <= spec.deadline_ms + 1e-9:
             relaxed.append(spec)
         else:
-            lazy_bound = max(spec.release_ms, previous_deadline) + spec.fastest_option.latency_ms
+            lazy_bound = max(spec.release_ms, previous_deadline) + option.latency_ms
             deadline = max(spec.deadline_ms, lazy_bound)
             # A predecessor may finish up to 1e-9 ms late, which can leave
             # the lazy bound short of this event's all-fastest finish.
@@ -94,27 +102,75 @@ def relax_infeasible_deadlines(
     return relaxed, False
 
 
+def _solver_order(options: tuple[ConfigOption, ...]) -> tuple[list[ConfigOption], ConfigOption, float]:
+    """The options cheapest first (ties faster first), the fastest option and the slowest latency.
+
+    A Pareto-ordered list (latency strictly ascending, energy strictly
+    descending, as :func:`~repro.schedulers.base.enumerate_options` returns
+    with ``pareto_only``) is that order reversed, with the fastest and
+    slowest options at its ends; any other list is sorted.
+    """
+    latency, energy = float("-inf"), float("inf")
+    for option in options:
+        if not (option.latency_ms > latency and option.energy_mj < energy):
+            break
+        latency, energy = option.latency_ms, option.energy_mj
+    else:
+        return options[::-1], options[0], latency
+    return (
+        sorted(options, key=lambda o: (o.energy_mj, o.latency_ms)),
+        min(options, key=lambda o: (o.latency_ms, o.energy_mj)),
+        max(o.latency_ms for o in options),
+    )
+
+
+#: Most combinations of options, over every event of a window but the last,
+#: that :meth:`BranchAndBoundSolver.solve` scans without frontiers.  The scan
+#: may try each combination once, so it stays within a few milliseconds where
+#: building the frontiers costs more on typical windows: every PES window of
+#: up to four events on exynos5410 (at most 14**3 combinations) and of up to
+#: three on tegra_parker (25**2), but not tegra_parker's four-event windows.
+SCAN_BUDGET = 4096
+
+
 class BranchAndBoundSolver:
     """Exact branch-and-bound over per-event configuration choices.
 
     Depth-first, cheapest option first; a complete schedule replaces the best
     only when cheaper by more than 1e-12 mJ, so it returns the first optimum.
+
+    The bounds only cut subtrees that hold no cheaper schedule, so the
+    result is that of a plain depth-first scan, and three shortcuts return
+    exactly what the search would:
+
+    * each event's options come in that order from :func:`_solver_order`
+      (a Pareto-ordered list is reversed, not sorted);
+    * at the last event only the first option that fits can replace the
+      best, because the options after it cost at least as much;
+    * a window with at most :data:`SCAN_BUDGET` combinations of options
+      before its last event is scanned without frontiers (:meth:`_scan`):
+      a one-event window takes the first option that meets its relaxed
+      deadline.
+
+    Tolerances and the frontiers of longer windows are unchanged.
     """
 
     def solve(self, specs: list[EventSpec], window_start_ms: float) -> Schedule:
         if not specs:
             return Schedule(assignments=(), feasible=True)
-        working, feasible = relax_infeasible_deadlines(specs, window_start_ms)
+        orders = [_solver_order(spec.options) for spec in specs]
+        working, feasible = _relax(specs, window_start_ms, [order[1] for order in orders])
         n = len(working)
-        ordered = [sorted(s.options, key=lambda o: (o.energy_mj, o.latency_ms)) for s in working]
+        ordered = [order[0] for order in orders]
+        if math.prod(len(options) for options in ordered[:-1]) <= SCAN_BUDGET:
+            return self._schedule(specs, self._scan(working, ordered, window_start_ms), window_start_ms, feasible)
 
         # earliest[i], latest[i]: bounds on the clock the search reaches event
         # i with.  IEEE addition is monotone, so every clock it tries lies
         # between them.
         earliest, latest = [window_start_ms], [window_start_ms]
-        for spec in working[:-1]:
-            earliest.append(max(earliest[-1], spec.release_ms) + spec.fastest_option.latency_ms)
-            slowest = max(o.latency_ms for o in spec.options)
+        for spec, (_, fastest, slowest) in zip(working[:-1], orders):
+            earliest.append(max(earliest[-1], spec.release_ms) + fastest.latency_ms)
             latest.append(min(max(latest[-1], spec.release_ms) + slowest, spec.deadline_ms + 1e-9))
 
         # frontiers[i]: non-dominated (latest start clock, minimum energy) pairs
@@ -150,19 +206,25 @@ class BranchAndBoundSolver:
 
         best_energy = float("inf")
         best_choice: list[ConfigOption] | None = None
+        last = n - 1
 
         def descend(index: int, clock: float, energy: float, chosen: list[ConfigOption]) -> None:
             nonlocal best_energy, best_choice
-            if index == n:
-                if energy < best_energy - 1e-12:
-                    best_energy, best_choice = energy, list(chosen)
-                return
             clocks, energies = frontiers[index]
             point = bisect_left(clocks, clock)
             if point == len(clocks) or energy + energies[point] - 1e-9 >= best_energy - 1e-12:
                 return
             spec = working[index]
             start = max(clock, spec.release_ms)
+            if index == last:
+                # The first option that fits is the only one that can replace
+                # the best: the ones after it cost at least as much.
+                for option in ordered[index]:
+                    if start + option.latency_ms <= spec.deadline_ms + 1e-9:
+                        if energy + option.energy_mj < best_energy - 1e-12:
+                            best_energy, best_choice = energy + option.energy_mj, chosen + [option]
+                        return
+                return
             for option in ordered[index]:
                 finish = start + option.latency_ms
                 if finish <= spec.deadline_ms + 1e-9:
@@ -171,11 +233,60 @@ class BranchAndBoundSolver:
                     chosen.pop()
 
         descend(0, window_start_ms, 0.0, [])
-        if best_choice is None:
+        return self._schedule(specs, best_choice, window_start_ms, feasible)
+
+    @staticmethod
+    def _scan(
+        working: list[EventSpec], ordered: list[list[ConfigOption]], window_start_ms: float
+    ) -> list[ConfigOption] | None:
+        """The search's choice for a short window, by a depth-first scan without frontiers.
+
+        An option is skipped, with every costlier one after it, once its
+        energy plus the cheapest energy of each later event (``rest``, with
+        the search's 1e-9 mJ of slack) cannot beat the best.
+        """
+        last = len(working) - 1
+        rest = [0.0]
+        for options in reversed(ordered[1:]):
+            rest.append(rest[-1] + options[0].energy_mj)
+        rest.reverse()
+        best_energy = float("inf")
+        best_choice: list[ConfigOption] | None = None
+
+        def visit(index: int, clock: float, energy: float, chosen: list[ConfigOption]) -> None:
+            nonlocal best_energy, best_choice
+            spec = working[index]
+            start = max(clock, spec.release_ms)
+            if index == last:
+                for option in ordered[index]:
+                    if start + option.latency_ms <= spec.deadline_ms + 1e-9:
+                        if energy + option.energy_mj < best_energy - 1e-12:
+                            best_energy, best_choice = energy + option.energy_mj, chosen + [option]
+                        return
+                return
+            for option in ordered[index]:
+                total = energy + option.energy_mj
+                if total + rest[index] - 1e-9 >= best_energy - 1e-12:
+                    return
+                finish = start + option.latency_ms
+                if finish <= spec.deadline_ms + 1e-9:
+                    visit(index + 1, finish, total, chosen + [option])
+
+        visit(0, window_start_ms, 0.0, [])
+        return best_choice
+
+    @staticmethod
+    def _schedule(
+        specs: list[EventSpec],
+        choice: list[ConfigOption] | None,
+        window_start_ms: float,
+        feasible: bool,
+    ) -> Schedule:
+        if choice is None:
             # relax_infeasible_deadlines makes the all-fastest schedule pass
             # the deadline test, so the search always reaches a leaf.
-            raise RuntimeError(f"no schedule for the {n}-event window at {window_start_ms!r} ms")
-        assignments = simulate_order(specs, best_choice, window_start_ms)
+            raise RuntimeError(f"no schedule for the {len(specs)}-event window at {window_start_ms!r} ms")
+        assignments = simulate_order(specs, choice, window_start_ms)
         feasible = feasible and all(a.meets_deadline for a in assignments)
         return Schedule(assignments=assignments, feasible=feasible)
 

@@ -167,6 +167,11 @@ class GlobalOptimizer:
     arrival_estimator: ArrivalEstimator = field(default_factory=ArrivalEstimator)
     #: Small reserve per event for the rendering hand-off / VSync quantisation.
     safety_margin_ms: float = 8.0
+    #: Per event type, ``(platform, tmem_ms, ndep_mcycles, options)`` of the
+    #: last predicted event of that type; see :meth:`build_specs`.
+    _option_slots: dict[EventType, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- spec construction -------------------------------------------------------
 
@@ -199,6 +204,16 @@ class GlobalOptimizer:
         platform of the moment so the solver only branches over operating
         points the governor would actually admit.  ``None`` keeps the
         optimizer's own (session-constant) platform.
+
+        A predicted event reuses the options of the previous predicted event
+        of its type while the workload estimate's ``(tmem_ms, ndep_mcycles)``
+        values and the platform object are unchanged: one slot per event
+        type.  The running mean moves after every executed event of the
+        type, and :meth:`WorkloadEstimator.reset` brings back the typical
+        workload, so the slot compares values, not a count.  The estimates
+        are means of non-negative sums that start at ``0.0``, or typical
+        workloads, so they are never ``-0.0`` and equal values have equal
+        bits.
         """
         specs: list[EventSpec] = []
         horizon = now_ms
@@ -219,18 +234,32 @@ class GlobalOptimizer:
         predicted_arrival = now_ms
         for position, prediction in enumerate(predicted):
             predicted_arrival += self.arrival_estimator.expected_gap_ms(prediction.event_type)
-            workload = self.workload_estimator.estimate(prediction.event_type)
             deadline = predicted_arrival + qos_target_ms(prediction.event_type)
             specs.append(
                 EventSpec(
                     label=f"predicted-{position}-{prediction.event_type.value}",
                     release_ms=now_ms,
                     deadline_ms=max(deadline - self.safety_margin_ms, now_ms),
-                    options=self._options_for(workload, system),
+                    options=self._predicted_options(prediction.event_type, system),
                     speculative=True,
                 )
             )
         return specs
+
+    def _predicted_options(self, event_type: EventType, system: AcmpSystem | None):
+        """Options for the estimated workload of ``event_type``, reused from its slot."""
+        workload = self.workload_estimator.estimate(event_type)
+        platform = system if system is not None else self.system
+        slot = self._option_slots.get(event_type)
+        if (
+            slot is None
+            or slot[0] is not platform
+            or slot[1] != workload.tmem_ms
+            or slot[2] != workload.ndep_mcycles
+        ):
+            slot = (platform, workload.tmem_ms, workload.ndep_mcycles, self._options_for(workload, platform))
+            self._option_slots[event_type] = slot
+        return slot[3]
 
     # -- solving ------------------------------------------------------------------
 

@@ -85,6 +85,9 @@ class PesScheduler:
     ) -> "PesScheduler":
         """Wire up a PES instance for one application session."""
         config = config or PesConfig()
+        # A learner that crossed a pipe or came from JSON has writeable
+        # weights again; read-only ones key every round without re-reading them.
+        learner.model.freeze()
         tuned_learner = EventSequenceLearner(
             model=learner.model,
             encoder=learner.encoder,
@@ -122,8 +125,13 @@ class PesScheduler:
         dynamic thermal engine passes the instantaneously throttled platform
         so the speculative schedule only uses operating points the thermal
         governor currently admits.  ``None`` keeps the session platform.
+        A round with no predictions has an empty window, whose schedule is
+        empty, so it begins without building or solving one.
         """
         predictions = self.predictor.predict_sequence() if self.control.prediction_enabled else []
+        if not predictions:
+            self.control.begin_round(predictions, ())
+            return
         schedule = self.optimizer.compute_schedule(now_ms, [], predictions, system=system)
         self.control.begin_round(predictions, schedule.assignments)
 

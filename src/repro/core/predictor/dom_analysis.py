@@ -15,7 +15,7 @@ LNES statically (Sec. 5.2 / 5.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,10 @@ class DomAnalyzer:
     """Computes the LNES and rolls session state forward through predictions."""
 
     encoder: EventLabelEncoder
+    #: :meth:`lnes_mask` results by LNES, valid while the encoder's classes
+    #: equal ``_masks_for``.
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _masks_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def likely_next_events(self, state: SessionState) -> frozenset[EventType]:
         """The Likely-Next-Event-Set for the current DOM state."""
@@ -41,13 +45,24 @@ class DomAnalyzer:
         If the analysis yields an empty set (e.g. a degenerate document) the
         mask is all-true, i.e. the analysis gracefully degrades to the pure
         statistical predictor.
+
+        A session sees a handful of distinct LNES, so the mask of each is
+        built once and returned read-only.
         """
-        lnes = self.likely_next_events(state)
-        if not lnes:
-            return np.ones(self.encoder.n_classes, dtype=bool)
-        mask = np.zeros(self.encoder.n_classes, dtype=bool)
-        for event_type in lnes:
-            mask[self.encoder.encode(event_type)] = True
+        lnes = frozenset(self.likely_next_events(state))
+        if self._masks_for != self.encoder.classes:
+            self._masks = {}
+            self._masks_for = self.encoder.classes
+        mask = self._masks.get(lnes)
+        if mask is None:
+            if lnes:
+                mask = np.zeros(self.encoder.n_classes, dtype=bool)
+                for event_type in lnes:
+                    mask[self.encoder.encode(event_type)] = True
+            else:
+                mask = np.ones(self.encoder.n_classes, dtype=bool)
+            mask.flags.writeable = False
+            self._masks[lnes] = mask
         return mask
 
     def representative_target(self, state: SessionState, event_type: EventType) -> DomNode | None:
@@ -63,23 +78,21 @@ class DomAnalyzer:
         if event_type in (EventType.SCROLL, EventType.TOUCHMOVE, EventType.LOAD):
             return root
 
-        candidates = [
-            node
-            for node in state.visible_nodes()
-            if event_type in node.listeners and node is not root
-        ]
-        if not candidates:
-            return None
-
-        with_effect = [n for n in candidates if state.semantic.has_effect(n.node_id, event_type)]
-        non_navigating = [
-            n
-            for n in with_effect
-            if not state.semantic.effect_of(n.node_id, event_type).navigates
-        ]
-        if non_navigating:
-            return non_navigating[0]
-        plain = [n for n in candidates if n not in with_effect]
-        if plain:
-            return plain[0]
-        return candidates[0]
+        # One pass over the candidates (visible nodes other than the root
+        # that listen for the event), in visible order: the first one with
+        # a non-navigating effect wins; otherwise the first one with no
+        # effect, and failing that the first candidate.
+        effects = state.semantic.effects
+        first = plain = None
+        for node in state.visible_nodes():
+            if event_type not in node.listeners or node is root:
+                continue
+            effect = effects.get((node.node_id, event_type))
+            if effect is None:
+                if plain is None:
+                    plain = node
+            elif not effect.navigates:
+                return node
+            if first is None:
+                first = node
+        return plain if plain is not None else first

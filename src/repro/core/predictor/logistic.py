@@ -70,18 +70,25 @@ def _mask_and_normalise(
         if mask.shape != (n_classes,):
             raise ValueError("mask must have one entry per class")
         kept = mask.sum()
+        # A numpy scalar: its own comparison, not np.all's array machinery.
+        if not kept > 0:
+            raise ValueError("mask removes every class")
     elif mask.ndim == 2:
         if mask.shape != probabilities.shape:
             raise ValueError("a 2-D mask must have one row per sample and one entry per class")
         kept = mask.sum(axis=1, keepdims=True)
+        if not np.all(kept > 0):
+            raise ValueError("mask removes every class")
     else:
         raise ValueError("mask must be 1-D or 2-D")
-    if not np.all(kept > 0):
-        raise ValueError("mask removes every class")
     probabilities = probabilities * mask
     totals = probabilities.sum(axis=1, keepdims=True)
+    positive = totals > 1e-12
+    if positive.all():
+        # Where every total is positive, the where below selects exactly these quotients.
+        return probabilities / totals
     uniform = mask / kept
-    return np.where(totals > 1e-12, probabilities / np.maximum(totals, 1e-12), uniform)
+    return np.where(positive, probabilities / np.maximum(totals, 1e-12), uniform)
 
 
 @dataclass
@@ -106,11 +113,14 @@ class SoftmaxRegression:
     #: the reported confidence tracks the empirical accuracy — the
     #: confidence-threshold mechanism (prediction degree) depends on it.
     temperature: float = 1.0
+    #: Read-only once fitted (see :meth:`freeze`).
     weights: np.ndarray | None = field(default=None, repr=False)
-    #: :meth:`predict_step` results by input row and mask, valid while the
-    #: weights and temperature equal ``_steps_for``.
+    #: :meth:`predict_step` and :meth:`predict_row` results by input row and
+    #: mask, valid while the weights and temperature equal ``_steps_for``.
     _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _steps_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: ``(weights, temperature, model_key())`` of the last read-only weights keyed.
+    _key_of: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_classes < 2:
@@ -196,7 +206,39 @@ class SoftmaxRegression:
                 break
             previous_loss = loss
         self.weights = weights
+        self.freeze()
         return self
+
+    def freeze(self) -> None:
+        """Make the weights read-only, so :meth:`model_key` is computed once.
+
+        :meth:`fit` freezes what it fits.  Unpickled and JSON-loaded arrays
+        come back writeable, which is why whoever wires a learner into a
+        scheduler freezes it again.
+        """
+        if self.weights is not None:
+            self.weights.flags.writeable = False
+
+    def model_key(self) -> tuple:
+        """The weights (dtype, shape, bytes) and temperature, by value.
+
+        Computed once per read-only weights array and temperature; writeable
+        weights may change in place, so they pay ``tobytes`` on every call.
+        """
+        weights, temperature = self.weights, self.temperature
+        if weights is None:
+            raise RuntimeError("model is not fitted")
+        cached = self._key_of
+        if (
+            cached is not None
+            and cached[0] is weights
+            and cached[1] == temperature
+            and not weights.flags.writeable
+        ):
+            return cached[2]
+        key = (weights.dtype.str, weights.shape, weights.tobytes(), temperature)
+        self._key_of = (weights, temperature, key)
+        return key
 
     @staticmethod
     def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -266,19 +308,41 @@ class SoftmaxRegression:
             mask = np.asarray(mask, dtype=bool)
             if mask.ndim != 1:
                 raise ValueError("predict_step takes one class mask")
-        if self.weights is None:
-            raise RuntimeError("model is not fitted")
-        model = (self.weights.dtype.str, self.weights.shape, self.weights.tobytes(), self.temperature)
+        steps = self._step_memo()
+        key = (features.tobytes(), None if mask is None else mask.tobytes())
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = self._step(features, mask)
+        return step
+
+    def predict_row(self, row: tuple[float, ...], mask: np.ndarray | None = None) -> tuple[int, float]:
+        """:meth:`predict_step` of ``np.array(row)``, building no array on a memo hit.
+
+        The step shares :meth:`predict_step`'s memo, keyed by the row's
+        values and the mask's bytes.  For finite rows with no ``-0.0``
+        (feature rows are counts and area fractions) float equality is byte
+        equality, so a value key names the same input a byte key would.
+        ``mask`` is a 1-D boolean class mask.
+        """
+        steps = self._step_memo()
+        key = (row, None if mask is None else mask.tobytes())
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = self._step(np.array(row, dtype=float), mask)
+        return step
+
+    def _step_memo(self) -> dict:
+        """The step memo, emptied first if the model changed since it was filled."""
+        model = self.model_key()
         if model != self._steps_for:
             self._steps = {}
             self._steps_for = model
-        key = (features.tobytes(), None if mask is None else mask.tobytes())
-        step = self._steps.get(key)
-        if step is None:
-            probabilities = self.predict_proba(features, mask)[0]
-            index = int(probabilities.argmax())
-            step = self._steps[key] = (index, float(probabilities[index]))
-        return step
+        return self._steps
+
+    def _step(self, features: np.ndarray, mask: np.ndarray | None) -> tuple[int, float]:
+        probabilities = self.predict_proba(features, mask)[0]
+        index = int(probabilities.argmax())
+        return index, float(probabilities[index])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftmaxRegression):

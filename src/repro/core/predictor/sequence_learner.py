@@ -110,6 +110,11 @@ class EventSequenceLearner:
         window's ``(event_type, navigated)`` pairs, ``last_navigated`` and
         :meth:`_round_inputs`.  An unfitted learner skips the memo and
         raises from the loop.
+
+        A computed round looks each step up in the model's one step memo by
+        the feature values and the LNES mask
+        (:meth:`SoftmaxRegression.predict_row`): a step seen before, in any
+        round, builds no array and runs no numpy.
         """
         dom = analyzer if (analyzer is not None and use_dom_analysis) else None
         if self.model.weights is None:
@@ -127,14 +132,14 @@ class EventSequenceLearner:
         return list(predictions)
 
     def _round_inputs(self, dom: DomAnalyzer | None) -> tuple:
-        """Every learner field a prediction round reads, by value."""
-        weights = self.model.weights
+        """Every learner field a prediction round reads, by value.
+
+        The weights enter through :meth:`SoftmaxRegression.model_key`, which
+        reads their bytes once per read-only weights array and temperature.
+        """
         return (
-            weights.dtype.str,
-            weights.shape,
-            weights.tobytes(),
+            self.model.model_key(),
             self.model.n_classes,
-            self.model.temperature,
             self.confidence_threshold,
             self.max_degree,
             self.encoder.classes,
@@ -143,14 +148,23 @@ class EventSequenceLearner:
         )
 
     def _roll_forward(self, state: SessionState, dom: DomAnalyzer | None) -> list[PredictedEvent]:
-        """The prediction loop: predict, roll a clone forward, repeat."""
+        """The prediction loop: predict, roll a clone forward, repeat.
+
+        Each step is :meth:`predict_next` on the clone, looked up in the
+        model's step memo by the feature values and the LNES mask
+        (:meth:`SoftmaxRegression.predict_row`), so a step seen before
+        builds no array.  The first step only reads ``state``, so a round
+        that stops there clones nothing.
+        """
         predictions: list[PredictedEvent] = []
         cumulative = 1.0
-        current = state.clone()
+        current = state
+        model, values, decode = self.model, self.extractor.values, self.encoder.decode
 
         for _ in range(self.max_degree):
             mask = dom.lnes_mask(current) if dom is not None else None
-            event_type, confidence = self.predict_next(current, mask=mask)
+            index, confidence = model.predict_row(values(current), mask)
+            event_type = decode(index)
             cumulative *= confidence
             if cumulative < self.confidence_threshold:
                 break
@@ -168,6 +182,8 @@ class EventSequenceLearner:
                     node_id=node_id,
                 )
             )
+            if current is state:
+                current = state.clone()
             current.apply_event(event_type, node_id)
 
         return predictions

@@ -58,10 +58,15 @@ class PowerTable:
 
     active_w: dict[AcmpConfig, float]
     idle_w: float = 0.14
-    #: ``(system, priced_points(system), priced_configs(system))`` per platform
-    #: seen, kept by :meth:`priced_points`.
+    #: ``(system, priced_points(system), priced_configs(system),
+    #: points_by_speed(system))`` per platform seen, kept by :meth:`priced_points`.
     _priced: list[
-        tuple[AcmpSystem, tuple[PricedPoint, ...], dict[AcmpConfig, tuple[float, float]]]
+        tuple[
+            AcmpSystem,
+            tuple[PricedPoint, ...],
+            dict[AcmpConfig, tuple[float, float]],
+            tuple[PricedPoint, ...],
+        ]
     ] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,14 +103,33 @@ class PowerTable:
         """
         return self._prices(system)[2]
 
-    def _prices(
-        self, system: AcmpSystem
-    ) -> tuple[AcmpSystem, tuple[PricedPoint, ...], dict[AcmpConfig, tuple[float, float]]]:
+    def points_by_speed(self, system: AcmpSystem) -> tuple[PricedPoint, ...]:
+        """:meth:`priced_points` in speed order: descending effective GHz.
+
+        Ties keep :meth:`priced_points` order.  Eqn. 1's latency never falls
+        along this order, so a workload whose latency strictly rises along it
+        has its options in ascending-latency order without a sort
+        (:func:`repro.schedulers.base.enumerate_options`).  Built and shared
+        with the points.
+        """
+        return self._prices(system)[3]
+
+    def _prices(self, system: AcmpSystem) -> tuple[
+        AcmpSystem,
+        tuple[PricedPoint, ...],
+        dict[AcmpConfig, tuple[float, float]],
+        tuple[PricedPoint, ...],
+    ]:
         for entry in self._priced:
             if entry[0] is system:
                 return entry
         points = tuple((config, effective_ghz, self.power_w(config)) for config, effective_ghz in system.operating_points)
-        entry = (system, points, {config: (effective_ghz, power_w) for config, effective_ghz, power_w in points})
+        entry = (
+            system,
+            points,
+            {config: (effective_ghz, power_w) for config, effective_ghz, power_w in points},
+            tuple(sorted(points, key=lambda point: -point[1])),
+        )
         self._priced.append(entry)
         return entry
 

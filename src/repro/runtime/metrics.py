@@ -823,7 +823,10 @@ class StreamingSweepAggregator:
         """Merge one session's fold; one fold serves both levels, as ``merge``
         only reads its argument."""
         self.overall.merge(fold)
-        self.per_app.setdefault(app_name, StreamingAggregator()).merge(fold)
+        per_app = self.per_app.get(app_name)
+        if per_app is None:
+            per_app = self.per_app[app_name] = StreamingAggregator()
+        per_app.merge(fold)
 
     def finalize(self) -> SchemeAggregates:
         """The scheme's aggregates: overall, per app (in first-fold order),

@@ -89,7 +89,7 @@ class ReactiveScheduler(abc.ABC):
         """Clear any per-session state before replaying a new trace."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConfigOption:
     """One point of an event's latency/energy trade-off space.
 
@@ -103,8 +103,18 @@ class ConfigOption:
     power_w: float
     energy_mj: float = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "energy_mj", self.power_w * self.latency_ms)
+    def __init__(self, config: AcmpConfig, latency_ms: float, power_w: float) -> None:
+        # Written out, not generated: a frozen dataclass's generated __init__
+        # looks up object.__setattr__ for every field, and options are
+        # built for every window.
+        _set_field(self, "config", config)
+        _set_field(self, "latency_ms", latency_ms)
+        _set_field(self, "power_w", power_w)
+        _set_field(self, "energy_mj", power_w * latency_ms)
+
+
+#: Assigns a field of a frozen dataclass from its own ``__init__``.
+_set_field = object.__setattr__
 
 
 def capped_system(system: AcmpSystem, cap_mhz: int) -> AcmpSystem:
@@ -136,13 +146,37 @@ def enumerate_options(
     by ascending latency, ties by ascending energy, then in
     :meth:`AcmpSystem.configurations` order.
 
-    Eqn. 1 is evaluated over :meth:`PowerTable.priced_points` (the
-    platform's operating points, priced once per table) with the float
-    expression of :meth:`DvfsModel.latency_ms`.  The options themselves
-    depend on the workload and are not memoised: every call returns a new
-    list.
+    Eqn. 1 is evaluated over the platform's operating points, priced once
+    per table, with the float expression of :meth:`DvfsModel.latency_ms`.
+    One pass in speed order (:meth:`PowerTable.points_by_speed`) yields that
+    sort whenever the latency rises strictly along it; on any tie (a
+    workload with no CPU work, two points of one effective frequency, or a
+    rounding collision) the points are sorted as above instead.  The options
+    themselves depend on the workload and are not memoised: every call
+    returns a new list.
     """
     tmem, ndep = workload.tmem_ms, workload.ndep_mcycles
+    options: list[ConfigOption] = []
+    best_energy = float("inf")
+    previous = float("-inf")
+    for config, effective_ghz, power_w in power_table.points_by_speed(system):
+        latency_ms = tmem + ndep / effective_ghz
+        if not latency_ms > previous:
+            return _sorted_options(system, power_table, tmem, ndep, pareto_only)
+        previous = latency_ms
+        if pareto_only:
+            energy_mj = power_w * latency_ms
+            if not energy_mj < best_energy - 1e-12:
+                continue
+            best_energy = energy_mj
+        options.append(ConfigOption(config, latency_ms, power_w))
+    return options
+
+
+def _sorted_options(
+    system: AcmpSystem, power_table: PowerTable, tmem: float, ndep: float, pareto_only: bool
+) -> list[ConfigOption]:
+    """:func:`enumerate_options` by an explicit sort of every priced point."""
     # Rows sort as a stable sort by (latency, energy) would; ConfigOption computes
     # energy_mj with the same product, so only the options kept are built.
     rows = []

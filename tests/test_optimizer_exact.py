@@ -34,7 +34,10 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.optimizer.ilp import BranchAndBoundSolver, relax_infeasible_deadlines
 from repro.core.optimizer.schedule import EventSpec, Schedule, simulate_order
 from repro.hardware.acmp import AcmpConfig
-from repro.schedulers.base import ConfigOption
+from repro.hardware.dvfs import DvfsModel
+from repro.hardware.platforms import get_platform, list_platforms
+from repro.hardware.power import PowerModel
+from repro.schedulers.base import ConfigOption, enumerate_options
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,7 +171,54 @@ def random_window(rng, max_events=8, max_options=5):
     return specs, start
 
 
+PLATFORMS = [get_platform(name) for name in list_platforms()]
+POWER_TABLES = [PowerModel().build_table(system) for system in PLATFORMS]
+
+
+def pareto_window(rng, max_events):
+    """A random window whose events carry PES's Pareto-pruned options.
+
+    Each event's options are ``enumerate_options(..., pareto_only=True)`` of
+    a random workload on a built-in platform (latency ascending, energy
+    strictly descending), so the solver reverses them instead of sorting;
+    a third of the windows reuse one table for every event.  Deadlines are
+    drawn as in :func:`random_window`, so relaxed and infeasible windows
+    occur.
+    """
+    which = rng.randrange(len(PLATFORMS))
+
+    def table():
+        workload = DvfsModel(rng.uniform(0.0, 60.0), rng.uniform(0.0, 900.0))
+        return tuple(enumerate_options(PLATFORMS[which], POWER_TABLES[which], workload, pareto_only=True))
+
+    n = rng.randint(1, max_events)
+    start = rng.choice([0.0, rng.uniform(0.0, 500.0)])
+    shared = table() if rng.random() < 1 / 3 else None
+    specs, release, finish = [], start, start
+    for i in range(n):
+        options = shared or table()
+        release += rng.choice([0.0, 0.0, rng.uniform(0.0, 200.0)])
+        finish = max(finish, release) + options[0].latency_ms
+        deadline = tight_deadline(rng.choice(DEADLINE_MODES), finish, rng)
+        specs.append(EventSpec(f"e{i}", release, max(deadline, release), options))
+    return specs, start
+
+
 class TestMatchesUncappedSearch:
+    def test_scanned_and_pareto_windows_match_the_search(self):
+        # Short windows are scanned without frontiers (a one-event window
+        # takes its first fitting option), and Pareto-ordered options are
+        # reversed instead of sorted; tegra_parker's four- and five-event
+        # windows keep the frontier search.  Both must pick the search's
+        # options.
+        rng = random.Random(0x5CA7)
+        for trial in range(3000):
+            specs, start = pareto_window(rng, max_events=5)
+            new = BranchAndBoundSolver().solve(specs, start)
+            old = reference_branch_and_bound(specs, start)
+            assert new.feasible == old.feasible, f"trial {trial}"
+            assert all(a.option is b.option for a, b in zip(new.assignments, old.assignments)), f"trial {trial}"
+
     def test_same_options_and_feasibility_on_random_windows(self):
         rng = random.Random(0x1C2019)
         for trial in range(3000):

@@ -63,3 +63,60 @@ class TestRepresentativeTargets:
         target = analyzer.representative_target(state, EventType.SUBMIT)
         if target is not None:
             assert EventType.SUBMIT in target.listeners
+
+
+def scan_target(state, event_type):
+    """``representative_target`` as first written: the plain targets are found
+    by a ``DomNode`` equality scan of the ones with an effect."""
+    root = state.dom.root
+    if event_type in (EventType.SCROLL, EventType.TOUCHMOVE, EventType.LOAD):
+        return root
+    candidates = [n for n in state.visible_nodes() if event_type in n.listeners and n is not root]
+    if not candidates:
+        return None
+    with_effect = [n for n in candidates if state.semantic.has_effect(n.node_id, event_type)]
+    non_navigating = [n for n in with_effect if not state.semantic.effect_of(n.node_id, event_type).navigates]
+    if non_navigating:
+        return non_navigating[0]
+    plain = [n for n in candidates if n not in with_effect]
+    if plain:
+        return plain[0]
+    return candidates[0]
+
+
+def served_states(profile, documents=3):
+    """Every scroll position of the first served documents, and each of them
+    with one of its menus toggled."""
+    from repro.traces.session_state import _serve_document
+
+    for doc_index in range(documents):
+        dom, semantic = _serve_document(profile, doc_index)
+        state = SessionState(profile=profile, dom=dom, semantic=semantic, doc_index=doc_index)
+        root_id = state.dom.root.node_id
+        toggles = [
+            node_id
+            for (node_id, event_type), effect in state.semantic.effects.items()
+            if event_type is EventType.CLICK and effect.kind.value == "toggle_display"
+        ]
+        while True:
+            yield state
+            for node_id in toggles:
+                toggled = state.clone()
+                toggled.apply_event(EventType.CLICK, node_id)
+                yield toggled
+            scroll_y = state.dom.viewport.scroll_y
+            state.apply_event(EventType.SCROLL, root_id)
+            if state.dom.viewport.scroll_y == scroll_y:
+                break
+
+
+class TestRepresentativeTargetMatchesTheScan:
+    def test_every_served_state_of_every_app(self, analyzer, catalog):
+        picks = 0
+        for profile in catalog.profiles.values():
+            for state in served_states(profile):
+                for event_type in EventType:
+                    expected = scan_target(state, event_type)
+                    assert analyzer.representative_target(state, event_type) is expected
+                    picks += expected is not None
+        assert picks > 1000

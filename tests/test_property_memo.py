@@ -11,6 +11,8 @@ without DOM analysis, and for learners that differ in a single field.
 
 import copy
 import dataclasses
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -280,6 +282,53 @@ class TestPredictorDifferential:
         probabilities = model.predict_proba(features)[0]
         assert after == (int(probabilities.argmax()), float(probabilities.max()))
         assert after != before
+
+
+    @given(app=st.sampled_from(list(CATALOG.profiles)), steps=actions)
+    @settings(max_examples=30, deadline=None)
+    def test_a_step_memo_hit_is_predict_step_bit_for_bit(self, learner, app, steps):
+        # Rounds look steps up by the feature values and the LNES mask and
+        # build no array on a hit; the step must be the one predict_step
+        # computes from the array, down to the confidence's bits.
+        model = copy.deepcopy(learner.model)
+        model.freeze()
+        analyzer = DomAnalyzer(learner.encoder)
+        state = SessionState.fresh(CATALOG.get(app))
+        rows = []
+        for kind, index, _ in [("scroll", 0, False), *steps]:
+            act(state, kind, index)
+            row = learner.extractor.values(state)
+            mask = analyzer.lnes_mask(state)
+            # Counts and area fractions: finite and never -0.0, so equal
+            # tuples are equal bytes and the value key names one input.
+            assert all(math.isfinite(v) and math.copysign(1.0, v) == 1.0 for v in row)
+            rows.append(row)
+            reference = copy.deepcopy(learner.model)
+            expected = reference.predict_step(np.array(row), mask)
+            for _ in range(2):
+                index_, confidence = model.predict_row(row, mask)
+                assert (index_, confidence.hex()) == (expected[0], expected[1].hex())
+        for a in rows:
+            for b in rows:
+                assert (a == b) == (np.array(a).tobytes() == np.array(b).tobytes())
+
+    def test_fitted_weights_are_read_only(self, learner, training_traces):
+        from repro.core.pes import PesScheduler
+        from repro.core.predictor.training import PredictorTrainer
+        from repro.runtime.simulator import SimulationSetup
+
+        X, y = PredictorTrainer(catalog=CATALOG).build_dataset(training_traces)
+        model = copy.deepcopy(learner.model).fit(X[:200], y[:200])
+        with pytest.raises(ValueError):
+            model.weights[0, 0] = 1.0
+        # A learner that crossed a pipe comes back writeable; wiring it into
+        # a scheduler freezes it again.
+        shipped = pickle.loads(pickle.dumps(learner))
+        assert shipped.model.weights.flags.writeable
+        setup = SimulationSetup()
+        PesScheduler.create(shipped, CATALOG.get("cnn"), setup.system, setup.power_table)
+        with pytest.raises(ValueError):
+            shipped.model.weights[0, 0] = 1.0
 
 
 class TestUserModelDifferential:

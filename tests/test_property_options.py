@@ -101,6 +101,41 @@ class TestEnumerateOptionsMatchesNaiveSweep:
         assert capped_system(system, 1200) == system.with_frequency_cap(1200)
         assert capped_system(get_platform("exynos5410"), 1200) is not capped_system(system, 1200)
 
+    @given(workload=workloads)
+    @settings(max_examples=30, deadline=None)
+    def test_equal_effective_frequencies_take_the_sorted_fallback(self, workload):
+        # 1000 MHz on the big cluster and 2000 MHz at half the IPC on the
+        # little one are both 1 effective GHz: their latencies tie for every
+        # workload, so the one pass must hand over to the sort.
+        from repro.schedulers import base
+
+        system = AcmpSystem(
+            name="tied",
+            clusters=(
+                Cluster("big", ClusterKind.BIG, 1, (600, 1000, 1400)),
+                Cluster("little", ClusterKind.LITTLE, 1, (800, 2000), perf_scale=0.5),
+            ),
+        )
+        power_table = PowerModel().build_table(system)
+        speeds = [ghz for _, ghz, _ in power_table.points_by_speed(system)]
+        assert speeds == sorted(speeds, reverse=True) and len(set(speeds)) < len(speeds)
+        fallbacks = []
+        sort = base._sorted_options
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base, "_sorted_options", lambda *args: fallbacks.append(args) or sort(*args))
+            for pareto_only in (False, True):
+                got = enumerate_options(system, power_table, workload, pareto_only=pareto_only)
+                assert bits(got) == bits(naive_options(system, power_table, workload, pareto_only))
+        assert len(fallbacks) == 2
+
+    def test_rising_latencies_take_the_one_pass(self, monkeypatch):
+        from repro.schedulers import base
+
+        monkeypatch.setattr(base, "_sorted_options", None)
+        for name, system in PLATFORMS.items():
+            got = enumerate_options(system, POWER_TABLES[name], DvfsModel(4.0, 180.0), pareto_only=True)
+            assert bits(got) == bits(naive_options(system, POWER_TABLES[name], DvfsModel(4.0, 180.0), True))
+
     def test_non_positive_effective_frequency_is_rejected(self):
         system = AcmpSystem(
             name="broken",

@@ -183,3 +183,22 @@ class TestStreamingAggregation:
         assert list(per_app) == ["cnn", "bbc"], "apps keep their first-fold order"
         assert per_app["cnn"] == aggregate_results([cnn, cnn])
         assert per_app["bbc"] == aggregate_results([bbc])
+
+    def test_sweep_aggregator_builds_one_aggregator_per_new_app(self, monkeypatch, setup, catalog, generator):
+        # A one-app compare builds one aggregator per session fold plus one
+        # for the app's cell, not a throwaway default per merged session.
+        from repro.runtime import metrics
+        from repro.runtime.parallel import ParallelEvaluator
+
+        built = []
+
+        class Counted(StreamingAggregator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(metrics, "StreamingAggregator", Counted)
+        traces = [generator.generate("google", seed=seed) for seed in (11, 12, 13)]
+        aggregates = ParallelEvaluator(setup=setup, catalog=catalog, jobs=1).compare(traces, ["EBS"])
+        assert list(aggregates["EBS"].per_app) == ["google"]
+        assert len(built) == len(traces) + 1

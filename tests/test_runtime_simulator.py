@@ -9,6 +9,7 @@ from repro.runtime.metrics import (
     SessionResult,
     StreamingSweepAggregator,
     _session_fold,
+    encode_session,
     normalised_energy_by_app,
 )
 from repro.runtime.parallel import ParallelEvaluator
@@ -97,6 +98,21 @@ class TestSchedulerReuse:
             for trace in traces
         ]
         assert cached == fresh
+
+    @pytest.mark.parametrize("scheme", ["PES", "EBS"])
+    def test_reused_scheduler_replays_each_trace_like_a_fresh_one(
+        self, setup, catalog, generator, learner, scheme
+    ):
+        # One Simulator keeps one scheduler per app and resets it between
+        # traces; whatever the scheduler keeps across a reset (PES's option
+        # slots among it) must leave every session's payload unchanged.
+        traces = [generator.generate("cnn", seed=seed) for seed in (61, 62, 63, 64)]
+        reused = Simulator(setup=setup, catalog=catalog).run_scheme(traces, scheme, learner=learner)
+        fresh = [
+            Simulator(setup=setup, catalog=catalog).run_scheme([trace], scheme, learner=learner)[0]
+            for trace in traces
+        ]
+        assert [encode_session(r) for r in reused] == [encode_session(r) for r in fresh]
 
     def test_pes_cache_invalidated_on_new_learner_or_config(
         self, setup, catalog, small_trace, learner
