@@ -124,6 +124,19 @@ def _solver_order(options: tuple[ConfigOption, ...]) -> tuple[list[ConfigOption]
     )
 
 
+def _first_fit(spec: EventSpec, ordered: list[ConfigOption], clock: float) -> ConfigOption | None:
+    """The first option, in solver order, that meets ``spec``'s deadline from ``clock``.
+
+    At a window's last event it is the only option that can replace the
+    best schedule: the ones after it cost at least as much.
+    """
+    start = max(clock, spec.release_ms)
+    for option in ordered:
+        if start + option.latency_ms <= spec.deadline_ms + 1e-9:
+            return option
+    return None
+
+
 #: Most combinations of options, over every event of a window but the last,
 #: that :meth:`BranchAndBoundSolver.solve` scans without frontiers.  The scan
 #: may try each combination once, so it stays within a few milliseconds where
@@ -215,16 +228,12 @@ class BranchAndBoundSolver:
             if point == len(clocks) or energy + energies[point] - 1e-9 >= best_energy - 1e-12:
                 return
             spec = working[index]
-            start = max(clock, spec.release_ms)
             if index == last:
-                # The first option that fits is the only one that can replace
-                # the best: the ones after it cost at least as much.
-                for option in ordered[index]:
-                    if start + option.latency_ms <= spec.deadline_ms + 1e-9:
-                        if energy + option.energy_mj < best_energy - 1e-12:
-                            best_energy, best_choice = energy + option.energy_mj, chosen + [option]
-                        return
+                option = _first_fit(spec, ordered[index], clock)
+                if option is not None and energy + option.energy_mj < best_energy - 1e-12:
+                    best_energy, best_choice = energy + option.energy_mj, chosen + [option]
                 return
+            start = max(clock, spec.release_ms)
             for option in ordered[index]:
                 finish = start + option.latency_ms
                 if finish <= spec.deadline_ms + 1e-9:
@@ -256,14 +265,12 @@ class BranchAndBoundSolver:
         def visit(index: int, clock: float, energy: float, chosen: list[ConfigOption]) -> None:
             nonlocal best_energy, best_choice
             spec = working[index]
-            start = max(clock, spec.release_ms)
             if index == last:
-                for option in ordered[index]:
-                    if start + option.latency_ms <= spec.deadline_ms + 1e-9:
-                        if energy + option.energy_mj < best_energy - 1e-12:
-                            best_energy, best_choice = energy + option.energy_mj, chosen + [option]
-                        return
+                option = _first_fit(spec, ordered[index], clock)
+                if option is not None and energy + option.energy_mj < best_energy - 1e-12:
+                    best_energy, best_choice = energy + option.energy_mj, chosen + [option]
                 return
+            start = max(clock, spec.release_ms)
             for option in ordered[index]:
                 total = energy + option.energy_mj
                 if total + rest[index] - 1e-9 >= best_energy - 1e-12:
