@@ -138,11 +138,11 @@ def _first_fit(spec: EventSpec, ordered: list[ConfigOption], clock: float) -> Co
 
 
 #: Most combinations of options, over every event of a window but the last,
-#: that :meth:`BranchAndBoundSolver.solve` scans without frontiers.  The scan
-#: may try each combination once, so it stays within a few milliseconds where
-#: building the frontiers costs more on typical windows: every PES window of
-#: up to four events on exynos5410 (at most 14**3 combinations) and of up to
-#: three on tegra_parker (25**2), but not tegra_parker's four-event windows.
+#: that :meth:`BranchAndBoundSolver.solve` scans without frontiers.  On PES's
+#: windows the scan took 0.33-0.62 of the frontier search's time up to 2,500
+#: combinations (one to four events on exynos5410, one to three on
+#: tegra_parker) and 1.5-3.4 times it from 13,824 (tegra_parker's four- and
+#: five-event windows), so the budget sits between the two.
 SCAN_BUDGET = 4096
 
 

@@ -115,8 +115,8 @@ class SoftmaxRegression:
     temperature: float = 1.0
     #: Read-only once fitted (see :meth:`freeze`).
     weights: np.ndarray | None = field(default=None, repr=False)
-    #: :meth:`predict_step` and :meth:`predict_row` results by input row and
-    #: mask, valid while the weights and temperature equal ``_steps_for``.
+    #: :meth:`predict_row` results by input row and mask, valid while
+    #: :meth:`model_key` equals ``_steps_for``.
     _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _steps_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
     #: ``(weights, temperature, model_key())`` of the last read-only weights keyed.
@@ -296,10 +296,8 @@ class SoftmaxRegression:
     def predict_step(self, features: np.ndarray, mask: np.ndarray | None = None) -> tuple[int, float]:
         """The most likely class of one feature row and its probability.
 
-        Exactly ``predict_proba(features, mask)[0]``'s argmax and its value.
-        Sessions revisit the same few (features, mask) inputs, so results are
-        memoised by the bytes of both; the memo empties whenever the weights
-        or the temperature no longer equal the ones it was filled under.
+        Exactly ``predict_proba(features, mask)[0]``'s argmax and its value,
+        computed on every call; :meth:`predict_row` is the memoised form.
         """
         features = np.asarray(features, dtype=float)
         if features.ndim != 1:
@@ -308,41 +306,29 @@ class SoftmaxRegression:
             mask = np.asarray(mask, dtype=bool)
             if mask.ndim != 1:
                 raise ValueError("predict_step takes one class mask")
-        steps = self._step_memo()
-        key = (features.tobytes(), None if mask is None else mask.tobytes())
-        step = steps.get(key)
-        if step is None:
-            step = steps[key] = self._step(features, mask)
-        return step
+        probabilities = self.predict_proba(features, mask)[0]
+        index = int(probabilities.argmax())
+        return index, float(probabilities[index])
 
     def predict_row(self, row: tuple[float, ...], mask: np.ndarray | None = None) -> tuple[int, float]:
         """:meth:`predict_step` of ``np.array(row)``, building no array on a memo hit.
 
-        The step shares :meth:`predict_step`'s memo, keyed by the row's
-        values and the mask's bytes.  For finite rows with no ``-0.0``
-        (feature rows are counts and area fractions) float equality is byte
-        equality, so a value key names the same input a byte key would.
-        ``mask`` is a 1-D boolean class mask.
+        Sessions revisit the same few (features, mask) inputs, so steps are
+        memoised by the row's values and the mask's bytes; the memo empties
+        whenever :meth:`model_key` no longer equals the one it was filled
+        under.  For finite rows with no ``-0.0`` (feature rows are counts and
+        area fractions) float equality is byte equality, so a value key
+        names one input.  ``mask`` is a 1-D boolean class mask.
         """
-        steps = self._step_memo()
-        key = (row, None if mask is None else mask.tobytes())
-        step = steps.get(key)
-        if step is None:
-            step = steps[key] = self._step(np.array(row, dtype=float), mask)
-        return step
-
-    def _step_memo(self) -> dict:
-        """The step memo, emptied first if the model changed since it was filled."""
         model = self.model_key()
         if model != self._steps_for:
             self._steps = {}
             self._steps_for = model
-        return self._steps
-
-    def _step(self, features: np.ndarray, mask: np.ndarray | None) -> tuple[int, float]:
-        probabilities = self.predict_proba(features, mask)[0]
-        index = int(probabilities.argmax())
-        return index, float(probabilities[index])
+        key = (row, None if mask is None else mask.tobytes())
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = self.predict_step(np.array(row, dtype=float), mask)
+        return step
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftmaxRegression):

@@ -68,7 +68,7 @@ class EventSequenceLearner:
         self, state: SessionState, *, mask: np.ndarray | None = None
     ) -> tuple[EventType, float]:
         """Predict the immediate next event type and its confidence."""
-        index, confidence = self.model.predict_step(self.extractor.extract(state), mask)
+        index, confidence = self.model.predict_row(self.extractor.values(state), mask)
         return self.encoder.decode(index), confidence
 
     def predict_next_batch(
@@ -150,11 +150,12 @@ class EventSequenceLearner:
     def _roll_forward(self, state: SessionState, dom: DomAnalyzer | None) -> list[PredictedEvent]:
         """The prediction loop: predict, roll a clone forward, repeat.
 
-        Each step is :meth:`predict_next` on the clone, looked up in the
-        model's step memo by the feature values and the LNES mask
+        Each step looks the current state up in the model's step memo by
+        its feature values and the LNES mask's bytes
         (:meth:`SoftmaxRegression.predict_row`), so a step seen before
-        builds no array.  The first step only reads ``state``, so a round
-        that stops there clones nothing.
+        builds no array.  The first step reads ``state`` itself; the loop
+        clones it just before its first ``apply_event``, so a round that
+        stops at its first step clones nothing.
         """
         predictions: list[PredictedEvent] = []
         cumulative = 1.0

@@ -89,7 +89,7 @@ class ReactiveScheduler(abc.ABC):
         """Clear any per-session state before replaying a new trace."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ConfigOption:
     """One point of an event's latency/energy trade-off space.
 
@@ -103,18 +103,8 @@ class ConfigOption:
     power_w: float
     energy_mj: float = field(init=False, compare=False)
 
-    def __init__(self, config: AcmpConfig, latency_ms: float, power_w: float) -> None:
-        # Written out, not generated: a frozen dataclass's generated __init__
-        # looks up object.__setattr__ for every field, and options are
-        # built for every window.
-        _set_field(self, "config", config)
-        _set_field(self, "latency_ms", latency_ms)
-        _set_field(self, "power_w", power_w)
-        _set_field(self, "energy_mj", power_w * latency_ms)
-
-
-#: Assigns a field of a frozen dataclass from its own ``__init__``.
-_set_field = object.__setattr__
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "energy_mj", self.power_w * self.latency_ms)
 
 
 def capped_system(system: AcmpSystem, cap_mhz: int) -> AcmpSystem:

@@ -35,7 +35,7 @@ from repro.utils import stable_seed
 from repro.webapp.apps import AppProfile
 from repro.webapp.dom import DomNode, DomTree, DomView
 from repro.webapp.events import EventType, Interaction, interaction_of, POINTER_EVENT_TYPES
-from repro.webapp.semantic_tree import SemanticTree
+from repro.webapp.semantic_tree import EffectKind, SemanticTree
 
 #: Number of recent events considered by the interaction-dependent features.
 FEATURE_WINDOW: int = 5
@@ -217,8 +217,9 @@ class SessionState:
             # load event produces the new one.
             self.last_navigated = True
         else:
-            effect.apply(self.dom)
-            self._view = None
+            if effect.kind is not EffectKind.NONE:
+                effect.apply(self.dom)
+                self._view = None
             self.last_navigated = False
 
         history = self.history

@@ -275,10 +275,11 @@ class TestPredictorDifferential:
         model = copy.deepcopy(learner.model)
         state = SessionState.fresh(CATALOG.get("bbc"))
         features = np.concatenate([state.features(), [1.0]])
-        before = model.predict_step(features)
+        row = tuple(features.tolist())
+        before = model.predict_row(row)
         X, y = PredictorTrainer(catalog=CATALOG).build_dataset(training_traces)
         model.fit(X[: len(y) // 3], np.roll(y[: len(y) // 3], 1))
-        after = model.predict_step(features)
+        after = model.predict_row(row)
         probabilities = model.predict_proba(features)[0]
         assert after == (int(probabilities.argmax()), float(probabilities.max()))
         assert after != before
