@@ -209,6 +209,18 @@ class TestWorkCounts:
         state.dom.view()
         assert len(passes) == 2
 
+    def test_an_effect_free_click_keeps_the_view(self, state, passes):
+        # On a private tree every view() walks, so only a kept view saves one.
+        _menu_toggle(state)
+        before = state.features()
+        root = state.dom.root.node_id
+        assert not state.semantic.has_effect(root, EventType.CLICK)
+        state.apply_event(EventType.CLICK, root)
+        assert np.array_equal(state.features()[:2], before[:2])
+        state.available_events()
+        assert len(passes) == 1
+        assert state.view() == state.dom.view()
+
     def test_scroll_only_roll_forward_copies_no_nodes(self, state, node_clones):
         clone = state.clone()
         for _ in range(3):
