@@ -217,6 +217,8 @@ class SessionState:
             # load event produces the new one.
             self.last_navigated = True
         else:
+            # An effect of kind NONE leaves the DOM as it was, so the view
+            # stays valid (on a private graph, a new one would walk again).
             if effect.kind is not EffectKind.NONE:
                 effect.apply(self.dom)
                 self._view = None
