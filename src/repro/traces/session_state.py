@@ -3,9 +3,9 @@
 Both the trace generator (which synthesises user behaviour) and the PES
 predictor (which observes it) need the same view of an ongoing session:
 
-* the current DOM tree, updated by applying each event's Semantic-Tree
-  effect (scrolls move the viewport, menu toggles reveal nodes, navigations
-  load a fresh document), and
+* the current DOM state, updated by applying each event's Semantic-Tree
+  effect (scrolls move the viewport, menu toggles flip nodes' display,
+  navigations load a fresh document), and
 * a sliding window over the five most recent events, from which the
   interaction-dependent features of Table 1 are computed.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,7 +57,6 @@ class ObservedEvent:
 
     event_type: EventType
     navigated: bool
-    node_id: str = ""
 
 
 def document_rng(profile: AppProfile, doc_index: int) -> np.random.Generator:
@@ -87,17 +87,22 @@ def _rescan_window(history: deque[ObservedEvent]) -> tuple[int, int, int]:
     return tap_distance, navigations, moves
 
 
-#: Pristine documents by ``(profile, doc_index)``: ``build_dom`` is a pure function
+#: Served documents by ``(profile, doc_index)``: ``build_dom`` is a pure function
 #: of the two and sessions revisit the same few documents, so each is built once.
 _DOCUMENTS: dict[tuple[AppProfile, int], tuple[DomTree, SemanticTree]] = {}
 
 
 def _serve_document(profile: AppProfile, doc_index: int) -> tuple[DomTree, SemanticTree]:
-    """A caller-private, copy-on-write copy of ``profile.build_dom(document_rng(profile, doc_index))``."""
+    """The initial state of ``profile.build_dom(document_rng(profile, doc_index))`` and its Semantic Tree.
+
+    Served documents never change, so every session shares the nodes and the
+    effects; the Semantic Tree is read-only (``register`` raises ``TypeError``).
+    """
     if (profile, doc_index) not in _DOCUMENTS:
-        _DOCUMENTS[profile, doc_index] = profile.build_dom(document_rng(profile, doc_index))
+        dom, semantic = profile.build_dom(document_rng(profile, doc_index))
+        _DOCUMENTS[profile, doc_index] = dom, SemanticTree(MappingProxyType(semantic.effects))
     dom, semantic = _DOCUMENTS[profile, doc_index]
-    return dom.clone(), SemanticTree(effects=dict(semantic.effects))
+    return dom.clone(), semantic
 
 
 @dataclass
@@ -134,9 +139,9 @@ class SessionState:
         """The visible nodes and their aggregates, looked up once per session state.
 
         Shared by the features, the LNES and target picking.  Only
-        :meth:`apply_event` changes the DOM, and it drops the snapshot when
-        it does.  A served document's clones
-        share :meth:`DomTree.view`'s memo, so a DOM state another session or
+        :meth:`apply_event` changes the DOM state, and it drops the snapshot
+        when it does.  Every state of a served document shares
+        :meth:`DomTree.view`'s memo, so a DOM state another session or
         roll-forward has seen is not walked again.
         """
         if self._view is None:
@@ -217,8 +222,8 @@ class SessionState:
             # load event produces the new one.
             self.last_navigated = True
         else:
-            # An effect of kind NONE leaves the DOM as it was, so the view
-            # stays valid (on a private graph, a new one would walk again).
+            # An effect of kind NONE leaves the DOM state as it was, so the
+            # view stays valid and no memo key is built.
             if effect.kind is not EffectKind.NONE:
                 effect.apply(self.dom)
                 self._view = None
@@ -229,7 +234,7 @@ class SessionState:
             evicted = history[0]
             self._navigations -= evicted.navigated
             self._moves -= interaction_of(evicted.event_type) is Interaction.MOVE
-        history.append(ObservedEvent(event_type=event_type, navigated=did_navigate, node_id=node_id))
+        history.append(ObservedEvent(event_type, did_navigate))
         interaction = interaction_of(event_type)
         if interaction is Interaction.TAP:
             self._tap_distance = 1
@@ -245,19 +250,16 @@ class SessionState:
 
         Hand-rolled instead of ``copy.deepcopy`` (which was the single
         largest predictor-side cost): the immutable pieces — the frozen
-        :class:`AppProfile`, the frozen ``CallbackEffect`` values, and the
-        frozen ``ObservedEvent`` history entries — are shared, and so is the
-        view snapshot, since the clone starts in the same DOM state, and the
-        window counts are copied, not rescanned.
-        The DOM tree is a copy-on-write :meth:`DomTree.clone`: a roll-forward
-        copies nodes only when an effect mutates one through
-        :meth:`DomTree.find`, and scrolls and loads never copy; so mutate
-        nodes only through references obtained from ``find``.  The
-        Semantic-Tree mapping and history window get fresh containers.
+        :class:`AppProfile`, the read-only Semantic Tree, and the frozen
+        ``ObservedEvent`` history entries — are shared, and so is the view
+        snapshot, since the clone starts in the same DOM state, and the
+        window counts are copied, not rescanned.  The DOM state is a
+        :meth:`DomTree.clone` (the document, a viewport and a flipped set,
+        each immutable), so no event on either side reaches the other; only
+        the history window gets a fresh container.
         """
         twin = SessionState.__new__(SessionState)
         twin.__dict__.update(self.__dict__)
         twin.dom = self.dom.clone()
-        twin.semantic = SemanticTree(effects=dict(self.semantic.effects))
         twin.history = deque(self.history, maxlen=FEATURE_WINDOW)
         return twin

@@ -19,6 +19,7 @@ has many compute-light events; news pages like ``cnn`` carry heavy taps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,8 +111,8 @@ class AppProfile:
             value = getattr(self, attr)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{attr} must be in [0, 1], got {value}")
-        if self.workload_scale <= 0:
-            raise ValueError("workload_scale must be positive")
+        if not 0.0 < self.workload_scale < math.inf:
+            raise ValueError(f"workload_scale must be positive and finite, got {self.workload_scale}")
         if self.sections <= 0 or self.menus < 0:
             raise ValueError("sections must be positive and menus non-negative")
 

@@ -5,10 +5,16 @@ that is inside the current viewport and collects the events registered on
 visible nodes — the Likely-Next-Event-Set (LNES).  The model here captures
 exactly what that analysis needs: a tree of nodes, each with a bounding box,
 a set of registered event listeners, and a visibility style.
+
+A served document never changes once built.  What callbacks change is the
+DOM *state*: a :class:`DomTree` is the document, the viewport and the set of
+nodes whose display is flipped from the document's, so the state after a
+callback is derived statically, as the paper's DOM analysis does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -16,6 +22,9 @@ from repro.webapp.events import EventType
 
 #: Listener types that make a node count towards the clickable region.
 _CLICK_EVENTS: frozenset[EventType] = frozenset({EventType.CLICK, EventType.TOUCHSTART, EventType.SUBMIT})
+
+#: The two display styles a node can have; flipping one gives the other.
+_DISPLAYS: tuple[str, str] = ("block", "none")
 
 
 @dataclass(frozen=True)
@@ -27,10 +36,10 @@ class Viewport:
     scroll_y: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("viewport dimensions must be positive")
-        if self.scroll_y < 0:
-            raise ValueError("scroll offset must be non-negative")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError("viewport dimensions must be positive and finite")
+        if not 0.0 <= self.scroll_y < math.inf:
+            raise ValueError("scroll offset must be non-negative and finite")
 
     @property
     def area(self) -> float:
@@ -43,8 +52,11 @@ class DomNode:
 
     Geometry is simplified to a vertical extent (``y``/``height``) plus a
     width, which is all the viewport-intersection analysis needs, and an
-    ``area`` for the clickable-region feature.  ``listeners`` is immutable,
-    so nodes and their clones may share one set.
+    ``area`` for the clickable-region feature.  ``display`` is the
+    document's style, ``"block"`` or ``"none"``; a DOM state flips it
+    without writing the node (see :class:`DomTree`).  Nodes are linked with
+    :meth:`append_child` while a document is built and never written once a
+    tree holds them, so every state and session of a document shares them.
     """
 
     tag: str
@@ -59,8 +71,12 @@ class DomNode:
     parent: "DomNode | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.height < 0 or self.width < 0:
-            raise ValueError("node dimensions must be non-negative")
+        if not (0.0 <= self.height < math.inf and 0.0 <= self.width < math.inf):
+            raise ValueError("node dimensions must be non-negative and finite")
+        if not -math.inf < self.y < math.inf:
+            raise ValueError("node position must be finite")
+        if self.display not in _DISPLAYS:
+            raise ValueError(f"display must be one of {_DISPLAYS}, got {self.display!r}")
 
     # -- tree construction -------------------------------------------------
 
@@ -76,16 +92,6 @@ class DomNode:
         return self.width * self.height
 
     @property
-    def is_displayed(self) -> bool:
-        """Whether this node (and all ancestors) have a non-``none`` display."""
-        node: DomNode | None = self
-        while node is not None:
-            if node.display == "none":
-                return False
-            node = node.parent
-        return True
-
-    @property
     def is_clickable(self) -> bool:
         return not self.listeners.isdisjoint(_CLICK_EVENTS)
 
@@ -94,25 +100,6 @@ class DomNode:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def clone(self) -> "DomNode":
-        """Structured deep copy of the subtree rooted at this node.
-
-        Hand-rolled instead of ``copy.deepcopy``.  :meth:`DomTree.find` calls
-        it to give a copy-on-write tree its private node graph, once, before
-        the first mutation; clones that are only scrolled never copy.  Hence
-        the contract: mutate nodes only through references obtained from
-        ``find``.  The copy has its own children and shares the immutable
-        listener set; the parent pointer of the returned root is left unset.
-        """
-        copied = DomNode(self.tag, self.node_id, self.y, self.height, self.width, self.display, self.listeners, self.is_link)
-        for child in self.children:
-            copied.append_child(child.clone())
-        return copied
-
-    def toggle_display(self) -> None:
-        """Flip between ``block`` and ``none`` (the Fig. 7 collapsible menu)."""
-        self.display = "none" if self.display == "block" else "block"
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,11 +114,9 @@ class DomView:
     on first use by whoever computes them (whole prediction rounds, the
     user model's ranking and tap targets).  Each key names the function
     and every input beyond the DOM state, by value; each value is
-    immutable.  A view only ever describes one DOM state, so every memo
-    follows this one rule.  A view of a shared graph (see
-    :meth:`DomTree.view`) stands for one served document with its Semantic
-    Tree in one viewport, so its memo serves every session that reaches the
-    state; a private graph's view is dropped when its state changes.
+    immutable.  A view from :meth:`DomTree.view` stands for one served
+    document with its Semantic Tree, one flipped set and one viewport, so
+    its memo serves every session and roll-forward that reaches that state.
     """
 
     nodes: list[DomNode]
@@ -154,40 +139,55 @@ class DomView:
 
 
 class DomTree:
-    """A DOM tree plus the page viewport.
+    """One DOM state: a document, the viewport, and the nodes whose display is flipped.
+
+    The document (``root`` and the page height) is never written.
+    ``flipped`` is the frozenset of node ids whose display differs from the
+    document's.  :meth:`set_display` replaces it and :meth:`scroll` replaces
+    the viewport; :class:`~repro.webapp.semantic_tree.CallbackEffect` calls
+    both.  Every tree of one document shares its node index and its view
+    memo (see :meth:`clone`).
 
     Provides the aggregate queries the predictor features (Table 1) and the
     DOM analysis need: visible-node iteration, clickable-region percentage,
     visible-link percentage, and the set of events registered on visible
-    nodes.  Clones are copy-on-write (see :meth:`clone`).
+    nodes.
     """
 
     def __init__(self, root: DomNode, viewport: Viewport | None = None, page_height: float | None = None):
         self.root = root
         self.viewport = viewport or Viewport()
+        self.flipped: frozenset[str] = frozenset()
         self._page_height = page_height
-        # Views by viewport, shared by every tree on ``root``'s node graph;
-        # None while the graph is private to this tree (and may be mutated).
-        self._views: dict[Viewport, DomView] | None = None
+        # Shared by every tree of this document: the nodes by id, and the
+        # views by (flipped set, viewport).
+        self._nodes: dict[str, DomNode] = {}
+        for node in root.walk():
+            if self._nodes.setdefault(node.node_id, node) is not node:
+                raise ValueError(f"duplicate DOM node id {node.node_id!r}")
+        self._views: dict[tuple[frozenset[str], Viewport], DomView] = {}
 
     # -- traversal ---------------------------------------------------------
 
     def walk(self) -> Iterator[DomNode]:
+        """Pre-order traversal of the document's nodes."""
         return self.root.walk()
 
     def visible_nodes(self) -> list[DomNode]:
         """Displayed nodes intersecting the viewport, in pre-order.
 
-        One explicit-stack pass that skips ``display: none`` subtrees whole,
-        so no node re-walks its ancestors.
+        One explicit-stack pass that skips hidden subtrees whole, so no node
+        re-walks its ancestors.  A node is hidden when its document display
+        is ``none`` or its id is flipped, but not both.
         """
         top = self.viewport.scroll_y
         bottom = top + self.viewport.height
+        flipped = self.flipped
         visible: list[DomNode] = []
-        stack = [self.root] if self.root.is_displayed else []
+        stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.display == "none":
+            if (node.display == "none") != (node.node_id in flipped):
                 continue
             if node.y < bottom and node.y + node.height > top:
                 visible.append(node)
@@ -196,36 +196,20 @@ class DomTree:
         return visible
 
     def view(self) -> DomView:
-        """:class:`DomView` of the current state.
+        """:class:`DomView` of the current state, walked once per document, flipped set and viewport.
 
-        While the node graph is shared (see :meth:`clone`) it cannot change,
-        so every tree on it shares one memo by viewport: a state any of them
-        has seen is walked once, and the view's own ``memo`` is reused with
-        it.  A private graph may be mutated, so it is walked on every call
-        and each call returns a new view with an empty memo.
+        The document never changes, so a state any tree of it has reached
+        returns the same view, with its ``memo``.
         """
-        views = self._views
-        if views is None:
-            return DomView.of(self)
-        view = views.get(self.viewport)
+        key = (self.flipped, self.viewport)
+        view = self._views.get(key)
         if view is None:
-            view = views[self.viewport] = DomView.of(self)
+            view = self._views[key] = DomView.of(self)
         return view
 
     def find(self, node_id: str) -> DomNode:
-        """The node with ``node_id``; the returned reference may be mutated.
-
-        On a copy-on-write clone this first copies the node graph, so the
-        mutation stays private to this tree; the copy leaves the shared view
-        memo behind.
-        """
-        if self._views is not None:
-            self.root = self.root.clone()
-            self._views = None
-        for node in self.walk():
-            if node.node_id == node_id:
-                return node
-        raise KeyError(f"no DOM node with id {node_id!r}")
+        """The document's node with ``node_id``; ``KeyError`` when there is none."""
+        return self._nodes[node_id]
 
     # -- aggregate features (Table 1, application-inherent) -----------------
     #
@@ -257,21 +241,31 @@ class DomTree:
         return events
 
     def clone(self) -> "DomTree":
-        """Copy-on-write copy of the tree (the viewport is immutable and shared).
+        """A copy of this state that changes independently of this one.
 
-        The clone shares this tree's node graph and its view memo; whichever
-        tree calls :meth:`find` first copies the graph for itself and drops
-        the memo, so mutate nodes only through references obtained from
-        ``find``.  Scrolling swaps the viewport and never copies, so a
-        hypothetical roll-forward copies the tree only when it toggles a node.
+        It shares the document, its node index and its view memo; the
+        viewport and the flipped set are immutable, so sharing them too
+        copies nothing.
         """
-        if self._views is None:
-            self._views = {}
-        twin = DomTree(self.root, viewport=self.viewport, page_height=self._page_height)
-        twin._views = self._views
+        twin = DomTree.__new__(DomTree)
+        twin.__dict__.update(self.__dict__)
         return twin
 
-    # -- mutation ----------------------------------------------------------
+    # -- state changes -----------------------------------------------------
+
+    def set_display(self, node_id: str, display: str | None) -> None:
+        """Give ``node_id`` ``display`` in this state, or flip its display when ``display`` is None.
+
+        Replaces :attr:`flipped`, which holds a node exactly when its display
+        differs from the document's.
+        """
+        node = self.find(node_id)
+        if display is None:
+            self.flipped ^= {node_id}
+        elif display == node.display:
+            self.flipped -= {node_id}
+        else:
+            self.flipped |= {node_id}
 
     def scroll(self, delta_y: float) -> None:
         """Scroll the viewport, clamped at the top and, when known, to the page height."""

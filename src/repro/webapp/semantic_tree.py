@@ -9,8 +9,9 @@ memoises, for each interactive node, which other nodes its callback toggles.
 The DOM analyser can then *statically* derive the post-callback DOM state.
 
 :class:`SemanticTree` is that memoisation: a mapping from (node, event type)
-to a declarative :class:`CallbackEffect` describing the DOM mutation, which
-can be applied to (a copy of) the tree without running any JavaScript.
+to a declarative :class:`CallbackEffect` describing the DOM mutation;
+applying one to a :class:`~repro.webapp.dom.DomTree` yields the
+post-callback DOM state without running any JavaScript.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class CallbackEffect:
     navigates: bool = False
 
     def apply(self, tree: DomTree) -> None:
-        """Apply this effect to ``tree`` in place (static re-evaluation)."""
+        """Apply this effect to ``tree``'s state (static re-evaluation); no node is written."""
         if self.kind is EffectKind.NONE:
             return
         if self.kind is EffectKind.SCROLL_BY:
@@ -59,14 +60,9 @@ class CallbackEffect:
             # modelled by the application profile regenerating its DOM.
             tree.scroll(-tree.viewport.scroll_y)
             return
+        display = "block" if self.kind is EffectKind.SHOW else "none" if self.kind is EffectKind.HIDE else None
         for node_id in self.target_node_ids:
-            node = tree.find(node_id)
-            if self.kind is EffectKind.TOGGLE_DISPLAY:
-                node.toggle_display()
-            elif self.kind is EffectKind.SHOW:
-                node.display = "block"
-            elif self.kind is EffectKind.HIDE:
-                node.display = "none"
+            tree.set_display(node_id, display)
 
 
 #: The effect of every unregistered (node, event type) pair; frozen, so one is shared.
@@ -79,7 +75,9 @@ class SemanticTree:
 
     Keys are ``(node_id, event_type)`` pairs.  ``effect_of`` returns the
     shared no-op :data:`NO_EFFECT` when nothing is registered, mirroring
-    callbacks whose effects the analysis cannot (or need not) model.
+    callbacks whose effects the analysis cannot (or need not) model.  A
+    served document's tree is read-only: its ``effects`` is a mapping
+    proxy, so ``register`` raises ``TypeError``.
     """
 
     effects: dict[tuple[str, EventType], CallbackEffect] = field(default_factory=dict)

@@ -3,10 +3,11 @@
 Prediction rounds and the user model's ranking and tap targets are
 memoised on the ``DomView``, and predictor steps on the softmax model.
 The references here are test-side copies of the code before those memos:
-every DOM query is a naive walk of a private deep copy, and nothing is
-looked up in any memo.  The memoised paths must agree with them exactly,
-on served (shared) documents and on toggled (private) ones, with and
-without DOM analysis, and for learners that differ in a single field.
+every DOM query is a naive walk of a private deep copy (its flipped
+displays written into the copied nodes), and nothing is looked up in any
+memo.  The memoised paths must agree with them exactly, on served documents
+and on toggled states of them, with and without DOM analysis, and for
+learners that differ in a single field.
 """
 
 import copy
@@ -26,6 +27,9 @@ from repro.traces.session_state import FEATURE_WINDOW, SessionState
 from repro.webapp.apps import AppCatalog
 from repro.webapp.dom import DomTree
 from repro.webapp.events import POINTER_EVENT_TYPES, EventType, Interaction, interaction_of
+from repro.webapp.semantic_tree import SemanticTree
+
+from naive_dom import materialised_root, naive_visible
 
 CATALOG = AppCatalog()
 GENERATOR = TraceGenerator(catalog=CATALOG)
@@ -40,18 +44,13 @@ TAP_HAPPY_WEIGHTS = {
 # -- the naive reference ------------------------------------------------------------------
 
 
-def naive_visible(tree: DomTree) -> list:
-    top, height = tree.viewport.scroll_y, tree.viewport.height
-    return [n for n in tree.walk() if n.is_displayed and n.y < top + height and n.y + n.height > top]
-
-
 def private_copy(state: SessionState) -> SessionState:
-    """A deep copy that shares no node graph, view or container with ``state``."""
-    dom = DomTree(state.dom.root.clone(), viewport=state.dom.viewport, page_height=state.dom._page_height)
+    """A deep copy that shares no node, view or container with ``state``."""
+    dom = DomTree(materialised_root(state.dom), viewport=state.dom.viewport, page_height=state.dom._page_height)
     return SessionState(
         profile=state.profile,
         dom=dom,
-        semantic=copy.deepcopy(state.semantic),
+        semantic=SemanticTree(dict(state.semantic.effects)),
         doc_index=state.doc_index,
         history=copy.copy(state.history),
         last_navigated=state.last_navigated,
@@ -230,8 +229,8 @@ class TestPredictorDifferential:
         for kind, index, fork in steps:
             act(live, kind, index)
             if fork:
-                # A roll-forward branch: it starts on the shared graph and
-                # goes private when it toggles.
+                # A roll-forward branch: it starts in the live state and
+                # toggles a menu of its own.
                 branch = live.clone()
                 act(branch, "toggle", index + 1)
                 states.append(branch)

@@ -1,7 +1,7 @@
-"""Differential tests (hypothesis) of the visibility snapshot and copy-on-write clones.
+"""Differential tests (hypothesis) of the visibility snapshot and cloned states.
 
-The fast path walks each DOM state once, prunes ``display: none`` subtrees
-and shares node graphs between clones.  The reference here is the
+The fast path walks each DOM state once, prunes hidden subtrees and shares
+the document and its views between clones.  The reference here is the
 deliberately naive definition of visibility — every node, its own ancestor
 walk, its own viewport test — and the queries built on it must agree
 exactly, on a live session state and on every clone taken from it.
@@ -15,18 +15,16 @@ from repro.core.predictor.features import EventLabelEncoder
 from repro.traces.generator import TraceGenerator
 from repro.traces.session_state import SessionState
 from repro.webapp.apps import AppCatalog
-from repro.webapp.dom import DomTree, DomView
+from repro.webapp.dom import DomView
 from repro.webapp.events import EventType
+from repro.webapp.semantic_tree import CallbackEffect, EffectKind
+
+from naive_dom import naive_visible
 
 CATALOG = AppCatalog()
 ANALYZER = DomAnalyzer(EventLabelEncoder())
 GENERATOR = TraceGenerator(catalog=CATALOG)
 PICKED_EVENTS = (EventType.CLICK, EventType.TOUCHSTART, EventType.SUBMIT, EventType.SCROLL)
-
-
-def naive_visible(tree: DomTree) -> list:
-    top, height = tree.viewport.scroll_y, tree.viewport.height
-    return [n for n in tree.walk() if n.is_displayed and n.y < top + height and n.y + n.height > top]
 
 
 class NaiveView(SessionState):
@@ -160,21 +158,25 @@ class TestVisibilitySnapshotDifferential:
     @given(
         app=st.sampled_from(list(CATALOG.profiles)),
         writes=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=200), st.floats(min_value=0.0, max_value=900.0), st.booleans()),
+            st.tuples(
+                st.integers(min_value=0, max_value=200),
+                st.sampled_from([EffectKind.TOGGLE_DISPLAY, EffectKind.SHOW, EffectKind.HIDE]),
+                st.floats(min_value=0.0, max_value=900.0),
+                st.booleans(),
+            ),
             max_size=15,
         ),
     )
     @settings(max_examples=40, deadline=None)
     def test_direct_tree_queries_match_naive_reference(self, app, writes):
-        # Uncached DomTree queries under arbitrary ``find(...).display`` writes
-        # and scrolls, landing on a tree or on any clone branched off it.
+        # Uncached DomTree queries under arbitrary display effects on any
+        # node and scrolls, landing on a tree or on any clone branched off it.
         tree, _ = CATALOG.get(app).build_dom(np.random.default_rng(0))
         trees = [tree]
-        for index, scroll, fork in writes:
+        for index, kind, scroll, fork in writes:
             target = trees[index % len(trees)]
             ids = [n.node_id for n in target.walk()]
-            node = target.find(ids[index % len(ids)])
-            node.display = "none" if node.display == "block" else "block"
+            CallbackEffect(kind=kind, target_node_ids=(ids[index % len(ids)],)).apply(target)
             target.scroll(scroll - target.viewport.scroll_y)
             if fork:
                 trees.append(target.clone())

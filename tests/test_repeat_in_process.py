@@ -33,9 +33,9 @@ def module_state_sizes() -> dict[str, int]:
             elif callable(getattr(value, "cache_info", None)):
                 sizes[name] = value.cache_info().currsize
     # Memos nested inside a module-level container are invisible to len():
-    # each served document carries the view memo its clones share, and each
-    # view its own memo of pure functions of its DOM state.
-    views = [view for dom, _ in session_state._DOCUMENTS.values() for view in (dom._views or {}).values()]
+    # each served document carries the view memo all its states share, and
+    # each view its own memo of pure functions of its DOM state.
+    views = [view for dom, _ in session_state._DOCUMENTS.values() for view in dom._views.values()]
     sizes["repro.traces.session_state._DOCUMENTS[*].views"] = len(views)
     sizes["repro.traces.session_state._DOCUMENTS[*].views[*].memo"] = sum(len(view.memo) for view in views)
     return sizes

@@ -13,7 +13,7 @@ from repro.traces.session_state import FEATURE_NAMES, FEATURE_WINDOW, SessionSta
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS, AppCatalog, AppProfile
 from repro.webapp.dom import DomNode, DomTree
 from repro.webapp.events import EventType, Interaction, interaction_of
-from repro.webapp.semantic_tree import CallbackEffect
+from repro.webapp.semantic_tree import CallbackEffect, EffectKind
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,7 @@ def _observe(state: SessionState) -> tuple:
     """Everything a side of a clone pair must keep: node styles, features, LNES."""
     return (
         [(n.node_id, n.display) for n in state.dom.walk()],
+        state.dom.flipped,
         state.dom.viewport.scroll_y,
         tuple(state.features()),
         state.available_events(),
@@ -127,12 +128,13 @@ def _scroll(state: SessionState) -> None:
     state.apply_event(EventType.SCROLL, state.dom.root.node_id)
 
 
-def _find_write(state: SessionState) -> None:
-    state.dom.find(f"{state.profile.name}-menu-0").display = "block"
+def _show_menu(state: SessionState) -> None:
+    # Straight to the tree, past apply_event (and the state's snapshot).
+    CallbackEffect(kind=EffectKind.SHOW, target_node_ids=(f"{state.profile.name}-menu-0",)).apply(state.dom)
 
 
 class TestCloneIndependence:
-    @pytest.mark.parametrize("mutate", [_menu_toggle, _scroll, _find_write])
+    @pytest.mark.parametrize("mutate", [_menu_toggle, _scroll, _show_menu])
     @pytest.mark.parametrize("side", ["original", "clone"])
     def test_mutation_on_one_side_leaves_other_unchanged(self, state, mutate, side):
         state.features()  # the clone inherits a filled visibility snapshot
@@ -178,8 +180,20 @@ class TestWorkCounts:
         return _count_calls(monkeypatch, DomTree, "visible_nodes")
 
     @pytest.fixture
-    def node_clones(self, monkeypatch):
-        return _count_calls(monkeypatch, DomNode, "clone")
+    def views(self, monkeypatch):
+        return _count_calls(monkeypatch, DomTree, "view")
+
+    @pytest.fixture
+    def node_inits(self, monkeypatch):
+        inits = []
+        original = DomNode.__init__
+
+        def counting(self, *args, **kwargs):
+            inits.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DomNode, "__init__", counting)
+        return inits
 
     def test_features_and_lnes_share_one_visibility_pass(self, state, passes):
         state.features()
@@ -203,14 +217,17 @@ class TestWorkCounts:
         state.available_events()
         assert len(passes) == 2
 
-    def test_a_private_tree_walks_every_query(self, state, passes):
+    def test_a_toggled_state_is_walked_once_per_process(self, state, catalog, passes):
         _menu_toggle(state)
         state.dom.view()
         state.dom.view()
-        assert len(passes) == 2
+        twin = SessionState.fresh(catalog.get("cnn"))
+        _menu_toggle(twin)
+        assert twin.view() is state.view()
+        assert len(passes) == 1
 
-    def test_an_effect_free_click_keeps_the_view(self, state, passes):
-        # On a private tree every view() walks, so only a kept view saves one.
+    def test_an_effect_free_click_keeps_the_view(self, state, views):
+        # Every state is walked once, so a kept view saves the memo lookup.
         _menu_toggle(state)
         before = state.features()
         root = state.dom.root.node_id
@@ -218,22 +235,17 @@ class TestWorkCounts:
         state.apply_event(EventType.CLICK, root)
         assert np.array_equal(state.features()[:2], before[:2])
         state.available_events()
-        assert len(passes) == 1
-        assert state.view() == state.dom.view()
+        assert len(views) == 1
+        assert state.view() is state.dom.view()
 
-    def test_scroll_only_roll_forward_copies_no_nodes(self, state, node_clones):
+    def test_roll_forward_builds_no_nodes(self, state, node_inits):
         clone = state.clone()
-        for _ in range(3):
-            _scroll(clone)
+        for apply in (_scroll, _menu_toggle, _scroll, _menu_toggle):
+            apply(clone)
             clone.features()
             clone.available_events()
-        assert node_clones == []
-
-    def test_menu_toggle_copies_the_tree_once(self, state, node_clones):
-        clone = state.clone()
-        _menu_toggle(clone)
-        _menu_toggle(clone)
-        assert len(node_clones) == len(list(state.dom.walk()))
+        assert node_inits == []
+        assert clone.dom.root is state.dom.root
 
 
 class TestDocumentRng:
@@ -247,12 +259,12 @@ class TestDocumentRng:
 
 
 def _document(dom: DomTree, semantic) -> tuple:
-    """Every node field in pre-order, the page geometry and the effects."""
+    """Every node field in pre-order, the state, the page geometry and the effects."""
     nodes = [
         (n.tag, n.node_id, n.y, n.height, n.width, n.display, n.listeners, n.is_link, len(n.children))
         for n in dom.walk()
     ]
-    return nodes, dom.viewport, dom._page_height, dict(semantic.effects)
+    return nodes, dom.flipped, dom.viewport, dom._page_height, dict(semantic.effects)
 
 
 def _fresh_build(profile, doc_index: int) -> tuple:
@@ -269,13 +281,14 @@ class TestDocumentMemo:
             assert _document(state.dom, state.semantic) == _fresh_build(profile, doc_index)
             state.apply_event(EventType.LOAD, state.dom.root.node_id)
 
-    @pytest.mark.parametrize("mutate", [_menu_toggle, _find_write])
+    @pytest.mark.parametrize("mutate", [_menu_toggle, _show_menu])
     def test_mutating_a_served_document_leaves_the_memo_unchanged(self, catalog, mutate):
         profile = catalog.get("cnn")
         expected = _fresh_build(profile, 0)
         state = SessionState.fresh(profile)
         mutate(state)
-        state.semantic.register("cnn-nav-0", EventType.SCROLL, CallbackEffect())
+        with pytest.raises(TypeError):
+            state.semantic.register("cnn-nav-0", EventType.SCROLL, CallbackEffect())
         assert _document(state.dom, state.semantic) != expected
         assert _document(*session_state._DOCUMENTS[(profile, 0)]) == expected
         served = SessionState.fresh(profile)

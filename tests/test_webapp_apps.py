@@ -1,5 +1,7 @@
 """Unit tests for the benchmark application catalog."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ class TestProfileValidation:
     def test_workload_scale_positive(self):
         with pytest.raises(ValueError):
             AppProfile("x", True, 0.5, 0.3, 0.1, 0.0, 0.1)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_workload_scale_finite(self, scale):
+        # A NaN scale used to surface only in trace generation, as a
+        # misleading "tmem_ms must be non-negative".
+        with pytest.raises(ValueError, match="workload_scale"):
+            AppProfile("x", True, 0.5, 0.3, 0.1, scale, 0.1)
 
 
 class TestBuildDom:

@@ -1,12 +1,15 @@
 """Unit tests for the DOM tree model and viewport queries."""
 
+import math
+
 import pytest
 
 from repro.webapp.dom import DomNode, DomTree, Viewport
 from repro.webapp.events import EventType
+from repro.webapp.semantic_tree import CallbackEffect, EffectKind
 
 
-def build_tree() -> DomTree:
+def build_tree(menu_display: str = "none") -> DomTree:
     root = DomNode(tag="body", node_id="body", y=0, height=2000, width=360, listeners=frozenset({EventType.SCROLL}))
     button = root.append_child(
         DomNode(
@@ -19,7 +22,7 @@ def build_tree() -> DomTree:
         )
     )
     hidden = root.append_child(
-        DomNode(tag="div", node_id="menu", y=160, height=100, width=360, display="none")
+        DomNode(tag="div", node_id="menu", y=160, height=100, width=360, display=menu_display)
     )
     hidden.append_child(
         DomNode(tag="a", node_id="menu-item", y=160, height=40, width=360, is_link=True, listeners={EventType.CLICK})
@@ -31,12 +34,33 @@ def build_tree() -> DomTree:
     return DomTree(root=root, viewport=Viewport(width=360, height=640), page_height=2000)
 
 
+def show(tree: DomTree, node_id: str) -> None:
+    CallbackEffect(kind=EffectKind.SHOW, target_node_ids=(node_id,)).apply(tree)
+
+
+def toggle(tree: DomTree, node_id: str) -> None:
+    CallbackEffect(kind=EffectKind.TOGGLE_DISPLAY, target_node_ids=(node_id,)).apply(tree)
+
+
+def visible_ids(tree: DomTree) -> set[str]:
+    return {n.node_id for n in tree.visible_nodes()}
+
+
+NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
 class TestViewport:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             Viewport(width=0, height=100)
         with pytest.raises(ValueError):
             Viewport(width=100, height=100, scroll_y=-1)
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    @pytest.mark.parametrize("name", ["width", "height", "scroll_y"])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError):
+            Viewport(**{name: value})
 
 
 class TestDomTree:
@@ -55,11 +79,23 @@ class TestDomTree:
         with pytest.raises(KeyError):
             tree.find("nope")
 
+    def test_find_returns_the_documents_node(self):
+        tree = build_tree()
+        assert tree.find("menu-item") in tree.find("menu").children
+        assert tree.clone().find("menu") is tree.find("menu")
+
+    def test_rejects_duplicate_node_ids(self):
+        root = DomNode("body", "root")
+        root.append_child(DomNode("div", "twin"))
+        root.append_child(DomNode("div", "twin"))
+        with pytest.raises(ValueError, match="twin"):
+            DomTree(root)
+
     def test_display_none_subtree_is_not_displayed(self):
         tree = build_tree()
-        assert not tree.find("menu-item").is_displayed
-        tree.find("menu").display = "block"
-        assert tree.find("menu-item").is_displayed
+        assert "menu-item" not in visible_ids(tree)
+        show(tree, "menu")
+        assert "menu-item" in visible_ids(tree)
 
     def test_visibility_respects_viewport(self):
         tree = build_tree()
@@ -92,26 +128,40 @@ class TestDomTree:
     def test_clickable_region_grows_when_menu_expands(self):
         tree = build_tree()
         before = tree.clickable_region_fraction()
-        tree.find("menu").display = "block"
+        show(tree, "menu")
         assert tree.clickable_region_fraction() > before
 
     def test_visible_link_fraction(self):
         tree = build_tree()
         assert tree.visible_link_fraction() == pytest.approx(0.0)
-        tree.find("menu").display = "block"
+        show(tree, "menu")
         assert tree.visible_link_fraction() > 0.0
 
     def test_toggle_display_flips(self):
         tree = build_tree()
-        menu = tree.find("menu")
-        menu.toggle_display()
-        assert menu.display == "block"
-        menu.toggle_display()
-        assert menu.display == "none"
+        toggle(tree, "menu")
+        assert tree.flipped == {"menu"}
+        assert "menu" in visible_ids(tree)
+        toggle(tree, "menu")
+        assert tree.flipped == frozenset()
+        assert "menu" not in visible_ids(tree)
+        # The document itself is never written.
+        assert tree.find("menu").display == "none"
 
     def test_negative_dimensions_rejected(self):
         with pytest.raises(ValueError):
             DomNode(tag="div", node_id="x", height=-1)
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    @pytest.mark.parametrize("name", ["y", "height", "width"])
+    def test_non_finite_geometry_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            DomNode(tag="div", node_id="x", **{name: value})
+
+    @pytest.mark.parametrize("display", ["inline", "", "None"])
+    def test_displays_other_than_block_and_none_rejected(self, display):
+        with pytest.raises(ValueError, match="display"):
+            DomNode(tag="div", node_id="x", display=display)
 
     def test_is_clickable_checks_pointer_listeners(self):
         assert DomNode(tag="a", node_id="a", listeners={EventType.TOUCHSTART}).is_clickable
@@ -120,16 +170,49 @@ class TestDomTree:
 
 
 class TestDomNodeEquality:
-    def test_tree_equals_its_clone(self):
+    def test_two_builds_of_one_document_are_equal(self):
         # ``parent`` is excluded from comparison; comparing it used to
         # recurse back up the tree forever.
-        tree = build_tree()
-        assert tree.root == tree.root.clone()
-        assert tree.root == tree.clone().root
+        assert build_tree().root == build_tree().root
 
-    def test_tree_differs_from_clone_after_display_flip(self):
+    def test_documents_that_differ_in_one_display_differ(self):
+        assert build_tree("block").root != build_tree().root
+
+
+class TestDomState:
+    def test_a_flip_on_a_clone_leaves_the_document_and_the_original(self):
         tree = build_tree()
         twin = tree.clone()
-        twin.find("menu").display = "block"
-        assert twin.root != tree.root
+        toggle(twin, "menu")
+        assert twin.root is tree.root
+        assert tree.flipped == frozenset() and twin.flipped == {"menu"}
+        assert visible_ids(twin) == visible_ids(build_tree("block"))
+        assert visible_ids(tree) == visible_ids(build_tree())
+
+    def test_show_and_hide_flip_only_against_the_document(self):
+        tree = build_tree()
+        CallbackEffect(kind=EffectKind.HIDE, target_node_ids=("menu",)).apply(tree)
+        assert tree.flipped == frozenset()
+        show(tree, "menu")
+        show(tree, "menu")
+        assert tree.flipped == {"menu"}
+        CallbackEffect(kind=EffectKind.HIDE, target_node_ids=("btn",)).apply(tree)
+        assert tree.flipped == {"menu", "btn"}
+        assert "btn" not in visible_ids(tree)
+
+    def test_an_unknown_target_is_an_error(self):
+        with pytest.raises(KeyError):
+            toggle(build_tree(), "nope")
+
+    def test_one_state_reached_two_ways_is_one_view(self):
+        tree = build_tree()
+        first = tree.view()
+        twin = tree.clone()
+        toggle(twin, "menu")
+        twin.scroll(300)
+        assert twin.view() is not first
+        toggle(twin, "menu")
+        twin.scroll(-300)
+        assert twin.view() is first
+        assert tree.clone().view() is first
 
