@@ -242,6 +242,9 @@ class BranchAndBoundSolver:
                     chosen.pop()
 
         descend(0, window_start_ms, 0.0, [])
+        # descend calls itself through its closure cell; emptying the cell
+        # breaks that cycle, so the window is freed by reference counting.
+        descend = None
         return self._schedule(specs, best_choice, window_start_ms, feasible)
 
     @staticmethod
@@ -280,6 +283,7 @@ class BranchAndBoundSolver:
                     visit(index + 1, finish, total, chosen + [option])
 
         visit(0, window_start_ms, 0.0, [])
+        visit = None  # break the closure's cycle, as in solve
         return best_choice
 
     @staticmethod

@@ -12,14 +12,17 @@ latency/energy options.  :class:`Schedule` is a solved instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from repro.schedulers.base import ConfigOption
+from repro.utils import ValidatedRecord
 
 
-@dataclass(frozen=True)
-class EventSpec:
+class EventSpec(
+    ValidatedRecord,
+    namedtuple("EventSpec", "label release_ms deadline_ms options speculative"),
+):
     """One event of a scheduling window.
 
     ``release_ms`` is the earliest time the event's execution may start
@@ -30,25 +33,28 @@ class EventSpec:
     events, whose frames go through the pending frame buffer.
     """
 
-    label: str
-    release_ms: float
-    deadline_ms: float
-    options: tuple[ConfigOption, ...]
-    speculative: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.options:
-            raise ValueError(f"event {self.label!r} has no configuration options")
-        if self.deadline_ms < self.release_ms:
-            raise ValueError(f"event {self.label!r} has a deadline before its release time")
+    def __new__(
+        cls,
+        label: str,
+        release_ms: float,
+        deadline_ms: float,
+        options: tuple[ConfigOption, ...],
+        speculative: bool = False,
+    ) -> EventSpec:
+        if not options:
+            raise ValueError(f"event {label!r} has no configuration options")
+        if deadline_ms < release_ms:
+            raise ValueError(f"event {label!r} has a deadline before its release time")
+        return tuple.__new__(cls, (label, release_ms, deadline_ms, options, speculative))
 
     @property
     def fastest_option(self) -> ConfigOption:
         return min(self.options, key=lambda o: (o.latency_ms, o.energy_mj))
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """The chosen configuration and resulting timing for one event."""
 
     spec: EventSpec
@@ -65,8 +71,7 @@ class Assignment:
         return self.option.energy_mj
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """A solved scheduling window."""
 
     assignments: tuple[Assignment, ...]

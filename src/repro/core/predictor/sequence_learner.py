@@ -12,6 +12,7 @@ predicted before stopping is the prediction degree.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.core.predictor.dom_analysis import DomAnalyzer
 from repro.core.predictor.features import EventLabelEncoder, FeatureExtractor
 from repro.core.predictor.logistic import SoftmaxRegression
 from repro.traces.session_state import SessionState
+from repro.utils import ValidatedRecord
 from repro.webapp.events import EventType
 
 #: Default cumulative-confidence threshold (Sec. 5.2, empirically 70%).
@@ -30,20 +32,22 @@ DEFAULT_CONFIDENCE_THRESHOLD: float = 0.70
 DEFAULT_MAX_DEGREE: int = 12
 
 
-@dataclass(frozen=True)
-class PredictedEvent:
+class PredictedEvent(
+    ValidatedRecord,
+    namedtuple("PredictedEvent", "event_type confidence cumulative_confidence node_id"),
+):
     """One predicted future event with its per-step and cumulative confidence."""
 
-    event_type: EventType
-    confidence: float
-    cumulative_confidence: float
-    node_id: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
+    def __new__(
+        cls, event_type: EventType, confidence: float, cumulative_confidence: float, node_id: str
+    ) -> PredictedEvent:
+        if not 0.0 <= confidence <= 1.0:
             raise ValueError("confidence must be in [0, 1]")
-        if not 0.0 <= self.cumulative_confidence <= 1.0 + 1e-9:
+        if not 0.0 <= cumulative_confidence <= 1.0 + 1e-9:
             raise ValueError("cumulative confidence must be in [0, 1]")
+        return tuple.__new__(cls, (event_type, confidence, cumulative_confidence, node_id))
 
 
 @dataclass
@@ -107,9 +111,9 @@ class EventSequenceLearner:
         A round is a pure function of the DOM state, the feature window,
         ``last_navigated`` and the learner, so it is memoised on the state's
         view like every other pure function of the DOM state, keyed by the
-        window's ``(event_type, navigated)`` pairs, ``last_navigated`` and
-        :meth:`_round_inputs`.  An unfitted learner skips the memo and
-        raises from the loop.
+        window's ``(event_type, navigated)`` pairs (the ``ObservedEvent``
+        tuples themselves), ``last_navigated`` and :meth:`_round_inputs`.
+        An unfitted learner skips the memo and raises from the loop.
 
         A computed round looks each step up in the model's one step memo by
         the feature values and the LNES mask
@@ -122,7 +126,7 @@ class EventSequenceLearner:
         key = (
             "predict_sequence",
             self._round_inputs(dom),
-            tuple((observed.event_type, observed.navigated) for observed in state.history),
+            tuple(state.history),
             state.last_navigated,
         )
         memo = state.view().memo

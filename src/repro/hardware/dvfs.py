@@ -14,13 +14,13 @@ event's trace carries its model directly (:class:`DvfsModel`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from repro.hardware.acmp import AcmpConfig, AcmpSystem
+from repro.utils import ValidatedRecord
 
 
-@dataclass(frozen=True)
-class DvfsModel:
+class DvfsModel(ValidatedRecord, namedtuple("DvfsModel", "tmem_ms ndep_mcycles")):
     """Frequency-dependent latency model for one unit of work.
 
     Parameters
@@ -32,15 +32,15 @@ class DvfsModel:
         GHz yields milliseconds: ``1e6 cycles / (1e9 cycles/s) = 1 ms``).
     """
 
-    tmem_ms: float
-    ndep_mcycles: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, tmem_ms: float, ndep_mcycles: float) -> DvfsModel:
         # Negated comparisons, so that NaN fails them too.
-        if not self.tmem_ms >= 0:
+        if not tmem_ms >= 0:
             raise ValueError("tmem_ms must be non-negative")
-        if not self.ndep_mcycles >= 0:
+        if not ndep_mcycles >= 0:
             raise ValueError("ndep_mcycles must be non-negative")
+        return tuple.__new__(cls, (tmem_ms, ndep_mcycles))
 
     def latency_ms(self, system: AcmpSystem, config: AcmpConfig) -> float:
         """Predicted execution latency on ``config`` in milliseconds."""

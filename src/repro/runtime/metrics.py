@@ -16,7 +16,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -78,8 +77,7 @@ class ExactSum:
         return NotImplemented
 
 
-@dataclass(frozen=True)
-class EventOutcome:
+class EventOutcome(NamedTuple):
     """What happened to one event under one scheduler."""
 
     index: int
@@ -122,16 +120,9 @@ _PACKED_FLOATS = (
 _LISTED = ("index", "event_type", "config_label", "speculative", "mispredicted")
 #: Little-endian float64, whatever the host's byte order.
 _PACKED_DTYPE = np.dtype("<f8")
-# ``_value_`` is the member's value as a plain attribute (``.value`` is a
-# property), which keeps the whole row one C-level getter call.
-_outcome_columns = attrgetter(
-    "index",
-    "event_type._value_",
-    "config_label",
-    "speculative",
-    "mispredicted",
-    *_PACKED_FLOATS,
-)
+#: Where each packed column sits among :class:`EventOutcome`'s fields.
+_LISTED_AT = tuple(EventOutcome._fields.index(name) for name in _LISTED)
+_PACKED_AT = tuple(EventOutcome._fields.index(name) for name in _PACKED_FLOATS)
 
 
 def _pack_outcomes(outcomes: Sequence[EventOutcome]) -> dict:
@@ -142,16 +133,15 @@ def _pack_outcomes(outcomes: Sequence[EventOutcome]) -> dict:
     subnormals included).  Like ``json.dumps(..., allow_nan=False)``, the
     codec refuses NaN and infinity.
     """
-    columns = list(zip(*map(_outcome_columns, outcomes))) or [()] * (
-        len(_LISTED) + len(_PACKED_FLOATS)
-    )
-    index, types, labels, speculative, mispredicted = columns[: len(_LISTED)]
-    floats = np.array(columns[len(_LISTED) :], dtype=_PACKED_DTYPE)
+    columns = list(zip(*outcomes)) or [()] * len(EventOutcome._fields)
+    index, types, labels, speculative, mispredicted = (columns[at] for at in _LISTED_AT)
+    floats = np.array([columns[at] for at in _PACKED_AT], dtype=_PACKED_DTYPE)
     if not np.isfinite(floats).all():
         raise ValueError("session outcomes hold a non-finite float, which the codec refuses")
     return {
         "index": list(index),
-        "event_type": list(types),
+        # ``_value_`` is the member's value as a plain attribute (``.value`` is a property).
+        "event_type": [event_type._value_ for event_type in types],
         "config_label": list(labels),
         "speculative": list(map(int, speculative)),
         "mispredicted": list(map(int, mispredicted)),

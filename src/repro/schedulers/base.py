@@ -12,12 +12,15 @@ work drives utilisation up.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hardware.acmp import AcmpConfig, AcmpSystem
 from repro.hardware.dvfs import DvfsModel
 from repro.hardware.power import PowerTable
 from repro.traces.trace import TraceEvent
+from repro.utils import ValidatedRecord
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,7 @@ class ExecutionPlan:
         return self.phases[-1].config
 
 
-@dataclass(frozen=True)
-class EventContext:
+class EventContext(NamedTuple):
     """Everything a reactive scheduler may consult when planning one event."""
 
     event: TraceEvent
@@ -89,22 +91,37 @@ class ReactiveScheduler(abc.ABC):
         """Clear any per-session state before replaying a new trace."""
 
 
-@dataclass(frozen=True)
-class ConfigOption:
+class ConfigOption(ValidatedRecord, namedtuple("ConfigOption", "config latency_ms power_w energy_mj")):
     """One point of an event's latency/energy trade-off space.
 
-    ``energy_mj`` is materialised at construction time: the solvers read it
-    millions of times per evaluation run, so it is a plain attribute rather
-    than a recomputed property.
+    Built from ``config``, ``latency_ms`` and ``power_w``; ``energy_mj`` is
+    their product, materialised at construction time: the solvers read it
+    millions of times per evaluation run, so it is a plain field rather
+    than a recomputed property.  Every construction path derives it, so it
+    is never stale: ``_make`` takes the three inputs (a fourth value, an
+    old ``energy_mj``, is recomputed), ``_replace`` refuses ``energy_mj``,
+    and pickling passes the three inputs.
     """
 
-    config: AcmpConfig
-    latency_ms: float
-    power_w: float
-    energy_mj: float = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "energy_mj", self.power_w * self.latency_ms)
+    def __new__(cls, config: AcmpConfig, latency_ms: float, power_w: float) -> ConfigOption:
+        return tuple.__new__(cls, (config, latency_ms, power_w, power_w * latency_ms))
+
+    @classmethod
+    def _make(cls, iterable) -> ConfigOption:
+        config, latency_ms, power_w, *energy = iterable
+        if len(energy) > 1:
+            raise TypeError(f"ConfigOption takes 3 or 4 values, not {3 + len(energy)}")
+        return cls(config, latency_ms, power_w)
+
+    def _replace(self, **changes) -> ConfigOption:
+        if "energy_mj" in changes:
+            raise ValueError("energy_mj is derived from latency_ms and power_w")
+        return super()._replace(**changes)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]
 
 
 def capped_system(system: AcmpSystem, cap_mhz: int) -> AcmpSystem:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ObservedEvent:
+class ObservedEvent(NamedTuple):
     """The slice of an event the feature window needs to remember."""
 
     event_type: EventType
@@ -250,8 +250,8 @@ class SessionState:
 
         Hand-rolled instead of ``copy.deepcopy`` (which was the single
         largest predictor-side cost): the immutable pieces — the frozen
-        :class:`AppProfile`, the read-only Semantic Tree, and the frozen
-        ``ObservedEvent`` history entries — are shared, and so is the view
+        :class:`AppProfile`, the read-only Semantic Tree, and the
+        ``ObservedEvent`` tuples of the history — are shared, and so is the view
         snapshot, since the clone starts in the same DOM state, and the
         window counts are copied, not rescanned.  The DOM state is a
         :meth:`DomTree.clone` (the document, a viewport and a flipped set,

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.hardware.dvfs import DvfsModel
+from repro.utils import ValidatedRecord
 from repro.webapp.events import EventType, qos_target_ms
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(
+    ValidatedRecord,
+    namedtuple("TraceEvent", "index event_type node_id arrival_ms workload navigates"),
+):
     """One user-triggered event in an interaction session.
 
     ``arrival_ms`` is when the user input fires (relative to session start).
@@ -20,18 +24,22 @@ class TraceEvent:
     when replaying the DOM state alongside the trace.
     """
 
-    index: int
-    event_type: EventType
-    node_id: str
-    arrival_ms: float
-    workload: DvfsModel
-    navigates: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __new__(
+        cls,
+        index: int,
+        event_type: EventType,
+        node_id: str,
+        arrival_ms: float,
+        workload: DvfsModel,
+        navigates: bool = False,
+    ) -> TraceEvent:
+        if index < 0:
             raise ValueError("index must be non-negative")
-        if self.arrival_ms < 0:
+        if arrival_ms < 0:
             raise ValueError("arrival_ms must be non-negative")
+        return tuple.__new__(cls, (index, event_type, node_id, arrival_ms, workload, navigates))
 
     @property
     def qos_target_ms(self) -> float:

@@ -60,6 +60,23 @@ def pool_chunk_size(n_items: int, workers: int) -> int:
     return max(1, n_items // (workers * 8))
 
 
+class ValidatedRecord:
+    """First base of a ``namedtuple`` subclass whose ``__new__`` validates or derives fields.
+
+    The records a replay builds once per event or per round are tuples:
+    immutable, without a per-instance ``__dict__``, and cheap to build.
+    ``namedtuple``'s own ``_make`` (and so ``_replace``) builds the tuple
+    directly; this one goes through ``__new__``, so no construction path
+    skips its checks.  Pickling and copying call ``__new__`` too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def write_text_atomic(text: str, path: Path | str) -> Path:
     """Crash-safe file write: temp sibling, flush + fsync, ``os.replace``.
 

@@ -15,9 +15,11 @@ callback is derived statically, as the paper's DOM analysis does.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from repro.utils import ValidatedRecord
 from repro.webapp.events import EventType
 
 #: Listener types that make a node count towards the clickable region.
@@ -27,19 +29,17 @@ _CLICK_EVENTS: frozenset[EventType] = frozenset({EventType.CLICK, EventType.TOUC
 _DISPLAYS: tuple[str, str] = ("block", "none")
 
 
-@dataclass(frozen=True)
-class Viewport:
+class Viewport(ValidatedRecord, namedtuple("Viewport", "width height scroll_y")):
     """The visible region of the page in CSS pixels."""
 
-    width: float = 360.0
-    height: float = 640.0
-    scroll_y: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+    def __new__(cls, width: float = 360.0, height: float = 640.0, scroll_y: float = 0.0) -> Viewport:
+        if not (0.0 < width < math.inf and 0.0 < height < math.inf):
             raise ValueError("viewport dimensions must be positive and finite")
-        if not 0.0 <= self.scroll_y < math.inf:
+        if not 0.0 <= scroll_y < math.inf:
             raise ValueError("scroll offset must be non-negative and finite")
+        return tuple.__new__(cls, (width, height, scroll_y))
 
     @property
     def area(self) -> float:

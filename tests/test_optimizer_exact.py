@@ -22,6 +22,7 @@ deadline never raises the planned energy.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.optimizer.ilp import BranchAndBoundSolver, relax_infeasible_deadlines
+from repro.core.optimizer.ilp import SCAN_BUDGET, BranchAndBoundSolver, relax_infeasible_deadlines
 from repro.core.optimizer.schedule import EventSpec, Schedule, simulate_order
 from repro.hardware.acmp import AcmpConfig
 from repro.hardware.dvfs import DvfsModel
@@ -284,6 +285,40 @@ class TestPinnedOracleWindows:
         )
         assert schedule.feasible == window["feasible"]
         assert schedule.total_energy_mj < float(window["dp_energy_mj"])
+
+
+class TestSolvedWindowsAreFreedByRefcount:
+    """The search's recursive closures leave no reference cycle behind, so a
+    solved window dies by reference counting instead of waiting for the
+    cyclic collector."""
+
+    def test_scanned_and_frontier_windows_leave_no_cyclic_garbage(self):
+        window = pinned_windows("ORACLE_windows.json")[0]
+        frontier = [
+            EventSpec(
+                f"event-{i}",
+                event["release_ms"],
+                event["deadline_ms"],
+                tuple(
+                    ConfigOption(AcmpConfig(cluster, mhz), latency, power)
+                    for cluster, mhz, latency, power in event["options"]
+                ),
+            )
+            for i, event in enumerate(window["events"])
+        ]
+        assert math.prod(len(spec.options) for spec in frontier[:-1]) > SCAN_BUDGET
+        scanned = frontier[:3]
+        assert math.prod(len(spec.options) for spec in scanned[:-1]) <= SCAN_BUDGET
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for specs in (scanned, frontier):
+                BranchAndBoundSolver().solve(specs, window["window_start_ms"])
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 option_tables = st.lists(

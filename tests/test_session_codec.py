@@ -107,6 +107,11 @@ def exact(value):
     so ``-0.0 != 0.0`` and ``1 != 1.0 != True`` under ``==``."""
     if isinstance(value, float):
         return ("float", struct.pack("<d", value))
+    if hasattr(type(value), "_fields"):  # a record tuple: keep its type and field names
+        return (
+            type(value).__name__,
+            [(name, exact(getattr(value, name))) for name in type(value)._fields],
+        )
     if isinstance(value, (list, tuple)):
         return [exact(item) for item in value]
     if dataclasses.is_dataclass(value):
@@ -145,7 +150,7 @@ class TestPackedCodec:
     @pytest.mark.parametrize("field", metrics._PACKED_FLOATS)
     def test_non_finite_outcome_floats_are_refused(self, field, bad):
         outcome = EventOutcome(0, EventType.CLICK, 1.0, 2.0, 3.0, 20.0, 100.0, 5.0, "<A15>")
-        result = SessionResult("cnn", "EBS", [dataclasses.replace(outcome, **{field: bad})])
+        result = SessionResult("cnn", "EBS", [outcome._replace(**{field: bad})])
         with pytest.raises(ValueError, match="non-finite"):
             result.to_dict()
         with pytest.raises(ValueError, match="non-finite"):

@@ -136,13 +136,12 @@ class TestTracesGolden:
         trace = TraceGenerator().generate("cnn", seed=7)
         event = trace.events[3]
         changed = [
-            dataclasses.replace(event, arrival_ms=event.arrival_ms + 1e-9),
-            dataclasses.replace(event, navigates=not event.navigates),
-            dataclasses.replace(event, node_id=event.node_id + "x"),
-            dataclasses.replace(
-                event,
-                workload=dataclasses.replace(
-                    event.workload, ndep_mcycles=event.workload.ndep_mcycles * (1 + 2**-52)
+            event._replace(arrival_ms=event.arrival_ms + 1e-9),
+            event._replace(navigates=not event.navigates),
+            event._replace(node_id=event.node_id + "x"),
+            event._replace(
+                workload=event.workload._replace(
+                    ndep_mcycles=event.workload.ndep_mcycles * (1 + 2**-52)
                 ),
             ),
         ]
