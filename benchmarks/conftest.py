@@ -57,6 +57,12 @@ def simulator(catalog: AppCatalog, setup: SimulationSetup) -> Simulator:
 
 
 @pytest.fixture(scope="session")
+def evaluator(catalog: AppCatalog, setup: SimulationSetup) -> ParallelEvaluator:
+    """In-process matrix runs on the default setup."""
+    return ParallelEvaluator(setup=setup, catalog=catalog, jobs=1)
+
+
+@pytest.fixture(scope="session")
 def training_traces(generator: TraceGenerator):
     return generator.generate_many(list(SEEN_APPS), TRAIN_TRACES_PER_APP, base_seed=0)
 
@@ -75,10 +81,10 @@ def evaluation_traces(generator: TraceGenerator):
 
 
 @pytest.fixture(scope="session")
-def scheme_aggregates(catalog: AppCatalog, setup: SimulationSetup, evaluation_traces, learner):
+def scheme_aggregates(evaluator: ParallelEvaluator, evaluation_traces, learner):
     """Every evaluation trace replayed under every scheme, aggregated overall
     and per app (Figs. 10-13)."""
-    return ParallelEvaluator(setup=setup, catalog=catalog, jobs=1).compare(
+    return evaluator.compare(
         evaluation_traces,
         ["Interactive", "Ondemand", "EBS", "PES", "Oracle"],
         learner=learner,

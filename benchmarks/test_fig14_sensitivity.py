@@ -19,14 +19,14 @@ THRESHOLDS = (0.3, 0.5, 0.7, 0.9, 1.0)
 APPS = ("cnn", "ebay", "google", "slashdot")
 
 
-def run_sweep(simulator, learner, evaluation_traces):
+def run_sweep(evaluator, learner, evaluation_traces):
     traces = [t for t in evaluation_traces if t.app_name in APPS]
-    return sweep_confidence_threshold(simulator, learner, traces, THRESHOLDS)
+    return sweep_confidence_threshold(evaluator, learner, traces, THRESHOLDS)
 
 
-def test_fig14_confidence_threshold_sensitivity(benchmark, simulator, learner, evaluation_traces):
+def test_fig14_confidence_threshold_sensitivity(benchmark, evaluator, learner, evaluation_traces):
     sweep = benchmark.pedantic(
-        run_sweep, args=(simulator, learner, evaluation_traces), rounds=1, iterations=1
+        run_sweep, args=(evaluator, learner, evaluation_traces), rounds=1, iterations=1
     )
 
     rows = [

@@ -6,7 +6,9 @@ hardware), solving the constrained optimisation (~10 ms, amortised over the
 scheduling window), and the hardware switching costs (100 µs DVFS, 20 µs
 migration) which are part of the simulation model rather than measured
 here.  These are true micro-benchmarks: pytest-benchmark measures the
-prediction and solver paths directly.
+prediction and solver paths directly.  Under ``--benchmark-disable`` each
+path runs once, unmeasured: the timing asserts and the write of
+``results/sec63_overheads.txt`` are skipped, and the result asserts still run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from repro.webapp.events import EventType
 _RESULTS: dict[str, float] = {}
 
 
+def mean_s(benchmark) -> float | None:
+    """Mean seconds per call, or ``None`` when benchmarking is disabled."""
+    return None if benchmark.stats is None else benchmark.stats.stats.mean
+
+
 def test_sec63_prediction_inference_overhead(benchmark, learner, catalog):
     """One single-step model evaluation (features already extracted)."""
     state = SessionState.fresh(catalog.get("cnn"))
@@ -30,8 +37,10 @@ def test_sec63_prediction_inference_overhead(benchmark, learner, catalog):
         return learner.model.predict_proba(features)
 
     benchmark(infer)
-    _RESULTS["prediction_us"] = benchmark.stats.stats.mean * 1e6
-    assert benchmark.stats.stats.mean < 1e-3  # well under a millisecond
+    mean = mean_s(benchmark)
+    if mean is not None:
+        _RESULTS["prediction_us"] = mean * 1e6
+        assert mean < 1e-3  # well under a millisecond
 
 
 def test_sec63_full_prediction_step_overhead(benchmark, learner, catalog):
@@ -43,8 +52,10 @@ def test_sec63_full_prediction_step_overhead(benchmark, learner, catalog):
         return learner.predict_next(state, mask=analyzer.lnes_mask(state))
 
     benchmark(predict)
-    _RESULTS["prediction_step_ms"] = benchmark.stats.stats.mean * 1e3
-    assert benchmark.stats.stats.mean < 0.05  # < 50 ms
+    mean = mean_s(benchmark)
+    if mean is not None:
+        _RESULTS["prediction_step_ms"] = mean * 1e3
+        assert mean < 0.05  # < 50 ms
 
 
 def test_sec63_ilp_solver_overhead(benchmark, setup, catalog):
@@ -59,15 +70,18 @@ def test_sec63_ilp_solver_overhead(benchmark, setup, catalog):
         PredictedEvent(event_type=t, confidence=0.9, cumulative_confidence=0.9, node_id="n")
         for t in (EventType.SCROLL, EventType.CLICK, EventType.SCROLL, EventType.CLICK, EventType.SCROLL)
     ]
-    specs = optimizer.build_specs(0.0, [], predictions)
+    specs = optimizer.build_specs(0.0, predictions)
 
     def solve():
         return optimizer.solve(specs, 0.0)
 
     schedule = benchmark(solve)
-    _RESULTS["ilp_solve_ms"] = benchmark.stats.stats.mean * 1e3
     assert schedule.feasible
-    assert benchmark.stats.stats.mean < 0.25  # well under the paper's 10 ms budget scale
+    mean = mean_s(benchmark)
+    if mean is None:
+        return
+    _RESULTS["ilp_solve_ms"] = mean * 1e3
+    assert mean < 0.25  # well under the paper's 10 ms budget scale
 
     write_result(
         "sec63_overheads.txt",

@@ -15,24 +15,27 @@ from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.core.pes import PesConfig
 from repro.core.predictor.training import evaluate_accuracy
-from repro.runtime.metrics import aggregate_results
 
 ABLATION_APPS = ("cnn", "amazon", "google", "ebay", "slashdot", "sina")
 
 
-def run_ablation(simulator, learner, catalog, evaluation_traces):
+def run_ablation(evaluator, learner, catalog, evaluation_traces):
     accuracy_with = evaluate_accuracy(learner, evaluation_traces, catalog, use_dom_analysis=True)
     accuracy_without = evaluate_accuracy(learner, evaluation_traces, catalog, use_dom_analysis=False)
 
     traces = [t for t in evaluation_traces if t.app_name in ABLATION_APPS]
-    with_dom = [simulator.run_pes(t, learner, PesConfig(use_dom_analysis=True)) for t in traces]
-    without_dom = [simulator.run_pes(t, learner, PesConfig(use_dom_analysis=False)) for t in traces]
-    return accuracy_with, accuracy_without, aggregate_results(with_dom), aggregate_results(without_dom)
+    with_dom, without_dom = (
+        evaluator.compare(
+            traces, ["PES"], learner=learner, pes_config=PesConfig(use_dom_analysis=use_dom)
+        )["PES"].overall
+        for use_dom in (True, False)
+    )
+    return accuracy_with, accuracy_without, with_dom, without_dom
 
 
-def test_sec65_dom_analysis_ablation(benchmark, simulator, learner, catalog, evaluation_traces):
+def test_sec65_dom_analysis_ablation(benchmark, evaluator, learner, catalog, evaluation_traces):
     accuracy_with, accuracy_without, metrics_with, metrics_without = benchmark.pedantic(
-        run_ablation, args=(simulator, learner, catalog, evaluation_traces), rounds=1, iterations=1
+        run_ablation, args=(evaluator, learner, catalog, evaluation_traces), rounds=1, iterations=1
     )
 
     mean_with = float(np.mean(list(accuracy_with.values())))

@@ -10,6 +10,10 @@ the predictor restarts.  After more than ``disable_after`` consecutive
 mis-predictions the control unit disables prediction altogether and PES
 falls back to the best reactive scheduler (EBS), which keeps PES robust
 against unexpected behaviour (Sec. 5.4).
+
+The control unit also keeps the session's speculation ledger: rounds begun,
+predictions made, commits and mis-predictions.  The proactive engine copies
+it into the session's result.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ class ControlUnit:
     prediction_enabled: bool = True
     commits: int = 0
     mispredictions: int = 0
+    #: Rounds begun with at least one prediction, and their predictions in all.
     rounds: int = 0
+    predictions_made: int = 0
 
     def __post_init__(self) -> None:
         if self.disable_after <= 0:
@@ -61,6 +67,7 @@ class ControlUnit:
         self.pending = list(zip(predictions, assignments, strict=True))
         if predictions:
             self.rounds += 1
+            self.predictions_made += len(predictions)
 
     # -- validation ----------------------------------------------------------------
 
@@ -102,3 +109,4 @@ class ControlUnit:
         self.commits = 0
         self.mispredictions = 0
         self.rounds = 0
+        self.predictions_made = 0

@@ -95,7 +95,6 @@ def _relax(
                     release_ms=spec.release_ms,
                     deadline_ms=deadline if earliest <= deadline + 1e-9 else earliest,
                     options=spec.options,
-                    speculative=spec.speculative,
                 )
             )
         previous_deadline = relaxed[-1].deadline_ms

@@ -1,9 +1,15 @@
 """Global optimizer: builds and solves the speculative scheduling window.
 
-Upon receiving the predicted event sequence, the optimizer combines it with
-any outstanding events and computes the speculative schedule: one ACMP
-configuration per event, minimising total energy under every event's QoS
-deadline (Sec. 5.3).
+Upon receiving the predicted event sequence, the optimizer computes the
+speculative schedule: one ACMP configuration per predicted event,
+minimising total energy under every event's QoS deadline (Sec. 5.3).
+
+The window holds predicted events only.  The paper's formulation also
+admits outstanding events (arrived, not yet executed), but none exists when
+a round opens: the proactive engine opens a round only after the event that
+arrived has run (committed from the previous round, or executed reactively
+by the EBS fallback) and only once the previous round has drained, so every
+event that has arrived is already scheduled.
 
 Two estimators feed the formulation for *predicted* events, whose concrete
 workload and arrival time are not yet known:
@@ -175,29 +181,18 @@ class GlobalOptimizer:
 
     # -- spec construction -------------------------------------------------------
 
-    def _options_for(self, workload: DvfsModel, system: AcmpSystem | None = None):
-        return tuple(
-            enumerate_options(
-                system if system is not None else self.system,
-                self.power_table,
-                workload,
-                pareto_only=True,
-            )
-        )
-
     def build_specs(
         self,
         now_ms: float,
-        outstanding: list[TraceEvent],
         predicted: list[PredictedEvent],
         *,
         system: AcmpSystem | None = None,
     ) -> list[EventSpec]:
-        """Combine outstanding and predicted events into one scheduling window.
+        """The scheduling window of the predicted events.
 
-        Outstanding events keep their true arrival and deadline.  Predicted
-        events are released immediately (that is the proactive part) and get
-        deadlines derived from conservatively estimated arrival times.
+        Predicted events are released immediately (that is the proactive
+        part) and get deadlines derived from conservatively estimated
+        arrival times.
 
         ``system`` overrides the platform the window's options are
         enumerated over — the dynamic thermal engine passes the throttled
@@ -216,21 +211,6 @@ class GlobalOptimizer:
         bits.
         """
         specs: list[EventSpec] = []
-        horizon = now_ms
-        for event in outstanding:
-            specs.append(
-                EventSpec(
-                    label=f"outstanding-{event.index}",
-                    release_ms=event.arrival_ms,
-                    deadline_ms=max(
-                        event.deadline_ms - self.safety_margin_ms, event.arrival_ms
-                    ),
-                    options=self._options_for(event.workload, system),
-                    speculative=False,
-                )
-            )
-            horizon = max(horizon, event.deadline_ms)
-
         predicted_arrival = now_ms
         for position, prediction in enumerate(predicted):
             predicted_arrival += self.arrival_estimator.expected_gap_ms(prediction.event_type)
@@ -241,7 +221,6 @@ class GlobalOptimizer:
                     release_ms=now_ms,
                     deadline_ms=max(deadline - self.safety_margin_ms, now_ms),
                     options=self._predicted_options(prediction.event_type, system),
-                    speculative=True,
                 )
             )
         return specs
@@ -257,7 +236,8 @@ class GlobalOptimizer:
             or slot[1] != workload.tmem_ms
             or slot[2] != workload.ndep_mcycles
         ):
-            slot = (platform, workload.tmem_ms, workload.ndep_mcycles, self._options_for(workload, platform))
+            options = tuple(enumerate_options(platform, self.power_table, workload, pareto_only=True))
+            slot = (platform, workload.tmem_ms, workload.ndep_mcycles, options)
             self._option_slots[event_type] = slot
         return slot[3]
 
@@ -274,10 +254,15 @@ class GlobalOptimizer:
         *,
         system: AcmpSystem | None = None,
     ) -> Schedule:
-        """End-to-end: build the window from events and solve it.
+        """End-to-end: build the window of the predicted events and solve it.
 
+        ``outstanding`` must be empty: no event is outstanding when a round
+        opens (see the module docstring).  The parameter stays because
+        perfbench's tracer (``perfbench/tracing.py``) counts a window's
+        events from this call's ``outstanding`` and ``predicted`` arguments.
         ``system`` optionally narrows the window to a (thermally) capped
         platform; see :meth:`build_specs`.
         """
-        specs = self.build_specs(now_ms, outstanding, predicted, system=system)
-        return self.solve(specs, now_ms)
+        if outstanding:
+            raise ValueError("a PES window plans predicted events only; no event is outstanding")
+        return self.solve(self.build_specs(now_ms, predicted, system=system), now_ms)

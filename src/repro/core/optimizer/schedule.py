@@ -5,8 +5,8 @@ scheduled event (Eqn. 2), models each event's latency with the DVFS model
 (Eqn. 3), constrains each event to finish before its deadline given the
 sequential execution order (Eqn. 4), and minimises total energy (Eqn. 5).
 
-:class:`EventSpec` is one row of that problem — an event (outstanding or
-predicted) with its release time, deadline, and per-configuration
+:class:`EventSpec` is one row of that problem — an event (predicted, or
+known to the Oracle) with its release time, deadline, and per-configuration
 latency/energy options.  :class:`Schedule` is a solved instance.
 """
 
@@ -21,16 +21,15 @@ from repro.utils import ValidatedRecord
 
 class EventSpec(
     ValidatedRecord,
-    namedtuple("EventSpec", "label release_ms deadline_ms options speculative"),
+    namedtuple("EventSpec", "label release_ms deadline_ms options"),
 ):
     """One event of a scheduling window.
 
     ``release_ms`` is the earliest time the event's execution may start
-    (now, for speculative execution of predicted events; the arrival time
-    for outstanding events).  ``deadline_ms`` is the absolute QoS deadline.
-    ``options`` are the candidate configurations (latency/power per
-    configuration, usually Pareto-pruned).  ``speculative`` marks predicted
-    events, whose frames go through the pending frame buffer.
+    (now, for speculative execution of predicted events; the window start
+    for the Oracle's known events).  ``deadline_ms`` is the absolute QoS
+    deadline.  ``options`` are the candidate configurations (latency/power
+    per configuration, usually Pareto-pruned).
     """
 
     __slots__ = ()
@@ -41,13 +40,12 @@ class EventSpec(
         release_ms: float,
         deadline_ms: float,
         options: tuple[ConfigOption, ...],
-        speculative: bool = False,
     ) -> EventSpec:
         if not options:
             raise ValueError(f"event {label!r} has no configuration options")
         if deadline_ms < release_ms:
             raise ValueError(f"event {label!r} has a deadline before its release time")
-        return tuple.__new__(cls, (label, release_ms, deadline_ms, options, speculative))
+        return tuple.__new__(cls, (label, release_ms, deadline_ms, options))
 
     @property
     def fastest_option(self) -> ConfigOption:

@@ -12,7 +12,10 @@ The hybrid predictor owns
   shared learner application-specific at runtime by restricting its
   prediction space to the current page's Likely-Next-Event-Set.
 
-``use_dom_analysis=False`` reproduces the ablation of Sec. 6.5.
+``use_dom_analysis=False`` reproduces the ablation of Sec. 6.5.  The
+predictor counts nothing: the rounds and predictions of a session are
+counted by the :class:`~repro.core.control.control_unit.ControlUnit` that
+begins each round.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ class HybridEventPredictor:
     use_dom_analysis: bool = True
     state: SessionState = field(init=False)
     analyzer: DomAnalyzer = field(init=False)
-    predictions_made: int = 0
-    rounds: int = 0
 
     def __post_init__(self) -> None:
         self.state = SessionState.fresh(self.profile)
@@ -52,19 +53,14 @@ class HybridEventPredictor:
 
     def predict_sequence(self) -> list[PredictedEvent]:
         """Predict the upcoming event sequence from the current state."""
-        predictions = self.learner.predict_sequence(
+        return self.learner.predict_sequence(
             self.state,
             self.analyzer,
             use_dom_analysis=self.use_dom_analysis,
         )
-        self.rounds += 1
-        self.predictions_made += len(predictions)
-        return predictions
 
     # -- lifecycle ----------------------------------------------------------------
 
     def reset(self) -> None:
         """Start a fresh session (new document, empty history)."""
         self.state = SessionState.fresh(self.profile)
-        self.predictions_made = 0
-        self.rounds = 0

@@ -586,7 +586,7 @@ class ProactiveEngine:
             wasted_time_ms=wasted_time,
             mispredictions=control.mispredictions,
             commits=control.commits,
-            predictions_made=pes.predictor.predictions_made,
+            predictions_made=control.predictions_made,
             prediction_rounds=control.rounds,
             pfb_size_history=list(control.pfb.size_history),
         )
@@ -640,7 +640,6 @@ class OracleEngine:
                             planning_system, self.setup.power_table, e.workload, pareto_only=True
                         )
                     ),
-                    speculative=True,
                 )
                 for e in chunk
             ]

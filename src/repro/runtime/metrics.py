@@ -527,9 +527,10 @@ class StreamingAggregator:
 
     The parallel evaluation engine feeds results into an aggregator as
     workers deliver them, so a sweep over thousands of sessions never has to
-    hold every ``SessionResult`` in memory at once.  Folding the same
-    results in the same order produces the exact floating-point totals of
-    :func:`aggregate_results` (which is itself implemented as a fold).
+    hold every ``SessionResult`` in memory at once.  Beyond what
+    :meth:`finalize` reports, it sums PES's speculation counters,
+    ``predictions_made`` and ``prediction_rounds``, whose ratio is the
+    prediction degree of Fig. 14.
 
     :meth:`merge` is the one fold body: :meth:`add` merges the one-session
     fold of its result.  Merging is a first-class, order-independent
@@ -546,6 +547,9 @@ class StreamingAggregator:
     violations: int = 0
     mispredictions: int = 0
     commits: int = 0
+    # PES's speculation counters (Fig. 14's prediction degree is their ratio).
+    predictions_made: int = 0
+    prediction_rounds: int = 0
     # Thermal accumulators; only sessions carrying ThermalSessionStats fold
     # into these, so a mixed static/dynamic sweep aggregates each cleanly.
     thermal_sessions: int = 0
@@ -638,6 +642,8 @@ class StreamingAggregator:
         self._wasted_time_ms.merge(other._wasted_time_ms)
         self.mispredictions += other.mispredictions
         self.commits += other.commits
+        self.predictions_made += other.predictions_made
+        self.prediction_rounds += other.prediction_rounds
         if other.thermal_sessions:
             if self.thermal_sessions == 0 or other.thermal_peak_c > self.thermal_peak_c:
                 self.thermal_peak_c = other.thermal_peak_c
@@ -718,6 +724,8 @@ def _session_fold(result: SessionResult) -> StreamingAggregator:
         violations=result.violations,
         mispredictions=result.mispredictions,
         commits=result.commits,
+        predictions_made=result.predictions_made,
+        prediction_rounds=result.prediction_rounds,
         _total_latency_ms=ExactSum(o.latency_ms for o in result.outcomes),
         _total_energy_mj=ExactSum((result.total_energy_mj,)),
         _wasted_energy_mj=ExactSum((result.wasted_energy_mj,)),
@@ -848,14 +856,6 @@ class StreamingMatrixAggregator:
         if cell is None:
             cell = row[scheme] = StreamingSweepAggregator()
         cell.add(fold, app_name)
-
-
-def aggregate_results(results: Iterable[SessionResult]) -> AggregateMetrics:
-    """Aggregate sessions replayed under the same scheduler."""
-    aggregator = StreamingAggregator()
-    for result in results:
-        aggregator.add(result)
-    return aggregator.finalize()
 
 
 def normalised_energy_by_app(

@@ -1,19 +1,25 @@
 """Session-level checks of pool runs: every job's shard payload text, in fold order.
 
 ``evaluate_matrix`` returns the cell aggregates only (compare them through
-:func:`finalized`).  To check a run session by
-session, run it with ``encode=True`` and collect the payload each job hands
-to ``on_job_complete``; compare that with ``encode_session`` of sessions
-replayed in-process.  The packed codec is bit-exact, so equal payload text
+:func:`finalized` with :func:`aggregate_results` of in-process sessions).
+To check a run session by session, run it with ``encode=True`` and collect
+the payload each job hands to ``on_job_complete``; compare that with
+``encode_session`` of sessions replayed in-process.  The packed codec is bit-exact, so equal payload text
 means equal sessions, down to every float's bits.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.runtime.metrics import SessionResult, StreamingSweepAggregator, encode_session
+from repro.runtime.metrics import (
+    AggregateMetrics,
+    SessionResult,
+    StreamingAggregator,
+    StreamingSweepAggregator,
+    encode_session,
+)
 
 #: ``(sweep key, scheme, trace index, payload text)`` per job, in fold order.
 Payloads = list[tuple[str, str, int, str]]
@@ -43,6 +49,14 @@ def finalized(cells: Mapping[str, Mapping[str, StreamingSweepAggregator]]) -> di
         key: {scheme: cell.finalize() for scheme, cell in row.items()}
         for key, row in cells.items()
     }
+
+
+def aggregate_results(results: Iterable[SessionResult]) -> AggregateMetrics:
+    """The reference fold: sessions of one scheduler added one by one, then finalised."""
+    aggregator = StreamingAggregator()
+    for result in results:
+        aggregator.add(result)
+    return aggregator.finalize()
 
 
 def encoded(key: str, scheme_results: Mapping[str, Sequence[SessionResult]]) -> Payloads:

@@ -18,7 +18,7 @@ def predicted(event_type: EventType) -> PredictedEvent:
 def planned(finish_ms: float) -> Assignment:
     option = ConfigOption(AcmpConfig("A15", 1000), latency_ms=50.0, power_w=1.2)
     spec = EventSpec(
-        label="predicted", release_ms=0.0, deadline_ms=1000.0, options=(option,), speculative=True
+        label="predicted", release_ms=0.0, deadline_ms=1000.0, options=(option,)
     )
     return Assignment(spec=spec, option=option, start_ms=finish_ms - 50.0, finish_ms=finish_ms)
 
@@ -71,6 +71,7 @@ class TestControlUnit:
         control = ControlUnit()
         scroll, click = begin(control, EventType.SCROLL, EventType.CLICK)
         assert control.rounds == 1
+        assert control.predictions_made == 2
         assert control.validate(EventType.SCROLL) is MatchResult.MATCH
         control.pfb.push(10.0)
         assert control.confirm_match(20.0) is scroll
@@ -132,6 +133,7 @@ class TestControlUnit:
         control = ControlUnit()
         control.begin_round([], ())
         assert control.rounds == 0
+        assert control.predictions_made == 0
         assert not control.pending
 
     def test_cannot_begin_round_with_pending_predictions(self):
@@ -146,6 +148,7 @@ class TestControlUnit:
             control.begin_round([predicted(EventType.SCROLL)], [])
         assert not control.pending
         assert control.rounds == 0
+        assert control.predictions_made == 0
 
     def test_reset(self):
         control = ControlUnit()
@@ -155,5 +158,7 @@ class TestControlUnit:
         control.reset()
         assert control.prediction_enabled
         assert control.mispredictions == 0
+        assert control.rounds == 0
+        assert control.predictions_made == 0
         assert not control.pending
         assert control.pfb == PendingFrameBuffer()

@@ -120,7 +120,6 @@ class TestPesScheduler:
         open_round(pes, sample_trace)
         assert pes.control.pending
         for position, (prediction, assignment) in enumerate(pes.control.pending):
-            assert assignment.spec.speculative
             assert assignment.spec.label == f"predicted-{position}-{prediction.event_type.value}"
 
     def test_mispredict_clears_round(self, pes, sample_trace):

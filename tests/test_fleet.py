@@ -215,7 +215,8 @@ class TestFleetEvaluation:
     def test_device_aggregates_match_an_in_process_replay(self, tiny_run):
         """Each device's aggregate folds exactly that device's sessions:
         replay its sweep in-process and aggregate the session list."""
-        from repro.runtime.metrics import StreamingAggregator, aggregate_results
+        from pool_payloads import aggregate_results
+        from repro.runtime.metrics import StreamingAggregator
         from repro.runtime.simulator import Simulator
         from repro.scenarios.runner import ScenarioRunner
 

@@ -45,7 +45,7 @@ POWER_TABLE = PowerModel().build_table(SYSTEM)
 WORKLOAD = DvfsModel(12.5, 340.0)
 EVENT = TraceEvent(3, EventType.CLICK, "cnn-menu-btn-0", 250.0, WORKLOAD, True)
 OPTION = ConfigOption(AcmpConfig("A15", 1200), 0.1 + 0.2, 1.7)
-SPEC = EventSpec("predicted-0-click", 10.0, 60.0, (OPTION,), True)
+SPEC = EventSpec("predicted-0-click", 10.0, 60.0, (OPTION,))
 ASSIGNMENT = Assignment(SPEC, OPTION, 10.0, 10.0 + OPTION.latency_ms)
 
 RECORDS = {

@@ -80,7 +80,7 @@ class TestArrivalEstimator:
 
 
 class TestGlobalOptimizer:
-    def test_specs_combine_outstanding_and_predicted(self, optimizer, catalog):
+    def test_outstanding_events_are_refused(self, optimizer):
         outstanding = TraceEvent(
             index=3,
             event_type=EventType.CLICK,
@@ -88,21 +88,16 @@ class TestGlobalOptimizer:
             arrival_ms=10_000.0,
             workload=DvfsModel(15.0, 200.0),
         )
-        predictions = [predicted(EventType.SCROLL), predicted(EventType.CLICK)]
-        specs = optimizer.build_specs(10_050.0, [outstanding], predictions)
-        assert len(specs) == 3
-        assert not specs[0].speculative
-        assert specs[1].speculative and specs[2].speculative
+        with pytest.raises(ValueError, match="outstanding"):
+            optimizer.compute_schedule(10_050.0, [outstanding], [predicted(EventType.SCROLL)])
 
     def test_predicted_events_released_immediately(self, optimizer):
-        specs = optimizer.build_specs(5_000.0, [], [predicted(EventType.CLICK)])
+        specs = optimizer.build_specs(5_000.0, [predicted(EventType.CLICK)])
         assert specs[0].release_ms == pytest.approx(5_000.0)
         assert specs[0].deadline_ms > 5_000.0
 
     def test_predicted_deadlines_accumulate_gaps(self, optimizer):
-        specs = optimizer.build_specs(
-            0.0, [], [predicted(EventType.SCROLL), predicted(EventType.SCROLL)]
-        )
+        specs = optimizer.build_specs(0.0, [predicted(EventType.SCROLL), predicted(EventType.SCROLL)])
         assert specs[1].deadline_ms > specs[0].deadline_ms
 
     def test_schedule_meets_deadlines_for_typical_window(self, optimizer):

@@ -11,9 +11,9 @@ def option(latency: float, power: float, freq: int = 1000) -> ConfigOption:
     return ConfigOption(config=AcmpConfig("A15", freq), latency_ms=latency, power_w=power)
 
 
-def spec(label: str, release: float, deadline: float, options=None, speculative=False) -> EventSpec:
+def spec(label: str, release: float, deadline: float, options=None) -> EventSpec:
     options = options or (option(100.0, 1.0, 1800), option(200.0, 0.4, 800))
-    return EventSpec(label=label, release_ms=release, deadline_ms=deadline, options=tuple(options), speculative=speculative)
+    return EventSpec(label=label, release_ms=release, deadline_ms=deadline, options=tuple(options))
 
 
 class TestEventSpec:

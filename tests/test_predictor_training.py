@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.control.control_unit import ControlUnit
+from repro.core.optimizer.schedule import Assignment, EventSpec
 from repro.core.predictor.hybrid import HybridEventPredictor
 from repro.core.predictor.training import PredictorTrainer, evaluate_accuracy
+from repro.hardware.acmp import AcmpConfig
+from repro.schedulers.base import ConfigOption
 from repro.traces.session_state import FEATURE_NAMES
 from repro.traces.trace import TraceSet
 from repro.webapp.events import EventType
@@ -81,15 +85,27 @@ class TestAccuracy:
         assert np.mean(list(with_dom.values())) > np.mean(list(without_dom.values()))
 
 
+def counted_round(predictions) -> ControlUnit:
+    """A control unit that has begun one round of ``predictions``."""
+    option = ConfigOption(AcmpConfig("A15", 1000), latency_ms=50.0, power_w=1.2)
+    assignment = Assignment(EventSpec("predicted", 0.0, 1000.0, (option,)), option, 0.0, 50.0)
+    control = ControlUnit()
+    control.begin_round(predictions, [assignment] * len(predictions))
+    return control
+
+
 class TestHybridPredictor:
     def test_observe_then_predict(self, learner, catalog, generator):
         trace = generator.generate("cnn", seed=321)
         predictor = HybridEventPredictor(learner=learner, profile=catalog.get("cnn"))
         for event in trace.events[:5]:
             predictor.observe(event.event_type, event.node_id, navigates=event.navigates)
+        # A navigation forces a LOAD prediction, so the round is not empty.
+        predictor.observe(EventType.CLICK, "cnn-nav-0", navigates=True)
         predictions = predictor.predict_sequence()
-        assert predictor.rounds == 1
-        assert predictor.predictions_made == len(predictions)
+        control = counted_round(predictions)
+        assert control.rounds == 1
+        assert control.predictions_made == len(predictions)
         for prediction in predictions:
             assert isinstance(prediction.event_type, EventType)
             assert 0.0 <= prediction.confidence <= 1.0
@@ -97,10 +113,13 @@ class TestHybridPredictor:
     def test_reset_clears_state(self, learner, catalog):
         predictor = HybridEventPredictor(learner=learner, profile=catalog.get("cnn"))
         predictor.observe(EventType.SCROLL, "cnn-body")
-        predictor.predict_sequence()
+        predictor.observe(EventType.CLICK, "cnn-nav-0", navigates=True)
+        control = counted_round(predictor.predict_sequence())
+        assert control.rounds == 1
         predictor.reset()
-        assert predictor.rounds == 0
-        assert predictor.predictions_made == 0
+        control.reset()
+        assert control.rounds == 0
+        assert control.predictions_made == 0
         assert len(predictor.state.history) == 0
 
     def test_navigation_observation_forces_load_prediction(self, learner, catalog):

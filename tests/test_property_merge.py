@@ -27,9 +27,10 @@ from repro.runtime.metrics import (
     SessionResult,
     StreamingAggregator,
     ThermalSessionStats,
-    aggregate_results,
 )
 from repro.webapp.events import EventType
+
+from pool_payloads import aggregate_results
 
 
 def outcome(index: int, latency: float, qos: float = 1e30, energy: float = 1.0) -> EventOutcome:
@@ -53,6 +54,8 @@ def session(
     *,
     thermal: ThermalSessionStats | None = None,
     faults: FaultSessionStats | None = None,
+    predictions: int = 5,
+    rounds: int = 2,
 ) -> SessionResult:
     return SessionResult(
         app_name=app,
@@ -63,6 +66,8 @@ def session(
         wasted_time_ms=latency / 11.0,
         mispredictions=1,
         commits=2,
+        predictions_made=predictions,
+        prediction_rounds=rounds,
         duration_ms=latency,
         thermal=thermal,
         faults=faults,
@@ -132,6 +137,7 @@ def assert_bit_identical(a: StreamingAggregator, b: StreamingAggregator) -> None
         left, right = getattr(a, name), getattr(b, name)
         assert math.copysign(1.0, left) == math.copysign(1.0, right), name
         assert left == right, f"{name}: {left!r} != {right!r}"
+    assert (a.predictions_made, a.prediction_rounds) == (b.predictions_made, b.prediction_rounds)
     assert a.finalize() == b.finalize()
     assert a.finalize_thermal() == b.finalize_thermal()
     assert a.finalize_faults() == b.finalize_faults()
@@ -209,6 +215,8 @@ def results_and_split(draw):
             energy=x,
             thermal=thermal_stats(abs(x)) if draw(st.booleans()) else None,
             faults=fault_stats(x) if draw(st.booleans()) else None,
+            predictions=draw(st.integers(0, 60)),
+            rounds=draw(st.integers(0, 12)),
         )
         for x in values
     ]
@@ -223,7 +231,10 @@ class TestMergeEqualsFoldProperty:
     @given(results_and_split())
     def test_random_shard_splits_merge_bit_identically(self, case):
         results, bounds = case
-        assert_bit_identical(fold_shards(results, bounds), fold(results))
+        sequential = fold(results)
+        assert_bit_identical(fold_shards(results, bounds), sequential)
+        assert sequential.predictions_made == sum(r.predictions_made for r in results)
+        assert sequential.prediction_rounds == sum(r.prediction_rounds for r in results)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(finite, min_size=0, max_size=30), st.integers(0, 30))

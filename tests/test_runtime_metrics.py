@@ -8,10 +8,11 @@ from repro.runtime.metrics import (
     StreamingAggregator,
     StreamingSweepAggregator,
     ThermalSessionStats,
-    aggregate_results,
     _session_fold,
 )
 from repro.webapp.events import EventType
+
+from pool_payloads import aggregate_results
 
 
 def outcome(index: int, latency: float, qos: float, energy: float = 50.0, arrival: float = 0.0) -> EventOutcome:

@@ -14,16 +14,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.runtime.metrics import (
-    StreamingAggregator,
-    StreamingSweepAggregator,
-    aggregate_results,
-)
+from repro.runtime.metrics import StreamingAggregator, StreamingSweepAggregator
 from repro.runtime.parallel import MatrixSweep, ParallelEvaluator
 from repro.runtime.simulator import Simulator
 from repro.utils import resolve_jobs
 
-from pool_payloads import encoded, finalized, pool_payloads, sessions
+from pool_payloads import aggregate_results, encoded, finalized, pool_payloads, sessions
 
 
 def _head(trace, n):
