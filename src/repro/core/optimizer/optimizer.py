@@ -40,6 +40,7 @@ from repro.traces.trace import TraceEvent
 from repro.traces.workload import WorkloadModel
 from repro.webapp.apps import AppProfile
 from repro.webapp.events import EventType, Interaction, interaction_of, qos_target_ms
+from repro.webapp.rendering import planning_deadline_ms
 
 
 @dataclass
@@ -171,8 +172,6 @@ class GlobalOptimizer:
     power_table: PowerTable
     workload_estimator: WorkloadEstimator
     arrival_estimator: ArrivalEstimator = field(default_factory=ArrivalEstimator)
-    #: Small reserve per event for the rendering hand-off / VSync quantisation.
-    safety_margin_ms: float = 8.0
     #: Per event type, ``(platform, tmem_ms, ndep_mcycles, options)`` of the
     #: last predicted event of that type; see :meth:`build_specs`.
     _option_slots: dict[EventType, tuple] = field(
@@ -191,8 +190,8 @@ class GlobalOptimizer:
         """The scheduling window of the predicted events.
 
         Predicted events are released immediately (that is the proactive
-        part) and get deadlines derived from conservatively estimated
-        arrival times.
+        part) and get the planning deadlines (:func:`planning_deadline_ms`)
+        of conservatively estimated arrival times.
 
         ``system`` overrides the platform the window's options are
         enumerated over — the dynamic thermal engine passes the throttled
@@ -219,7 +218,7 @@ class GlobalOptimizer:
                 EventSpec(
                     label=f"predicted-{position}-{prediction.event_type.value}",
                     release_ms=now_ms,
-                    deadline_ms=max(deadline - self.safety_margin_ms, now_ms),
+                    deadline_ms=planning_deadline_ms(deadline, now_ms),
                     options=self._predicted_options(prediction.event_type, system),
                 )
             )

@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 from repro.core.control.control_unit import ControlUnit
 from repro.core.optimizer.optimizer import ArrivalEstimator, GlobalOptimizer, WorkloadEstimator
 from repro.core.predictor.hybrid import HybridEventPredictor
-from repro.core.predictor.sequence_learner import EventSequenceLearner
+from repro.core.predictor.sequence_learner import (
+    DEFAULT_CONFIDENCE_THRESHOLD,
+    DEFAULT_MAX_DEGREE,
+    EventSequenceLearner,
+)
 from repro.hardware.acmp import AcmpSystem
 from repro.hardware.dvfs import DvfsModel
 from repro.hardware.power import PowerTable
@@ -37,12 +41,11 @@ from repro.webapp.events import EventType
 class PesConfig:
     """Tunable parameters of PES."""
 
-    confidence_threshold: float = 0.70
-    max_prediction_degree: int = 12
+    confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
+    max_prediction_degree: int = DEFAULT_MAX_DEGREE
     disable_after_mispredictions: int = 3
     use_dom_analysis: bool = True
     arrival_conservatism: float = 0.8
-    safety_margin_ms: float = 8.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.confidence_threshold <= 1.0:
@@ -55,10 +58,6 @@ class PesConfig:
         # config fails at construction instead of after learner training.
         if not 0.0 < self.arrival_conservatism <= 1.0:
             raise ValueError("conservatism must be in (0, 1]")
-        # Negated, so that NaN fails too: a NaN margin would make every EBS
-        # budget NaN and silently run each event on the fastest config.
-        if not self.safety_margin_ms >= 0:
-            raise ValueError("safety_margin_ms must be non-negative")
 
 
 @dataclass
@@ -105,14 +104,13 @@ class PesScheduler:
             power_table=power_table,
             workload_estimator=WorkloadEstimator(profile=profile),
             arrival_estimator=ArrivalEstimator(conservatism=config.arrival_conservatism),
-            safety_margin_ms=config.safety_margin_ms,
         )
         control = ControlUnit(disable_after=config.disable_after_mispredictions)
         return cls(
             predictor=predictor,
             optimizer=optimizer,
             control=control,
-            fallback=EbsScheduler(safety_margin_ms=config.safety_margin_ms),
+            fallback=EbsScheduler(),
             config=config,
         )
 

@@ -20,10 +20,7 @@ import numpy as np
 from repro.core.predictor.dom_analysis import DomAnalyzer
 from repro.core.predictor.features import EventLabelEncoder, FeatureExtractor
 from repro.core.predictor.logistic import SoftmaxRegression
-from repro.core.predictor.sequence_learner import (
-    DEFAULT_CONFIDENCE_THRESHOLD,
-    EventSequenceLearner,
-)
+from repro.core.predictor.sequence_learner import EventSequenceLearner
 from repro.traces.session_state import SessionState
 from repro.traces.trace import Trace, TraceSet
 from repro.webapp.apps import AppCatalog
@@ -49,7 +46,6 @@ class PredictorTrainer:
     learning_rate: float = 0.5
     max_iterations: int = 2000
     l2: float = 1e-4
-    confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
 
     def build_dataset(self, traces: TraceSet) -> tuple[np.ndarray, np.ndarray]:
         """Replay traces into (features, labels) arrays.
@@ -87,12 +83,7 @@ class PredictorTrainer:
         )
         model.fit(features, labels)
         model.calibrate_temperature(features, labels)
-        learner = EventSequenceLearner(
-            model=model,
-            encoder=self.encoder,
-            extractor=self.extractor,
-            confidence_threshold=self.confidence_threshold,
-        )
+        learner = EventSequenceLearner(model=model, encoder=self.encoder, extractor=self.extractor)
         class_counts = {
             self.encoder.decode(i).value: int((labels == i).sum())
             for i in range(self.encoder.n_classes)

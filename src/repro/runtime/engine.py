@@ -35,6 +35,9 @@ value), and the live thermal state recomputes its cap, and the platform
 the cap leaves, only when the temperature moves.  What a reactive event
 does create is its scheduler context and its :class:`EventOutcome`.
 
+Both kernels display a frame at the first VSync at or after its
+completion (:func:`~repro.webapp.rendering.next_vsync_ms`).
+
 Energy accounting: active intervals are charged at the configuration's
 power from the power table; the remainder of the session is charged at idle
 power; work squashed on a mis-prediction is counted both in the total and
@@ -72,6 +75,7 @@ from repro.schedulers.base import (
 )
 from repro.schedulers.oracle import OracleScheduler
 from repro.traces.trace import Trace, TraceEvent
+from repro.webapp.rendering import next_vsync_ms, planning_deadline_ms
 
 if TYPE_CHECKING:  # pragma: no cover - simulator.py imports this module
     from repro.runtime.simulator import SimulationSetup
@@ -350,7 +354,7 @@ class _Replay:
             extra = energy * (battery.power_scale - 1.0)
             faults.note_fault_energy(extra)
             energy += extra
-        display = setup.pipeline.next_vsync_ms(finish)
+        display = next_vsync_ms(finish)
         self.outcomes.append(
             EventOutcome(
                 index=event.index,
@@ -422,7 +426,7 @@ class _Replay:
             arrival_ms=event.arrival_ms,
             start_ms=start_ms,
             finish_ms=finish,
-            display_ms=setup.pipeline.next_vsync_ms(max(finish, event.arrival_ms)),
+            display_ms=next_vsync_ms(max(finish, event.arrival_ms)),
             qos_target_ms=event.qos_target_ms,
             active_energy_mj=power * duration,
             config_label=str(chosen),
@@ -610,11 +614,6 @@ class OracleEngine:
     """
 
     setup: SimulationSetup
-    safety_margin_ms: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.safety_margin_ms < 0:
-            raise ValueError("safety_margin_ms must be non-negative")
 
     def run(self, trace: Trace, oracle: OracleScheduler | None = None) -> SessionResult:
         oracle = oracle or OracleScheduler()
@@ -634,7 +633,7 @@ class OracleEngine:
                 EventSpec(
                     label=f"event-{e.index}",
                     release_ms=clock,
-                    deadline_ms=max(e.deadline_ms - self.safety_margin_ms, clock),
+                    deadline_ms=planning_deadline_ms(e.deadline_ms, clock),
                     options=tuple(
                         enumerate_options(
                             planning_system, self.setup.power_table, e.workload, pareto_only=True

@@ -1,7 +1,7 @@
 """Experiment driver: replay traces under every scheduling scheme.
 
 :class:`Simulator` owns the hardware model (platform, power table,
-rendering pipeline) and knows how to run a trace under each scheme —
+switching costs) and knows how to run a trace under each scheme —
 reactive baselines, PES, and the oracle.
 """
 
@@ -27,7 +27,6 @@ from repro.schedulers.ondemand import OndemandGovernor
 from repro.schedulers.oracle import OracleScheduler
 from repro.traces.trace import Trace, TraceSet
 from repro.webapp.apps import AppCatalog
-from repro.webapp.rendering import RenderingPipeline
 
 #: The reactive baselines, in evaluation-figure order — the single source
 #: for scheme dispatch and scheme-name validation.
@@ -73,12 +72,12 @@ class SimulationSetup:
     or zero-rate (``is_null``) spec opens no fault state at all, so it is
     bit-identical to the fault-free path.
 
-    The engines read this object directly.
+    The engines read this object directly.  Frame timing is not part of a
+    setup: it is fixed in :mod:`repro.webapp.rendering`.
     """
 
     system: AcmpSystem = field(default_factory=exynos_5410)
     power_model: PowerModel = field(default_factory=PowerModel)
-    pipeline: RenderingPipeline = field(default_factory=RenderingPipeline)
     switching: SwitchingCosts = field(default_factory=SwitchingCosts)
     thermal: ThermalModel | None = None
     faults: FaultSpec | None = None

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.hardware.acmp import AcmpConfig
 from repro.schedulers.base import EventContext, ExecutionPlan, ReactiveScheduler
 from repro.webapp.events import EventType
+from repro.webapp.rendering import PLANNING_MARGIN_MS
 
 
 @dataclass
@@ -31,12 +32,11 @@ class EbsScheduler(ReactiveScheduler):
     afterwards the scheduler plans against the running average of what it
     has observed for that type.
 
-    ``safety_margin_ms`` reserves a small amount of the budget for the
-    rendering hand-off and VSync quantisation so a configuration that lands
-    exactly on the deadline is not selected.
+    The budget keeps :data:`~repro.webapp.rendering.PLANNING_MARGIN_MS` in
+    reserve for the rendering hand-off and VSync quantisation, so a
+    configuration that lands exactly on the deadline is not selected.
     """
 
-    safety_margin_ms: float = 8.0
     calibration_runs: int = 2
     #: Inflation applied to the predicted workload when planning.  Event
     #: workloads are long-tailed, so planning for the bare running average
@@ -54,11 +54,9 @@ class EbsScheduler(ReactiveScheduler):
     )
 
     def __post_init__(self) -> None:
-        # Negated comparisons, so that NaN fails them too.
-        if not self.safety_margin_ms >= 0:
-            raise ValueError("safety_margin_ms must be non-negative")
         if self.calibration_runs < 0:
             raise ValueError("calibration_runs must be non-negative")
+        # Negated, so that NaN fails it too.
         if not self.workload_safety_factor >= 1.0:
             raise ValueError("workload_safety_factor must be >= 1")
 
@@ -101,7 +99,8 @@ class EbsScheduler(ReactiveScheduler):
             seen[0] += workload.tmem_ms
             seen[1] += workload.ndep_mcycles
             seen[2] += 1
-        budget = ctx.remaining_budget_ms - self.safety_margin_ms
+        # Not planning_deadline_ms: (deadline - margin) - start can differ in the last bit.
+        budget = ctx.remaining_budget_ms - PLANNING_MARGIN_MS
         # Lexicographic (energy, latency) and (latency, energy) minima; a
         # strict ``<`` keeps the earliest point on ties.
         best = fastest = None

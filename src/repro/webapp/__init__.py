@@ -7,7 +7,6 @@ webpages of the paper's benchmark suite.  It provides:
 * synthetic DOM trees with event listeners and viewport visibility,
 * the Semantic Tree (Accessibility-Tree based) memoisation of callback
   effects used by the predictor's DOM analysis,
-* a rendering-pipeline latency model (style → layout → paint → composite,
-  VSync-quantised frame submission),
+* frame timing: VSync-quantised frame submission and the planning margin,
 * a catalog of the 18 benchmark applications with per-app characteristics.
 """

@@ -53,10 +53,9 @@ class TestPesConfig:
     @pytest.mark.parametrize(
         ("field", "value", "message"),
         [
-            ("safety_margin_ms", -5.0, "safety_margin_ms must be non-negative"),
-            ("safety_margin_ms", float("nan"), "safety_margin_ms must be non-negative"),
             ("arrival_conservatism", 0.0, "conservatism must be in"),
             ("arrival_conservatism", 1.5, "conservatism must be in"),
+            ("arrival_conservatism", float("nan"), "conservatism must be in"),
         ],
     )
     def test_replay_only_values_rejected_at_construction(self, field, value, message):
@@ -65,24 +64,25 @@ class TestPesConfig:
 
     def test_scenario_payload_with_bad_pes_config_fails_to_load(self):
         payload = ScenarioSpec(name="x", pes=PesConfig()).to_dict()
-        payload["pes"]["safety_margin_ms"] = -5.0
-        with pytest.raises(ValueError, match="safety_margin_ms"):
+        payload["pes"]["arrival_conservatism"] = 1.5
+        with pytest.raises(ValueError, match="conservatism"):
             ScenarioSpec.from_dict(payload)
 
-    def test_scenario_payload_with_nan_margin_fails_to_load(self):
+    def test_scenario_payload_with_nan_conservatism_fails_to_load(self):
         payload = ScenarioSpec(name="x", pes=PesConfig()).to_dict()
-        payload["pes"]["safety_margin_ms"] = float("nan")
-        with pytest.raises(ValueError, match="safety_margin_ms"):
+        payload["pes"]["arrival_conservatism"] = float("nan")
+        with pytest.raises(ValueError, match="conservatism"):
             ScenarioSpec.from_dict(payload)
 
     def test_boundary_values_accepted(self):
-        config = PesConfig(safety_margin_ms=0.0, arrival_conservatism=1.0)
-        assert config.safety_margin_ms == 0.0
+        config = PesConfig(confidence_threshold=1.0, arrival_conservatism=1.0)
+        assert config.confidence_threshold == 1.0
         assert config.arrival_conservatism == 1.0
 
     def test_defaults_match_paper(self):
         config = PesConfig()
         assert config.confidence_threshold == pytest.approx(0.70)
+        assert config.max_prediction_degree == 12
         assert config.disable_after_mispredictions == 3
         assert config.use_dom_analysis
 

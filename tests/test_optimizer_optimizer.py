@@ -6,7 +6,8 @@ from repro.core.optimizer.optimizer import ArrivalEstimator, GlobalOptimizer, Wo
 from repro.core.predictor.sequence_learner import PredictedEvent
 from repro.hardware.dvfs import DvfsModel
 from repro.traces.trace import TraceEvent
-from repro.webapp.events import EventType, Interaction
+from repro.webapp.events import EventType, Interaction, qos_target_ms
+from repro.webapp.rendering import planning_deadline_ms
 
 
 @pytest.fixture
@@ -99,6 +100,21 @@ class TestGlobalOptimizer:
     def test_predicted_deadlines_accumulate_gaps(self, optimizer):
         specs = optimizer.build_specs(0.0, [predicted(EventType.SCROLL), predicted(EventType.SCROLL)])
         assert specs[1].deadline_ms > specs[0].deadline_ms
+
+    def test_deadlines_come_from_planning_deadline(self, optimizer):
+        # Each deadline is the helper applied to the accumulated predicted
+        # arrival plus the QoS target, bit for bit.
+        optimizer.arrival_estimator.record_arrival(EventType.CLICK, 0.0)
+        optimizer.arrival_estimator.record_arrival(EventType.CLICK, 733.3)
+        window = [EventType.SCROLL, EventType.CLICK, EventType.LOAD, EventType.CLICK]
+        now = 1_234.567
+        specs = optimizer.build_specs(now, [predicted(event_type) for event_type in window])
+        arrival = now
+        for spec, event_type in zip(specs, window):
+            arrival += optimizer.arrival_estimator.expected_gap_ms(event_type)
+            expected = planning_deadline_ms(arrival + qos_target_ms(event_type), now)
+            assert spec.deadline_ms == expected
+            assert spec.release_ms == now
 
     def test_schedule_meets_deadlines_for_typical_window(self, optimizer):
         predictions = [predicted(EventType.SCROLL), predicted(EventType.CLICK), predicted(EventType.SCROLL)]

@@ -9,7 +9,7 @@ from repro.hardware.dvfs import DvfsModel
 from repro.hardware.platforms import exynos_5410
 from repro.hardware.power import PowerModel
 from repro.schedulers.base import ConfigOption, enumerate_options
-from repro.webapp.rendering import RenderingPipeline
+from repro.webapp.rendering import VSYNC_PERIOD_MS, next_vsync_ms
 
 SYSTEM = exynos_5410()
 POWER = PowerModel().build_table(SYSTEM)
@@ -100,12 +100,11 @@ class TestRenderingProperties:
     @given(time=st.floats(min_value=0.0, max_value=1e6))
     @settings(max_examples=100, deadline=None)
     def test_next_vsync_is_aligned_and_not_earlier(self, time):
-        pipeline = RenderingPipeline()
-        vsync = pipeline.next_vsync_ms(time)
+        vsync = next_vsync_ms(time)
         assert vsync >= time - 1e-6
-        ticks = vsync / pipeline.vsync_period_ms
+        ticks = vsync / VSYNC_PERIOD_MS
         assert abs(ticks - round(ticks)) < 1e-6
-        assert vsync - time < pipeline.vsync_period_ms + 1e-6
+        assert vsync - time < VSYNC_PERIOD_MS + 1e-6
 
     @given(cpu_time=st.floats(min_value=0.0, max_value=5000.0), start=st.floats(min_value=0.0, max_value=1e5))
     @settings(max_examples=60, deadline=None)
@@ -113,14 +112,13 @@ class TestRenderingProperties:
     # legitimately lands 4e-9 ms before ready (found by hypothesis).
     @example(cpu_time=0.0, start=4.0295519735528635e-09)
     def test_frame_latency_at_least_cpu_time(self, cpu_time, start):
-        pipeline = RenderingPipeline()
         ready = start + cpu_time
-        display = pipeline.next_vsync_ms(ready)
+        display = next_vsync_ms(ready)
         assert display - start >= cpu_time - 1e-6
         # next_vsync_ms forgives float noise of up to 1e-9 *ticks* (it snaps
         # a ready time that is within noise above a tick down to that tick),
         # so the idle wait may be negative by at most a tick-relative epsilon.
-        assert display - ready >= -pipeline.vsync_period_ms * 1e-9 - 1e-12
+        assert display - ready >= -VSYNC_PERIOD_MS * 1e-9 - 1e-12
 
 
 class TestPowerProperties:

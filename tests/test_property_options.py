@@ -12,6 +12,7 @@ its reference is the planner it replaced, ``min`` over ``enumerate_options``.
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from repro.hardware.acmp import AcmpSystem, Cluster, ClusterKind
 from repro.hardware.dvfs import DvfsModel
 from repro.hardware.platforms import get_platform, list_platforms
 from repro.hardware.power import PowerModel
+from repro.schedulers import ebs
 from repro.schedulers.base import ConfigOption, ExecutionPlan, capped_system, enumerate_options
 from repro.schedulers.ebs import EbsScheduler
 from repro.traces.trace import TraceEvent
@@ -177,7 +179,9 @@ class ReferenceEbs(EbsScheduler):
         predicted_workload = self._predict_workload(ctx)
         self._record(ctx)
         options = enumerate_options(ctx.system, ctx.power_table, predicted_workload)
-        budget = ctx.remaining_budget_ms - self.safety_margin_ms
+        # Read through the module, so a test that patches EBS's margin
+        # patches the reference's too.
+        budget = ctx.remaining_budget_ms - ebs.PLANNING_MARGIN_MS
         feasible = [o for o in options if o.latency_ms <= budget]
         if feasible:
             best = min(feasible, key=lambda o: (o.energy_mj, o.latency_ms))
@@ -206,6 +210,15 @@ def budget_context(system, power_table, workload, budget_ms, event_type=EventTyp
     return SimpleNamespace(event=event, remaining_budget_ms=budget_ms, system=system, power_table=power_table)
 
 
+def planning_margin(margin_ms):
+    """EBS's planning margin set to ``margin_ms`` for the ``with`` body.
+
+    Patched inside the test body: hypothesis allows no function-scoped
+    fixture on a ``@given`` test.
+    """
+    return mock.patch.object(ebs, "PLANNING_MARGIN_MS", margin_ms)
+
+
 def edge_budgets(system, power_table, workload):
     """Each option's latency and the floats one ulp either side, plus the extremes."""
     budgets = [-math.inf, 0.0, math.inf]
@@ -222,24 +235,26 @@ class TestEbsOnePassMatchesOptionsMin:
     @example(workload=DvfsModel(3.0, 180.0))
     @settings(max_examples=30, deadline=None)
     def test_budgets_at_every_option_latency(self, workload):
-        for name, system in EBS_PLATFORMS.items():
-            power_table = EBS_POWER_TABLES[name]
-            for cap_mhz in caps(system):
-                planned = system if cap_mhz is None else capped_system(system, cap_mhz)
-                for budget in edge_budgets(planned, power_table, workload):
-                    ctx = budget_context(planned, power_table, workload, budget)
-                    got = EbsScheduler(safety_margin_ms=0.0).plan(ctx)
-                    expected = ReferenceEbs(safety_margin_ms=0.0).plan(ctx)
-                    assert got == expected, (name, cap_mhz, budget)
+        with planning_margin(0.0):
+            for name, system in EBS_PLATFORMS.items():
+                power_table = EBS_POWER_TABLES[name]
+                for cap_mhz in caps(system):
+                    planned = system if cap_mhz is None else capped_system(system, cap_mhz)
+                    for budget in edge_budgets(planned, power_table, workload):
+                        ctx = budget_context(planned, power_table, workload, budget)
+                        got = EbsScheduler().plan(ctx)
+                        expected = ReferenceEbs().plan(ctx)
+                        assert got == expected, (name, cap_mhz, budget)
 
     def test_exact_ties_go_to_the_lowest_index(self):
         power_table = EBS_POWER_TABLES["twins"]
         workload = DvfsModel(2.0, 240.0)
-        for budget in edge_budgets(TWINS, power_table, workload):
-            ctx = budget_context(TWINS, power_table, workload, budget)
-            plan = EbsScheduler(safety_margin_ms=0.0).plan(ctx)
-            assert plan.final_config.cluster_name != "twin-b"
-            assert plan == ReferenceEbs(safety_margin_ms=0.0).plan(ctx)
+        with planning_margin(0.0):
+            for budget in edge_budgets(TWINS, power_table, workload):
+                ctx = budget_context(TWINS, power_table, workload, budget)
+                plan = EbsScheduler().plan(ctx)
+                assert plan.final_config.cluster_name != "twin-b"
+                assert plan == ReferenceEbs().plan(ctx)
 
     @given(
         platform=st.sampled_from(sorted(EBS_PLATFORMS)),
@@ -258,10 +273,11 @@ class TestEbsOnePassMatchesOptionsMin:
         # Past its calibration runs EBS plans against inflated running
         # averages, so the two schedulers must also agree on those workloads.
         system, power_table = EBS_PLATFORMS[platform], EBS_POWER_TABLES[platform]
-        fast, reference = EbsScheduler(safety_margin_ms=margin), ReferenceEbs(safety_margin_ms=margin)
-        for index, (event_type, workload, budget) in enumerate(events):
-            ctx = budget_context(system, power_table, workload, budget, event_type, index)
-            assert fast.plan(ctx) == reference.plan(ctx)
+        fast, reference = EbsScheduler(), ReferenceEbs()
+        with planning_margin(margin):
+            for index, (event_type, workload, budget) in enumerate(events):
+                ctx = budget_context(system, power_table, workload, budget, event_type, index)
+                assert fast.plan(ctx) == reference.plan(ctx)
 
     @given(
         platform=st.sampled_from(sorted(EBS_PLATFORMS)),
@@ -283,8 +299,9 @@ class TestEbsOnePassMatchesOptionsMin:
         predicted = calibrated(ReferenceEbs())._predict_workload(
             budget_context(system, power_table, workload, 0.0, index=len(history))
         )
-        for budget in edge_budgets(system, power_table, predicted):
-            ctx = budget_context(system, power_table, workload, budget, index=len(history))
-            fast = calibrated(EbsScheduler(safety_margin_ms=0.0))
-            reference = calibrated(ReferenceEbs(safety_margin_ms=0.0))
-            assert fast.plan(ctx) == reference.plan(ctx), budget
+        with planning_margin(0.0):
+            for budget in edge_budgets(system, power_table, predicted):
+                ctx = budget_context(system, power_table, workload, budget, index=len(history))
+                fast = calibrated(EbsScheduler())
+                reference = calibrated(ReferenceEbs())
+                assert fast.plan(ctx) == reference.plan(ctx), budget

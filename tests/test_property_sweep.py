@@ -48,7 +48,6 @@ pes_configs = st.one_of(
         disable_after_mispredictions=st.integers(min_value=1, max_value=10),
         use_dom_analysis=st.booleans(),
         arrival_conservatism=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
-        safety_margin_ms=st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
     ),
 )
 

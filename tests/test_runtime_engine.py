@@ -17,6 +17,7 @@ from repro.schedulers.oracle import OracleScheduler
 from repro.traces.generator import TraceGenerator
 from repro.traces.trace import Trace, TraceEvent
 from repro.webapp.events import EventType
+from repro.webapp.rendering import VSYNC_PERIOD_MS, next_vsync_ms
 
 
 def make_pes(learner, catalog, setup, app="cnn", **kwargs):
@@ -96,10 +97,10 @@ class TestReactiveEngine:
 
     def test_display_aligned_to_vsync(self, setup, small_trace):
         result = ReactiveEngine(setup).run(small_trace, EbsScheduler())
-        period = setup.pipeline.vsync_period_ms
         for outcome in result.outcomes:
-            ticks = outcome.display_ms / period
+            ticks = outcome.display_ms / VSYNC_PERIOD_MS
             assert abs(ticks - round(ticks)) < 1e-6
+            assert outcome.display_ms == next_vsync_ms(outcome.finish_ms)
 
 
 class TestProactiveEngine:
@@ -239,10 +240,6 @@ class TestOracleEngine:
 
         default = OracleEngine(setup).run(sample_trace, OracleScheduler())
         assert default.total_energy_mj <= unbounded.total_energy_mj * 1.02
-
-    def test_rejects_negative_safety_margin(self, setup):
-        with pytest.raises(ValueError, match="safety_margin_ms"):
-            OracleEngine(setup, safety_margin_ms=-0.5)
 
     def test_rejects_non_positive_default_lookahead(self):
         with pytest.raises(ValueError, match="lookahead_events"):

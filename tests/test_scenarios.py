@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.analysis.reporting import scenario_energy_table, scenario_qos_table
@@ -9,6 +12,7 @@ from repro.core.pes import PesConfig
 from repro.scenarios import (
     APP_MIXES,
     BUILTIN_SCENARIOS,
+    ArtefactError,
     MATRICES,
     ScenarioMatrix,
     ScenarioRunner,
@@ -280,6 +284,17 @@ class TestResultArtefacts:
         for original, loaded in zip(tiny_results, restored):
             assert loaded.spec == original.spec
             assert loaded.aggregates == original.aggregates
+
+    def test_pes_block_with_a_removed_margin_field_does_not_load(self, tmp_path, tiny_results):
+        # The planning margin is a constant now; an artefact that still
+        # records a per-config margin must fail loudly, not load as if it
+        # had been planned with the constant.
+        path = write_results(tiny_results, tmp_path / "SCENARIOS_test.json", matrix="t")
+        payload = json.loads(path.read_text())
+        payload["scenarios"][1]["spec"]["pes"] = {**asdict(PesConfig()), "safety_margin_ms": 8.0}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtefactError, match=r"scenarios\[1\].*safety_margin_ms"):
+            load_results(path)
 
     def test_zero_energy_baseline_normalises_to_none(self):
         from repro.runtime.metrics import AggregateMetrics, SchemeAggregates

@@ -10,6 +10,7 @@ from repro.schedulers.ebs import EbsScheduler
 from repro.schedulers.oracle import OracleScheduler
 from repro.traces.trace import TraceEvent
 from repro.webapp.events import EventType
+from repro.webapp.rendering import PLANNING_MARGIN_MS
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ class TestEbs:
         plan = scheduler.plan(ctx)
         options = enumerate_options(system, power_table, workload)
         chosen = next(o for o in options if o.config == plan.final_config)
-        budget = ctx.remaining_budget_ms - scheduler.safety_margin_ms
+        budget = ctx.remaining_budget_ms - PLANNING_MARGIN_MS
         assert chosen.latency_ms <= budget
         feasible = [o for o in options if o.latency_ms <= budget]
         assert chosen.energy_mj == pytest.approx(min(o.energy_mj for o in feasible))
@@ -75,20 +76,13 @@ class TestEbs:
         plan = EbsScheduler().plan(make_ctx(system, power_table, DvfsModel(5.0, 50.0)))
         assert len(plan.phases) == 1
 
-    def test_safety_margin_validation(self):
-        with pytest.raises(ValueError):
-            EbsScheduler(safety_margin_ms=-1.0)
-
     @pytest.mark.parametrize(
         ("field", "message"),
         [
-            ("safety_margin_ms", "safety_margin_ms must be non-negative"),
             ("workload_safety_factor", "workload_safety_factor must be >= 1"),
         ],
     )
     def test_nan_rejected_at_construction(self, field, message):
-        # A NaN margin would make every budget NaN: no option fits, so every
-        # event would silently run on the fastest configuration.
         with pytest.raises(ValueError, match=message):
             EbsScheduler(**{field: float("nan")})
 
